@@ -9,9 +9,8 @@
 //! *self-time* rollups — per span name, total duration minus the time
 //! covered by child spans — which is what a flame-graph's width shows.
 
-use crate::json::{parse, Value};
+use pvs_core::json::{array, parse, JsonObject, Value};
 use pvs_obs::span::TraceBuffer;
-use pvs_report::json::{array, JsonObject};
 
 /// Serialize a trace buffer as a Chrome trace-event document.
 ///

@@ -1,338 +1,3 @@
-//! A minimal JSON reader for the analysis layer.
-//!
-//! `pvs-report::json` writes JSON; this module is its inverse — just
-//! enough recursive-descent parsing to load `BENCH_sweep.json` and the
-//! Chrome trace documents back into memory without an external
-//! serialization crate. Object members are kept as an ordered
-//! `Vec<(String, Value)>` so a parse → re-render round trip preserves
-//! the writer's stable key order (no hash containers; PVS005).
-
-/// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`, like the writer emits).
-    Number(f64),
-    /// A string (escapes decoded).
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object, members in document order.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member lookup on an object (first match wins); `None` elsewhere.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a finite number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Numeric member of an object.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Value::as_f64)
-    }
-
-    /// String member of an object.
-    pub fn str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Value::as_str)
-    }
-}
-
-/// Parse error with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset where parsing failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-/// Parse one JSON document; trailing whitespace is allowed, trailing
-/// content is not.
-pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing content after document"));
-    }
-    Ok(value)
-}
-
-fn err(offset: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        offset,
-        message: message.into(),
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, format!("expected '{}'", c as char)))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Value,
-) -> Result<Value, ParseError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, format!("expected `{word}`")))
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(members));
-            }
-            _ => return Err(err(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            _ => return Err(err(*pos, "expected ',' or ']' in array")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-ASCII \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // Surrogates never appear in the writers' output;
-                        // map them to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always well-formed).
-                let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && bytes[*pos] & 0b1100_0000 == 0b1000_0000 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).unwrap());
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad number"))?;
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|_| err(start, format!("bad number `{text}`")))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalars_parse() {
-        assert_eq!(parse("null").unwrap(), Value::Null);
-        assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse("false").unwrap(), Value::Bool(false));
-        assert_eq!(parse("3.25").unwrap(), Value::Number(3.25));
-        assert_eq!(parse("-1e3").unwrap(), Value::Number(-1000.0));
-        assert_eq!(parse("\"hi\"").unwrap(), Value::String("hi".into()));
-    }
-
-    #[test]
-    fn nested_document_preserves_member_order() {
-        let doc = parse("{\"z\":1,\"a\":[2,{\"k\":\"v\"}],\"m\":null}").unwrap();
-        let Value::Object(members) = &doc else { panic!() };
-        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["z", "a", "m"], "document order, not sorted");
-        assert_eq!(doc.num("z"), Some(1.0));
-        assert_eq!(doc.get("a").unwrap().as_array().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn string_escapes_decode() {
-        assert_eq!(
-            parse("\"a\\\"b\\\\c\\nd\\u0041\"").unwrap(),
-            Value::String("a\"b\\c\nd\u{41}".into())
-        );
-    }
-
-    #[test]
-    fn whitespace_everywhere_is_fine() {
-        let doc = parse("  {\n  \"k\" :  [ 1 , 2 ]\n}  ").unwrap();
-        assert_eq!(doc.get("k").unwrap().as_array().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn errors_carry_offsets() {
-        assert!(parse("{\"k\":}").is_err());
-        assert!(parse("[1,2").is_err());
-        assert!(parse("12 34").unwrap_err().message.contains("trailing"));
-        assert!(parse("\"open").is_err());
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn round_trips_the_writers_output() {
-        use pvs_report::json::{array, JsonObject};
-        let written = JsonObject::new()
-            .string("name", "engine.loop.flops")
-            .number("value", 28311552000.0)
-            .boolean("ok", true)
-            .raw("list", array(vec!["1".to_string(), "null".to_string()]))
-            .render();
-        let doc = parse(&written).unwrap();
-        assert_eq!(doc.str("name"), Some("engine.loop.flops"));
-        assert_eq!(doc.num("value"), Some(28311552000.0));
-        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(doc.get("list").unwrap().as_array().unwrap()[1], Value::Null);
-    }
-}
+//! The JSON reader lives in [`pvs_core::json`]; this path is kept for
+//! callers outside the workspace.
+pub use pvs_core::json::*;

@@ -12,8 +12,9 @@
 //! * [`chrome`] — Chrome trace-event export and self-time rollups;
 //! * [`sentinel`] — the deterministic perf-regression comparison behind
 //!   `pvs-bench compare`;
-//! * [`profiledoc`] / [`json`] — the `BENCH_sweep.json` reader
-//!   (schema v1 and v2) and the minimal JSON parser under it.
+//! * [`profiledoc`] — the `BENCH_sweep.json` reader (schema v1 and
+//!   v2), over the shared `pvs_core::json` parser ([`json`] re-exports
+//!   it).
 //!
 //! Everything is std-only and deterministic: same inputs, byte-identical
 //! reports, no host clocks.

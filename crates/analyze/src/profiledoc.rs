@@ -1,13 +1,13 @@
 //! The `BENCH_sweep.json` document model and its compat reader.
 //!
-//! `pvs-bench`'s profile binary writes schema `pvs-bench/profile-v2`
+//! `pvs-bench`'s `profile` command writes schema `pvs-bench/profile-v2`
 //! (pretty-printed, stable key order). This module loads both v2 and the
 //! original single-line `profile-v1` into one [`ProfileDoc`] — the
 //! shared input of the bottleneck classifier ([`crate::bottleneck`]),
 //! the Amdahl decomposition ([`crate::amdahl`]), and the regression
 //! sentinel ([`crate::sentinel`]).
 
-use crate::json::{parse, Value};
+use pvs_core::json::{parse, Value};
 
 /// Schema identifier the current writer emits (canonical spelling in
 /// `pvs_core::schema`).
@@ -124,7 +124,7 @@ impl ProfileDoc {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoadError {
     /// The text is not valid JSON.
-    Parse(crate::json::ParseError),
+    Parse(pvs_core::json::ParseError),
     /// The JSON is valid but not a profile document of a known schema.
     Schema(String),
 }
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn pretty_printed_v2_loads_identically() {
         let compact = load(&v1_doc()).unwrap();
-        let pretty = load(&pvs_report::json::pretty(&v1_doc())).unwrap();
+        let pretty = load(&pvs_core::json::pretty(&v1_doc())).unwrap();
         assert_eq!(compact, pretty);
     }
 

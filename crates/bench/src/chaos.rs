@@ -24,8 +24,7 @@
 //!   the `pvs-mpisim` collectives still complete over the survivors,
 //!   twice, with identical results and retry counters.
 
-use crate::profile::{CellProfile, ProfileOptions, ProfileOutput, SweepCell};
-use crate::tablegen::{app_phases, machine_by_name};
+use crate::profile::{observed_run, CellProfile, ProfileOptions, ProfileOutput, SweepCell};
 use pvs_analyze::bottleneck::Bottleneck;
 use pvs_analyze::{findings, profiledoc};
 use pvs_core::checkpoint::SweepCheckpoint;
@@ -37,7 +36,6 @@ use pvs_mpisim::fault::{run_faulty, total_fault_stats, FaultSpec, FaultStats};
 use pvs_netsim::Network;
 use pvs_obs::{Recorder, Registry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// One named fault scenario: what breaks, and which machines it applies
 /// to.
@@ -79,7 +77,7 @@ pub fn covered_kinds(scenarios: &[ChaosScenario]) -> BTreeSet<&'static str> {
 /// free), and the interior +x crossing is derated to half bandwidth in
 /// the rest.
 fn x1_link_down() -> ChaosScenario {
-    let net = Network::new(machine_by_name("X1").network(64));
+    let net = Network::new(pvs_core::platforms::x1().network(64));
     let cut = net.bisection_cut_links().expect("the X1 is a torus");
     let rows = cut.len() / 4;
     let mut plan = FaultPlan::new(0x11A0);
@@ -233,8 +231,15 @@ impl ChaosOutput {
 /// Scenario-qualified config label. Leaked once per distinct label —
 /// the label set is a small static cross product, so the leak is
 /// bounded and the `&'static str` plugs into [`SweepCell`] unchanged.
-fn scenario_config(config: &str, scenario: &str) -> &'static str {
+pub(crate) fn scenario_config(config: &str, scenario: &str) -> &'static str {
     Box::leak(format!("{config}@{scenario}").into_boxed_str())
+}
+
+/// One bare engine run of a cell on its damaged machine.
+fn degraded_run(cell: &SweepCell, adversity: &pvs_core::Adversity) -> PerfReport {
+    Engine::new(cell.machine())
+        .with_adversity(adversity.clone())
+        .run(&cell.phases(), cell.procs)
 }
 
 fn cell_key(c: &SweepCell) -> String {
@@ -249,26 +254,6 @@ fn fingerprint(reports: &[PerfReport]) -> String {
         cp.record(i, r.clone());
     }
     cp.serialize()
-}
-
-/// Run one cell serially under full observability.
-fn observed_run(cell: &SweepCell, adversity: &pvs_core::Adversity) -> CellProfile {
-    let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-    let reg = Arc::new(Registry::new());
-    let engine = Engine::new(machine_by_name(cell.machine))
-        .with_recorder(reg.clone())
-        .with_adversity(adversity.clone());
-    let report = engine.run(&phases, cell.procs);
-    let trace = reg.trace();
-    let span_events = trace.events().len();
-    CellProfile {
-        cell: cell.clone(),
-        report,
-        snapshot: reg.snapshot(),
-        trace,
-        span_events,
-        host_secs: Vec::new(),
-    }
 }
 
 /// The message-runtime workload each comm-fault scenario must survive: a
@@ -339,12 +324,8 @@ pub fn run_chaos(
             .collect();
         let pool = ThreadPool::with_retirements(threads, &retirements);
         let adversity = compiled.adversity.clone();
-        let pooled_reports: Vec<PerfReport> = pool.map(cells.clone(), move |cell| {
-            let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-            Engine::new(machine_by_name(cell.machine))
-                .with_adversity(adversity.clone())
-                .run(&phases, cell.procs)
-        });
+        let pooled_reports: Vec<PerfReport> =
+            pool.map(cells.clone(), move |cell| degraded_run(&cell, &adversity));
         let pool_reg = Registry::new();
         pool.record_to(&pool_reg);
         let retired = pool_reg.counter("pool.workers.retired");
@@ -524,22 +505,12 @@ pub fn checkpoint_roundtrip_check(threads: usize) -> Result<String, String> {
     if cells.len() < 2 {
         return Err("checkpoint check needs at least two cells".into());
     }
-    let run_cell = |cell: &SweepCell| {
-        let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-        Engine::new(machine_by_name(cell.machine))
-            .with_adversity(adversity.clone())
-            .run(&phases, cell.procs)
-    };
+    let run_cell = |cell: &SweepCell| degraded_run(cell, &adversity);
 
     // Uninterrupted reference, through the pool.
     let adversity_for_pool = adversity.clone();
-    let reference: Vec<PerfReport> =
-        ThreadPool::new(threads).map(cells.clone(), move |cell| {
-            let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-            Engine::new(machine_by_name(cell.machine))
-                .with_adversity(adversity_for_pool.clone())
-                .run(&phases, cell.procs)
-        });
+    let reference: Vec<PerfReport> = ThreadPool::new(threads)
+        .map(cells.clone(), move |cell| degraded_run(&cell, &adversity_for_pool));
 
     // Interrupted run: complete the first half, "kill" the process by
     // serializing the checkpoint, parse it back, finish the rest.

@@ -1,8 +1,9 @@
-//! Shared CLI plumbing for the pvs-bench binaries: one exit-code
-//! convention, hardened document loading, and atomic output writes.
+//! Shared CLI plumbing for the `pvs` commands: one declarative argument
+//! parser, one exit-code convention, hardened document loading, and
+//! atomic output writes.
 //!
-//! Every binary in `src/bin/` that reads or writes files follows the
-//! same contract so scripts can tell failure modes apart:
+//! Every command follows the same contract so scripts can tell failure
+//! modes apart:
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -21,7 +22,7 @@
 use pvs_analyze::profiledoc::{self, LoadError, ProfileDoc};
 use std::path::{Path, PathBuf};
 
-/// Process exit codes shared by the pvs-bench binaries.
+/// Process exit codes shared by the `pvs` commands.
 pub mod exit {
     /// Success.
     pub const OK: i32 = 0;
@@ -39,32 +40,195 @@ pub mod exit {
     pub const WRITE: i32 = 6;
 }
 
-/// Harden a flag-only binary's argument handling: every argument must be
-/// one of `flags`. `--help`/`-h` prints the usage line and exits 0;
-/// anything else prints an error plus the usage line to stderr and exits
-/// 2 (`exit::USAGE`) — never a panic, never a silent success. Returns
-/// the recognized flags that were present (deduplicated, argv order).
-///
-/// Binaries with value-taking options (`--out PATH`, …) keep their own
-/// loops; this helper covers the table/figure generators whose whole
-/// surface is zero or more boolean flags.
-pub fn parse_flags(usage: &str, flags: &[&str]) -> Vec<String> {
-    let mut seen: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--help" || arg == "-h" {
-            println!("usage: {usage}");
-            std::process::exit(exit::OK);
-        } else if flags.contains(&arg.as_str()) {
-            if !seen.contains(&arg) {
-                seen.push(arg);
+/// How one flag's argument is checked — at parse time, before any
+/// model work, so a typo can never cost a sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Boolean flag; takes no value.
+    Flag,
+    /// Any string (a path, an address, a keyword the command checks).
+    Text,
+    /// Unsigned integer, at least 1.
+    Count,
+    /// Unsigned integer, zero allowed.
+    Index,
+    /// Any floating-point number.
+    Real,
+    /// A [`Kind::Count`] that may be left out (`--overhead [N]`).
+    OptionalCount,
+}
+
+/// The whole command-line surface of one `pvs` command, declared as
+/// data: `pvs <command> <synopsis>`, its flags, and how many positional
+/// arguments it takes.
+#[derive(Debug, Clone, Copy)]
+pub struct Spec {
+    /// Command name as typed after `pvs`.
+    pub command: &'static str,
+    /// The rest of the usage line (flags and positionals, for humans).
+    pub synopsis: &'static str,
+    /// Every flag the command accepts.
+    pub flags: &'static [(&'static str, Kind)],
+    /// Exact number of positional arguments.
+    pub positionals: usize,
+}
+
+/// Arguments that passed [`Spec::parse`]: every value already has the
+/// shape its [`Kind`] promises, so the typed getters cannot fail.
+#[derive(Debug, Clone, Default)]
+pub struct Args {
+    positionals: Vec<String>,
+    seen: Vec<(&'static str, Option<String>)>,
+}
+
+impl Spec {
+    fn usage(&self) -> String {
+        format!("usage: pvs {} {}", self.command, self.synopsis)
+            .trim_end()
+            .to_string()
+    }
+
+    /// Print `message` and the usage line to stderr; the caller returns
+    /// the result ([`exit::USAGE`]). For the cross-flag rules a
+    /// declarative spec cannot express.
+    pub fn usage_error(&self, message: &str) -> i32 {
+        eprintln!("error: {message}");
+        eprintln!("{}", self.usage());
+        exit::USAGE
+    }
+
+    /// Check `args` against the spec. `--help`/`-h` prints the usage
+    /// line to stdout and yields `Err(exit::OK)`; an unknown flag, a
+    /// missing or ill-typed value, or the wrong number of positionals
+    /// prints one `error:` line plus the usage line to stderr and yields
+    /// `Err(exit::USAGE)` — never a panic, never a silent success.
+    pub fn parse(&self, args: &[String]) -> Result<Args, i32> {
+        let mut parsed = Args::default();
+        let mut rest = args.iter().peekable();
+        while let Some(arg) = rest.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{}", self.usage());
+                return Err(exit::OK);
             }
-        } else {
-            eprintln!("error: unrecognized argument {arg:?}");
-            eprintln!("usage: {usage}");
-            std::process::exit(exit::USAGE);
+            let Some(&(name, kind)) = self.flags.iter().find(|(name, _)| name == arg) else {
+                if arg.starts_with("--") || parsed.positionals.len() == self.positionals {
+                    return Err(self.usage_error(&format!("unrecognized argument {arg:?}")));
+                }
+                parsed.positionals.push(arg.clone());
+                continue;
+            };
+            let is_count = |v: &str| v.parse::<usize>().is_ok_and(|n| n >= 1);
+            let value = match kind {
+                Kind::Flag => None,
+                Kind::OptionalCount => rest.next_if(|v| is_count(v)).cloned(),
+                _ => {
+                    let Some(value) = rest.next() else {
+                        return Err(self.usage_error(&format!("{name} needs a value")));
+                    };
+                    let (ok, want) = match kind {
+                        Kind::Count => (is_count(value), "a positive integer"),
+                        Kind::Index => (value.parse::<usize>().is_ok(), "a non-negative integer"),
+                        Kind::Real => (value.parse::<f64>().is_ok(), "a number"),
+                        _ => (true, ""),
+                    };
+                    if !ok {
+                        return Err(
+                            self.usage_error(&format!("{name} needs {want}, got {value:?}"))
+                        );
+                    }
+                    Some(value.clone())
+                }
+            };
+            parsed.seen.push((name, value));
+        }
+        if parsed.positionals.len() != self.positionals {
+            return Err(self.usage_error(&format!(
+                "expected {} positional argument(s), got {}",
+                self.positionals,
+                parsed.positionals.len()
+            )));
+        }
+        Ok(parsed)
+    }
+
+    /// Parse `args` and hand them to `body`; `--help` or a usage error
+    /// returns its exit code without running anything.
+    pub fn run(&self, args: &[String], body: impl FnOnce(&Args) -> i32) -> i32 {
+        match self.parse(args) {
+            Ok(args) => body(&args),
+            Err(code) => code,
         }
     }
-    seen
+}
+
+impl Args {
+    /// Whether `name` was given at all.
+    pub fn flag(&self, name: &str) -> bool {
+        self.seen.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of a [`Kind::Text`] flag (last occurrence wins).
+    pub fn text(&self, name: &str) -> Option<&str> {
+        self.seen
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)?
+            .1
+            .as_deref()
+    }
+
+    /// The value of a [`Kind::Count`], [`Kind::Index`] or
+    /// [`Kind::OptionalCount`] flag.
+    pub fn count(&self, name: &str) -> Option<usize> {
+        self.text(name)
+            .map(|v| v.parse().expect("checked by Spec::parse"))
+    }
+
+    /// The value of a [`Kind::Real`] flag.
+    pub fn real(&self, name: &str) -> Option<f64> {
+        self.text(name)
+            .map(|v| v.parse().expect("checked by Spec::parse"))
+    }
+
+    /// The `i`-th positional argument.
+    pub fn positional(&self, i: usize) -> &str {
+        &self.positionals[i]
+    }
+}
+
+/// Where a bench document goes: `--out` if given, else the committed
+/// baseline `BENCH_<stem>.json`, or its `target/` twin under `--smoke`.
+pub fn bench_out_path(args: &Args, stem: &str) -> String {
+    match args.text("--out") {
+        Some(path) => path.to_string(),
+        None if args.flag("--smoke") => format!("target/BENCH_{stem}_smoke.json"),
+        None => format!("BENCH_{stem}.json"),
+    }
+}
+
+/// Probe `path`, run `produce`, write its document atomically. An
+/// unwritable destination fails fast with [`exit::WRITE`] — before the
+/// run, not after it — and a failed run (`Err(code)`) writes nothing.
+/// Prints `wrote <path>` and returns [`exit::OK`] on success.
+pub fn write_probed(path: &str, produce: impl FnOnce() -> Result<String, i32>) -> i32 {
+    let unwritable = |e: std::io::Error| {
+        eprintln!("error: cannot write {path}: {e}");
+        exit::WRITE
+    };
+    if let Err(e) = probe_writable(path) {
+        return unwritable(e);
+    }
+    let contents = match produce() {
+        Ok(contents) => contents,
+        Err(code) => return code,
+    };
+    match write_atomic(path, &contents) {
+        Ok(()) => {
+            println!("wrote {path}");
+            exit::OK
+        }
+        Err(e) => unwritable(e),
+    }
 }
 
 /// Load a profile document, classifying every failure mode into the
@@ -88,23 +252,12 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Write `contents` to `path` atomically: parents are created, content
-/// lands in a sibling temp file, and a rename moves it into place. On
-/// any failure the temp file is removed — a pre-existing `path` is
-/// either fully replaced or left untouched, never truncated.
+/// Write `contents` to `path` atomically ([`pvs_serve::cache::write_atomic`]):
+/// parents are created, content lands in a sibling temp file, and a
+/// rename moves it into place — a pre-existing `path` is either fully
+/// replaced or left untouched, never truncated.
 pub fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
-    let path = Path::new(path);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let tmp = tmp_sibling(path);
-    let result = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    pvs_serve::cache::write_atomic(Path::new(path), contents)
 }
 
 /// Probe that `path` will be writable *before* doing expensive work, so
@@ -128,32 +281,6 @@ mod tests {
 
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pvs_cli_{}_{name}", std::process::id()))
-    }
-
-    #[test]
-    fn missing_file_is_unreadable() {
-        let err = load_profile_doc("/nonexistent/never/doc.json").unwrap_err();
-        assert_eq!(err.0, exit::UNREADABLE);
-        assert!(err.1.contains("cannot read"), "{}", err.1);
-    }
-
-    #[test]
-    fn truncated_json_is_malformed() {
-        let p = scratch("trunc.json");
-        std::fs::write(&p, "{\"schema\": \"pvs-bench/profi").unwrap();
-        let err = load_profile_doc(p.to_str().unwrap()).unwrap_err();
-        std::fs::remove_file(&p).unwrap();
-        assert_eq!(err.0, exit::MALFORMED);
-    }
-
-    #[test]
-    fn unknown_schema_is_distinct_from_parse_errors() {
-        let p = scratch("schema.json");
-        std::fs::write(&p, "{\"schema\": \"pvs-bench/profile-v99\", \"cells\": []}").unwrap();
-        let err = load_profile_doc(p.to_str().unwrap()).unwrap_err();
-        std::fs::remove_file(&p).unwrap();
-        assert_eq!(err.0, exit::SCHEMA);
-        assert!(err.1.contains("profile-v99"), "{}", err.1);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use pvs_amr::perf::{sweep_tile_sizes, AmrWorkload};
 use pvs_core::engine::Engine;
 use pvs_core::platforms;
 
-fn main() {
-    pvs_bench::cli::parse_flags("amr_sweep", &[]);
+/// `pvs amr_sweep`.
+pub fn run() {
     println!("AMR tile-size sweep: Gflops/P for 2^20 cells/step of stencil work\n");
     println!(
         "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",

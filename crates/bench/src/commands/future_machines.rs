@@ -6,27 +6,27 @@
 //! 2. Would the X1 have fared better in SSP mode, where code that fails to
 //!    multistream pays 8:1 instead of 32:1?
 
-use pvs_cactus::perf::{CactusVariant, CactusWorkload};
+use crate::tablegen::comparable_phases;
 use pvs_core::engine::Engine;
 use pvs_core::platforms;
-use pvs_gtc::perf::{GtcVariant, GtcWorkload};
-use pvs_paratec::perf::ParatecWorkload;
+use pvs_serve::cell_phases;
 
-fn main() {
-    pvs_bench::cli::parse_flags("future_machines", &[]);
+/// `pvs future_machines`.
+pub fn run() {
     println!("1. Cactus on the speculative Power5 (weak scaling, P=64)\n");
     println!("{:<9} {:>14} {:>14} {:>8}", "case", "Gflops/P", "%peak", "");
-    for (label, w) in [
-        ("80^3", CactusWorkload::small(64)),
-        ("250x64x64", CactusWorkload::large(64)),
-    ] {
+    let cactus = |config, m: pvs_core::machine::Machine| {
+        let phases = cell_phases("CACTUS", config, m.name, 64).expect("a Table 5 size");
+        Engine::new(m).run(&phases, 64)
+    };
+    for (label, config) in [("80^3", "80x80x80"), ("250x64x64", "250x64x64")] {
         for m in [
             platforms::power3(),
             platforms::power4(),
             platforms::power5_preview(),
         ] {
             let name = m.name;
-            let r = Engine::new(m).run(&w.phases(CactusVariant::Superscalar), 64);
+            let r = cactus(config, m);
             println!(
                 "{:<9} {:>9} {:>4.3} {:>13.1}%",
                 label, name, r.gflops_per_p, r.pct_peak
@@ -34,14 +34,8 @@ fn main() {
         }
         println!();
     }
-    let p3_large = Engine::new(platforms::power3()).run(
-        &CactusWorkload::large(64).phases(CactusVariant::Superscalar),
-        64,
-    );
-    let p5_large = Engine::new(platforms::power5_preview()).run(
-        &CactusWorkload::large(64).phases(CactusVariant::Superscalar),
-        64,
-    );
+    let p3_large = cactus("250x64x64", platforms::power3());
+    let p5_large = cactus("250x64x64", platforms::power5_preview());
     println!(
         "The Power5's extra prefetch trackers recover the large case: {:.2} vs {:.2}\nGflops/P ({}x) — the fix §5.2 anticipates.\n",
         p5_large.gflops_per_p,
@@ -55,26 +49,10 @@ fn main() {
         "App", "MSP GF/rank", "SSP GF/rank", "SSP aggregate"
     );
     for app in ["PARATEC", "CACTUS", "GTC"] {
-        let msp = {
-            let m = platforms::x1();
-            let phases = match app {
-                "PARATEC" => ParatecWorkload::si432(64).phases(),
-                "CACTUS" => CactusWorkload::large(64).phases(CactusVariant::for_machine("X1")),
-                "GTC" => GtcWorkload::new(100, 64).phases(GtcVariant::for_machine("X1")),
-                _ => unreachable!(),
-            };
-            Engine::new(m).run(&phases, 64)
-        };
-        let ssp = {
-            let m = platforms::x1_ssp_mode();
-            let phases = match app {
-                "PARATEC" => ParatecWorkload::si432(256).phases(),
-                "CACTUS" => CactusWorkload::large(256).phases(CactusVariant::for_machine("X1")),
-                "GTC" => GtcWorkload::new(100, 256).phases(GtcVariant::for_machine("X1")),
-                _ => unreachable!(),
-            };
-            Engine::new(m).run(&phases, 256)
-        };
+        // SSP mode runs the X1 port of each code, four ranks per MSP.
+        let msp = Engine::new(platforms::x1()).run(&comparable_phases(app, "X1", 64), 64);
+        let ssp =
+            Engine::new(platforms::x1_ssp_mode()).run(&comparable_phases(app, "X1", 256), 256);
         // Aggregate over the same silicon: 64 MSPs = 256 SSPs.
         let msp_agg = 64.0 * msp.gflops_per_p;
         let ssp_agg = 256.0 * ssp.gflops_per_p;

@@ -2,11 +2,11 @@
 //! instrumentation and write the observability baseline.
 //!
 //! ```text
-//! cargo run --release -p pvs-bench --bin profile               # BENCH_sweep.json
-//! cargo run --release -p pvs-bench --bin profile -- --smoke    # CI subset
-//! cargo run --release -p pvs-bench --bin profile -- --no-obs   # overhead baseline
-//! cargo run --release -p pvs-bench --bin profile -- --smoke --analyze
-//! cargo run --release -p pvs-bench --bin profile -- --smoke --trace target/traces
+//! cargo run --release -p pvs-bench --bin pvs -- profile               # BENCH_sweep.json
+//! cargo run --release -p pvs-bench --bin pvs -- profile --smoke    # CI subset
+//! cargo run --release -p pvs-bench --bin pvs -- profile --no-obs   # overhead baseline
+//! cargo run --release -p pvs-bench --bin pvs -- profile --smoke --analyze
+//! cargo run --release -p pvs-bench --bin pvs -- profile --smoke --trace target/traces
 //! ```
 //!
 //! Flags: `--smoke` (6-cell subset, written under `target/`),
@@ -27,65 +27,37 @@
 //! sweep runs and written atomically, so a failed run never leaves a
 //! partial document behind.
 
-use pvs_analyze::{chrome, findings, profiledoc};
-use pvs_bench::cli::{self, exit};
-use pvs_bench::profile::{
-    measure_overhead, paper_cells, run_profile_with, smoke_cells, ProfileOptions,
+use crate::cli::{self, exit, Args, Kind, Spec};
+use crate::profile::{
+    measure_overhead, paper_cells, run_profile_with, smoke_cells, ProfileOptions, SweepCell,
 };
-use pvs_bench::selfperf::{collect_stages, HostProfiler};
+use crate::selfperf::{collect_stages, HostProfiler};
+use pvs_analyze::{chrome, findings, profiledoc};
 use pvs_core::report::fmt_pct_signed;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: profile [--smoke] [--no-obs] [--samples N] [--out PATH] \
-                     [--analyze] [--trace DIR] [--overhead [N]]";
+pub const SPEC: Spec = Spec {
+    command: "profile",
+    synopsis: "[--smoke] [--no-obs] [--samples N] [--out PATH] [--analyze] [--trace DIR] \
+               [--overhead [N]]",
+    flags: &[
+        ("--smoke", Kind::Flag),
+        ("--no-obs", Kind::Flag),
+        ("--samples", Kind::Count),
+        ("--out", Kind::Text),
+        ("--analyze", Kind::Flag),
+        ("--trace", Kind::Text),
+        ("--overhead", Kind::OptionalCount),
+    ],
+    positionals: 0,
+};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" | "--no-obs" | "--analyze" => {}
-            "--samples" | "--out" | "--trace" => {
-                if args.get(i + 1).is_none() {
-                    eprintln!("error: {} needs a value", args[i]);
-                    eprintln!("{USAGE}");
-                    std::process::exit(exit::USAGE);
-                }
-                i += 1;
-            }
-            // `--overhead` takes an *optional* round count.
-            "--overhead" => {
-                if args
-                    .get(i + 1)
-                    .map(|v| v.parse::<usize>().is_ok())
-                    .unwrap_or(false)
-                {
-                    i += 1;
-                }
-            }
-            other => {
-                eprintln!("error: unrecognized argument {other:?}");
-                eprintln!("{USAGE}");
-                std::process::exit(exit::USAGE);
-            }
-        }
-        i += 1;
-    }
+/// `pvs profile`.
+pub fn run(args: &Args) -> i32 {
+    let cells = if args.flag("--smoke") { smoke_cells() } else { paper_cells() };
 
-    let smoke = flag("--smoke");
-
-    if flag("--overhead") {
-        let rounds = value_of("--overhead")
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(9);
-        let cells = if smoke { smoke_cells() } else { paper_cells() };
+    if args.flag("--overhead") {
+        let rounds = args.count("--overhead").unwrap_or(9);
         let (observed, plain) = measure_overhead(&cells, rounds);
         println!(
             "instrumented {observed:.3e}s vs bare {plain:.3e}s over {} cells \
@@ -93,44 +65,37 @@ fn main() {
             cells.len(),
             fmt_pct_signed(100.0 * (observed / plain - 1.0))
         );
-        return;
+        return exit::OK;
     }
     let mut options = ProfileOptions {
-        observe: !flag("--no-obs"),
+        observe: !args.flag("--no-obs"),
         ..ProfileOptions::default()
     };
-    if let Some(n) = value_of("--samples") {
-        match n.parse::<usize>() {
-            Ok(n) if n >= 1 => options.host_samples = n,
-            _ => {
-                eprintln!("error: --samples needs a positive integer, got {n:?}");
-                std::process::exit(exit::USAGE);
+    if let Some(n) = args.count("--samples") {
+        options.host_samples = n;
+    }
+    let trace_dir = args.text("--trace");
+
+    // Both destinations are probed before minutes of sweep.
+    cli::write_probed(&cli::bench_out_path(args, "sweep"), || {
+        if let Some(dir) = trace_dir {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                eprintln!("error: cannot create --trace directory {dir}: {e}");
+                return Err(exit::WRITE);
             }
         }
-    }
+        sweep_document(cells, options, trace_dir, args.flag("--analyze"))
+    })
+}
 
-    let cells = if smoke { smoke_cells() } else { paper_cells() };
-    let out_path = value_of("--out").unwrap_or_else(|| {
-        if smoke {
-            "target/BENCH_sweep_smoke.json".to_string()
-        } else {
-            "BENCH_sweep.json".to_string()
-        }
-    });
-
-    // Fail fast on unwritable destinations — before minutes of sweep.
-    if let Err(e) = cli::probe_writable(&out_path) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(exit::WRITE);
-    }
-    let trace_dir = value_of("--trace");
-    if let Some(dir) = &trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create --trace directory {dir}: {e}");
-            std::process::exit(exit::WRITE);
-        }
-    }
-
+/// Run the sweep, print its per-cell lines (and traces / analysis when
+/// asked), and return the document to write.
+fn sweep_document(
+    cells: Vec<SweepCell>,
+    options: ProfileOptions,
+    trace_dir: Option<&str>,
+    analyze: bool,
+) -> Result<String, i32> {
     // `PVS_SELF_PROFILE=1` arms the harness's own stage timing; the
     // document's model axes are unaffected either way.
     let profiler = Arc::new(HostProfiler::from_env());
@@ -177,12 +142,12 @@ fn main() {
                 c.cell.procs
             );
             let label = format!("{}/{}/P{}", c.cell.app, c.cell.machine, c.cell.procs);
-            let path = std::path::Path::new(&dir).join(&name);
+            let path = std::path::Path::new(dir).join(&name);
             let doc = chrome::to_chrome_trace(&c.trace, &label);
             let display = path.display().to_string();
             if let Err(e) = cli::write_atomic(&display, &(doc + "\n")) {
                 eprintln!("error: cannot write {display}: {e}");
-                std::process::exit(exit::WRITE);
+                return Err(exit::WRITE);
             }
             println!("wrote {} ({} spans)", path.display(), c.trace.events().len());
         }
@@ -190,7 +155,7 @@ fn main() {
 
     let json = out.to_json();
 
-    if flag("--analyze") {
+    if analyze {
         // Round-trip the document through the same reader `compare` and
         // offline analysis use — what gets analyzed is exactly what the
         // file says.
@@ -226,16 +191,10 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("error: --analyze cannot read the sweep document: {e}");
-                std::process::exit(exit::FAILURE);
+                return Err(exit::FAILURE);
             }
         }
     }
 
-    match cli::write_atomic(&out_path, &(json + "\n")) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("error: cannot write {out_path}: {e}");
-            std::process::exit(exit::WRITE);
-        }
-    }
+    Ok(json + "\n")
 }

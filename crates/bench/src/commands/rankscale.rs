@@ -1,0 +1,74 @@
+//! Weak-scale the four applications' communication kernels to 10⁵
+//! virtual ranks on the event-driven mpisim runtime and write
+//! `BENCH_mpisim.json`.
+//!
+//! ```text
+//! cargo run --release -p pvs-bench --bin pvs -- rankscale               # full ladder
+//! cargo run --release -p pvs-bench --bin pvs -- rankscale --smoke    # CI subset
+//! ```
+//!
+//! Flags: `--smoke` (every app at P = 64 plus LBMHD at P = 65536,
+//! written under `target/`), `--threads N` (event-loop worker threads,
+//! default honours `PVS_THREADS`), `--out PATH`.
+//!
+//! The smoke set is a strict subset of the full ladder, so CI gates
+//! with the fresh smoke document as the `compare` baseline against the
+//! committed full `BENCH_mpisim.json`: every fresh cell must exist in
+//! the committed document with bit-identical model metrics.
+//!
+//! Before any cell runs, the identity gate replays every kernel on both
+//! runtimes at small P and requires bit-identical values and traffic;
+//! a divergence exits 1 without writing anything.
+//!
+//! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
+//! 1 the identity gate failed, 2 malformed usage, 6 the output cannot
+//! be written. The output path is probed before the sweep runs and
+//! written atomically — no partial documents.
+
+use crate::cli::{self, exit, Args, Kind, Spec};
+use crate::rankscale::{run_rankscale, smoke_cells, weak_scaling_cells, IDENTITY_P};
+
+pub const SPEC: Spec = Spec {
+    command: "rankscale",
+    synopsis: "[--smoke] [--threads N] [--out PATH]",
+    flags: &[("--smoke", Kind::Flag), ("--threads", Kind::Count), ("--out", Kind::Text)],
+    positionals: 0,
+};
+
+/// `pvs rankscale`.
+pub fn run(args: &Args) -> i32 {
+    let threads = args.count("--threads").unwrap_or_else(pvs_core::pool::default_threads);
+    let cells = if args.flag("--smoke") { smoke_cells() } else { weak_scaling_cells() };
+
+    let code = cli::write_probed(&cli::bench_out_path(args, "mpisim"), || {
+        let max_p = cells.iter().map(|c| c.procs).max().unwrap_or(0);
+        println!(
+            "{} cells up to P={} on the event-driven runtime ({} threads)",
+            cells.len(),
+            max_p,
+            threads
+        );
+
+        let out = run_rankscale(&cells, threads).map_err(|e| {
+            eprintln!("IDENTITY FAILURE: {e}");
+            exit::FAILURE
+        })?;
+
+        for c in &out.cells {
+            println!(
+                "{:<8} P={:<7} events={:<10} comm={:<9} checksum={:<17} host {:.3}s",
+                c.cell.app,
+                c.cell.procs,
+                c.report.time_s,
+                c.report.comm_s,
+                c.report.gflops_per_p,
+                c.host_secs.first().copied().unwrap_or(0.0)
+            );
+        }
+        Ok(out.to_json() + "\n")
+    });
+    if code == exit::OK {
+        println!("ok: v1/v2 identity gate held at P in {IDENTITY_P:?}");
+    }
+    code
+}

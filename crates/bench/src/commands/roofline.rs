@@ -22,8 +22,8 @@ fn gflops_at_intensity(machine: pvs_core::machine::Machine, flops_per_byte: f64)
     Engine::new(machine).run(&[phase], 1).gflops_per_p
 }
 
-fn main() {
-    pvs_bench::cli::parse_flags("roofline", &[]);
+/// `pvs roofline`.
+pub fn run() {
     println!("Roofline sweep: streaming kernel, Gflops/P vs computational intensity\n");
     println!(
         "{:>10} {:>9} {:>9} {:>9} {:>9} {:>9}",

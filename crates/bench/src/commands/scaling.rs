@@ -8,36 +8,28 @@
 //! sweep executor; jobs are enumerated and printed in the same order, so
 //! the output is identical at any thread count.
 
-use pvs_cactus::perf::{CactusVariant, CactusWorkload};
+use crate::tablegen::comparable_phases;
 use pvs_core::engine::{run_sweep, SweepJob};
 use pvs_core::platforms;
 use pvs_gtc::perf::{GtcVariant, GtcWorkload};
-use pvs_lbmhd::perf::LbmhdWorkload;
-use pvs_paratec::perf::ParatecWorkload;
 
 fn job(machine: pvs_core::machine::Machine, app: &str, procs: usize) -> SweepJob {
-    let phases = match app {
-        "LBMHD" => LbmhdWorkload::new(8192, procs).phases(),
-        "PARATEC" => ParatecWorkload::si432(procs).phases(),
-        "CACTUS" => CactusWorkload::large(procs).phases(CactusVariant::for_machine(machine.name)),
-        "GTC" => {
-            let w = if procs > 64 {
-                GtcWorkload {
-                    procs,
-                    mpi_domains: 64,
-                    ..GtcWorkload::new(100, procs)
-                }
-            } else {
-                GtcWorkload::new(100, procs)
-            };
-            let variant = if machine.name == "Power3" && procs > 64 {
-                GtcVariant::hybrid(procs / 64)
-            } else {
-                GtcVariant::for_machine(machine.name)
-            };
-            w.phases(variant)
+    // The one rule that is this command's own: GTC's MPI decomposition
+    // stops at 64 toroidal domains, so beyond P=64 the workload keeps 64
+    // and the Power3 runs the extra processors as OpenMP threads.
+    let phases = if app == "GTC" && procs > 64 {
+        let variant = if machine.name == "Power3" {
+            GtcVariant::hybrid(procs / 64)
+        } else {
+            GtcVariant::for_machine(machine.name)
+        };
+        GtcWorkload {
+            mpi_domains: 64,
+            ..GtcWorkload::new(100, procs)
         }
-        _ => unreachable!(),
+        .phases(variant)
+    } else {
+        comparable_phases(app, machine.name, procs)
     };
     SweepJob {
         machine,
@@ -46,8 +38,8 @@ fn job(machine: pvs_core::machine::Machine, app: &str, procs: usize) -> SweepJob
     }
 }
 
-fn main() {
-    pvs_bench::cli::parse_flags("scaling", &[]);
+/// `pvs scaling`.
+pub fn run() {
     let procs = [16usize, 64, 256, 1024];
     let apps = ["LBMHD", "PARATEC", "CACTUS", "GTC"];
 

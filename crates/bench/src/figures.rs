@@ -21,6 +21,13 @@ pub fn save_field_pgm(
 use pvs_lbmhd::init::crossed_current_sheets;
 use pvs_lbmhd::solver::{Simulation, SimulationConfig};
 
+/// With `--pgm`, save the field next to its ASCII rendering and say so.
+fn note_pgm(out: &mut String, pgm: bool, field: &[f64], nx: usize, ny: usize, path: &str) {
+    if pgm && save_field_pgm(field, nx, ny, path).is_ok() {
+        out.push_str(&format!("(image written to {path})\n"));
+    }
+}
+
 /// Render a scalar field as an ASCII heat map.
 pub fn ascii_heatmap(field: &[f64], nx: usize, ny: usize, max_rows: usize) -> String {
     const RAMP: &[u8] = b" .:-=+*#%@";
@@ -43,8 +50,9 @@ pub fn ascii_heatmap(field: &[f64], nx: usize, ny: usize, max_rows: usize) -> St
 }
 
 /// Figure 1: current-density decay of two cross-shaped structures,
-/// computed by running the real LBMHD solver.
-pub fn fig1(n: usize, snapshots: &[usize]) -> String {
+/// computed by running the real LBMHD solver. `pgm` also saves each
+/// snapshot as `fig1_t<step>.pgm` in the working directory.
+pub fn fig1(n: usize, snapshots: &[usize], pgm: bool) -> String {
     let cfg = SimulationConfig {
         nx: n,
         ny: n,
@@ -67,12 +75,7 @@ pub fn fig1(n: usize, snapshots: &[usize]) -> String {
             current_enstrophy(&j)
         ));
         out.push_str(&ascii_heatmap(&j, n, n, 24));
-        if std::env::args().any(|a| a == "--pgm") {
-            let path = format!("fig1_t{target}.pgm");
-            if save_field_pgm(&j, n, n, &path).is_ok() {
-                out.push_str(&format!("(image written to {path})\n"));
-            }
-        }
+        note_pgm(&mut out, pgm, &j, n, n, &format!("fig1_t{target}.pgm"));
         out.push('\n');
     }
     out
@@ -106,7 +109,8 @@ pub fn fig2() -> String {
 
 /// Figure 3: charge density of a PARATEC-style calculation (the paper's
 /// glycine visualization stands in for "density from a converged run").
-pub fn fig3() -> String {
+/// `pgm` also saves the slice as `fig3.pgm` in the working directory.
+pub fn fig3(pgm: bool) -> String {
     use pvs_paratec::basis::PwBasis;
     use pvs_paratec::density::charge_density;
     use pvs_paratec::hamiltonian::Hamiltonian;
@@ -121,9 +125,7 @@ pub fn fig3() -> String {
     );
     let slice: Vec<f64> = (0..n * n).map(|i| rho[(n / 2) * n * n + i]).collect();
     out.push_str(&ascii_heatmap(&slice, n, n, 8));
-    if std::env::args().any(|a| a == "--pgm") && save_field_pgm(&slice, n, n, "fig3.pgm").is_ok() {
-        out.push_str("(image written to fig3.pgm)\n");
-    }
+    note_pgm(&mut out, pgm, &slice, n, n, "fig3.pgm");
     out.push_str(&format!(
         "\nband energies: {:?}\nsweeps: {}, residual {:.2e}\n",
         r.eigenvalues
@@ -166,7 +168,8 @@ pub fn fig4() -> String {
 
 /// Figure 5: an evolved gravitational-wave field from the real Cactus
 /// solver (standing in for the black-hole collision visualization).
-pub fn fig5() -> String {
+/// `pgm` also saves the slice as `fig5.pgm` in the working directory.
+pub fn fig5(pgm: bool) -> String {
     use pvs_cactus::grid::h;
     use pvs_cactus::solver::{tt_plane_wave, CactusConfig, CactusSim};
     let n = 24;
@@ -184,9 +187,7 @@ pub fn fig5() -> String {
         }
     }
     out.push_str(&ascii_heatmap(&slice, n, n, 24));
-    if std::env::args().any(|a| a == "--pgm") && save_field_pgm(&slice, n, n, "fig5.pgm").is_ok() {
-        out.push_str("(image written to fig5.pgm)\n");
-    }
+    note_pgm(&mut out, pgm, &slice, n, n, "fig5.pgm");
     out.push_str(&format!(
         "\nconstraint RMS: {:.3e}\n",
         sim.constraint_violation()
@@ -213,7 +214,8 @@ pub fn fig6() -> String {
 }
 
 /// Figure 7: electrostatic potential of a GTC microturbulence run.
-pub fn fig7() -> String {
+/// `pgm` also saves the field as `fig7.pgm` in the working directory.
+pub fn fig7(pgm: bool) -> String {
     use pvs_gtc::sim::{GtcConfig, GtcSim};
     let mut sim = GtcSim::new(GtcConfig::new(32, 32, 8), 7, 0.3);
     sim.run(10);
@@ -221,11 +223,7 @@ pub fn fig7() -> String {
         "Figure 7: electrostatic potential in a self-consistent gyrokinetic PIC\nsimulation (elongated turbulent eddies act as transport channels).\n\n",
     );
     out.push_str(&ascii_heatmap(sim.phi.as_slice(), 32, 32, 16));
-    if std::env::args().any(|a| a == "--pgm")
-        && save_field_pgm(sim.phi.as_slice(), 32, 32, "fig7.pgm").is_ok()
-    {
-        out.push_str("(image written to fig7.pgm)\n");
-    }
+    note_pgm(&mut out, pgm, sim.phi.as_slice(), 32, 32, "fig7.pgm");
     out.push_str(&format!("\nfield energy: {:.4e}\n", sim.field_energy()));
     out
 }
@@ -268,7 +266,7 @@ mod tests {
 
     #[test]
     fn fig1_reports_decaying_energy() {
-        let s = fig1(32, &[0, 60]);
+        let s = fig1(32, &[0, 60], false);
         assert!(s.contains("t = 0"));
         assert!(s.contains("t = 60"));
         // Parse the two magnetic-energy values and check decay.

@@ -190,7 +190,7 @@ pub fn median(samples: &[f64]) -> f64 {
 }
 
 /// Take `samples` wall-clock measurements of `f` and return seconds per
-/// call for each — the hook `pvs-bench` binaries use for host timing so
+/// call for each — the hook the `pvs` commands use for host timing so
 /// clock access stays confined to this crate.
 pub fn time_samples<R, F: FnMut() -> R>(samples: usize, mut f: F) -> Vec<f64> {
     (0..samples)
@@ -203,6 +203,36 @@ pub fn time_samples<R, F: FnMut() -> R>(samples: usize, mut f: F) -> Vec<f64> {
             b.per_iter_secs()
         })
         .collect()
+}
+
+/// Interleaved A/B wall-clock comparison: each round times `treated`
+/// and `plain` once per item, alternating which arm goes first so load
+/// drift on the host cannot systematically favour one, and each arm
+/// keeps its minimum round total (the minimum is the strongest noise
+/// rejector for wall-clock timing). Returns `(treated_s, plain_s)`.
+pub fn interleaved_ab<T>(
+    items: &[T],
+    rounds: usize,
+    mut treated: impl FnMut(&T),
+    mut plain: impl FnMut(&T),
+) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for round in 0..rounds.max(1) {
+        let mut total = (0.0, 0.0);
+        for item in items {
+            let mut time_treated = || time_samples(1, || treated(item))[0];
+            let mut time_plain = || time_samples(1, || plain(item))[0];
+            if round % 2 == 0 {
+                total.1 += time_plain();
+                total.0 += time_treated();
+            } else {
+                total.0 += time_treated();
+                total.1 += time_plain();
+            }
+        }
+        best = (best.0.min(total.0), best.1.min(total.1));
+    }
+    best
 }
 
 fn fmt_time(secs: f64) -> String {

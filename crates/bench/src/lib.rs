@@ -1,18 +1,20 @@
 //! # pvs-bench — the benchmark and regeneration harness
 //!
-//! One binary per table and figure of the paper (see `src/bin/`), backed
-//! by the generators in [`tablegen`] and [`figures`], plus Criterion
+//! One `pvs` binary (`src/bin/pvs.rs`) with one command per table,
+//! figure, sweep, harness and server ([`commands`]), backed by the
+//! generators in [`tablegen`] and [`figures`], plus Criterion
 //! microbenchmarks of the real kernels and the ablations DESIGN.md lists
 //! (see `benches/`).
 //!
 //! ```text
-//! cargo run -p pvs-bench --bin table3      # LBMHD, model vs paper
-//! cargo run -p pvs-bench --bin fig9       # sustained %peak bars
+//! cargo run -p pvs-bench --bin pvs -- table3      # LBMHD, model vs paper
+//! cargo run -p pvs-bench --bin pvs -- fig9       # sustained %peak bars
 //! cargo bench -p pvs-bench                # kernel + ablation benches
 //! ```
 
 pub mod chaos;
 pub mod cli;
+pub mod commands;
 pub mod figures;
 pub mod harness;
 pub mod profile;

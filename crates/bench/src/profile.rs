@@ -1,4 +1,4 @@
-//! The `profile` binary's engine: the paper's 4-application ×
+//! The `profile` command's engine: the paper's 4-application ×
 //! 5-machine sweep (the Figure 9 configurations) run under full
 //! observability.
 //!
@@ -11,15 +11,18 @@
 //! through [`crate::harness::time_samples`] — host timing never leaves
 //! `pvs-bench`.
 
-use crate::harness::time_samples;
+use crate::harness::{interleaved_ab, time_samples};
 use crate::selfperf::{HostProfiler, STAGE_ENGINE, STAGE_POOL};
-use crate::tablegen::{app_phases, machine_by_name};
+use crate::tablegen::{fig9_procs, LARGEST_COMPARABLE};
 use pvs_core::engine::Engine;
+use pvs_core::json::{array, number, perf_report, JsonObject};
+use pvs_core::machine::Machine;
+use pvs_core::phase::Phase;
 use pvs_core::pool::ThreadPool;
 use pvs_core::report::PerfReport;
+use pvs_core::{platforms, Adversity};
 use pvs_obs::span::TraceBuffer;
 use pvs_obs::{Registry, Snapshot};
-use pvs_report::json::{array, number, perf_report, JsonObject};
 use std::sync::Arc;
 
 /// One cell of the profiling sweep.
@@ -35,31 +38,29 @@ pub struct SweepCell {
     pub procs: usize,
 }
 
+impl SweepCell {
+    /// The cell's phase stream, from the one cell registry.
+    pub fn phases(&self) -> Vec<Phase> {
+        pvs_serve::cell_phases(self.app, self.config, self.machine, self.procs)
+            .unwrap_or_else(|| panic!("{self:?} is not a paper cell"))
+    }
+
+    /// The cell's machine model.
+    pub fn machine(&self) -> Machine {
+        platforms::by_name(self.machine).unwrap_or_else(|| panic!("unknown machine in {self:?}"))
+    }
+}
+
 /// The full paper sweep: 4 applications × 5 machines at the Figure 9
 /// configurations — P=64 everywhere except Cactus on Power4 (P=16, the
 /// largest published run).
 pub fn paper_cells() -> Vec<SweepCell> {
-    let apps = [
-        ("LBMHD", "8192x8192"),
-        ("PARATEC", "432 atom"),
-        ("CACTUS", "250x64x64"),
-        ("GTC", "100 part/cell"),
-    ];
     let machines = ["Power3", "Power4", "Altix", "ES", "X1"];
-    let mut cells = Vec::with_capacity(apps.len() * machines.len());
-    for (app, config) in apps {
+    let mut cells = Vec::with_capacity(LARGEST_COMPARABLE.len() * machines.len());
+    for (app, config) in LARGEST_COMPARABLE {
         for machine in machines {
-            let procs = if app == "CACTUS" && machine == "Power4" {
-                16
-            } else {
-                64
-            };
-            cells.push(SweepCell {
-                app,
-                config,
-                machine,
-                procs,
-            });
+            let procs = fig9_procs(app, machine);
+            cells.push(SweepCell { app, config, machine, procs });
         }
     }
     cells
@@ -153,7 +154,7 @@ impl ProfileOutput {
     /// committed baseline diffs line-by-line. (`pvs-analyze` still reads
     /// the compact v1 documents older baselines carry.)
     pub fn to_json(&self) -> String {
-        pvs_report::json::pretty(&self.to_json_compact())
+        pvs_core::json::pretty(&self.to_json_compact())
     }
 
     fn to_json_compact(&self) -> String {
@@ -207,10 +208,31 @@ impl ProfileOutput {
     }
 }
 
+/// Run one cell serially under full observability (no host timing) —
+/// the reference the chaos harnesses compare degraded and served runs
+/// against.
+pub(crate) fn observed_run(cell: &SweepCell, adversity: &Adversity) -> CellProfile {
+    let reg = Arc::new(Registry::new());
+    let engine = Engine::new(cell.machine())
+        .with_recorder(reg.clone())
+        .with_adversity(adversity.clone());
+    let report = engine.run(&cell.phases(), cell.procs);
+    let trace = reg.trace();
+    let span_events = trace.events().len();
+    CellProfile {
+        cell: cell.clone(),
+        report,
+        snapshot: reg.snapshot(),
+        trace,
+        span_events,
+        host_secs: Vec::new(),
+    }
+}
+
 /// Build the engine for a cell, with a fresh registry attached when
 /// observing. Returns the engine and its registry.
 fn cell_engine(cell: &SweepCell, observe: bool) -> (Engine, Option<Arc<Registry>>) {
-    let engine = Engine::new(machine_by_name(cell.machine));
+    let engine = Engine::new(cell.machine());
     if observe {
         let reg = Arc::new(Registry::new());
         (engine.with_recorder(reg.clone()), Some(reg))
@@ -248,7 +270,7 @@ pub fn run_profile_with(
     let simulated: Vec<(SweepCell, PerfReport, Snapshot, TraceBuffer)> =
         pool.map(cells, move |cell| {
             prof.stage(STAGE_POOL, || {
-                let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
+                let phases = cell.phases();
                 let (engine, reg) = cell_engine(&cell, observe);
                 let report = engine.run(&phases, cell.procs);
                 let (snapshot, trace) = match reg {
@@ -267,7 +289,7 @@ pub fn run_profile_with(
     let cells = simulated
         .into_iter()
         .map(|(cell, report, snapshot, trace)| {
-            let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
+            let phases = cell.phases();
             let (engine, _reg) = cell_engine(&cell, observe);
             let host_secs = time_samples(options.host_samples, || {
                 profiler.stage(STAGE_ENGINE, || {
@@ -293,52 +315,23 @@ pub fn run_profile_with(
     }
 }
 
-/// Interleaved A/B measurement of instrumentation cost: each round times
-/// every cell back-to-back with and without a recorder attached, and each
-/// arm keeps its minimum total across rounds (the minimum is the
-/// strongest noise rejector for wall-clock timing). Returns
-/// `(observed_s, plain_s)` — the overhead ratio is
+/// Interleaved A/B measurement of instrumentation cost
+/// ([`interleaved_ab`]): every cell with and without a recorder
+/// attached. Returns `(observed_s, plain_s)` — the overhead ratio is
 /// `observed_s / plain_s - 1`.
 pub fn measure_overhead(cells: &[SweepCell], rounds: usize) -> (f64, f64) {
-    let mut best_observed = f64::INFINITY;
-    let mut best_plain = f64::INFINITY;
-    for round in 0..rounds.max(1) {
-        let mut observed = 0.0;
-        let mut plain = 0.0;
-        for cell in cells {
-            let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-            // Build (and drop) the engine *inside* each timed iteration: a
-            // registry lives for exactly one run in real usage, so its
-            // construction and teardown belong to the observed arm's cost.
-            // Reusing one registry across a whole sample window would
-            // instead accumulate hundreds of runs' spans and measure heap
-            // growth, not instrumentation.
-            let time_plain = || {
-                time_samples(1, || {
-                    let (bare, _) = cell_engine(cell, false);
-                    std::hint::black_box(bare.run(&phases, cell.procs))
-                })[0]
-            };
-            let time_observed = || {
-                time_samples(1, || {
-                    let (instrumented, _reg) = cell_engine(cell, true);
-                    std::hint::black_box(instrumented.run(&phases, cell.procs))
-                })[0]
-            };
-            // Alternate arm order per round so load drift on the host
-            // cannot systematically favour one arm.
-            if round % 2 == 0 {
-                plain += time_plain();
-                observed += time_observed();
-            } else {
-                observed += time_observed();
-                plain += time_plain();
-            }
-        }
-        best_observed = best_observed.min(observed);
-        best_plain = best_plain.min(plain);
-    }
-    (best_observed, best_plain)
+    let prepared: Vec<_> = cells.iter().map(|cell| (cell, cell.phases())).collect();
+    // Build (and drop) the engine *inside* each timed iteration: a
+    // registry lives for exactly one run in real usage, so its
+    // construction and teardown belong to the observed arm's cost.
+    // Reusing one registry across a whole sample window would instead
+    // accumulate hundreds of runs' spans and measure heap growth, not
+    // instrumentation.
+    let run = |observe: bool, (cell, phases): &(&SweepCell, Vec<Phase>)| {
+        let (engine, _reg) = cell_engine(cell, observe);
+        std::hint::black_box(engine.run(phases, cell.procs));
+    };
+    interleaved_ab(&prepared, rounds, |item| run(true, item), |item| run(false, item))
 }
 
 #[cfg(test)]
@@ -498,8 +491,8 @@ mod tests {
         for (a, b) in observed.cells.iter().zip(&plain.cells) {
             assert!(!a.snapshot.hists.is_empty(), "observed arm has histograms");
             assert_eq!(
-                pvs_report::json::perf_report(&a.report),
-                pvs_report::json::perf_report(&b.report),
+                pvs_core::json::perf_report(&a.report),
+                pvs_core::json::perf_report(&b.report),
                 "{} {}",
                 a.cell.app,
                 a.cell.machine

@@ -1,4 +1,4 @@
-//! The `rankscale` binary's engine: weak-scaling the four applications'
+//! The `rankscale` command's engine: weak-scaling the four applications'
 //! communication kernels to 10⁵ virtual ranks on the event-driven
 //! mpisim runtime.
 //!

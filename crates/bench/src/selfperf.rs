@@ -10,10 +10,10 @@
 //! profiles itself with exactly the instrument the models use.
 //!
 //! The profiler is armed by `PVS_SELF_PROFILE=1` (or explicitly by the
-//! `selfperf` binary). Disarmed, [`HostProfiler::stage`] is a plain
+//! `selfperf` command). Disarmed, [`HostProfiler::stage`] is a plain
 //! passthrough — no clock read, no lock — so the instrumented sweep is
 //! bitwise-identical to the uninstrumented one, and the A/B overhead
-//! proof in the `selfperf` binary can hold the armed path to its ≤5%
+//! proof in the `selfperf` command can hold the armed path to its ≤5%
 //! budget.
 //!
 //! `BENCH_selfperf.json` reuses the `pvs-bench/profile-v2` schema so the
@@ -26,10 +26,10 @@
 //! a regression), while the noisy microsecond axes ride in `host_wall`
 //! and stay advisory until `--host-tol` arms them.
 
-use crate::harness::{median, time_samples};
+use crate::harness::{interleaved_ab, median};
 use crate::profile::SweepCell;
-use crate::tablegen::{app_phases, machine_by_name};
 use pvs_core::engine::Engine;
+use pvs_core::json::{array, number, JsonObject};
 use pvs_core::machine::CpuClass;
 use pvs_core::pool::ThreadPool;
 use pvs_memsim::banks::{BankConfig, BankedMemory};
@@ -37,7 +37,6 @@ use pvs_memsim::trace::scrambled_indices;
 use pvs_netsim::collectives::halo_exchange_2d_stats;
 use pvs_netsim::topology::Network;
 use pvs_obs::{HistSummary, Recorder, Registry};
-use pvs_report::json::{array, number, JsonObject};
 use pvs_vectorsim::exec::{LoopClass, MemoryEnv, VectorLoop, VectorUnit};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -262,7 +261,7 @@ impl SelfperfOutput {
             .raw("harness", "[]".to_string())
             .raw("cells", cells)
             .render();
-        pvs_report::json::pretty(&doc)
+        pvs_core::json::pretty(&doc)
     }
 }
 
@@ -277,7 +276,7 @@ fn grid_2d(procs: usize) -> (usize, usize) {
 
 /// Drive every stage once for one cell, attributing each to its name.
 fn drive_cell(profiler: &HostProfiler, cell: &SweepCell) {
-    let machine = machine_by_name(cell.machine);
+    let machine = cell.machine();
     let (px, py) = grid_2d(cell.procs);
 
     // Netsim DES loop: a 2-D halo exchange on the cell's network.
@@ -319,8 +318,8 @@ fn drive_cell(profiler: &HostProfiler, cell: &SweepCell) {
     }
 
     // The full engine run composing all of the above.
-    let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-    let engine = Engine::new(machine_by_name(cell.machine));
+    let phases = cell.phases();
+    let engine = Engine::new(cell.machine());
     profiler.stage(STAGE_ENGINE, || {
         std::hint::black_box(engine.run(&phases, cell.procs));
     });
@@ -345,8 +344,8 @@ pub fn run_selfperf(
         let prof = Arc::clone(profiler);
         pool.map(cells.to_vec(), move |cell| {
             prof.stage(STAGE_POOL, || {
-                let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-                let engine = Engine::new(machine_by_name(cell.machine));
+                let phases = cell.phases();
+                let engine = Engine::new(cell.machine());
                 std::hint::black_box(engine.run(&phases, cell.procs));
             });
         });
@@ -360,7 +359,7 @@ pub fn run_selfperf(
 
 /// Snapshot every stage that fired on `profiler` into its profile, in
 /// [`STAGES`] order. The shared tail of [`run_selfperf`] and the
-/// `profile` binary's `PVS_SELF_PROFILE=1` report.
+/// `profile` command's `PVS_SELF_PROFILE=1` report.
 pub fn collect_stages(profiler: &HostProfiler) -> Vec<StageProfile> {
     let samples: BTreeMap<&'static str, Vec<f64>> = profiler.samples().into_iter().collect();
     STAGES
@@ -377,55 +376,33 @@ pub fn collect_stages(profiler: &HostProfiler) -> Vec<StageProfile> {
         .collect()
 }
 
-/// Interleaved A/B measurement of the profiler's own cost: each round
-/// times every cell's engine run twice — once wrapped in an *armed*
-/// profiler stage with a full recorder attached (the maximally observed
-/// arm), once through a *disarmed* stage with no recorder — and each arm
-/// keeps its minimum total across rounds (the minimum is the strongest
-/// noise rejector for wall-clock timing). Returns `(armed_s, plain_s)`;
-/// the overhead ratio is `armed_s / plain_s - 1`, held to the ≤5%
-/// budget by the `selfperf` binary's report.
+/// Interleaved A/B measurement of the profiler's own cost
+/// ([`interleaved_ab`]): every cell's engine run once wrapped in an
+/// *armed* profiler stage with a full recorder attached (the maximally
+/// observed arm), once through a *disarmed* stage with no recorder.
+/// Returns `(armed_s, plain_s)`; the overhead ratio is
+/// `armed_s / plain_s - 1`, held to the ≤5% budget by the `selfperf`
+/// command's report.
 pub fn measure_stage_overhead(cells: &[SweepCell], rounds: usize) -> (f64, f64) {
     let armed = HostProfiler::new(true);
     let disarmed = HostProfiler::disabled();
-    let mut best_armed = f64::INFINITY;
-    let mut best_plain = f64::INFINITY;
-    for round in 0..rounds.max(1) {
-        let mut armed_s = 0.0;
-        let mut plain_s = 0.0;
-        for cell in cells {
-            let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
-            let time_armed = || {
-                time_samples(1, || {
-                    let reg = Arc::new(Registry::new());
-                    let engine = Engine::new(machine_by_name(cell.machine)).with_recorder(reg);
-                    armed.stage(STAGE_ENGINE, || {
-                        std::hint::black_box(engine.run(&phases, cell.procs));
-                    });
-                })[0]
-            };
-            let time_plain = || {
-                time_samples(1, || {
-                    let engine = Engine::new(machine_by_name(cell.machine));
-                    disarmed.stage(STAGE_ENGINE, || {
-                        std::hint::black_box(engine.run(&phases, cell.procs));
-                    });
-                })[0]
-            };
-            // Alternate arm order per round so load drift on the host
-            // cannot systematically favour one arm.
-            if round % 2 == 0 {
-                plain_s += time_plain();
-                armed_s += time_armed();
-            } else {
-                armed_s += time_armed();
-                plain_s += time_plain();
-            }
-        }
-        best_armed = best_armed.min(armed_s);
-        best_plain = best_plain.min(plain_s);
-    }
-    (best_armed, best_plain)
+    let prepared: Vec<_> = cells.iter().map(|cell| (cell, cell.phases())).collect();
+    interleaved_ab(
+        &prepared,
+        rounds,
+        |(cell, phases)| {
+            let engine = Engine::new(cell.machine()).with_recorder(Arc::new(Registry::new()));
+            armed.stage(STAGE_ENGINE, || {
+                std::hint::black_box(engine.run(phases, cell.procs));
+            });
+        },
+        |(cell, phases)| {
+            let engine = Engine::new(cell.machine());
+            disarmed.stage(STAGE_ENGINE, || {
+                std::hint::black_box(engine.run(phases, cell.procs));
+            });
+        },
+    )
 }
 
 /// Prove the profiler never perturbs the model: for every cell, the
@@ -436,12 +413,12 @@ pub fn check_model_identity(cells: &[SweepCell]) -> Result<(), Vec<String>> {
     let profiler = HostProfiler::new(true);
     let mut bad = Vec::new();
     for cell in cells {
-        let phases = app_phases(cell.app, cell.config, cell.machine, cell.procs);
+        let phases = cell.phases();
         let reg = Arc::new(Registry::new());
-        let observed = Engine::new(machine_by_name(cell.machine)).with_recorder(reg);
+        let observed = Engine::new(cell.machine()).with_recorder(reg);
         let wrapped = profiler.stage(STAGE_ENGINE, || observed.run(&phases, cell.procs));
-        let bare = Engine::new(machine_by_name(cell.machine)).run(&phases, cell.procs);
-        if pvs_report::json::perf_report(&wrapped) != pvs_report::json::perf_report(&bare) {
+        let bare = Engine::new(cell.machine()).run(&phases, cell.procs);
+        if pvs_core::json::perf_report(&wrapped) != pvs_core::json::perf_report(&bare) {
             bad.push(format!(
                 "{}/{}/{}/P{}",
                 cell.app, cell.config, cell.machine, cell.procs

@@ -23,9 +23,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pvs_core::engine::{run_sweep_threads, SweepJob};
+use pvs_core::json::{array, number, pretty, JsonObject};
 use pvs_core::rng::Pcg32;
 use pvs_obs::{Histogram, Recorder, Registry, Snapshot};
-use pvs_report::json::{array, number, pretty, JsonObject};
 use pvs_serve::Request;
 
 use crate::harness::median;
@@ -50,6 +50,17 @@ pub fn paper_serve_cells() -> Vec<Request> {
         }
     }
     cells
+}
+
+/// The smoke grid: four small cells, one per application, cheap enough
+/// for CI.
+pub fn smoke_serve_cells() -> Vec<Request> {
+    vec![
+        Request::cell("LBMHD", "4096x4096", "ES", 16),
+        Request::cell("PARATEC", "432 atom", "X1", 16),
+        Request::cell("CACTUS", "80x80x80", "Power3", 16),
+        Request::cell("GTC", "10 part/cell", "Altix", 16),
+    ]
 }
 
 /// How requests arrive.
@@ -230,7 +241,7 @@ struct Outcome {
 }
 
 fn outcome_of(response: &str) -> Outcome {
-    let doc = match pvs_analyze::json::parse(response) {
+    let doc = match pvs_core::json::parse(response) {
         Ok(doc) => doc,
         Err(_) => {
             return Outcome { ok: false, tag: "unparseable".to_string(), retry_after_ms: None }
@@ -472,7 +483,7 @@ pub fn direct_cell_body(request: &Request) -> Result<String, String> {
         }],
         1,
     );
-    Ok(pvs_report::json::perf_report(&reports[0]))
+    Ok(pvs_core::json::perf_report(&reports[0]))
 }
 
 /// Verify every cell's served bytes equal the direct computation.
@@ -534,9 +545,9 @@ pub fn bench_serve_doc(
     // The server's own counters/gauges, in the same `harness` name/value
     // shape the profile documents use.
     let mut harness_entries = Vec::new();
-    if let Ok(stats) = pvs_analyze::json::parse(server_stats) {
+    if let Ok(stats) = pvs_core::json::parse(server_stats) {
         for section in ["counters", "gauges"] {
-            if let Some(pvs_analyze::json::Value::Object(members)) = stats.get(section) {
+            if let Some(pvs_core::json::Value::Object(members)) = stats.get(section) {
                 for (name, value) in members {
                     if let Some(v) = value.as_f64() {
                         harness_entries.push(
@@ -596,7 +607,7 @@ pub fn bench_serve_doc(
     // The server's final snapshot document, embedded verbatim when it is
     // the versioned `pvs-obs/snapshot-v1` line (older servers answered
     // an unversioned stats dump; their runs simply omit the member).
-    if pvs_analyze::json::parse(server_stats)
+    if pvs_core::json::parse(server_stats)
         .ok()
         .and_then(|d| d.str("schema").map(|s| s == pvs_core::schema::SNAPSHOT_V1))
         .unwrap_or(false)

@@ -8,14 +8,15 @@
 //! The `*_threads` variants pin the worker count (1 = serial reference);
 //! the plain functions use [`default_threads`].
 
-use pvs_core::engine::{run_sweep_threads, SweepJob};
-use pvs_core::machine::Machine;
+use pvs_core::engine::{run_sweep_threads, Engine, SweepJob};
+use pvs_core::phase::Phase;
 use pvs_core::platforms;
 use pvs_core::pool::default_threads;
 use pvs_core::report::PerfReport;
 use pvs_report::compare::{geometric_mean_ratio, Comparison, ShapeCheck};
 use pvs_report::paper::{self, PaperRow, MACHINES};
 use pvs_report::tables::{blank_cell, Table};
+use pvs_serve::cell_phases;
 
 /// A regenerated table plus its paper-vs-model bookkeeping.
 #[derive(Debug, Clone)]
@@ -56,9 +57,9 @@ impl TableOutput {
         self.checks.iter().all(|c| c.holds)
     }
 
-    /// Machine-readable rendering (for `--json` on the regeneration bins).
+    /// Machine-readable rendering (for `--json` on the table commands).
     pub fn render_json(&self) -> String {
-        use pvs_report::json::{array, JsonObject};
+        use pvs_core::json::{array, JsonObject};
         let comparisons = array(self.comparisons.iter().map(|c| {
             JsonObject::new()
                 .string("label", &c.label)
@@ -84,10 +85,6 @@ impl TableOutput {
             .raw("checks", checks)
             .render()
     }
-}
-
-pub(crate) fn machine_by_name(name: &str) -> Machine {
-    platforms::by_name(name).unwrap_or_else(|| panic!("unknown machine {name}"))
 }
 
 /// Table 1: the architectural-highlights table (static data).
@@ -167,29 +164,21 @@ fn cell_with_paper(model: &PerfReport, paper: Option<(f64, f64)>) -> String {
     }
 }
 
-fn harvest(
-    comparisons: &mut Vec<Comparison>,
-    label: String,
-    model: &PerfReport,
-    paper: Option<(f64, f64)>,
-) {
-    if let Some((g, _)) = paper {
-        comparisons.push(Comparison::new(label, g, model.gflops_per_p));
-    }
-}
-
-/// Generic per-table driver: for each `(config_label, procs)` row, build
-/// the per-machine phase stream with `phases_for(config, machine, procs)`.
-/// Cells are evaluated on `threads` workers; the three-pass structure
-/// (serial enumeration, parallel sweep, serial assembly) keeps the output
-/// byte-identical to the `threads = 1` reference.
+/// Generic per-table driver: every `(config_label, procs)` row of `app`
+/// resolves each machine column through the cell registry (a cell the
+/// registry does not know renders blank). Returns the table without
+/// shape checks, plus every report keyed `config|procs|machine` for the
+/// caller's checks. Cells are evaluated on `threads` workers; the
+/// three-pass structure (serial enumeration, parallel sweep, serial
+/// assembly) keeps the output byte-identical to the `threads = 1`
+/// reference.
 fn build_table_threads(
     title: &str,
+    app: &str,
     paper_rows: Vec<PaperRow>,
     machines: &[&str],
-    mut phases_for: impl FnMut(&str, &str, usize) -> Vec<pvs_core::phase::Phase>,
     threads: usize,
-) -> (Table, Vec<Comparison>, Vec<(String, PerfReport)>) {
+) -> (TableOutput, Vec<(String, PerfReport)>) {
     let mut headers = vec!["Config".to_string(), "P".to_string()];
     headers.extend(machines.iter().map(|m| m.to_string()));
     let mut table = Table {
@@ -215,17 +204,10 @@ fn build_table_threads(
                 .position(|&x| x == m)
                 .expect("known machine");
             let published = row.entries[col];
-            let phases = phases_for(row.config, m, row.procs);
-            let job = if phases.is_empty() {
-                None
-            } else {
-                jobs.push(SweepJob {
-                    machine: machine_by_name(m),
-                    phases,
-                    procs: row.procs,
-                });
-                Some(jobs.len() - 1)
-            };
+            let job = cell_phases(app, row.config, m, row.procs).map(|phases| {
+                jobs.push(sweep_job(m, phases, row.procs));
+                jobs.len() - 1
+            });
             plan.push(CellPlan {
                 row: ri,
                 machine: m.to_string(),
@@ -257,18 +239,16 @@ fn build_table_threads(
             None => cells.push(blank_cell()),
             Some(j) => {
                 let report = &results[j];
-                harvest(
-                    &mut comparisons,
-                    format!(
+                if let Some((gflops, _)) = cell.published {
+                    let label = format!(
                         "{} {} P={} {}",
                         title_short(title),
                         row.config,
                         row.procs,
                         cell.machine
-                    ),
-                    report,
-                    cell.published,
-                );
+                    );
+                    comparisons.push(Comparison::new(label, gflops, report.gflops_per_p));
+                }
                 cells.push(cell_with_paper(report, cell.published));
                 reports.push((
                     format!("{}|{}|{}", row.config, row.procs, cell.machine),
@@ -280,7 +260,16 @@ fn build_table_threads(
     if current_row != usize::MAX {
         table.push_row(cells);
     }
-    (table, comparisons, reports)
+    let checks = Vec::new();
+    (TableOutput { table, comparisons, checks }, reports)
+}
+
+fn sweep_job(machine: &str, phases: Vec<Phase>, procs: usize) -> SweepJob {
+    SweepJob {
+        machine: platforms::by_name(machine).unwrap_or_else(|| panic!("unknown machine {machine}")),
+        phases,
+        procs,
+    }
 }
 
 fn title_short(title: &str) -> &str {
@@ -299,44 +288,30 @@ pub fn table3_model() -> TableOutput {
 /// [`table3_model`] with an explicit worker count (1 = serial
 /// reference; any count renders identically).
 pub fn table3_model_threads(threads: usize) -> TableOutput {
-    use pvs_lbmhd::perf::LbmhdWorkload;
-    let machines = ["Power3", "Power4", "Altix", "ES", "X1", "X1-CAF"];
-    let (table, comparisons, reports) = build_table_threads(
+    let (mut out, reports) = build_table_threads(
         "Table 3: LBMHD per processor performance (model vs paper)",
+        "LBMHD",
         paper::table3(),
-        &machines,
-        |config, machine, procs| {
-            let grid = if config.starts_with("4096") {
-                4096
-            } else {
-                8192
-            };
-            let mut w = LbmhdWorkload::new(grid, procs);
-            if machine == "X1-CAF" {
-                w = w.with_caf();
-            }
-            w.phases()
-        },
+        &MACHINES,
         threads,
     );
 
-    let mut checks = Vec::new();
     if let (Some(es), Some(x1), Some(p3)) = (
         find(&reports, "4096x4096|64|ES"),
         find(&reports, "4096x4096|64|X1"),
         find(&reports, "4096x4096|64|Power3"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "vector systems dominate LBMHD (~44x over Power3 at P=64)",
             es.gflops_per_p / p3.gflops_per_p > 20.0,
             format!("ES/Power3 = {:.1}x", es.gflops_per_p / p3.gflops_per_p),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "ES sustains a higher fraction of peak than the X1",
             es.pct_peak > x1.pct_peak,
             format!("{:.0}% vs {:.0}%", es.pct_peak, x1.pct_peak),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "AVL and VOR near maximum on both vector systems",
             es.avl().unwrap_or(0.0) > 250.0 && x1.avl().unwrap_or(0.0) > 60.0,
             format!(
@@ -351,17 +326,13 @@ pub fn table3_model_threads(threads: usize) -> TableOutput {
         find(&reports, "8192x8192|256|X1-CAF"),
         find(&reports, "8192x8192|256|X1"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "CAF improves on MPI for the large grid at scale",
             caf.gflops_per_p >= mpi.gflops_per_p,
             format!("CAF {:.2} vs MPI {:.2}", caf.gflops_per_p, mpi.gflops_per_p),
         ));
     }
-    TableOutput {
-        table,
-        comparisons,
-        checks,
-    }
+    out
 }
 
 /// Table 4: PARATEC.
@@ -372,35 +343,25 @@ pub fn table4_model() -> TableOutput {
 /// [`table4_model`] with an explicit worker count (1 = serial
 /// reference; any count renders identically).
 pub fn table4_model_threads(threads: usize) -> TableOutput {
-    use pvs_paratec::perf::ParatecWorkload;
-    let machines = ["Power3", "Power4", "Altix", "ES", "X1"];
-    let (table, comparisons, reports) = build_table_threads(
+    let (mut out, reports) = build_table_threads(
         "Table 4: PARATEC per processor performance (model vs paper)",
+        "PARATEC",
         paper::table4(),
-        &machines,
-        |config, _machine, procs| {
-            let w = if config.starts_with("432") {
-                ParatecWorkload::si432(procs)
-            } else {
-                ParatecWorkload::si686(procs)
-            };
-            w.phases()
-        },
+        &MACHINES[..5],
         threads,
     );
 
-    let mut checks = Vec::new();
     if let (Some(es32), Some(x132), Some(p3)) = (
         find(&reports, "432 atom|32|ES"),
         find(&reports, "432 atom|32|X1"),
         find(&reports, "432 atom|32|Power3"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "every architecture sustains a high fraction on PARATEC",
             p3.pct_peak > 40.0 && es32.pct_peak > 40.0,
             format!("Power3 {:.0}%, ES {:.0}%", p3.pct_peak, es32.pct_peak),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "ES outperforms the X1 despite the X1's higher peak",
             es32.gflops_per_p > x132.gflops_per_p,
             format!("{:.2} vs {:.2}", es32.gflops_per_p, x132.gflops_per_p),
@@ -410,7 +371,7 @@ pub fn table4_model_threads(threads: usize) -> TableOutput {
         find(&reports, "432 atom|32|ES"),
         find(&reports, "432 atom|1024|ES"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "fixed-size scaling declines toward P=1024 (FFT transposes)",
             hi.gflops_per_p < 0.8 * lo.gflops_per_p,
             format!("{:.2} -> {:.2}", lo.gflops_per_p, hi.gflops_per_p),
@@ -420,17 +381,13 @@ pub fn table4_model_threads(threads: usize) -> TableOutput {
         find(&reports, "686 atom|256|ES"),
         find(&reports, "686 atom|256|X1"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "ES holds a large advantage at P=256 on 686 atoms (paper ~3.5x)",
             es.gflops_per_p > 2.0 * x1.gflops_per_p,
             format!("{:.2} vs {:.2}", es.gflops_per_p, x1.gflops_per_p),
         ));
     }
-    TableOutput {
-        table,
-        comparisons,
-        checks,
-    }
+    out
 }
 
 /// Table 5: Cactus.
@@ -441,24 +398,14 @@ pub fn table5_model() -> TableOutput {
 /// [`table5_model`] with an explicit worker count (1 = serial
 /// reference; any count renders identically).
 pub fn table5_model_threads(threads: usize) -> TableOutput {
-    use pvs_cactus::perf::{CactusVariant, CactusWorkload};
-    let machines = ["Power3", "Power4", "Altix", "ES", "X1"];
-    let (table, comparisons, reports) = build_table_threads(
+    let (mut out, reports) = build_table_threads(
         "Table 5: Cactus per processor performance, weak scaling (model vs paper)",
+        "CACTUS",
         paper::table5(),
-        &machines,
-        |config, machine, procs| {
-            let w = if config == "80x80x80" {
-                CactusWorkload::small(procs)
-            } else {
-                CactusWorkload::large(procs)
-            };
-            w.phases(CactusVariant::for_machine(machine))
-        },
+        &MACHINES[..5],
         threads,
     );
 
-    let mut checks = Vec::new();
     if let (Some(es_l), Some(es_s), Some(x1_l), Some(p3_l), Some(p3_s)) = (
         find(&reports, "250x64x64|16|ES"),
         find(&reports, "80x80x80|16|ES"),
@@ -466,7 +413,7 @@ pub fn table5_model_threads(threads: usize) -> TableOutput {
         find(&reports, "250x64x64|16|Power3"),
         find(&reports, "80x80x80|16|Power3"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "ES runs the large (long-x) case far more efficiently than the small",
             es_l.pct_peak > 1.3 * es_s.pct_peak,
             format!(
@@ -477,17 +424,17 @@ pub fn table5_model_threads(threads: usize) -> TableOutput {
                 es_s.avl().unwrap_or(0.0)
             ),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "X1 sustains far less of its peak than the ES on Cactus",
             x1_l.pct_peak < 0.5 * es_l.pct_peak,
             format!("{:.1}% vs {:.1}%", x1_l.pct_peak, es_l.pct_peak),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "Power3 collapses on the large case (prefetch streams disengaged)",
             p3_l.gflops_per_p < 0.6 * p3_s.gflops_per_p,
             format!("{:.3} vs {:.3}", p3_l.gflops_per_p, p3_s.gflops_per_p),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "unvectorized boundaries are a significant ES cost (paper: up to 20%)",
             es_s.phase_fraction("radiation_boundary") > 0.05,
             format!(
@@ -500,17 +447,13 @@ pub fn table5_model_threads(threads: usize) -> TableOutput {
         find(&reports, "250x64x64|16|ES"),
         find(&reports, "250x64x64|1024|ES"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "weak scaling is nearly flat on the ES",
             hi.gflops_per_p > 0.85 * lo.gflops_per_p,
             format!("{:.2} -> {:.2}", lo.gflops_per_p, hi.gflops_per_p),
         ));
     }
-    TableOutput {
-        table,
-        comparisons,
-        checks,
-    }
+    out
 }
 
 /// Table 6: GTC.
@@ -521,43 +464,26 @@ pub fn table6_model() -> TableOutput {
 /// [`table6_model`] with an explicit worker count (1 = serial
 /// reference; any count renders identically).
 pub fn table6_model_threads(threads: usize) -> TableOutput {
-    use pvs_gtc::perf::{GtcVariant, GtcWorkload};
-    let machines = ["Power3", "Power4", "Altix", "ES", "X1"];
-    let (table, comparisons, reports) = build_table_threads(
+    let (mut out, reports) = build_table_threads(
         "Table 6: GTC per processor performance (model vs paper)",
+        "GTC",
         paper::table6(),
-        &machines,
-        |config, machine, procs| {
-            if config.contains("hybrid") {
-                if machine != "Power3" {
-                    return Vec::new();
-                }
-                let w = GtcWorkload {
-                    procs,
-                    mpi_domains: 64,
-                    ..GtcWorkload::new(100, procs)
-                };
-                return w.phases(GtcVariant::hybrid(16));
-            }
-            let ppc = if config.starts_with("10 ") { 10 } else { 100 };
-            GtcWorkload::new(ppc, procs).phases(GtcVariant::for_machine(machine))
-        },
+        &MACHINES[..5],
         threads,
     );
 
-    let mut checks = Vec::new();
     if let (Some(es10), Some(es100), Some(x1100), Some(p3)) = (
         find(&reports, "10 part/cell|32|ES"),
         find(&reports, "100 part/cell|32|ES"),
         find(&reports, "100 part/cell|32|X1"),
         find(&reports, "100 part/cell|32|Power3"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "higher resolution (100 ppc) improves vector efficiency",
             es100.gflops_per_p > es10.gflops_per_p,
             format!("{:.2} -> {:.2}", es10.gflops_per_p, es100.gflops_per_p),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "X1 leads in absolute terms; ES sustains the higher fraction",
             x1100.gflops_per_p > 0.9 * es100.gflops_per_p && es100.pct_peak > x1100.pct_peak,
             format!(
@@ -565,7 +491,7 @@ pub fn table6_model_threads(threads: usize) -> TableOutput {
                 x1100.gflops_per_p, es100.gflops_per_p, x1100.pct_peak, es100.pct_peak
             ),
         ));
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "vector systems are 4-10x faster than superscalar",
             (4.0..20.0).contains(&(es100.gflops_per_p / p3.gflops_per_p)),
             format!("ES/Power3 {:.1}x", es100.gflops_per_p / p3.gflops_per_p),
@@ -575,7 +501,7 @@ pub fn table6_model_threads(threads: usize) -> TableOutput {
         find(&reports, "100 p/c hybrid|1024|Power3"),
         find(&reports, "100 part/cell|64|Power3"),
     ) {
-        checks.push(ShapeCheck::new(
+        out.checks.push(ShapeCheck::new(
             "1024 hybrid Power3 processors still lose to 64 vector processors",
             hybrid.gflops_per_p < 0.8 * flat.gflops_per_p,
             format!(
@@ -584,67 +510,58 @@ pub fn table6_model_threads(threads: usize) -> TableOutput {
             ),
         ));
     }
-    TableOutput {
-        table,
-        comparisons,
-        checks,
+    out
+}
+
+/// The largest problem size every machine ran, per application — the
+/// configurations Table 7, Fig. 9 and the profiling sweep compare at.
+pub const LARGEST_COMPARABLE: [(&str, &str); 4] = [
+    ("LBMHD", "8192x8192"),
+    ("PARATEC", "432 atom"),
+    ("CACTUS", "250x64x64"),
+    ("GTC", "100 part/cell"),
+];
+
+/// Table 7's "largest comparable" processor counts, one row per
+/// [`LARGEST_COMPARABLE`] application: the P used against
+/// [Power3, Power4, Altix, X1].
+const TABLE7_PROCS: [[usize; 4]; 4] = [
+    [1024, 256, 64, 256],
+    [512, 256, 64, 128],
+    [1024, 16, 64, 256],
+    [64, 64, 64, 64],
+];
+
+/// Fig. 9 compares at P=64, except that Cactus's large case ran on only
+/// 16 Power4 processors.
+pub fn fig9_procs(app: &str, machine: &str) -> usize {
+    if app == "CACTUS" && machine == "Power4" {
+        16
+    } else {
+        64
     }
 }
 
-/// The (application, config, procs, machine) cells Table 7 derives its
-/// "largest comparable" speedups from.
-fn table7_cells() -> Vec<(&'static str, &'static str, usize, [usize; 4])> {
-    // For each app: config label and the P used per comparison machine
-    // [Power3, Power4, Altix, X1].
-    vec![
-        ("LBMHD", "8192x8192", 0, [1024, 256, 64, 256]),
-        ("PARATEC", "432 atom", 0, [512, 256, 64, 128]),
-        ("CACTUS", "250x64x64", 0, [1024, 16, 64, 256]),
-        ("GTC", "100 part/cell", 0, [64, 64, 64, 64]),
-    ]
+/// Phase stream of `app` at its [`LARGEST_COMPARABLE`] size, with the
+/// code variant the paper ran on the machine named `machine`.
+pub fn comparable_phases(app: &str, machine: &str, procs: usize) -> Vec<Phase> {
+    let (_, config) = LARGEST_COMPARABLE
+        .iter()
+        .find(|(name, _)| *name == app)
+        .unwrap_or_else(|| panic!("unknown app {app}"));
+    cell_phases(app, config, machine, procs).expect("a published size")
 }
 
-/// Phase stream for one Table 7 / Fig. 9 application cell.
-pub(crate) fn app_phases(
-    app: &str,
-    config: &str,
-    machine: &str,
-    procs: usize,
-) -> Vec<pvs_core::phase::Phase> {
-    use pvs_cactus::perf::{CactusVariant, CactusWorkload};
-    use pvs_gtc::perf::{GtcVariant, GtcWorkload};
-    use pvs_lbmhd::perf::LbmhdWorkload;
-    use pvs_paratec::perf::ParatecWorkload;
-    match app {
-        "LBMHD" => {
-            let grid = if config.starts_with("4096") {
-                4096
-            } else {
-                8192
-            };
-            LbmhdWorkload::new(grid, procs).phases()
-        }
-        "PARATEC" => {
-            if config.starts_with("432") {
-                ParatecWorkload::si432(procs).phases()
-            } else {
-                ParatecWorkload::si686(procs).phases()
-            }
-        }
-        "CACTUS" => {
-            let w = if config == "80x80x80" {
-                CactusWorkload::small(procs)
-            } else {
-                CactusWorkload::large(procs)
-            };
-            w.phases(CactusVariant::for_machine(machine))
-        }
-        "GTC" => {
-            let ppc = if config.starts_with("10 ") { 10 } else { 100 };
-            GtcWorkload::new(ppc, procs).phases(GtcVariant::for_machine(machine))
-        }
-        other => panic!("unknown app {other}"),
-    }
+/// Aggregate Gflop/s of one registry cell across all `procs` processors
+/// (the paper's prose headlines: "3.3 Tflop/s on 1024 ES processors").
+pub fn aggregate_gflops(app: &str, config: &str, machine: &str, procs: usize) -> f64 {
+    let phases = cell_phases(app, config, machine, procs).expect("a published cell");
+    let job = sweep_job(machine, phases, procs);
+    procs as f64 * Engine::new(job.machine).run(&job.phases, procs).gflops_per_p
+}
+
+fn comparable_job(app: &str, machine: &str, procs: usize) -> SweepJob {
+    sweep_job(machine, comparable_phases(app, machine, procs), procs)
 }
 
 /// Table 7: ES speedup vs each platform (model vs paper).
@@ -664,15 +581,10 @@ pub fn table7_model_threads(threads: usize) -> TableOutput {
 
     // Pass 1: two jobs (ES + comparator) per cell, row-major.
     let mut jobs: Vec<SweepJob> = Vec::new();
-    for (app, config, _, procs_per_machine) in table7_cells() {
+    for ((app, _), procs_per_machine) in LARGEST_COMPARABLE.into_iter().zip(TABLE7_PROCS) {
         for (col, &m) in comparators.iter().enumerate() {
-            let p = procs_per_machine[col];
             for machine in ["ES", m] {
-                jobs.push(SweepJob {
-                    machine: machine_by_name(machine),
-                    phases: app_phases(app, config, machine, p),
-                    procs: p,
-                });
+                jobs.push(comparable_job(app, machine, procs_per_machine[col]));
             }
         }
     }
@@ -684,7 +596,7 @@ pub fn table7_model_threads(threads: usize) -> TableOutput {
     let mut comparisons = Vec::new();
     let mut sums = [0.0f64; 4];
     let mut next = results.iter();
-    for (app, _, _, _) in table7_cells() {
+    for (app, _) in LARGEST_COMPARABLE {
         let mut cells = vec![app.to_string()];
         let paper_row = paper7
             .iter()
@@ -763,27 +675,12 @@ pub fn fig9_model_threads(threads: usize) -> TableOutput {
             [Some(9.0), Some(6.0), Some(5.0), Some(16.0), Some(11.0)],
         ),
     ];
-    // Fig. 9 configurations are the largest comparable sizes of Tables 3-6.
-    let config_for = |app: &str| match app {
-        "LBMHD" => "8192x8192",
-        "PARATEC" => "432 atom",
-        "CACTUS" => "250x64x64",
-        "GTC" => "100 part/cell",
-        _ => unreachable!(),
-    };
-    // Cactus Power4 ran only P=16 on the large case.
-    let procs_for = |app: &str, m: &str| if app == "CACTUS" && m == "Power4" { 16 } else { 64 };
 
     // Pass 1: one job per (app, machine) cell, row-major.
     let mut jobs: Vec<SweepJob> = Vec::new();
-    for (app, _) in &paper_vals {
+    for (app, _) in LARGEST_COMPARABLE {
         for &m in &machines {
-            let procs = procs_for(app, m);
-            jobs.push(SweepJob {
-                machine: machine_by_name(m),
-                phases: app_phases(app, config_for(app), m, procs),
-                procs,
-            });
+            jobs.push(comparable_job(app, m, fig9_procs(app, m)));
         }
     }
 
@@ -855,24 +752,5 @@ mod tests {
         assert!(t1.contains("ES") && t1.contains("Crossbar"));
         let t2 = table2_text();
         assert!(t2.contains("PARATEC") && t2.contains("Particle"));
-    }
-
-    #[test]
-    fn table3_shape_checks_pass() {
-        let out = table3_model();
-        assert!(out.all_checks_pass(), "\n{}", out.render());
-        assert!(!out.comparisons.is_empty());
-    }
-
-    #[test]
-    fn table5_shape_checks_pass() {
-        let out = table5_model();
-        assert!(out.all_checks_pass(), "\n{}", out.render());
-    }
-
-    #[test]
-    fn table6_shape_checks_pass() {
-        let out = table6_model();
-        assert!(out.all_checks_pass(), "\n{}", out.render());
     }
 }

@@ -1,5 +1,5 @@
-//! Malformed-input hardening for the pvs-bench binaries, driven through
-//! the real executables (`CARGO_BIN_EXE_*`). Every failure mode must
+//! Malformed-input hardening for the `pvs` commands, driven through the
+//! real executable (`CARGO_BIN_EXE_pvs`). Every failure mode must
 //! produce a one-line diagnostic and its documented exit code — never a
 //! panic, never a partial output file. The code convention lives in
 //! `pvs_bench::cli`: 0 ok, 1 regression/invariant, 2 usage, 3 unreadable
@@ -7,19 +7,32 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+const PVS: &str = env!("CARGO_BIN_EXE_pvs");
+
+/// A fresh directory per call: tests run concurrently in one process.
 fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pvs_cli_hard_{}_{name}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pvs_cli_hard_{}_{}_{name}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin).args(args).output().expect("binary spawns")
+fn run(args: &[&str]) -> Output {
+    Command::new(PVS).args(args).output().expect("pvs spawns")
 }
 
 fn assert_exit(out: &Output, want: i32, ctx: &str) {
     assert_eq!(out.status.code(), Some(want), "{ctx}\nstderr: {}", stderr(out));
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 fn stderr(out: &Output) -> String {
@@ -35,87 +48,165 @@ fn assert_no_panic(out: &Output, ctx: &str) {
     );
 }
 
-const COMPARE: &str = env!("CARGO_BIN_EXE_compare");
-const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
-const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
-const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
-const SCALING: &str = env!("CARGO_BIN_EXE_scaling");
-const FIG9: &str = env!("CARGO_BIN_EXE_fig9");
-const TABLE3: &str = env!("CARGO_BIN_EXE_table3");
-const SERVE: &str = env!("CARGO_BIN_EXE_serve");
-const SERVE_LOAD: &str = env!("CARGO_BIN_EXE_serve_load");
-const RANKSCALE: &str = env!("CARGO_BIN_EXE_rankscale");
-const SELFPERF: &str = env!("CARGO_BIN_EXE_selfperf");
-const SERVECHAOS: &str = env!("CARGO_BIN_EXE_servechaos");
+/// Every command `pvs --help` lists — the binary's own command table.
+fn commands() -> Vec<String> {
+    let out = run(&["--help"]);
+    assert_exit(&out, 0, "pvs --help");
+    let listing = stdout(&out);
+    assert!(listing.starts_with("usage: pvs <command>"), "{listing}");
+    let names: Vec<String> = listing
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .map(|l| l.trim().to_string())
+        .collect();
+    assert_eq!(names.len(), 30, "one command per former binary: {names:?}");
+    names
+}
 
 /// The smallest valid profile document: known schema, zero cells.
 const EMPTY_DOC: &str = "{\"schema\": \"pvs-bench/profile-v2\", \"cells\": []}";
 
 #[test]
-fn compare_usage_errors_exit_2() {
-    let out = run(COMPARE, &["only-one-path.json"]);
-    assert_exit(&out, 2, "single path is a usage error");
-    let out = run(COMPARE, &["--bogus-flag"]);
-    assert_exit(&out, 2, "unknown flag is a usage error");
-    let out = run(COMPARE, &["a.json", "b.json", "--host-tol", "abc"]);
-    assert_exit(&out, 2, "non-numeric --host-tol is a usage error");
+fn every_command_answers_help_and_rejects_unknown_flags() {
+    for name in commands() {
+        // --help answers without running the model (exit 0, usage on stdout).
+        let out = run(&[&name, "--help"]);
+        assert_exit(&out, 0, &format!("{name} --help is not an error"));
+        assert!(
+            stdout(&out).starts_with(&format!("usage: pvs {name}")),
+            "{name} --help: {}",
+            stdout(&out)
+        );
+
+        // Unknown flags are refused before any work: nothing on stdout.
+        let out = run(&[&name, "--definitely-not-a-flag"]);
+        assert_exit(&out, 2, &format!("{name} rejects unknown flags"));
+        assert_no_panic(&out, &format!("{name} on an unknown flag"));
+        assert!(stdout(&out).is_empty(), "{name} printed before failing: {}", stdout(&out));
+        assert!(stderr(&out).contains("usage:"), "{name}: {}", stderr(&out));
+    }
 }
 
 #[test]
-fn compare_unreadable_input_exits_3() {
-    let out = run(COMPARE, &["/nonexistent/never/old.json", "/nonexistent/new.json"]);
+fn unknown_or_missing_command_exits_2_listing_the_commands() {
+    for args in [&["frobnicate"][..], &[]] {
+        let out = run(args);
+        assert_exit(&out, 2, "no such command");
+        assert!(stdout(&out).is_empty());
+        for name in ["table3", "fig9", "compare", "serve_load"] {
+            assert!(stderr(&out).contains(&format!("  {name}\n")), "{}", stderr(&out));
+        }
+    }
+}
+
+/// Malformed invocations: each must exit 2 with one error line and the
+/// usage line on stderr, before any model work.
+const USAGE_ERRORS: &[&[&str]] = &[
+    &["compare", "only-one-path.json"],
+    &["compare", "--bogus-flag"],
+    &["compare", "a.json", "b.json", "--host-tol", "abc"],
+    &["profile", "--bogus"],
+    &["profile", "--smoke", "--samples", "zero"],
+    &["profile", "--smoke", "--out"],
+    &["chaos", "--bogus"],
+    &["chaos", "--threads", "none"],
+    &["chaos", "--verify-checkpoint"],
+    &["servechaos", "--bogus"],
+    &["servechaos", "--threads", "zero"],
+    &["servechaos", "--threads", "0"],
+    &["rankscale", "--bogus"],
+    &["rankscale", "--threads", "0"],
+    &["scaling", "--bogus"],
+    &["fig9", "--jsonn"],
+    &["table3", "extra-positional"],
+    &["serve", "--bogus"],
+    &["serve", "--threads"],
+    &["serve", "--max-pending", "lots"],
+    &["selfperf", "--bogus"],
+    &["selfperf", "--rounds", "zero"],
+    &["selfperf", "--rounds", "0"],
+    &["serve_load", "--bogus"],
+    &["serve_load", "--requests", "many"],
+    &["serve_load", "--requests", "0"],
+    &["serve_load", "--inline", "--addr", "127.0.0.1:1"],
+    &["serve_load", "--rate", "-3"],
+    &["experiments", "--bogus"],
+    &["experiments", "--out"],
+    &["whatif"],
+    &["whatif", "Cray-2"],
+    &["whatif", "Power3", "--scalar-gflops", "1"],
+];
+
+#[test]
+fn usage_errors_exit_2() {
+    for args in USAGE_ERRORS {
+        let out = run(args);
+        assert_exit(&out, 2, &format!("{args:?} is a usage error"));
+        assert_no_panic(&out, &format!("{args:?}"));
+        assert!(stderr(&out).contains("usage:"), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?} printed before failing: {}", stdout(&out));
+    }
+}
+
+/// Commands that write a document: `--out` under a regular file must
+/// fail fast with exit 6, before the run, leaving nothing behind.
+const WRITERS: &[&[&str]] = &[
+    &["profile", "--smoke"],
+    &["chaos", "--smoke"],
+    &["servechaos", "--smoke"],
+    &["rankscale", "--smoke"],
+    &["selfperf", "--smoke"],
+    &["serve_load", "--inline", "--smoke"],
+    &["experiments"],
+];
+
+#[test]
+fn unwritable_out_exits_6_fast_and_writes_nothing() {
+    for args in WRITERS {
+        let dir = scratch_dir("unwritable_out");
+        let occupied = dir.join("not-a-dir");
+        std::fs::write(&occupied, "file in the way").unwrap();
+        let under = occupied.join("doc.json");
+        let mut argv = args.to_vec();
+        argv.extend(["--out", under.to_str().unwrap()]);
+        let out = run(&argv);
+        assert_exit(&out, 6, &format!("{args:?} --out under a file"));
+        assert_no_panic(&out, &format!("{args:?} on unwritable --out"));
+        assert!(stdout(&out).is_empty(), "{args:?} ran before failing: {}", stdout(&out));
+        assert!(!under.exists(), "no partial document");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn compare_classifies_damaged_documents() {
+    let dir = scratch_dir("cmp");
+    let good = dir.join("good.json");
+    std::fs::write(&good, EMPTY_DOC).unwrap();
+    let good = good.to_str().unwrap();
+
+    let out = run(&["compare", good, good]);
+    assert_exit(&out, 0, "a valid document compared to itself is clean");
+
+    let out = run(&["compare", "/nonexistent/never/old.json", good]);
     assert_exit(&out, 3, "missing input file");
     assert_no_panic(&out, "compare on missing file");
     assert!(stderr(&out).contains("cannot read"), "{}", stderr(&out));
-}
 
-#[test]
-fn compare_truncated_json_exits_4() {
-    let dir = scratch_dir("cmp_trunc");
-    let good = dir.join("good.json");
     let trunc = dir.join("trunc.json");
-    std::fs::write(&good, EMPTY_DOC).unwrap();
     std::fs::write(&trunc, &EMPTY_DOC[..EMPTY_DOC.len() / 2]).unwrap();
-    let out = run(COMPARE, &[good.to_str().unwrap(), trunc.to_str().unwrap()]);
+    let out = run(&["compare", good, trunc.to_str().unwrap()]);
     assert_exit(&out, 4, "truncated JSON is malformed input");
     assert_no_panic(&out, "compare on truncated JSON");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
 
-#[test]
-fn compare_unknown_schema_exits_5() {
-    let dir = scratch_dir("cmp_schema");
-    let good = dir.join("good.json");
     let future = dir.join("future.json");
-    std::fs::write(&good, EMPTY_DOC).unwrap();
     std::fs::write(&future, "{\"schema\": \"pvs-bench/profile-v99\", \"cells\": []}").unwrap();
-    let out = run(COMPARE, &[good.to_str().unwrap(), future.to_str().unwrap()]);
+    let out = run(&["compare", good, future.to_str().unwrap()]);
     assert_exit(&out, 5, "unknown schema version is its own failure mode");
     assert_no_panic(&out, "compare on unknown schema");
     assert!(stderr(&out).contains("profile-v99"), "{}", stderr(&out));
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn compare_identity_of_valid_doc_exits_0() {
-    let dir = scratch_dir("cmp_ok");
-    let doc = dir.join("doc.json");
-    std::fs::write(&doc, EMPTY_DOC).unwrap();
-    let p = doc.to_str().unwrap();
-    let out = run(COMPARE, &[p, p]);
-    assert_exit(&out, 0, "a valid document compared to itself is clean");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn profile_usage_errors_exit_2_before_any_sweep() {
-    let out = run(PROFILE, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
-    let out = run(PROFILE, &["--smoke", "--samples", "zero"]);
-    assert_exit(&out, 2, "non-numeric --samples");
-    let out = run(PROFILE, &["--smoke", "--out"]);
-    assert_exit(&out, 2, "--out without a value");
 }
 
 #[test]
@@ -125,16 +216,14 @@ fn profile_unwritable_trace_dir_exits_6_fast_and_writes_nothing() {
     std::fs::write(&occupied, "file in the way").unwrap();
     let out_json = dir.join("o.json");
     let trace = occupied.join("traces");
-    let out = run(
-        PROFILE,
-        &[
-            "--smoke",
-            "--out",
-            out_json.to_str().unwrap(),
-            "--trace",
-            trace.to_str().unwrap(),
-        ],
-    );
+    let out = run(&[
+        "profile",
+        "--smoke",
+        "--out",
+        out_json.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
     assert_exit(&out, 6, "a file where the --trace dir should go");
     assert_no_panic(&out, "profile on unwritable --trace");
     assert!(!out_json.exists(), "failed run must not leave a partial document");
@@ -142,60 +231,17 @@ fn profile_unwritable_trace_dir_exits_6_fast_and_writes_nothing() {
 }
 
 #[test]
-fn profile_unwritable_out_exits_6_fast() {
-    let dir = scratch_dir("prof_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("o.json");
-    let out = run(PROFILE, &["--smoke", "--out", under.to_str().unwrap()]);
-    assert_exit(&out, 6, "--out under a file");
-    assert_no_panic(&out, "profile on unwritable --out");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn chaos_usage_errors_exit_2() {
-    let out = run(CHAOS, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    let out = run(CHAOS, &["--threads", "none"]);
-    assert_exit(&out, 2, "non-numeric --threads");
-}
-
-#[test]
-fn chaos_unwritable_out_exits_6_fast_and_writes_nothing() {
-    let dir = scratch_dir("chaos_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("chaos.json");
-    let out = run(CHAOS, &["--smoke", "--out", under.to_str().unwrap()]);
-    assert_exit(&out, 6, "--out under a file");
-    assert_no_panic(&out, "chaos on unwritable --out");
-    assert!(!under.exists(), "no partial document");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn servechaos_usage_errors_exit_2() {
-    let out = run(SERVECHAOS, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    assert_no_panic(&out, "servechaos on unknown flag");
-    assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
-    let out = run(SERVECHAOS, &["--threads", "zero"]);
-    assert_exit(&out, 2, "non-numeric --threads");
-    let out = run(SERVECHAOS, &["--threads", "0"]);
-    assert_exit(&out, 2, "zero --threads");
-}
-
-#[test]
-fn servechaos_unwritable_out_exits_6_fast_and_writes_nothing() {
-    let dir = scratch_dir("servechaos_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("servechaos.json");
-    let out = run(SERVECHAOS, &["--smoke", "--out", under.to_str().unwrap()]);
-    assert_exit(&out, 6, "--out under a file");
-    assert_no_panic(&out, "servechaos on unwritable --out");
-    assert!(!under.exists(), "no partial document");
+fn fig3_pgm_writes_the_image_into_the_working_directory() {
+    let dir = scratch_dir("fig3_pgm");
+    let out = Command::new(PVS)
+        .args(["fig3", "--pgm"])
+        .current_dir(&dir)
+        .output()
+        .expect("pvs spawns");
+    assert_exit(&out, 0, "fig3 --pgm");
+    assert!(stdout(&out).contains("(image written to fig3.pgm)"), "{}", stdout(&out));
+    let image = std::fs::read(dir.join("fig3.pgm")).unwrap();
+    assert!(image.starts_with(b"P5"), "a binary PGM");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -204,161 +250,35 @@ fn chaos_verify_checkpoint_accepts_valid_rejects_damaged() {
     use pvs_core::checkpoint::SweepCheckpoint;
     let dir = scratch_dir("chaos_verify");
     let doc = SweepCheckpoint::new(3).serialize();
-
-    // A path argument is required.
-    let out = run(CHAOS, &["--verify-checkpoint"]);
-    assert_exit(&out, 2, "--verify-checkpoint without a path");
-
-    // Missing file: unreadable input, not malformed.
-    let missing = dir.join("never-written.ck");
-    let out = run(CHAOS, &["--verify-checkpoint", missing.to_str().unwrap()]);
-    assert_exit(&out, 3, "missing checkpoint file");
-    assert_no_panic(&out, "verify on missing file");
-
-    // The intact document verifies clean.
-    let valid = dir.join("valid.ck");
-    std::fs::write(&valid, &doc).unwrap();
-    let out = run(CHAOS, &["--verify-checkpoint", valid.to_str().unwrap()]);
-    assert_exit(&out, 0, "valid checkpoint");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("0 of 3 cells"),
-        "summary names the progress: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // Byte truncation: the checksum (or structure) no longer holds.
-    let trunc = dir.join("trunc.ck");
-    std::fs::write(&trunc, &doc[..doc.len() - 9]).unwrap();
-    let out = run(CHAOS, &["--verify-checkpoint", trunc.to_str().unwrap()]);
-    assert_exit(&out, 4, "truncated checkpoint");
-    assert_no_panic(&out, "verify on truncated checkpoint");
-
-    // A single flipped digit inside a record: caught by the FNV seal.
-    let flipped = dir.join("flipped.ck");
-    std::fs::write(&flipped, doc.replace("total 3", "total 7")).unwrap();
-    let out = run(CHAOS, &["--verify-checkpoint", flipped.to_str().unwrap()]);
-    assert_exit(&out, 4, "bit-flipped checkpoint");
-    assert!(stderr(&out).contains("checksum"), "{}", stderr(&out));
-
-    // A file that is no checkpoint at all.
-    let alien = dir.join("alien.ck");
-    std::fs::write(&alien, "{\"schema\": \"pvs-bench/profile-v2\"}").unwrap();
-    let out = run(CHAOS, &["--verify-checkpoint", alien.to_str().unwrap()]);
-    assert_exit(&out, 4, "non-checkpoint file");
-    assert!(stderr(&out).contains("unrecognized header"), "{}", stderr(&out));
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn rankscale_usage_errors_exit_2() {
-    let out = run(RANKSCALE, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    let out = run(RANKSCALE, &["--threads", "0"]);
-    assert_exit(&out, 2, "zero --threads");
-}
-
-#[test]
-fn rankscale_unwritable_out_exits_6_fast_and_writes_nothing() {
-    let dir = scratch_dir("rankscale_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("mpisim.json");
-    let out = run(RANKSCALE, &["--smoke", "--out", under.to_str().unwrap()]);
-    assert_exit(&out, 6, "--out under a file");
-    assert_no_panic(&out, "rankscale on unwritable --out");
-    assert!(!under.exists(), "no partial document");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn flag_only_generators_reject_unknown_arguments() {
-    // Pre-hardening these binaries either panicked on stray arguments or
-    // silently ignored them (running the full sweep anyway). Now every
-    // generator validates argv before doing any work.
-    let out = run(SCALING, &["--bogus"]);
-    assert_exit(&out, 2, "scaling rejects unknown flags");
-    assert_no_panic(&out, "scaling on unknown flag");
-    assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
-
-    let out = run(FIG9, &["--jsonn"]);
-    assert_exit(&out, 2, "fig9 rejects a typoed --json");
-    assert_no_panic(&out, "fig9 on typoed flag");
-
-    let out = run(TABLE3, &["extra-positional"]);
-    assert_exit(&out, 2, "table3 rejects positional arguments");
-
-    // --help answers without running the model (exit 0, usage on stdout).
-    let out = run(FIG9, &["--help"]);
-    assert_exit(&out, 0, "--help is not an error");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
-}
-
-#[test]
-fn serve_usage_errors_exit_2() {
-    let out = run(SERVE, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    assert_no_panic(&out, "serve on unknown flag");
-    let out = run(SERVE, &["--threads"]);
-    assert_exit(&out, 2, "--threads without a value");
-    let out = run(SERVE, &["--max-pending", "lots"]);
-    assert_exit(&out, 2, "non-numeric --max-pending");
-    let out = run(SERVE, &["--help"]);
-    assert_exit(&out, 0, "--help answers cleanly");
-}
-
-#[test]
-fn selfperf_usage_errors_exit_2() {
-    let out = run(SELFPERF, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    assert_no_panic(&out, "selfperf on unknown flag");
-    let out = run(SELFPERF, &["--rounds", "zero"]);
-    assert_exit(&out, 2, "non-numeric --rounds");
-    let out = run(SELFPERF, &["--rounds", "0"]);
-    assert_exit(&out, 2, "zero --rounds is a usage error");
-}
-
-#[test]
-fn selfperf_unwritable_out_exits_6_fast_and_writes_nothing() {
-    let dir = scratch_dir("selfperf_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("BENCH_selfperf.json");
-    let out = run(SELFPERF, &["--smoke", "--out", under.to_str().unwrap()]);
-    assert_exit(&out, 6, "--out under a file fails before any sweep");
-    assert_no_panic(&out, "selfperf on unwritable --out");
-    assert!(!under.exists(), "no partial document");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn serve_load_usage_errors_exit_2() {
-    let out = run(SERVE_LOAD, &["--bogus"]);
-    assert_exit(&out, 2, "unknown flag");
-    assert_no_panic(&out, "serve_load on unknown flag");
-    let out = run(SERVE_LOAD, &["--requests", "many"]);
-    assert_exit(&out, 2, "non-numeric --requests");
-    let out = run(SERVE_LOAD, &["--requests", "0"]);
-    assert_exit(&out, 2, "zero requests is a usage error");
-    let out = run(SERVE_LOAD, &["--inline", "--addr", "127.0.0.1:1"]);
-    assert_exit(&out, 2, "--inline and --addr conflict");
-    let out = run(SERVE_LOAD, &["--rate", "-3"]);
-    assert_exit(&out, 2, "negative --rate");
-}
-
-#[test]
-fn serve_load_unwritable_out_exits_6_before_any_load() {
-    let dir = scratch_dir("serve_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("BENCH_serve.json");
-    let out = run(
-        SERVE_LOAD,
-        &["--inline", "--smoke", "--out", under.to_str().unwrap()],
-    );
-    assert_exit(&out, 6, "--out under a file fails before the load runs");
-    assert_no_panic(&out, "serve_load on unwritable --out");
-    assert!(!under.exists(), "no partial document");
+    // (file, contents if written, exit code, what the output must say)
+    let cases = [
+        // Missing file: unreadable input, not malformed.
+        ("never-written.ck", None, 3, "cannot read"),
+        // The intact document verifies clean and names the progress.
+        ("valid.ck", Some(doc.clone()), 0, "0 of 3 cells"),
+        // Byte truncation: the checksum (or structure) no longer holds.
+        ("trunc.ck", Some(doc[..doc.len() - 9].to_string()), 4, "failed verification"),
+        // A single flipped digit inside a record: caught by the FNV seal.
+        ("flipped.ck", Some(doc.replace("total 3", "total 7")), 4, "checksum"),
+        // A file that is no checkpoint at all.
+        (
+            "alien.ck",
+            Some("{\"schema\": \"pvs-bench/profile-v2\"}".to_string()),
+            4,
+            "unrecognized header",
+        ),
+    ];
+    for (file, contents, code, says) in cases {
+        let path = dir.join(file);
+        if let Some(contents) = contents {
+            std::fs::write(&path, contents).unwrap();
+        }
+        let out = run(&["chaos", "--verify-checkpoint", path.to_str().unwrap()]);
+        assert_exit(&out, code, file);
+        assert_no_panic(&out, file);
+        let said = stdout(&out) + &stderr(&out);
+        assert!(said.contains(says), "{file}: {said}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -367,8 +287,8 @@ fn serve_load_inline_smoke_passes_identity() {
     let dir = scratch_dir("serve_smoke");
     let out_path = dir.join("BENCH_serve.json");
     let out = run(
-        SERVE_LOAD,
         &[
+            "serve_load",
             "--inline",
             "--smoke",
             "--requests",
@@ -382,27 +302,8 @@ fn serve_load_inline_smoke_passes_identity() {
     );
     assert_exit(&out, 0, "inline smoke load run");
     assert_no_panic(&out, "serve_load inline smoke");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("identity: every served cell"), "{stdout}");
+    assert!(stdout(&out).contains("identity: every served cell"), "{}", stdout(&out));
     let doc = std::fs::read_to_string(&out_path).unwrap();
     assert!(doc.contains("\"schema\": \"pvs-bench/profile-v2\""), "{doc}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn experiments_usage_and_unwritable_out() {
-    let out = run(EXPERIMENTS, &["--bogus"]);
-    assert_exit(&out, 2, "unknown argument");
-    let out = run(EXPERIMENTS, &["--out"]);
-    assert_exit(&out, 2, "--out without a value");
-
-    let dir = scratch_dir("exp_out");
-    let occupied = dir.join("not-a-dir");
-    std::fs::write(&occupied, "file in the way").unwrap();
-    let under = occupied.join("EXPERIMENTS.md");
-    let out = run(EXPERIMENTS, &["--out", under.to_str().unwrap()]);
-    assert_exit(&out, 6, "--out under a file fails before any work");
-    assert_no_panic(&out, "experiments on unwritable --out");
-    assert!(!under.exists(), "no partial document");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -25,7 +25,9 @@
 //! * [`rng`]: deterministic in-tree SplitMix64/PCG32 generators replacing
 //!   `rand`, so every seeded simulation is bit-reproducible;
 //! * [`hash`]: stable FNV-1a content hashing (unlike `DefaultHasher`,
-//!   never randomly seeded), used by the serving layer to address cells.
+//!   never randomly seeded), used by the serving layer to address cells;
+//! * [`json`]: the workspace's one JSON codec — writer, pretty-printer
+//!   and parser — shared by every document, wire format and CLI.
 //!
 //! ## Example
 //!
@@ -51,6 +53,7 @@ pub mod checkpoint;
 pub mod engine;
 pub mod event;
 pub mod hash;
+pub mod json;
 pub mod kernel;
 pub mod machine;
 pub mod phase;

@@ -6,7 +6,7 @@
 //! finding per line — so goldens and CI greps stay byte-reproducible; a
 //! machine-readable JSON form rides along for tooling.
 
-use pvs_report::json::{array, JsonObject};
+use pvs_core::json::{array, JsonObject};
 use std::fmt;
 
 /// How bad a finding is. Only errors fail the build (nonzero driver exit,

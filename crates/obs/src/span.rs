@@ -159,8 +159,10 @@ impl TraceBuffer {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape_json(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars) —
+/// the one escape function in the workspace (`pvs_core::json::escape`
+/// re-exports it).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

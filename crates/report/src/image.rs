@@ -1,7 +1,7 @@
-//! Grayscale image output (binary PGM) for the figure binaries.
+//! Grayscale image output (binary PGM) for the figure commands.
 //!
-//! The paper's Figs. 1, 3, 5 and 7 are field visualizations; the `fig*`
-//! binaries render their ASCII form to stdout and, with this module, can
+//! The paper's Figs. 1, 3, 5 and 7 are field visualizations; `pvs fig1/3/5/7`
+//! render their ASCII form to stdout and, with `--pgm` and this module,
 //! also write portable graymap files any image viewer opens.
 
 use std::io::Write;
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn save_roundtrip() {
-        let dir = std::env::temp_dir().join("pvs_pgm_test.pgm");
+        let dir = std::env::temp_dir().join(format!("pvs_pgm_test_{}.pgm", std::process::id()));
         save_pgm(&[0.0, 0.5, 0.5, 1.0], 2, 2, &dir).expect("write");
         let read = std::fs::read(&dir).expect("read");
         assert_eq!(read, encode_pgm(&[0.0, 0.5, 0.5, 1.0], 2, 2));

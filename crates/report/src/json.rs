@@ -1,291 +1,3 @@
-//! Minimal JSON emission for machine-readable results.
-//!
-//! The regeneration binaries accept `--json` so downstream tooling can
-//! consume the model's output without scraping tables. The emitter is
-//! deliberately tiny (objects, arrays, strings, finite numbers, booleans)
-//! — no external serialization dependency needed.
-
-use pvs_core::report::PerfReport;
-
-/// Escape a string for JSON.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a finite number (JSON has no NaN/Inf; they become null).
-pub fn number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON object under construction.
-#[derive(Debug, Default, Clone)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    /// Empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a string field.
-    pub fn string(mut self, key: &str, value: &str) -> Self {
-        self.fields
-            .push((key.to_string(), format!("\"{}\"", escape(value))));
-        self
-    }
-
-    /// Add a numeric field.
-    pub fn number(mut self, key: &str, value: f64) -> Self {
-        self.fields.push((key.to_string(), number(value)));
-        self
-    }
-
-    /// Add a boolean field.
-    pub fn boolean(mut self, key: &str, value: bool) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Add an already-rendered JSON value.
-    pub fn raw(mut self, key: &str, value: String) -> Self {
-        self.fields.push((key.to_string(), value));
-        self
-    }
-
-    /// Render.
-    pub fn render(&self) -> String {
-        let body = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{{body}}}")
-    }
-}
-
-/// Render a JSON array from already-rendered values.
-pub fn array(values: impl IntoIterator<Item = String>) -> String {
-    format!("[{}]", values.into_iter().collect::<Vec<_>>().join(","))
-}
-
-/// Re-render compact JSON with two-space indentation, one member per
-/// line, preserving member order byte-for-byte inside strings. The
-/// emitters in this module write compact documents; pretty-printing the
-/// final document (rather than threading an indent level through every
-/// builder) keeps committed baselines like `BENCH_sweep.json` reviewable
-/// line-by-line. Empty objects/arrays stay `{}`/`[]`.
-pub fn pretty(json: &str) -> String {
-    let mut out = String::with_capacity(json.len() * 2);
-    let mut depth: usize = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut chars = json.chars().peekable();
-    let indent = |out: &mut String, depth: usize| {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-    };
-    while let Some(c) = chars.next() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push(c);
-            }
-            '{' | '[' => {
-                let close = if c == '{' { '}' } else { ']' };
-                if chars.peek() == Some(&close) {
-                    out.push(c);
-                    out.push(close);
-                    chars.next();
-                } else {
-                    out.push(c);
-                    depth += 1;
-                    indent(&mut out, depth);
-                }
-            }
-            '}' | ']' => {
-                depth = depth.saturating_sub(1);
-                indent(&mut out, depth);
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                indent(&mut out, depth);
-            }
-            ':' => {
-                out.push_str(": ");
-            }
-            // The compact emitters write no insignificant whitespace;
-            // drop any that sneaks in so output is canonical.
-            ' ' | '\t' | '\n' | '\r' => {}
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialize a [`PerfReport`].
-pub fn perf_report(r: &PerfReport) -> String {
-    let phases = array(r.phases.iter().map(|p| {
-        JsonObject::new()
-            .string("name", &p.name)
-            .number("seconds", p.seconds)
-            .number("flops", p.flops)
-            .boolean("is_comm", p.is_comm)
-            .render()
-    }));
-    let mut obj = JsonObject::new()
-        .string("machine", &r.machine)
-        .number("procs", r.procs as f64)
-        .number("time_s", r.time_s)
-        .number("comm_s", r.comm_s)
-        .number("gflops_per_p", r.gflops_per_p)
-        .number("pct_peak", r.pct_peak);
-    if let Some(avl) = r.avl() {
-        obj = obj.number("avl", avl);
-    }
-    if let Some(vor) = r.vor_pct() {
-        obj = obj.number("vor_pct", vor);
-    }
-    obj.raw("phases", phases).render()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pvs_core::report::PhaseBreakdown;
-
-    fn sample() -> PerfReport {
-        PerfReport {
-            machine: "ES".into(),
-            procs: 64,
-            time_s: 1.5,
-            comm_s: 0.25,
-            flops_per_p: 1e9,
-            gflops_per_p: 4.2,
-            pct_peak: 52.5,
-            vector_metrics: None,
-            phases: vec![PhaseBreakdown {
-                name: "collision".into(),
-                seconds: 1.25,
-                flops: 1e9,
-                is_comm: false,
-            }],
-        }
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("plain"), "plain");
-    }
-
-    #[test]
-    fn numbers_are_finite_or_null() {
-        assert_eq!(number(2.5), "2.5");
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn object_rendering() {
-        let s = JsonObject::new()
-            .string("k", "v")
-            .number("n", 3.0)
-            .boolean("b", true)
-            .render();
-        assert_eq!(s, "{\"k\":\"v\",\"n\":3,\"b\":true}");
-    }
-
-    #[test]
-    fn perf_report_roundtrips_key_fields() {
-        let s = perf_report(&sample());
-        assert!(s.contains("\"machine\":\"ES\""));
-        assert!(s.contains("\"gflops_per_p\":4.2"));
-        assert!(s.contains("\"phases\":[{"));
-        assert!(s.contains("\"is_comm\":false"));
-        // No AVL for a superscalar report.
-        assert!(!s.contains("avl"));
-    }
-
-    #[test]
-    fn array_rendering() {
-        assert_eq!(array(vec!["1".to_string(), "2".to_string()]), "[1,2]");
-        assert_eq!(array(Vec::<String>::new()), "[]");
-    }
-
-    #[test]
-    fn pretty_indents_and_preserves_content() {
-        let compact = "{\"a\":1,\"b\":[true,null],\"c\":{\"d\":\"x,y:{z}\"},\"e\":[]}";
-        let p = pretty(compact);
-        assert_eq!(
-            p,
-            "{\n  \"a\": 1,\n  \"b\": [\n    true,\n    null\n  ],\n  \
-             \"c\": {\n    \"d\": \"x,y:{z}\"\n  },\n  \"e\": []\n}"
-        );
-        // Stripping the added whitespace recovers the compact form, so
-        // pretty() provably changes layout only.
-        let mut in_string = false;
-        let mut escaped = false;
-        let stripped: String = p
-            .chars()
-            .filter(|&c| {
-                if in_string {
-                    if escaped {
-                        escaped = false;
-                    } else if c == '\\' {
-                        escaped = true;
-                    } else if c == '"' {
-                        in_string = false;
-                    }
-                    true
-                } else {
-                    if c == '"' {
-                        in_string = true;
-                    }
-                    !matches!(c, ' ' | '\n')
-                }
-            })
-            .collect();
-        assert_eq!(stripped, compact);
-    }
-
-    #[test]
-    fn pretty_keeps_string_contents_verbatim() {
-        let compact = "{\"msg\":\"brace } bracket ] comma , colon : \\\" esc\"}";
-        let p = pretty(compact);
-        assert!(p.contains("brace } bracket ] comma , colon : \\\" esc"));
-        assert_eq!(p.lines().count(), 3);
-    }
-}
+//! The JSON writer lives in [`pvs_core::json`]; this path is kept for
+//! callers outside the workspace.
+pub use pvs_core::json::*;

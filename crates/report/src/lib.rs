@@ -3,7 +3,7 @@
 //! Holds the published numbers from every evaluation table of the SC 2004
 //! paper ([`paper`]), generic text/markdown table rendering ([`tables`]),
 //! and paper-vs-model comparison helpers ([`compare`]) used by the
-//! `pvs-bench` regeneration binaries and by EXPERIMENTS.md.
+//! `pvs-bench` regeneration commands and by EXPERIMENTS.md.
 //!
 //! ## Example
 //!
@@ -24,6 +24,5 @@ pub mod tables;
 
 pub use compare::{shape_checks, Comparison, ShapeCheck};
 pub use image::{encode_pgm, save_pgm};
-pub use json::{perf_report as perf_report_json, JsonObject};
 pub use paper::{table3, table4, table5, table6, table7, PaperRow, MACHINES};
 pub use tables::Table;

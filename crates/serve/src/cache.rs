@@ -249,9 +249,8 @@ pub fn decode_cell(raw: &[u8]) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-/// Atomic file write, same convention as `pvs_bench::cli::write_atomic`
-/// (duplicated here because the dependency points the other way: the
-/// bench binaries link against this crate). Content lands in a sibling
+/// Atomic file write (the `pvs` commands write their documents through
+/// it too): parent directories are created, content lands in a sibling
 /// `*.tmp.<pid>` and is renamed into place; on failure the temp file is
 /// removed and any pre-existing target survives untouched.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {

@@ -24,7 +24,7 @@
 //! * [`server`] — the TCP edge (the only wall-clock-bearing file; every
 //!   other module is clock-free so model output stays pure).
 //!
-//! The `serve` and `serve_load` binaries in `pvs-bench` wrap this crate
+//! The `serve` and `serve_load` commands of `pvs-bench` wrap this crate
 //! with CLI plumbing and a seeded load generator.
 
 pub mod cache;
@@ -38,4 +38,4 @@ pub use server::{Server, ServerOptions};
 pub use store::{
     BudgetProbe, CellResponse, CellSource, CellStore, PanicSpec, ServeError, StoreOptions,
 };
-pub use workload::{FaultSpec, Request, RequestError};
+pub use workload::{cell_phases, FaultSpec, Request, RequestError};

@@ -1,9 +1,9 @@
 //! Wire protocol: newline-delimited JSON, one request per line, one
 //! response line back.
 //!
-//! Requests are parsed with the workspace's own reader
-//! ([`pvs_analyze::json`]) and rendered with its writer conventions
-//! ([`pvs_report::json`]) — no external serialization crates (PVS001).
+//! Requests are parsed and responses rendered with the workspace's own
+//! codec ([`pvs_core::json`]) — no external serialization crates
+//! (PVS001).
 //! The operations:
 //!
 //! | request                                     | response                          |
@@ -34,13 +34,12 @@
 //!
 //! A cell response puts the `cell` member **last**, holding the cached
 //! body verbatim — so the bytes after `"cell":` (minus the closing `}`
-//! and newline) are exactly the `pvs_report::json::perf_report`
+//! and newline) are exactly the `pvs_core::json::perf_report`
 //! rendering a direct engine run would produce. Clients can check
 //! byte-identity without re-parsing.
 
-use pvs_analyze::json::parse;
+use pvs_core::json::{escape, parse, JsonObject};
 use pvs_obs::Snapshot;
-use pvs_report::json::{escape, JsonObject};
 
 use crate::store::{CellResponse, ServeError};
 use crate::workload::{FaultSpec, Request, DEFAULT_FAULT_EVENTS};

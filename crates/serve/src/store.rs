@@ -47,9 +47,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use pvs_core::engine::Engine;
+use pvs_core::json::perf_report;
 use pvs_core::ThreadPool;
 use pvs_obs::{Recorder, Registry, Snapshot};
-use pvs_report::json::perf_report;
 
 use crate::cache::{DiskRead, ShardedCache, DEFAULT_SHARDS};
 use crate::workload::{Request, RequestError};
@@ -145,7 +145,7 @@ pub struct CellResponse {
     /// Content address (16 hex digits).
     pub key: String,
     /// The rendered model report — byte-identical to
-    /// `pvs_report::json::perf_report` over a direct engine run.
+    /// `pvs_core::json::perf_report` over a direct engine run.
     pub body: Arc<str>,
     /// How the store satisfied the request.
     pub source: CellSource,

@@ -285,7 +285,7 @@ fn hostile_frames_over_tcp_get_structured_errors_or_clean_closes() {
             vec![SweepJob { machine: cell.machine, phases: cell.phases, procs: cell.procs }],
             1,
         );
-        pvs_report::json::perf_report(&reports[0])
+        pvs_core::json::perf_report(&reports[0])
     };
     let (_, rest) = good.split_once("\"cell\":").unwrap();
     assert_eq!(&rest[..rest.len() - 1], direct);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pvs_core::engine::{run_sweep_threads, SweepJob};
-use pvs_report::json::perf_report;
+use pvs_core::json::perf_report;
 use pvs_serve::store::StoreOptions;
 use pvs_serve::{CellSource, CellStore, Request, Server, ServerOptions};
 

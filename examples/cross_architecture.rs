@@ -6,12 +6,9 @@
 //! cargo run --release --example cross_architecture
 //! ```
 
-use pvs::cactus::perf::{CactusVariant, CactusWorkload};
 use pvs::core::engine::Engine;
 use pvs::core::platforms;
-use pvs::gtc::perf::{GtcVariant, GtcWorkload};
-use pvs::lbmhd::perf::LbmhdWorkload;
-use pvs::paratec::perf::ParatecWorkload;
+use pvs_bench::tablegen::comparable_phases;
 
 fn main() {
     let procs = 64;
@@ -28,15 +25,7 @@ fn main() {
     for (ai, app) in apps.iter().enumerate() {
         let mut cells = Vec::new();
         for (mi, machine) in machines.iter().enumerate() {
-            let phases = match *app {
-                "LBMHD" => LbmhdWorkload::new(8192, procs).phases(),
-                "PARATEC" => ParatecWorkload::si432(procs).phases(),
-                "CACTUS" => {
-                    CactusWorkload::large(procs).phases(CactusVariant::for_machine(machine.name))
-                }
-                "GTC" => GtcWorkload::new(100, procs).phases(GtcVariant::for_machine(machine.name)),
-                _ => unreachable!(),
-            };
+            let phases = comparable_phases(app, machine.name, procs);
             let r = Engine::new(machine.clone()).run(&phases, procs);
             gflops[ai][mi] = r.gflops_per_p;
             cells.push(format!("{:.2} ({:.0}%)", r.gflops_per_p, r.pct_peak));

@@ -6,15 +6,15 @@ fn every_figure_generator_produces_its_data() {
     let checks: Vec<(&str, String, Vec<&str>)> = vec![
         (
             "fig1",
-            pvs_bench::figures::fig1(32, &[0, 40]),
+            pvs_bench::figures::fig1(32, &[0, 40], false),
             vec!["current density", "magnetic energy", "range:"],
         ),
         ("fig2", pvs_bench::figures::fig2(), vec!["streaming lattices", "sum = 1.000000"]),
-        ("fig3", pvs_bench::figures::fig3(), vec!["charge density", "band energies"]),
+        ("fig3", pvs_bench::figures::fig3(false), vec!["charge density", "band energies"]),
         ("fig4", pvs_bench::figures::fig4(), vec!["columns", "imbalance"]),
-        ("fig5", pvs_bench::figures::fig5(), vec!["h_xx", "constraint RMS"]),
+        ("fig5", pvs_bench::figures::fig5(false), vec!["h_xx", "constraint RMS"]),
         ("fig6", pvs_bench::figures::fig6(), vec!["rank 0", "+x->"]),
-        ("fig7", pvs_bench::figures::fig7(), vec!["electrostatic potential", "field energy"]),
+        ("fig7", pvs_bench::figures::fig7(false), vec!["electrostatic potential", "field energy"]),
         ("fig8", pvs_bench::figures::fig8(), vec!["classic", "gyroaveraged", "cells touched"]),
     ];
     for (name, output, markers) in checks {
@@ -27,7 +27,7 @@ fn every_figure_generator_produces_its_data() {
 
 #[test]
 fn fig5_constraints_remain_small() {
-    let out = pvs_bench::figures::fig5();
+    let out = pvs_bench::figures::fig5(false);
     let rms: f64 = out
         .lines()
         .find(|l| l.contains("constraint RMS"))

@@ -64,26 +64,10 @@ fn fig9_sustained_performance_holds() {
 fn sixty_four_vector_processors_beat_1024_power3s_on_gtc() {
     // §6.2: "using 1024 processors of the Power3 (in hybrid MPI/OpenMP
     // mode) is still about 20% slower than 64-way vector runs".
-    use pvs::core::engine::Engine;
-    use pvs::core::platforms;
-    use pvs::gtc::perf::{GtcVariant, GtcWorkload};
+    use pvs_bench::tablegen::aggregate_gflops;
 
-    let es64 = 64.0
-        * Engine::new(platforms::earth_simulator())
-            .run(
-                &GtcWorkload::new(100, 64).phases(GtcVariant::for_machine("ES")),
-                64,
-            )
-            .gflops_per_p;
-    let hybrid = GtcWorkload {
-        procs: 1024,
-        mpi_domains: 64,
-        ..GtcWorkload::new(100, 1024)
-    };
-    let p3_1024 = 1024.0
-        * Engine::new(platforms::power3())
-            .run(&hybrid.phases(GtcVariant::hybrid(16)), 1024)
-            .gflops_per_p;
+    let es64 = aggregate_gflops("GTC", "100 part/cell", "ES", 64);
+    let p3_1024 = aggregate_gflops("GTC", "100 p/c hybrid", "Power3", 1024);
     assert!(
         es64 > p3_1024,
         "64 ES CPUs ({es64:.0} GF) must beat 1024 Power3 CPUs ({p3_1024:.0} GF)"
@@ -95,43 +79,23 @@ fn headline_aggregate_teraflops_are_in_the_paper_band() {
     // The paper's aggregate headlines: 3.3 Tflop/s LBMHD on 1024 ES CPUs,
     // ~2.7 Tflop/s Cactus, ~2.6 Tflop/s PARATEC (686 atoms). Shape bound:
     // within 2x either way.
-    use pvs::cactus::perf::{CactusVariant, CactusWorkload};
-    use pvs::core::engine::Engine;
-    use pvs::core::platforms;
-    use pvs::lbmhd::perf::LbmhdWorkload;
-    use pvs::paratec::perf::ParatecWorkload;
+    let tflops = |app, config| {
+        pvs_bench::tablegen::aggregate_gflops(app, config, "ES", 1024) / 1000.0
+    };
 
-    let es = platforms::earth_simulator;
-    let tflops = |gflops_per_p: f64| 1024.0 * gflops_per_p / 1000.0;
-
-    let lbmhd = tflops(
-        Engine::new(es())
-            .run(&LbmhdWorkload::new(8192, 1024).phases(), 1024)
-            .gflops_per_p,
-    );
+    let lbmhd = tflops("LBMHD", "8192x8192");
     assert!(
         (1.65..6.6).contains(&lbmhd),
         "LBMHD {lbmhd} Tflop/s (paper 3.3)"
     );
 
-    let cactus = tflops(
-        Engine::new(es())
-            .run(
-                &CactusWorkload::large(1024).phases(CactusVariant::EarthSimulator),
-                1024,
-            )
-            .gflops_per_p,
-    );
+    let cactus = tflops("CACTUS", "250x64x64");
     assert!(
         (1.35..5.4).contains(&cactus),
         "Cactus {cactus} Tflop/s (paper 2.7)"
     );
 
-    let paratec = tflops(
-        Engine::new(es())
-            .run(&ParatecWorkload::si686(1024).phases(), 1024)
-            .gflops_per_p,
-    );
+    let paratec = tflops("PARATEC", "686 atom");
     assert!(
         (1.3..5.2).contains(&paratec),
         "PARATEC {paratec} Tflop/s (paper 2.6)"
@@ -184,24 +148,15 @@ fn power5_prediction_recovers_cactus_large_case() {
 fn es_sustains_highest_fraction_on_every_application() {
     // The paper's headline conclusion, checked across all four workloads
     // at P=64 directly through the public API.
-    use pvs::cactus::perf::{CactusVariant, CactusWorkload};
     use pvs::core::engine::Engine;
     use pvs::core::platforms;
-    use pvs::gtc::perf::{GtcVariant, GtcWorkload};
-    use pvs::lbmhd::perf::LbmhdWorkload;
-    use pvs::paratec::perf::ParatecWorkload;
+    use pvs_bench::tablegen::{comparable_phases, LARGEST_COMPARABLE};
 
-    for app in ["LBMHD", "PARATEC", "CACTUS", "GTC"] {
+    for (app, _) in LARGEST_COMPARABLE {
         let mut best_other = 0.0f64;
         let mut es_pct = 0.0f64;
         for m in platforms::all() {
-            let phases = match app {
-                "LBMHD" => LbmhdWorkload::new(8192, 64).phases(),
-                "PARATEC" => ParatecWorkload::si432(64).phases(),
-                "CACTUS" => CactusWorkload::large(64).phases(CactusVariant::for_machine(m.name)),
-                "GTC" => GtcWorkload::new(100, 64).phases(GtcVariant::for_machine(m.name)),
-                _ => unreachable!(),
-            };
+            let phases = comparable_phases(app, m.name, 64);
             let name = m.name;
             let r = Engine::new(m).run(&phases, 64);
             if name == "ES" {

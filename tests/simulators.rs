@@ -84,36 +84,26 @@ fn prefetch_simulation_matches_closed_form_across_run_lengths() {
 
 #[test]
 fn engine_is_sane_across_the_full_platform_workload_matrix() {
-    use pvs::cactus::perf::{CactusVariant, CactusWorkload};
     use pvs::core::engine::Engine;
     use pvs::core::platforms;
-    use pvs::gtc::perf::{GtcVariant, GtcWorkload};
-    use pvs::lbmhd::perf::LbmhdWorkload;
-    use pvs::paratec::perf::ParatecWorkload;
+    use pvs::serve::workload::{cell_phases, APP_CONFIGS};
 
     for m in platforms::all() {
-        for app in [
-            "LBMHD", "PARATEC", "CACTUS-S", "CACTUS-L", "GTC-10", "GTC-100",
-        ] {
-            let phases = match app {
-                "LBMHD" => LbmhdWorkload::new(4096, 64).phases(),
-                "PARATEC" => ParatecWorkload::si432(64).phases(),
-                "CACTUS-S" => CactusWorkload::small(64).phases(CactusVariant::for_machine(m.name)),
-                "CACTUS-L" => CactusWorkload::large(64).phases(CactusVariant::for_machine(m.name)),
-                "GTC-10" => GtcWorkload::new(10, 64).phases(GtcVariant::for_machine(m.name)),
-                "GTC-100" => GtcWorkload::new(100, 64).phases(GtcVariant::for_machine(m.name)),
-                _ => unreachable!(),
-            };
+        let cells = APP_CONFIGS
+            .iter()
+            .flat_map(|(app, configs)| configs.map(|config| (*app, config)));
+        for (app, config) in cells {
+            let phases = cell_phases(app, config, m.name, 64).expect("a published size");
             let name = m.name;
             let r = Engine::new(m.clone()).run(&phases, 64);
             assert!(
                 r.gflops_per_p.is_finite() && r.gflops_per_p > 0.0,
-                "{name}/{app}: {}",
+                "{name}/{app}/{config}: {}",
                 r.gflops_per_p
             );
             assert!(
                 r.pct_peak > 0.0 && r.pct_peak <= 100.0,
-                "{name}/{app}: {}% of peak",
+                "{name}/{app}/{config}: {}% of peak",
                 r.pct_peak
             );
             assert!(r.comm_fraction() >= 0.0 && r.comm_fraction() < 1.0);
