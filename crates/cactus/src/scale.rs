@@ -111,22 +111,20 @@ pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, Si
         .run(|rank, _| ScriptProgram::new(schedule(rank, &cart)));
     let sim = report.sim;
     let per_rank = report
-        .outcomes
+        .into_values_and_stats()
         .into_iter()
-        .zip(report.comm_stats)
-        .map(|(o, stats)| {
-            let replies = o.value().expect("healthy run");
+        .map(|(replies, stats)| {
             let mut received = Vec::with_capacity(6);
             let mut norm = f64::NAN;
             for reply in replies {
                 match reply {
                     Reply::Sent(Ok(())) => {}
-                    Reply::Received(Ok(data)) => received.push(data.clone()),
-                    Reply::MaxReduced(Ok(m)) => norm = *m,
+                    Reply::Received(Ok(data)) => received.push(data),
+                    Reply::MaxReduced(Ok(m)) => norm = m,
                     other => unreachable!("not in the Cactus schedule: {other:?}"),
                 }
             }
-            (fold_output(&received, norm), stats.expect("healthy rank"))
+            (fold_output(&received, norm), stats)
         })
         .collect();
     (per_rank, sim)

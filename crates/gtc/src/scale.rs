@@ -171,16 +171,7 @@ pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, Si
         .threads(threads)
         .run(ShiftScaleProgram::new);
     let sim = report.sim;
-    let per_rank = report
-        .outcomes
-        .into_iter()
-        .zip(report.comm_stats)
-        .map(|(o, stats)| match o.value() {
-            Some(v) => (v.clone(), stats.expect("healthy rank has stats")),
-            None => unreachable!("healthy run"),
-        })
-        .collect();
-    (per_rank, sim)
+    (report.into_values_and_stats(), sim)
 }
 
 #[cfg(test)]

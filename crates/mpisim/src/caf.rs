@@ -11,55 +11,50 @@
 //! rank threads: each rank owns a window (`Vec<f64>` behind an `RwLock`)
 //! and holds handles to every other rank's window.
 
-use crate::comm::Comm;
+use crate::collective::{ring_circulate, Link, Round};
+use crate::comm::{Comm, Payload, Want};
 use crate::tags::{self, ctag};
+use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
+
+type Window = Arc<RwLock<Vec<f64>>>;
 
 /// A co-array: one window of `len` doubles per rank, remotely accessible.
 #[derive(Debug, Clone)]
 pub struct CoArray {
     rank: usize,
-    windows: Vec<Arc<RwLock<Vec<f64>>>>,
+    windows: Vec<Window>,
 }
 
 impl CoArray {
     /// Assemble a co-array from pre-gathered windows (the event-driven
     /// runtime creates every rank's window centrally in its scheduler
     /// instead of ring-circulating handles).
-    pub(crate) fn from_windows(rank: usize, windows: Vec<Arc<RwLock<Vec<f64>>>>) -> Self {
+    pub(crate) fn from_windows(rank: usize, windows: Vec<Window>) -> Self {
         Self { rank, windows }
     }
 
     /// Collectively create a co-array with `len` elements per image.
-    /// Must be called by every rank of `comm` (it allgathers the window
-    /// handles).
+    /// Must be called by every rank of `comm`: the window handles travel
+    /// the same gather-to-all ring as the allreduces, each behind a
+    /// one-double frame naming its origin (the only charged bytes).
     pub fn create(comm: &mut Comm, len: usize) -> Self {
-        let rank = comm.rank();
-        let size = comm.size();
+        let (rank, size) = (comm.rank(), comm.size());
         let local = Arc::new(RwLock::new(vec![0.0; len]));
-        let mut windows: Vec<Option<Arc<RwLock<Vec<f64>>>>> = vec![None; size];
-        windows[rank] = Some(local.clone());
-        // Ring-circulate the handle so every rank learns every window.
-        let mut travelling = (rank, local);
-        for step in 0..size.saturating_sub(1) {
-            let to = (rank + 1) % size;
-            let from = (rank + size - 1) % size;
-            let tag = ctag(tags::NS_CAF, step as u64);
-            // Frame the origin rank in the tag stream: send origin first.
-            comm.send_raw(to, tag, vec![travelling.0 as f64]);
-            comm.send_window(to, tag, travelling.1);
-            let origin = comm.recv_raw(from, tag)[0] as usize;
-            let w = comm.recv_window(from, tag);
-            windows[origin] = Some(w.clone());
-            travelling = (origin, w);
-        }
-        Self {
-            rank,
-            windows: windows
-                .into_iter()
-                .map(|w| w.expect("all windows gathered"))
-                .collect(),
-        }
+        let pass = |round: &Round, (origin, window): (usize, Window)| {
+            let tag = ctag(tags::NS_CAF, round.seq);
+            let (to, from) = (round.to(rank, size), round.from(rank, size));
+            comm.post(to, tag, Payload::Data(vec![origin as f64]));
+            comm.post(to, tag, Payload::Window(window));
+            let origin = comm.recv_from(from, tag)?[0] as usize;
+            match comm.fetch(from, tag, Want::Window) {
+                Payload::Window(window) => Ok::<_, Infallible>((origin, window)),
+                other => unreachable!("Want::Window took {other:?}"),
+            }
+        };
+        let Ok(gathered) = ring_circulate(rank, size, (rank, local), pass);
+        let windows = gathered.into_iter().map(|(_, window)| window).collect();
+        Self { rank, windows }
     }
 
     /// This image's index.

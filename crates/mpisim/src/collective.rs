@@ -1,0 +1,291 @@
+//! The one definition of a collective.
+//!
+//! The thread runtime ([`crate::comm`], [`crate::fault`], [`crate::caf`])
+//! moves a real packet for every scheduled message; the event runtime
+//! ([`crate::event`]) charges the same messages arithmetically. What the
+//! messages *are* is written here once: who takes part ([`World`]), whom
+//! each round pairs a participant with ([`Round`], [`binomial`]), the
+//! order contributions fold in ([`fold_sum`], [`fold_max`]) and what one
+//! message costs under fault injection ([`World::charge_send`]).
+//! Schedules speak *participant indices* `0..n`, mapped to ranks through
+//! [`World::survivors`], so a survivor-only collective is the healthy one
+//! over a shorter list.
+
+use crate::comm::Comm;
+use crate::fault::{attempt_lost, message_delayed, retry_backoff_ps};
+use crate::fault::{FaultError, FaultSpec, FaultStats};
+use crate::tags::ctag;
+use std::sync::Arc;
+
+/// Who takes part in one run and what is broken, built once per run.
+#[derive(Debug)]
+pub(crate) struct World {
+    spec: FaultSpec,
+    /// Whether fault injection is armed (`run_faulty`, `EventSim::faults`):
+    /// sends are charged against `spec`, even a healthy one.
+    armed: bool,
+    alive: Vec<bool>,
+    survivors: Vec<usize>,
+}
+
+impl World {
+    /// A world of `nranks` ranks: healthy, or armed with `faults`.
+    pub(crate) fn new(nranks: usize, faults: Option<FaultSpec>) -> Self {
+        let armed = faults.is_some();
+        let spec = faults.unwrap_or_default();
+        assert!(nranks >= 1);
+        assert!(spec.max_attempts >= 1, "at least one send attempt");
+        let alive: Vec<bool> = (0..nranks).map(|r| !spec.failed_ranks.contains(&r)).collect();
+        let survivors: Vec<usize> = (0..nranks).filter(|&r| alive[r]).collect();
+        assert!(!survivors.is_empty(), "at least one rank must survive");
+        World { spec, armed, alive, survivors }
+    }
+
+    /// Number of ranks, failed ones included.
+    pub(crate) fn size(&self) -> usize {
+        self.alive.len()
+    }
+
+    pub(crate) fn armed(&self) -> bool {
+        self.armed
+    }
+
+    pub(crate) fn alive(&self, rank: usize) -> bool {
+        self.alive[rank]
+    }
+
+    /// The collective participants: surviving ranks in rank order.
+    pub(crate) fn survivors(&self) -> &[usize] {
+        &self.survivors
+    }
+
+    /// The participant index of `rank`.
+    fn index_of(&self, rank: usize) -> usize {
+        // INFALLIBLE: failed ranks never execute, so never enter a collective.
+        self.survivors.binary_search(&rank).expect("collective called from a failed rank")
+    }
+
+    /// The seeded cost of one message `src → dst`: each dropped attempt
+    /// charges its backoff, exhausting `max_attempts` is a timeout at the
+    /// sender's clock, and a delivered message may be delayed. Every
+    /// charge saturates, so a pinned clock stays pinned. Loopback traffic
+    /// never leaves the rank and cannot be dropped; an unarmed world
+    /// charges nothing.
+    pub(crate) fn charge_send(
+        &self,
+        src: usize,
+        dst: usize,
+        tag: u64,
+        faults: &mut FaultStats,
+        clock_ps: &mut u64,
+    ) -> Result<(), FaultError> {
+        if !self.armed {
+            return Ok(());
+        }
+        if !self.alive[dst] {
+            return Err(FaultError::RankFailed { rank: dst });
+        }
+        let spec = &self.spec;
+        if dst != src {
+            let mut attempt = 0u32;
+            while attempt < spec.max_attempts && attempt_lost(spec, src, dst, tag, attempt) {
+                faults.drops += 1;
+                let backoff = retry_backoff_ps(spec.base_backoff_ps, attempt);
+                faults.backoff_ps = faults.backoff_ps.saturating_add(backoff);
+                *clock_ps = clock_ps.saturating_add(backoff);
+                attempt += 1;
+            }
+            if attempt == spec.max_attempts {
+                faults.timeouts += 1;
+                return Err(self.timeout(dst, tag, *clock_ps));
+            }
+            faults.retries += attempt as u64;
+            if message_delayed(spec, src, dst, tag) {
+                faults.delays += 1;
+                faults.delay_ps = faults.delay_ps.saturating_add(spec.delay_ps);
+                *clock_ps = clock_ps.saturating_add(spec.delay_ps);
+            }
+        }
+        faults.delivered += 1;
+        Ok(())
+    }
+
+    /// What both ends of a message whose every attempt was dropped
+    /// observe: a timeout naming the other end, at the sender's expiry clock.
+    pub(crate) fn timeout(&self, peer: usize, tag: u64, expired_at_ps: u64) -> FaultError {
+        let attempts = self.spec.max_attempts;
+        FaultError::Timeout { peer, tag, attempts, expired_at_ps }
+    }
+}
+
+/// One round of a shift schedule over `n` participants: participant `me`
+/// sends `dist` places forward and receives from `dist` places behind,
+/// and what arrives was contributed `lag` places behind.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Round {
+    /// Tag sequence number of this round's messages.
+    pub seq: u64,
+    dist: usize,
+    lag: usize,
+}
+
+impl Round {
+    fn new(seq: usize, dist: usize, lag: usize) -> Self {
+        Round { seq: seq as u64, dist, lag }
+    }
+
+    pub(crate) fn to(&self, me: usize, n: usize) -> usize {
+        (me + self.dist) % n
+    }
+
+    pub(crate) fn from(&self, me: usize, n: usize) -> usize {
+        (me + n - self.dist) % n
+    }
+
+    pub(crate) fn origin(&self, me: usize, n: usize) -> usize {
+        (me + n - self.lag) % n
+    }
+}
+
+/// Dissemination barrier: ⌈log₂ n⌉ rounds at doubling distance.
+pub(crate) fn dissemination(n: usize) -> Vec<Round> {
+    let mut rounds = Vec::new();
+    let mut dist = 1;
+    while dist < n {
+        rounds.push(Round::new(rounds.len(), dist, dist));
+        dist *= 2;
+    }
+    rounds
+}
+
+/// Gather-to-all ring: n−1 steps to the successor; the packet received at
+/// step `s` originated `s + 1` places behind, so every contribution can
+/// be indexed by its origin and folded in canonical order.
+pub(crate) fn ring(n: usize) -> impl ExactSizeIterator<Item = Round> {
+    (0..n.saturating_sub(1)).map(|step| Round::new(step, 1, step + 1))
+}
+
+/// All-to-all rotation: round `r` pairs each participant with the one `r`
+/// places away, which avoids head-of-line hotspots.
+pub(crate) fn rotation(n: usize) -> impl ExactSizeIterator<Item = Round> {
+    (1..n).map(|r| Round::new(r, r, r))
+}
+
+/// Position of participant `me` in the binomial broadcast tree rooted at
+/// `root` (MPICH's relative-rank/mask schedule): its parent (`None` at
+/// the root) and its children in send order — log₂ n rounds, and nobody
+/// sends more than log₂ n messages.
+pub(crate) fn binomial(me: usize, root: usize, n: usize) -> (Option<usize>, Vec<usize>) {
+    let relative = (me + n - root) % n;
+    let mut parent = None;
+    let mut mask = 1usize;
+    while mask < n {
+        if relative & mask != 0 {
+            parent = Some((me + n - mask) % n);
+            break;
+        }
+        mask <<= 1;
+    }
+    mask >>= 1;
+    let mut children = Vec::new();
+    while mask > 0 {
+        if relative + mask < n {
+            children.push((me + mask) % n);
+        }
+        mask >>= 1;
+    }
+    (parent, children)
+}
+
+/// Left-fold contributions as x₀ + x₁ + … + x_{n−1}: the canonical order,
+/// so every rank of both runtimes returns the same bits although
+/// floating-point addition is not associative.
+pub(crate) fn fold_sum(contribs: &[Vec<f64>]) -> Vec<f64> {
+    let mut acc = contribs[0].clone();
+    for c in &contribs[1..] {
+        for (a, b) in acc.iter_mut().zip(c) {
+            *a += *b;
+        }
+    }
+    acc
+}
+
+/// Left-fold scalar contributions with `max` in the same canonical order
+/// (max is order-sensitive for NaN inputs).
+pub(crate) fn fold_max(contribs: &[f64]) -> f64 {
+    contribs[1..].iter().fold(contribs[0], |acc, &x| acc.max(x))
+}
+
+/// Walk the ring from participant `me`: `pass` sends the travelling value
+/// on and returns what arrives; the result is indexed by origin.
+pub(crate) fn ring_circulate<T: Clone, E>(
+    me: usize,
+    n: usize,
+    own: T,
+    mut pass: impl FnMut(&Round, T) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut travelling = own.clone();
+    slots[me] = Some(own);
+    for round in ring(n) {
+        travelling = pass(&round, travelling)?;
+        slots[round.origin(me, n)] = Some(travelling.clone());
+    }
+    // INFALLIBLE: the n−1 ring steps arrive from n−1 distinct origins.
+    let filled = slots.into_iter().map(|s| s.expect("ring visits every origin"));
+    Ok(filled.collect())
+}
+
+/// A rank endpoint that can take part in a collective: the [`Comm`] that
+/// seats it in a world, and a tag-unchecked send/receive pair whose error
+/// is `Infallible` on a healthy link and a [`FaultError`] on a faulty one.
+pub(crate) trait Link {
+    type Error;
+    fn comm(&self) -> &Comm;
+    fn send_to(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), Self::Error>;
+    fn recv_from(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, Self::Error>;
+}
+
+/// One endpoint's seat in a collective: index `me` of `n` survivors.
+struct Seat<'a, L: Link> {
+    link: &'a mut L,
+    world: Arc<World>,
+    me: usize,
+    n: usize,
+    ns: u64,
+}
+
+impl<'a, L: Link> Seat<'a, L> {
+    fn take(link: &'a mut L, ns: u64) -> Self {
+        let world = Arc::clone(link.comm().world());
+        let (me, n) = (world.index_of(link.comm().rank()), world.survivors.len());
+        Seat { link, world, me, n, ns }
+    }
+
+    /// One round's exchange: send `data` forward, return what arrives.
+    fn shift(&mut self, round: &Round, data: Vec<f64>) -> Result<Vec<f64>, L::Error> {
+        let (group, tag) = (&self.world.survivors, ctag(self.ns, round.seq));
+        self.link.send_to(group[round.to(self.me, self.n)], tag, data)?;
+        self.link.recv_from(group[round.from(self.me, self.n)], tag)
+    }
+}
+
+/// Dissemination barrier over the survivors, on tag namespace `ns`.
+pub(crate) fn barrier<L: Link>(link: &mut L, ns: u64) -> Result<(), L::Error> {
+    let mut seat = Seat::take(link, ns);
+    for round in dissemination(seat.n) {
+        seat.shift(&round, Vec::new())?;
+    }
+    Ok(())
+}
+
+/// Circulate every survivor's `data` round the ring and return them
+/// indexed by participant: the gather phase of allreduce and allgather.
+pub(crate) fn ring_gather<L: Link>(
+    link: &mut L,
+    ns: u64,
+    data: Vec<f64>,
+) -> Result<Vec<Vec<f64>>, L::Error> {
+    let mut seat = Seat::take(link, ns);
+    ring_circulate(seat.me, seat.n, data, |round, travelling| seat.shift(round, travelling))
+}

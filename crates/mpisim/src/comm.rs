@@ -2,16 +2,22 @@
 //!
 //! Collectives compute **canonical, rank-order results**: every rank
 //! folds contributions in rank order 0..P, so all ranks return bitwise
-//! identical values even for non-associative floating-point sums. Their
-//! internal messages ride the reserved collective tag namespace
-//! ([`crate::tags`]); application tags must keep the top bit clear.
+//! identical values even for non-associative floating-point sums. The
+//! schedules and folds are defined in [`crate::collective`]; this module
+//! executes them as real packets on the reserved tag namespace
+//! ([`crate::tags`]) — application tags must keep the top bit clear.
 
+use crate::collective::{self, binomial, fold_max, fold_sum, rotation, Link, World};
+use crate::fault::FaultError;
 use crate::tags::{self, assert_user_tag, ctag};
 use std::collections::VecDeque;
+use std::convert::Infallible;
+use std::panic::resume_unwind;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
+use std::thread::ScopedJoinHandle;
 
-/// Payload of an in-flight message.
+/// Payload of an in-flight message, in either runtime's mailboxes.
 #[derive(Debug, Clone)]
 pub(crate) enum Payload {
     /// Floating-point data (the applications exchange f64 arrays).
@@ -20,9 +26,28 @@ pub(crate) enum Payload {
     Window(Arc<RwLock<Vec<f64>>>),
     /// Tombstone for a message whose every send attempt was dropped by
     /// fault injection: carries the sender's simulated expiry time so the
-    /// receiver observes the timeout instead of blocking forever (see
-    /// [`crate::fault`]).
+    /// receiver observes the timeout instead of blocking forever.
     Lost { expired_at_ps: u64 },
+}
+
+impl Payload {
+    /// What a send puts on the wire given how its fault charge went: the
+    /// data, a tombstone on timeout, nothing toward a failed rank.
+    pub(crate) fn sent(sent: &Result<(), FaultError>, data: Vec<f64>) -> Option<Payload> {
+        match *sent {
+            Ok(()) => Some(Payload::Data(data)),
+            Err(FaultError::Timeout { expired_at_ps, .. }) => Some(Payload::Lost { expired_at_ps }),
+            Err(FaultError::RankFailed { .. }) => None,
+        }
+    }
+
+    /// Count this payload as traffic: only data is.
+    pub(crate) fn charge(&self, stats: &mut CommStats) {
+        if let Payload::Data(data) = self {
+            stats.messages_sent += 1;
+            stats.bytes_sent += (data.len() * 8) as u64;
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -30,6 +55,48 @@ pub(crate) struct Packet {
     pub src: usize,
     pub tag: u64,
     pub payload: Payload,
+}
+
+/// Which payload kinds a receive takes; the others stay buffered for the
+/// receive that wants them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Want {
+    /// Healthy receive: data only.
+    Data,
+    /// Faulty-mode receive: data, or the tombstone of a lost message.
+    DataOrLost,
+    /// Co-array creation: a window handle.
+    Window,
+}
+
+/// First-match extraction from a mailbox: the earliest-arrived packet
+/// from `src` with `tag` of a wanted kind, so messages that arrive ahead
+/// of their receive are buffered and matched later.
+pub(crate) fn take_match(
+    mailbox: &mut VecDeque<Packet>,
+    src: usize,
+    tag: u64,
+    want: Want,
+) -> Option<Payload> {
+    let wanted = |payload: &Payload| match payload {
+        Payload::Data(_) => want != Want::Window,
+        Payload::Lost { .. } => want == Want::DataOrLost,
+        Payload::Window(_) => want == Want::Window,
+    };
+    let pos = mailbox.iter().position(|p| p.src == src && p.tag == tag && wanted(&p.payload))?;
+    mailbox.remove(pos).map(|p| p.payload)
+}
+
+/// A completed data receive: the data, or the sender's timeout if every
+/// attempt of the message was dropped.
+pub(crate) type Received = Result<Vec<f64>, FaultError>;
+
+pub(crate) fn received(world: &World, src: usize, tag: u64, payload: Payload) -> Received {
+    match payload {
+        Payload::Data(data) => Ok(data),
+        Payload::Lost { expired_at_ps } => Err(world.timeout(src, tag, expired_at_ps)),
+        Payload::Window(_) => unreachable!("data receives never take a window"),
+    }
 }
 
 /// Communication statistics for one rank, used to calibrate the
@@ -55,7 +122,7 @@ pub struct RecvRequest {
 /// A rank's endpoint in the communicator (the `MPI_COMM_WORLD` analogue).
 pub struct Comm {
     rank: usize,
-    size: usize,
+    world: Arc<World>,
     senders: Vec<Sender<Packet>>,
     receiver: Receiver<Packet>,
     /// Received-but-unmatched packets (tag/source matching buffer).
@@ -64,22 +131,6 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn endpoint(
-        rank: usize,
-        size: usize,
-        senders: Vec<Sender<Packet>>,
-        receiver: Receiver<Packet>,
-    ) -> Self {
-        Comm {
-            rank,
-            size,
-            senders,
-            receiver,
-            pending: VecDeque::new(),
-            stats: CommStats::default(),
-        }
-    }
-
     /// This rank's id in `[0, size)`.
     pub fn rank(&self) -> usize {
         self.rank
@@ -87,7 +138,7 @@ impl Comm {
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.size
+        self.world.size()
     }
 
     /// Traffic statistics so far.
@@ -95,27 +146,25 @@ impl Comm {
         self.stats
     }
 
+    pub(crate) fn world(&self) -> &Arc<World> {
+        &self.world
+    }
+
     /// Send `data` to rank `dst` with a matching `tag`. The tag must
     /// keep [`tags::COLLECTIVE_BIT`] clear — the top bit is reserved for
     /// the runtime's collectives.
     pub fn send(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
         assert_user_tag(tag);
-        self.send_raw(dst, tag, data);
+        let Ok(()) = self.send_to(dst, tag, data);
     }
 
-    /// Tag-unchecked send used by the collectives (their tags carry the
-    /// reserved bit on purpose).
-    pub(crate) fn send_raw(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += (data.len() * 8) as u64;
+    /// Put a packet on `dst`'s channel.
+    pub(crate) fn post(&mut self, dst: usize, tag: u64, payload: Payload) {
+        payload.charge(&mut self.stats);
         // A rank that already returned has dropped its receiver; the
         // packet could never be read, so dropping it preserves the
         // buffered-and-never-matched semantics of a live endpoint.
-        let _ = self.senders[dst].send(Packet {
-            src: self.rank,
-            tag,
-            payload: Payload::Data(data),
-        });
+        let _ = self.senders[dst].send(Packet { src: self.rank, tag, payload });
     }
 
     /// Blocking receive of a message from `src` with `tag`. Messages from
@@ -123,118 +172,21 @@ impl Comm {
     /// Like [`Comm::send`], the tag must stay in user space.
     pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
         assert_user_tag(tag);
-        self.recv_raw(src, tag)
+        let Ok(data) = self.recv_from(src, tag);
+        data
     }
 
-    /// Tag-unchecked receive used by the collectives.
-    pub(crate) fn recv_raw(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        // Check the buffer first.
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|p| p.src == src && p.tag == tag && matches!(p.payload, Payload::Data(_)))
-        {
-            match self.pending.remove(pos).expect("index valid").payload {
-                Payload::Data(d) => return d,
-                _ => unreachable!(),
-            }
-        }
+    /// Block until a packet from `src` with `tag` of a wanted kind is in
+    /// the matching buffer, and take it.
+    pub(crate) fn fetch(&mut self, src: usize, tag: u64, want: Want) -> Payload {
         loop {
+            if let Some(payload) = take_match(&mut self.pending, src, tag, want) {
+                return payload;
+            }
             // INFALLIBLE: every peer holds a sender for this rank until
             // the scope ends, so the channel cannot disconnect mid-run.
-            let p = self.receiver.recv().expect("senders alive");
-            if p.src == src && p.tag == tag {
-                match p.payload {
-                    Payload::Data(d) => return d,
-                    _ => {
-                        self.pending.push_back(p);
-                        continue;
-                    }
-                }
-            }
-            self.pending.push_back(p);
-        }
-    }
-
-    /// Faulty-mode receive: matches either a data packet or a loss
-    /// tombstone for `(src, tag)`, whichever the sender emitted. `Err`
-    /// carries the sender's simulated expiry time in picoseconds.
-    pub(crate) fn recv_or_lost(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, u64> {
-        if let Some(pos) = self.pending.iter().position(|p| {
-            p.src == src
-                && p.tag == tag
-                && matches!(p.payload, Payload::Data(_) | Payload::Lost { .. })
-        }) {
-            match self.pending.remove(pos).expect("index valid").payload {
-                Payload::Data(d) => return Ok(d),
-                Payload::Lost { expired_at_ps } => return Err(expired_at_ps),
-                _ => unreachable!(),
-            }
-        }
-        loop {
-            // INFALLIBLE: every peer holds a sender for this rank until
-            // the scope ends, so the channel cannot disconnect mid-run.
-            let p = self.receiver.recv().expect("senders alive");
-            if p.src == src && p.tag == tag {
-                match p.payload {
-                    Payload::Data(d) => return Ok(d),
-                    Payload::Lost { expired_at_ps } => return Err(expired_at_ps),
-                    _ => {
-                        self.pending.push_back(p);
-                        continue;
-                    }
-                }
-            }
-            self.pending.push_back(p);
-        }
-    }
-
-    /// Deliver a loss tombstone in place of a message whose every attempt
-    /// was dropped, so the receiver's faulty-mode receive unblocks with a
-    /// timeout instead of deadlocking.
-    pub(crate) fn send_lost(&mut self, dst: usize, tag: u64, expired_at_ps: u64) {
-        // See `send_raw`: a finished receiver makes the tombstone moot.
-        let _ = self.senders[dst].send(Packet {
-            src: self.rank,
-            tag,
-            payload: Payload::Lost { expired_at_ps },
-        });
-    }
-
-    pub(crate) fn send_window(&mut self, dst: usize, tag: u64, w: Arc<RwLock<Vec<f64>>>) {
-        // See `send_raw`: a finished receiver makes the handle moot.
-        let _ = self.senders[dst].send(Packet {
-            src: self.rank,
-            tag,
-            payload: Payload::Window(w),
-        });
-    }
-
-    pub(crate) fn recv_window(&mut self, src: usize, tag: u64) -> Arc<RwLock<Vec<f64>>> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|p| p.src == src && p.tag == tag && matches!(p.payload, Payload::Window(_)))
-        {
-            match self.pending.remove(pos).expect("index valid").payload {
-                Payload::Window(w) => return w,
-                _ => unreachable!(),
-            }
-        }
-        loop {
-            // INFALLIBLE: every peer holds a sender for this rank until
-            // the scope ends, so the channel cannot disconnect mid-run.
-            let p = self.receiver.recv().expect("senders alive");
-            if p.src == src && p.tag == tag {
-                match p.payload {
-                    Payload::Window(w) => return w,
-                    _ => {
-                        self.pending.push_back(p);
-                        continue;
-                    }
-                }
-            }
-            self.pending.push_back(p);
+            let packet = self.receiver.recv().expect("senders alive");
+            self.pending.push_back(packet);
         }
     }
 
@@ -263,37 +215,22 @@ impl Comm {
         if partner == self.rank {
             return data;
         }
-        self.send_raw(partner, tag, data);
-        self.recv_raw(partner, tag)
+        let Ok(()) = self.send_to(partner, tag, data);
+        let Ok(data) = self.recv_from(partner, tag);
+        data
     }
 
     /// Synchronize all ranks (dissemination barrier).
     pub fn barrier(&mut self) {
-        let mut round = 0u64;
-        let mut dist = 1;
-        while dist < self.size {
-            let to = (self.rank + dist) % self.size;
-            let from = (self.rank + self.size - dist) % self.size;
-            let tag = ctag(tags::NS_BARRIER, round);
-            self.send_raw(to, tag, Vec::new());
-            let _ = self.recv_raw(from, tag);
-            dist *= 2;
-            round += 1;
-        }
+        let Ok(()) = collective::barrier(self, tags::NS_BARRIER);
     }
 
-    /// Element-wise sum allreduce.
-    ///
-    /// Implemented as a gather-to-all ring, but folded in **canonical
-    /// rank order**: the packet received at step `s` from the ring
-    /// predecessor originated at rank `(me − s − 1) mod P`, so each rank
-    /// can index every contribution by its origin and reduce them as
-    /// x₀ + x₁ + … + x_{P−1}. Every rank therefore returns the bitwise
-    /// identical vector even though floating-point addition is not
-    /// associative — ring position no longer leaks into the result.
+    /// Element-wise sum allreduce: a gather-to-all ring folded in
+    /// **canonical rank order** ([`fold_sum`]), so ring position does not
+    /// leak into the result and every rank returns identical bits.
     pub fn allreduce_sum(&mut self, data: &[f64]) -> Vec<f64> {
-        let contribs = self.ring_contributions(tags::NS_ALLREDUCE_SUM, data);
-        fold_sum_in_rank_order(&contribs)
+        let Ok(contribs) = collective::ring_gather(self, tags::NS_ALLREDUCE_SUM, data.to_vec());
+        fold_sum(&contribs)
     }
 
     /// Scalar sum allreduce.
@@ -304,112 +241,113 @@ impl Comm {
     /// Max allreduce for a scalar, folded in canonical rank order like
     /// [`Comm::allreduce_sum`] (max is order-sensitive for NaN inputs).
     pub fn allreduce_max_scalar(&mut self, x: f64) -> f64 {
-        let contribs = self.ring_contributions(tags::NS_ALLREDUCE_MAX, &[x]);
-        contribs
-            .iter()
-            .skip(1)
-            .fold(contribs[0][0], |acc, c| acc.max(c[0]))
+        let Ok(contribs) = collective::ring_gather(self, tags::NS_ALLREDUCE_MAX, vec![x]);
+        fold_max(&contribs.iter().map(|c| c[0]).collect::<Vec<f64>>())
     }
 
-    /// The shared gather phase of the ring allreduces: circulate every
-    /// rank's contribution and return them indexed by origin rank.
-    fn ring_contributions(&mut self, ns: u64, data: &[f64]) -> Vec<Vec<f64>> {
-        let mut contribs: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        let mut travelling = data.to_vec();
-        contribs[self.rank] = data.to_vec();
-        for step in 0..self.size.saturating_sub(1) {
-            let to = (self.rank + 1) % self.size;
-            let from = (self.rank + self.size - 1) % self.size;
-            let tag = ctag(ns, step as u64);
-            self.send_raw(to, tag, travelling);
-            travelling = self.recv_raw(from, tag);
-            // At step s the predecessor hands over the contribution that
-            // originated s+1 positions behind us on the ring.
-            let origin = (self.rank + self.size - step - 1) % self.size;
-            contribs[origin] = travelling.clone();
-        }
-        contribs
-    }
-
-    /// Gather each rank's `data` on every rank (allgather), concatenated in
-    /// rank order (the output is canonical by construction: slot `i` holds
-    /// exactly the bytes rank `i` contributed).
+    /// Gather each rank's `data` on every rank (allgather): slot `i` holds
+    /// exactly the bytes rank `i` contributed. Each travelling frame leads
+    /// with its origin rank id, which is part of the charged bytes.
     pub fn allgather(&mut self, data: &[f64]) -> Vec<Vec<f64>> {
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        out[self.rank] = data.to_vec();
-        let mut travelling = (self.rank, data.to_vec());
-        for step in 0..self.size.saturating_sub(1) {
-            let to = (self.rank + 1) % self.size;
-            let from = (self.rank + self.size - 1) % self.size;
-            let tag = ctag(tags::NS_ALLGATHER, step as u64);
-            let mut framed = vec![travelling.0 as f64];
-            framed.extend_from_slice(&travelling.1);
-            self.send_raw(to, tag, framed);
-            let incoming = self.recv_raw(from, tag);
-            let origin = incoming[0] as usize;
-            let body = incoming[1..].to_vec();
-            out[origin] = body.clone();
-            travelling = (origin, body);
-        }
-        out
+        let mut framed = vec![self.rank as f64];
+        framed.extend_from_slice(data);
+        let Ok(frames) = collective::ring_gather(self, tags::NS_ALLGATHER, framed);
+        frames.into_iter().map(|f| f[1..].to_vec()).collect()
     }
 
     /// Broadcast `data` from `root` to all ranks over a binomial tree:
-    /// log₂(P) rounds instead of the old O(P) serial send loop at the
-    /// root. Non-root ranks receive from their tree parent and forward to
-    /// their children (MPICH's relative-rank/mask schedule).
+    /// log₂(P) rounds, no O(P) serial send loop at the root.
     pub fn broadcast(&mut self, root: usize, mut data: Vec<f64>) -> Vec<f64> {
-        let relative = (self.rank + self.size - root) % self.size;
         let tag = ctag(tags::NS_BCAST, 0);
-        let mut mask = 1usize;
-        while mask < self.size {
-            if relative & mask != 0 {
-                let src = (self.rank + self.size - mask) % self.size;
-                data = self.recv_raw(src, tag);
-                break;
-            }
-            mask <<= 1;
+        // Every rank of a `Comm` world survives: participant index = rank.
+        let (parent, children) = binomial(self.rank, root, self.size());
+        if let Some(parent) = parent {
+            let Ok(arrived) = self.recv_from(parent, tag);
+            data = arrived;
         }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < self.size {
-                let dst = (self.rank + mask) % self.size;
-                self.send_raw(dst, tag, data.clone());
-            }
-            mask >>= 1;
+        for child in children {
+            self.post(child, tag, Payload::Data(data.clone()));
         }
         data
     }
 
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns what
     /// every rank sent to us, indexed by source.
-    pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        assert_eq!(sends.len(), self.size);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        // Rotation schedule to avoid head-of-line hotspots.
-        let mut sends = sends;
-        out[self.rank] = std::mem::take(&mut sends[self.rank]);
-        for round in 1..self.size {
-            let dst = (self.rank + round) % self.size;
-            let src = (self.rank + self.size - round) % self.size;
-            let tag = ctag(tags::NS_ALLTOALL, round as u64);
-            self.send_raw(dst, tag, std::mem::take(&mut sends[dst]));
-            out[src] = self.recv_raw(src, tag);
+    pub fn alltoallv(&mut self, mut sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        let (me, n) = (self.rank, self.size());
+        assert_eq!(sends.len(), n);
+        let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
+        out[me] = std::mem::take(&mut sends[me]);
+        for round in rotation(n) {
+            let (to, tag) = (round.to(me, n), ctag(tags::NS_ALLTOALL, round.seq));
+            self.post(to, tag, Payload::Data(std::mem::take(&mut sends[to])));
+            let Ok(arrived) = self.recv_from(round.from(me, n), tag);
+            out[round.origin(me, n)] = arrived;
         }
         out
     }
 }
 
-/// Left-fold per-rank contributions as x₀ + x₁ + … + x_{P−1} — the
-/// canonical reduction order shared by both runtimes.
-pub(crate) fn fold_sum_in_rank_order(contribs: &[Vec<f64>]) -> Vec<f64> {
-    let mut acc = contribs[0].clone();
-    for c in &contribs[1..] {
-        for (a, b) in acc.iter_mut().zip(c) {
-            *a += *b;
+/// The tag-unchecked send and receive under the public surface and the
+/// collectives (whose tags carry the reserved bit on purpose); on a
+/// healthy endpoint they cannot fail.
+impl Link for Comm {
+    type Error = Infallible;
+
+    fn comm(&self) -> &Comm {
+        self
+    }
+
+    fn send_to(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), Infallible> {
+        self.post(dst, tag, Payload::Data(data));
+        Ok(())
+    }
+
+    fn recv_from(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, Infallible> {
+        match self.fetch(src, tag, Want::Data) {
+            Payload::Data(data) => Ok(data),
+            other => unreachable!("Want::Data took {other:?}"),
         }
     }
-    acc
+}
+
+/// Open one channel per rank of `world` and run `f` on a thread per
+/// surviving rank, collecting the results in rank order (`None` for a
+/// failed rank, which never executes).
+pub(crate) fn launch<T, F>(world: World, f: F) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(Comm) -> T + Send + Sync,
+{
+    let world = Arc::new(world);
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..world.size()).map(|_| channel::<Packet>()).unzip();
+    let (f, senders) = (&f, &senders);
+    // Receivers of failed ranks are parked here, keeping the channels
+    // open (a dead node's NIC still sinks packets) until the scope ends.
+    let mut blackholes = Vec::new();
+    std::thread::scope(|scope| {
+        let spawn = |(rank, receiver)| {
+            if !world.alive(rank) {
+                blackholes.push(receiver);
+                return None;
+            }
+            let comm = Comm {
+                rank,
+                world: Arc::clone(&world),
+                senders: senders.clone(),
+                receiver,
+                pending: VecDeque::new(),
+                stats: CommStats::default(),
+            };
+            Some(scope.spawn(move || f(comm)))
+        };
+        let handles: Vec<_> = receivers.into_iter().enumerate().map(spawn).collect();
+        // Injected faults surface as FaultError values; a panicked rank is
+        // a bug in the rank closure, re-raised here as it was.
+        let join = |h: ScopedJoinHandle<'_, T>| h.join().unwrap_or_else(|p| resume_unwind(p));
+        handles.into_iter().map(|h| h.map(join)).collect()
+    })
 }
 
 /// Launch `nranks` threads, each running `f` with its own [`Comm`]
@@ -419,30 +357,8 @@ where
     T: Send,
     F: Fn(Comm) -> T + Send + Sync,
 {
-    assert!(nranks >= 1);
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (s, r) = channel::<Packet>();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let f = &f;
-    let senders = &senders;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                f(Comm::endpoint(rank, nranks, senders.clone(), receiver))
-            }));
-        }
-        handles
-            .into_iter()
-            // INFALLIBLE: a panicked rank is a programming error in the
-            // rank closure; re-raising it here is the intended behaviour.
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    })
+    let values = launch(World::new(nranks, None), f);
+    values.into_iter().flatten().collect() // a healthy world has no failed rank
 }
 
 #[cfg(test)]
@@ -535,6 +451,61 @@ mod tests {
             }
         });
         assert_eq!(results[1], 21.0);
+    }
+
+    fn mailbox(packets: Vec<(usize, u64, Payload)>) -> VecDeque<Packet> {
+        let packet = |(src, tag, payload)| Packet { src, tag, payload };
+        packets.into_iter().map(packet).collect()
+    }
+
+    #[test]
+    fn mailbox_match_filters_by_payload_kind() {
+        // Co-array creation sends a data frame and a window handle on one
+        // (src, tag); each is taken only by its own receive kind.
+        let window = Arc::new(RwLock::new(vec![4.0]));
+        let data = |x: f64| Payload::Data(vec![x]);
+        let mut m = mailbox(vec![(1, 9, Payload::Window(window)), (1, 9, data(7.0))]);
+        let taken = take_match(&mut m, 1, 9, Want::Data);
+        assert!(matches!(taken, Some(Payload::Data(d)) if d == [7.0]));
+        assert!(take_match(&mut m, 1, 9, Want::DataOrLost).is_none());
+        assert!(matches!(take_match(&mut m, 1, 9, Want::Window), Some(Payload::Window(_))));
+        assert!(m.is_empty());
+        // A tombstone stays buffered under the healthy receive and is
+        // taken by the faulty one.
+        let mut m = mailbox(vec![(0, 3, Payload::Lost { expired_at_ps: 55 })]);
+        assert!(take_match(&mut m, 0, 3, Want::Data).is_none());
+        assert!(take_match(&mut m, 0, 3, Want::Window).is_none());
+        assert_eq!(m.len(), 1);
+        let taken = take_match(&mut m, 0, 3, Want::DataOrLost);
+        assert!(matches!(taken, Some(Payload::Lost { expired_at_ps: 55 })));
+    }
+
+    #[test]
+    fn earliest_arrival_wins_among_equal_coordinates() {
+        let data = |x: f64| Payload::Data(vec![x]);
+        let arrivals = [(0, 1, 1.0), (2, 1, 9.0), (0, 2, 8.0), (0, 1, 2.0)];
+        let mut m = mailbox(arrivals.map(|(src, tag, x)| (src, tag, data(x))).to_vec());
+        for expect in [1.0, 2.0] {
+            let taken = take_match(&mut m, 0, 1, Want::Data);
+            assert!(matches!(taken, Some(Payload::Data(d)) if d == [expect]));
+        }
+        assert!(take_match(&mut m, 0, 1, Want::Data).is_none());
+        assert_eq!(m.len(), 2, "other sources and tags stay buffered");
+        // The same order end to end, on both runtimes.
+        let v1 = run(2, |mut c| match c.rank() {
+            0 => (1..=3).map(|x| c.send(1, 1, vec![x as f64])).map(|()| 0.0).collect(),
+            _ => (0..3).map(|_| c.recv(0, 1)[0]).collect::<Vec<f64>>(),
+        });
+        assert_eq!(v1[1], [1.0, 2.0, 3.0]);
+        let v2 = crate::run_events(2, |rank, _| {
+            let send = |x: f64| crate::Op::Send { dst: 1, tag: 1, data: vec![x] };
+            crate::ScriptProgram::new(match rank {
+                0 => vec![send(1.0), send(2.0), send(3.0)],
+                _ => vec![crate::Op::Recv { src: 0, tag: 1 }; 3],
+            })
+        });
+        let got: Vec<String> = v2[1].iter().map(|reply| format!("{reply:?}")).collect();
+        assert_eq!(got, ["Received(Ok([1.0]))", "Received(Ok([2.0]))", "Received(Ok([3.0]))"]);
     }
 
     #[test]
@@ -691,17 +662,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_on_send() {
-        let (s, r) = channel();
-        let mut c = Comm::endpoint(0, 1, vec![s], r);
-        c.send(0, crate::tags::COLLECTIVE_BIT | 5, vec![1.0]);
+        run(1, |mut c| c.send(0, crate::tags::COLLECTIVE_BIT | 5, vec![1.0]));
     }
 
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_on_irecv() {
-        let (s, r) = channel();
-        let mut c = Comm::endpoint(0, 1, vec![s], r);
-        let _ = c.irecv(0, crate::tags::COLLECTIVE_BIT);
+        run(1, |mut c| {
+            let _ = c.irecv(0, crate::tags::COLLECTIVE_BIT);
+        });
     }
 
     #[test]

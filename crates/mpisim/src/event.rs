@@ -36,29 +36,24 @@
 //! ## Collectives
 //!
 //! Collectives are computed centrally when every participant has
-//! entered: values are folded in **canonical rank order** (identical to
-//! the fixed v1 collectives) and the per-rank [`CommStats`]/
-//! [`FaultStats`] that v1's explicit message schedule would have
-//! produced are charged arithmetically from the same schedule, so the
-//! two runtimes agree bit-for-bit on results *and* traffic accounting.
-//! Under fault injection every scheduled message replays the identical
-//! seeded drop/delay draws v1 makes (the draw is a pure function of the
-//! message coordinates).
+//! entered, from the one definition in [`crate::collective`]: values fold
+//! in canonical rank order, and the per-rank [`CommStats`]/[`FaultStats`]
+//! are charged arithmetically from the schedule v1 executes as packets
+//! (under fault injection, replaying v1's seeded draw per scheduled
+//! message), so the two runtimes agree bit-for-bit on results *and*
+//! traffic accounting.
 //!
 //! One intended divergence: when a faulty collective message exhausts
 //! its retries, v1's ring deadlocks for P > 2 (the erroring rank stops
 //! forwarding and its successors block forever); v2 instead fails every
-//! participant deterministically with the first timeout in schedule
-//! order. Conformance is therefore gated on regimes where retries
-//! succeed, which both runtimes complete.
+//! participant with the first timeout in schedule order. Conformance is
+//! therefore gated on regimes where retries succeed.
 
 use crate::caf::CoArray;
-use crate::comm::{fold_sum_in_rank_order, CommStats};
-use crate::fault::{
-    attempt_lost, message_delayed, retry_backoff_ps, FaultError, FaultSpec, FaultStats,
-    RankOutcome,
-};
-use crate::tags::assert_user_tag;
+use crate::collective::{binomial, dissemination, fold_max, fold_sum, ring, rotation, Round, World};
+use crate::comm::{received, take_match, CommStats, Packet, Payload, Received, Want};
+use crate::fault::{FaultError, FaultSpec, FaultStats, RankOutcome};
+use crate::tags::{self, assert_user_tag, ctag};
 use pvs_core::{EventQueue, ThreadPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -297,13 +292,21 @@ impl<T> SimReport<T> {
     /// The per-rank values, panicking if any rank was failed — the
     /// healthy-mode convenience mirroring [`crate::comm::run`]'s shape.
     pub fn into_values(self) -> Vec<T> {
+        self.into_values_and_stats().into_iter().map(|(value, _)| value).collect()
+    }
+
+    /// Each rank's value with its traffic statistics, panicking if any
+    /// rank was failed — what a healthy v1 closure returning
+    /// `(value, comm.stats())` yields.
+    pub fn into_values_and_stats(self) -> Vec<(T, CommStats)> {
         self.outcomes
             .into_iter()
-            .map(|o| match o {
-                RankOutcome::Completed { value, .. } => value,
+            .zip(self.comm_stats)
+            .map(|rank| match rank {
+                (RankOutcome::Completed { value, .. }, Some(stats)) => (value, stats),
                 // INFALLIBLE: healthy sims have no failed ranks; callers
                 // of faulty sims read `outcomes` instead.
-                RankOutcome::Failed => unreachable!("failed rank in into_values"),
+                _ => unreachable!("failed rank in a healthy report"),
             })
             .collect()
     }
@@ -339,7 +342,6 @@ impl EventSim {
     /// execute. Mirrors v1's faulty surface — only the collectives
     /// [`FaultSpec`]-mode v1 offers (barrier, sum allreduce) are legal.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
-        assert!(spec.max_attempts >= 1, "at least one send attempt");
         self.faults = Some(spec);
         self
     }
@@ -351,26 +353,12 @@ impl EventSim {
         P: RankProgram,
         F: Fn(usize, usize) -> P,
     {
-        let spec = self.faults.clone().unwrap_or_else(FaultSpec::healthy);
-        let faulty_mode = self.faults.is_some();
-        let alive: Vec<bool> = (0..self.nranks)
-            .map(|r| !spec.failed_ranks.contains(&r))
-            .collect();
-        assert!(
-            alive.iter().any(|&a| a),
-            "at least one rank must survive"
-        );
-        let cfg = Arc::new(SimConfig {
-            nranks: self.nranks,
-            spec,
-            faulty_mode,
-            alive,
-        });
+        let world = Arc::new(World::new(self.nranks, self.faults.clone()));
         let mut sched = Scheduler {
-            cfg: Arc::clone(&cfg),
+            world: Arc::clone(&world),
             slots: (0..self.nranks)
                 .map(|rank| {
-                    cfg.alive[rank].then(|| RankSlot {
+                    world.alive(rank).then(|| RankSlot {
                         program: make(rank, self.nranks),
                         ctx: RankCtx {
                             rank,
@@ -396,15 +384,12 @@ impl EventSim {
             },
             batch_dist: BTreeMap::new(),
         };
-        for rank in 0..self.nranks {
-            if cfg.alive[rank] {
-                sched.queue.push(0, rank);
-            }
+        for &rank in world.survivors() {
+            sched.queue.push(0, rank);
         }
-        let threads = if self.threads == 0 {
-            pvs_core::pool::default_threads()
-        } else {
-            self.threads
+        let threads = match self.threads {
+            0 => pvs_core::pool::default_threads(),
+            n => n,
         };
         let pool = (threads > 1).then(|| ThreadPool::new(threads));
         sched.drive(pool.as_ref());
@@ -423,36 +408,15 @@ where
     EventSim::new(nranks).run(make).into_values()
 }
 
-/// Shared, read-only configuration for the parallel resume phase.
-struct SimConfig {
-    nranks: usize,
-    spec: FaultSpec,
-    faulty_mode: bool,
-    alive: Vec<bool>,
-}
-
-/// A packet in a virtual mailbox (the v2 analogue of `comm::Packet`).
-#[derive(Debug, Clone)]
-struct SimPacket {
-    src: usize,
-    tag: u64,
-    payload: SimPayload,
-}
-
-#[derive(Debug, Clone)]
-enum SimPayload {
-    Data(Vec<f64>),
-    /// Loss tombstone: every send attempt dropped; carries the sender's
-    /// simulated expiry clock (see `crate::fault`).
-    Lost { expired_at_ps: u64 },
-}
+/// The shape a completed receive is answered in: [`Reply::Received`],
+/// or [`Reply::Exchanged`] for a sendrecv.
+type RecvReply = fn(Received) -> Reply;
 
 /// Why a rank's continuation is parked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Parked {
-    /// Blocked receive of `(src, tag)`; `exchange` selects the
-    /// [`Reply::Exchanged`] shape (sendrecv) over [`Reply::Received`].
-    Recv { src: usize, tag: u64, exchange: bool },
+    /// Blocked receive of `(src, tag)`.
+    Recv { src: usize, tag: u64, reply: RecvReply },
     /// Entered collective number `idx` (per-rank collective counter).
     Collective { idx: u64 },
 }
@@ -461,7 +425,7 @@ enum Parked {
 struct RankSlot<P: RankProgram> {
     program: P,
     ctx: RankCtx,
-    mailbox: VecDeque<SimPacket>,
+    mailbox: VecDeque<Packet>,
     parked: Option<Parked>,
     /// The reply to hand to the next resume (set whenever runnable).
     reply: Option<Reply>,
@@ -471,24 +435,21 @@ struct RankSlot<P: RankProgram> {
     coll_seq: u64,
 }
 
-/// A collective in progress: participants that have entered, with their
-/// contributions (the `Op` they entered with).
-struct Group {
-    entries: BTreeMap<usize, Op>,
-}
+/// A collective in progress: the `Op` each participant entered with.
+type Group = BTreeMap<usize, Op>;
 
-/// What one rank's parallel resume slice produced.
+/// What one rank's parallel resume slice produced. The rank parked iff
+/// `slot.parked` is set: it was runnable, so unparked, when the slice began.
 struct LocalOutcome<P: RankProgram> {
-    rank: usize,
     slot: RankSlot<P>,
-    outbox: Vec<(usize, SimPacket)>,
+    outbox: Vec<(usize, Packet)>,
     entered: Option<(u64, Op)>,
     resumes: u64,
-    parked_now: bool,
 }
 
 struct Scheduler<P: RankProgram> {
-    cfg: Arc<SimConfig>,
+    /// Shared, read-only, with the parallel resume phase.
+    world: Arc<World>,
     slots: Vec<Option<RankSlot<P>>>,
     /// Runnable ranks keyed by their simulated clocks.
     queue: EventQueue<usize>,
@@ -505,16 +466,13 @@ impl<P: RankProgram> Scheduler<P> {
     fn drive(&mut self, pool: Option<&ThreadPool>) {
         while let Some(at_ps) = self.queue.peek_time() {
             // One batch: every rank runnable at the earliest timestamp.
-            let mut batch: Vec<(usize, RankSlot<P>)> = Vec::new();
+            let mut batch: Vec<RankSlot<P>> = Vec::new();
             while self.queue.peek_time() == Some(at_ps) {
                 // INFALLIBLE: peek_time just returned Some.
                 let rank = self.queue.pop().expect("peeked entry").payload;
-                let slot = self.slots[rank]
-                    .take()
-                    // INFALLIBLE: a rank is scheduled at most once and
-                    // its slot is returned before the next batch.
-                    .expect("scheduled rank owns its slot");
-                batch.push((rank, slot));
+                // INFALLIBLE: a rank is scheduled at most once and its
+                // slot is returned before the next batch.
+                batch.push(self.slots[rank].take().expect("scheduled rank owns its slot"));
             }
             self.sim.batches += 1;
             *self.batch_dist.entry(batch.len() as u64).or_insert(0) += 1;
@@ -523,8 +481,8 @@ impl<P: RankProgram> Scheduler<P> {
             // state. Input order in == input order out (ThreadPool::map),
             // so the serial application below is batch-order
             // deterministic at any worker count.
-            let cfg = Arc::clone(&self.cfg);
-            let run_one = move |(rank, slot): (usize, RankSlot<P>)| run_local(&cfg, rank, slot);
+            let world = Arc::clone(&self.world);
+            let run_one = move |slot: RankSlot<P>| run_local(&world, slot);
             let outcomes: Vec<LocalOutcome<P>> = match pool {
                 Some(pool) if batch.len() > 1 => pool.map(batch, run_one),
                 _ => batch.into_iter().map(run_one).collect(),
@@ -537,12 +495,13 @@ impl<P: RankProgram> Scheduler<P> {
             let mut effects = Vec::with_capacity(outcomes.len());
             for out in outcomes {
                 self.sim.resumes += out.resumes;
-                if out.parked_now {
+                if out.slot.parked.is_some() {
                     self.parked_count += 1;
                     self.sim.parks += 1;
                 }
-                self.slots[out.rank] = Some(out.slot);
-                effects.push((out.rank, out.outbox, out.entered));
+                let rank = out.slot.ctx.rank;
+                self.slots[rank] = Some(out.slot);
+                effects.push((rank, out.outbox, out.entered));
             }
             self.sim.peak_parked = self.sim.peak_parked.max(self.parked_count);
             // Serial phase, step 2: cross-rank effects in batch order.
@@ -562,36 +521,36 @@ impl<P: RankProgram> Scheduler<P> {
     /// a matching receive. Packets toward failed ranks are blackholed
     /// (a dead node's NIC still sinks traffic); packets toward finished
     /// ranks are buffered and never read, exactly like v1's channels.
-    fn deliver(&mut self, dst: usize, packet: SimPacket) {
+    fn deliver(&mut self, dst: usize, packet: Packet) {
         let Some(slot) = self.slots[dst].as_mut() else {
             return; // blackhole: dst is in the failed set
         };
         self.sim.messages += 1;
         slot.mailbox.push_back(packet);
-        let Some(Parked::Recv { src, tag, exchange }) = slot.parked else {
+        let Some(Parked::Recv { src, tag, reply }) = slot.parked else {
             return;
         };
-        if let Some(result) = match_mailbox(&mut slot.mailbox, src, tag, self.cfg.spec.max_attempts)
-        {
-            slot.parked = None;
-            self.parked_count -= 1;
-            self.sim.wakeups += 1;
-            slot.reply = Some(if exchange {
-                Reply::Exchanged(result)
-            } else {
-                Reply::Received(result)
-            });
-            self.queue.push(slot.ctx.clock_ps, dst);
+        if let Some(result) = try_recv(&self.world, &mut slot.mailbox, src, tag) {
+            self.wake(dst, reply(result));
         }
+    }
+
+    /// Unpark `rank` with the reply to the op it parked on.
+    fn wake(&mut self, rank: usize, reply: Reply) {
+        // INFALLIBLE: only surviving ranks park, and their slots are live.
+        let slot = self.slots[rank].as_mut().expect("parked rank owns its slot");
+        slot.parked = None;
+        slot.reply = Some(reply);
+        self.parked_count -= 1;
+        self.sim.wakeups += 1;
+        self.queue.push(slot.ctx.clock_ps, rank);
     }
 
     /// Register `rank`'s entry into its `idx`-th collective; complete
     /// the group centrally once every expected participant has entered.
     fn enter_collective(&mut self, rank: usize, idx: u64, op: Op) {
-        let group = self.groups.entry(idx).or_insert_with(|| Group {
-            entries: BTreeMap::new(),
-        });
-        if let Some((_, first)) = group.entries.iter().next() {
+        let group = self.groups.entry(idx).or_default();
+        if let Some(first) = group.values().next() {
             assert_eq!(
                 std::mem::discriminant(first),
                 std::mem::discriminant(&op),
@@ -599,24 +558,15 @@ impl<P: RankProgram> Scheduler<P> {
                  — all ranks must issue collectives in the same order"
             );
         }
-        group.entries.insert(rank, op);
-        let expected = self.cfg.alive.iter().filter(|&&a| a).count();
-        if group.entries.len() < expected {
+        group.insert(rank, op);
+        if group.len() < self.world.survivors().len() {
             return;
         }
         // INFALLIBLE: the key was just inserted.
         let group = self.groups.remove(&idx).expect("complete group");
         self.sim.collectives += 1;
-        let replies = complete_collective(&self.cfg, &group, &mut self.slots);
-        for (rank, reply) in replies {
-            // INFALLIBLE: participants are alive ranks with parked slots.
-            let slot = self.slots[rank].as_mut().expect("participant slot");
-            debug_assert_eq!(slot.parked, Some(Parked::Collective { idx }));
-            slot.parked = None;
-            self.parked_count -= 1;
-            self.sim.wakeups += 1;
-            slot.reply = Some(reply);
-            self.queue.push(slot.ctx.clock_ps, rank);
+        for (rank, reply) in complete_collective(&self.world, group, &mut self.slots) {
+            self.wake(rank, reply);
         }
     }
 
@@ -649,9 +599,10 @@ impl<P: RankProgram> Scheduler<P> {
     }
 
     fn into_report(mut self) -> SimReport<P::Output> {
-        let mut outcomes = Vec::with_capacity(self.cfg.nranks);
-        let mut comm_stats = Vec::with_capacity(self.cfg.nranks);
-        let mut clocks_ps = Vec::with_capacity(self.cfg.nranks);
+        let nranks = self.world.size();
+        let mut outcomes = Vec::with_capacity(nranks);
+        let mut comm_stats = Vec::with_capacity(nranks);
+        let mut clocks_ps = Vec::with_capacity(nranks);
         for slot in self.slots.iter_mut() {
             match slot.take() {
                 None => {
@@ -685,363 +636,201 @@ impl<P: RankProgram> Scheduler<P> {
 /// Resume one rank until it parks or finishes, touching only its own
 /// state. Cross-rank effects accumulate in the outbox / collective
 /// entry and are applied serially by the scheduler.
-fn run_local<P: RankProgram>(cfg: &SimConfig, rank: usize, mut slot: RankSlot<P>) -> LocalOutcome<P> {
-    let mut outbox: Vec<(usize, SimPacket)> = Vec::new();
+fn run_local<P: RankProgram>(world: &World, mut slot: RankSlot<P>) -> LocalOutcome<P> {
+    let mut outbox: Vec<(usize, Packet)> = Vec::new();
     let mut entered = None;
     let mut resumes = 0u64;
-    let mut parked_now = false;
     loop {
         // INFALLIBLE: a runnable rank always has its next reply staged
         // (Start at launch, op completion at every wake).
         let reply = slot.reply.take().expect("runnable rank has a reply");
         resumes += 1;
-        match slot.program.resume(&slot.ctx, reply) {
+        // Point-to-point ops leave the receive they still have to complete.
+        let (src, tag, reply): (_, _, RecvReply) = match slot.program.resume(&slot.ctx, reply) {
             Step::Finish(out) => {
                 slot.finished = Some(out);
                 break;
             }
-            Step::Op(op) => match op {
-                Op::Send { dst, tag, data } => {
+            Step::Op(Op::Send { dst, tag, data }) => {
+                let sent = local_send(world, &mut slot, &mut outbox, dst, tag, data);
+                slot.reply = Some(Reply::Sent(sent));
+                continue;
+            }
+            Step::Op(Op::Recv { src, tag }) => (src, tag, Reply::Received),
+            Step::Op(Op::Sendrecv { partner, tag, data }) => {
+                if partner == slot.ctx.rank {
                     assert_user_tag(tag);
-                    let result = local_send(cfg, &mut slot, &mut outbox, dst, tag, data);
-                    slot.reply = Some(Reply::Sent(result));
+                    slot.reply = Some(Reply::Exchanged(Ok(data)));
+                    continue;
                 }
-                Op::Recv { src, tag } => {
-                    assert_user_tag(tag);
-                    match local_recv(cfg, &mut slot, src, tag) {
-                        Some(result) => slot.reply = Some(Reply::Received(result)),
-                        None => {
-                            slot.parked = Some(Parked::Recv {
-                                src,
-                                tag,
-                                exchange: false,
-                            });
-                            parked_now = true;
-                            break;
-                        }
-                    }
+                if let Err(e) = local_send(world, &mut slot, &mut outbox, partner, tag, data) {
+                    slot.reply = Some(Reply::Exchanged(Err(e)));
+                    continue;
                 }
-                Op::Sendrecv { partner, tag, data } => {
-                    assert_user_tag(tag);
-                    if partner == rank {
-                        slot.reply = Some(Reply::Exchanged(Ok(data)));
-                        continue;
-                    }
-                    match local_send(cfg, &mut slot, &mut outbox, partner, tag, data) {
-                        Err(e) => slot.reply = Some(Reply::Exchanged(Err(e))),
-                        Ok(()) => match local_recv(cfg, &mut slot, partner, tag) {
-                            Some(result) => slot.reply = Some(Reply::Exchanged(result)),
-                            None => {
-                                slot.parked = Some(Parked::Recv {
-                                    src: partner,
-                                    tag,
-                                    exchange: true,
-                                });
-                                parked_now = true;
-                                break;
-                            }
-                        },
-                    }
-                }
-                collective => {
-                    if cfg.faulty_mode {
-                        assert!(
-                            matches!(
-                                collective,
-                                Op::Barrier | Op::AllreduceSum { .. }
-                            ),
-                            "{collective:?} has no faulty-mode counterpart in v1 \
-                             (FaultyComm offers barrier and sum allreduce only)"
-                        );
-                    }
-                    let idx = slot.coll_seq;
-                    slot.coll_seq += 1;
-                    slot.parked = Some(Parked::Collective { idx });
-                    entered = Some((idx, collective));
-                    parked_now = true;
-                    break;
-                }
-            },
+                (partner, tag, Reply::Exchanged)
+            }
+            Step::Op(collective) => {
+                assert!(
+                    !world.armed() || matches!(collective, Op::Barrier | Op::AllreduceSum { .. }),
+                    "{collective:?} has no faulty-mode counterpart in v1 \
+                     (FaultyComm offers barrier and sum allreduce only)"
+                );
+                let idx = slot.coll_seq;
+                slot.coll_seq += 1;
+                slot.parked = Some(Parked::Collective { idx });
+                entered = Some((idx, collective));
+                break;
+            }
+        };
+        assert_user_tag(tag);
+        match try_recv(world, &mut slot.mailbox, src, tag) {
+            Some(result) => slot.reply = Some(reply(result)),
+            None => {
+                slot.parked = Some(Parked::Recv { src, tag, reply });
+                break;
+            }
         }
     }
-    LocalOutcome {
-        rank,
-        slot,
-        outbox,
-        entered,
-        resumes,
-        parked_now,
-    }
+    LocalOutcome { slot, outbox, entered, resumes }
 }
 
-/// The v2 send path: healthy mode charges traffic and emits the packet;
-/// faulty mode replays v1's seeded drop/delay/backoff decisions first.
-/// Loopback packets land directly in the rank's own mailbox.
+/// The v2 send path: charge the message as v1 does, then emit what v1
+/// would put on the wire. Loopback lands in the rank's own mailbox.
 fn local_send<P: RankProgram>(
-    cfg: &SimConfig,
+    world: &World,
     slot: &mut RankSlot<P>,
-    outbox: &mut Vec<(usize, SimPacket)>,
+    outbox: &mut Vec<(usize, Packet)>,
     dst: usize,
     tag: u64,
     data: Vec<f64>,
 ) -> Result<(), FaultError> {
-    let rank = slot.ctx.rank;
-    if !cfg.alive[dst] {
-        return Err(FaultError::RankFailed { rank: dst });
-    }
-    if cfg.faulty_mode && dst != rank {
-        let spec = &cfg.spec;
-        let mut attempt = 0u32;
-        while attempt < spec.max_attempts && attempt_lost(spec, rank, dst, tag, attempt) {
-            slot.ctx.faults.drops += 1;
-            let backoff = retry_backoff_ps(spec.base_backoff_ps, attempt);
-            slot.ctx.faults.backoff_ps = slot.ctx.faults.backoff_ps.saturating_add(backoff);
-            slot.ctx.clock_ps = slot.ctx.clock_ps.saturating_add(backoff);
-            attempt += 1;
-        }
-        if attempt == spec.max_attempts {
-            slot.ctx.faults.timeouts += 1;
-            outbox.push((
-                dst,
-                SimPacket {
-                    src: rank,
-                    tag,
-                    payload: SimPayload::Lost {
-                        expired_at_ps: slot.ctx.clock_ps,
-                    },
-                },
-            ));
-            return Err(FaultError::Timeout {
-                peer: dst,
-                tag,
-                attempts: attempt,
-                expired_at_ps: slot.ctx.clock_ps,
-            });
-        }
-        slot.ctx.faults.retries += attempt as u64;
-        if message_delayed(spec, rank, dst, tag) {
-            slot.ctx.faults.delays += 1;
-            slot.ctx.faults.delay_ps += spec.delay_ps;
-            slot.ctx.clock_ps += spec.delay_ps;
-        }
-    }
-    if cfg.faulty_mode {
-        slot.ctx.faults.delivered += 1;
-    }
-    slot.ctx.comm.messages_sent += 1;
-    slot.ctx.comm.bytes_sent += (data.len() * 8) as u64;
-    let packet = SimPacket {
-        src: rank,
-        tag,
-        payload: SimPayload::Data(data),
+    assert_user_tag(tag);
+    let (src, ctx) = (slot.ctx.rank, &mut slot.ctx);
+    let sent = world.charge_send(src, dst, tag, &mut ctx.faults, &mut ctx.clock_ps);
+    let Some(payload) = Payload::sent(&sent, data) else {
+        return sent;
     };
-    if dst == rank {
+    payload.charge(&mut ctx.comm);
+    let packet = Packet { src, tag, payload };
+    if dst == src {
         slot.mailbox.push_back(packet);
     } else {
         outbox.push((dst, packet));
     }
-    Ok(())
+    sent
 }
 
-/// Try to complete a receive from the rank's own mailbox. `None` parks.
-fn local_recv<P: RankProgram>(
-    cfg: &SimConfig,
-    slot: &mut RankSlot<P>,
-    src: usize,
-    tag: u64,
-) -> Option<Result<Vec<f64>, FaultError>> {
-    if !cfg.alive[src] {
+/// Try to complete a receive from a rank's mailbox with v1's first-match
+/// buffering (healthy sims never emit a tombstone). `None` parks.
+fn try_recv(world: &World, mailbox: &mut VecDeque<Packet>, src: usize, tag: u64) -> Option<Received> {
+    if !world.alive(src) {
         return Some(Err(FaultError::RankFailed { rank: src }));
     }
-    match_mailbox(&mut slot.mailbox, src, tag, cfg.spec.max_attempts)
+    take_match(mailbox, src, tag, Want::DataOrLost).map(|p| received(world, src, tag, p))
 }
 
-/// First-match extraction from a mailbox, mirroring v1's buffering: the
-/// earliest-arrived packet with matching `(src, tag)` wins; a loss
-/// tombstone surfaces as the sender's timeout.
-fn match_mailbox(
-    mailbox: &mut VecDeque<SimPacket>,
-    src: usize,
-    tag: u64,
-    max_attempts: u32,
-) -> Option<Result<Vec<f64>, FaultError>> {
-    let pos = mailbox
-        .iter()
-        .position(|p| p.src == src && p.tag == tag)?;
-    // INFALLIBLE: position() just found the index.
-    let packet = mailbox.remove(pos).expect("index valid");
-    Some(match packet.payload {
-        SimPayload::Data(d) => Ok(d),
-        SimPayload::Lost { expired_at_ps } => Err(FaultError::Timeout {
-            peer: src,
-            tag,
-            attempts: max_attempts,
-            expired_at_ps,
-        }),
-    })
-}
-
-/// Complete a collective centrally: canonical rank-order values plus
-/// per-rank stats charged from the exact message schedule v1 executes.
+/// Complete a collective centrally: canonical rank-order values, plus
+/// per-rank stats charged from the schedule v1 executes as messages.
 /// Returns `(rank, reply)` pairs in ascending rank order.
 fn complete_collective<P: RankProgram>(
-    cfg: &SimConfig,
-    group: &Group,
+    world: &World,
+    group: Group,
     slots: &mut [Option<RankSlot<P>>],
 ) -> Vec<(usize, Reply)> {
-    let participants: Vec<usize> = group.entries.keys().copied().collect();
+    // Every survivor has entered, so the participants are the survivors.
+    let participants = world.survivors();
+    let n = participants.len();
+    let ring_steps = ring(n).len() as u64;
+    let reply_all = |make: &dyn Fn(usize) -> Reply| -> Vec<(usize, Reply)> {
+        participants.iter().map(|&r| (r, make(r))).collect()
+    };
+    let mixed = || -> ! { unreachable!("mixed collective") };
+    let mut ops = group.into_values().peekable();
     // INFALLIBLE: a group completes only after at least one entry.
-    let first = group.entries.values().next().expect("non-empty group");
-    match first {
+    match ops.peek().expect("non-empty group") {
         Op::Barrier => {
-            if cfg.faulty_mode {
-                faulty_dissemination(cfg, &participants, slots, None)
-            } else {
-                let rounds = dissemination_rounds(participants.len());
-                charge_all(slots, &participants, rounds, 0);
-                participants
-                    .iter()
-                    .map(|&r| (r, Reply::BarrierDone(Ok(()))))
-                    .collect()
+            let rounds = dissemination(n);
+            if world.armed() {
+                return faulty_rounds(world, slots, rounds, tags::NS_FAULTY_BARRIER, None);
             }
+            charge(slots, participants, rounds.len() as u64, 0);
+            reply_all(&|_| Reply::BarrierDone(Ok(())))
         }
         Op::AllreduceSum { .. } => {
-            let contribs: Vec<Vec<f64>> = group
-                .entries
-                .values()
-                .map(|op| match op {
-                    Op::AllreduceSum { data } => data.clone(),
-                    // INFALLIBLE: enter_collective pinned the discriminant.
-                    _ => unreachable!("mixed collective"),
-                })
-                .collect();
-            let value = fold_sum_in_rank_order(&contribs);
-            if cfg.faulty_mode {
-                faulty_dissemination(cfg, &participants, slots, Some(&value))
-            } else {
-                let n = participants.len();
-                let bytes = (contribs[0].len() * 8) as u64;
-                charge_all(slots, &participants, (n - 1) as u64, (n - 1) as u64 * bytes);
-                participants
-                    .iter()
-                    .map(|&r| (r, Reply::Reduced(Ok(value.clone()))))
-                    .collect()
+            let contribs: Vec<Vec<f64>> = ops.map(data_of).collect();
+            let value = fold_sum(&contribs);
+            if world.armed() {
+                return faulty_rounds(world, slots, ring(n), tags::NS_FAULTY_ALLREDUCE, Some(&value));
             }
+            let bytes = (contribs[0].len() * 8) as u64;
+            charge(slots, participants, ring_steps, ring_steps * bytes);
+            reply_all(&|_| Reply::Reduced(Ok(value.clone())))
         }
         Op::AllreduceMaxScalar { .. } => {
-            let contribs: Vec<f64> = group
-                .entries
-                .values()
+            let contribs: Vec<f64> = ops
                 .map(|op| match op {
-                    Op::AllreduceMaxScalar { x } => *x,
-                    _ => unreachable!("mixed collective"),
+                    Op::AllreduceMaxScalar { x } => x,
+                    _ => mixed(),
                 })
                 .collect();
-            let value = contribs
-                .iter()
-                .skip(1)
-                .fold(contribs[0], |acc, &x| acc.max(x));
-            let n = participants.len();
-            charge_all(slots, &participants, (n - 1) as u64, (n - 1) as u64 * 8);
-            participants
-                .iter()
-                .map(|&r| (r, Reply::MaxReduced(Ok(value))))
-                .collect()
+            let value = fold_max(&contribs);
+            charge(slots, participants, ring_steps, ring_steps * 8);
+            reply_all(&|_| Reply::MaxReduced(Ok(value)))
         }
         Op::Allgather { .. } => {
-            let rows: Vec<Vec<f64>> = group
-                .entries
-                .values()
-                .map(|op| match op {
-                    Op::Allgather { data } => data.clone(),
-                    _ => unreachable!("mixed collective"),
-                })
-                .collect();
-            let n = participants.len();
-            // v1 charges: at step s, rank r forwards the frame that
-            // originated at rank (r − s) mod n — origin rank id plus
-            // the origin's body.
+            let rows: Vec<Vec<f64>> = ops.map(data_of).collect();
+            // Each ring step forwards the frame that arrived the step
+            // before: the origin's rank id plus the origin's body.
             for (i, &r) in participants.iter().enumerate() {
-                let mut bytes = 0u64;
-                for s in 0..n.saturating_sub(1) {
-                    let origin = (i + n - s) % n;
-                    bytes += ((1 + rows[origin].len()) * 8) as u64;
+                let (mut carried, mut bytes) = (i, 0u64);
+                for round in ring(n) {
+                    bytes += ((1 + rows[carried].len()) * 8) as u64;
+                    carried = round.origin(i, n);
                 }
-                charge(slots, r, n.saturating_sub(1) as u64, bytes);
+                charge(slots, &[r], ring_steps, bytes);
             }
-            participants
-                .iter()
-                .map(|&r| (r, Reply::Gathered(rows.clone())))
-                .collect()
+            reply_all(&|_| Reply::Gathered(rows.clone()))
         }
-        Op::Broadcast { root, .. } => {
-            let n = participants.len();
-            assert!(*root < n, "broadcast root {root} of {n}");
-            let data = match group.entries.get(root) {
-                Some(Op::Broadcast { data, .. }) => data.clone(),
-                _ => unreachable!("root participates"),
-            };
-            // v1 charges the binomial-tree schedule: each rank sends
-            // `data` once per child.
+        &Op::Broadcast { root, .. } => {
+            assert!(root < n, "broadcast root {root} of {n}");
+            // INFALLIBLE: the assert above put `root` among the n entries.
+            let data = data_of(ops.nth(root).expect("root participates"));
+            // Each rank sends `data` once per child in the binomial tree.
             let bytes = (data.len() * 8) as u64;
-            for &r in &participants {
-                let children = binomial_children(r, *root, n);
-                charge(slots, r, children, children * bytes);
+            for (i, &r) in participants.iter().enumerate() {
+                let children = binomial(i, root, n).1.len() as u64;
+                charge(slots, &[r], children, children * bytes);
             }
-            participants
-                .iter()
-                .map(|&r| (r, Reply::Broadcasted(data.clone())))
-                .collect()
+            reply_all(&|_| Reply::Broadcasted(data.clone()))
         }
         Op::Alltoallv { .. } => {
-            let n = participants.len();
-            let all: BTreeMap<usize, &Vec<Vec<f64>>> = group
-                .entries
-                .iter()
-                .map(|(&r, op)| match op {
+            let all: Vec<Vec<Vec<f64>>> = ops
+                .zip(participants)
+                .map(|(op, &r)| match op {
                     Op::Alltoallv { sends } => {
                         assert_eq!(sends.len(), n, "rank {r}: sends.len() == size");
-                        (r, sends)
+                        sends
                     }
-                    _ => unreachable!("mixed collective"),
+                    _ => mixed(),
                 })
                 .collect();
-            let mut replies = Vec::with_capacity(n);
-            for &me in &participants {
-                let out: Vec<Vec<f64>> = participants.iter().map(|&src| all[&src][me].clone()).collect();
-                let bytes: u64 = all[&me]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(dst, _)| dst != me)
-                    .map(|(_, v)| (v.len() * 8) as u64)
-                    .sum();
-                charge(slots, me, (n - 1) as u64, bytes);
-                replies.push((me, Reply::Alltoall(out)));
+            for (i, &r) in participants.iter().enumerate() {
+                let sent = rotation(n).map(|round| (all[i][round.to(i, n)].len() * 8) as u64);
+                charge(slots, &[r], rotation(n).len() as u64, sent.sum());
             }
-            replies
+            reply_all(&|me| Reply::Alltoall(all.iter().map(|sends| sends[me].clone()).collect()))
         }
-        Op::CoCreate { len } => {
-            let n = participants.len();
-            for (&r, op) in &group.entries {
+        &Op::CoCreate { len } => {
+            for (op, &r) in ops.zip(participants) {
                 match op {
                     Op::CoCreate { len: l } => assert_eq!(l, len, "rank {r}: window length"),
-                    _ => unreachable!("mixed collective"),
+                    _ => mixed(),
                 }
             }
-            let windows: Vec<Arc<RwLock<Vec<f64>>>> = (0..n)
-                .map(|_| Arc::new(RwLock::new(vec![0.0; *len])))
-                .collect();
-            // v1's ring circulation sends one origin-id frame per step.
-            charge_all(slots, &participants, (n - 1) as u64, (n - 1) as u64 * 8);
-            participants
-                .iter()
-                .map(|&r| {
-                    (
-                        r,
-                        Reply::CoCreated(CoArray::from_windows(r, windows.clone())),
-                    )
-                })
-                .collect()
+            let windows: Vec<_> = (0..n).map(|_| Arc::new(RwLock::new(vec![0.0; len]))).collect();
+            // The handles' ring circulation sends one origin-id frame per step.
+            charge(slots, participants, ring_steps, ring_steps * 8);
+            reply_all(&|r| Reply::CoCreated(CoArray::from_windows(r, windows.clone())))
         }
         Op::Send { .. } | Op::Recv { .. } | Op::Sendrecv { .. } => {
             unreachable!("point-to-point ops never enter a collective group")
@@ -1049,48 +838,34 @@ fn complete_collective<P: RankProgram>(
     }
 }
 
-/// Simulate the faulty dissemination/ring schedule for barrier
-/// (`value: None`) or sum allreduce (`value: Some`): every scheduled
-/// message replays v1's seeded draws in v1's per-rank order, charging
-/// drop/retry/backoff/delay to the sending rank. A rank stops at its
-/// first failure exactly like v1 (`?` propagation); a message that
-/// exhausts retries fails *all* participants deterministically (v1
-/// deadlocks here — the documented divergence).
-fn faulty_dissemination<P: RankProgram>(
-    cfg: &SimConfig,
-    participants: &[usize],
+/// The vector a rank contributed to a sum allreduce, allgather or broadcast
+/// (`enter_collective` pins one discriminant per group).
+fn data_of(op: Op) -> Vec<f64> {
+    match op {
+        Op::AllreduceSum { data } | Op::Allgather { data } | Op::Broadcast { data, .. } => data,
+        _ => unreachable!("mixed collective"),
+    }
+}
+
+/// Replay v1's faulty barrier (`value: None`) or sum allreduce
+/// (`value: Some`) round by round: every scheduled message makes v1's
+/// seeded draws in v1's per-rank order, charging the sending rank, and a
+/// rank stops at its first failure like v1's `?`. A message that exhausts
+/// retries fails *all* participants (the documented divergence).
+fn faulty_rounds<P: RankProgram>(
+    world: &World,
     slots: &mut [Option<RankSlot<P>>],
+    rounds: impl IntoIterator<Item = Round>,
+    ns: u64,
     value: Option<&[f64]>,
 ) -> Vec<(usize, Reply)> {
-    use crate::tags::{self, ctag};
+    let participants = world.survivors();
     let n = participants.len();
-    let spec = &cfg.spec;
-    // Per-participant error state (first failure wins, then it stops
-    // sending, exactly like v1's early return).
+    let bytes = value.map_or(0, |v| (v.len() * 8) as u64);
+    // Per participant: the first failure wins, then it stops sending.
     let mut errors: Vec<Option<FaultError>> = vec![None; n];
-    let schedule: Vec<(u64, bool)> = match value {
-        // Barrier: dissemination rounds at doubling distance.
-        None => {
-            let mut rounds = Vec::new();
-            let mut dist = 1usize;
-            let mut round = 0u64;
-            while dist < n {
-                rounds.push((round, false));
-                dist *= 2;
-                round += 1;
-            }
-            rounds
-        }
-        // Allreduce: ring steps at distance 1.
-        Some(_) => (0..n.saturating_sub(1) as u64).map(|s| (s, true)).collect(),
-    };
-    for &(seq, ring) in &schedule {
-        let tag = if ring {
-            ctag(tags::NS_FAULTY_ALLREDUCE, seq)
-        } else {
-            ctag(tags::NS_FAULTY_BARRIER, seq)
-        };
-        let dist = if ring { 1usize } else { 1usize << seq };
+    for round in rounds {
+        let tag = ctag(ns, round.seq);
         // Send wave: every still-healthy participant performs its send
         // for this round, charging its own draws.
         let mut sent_ok: Vec<bool> = vec![false; n];
@@ -1099,68 +874,31 @@ fn faulty_dissemination<P: RankProgram>(
             if errors[i].is_some() {
                 continue;
             }
-            let dst = participants[(i + dist) % n];
+            let dst = participants[round.to(i, n)];
             // INFALLIBLE: participants are alive ranks with live slots.
-            let slot = slots[me].as_mut().expect("participant slot");
-            if me == dst {
-                // Single-participant degenerate case: loopback delivers.
-                slot.ctx.faults.delivered += 1;
-                slot.ctx.comm.messages_sent += 1;
-                slot.ctx.comm.bytes_sent += value.map_or(0, |v| (v.len() * 8) as u64);
-                sent_ok[i] = true;
-                continue;
+            let ctx = &mut slots[me].as_mut().expect("participant slot").ctx;
+            match world.charge_send(me, dst, tag, &mut ctx.faults, &mut ctx.clock_ps) {
+                Ok(()) => {
+                    ctx.comm.messages_sent += 1;
+                    ctx.comm.bytes_sent += bytes;
+                    sent_ok[i] = true;
+                }
+                Err(e) => {
+                    expiry[i] = ctx.clock_ps;
+                    errors[i] = Some(e);
+                }
             }
-            let mut attempt = 0u32;
-            while attempt < spec.max_attempts && attempt_lost(spec, me, dst, tag, attempt) {
-                slot.ctx.faults.drops += 1;
-                let backoff = retry_backoff_ps(spec.base_backoff_ps, attempt);
-                slot.ctx.faults.backoff_ps = slot.ctx.faults.backoff_ps.saturating_add(backoff);
-                slot.ctx.clock_ps = slot.ctx.clock_ps.saturating_add(backoff);
-                attempt += 1;
-            }
-            if attempt == spec.max_attempts {
-                slot.ctx.faults.timeouts += 1;
-                errors[i] = Some(FaultError::Timeout {
-                    peer: dst,
-                    tag,
-                    attempts: attempt,
-                    expired_at_ps: slot.ctx.clock_ps,
-                });
-                expiry[i] = slot.ctx.clock_ps;
-                continue;
-            }
-            slot.ctx.faults.retries += attempt as u64;
-            if message_delayed(spec, me, dst, tag) {
-                slot.ctx.faults.delays += 1;
-                slot.ctx.faults.delay_ps += spec.delay_ps;
-                slot.ctx.clock_ps += spec.delay_ps;
-            }
-            slot.ctx.faults.delivered += 1;
-            slot.ctx.comm.messages_sent += 1;
-            slot.ctx.comm.bytes_sent += value.map_or(0, |v| (v.len() * 8) as u64);
-            sent_ok[i] = true;
         }
         // Receive wave: a still-healthy participant observes its
         // predecessor's outcome for this round.
-        for (i, &_me) in participants.iter().enumerate() {
-            if errors[i].is_some() {
-                continue;
+        for (i, error) in errors.iter_mut().enumerate() {
+            let from = round.from(i, n);
+            if error.is_none() && !sent_ok[from] && from != i {
+                *error = Some(world.timeout(participants[from], tag, expiry[from]));
             }
-            let from_idx = (i + n - dist) % n;
-            if sent_ok[from_idx] || from_idx == i {
-                continue;
-            }
-            let from = participants[from_idx];
-            errors[i] = Some(FaultError::Timeout {
-                peer: from,
-                tag,
-                attempts: spec.max_attempts,
-                expired_at_ps: expiry[from_idx],
-            });
         }
     }
-    // First failure in schedule order fails everyone (documented v2
-    // divergence: v1 deadlocks on a mid-collective timeout for n > 2).
+    // The first failure in schedule order fails everyone.
     let first_error = errors.iter().flatten().next().copied();
     participants
         .iter()
@@ -1179,54 +917,18 @@ fn faulty_dissemination<P: RankProgram>(
         .collect()
 }
 
-/// Messages each rank sends in an `n`-rank dissemination barrier.
-fn dissemination_rounds(n: usize) -> u64 {
-    let mut rounds = 0u64;
-    let mut dist = 1usize;
-    while dist < n {
-        rounds += 1;
-        dist *= 2;
-    }
-    rounds
-}
-
-/// Children of `rank` in the binomial broadcast tree rooted at `root`
-/// (v1's relative-rank/mask schedule).
-fn binomial_children(rank: usize, root: usize, n: usize) -> u64 {
-    let relative = (rank + n - root) % n;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    let mut children = 0u64;
-    while mask > 0 {
-        if relative + mask < n {
-            children += 1;
-        }
-        mask >>= 1;
-    }
-    children
-}
-
-fn charge<P: RankProgram>(slots: &mut [Option<RankSlot<P>>], rank: usize, messages: u64, bytes: u64) {
-    // INFALLIBLE: collectives charge only alive participants.
-    let slot = slots[rank].as_mut().expect("participant slot");
-    slot.ctx.comm.messages_sent += messages;
-    slot.ctx.comm.bytes_sent += bytes;
-}
-
-fn charge_all<P: RankProgram>(
+/// Add `messages` and `bytes` to the traffic each of `ranks` has sent.
+fn charge<P: RankProgram>(
     slots: &mut [Option<RankSlot<P>>],
-    participants: &[usize],
+    ranks: &[usize],
     messages: u64,
     bytes: u64,
 ) {
-    for &r in participants {
-        charge(slots, r, messages, bytes);
+    for &rank in ranks {
+        // INFALLIBLE: collectives charge only alive participants.
+        let slot = slots[rank].as_mut().expect("participant slot");
+        slot.ctx.comm.messages_sent += messages;
+        slot.ctx.comm.bytes_sent += bytes;
     }
 }
 

@@ -29,24 +29,18 @@
 //! Retry/drop/timeout counters accumulate in [`FaultStats`] per rank and
 //! report into `pvs-obs` via [`FaultStats::record_to`].
 
-use crate::comm::{fold_sum_in_rank_order, Comm, CommStats};
-use crate::tags::{self, assert_user_tag, ctag};
+use crate::collective::{self, fold_sum, Link, World};
+use crate::comm::{launch, received, Comm, CommStats, Payload, Want};
+use crate::tags::{self, assert_user_tag};
 use pvs_core::SplitMix64;
-use std::sync::mpsc::channel;
 
 /// Simulated backoff before retry `attempt` (0-based): `base << attempt`,
-/// saturating at `u64::MAX` instead of overflowing — a large configured
-/// `max_attempts` used to panic in debug and silently wrap in release.
+/// saturating at `u64::MAX` however large `max_attempts` is configured.
 pub fn retry_backoff_ps(base_backoff_ps: u64, attempt: u32) -> u64 {
     match 1u64.checked_shl(attempt) {
         Some(factor) => base_backoff_ps.saturating_mul(factor),
-        None => {
-            if base_backoff_ps == 0 {
-                0
-            } else {
-                u64::MAX
-            }
-        }
+        None if base_backoff_ps == 0 => 0,
+        None => u64::MAX,
     }
 }
 
@@ -215,11 +209,9 @@ impl std::fmt::Display for FaultError {
     }
 }
 
-/// One deterministic per-mille draw for a message coordinate. Seeded
-/// hashing via [`SplitMix64`] so the decision depends on every field but
-/// on no global state — a free function shared by the thread-backed
-/// runtime and the event-driven scheduler, which must reproduce the same
-/// decisions bit-for-bit.
+/// One deterministic per-mille draw for a message coordinate: seeded
+/// hashing via [`SplitMix64`], so the decision depends on every field but
+/// on no global state and both runtimes reproduce it bit-for-bit.
 fn fault_draw(seed: u64, kind: u64, src: usize, dst: usize, tag: u64, attempt: u32) -> u32 {
     let mut h = SplitMix64::new(seed ^ kind).next_u64();
     for v in [src as u64, dst as u64, tag, attempt as u64] {
@@ -246,7 +238,6 @@ pub(crate) fn message_delayed(spec: &FaultSpec, src: usize, dst: usize, tag: u64
 /// of the [`FaultSpec`] and the message coordinates.
 pub struct FaultyComm {
     inner: Comm,
-    spec: FaultSpec,
     stats: FaultStats,
     clock_ps: u64,
 }
@@ -264,12 +255,12 @@ impl FaultyComm {
 
     /// Whether `rank` is still executing.
     pub fn alive(&self, rank: usize) -> bool {
-        !self.spec.failed_ranks.contains(&rank)
+        self.inner.world().alive(rank)
     }
 
     /// The surviving ranks, in rank order.
     pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.size()).filter(|&r| self.alive(r)).collect()
+        self.inner.world().survivors().to_vec()
     }
 
     /// Fault accounting so far for this rank.
@@ -287,58 +278,13 @@ impl FaultyComm {
         self.clock_ps
     }
 
-    fn attempt_lost(&self, dst: usize, tag: u64, attempt: u32) -> bool {
-        attempt_lost(&self.spec, self.rank(), dst, tag, attempt)
-    }
-
-    fn message_delayed(&self, dst: usize, tag: u64) -> bool {
-        message_delayed(&self.spec, self.rank(), dst, tag)
-    }
-
     /// Send `data` to rank `dst`, retrying dropped attempts with
     /// exponential backoff. On timeout a tombstone is delivered so the
     /// receiver unblocks with the same [`FaultError::Timeout`]. The tag
     /// must keep [`tags::COLLECTIVE_BIT`] clear.
     pub fn send(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), FaultError> {
         assert_user_tag(tag);
-        self.send_raw(dst, tag, data)
-    }
-
-    /// Tag-unchecked faulty send used by the survivor collectives.
-    fn send_raw(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), FaultError> {
-        if !self.alive(dst) {
-            return Err(FaultError::RankFailed { rank: dst });
-        }
-        // Loopback traffic never leaves the rank; it cannot be dropped.
-        let mut attempt = 0u32;
-        if dst != self.rank() {
-            while attempt < self.spec.max_attempts && self.attempt_lost(dst, tag, attempt) {
-                self.stats.drops += 1;
-                let backoff = retry_backoff_ps(self.spec.base_backoff_ps, attempt);
-                self.stats.backoff_ps = self.stats.backoff_ps.saturating_add(backoff);
-                self.clock_ps = self.clock_ps.saturating_add(backoff);
-                attempt += 1;
-            }
-            if attempt == self.spec.max_attempts {
-                self.stats.timeouts += 1;
-                self.inner.send_lost(dst, tag, self.clock_ps);
-                return Err(FaultError::Timeout {
-                    peer: dst,
-                    tag,
-                    attempts: attempt,
-                    expired_at_ps: self.clock_ps,
-                });
-            }
-            self.stats.retries += attempt as u64;
-            if self.message_delayed(dst, tag) {
-                self.stats.delays += 1;
-                self.stats.delay_ps += self.spec.delay_ps;
-                self.clock_ps += self.spec.delay_ps;
-            }
-        }
-        self.stats.delivered += 1;
-        self.inner.send_raw(dst, tag, data);
-        Ok(())
+        self.send_to(dst, tag, data)
     }
 
     /// Receive from `src`. Fails fast if `src` is dead; surfaces the
@@ -346,23 +292,7 @@ impl FaultyComm {
     /// every attempt of the matching message was dropped.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, FaultError> {
         assert_user_tag(tag);
-        self.recv_raw(src, tag)
-    }
-
-    /// Tag-unchecked faulty receive used by the survivor collectives.
-    fn recv_raw(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, FaultError> {
-        if !self.alive(src) {
-            return Err(FaultError::RankFailed { rank: src });
-        }
-        match self.inner.recv_or_lost(src, tag) {
-            Ok(d) => Ok(d),
-            Err(expired_at_ps) => Err(FaultError::Timeout {
-                peer: src,
-                tag,
-                attempts: self.spec.max_attempts,
-                expired_at_ps,
-            }),
-        }
+        self.recv_from(src, tag)
     }
 
     /// Combined send + receive with the same partner.
@@ -371,67 +301,53 @@ impl FaultyComm {
         if partner == self.rank() {
             return Ok(data);
         }
-        self.send_raw(partner, tag, data)?;
-        self.recv_raw(partner, tag)
-    }
-
-    /// Index of this rank within the survivor list. Panics if called from
-    /// a failed rank — failed ranks never execute, so this is unreachable
-    /// under [`run_faulty`].
-    fn survivor_index(&self, survivors: &[usize]) -> usize {
-        survivors
-            .iter()
-            .position(|&r| r == self.rank())
-            .expect("collective called from a failed rank")
+        self.send_to(partner, tag, data)?;
+        self.recv_from(partner, tag)
     }
 
     /// Dissemination barrier over the surviving ranks.
     pub fn barrier(&mut self) -> Result<(), FaultError> {
-        let survivors = self.alive_ranks();
-        let n = survivors.len();
-        let me = self.survivor_index(&survivors);
-        let mut round = 0u64;
-        let mut dist = 1;
-        while dist < n {
-            let to = survivors[(me + dist) % n];
-            let from = survivors[(me + n - dist) % n];
-            let tag = ctag(tags::NS_FAULTY_BARRIER, round);
-            self.send_raw(to, tag, Vec::new())?;
-            self.recv_raw(from, tag)?;
-            dist *= 2;
-            round += 1;
-        }
-        Ok(())
+        collective::barrier(self, tags::NS_FAULTY_BARRIER)
     }
 
-    /// Element-wise sum allreduce over the surviving ranks: a
-    /// gather-to-all ring folded in **canonical survivor order** (the
-    /// packet received at step `s` originated at
-    /// `survivors[(me − s − 1) mod n]`), so every survivor returns the
-    /// bitwise identical result regardless of ring position — same fix as
-    /// [`Comm::allreduce_sum`].
+    /// Element-wise sum allreduce over the surviving ranks: the ring of
+    /// [`Comm::allreduce_sum`] over the survivor list, folded in canonical
+    /// survivor order, so every survivor returns identical bits.
     pub fn allreduce_sum(&mut self, data: &[f64]) -> Result<Vec<f64>, FaultError> {
-        let survivors = self.alive_ranks();
-        let n = survivors.len();
-        let me = self.survivor_index(&survivors);
-        let mut contribs: Vec<Vec<f64>> = vec![Vec::new(); n];
-        contribs[me] = data.to_vec();
-        let mut travelling = data.to_vec();
-        for step in 0..n.saturating_sub(1) {
-            let to = survivors[(me + 1) % n];
-            let from = survivors[(me + n - 1) % n];
-            let tag = ctag(tags::NS_FAULTY_ALLREDUCE, step as u64);
-            self.send_raw(to, tag, travelling)?;
-            travelling = self.recv_raw(from, tag)?;
-            let origin = (me + n - step - 1) % n;
-            contribs[origin] = travelling.clone();
-        }
-        Ok(fold_sum_in_rank_order(&contribs))
+        let contribs = collective::ring_gather(self, tags::NS_FAULTY_ALLREDUCE, data.to_vec())?;
+        Ok(fold_sum(&contribs))
     }
 
     /// Scalar sum allreduce over the surviving ranks.
     pub fn allreduce_sum_scalar(&mut self, x: f64) -> Result<f64, FaultError> {
         Ok(self.allreduce_sum(&[x])?[0])
+    }
+}
+
+/// Tag-unchecked faulty send and receive, used by the point-to-point
+/// surface and by the survivor collectives.
+impl Link for FaultyComm {
+    type Error = FaultError;
+
+    fn comm(&self) -> &Comm {
+        &self.inner
+    }
+
+    fn send_to(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), FaultError> {
+        let (world, src) = (self.inner.world(), self.inner.rank());
+        let sent = world.charge_send(src, dst, tag, &mut self.stats, &mut self.clock_ps);
+        if let Some(payload) = Payload::sent(&sent, data) {
+            self.inner.post(dst, tag, payload);
+        }
+        sent
+    }
+
+    fn recv_from(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, FaultError> {
+        if !self.alive(src) {
+            return Err(FaultError::RankFailed { rank: src });
+        }
+        let payload = self.inner.fetch(src, tag, Want::DataOrLost);
+        received(self.inner.world(), src, tag, payload)
     }
 }
 
@@ -484,63 +400,21 @@ pub fn total_fault_stats<T>(outcomes: &[RankOutcome<T>]) -> FaultStats {
 }
 
 /// Launch `nranks` endpoints under fault injection. Surviving ranks run
-/// `f` on their own thread; failed ranks never execute, but their channel
-/// endpoints are kept open as blackholes so in-flight traffic toward them
-/// is absorbed rather than erroring. Results come back in rank order.
+/// `f` on their own thread; failed ranks never execute, but their channels
+/// stay open as blackholes that absorb in-flight traffic toward them.
+/// Results come back in rank order.
 pub fn run_faulty<T, F>(nranks: usize, spec: FaultSpec, f: F) -> Vec<RankOutcome<T>>
 where
     T: Send,
     F: Fn(&mut FaultyComm) -> T + Send + Sync,
 {
-    assert!(nranks >= 1);
-    assert!(spec.max_attempts >= 1, "at least one send attempt");
-    let alive = (0..nranks).filter(|r| !spec.failed_ranks.contains(r)).count();
-    assert!(alive >= 1, "at least one rank must survive");
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (s, r) = channel();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let f = &f;
-    let spec = &spec;
-    let senders = &senders;
-    // Receivers of failed ranks are parked here, keeping the channels
-    // open (a dead node's NIC still sinks packets) until the scope ends.
-    let mut blackholes = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
-            if spec.failed_ranks.contains(&rank) {
-                blackholes.push(receiver);
-                handles.push(None);
-                continue;
-            }
-            handles.push(Some(scope.spawn(move || {
-                let mut fc = FaultyComm {
-                    inner: Comm::endpoint(rank, nranks, senders.clone(), receiver),
-                    spec: spec.clone(),
-                    stats: FaultStats::default(),
-                    clock_ps: 0,
-                };
-                let value = f(&mut fc);
-                (value, fc.stats)
-            })));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h {
-                None => RankOutcome::Failed,
-                Some(h) => {
-                    // INFALLIBLE: injected faults surface as FaultError
-                    // values, never panics; a panic is a bug to re-raise.
-                    let (value, faults) = h.join().expect("rank panicked");
-                    RankOutcome::Completed { value, faults }
-                }
-            })
-            .collect()
-    })
+    let run_rank = |inner| {
+        let mut fc = FaultyComm { inner, stats: FaultStats::default(), clock_ps: 0 };
+        let value = f(&mut fc);
+        RankOutcome::Completed { value, faults: fc.stats }
+    };
+    let outcomes = launch(World::new(nranks, Some(spec)), run_rank);
+    outcomes.into_iter().map(|o| o.unwrap_or(RankOutcome::Failed)).collect()
 }
 
 #[cfg(test)]
@@ -801,14 +675,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_in_faulty_mode() {
-        let (s, r) = channel();
-        let mut fc = FaultyComm {
-            inner: Comm::endpoint(0, 1, vec![s], r),
-            spec: FaultSpec::healthy(),
-            stats: FaultStats::default(),
-            clock_ps: 0,
-        };
-        let _ = fc.send(0, tags::COLLECTIVE_BIT | 1, vec![1.0]);
+        run_faulty(1, FaultSpec::healthy(), |c| c.send(0, tags::COLLECTIVE_BIT | 1, vec![1.0]));
     }
 
     #[test]

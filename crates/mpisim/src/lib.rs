@@ -26,6 +26,9 @@
 //!   `pvs_core::ThreadPool`, scheduled by the simulated-picosecond
 //!   event core, bit-identical to the thread-backed runtime and able to
 //!   simulate 10⁵+ ranks without 10⁵ OS threads;
+//! * `collective` (private): the one definition of every collective —
+//!   schedules, canonical folds, survivor set, seeded per-message fault
+//!   charge — run as packets by `comm`/`fault`/`caf`, as sums by `event`;
 //! * [`tags`]: the collective tag namespace — the top tag bit is
 //!   reserved so user traffic can never collide with a collective's
 //!   internal messages.
@@ -48,6 +51,7 @@
 
 pub mod caf;
 pub mod cart;
+mod collective;
 pub mod comm;
 pub mod event;
 pub mod fault;

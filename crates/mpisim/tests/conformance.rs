@@ -156,6 +156,12 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
         spec_with(7, 1000, 3, 0),
         // Boundary regime: huge attempt budget exercises saturation.
         spec_with(21, 1000, 80, 0),
+        // Saturated clock: the first drop pins the clock at u64::MAX and
+        // every delivery is then delayed on top of it.
+        FaultSpec {
+            base_backoff_ps: u64::MAX,
+            ..spec_with(3, 500, 64, 1000)
+        },
     ];
     for spec in regimes {
         for n in [2usize, 4] {
@@ -216,6 +222,10 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
                 );
                 assert_eq!(Some(*v1_comm), report.comm_stats[rank], "traffic {ctx}");
                 assert_eq!(*v1_clock, report.clocks_ps[rank], "clock {ctx}");
+            }
+            if spec.base_backoff_ps == u64::MAX {
+                let pinned = report.clocks_ps.iter().filter(|&&c| c == u64::MAX).count();
+                assert!(pinned > 0, "seed={} n={n}: no delayed send after a drop", spec.seed);
             }
         }
     }

@@ -1,0 +1,127 @@
+//! Independent oracle for the collective schedules.
+//!
+//! Both runtimes take their schedules from one module, so a wrong
+//! schedule would move v1 and v2 together and `conformance.rs` would not
+//! see it. This table pins what every rank sends — literal
+//! `(messages_sent, bytes_sent)` worked out by hand from the algorithms'
+//! definitions (dissemination barrier, gather-to-all ring, binomial tree,
+//! all-to-all rotation), not from the code — and holds both runtimes to it.
+
+use pvs_mpisim::{run, CoArray, Comm, EventSim, Op, ScriptProgram};
+
+/// The collective `name` as rank `rank` of `p` enters it: 2-double sum,
+/// scalar max, ragged allgather rows of `rank % 3 + 1` doubles, 3-double
+/// broadcast, ragged all-to-all blocks of `(rank + dst) % 2 + 1` doubles.
+fn op(name: &str, rank: usize, p: usize) -> Op {
+    match name {
+        "barrier" => Op::Barrier,
+        "allreduce_sum" => Op::AllreduceSum { data: vec![rank as f64, 0.5] },
+        "allreduce_max" => Op::AllreduceMaxScalar { x: rank as f64 },
+        "allgather" => Op::Allgather { data: vec![1.0; rank % 3 + 1] },
+        "broadcast_first" => Op::Broadcast { root: 0, data: vec![2.0; 3] },
+        "broadcast_last" => Op::Broadcast { root: p - 1, data: vec![2.0; 3] },
+        "alltoallv" => Op::Alltoallv {
+            sends: (0..p).map(|dst| vec![0.0; (rank + dst) % 2 + 1]).collect(),
+        },
+        "cocreate" => Op::CoCreate { len: 4 },
+        other => panic!("no such collective: {other}"),
+    }
+}
+
+/// Execute a collective op on a v1 endpoint.
+fn perform(comm: &mut Comm, op: Op) {
+    match op {
+        Op::Barrier => comm.barrier(),
+        Op::AllreduceSum { data } => drop(comm.allreduce_sum(&data)),
+        Op::AllreduceMaxScalar { x } => drop(comm.allreduce_max_scalar(x)),
+        Op::Allgather { data } => drop(comm.allgather(&data)),
+        Op::Broadcast { root, data } => drop(comm.broadcast(root, data)),
+        Op::Alltoallv { sends } => drop(comm.alltoallv(sends)),
+        Op::CoCreate { len } => drop(CoArray::create(comm, len)),
+        other => panic!("not a collective: {other:?}"),
+    }
+}
+
+/// `(ranks, collective, per-rank (messages_sent, bytes_sent))`.
+#[rustfmt::skip]
+const ORACLE: &[(usize, &str, &[(u64, u64)])] = &[
+    (1, "barrier", &[(0, 0); 1]),
+    (1, "allreduce_sum", &[(0, 0); 1]),
+    (1, "allreduce_max", &[(0, 0); 1]),
+    (1, "allgather", &[(0, 0); 1]),
+    (1, "broadcast_first", &[(0, 0); 1]),
+    (1, "broadcast_last", &[(0, 0); 1]),
+    (1, "alltoallv", &[(0, 0); 1]),
+    (1, "cocreate", &[(0, 0); 1]),
+    (2, "barrier", &[(1, 0); 2]),
+    (2, "allreduce_sum", &[(1, 16); 2]),
+    (2, "allreduce_max", &[(1, 8); 2]),
+    (2, "allgather", &[(1, 16), (1, 24)]),
+    (2, "broadcast_first", &[(1, 24), (0, 0)]),
+    (2, "broadcast_last", &[(0, 0), (1, 24)]),
+    (2, "alltoallv", &[(1, 16); 2]),
+    (2, "cocreate", &[(1, 8); 2]),
+    (3, "barrier", &[(2, 0); 3]),
+    (3, "allreduce_sum", &[(2, 32); 3]),
+    (3, "allreduce_max", &[(2, 16); 3]),
+    (3, "allgather", &[(2, 48), (2, 40), (2, 56)]),
+    (3, "broadcast_first", &[(2, 48), (0, 0), (0, 0)]),
+    (3, "broadcast_last", &[(0, 0), (0, 0), (2, 48)]),
+    (3, "alltoallv", &[(2, 24), (2, 32), (2, 24)]),
+    (3, "cocreate", &[(2, 16); 3]),
+    (7, "barrier", &[(3, 0); 7]),
+    (7, "allreduce_sum", &[(6, 96); 7]),
+    (7, "allreduce_max", &[(6, 48); 7]),
+    (7, "allgather", &[(6, 136), (6, 128), (6, 144), (6, 136), (6, 128), (6, 144), (6, 144)]),
+    (7, "broadcast_first", &[(3, 72), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (0, 0)]),
+    (7, "broadcast_last", &[(0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (0, 0), (3, 72)]),
+    (7, "alltoallv", &[(6, 72), (6, 80), (6, 72), (6, 80), (6, 72), (6, 80), (6, 72)]),
+    (7, "cocreate", &[(6, 48); 7]),
+    (8, "barrier", &[(3, 0); 8]),
+    (8, "allreduce_sum", &[(7, 112); 8]),
+    (8, "allreduce_max", &[(7, 56); 8]),
+    (8, "allgather", &[
+        (7, 160), (7, 152), (7, 168), (7, 160), (7, 152), (7, 168), (7, 160), (7, 168),
+    ]),
+    (8, "broadcast_first", &[(3, 72), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0)]),
+    (8, "broadcast_last", &[(0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0), (3, 72)]),
+    (8, "alltoallv", &[(7, 88); 8]),
+    (8, "cocreate", &[(7, 56); 8]),
+    (16, "barrier", &[(4, 0); 16]),
+    (16, "allreduce_sum", &[(15, 240); 16]),
+    (16, "allreduce_max", &[(15, 120); 16]),
+    (16, "allgather", &[
+        (15, 352), (15, 344), (15, 360), (15, 352), (15, 344), (15, 360), (15, 352), (15, 344),
+        (15, 360), (15, 352), (15, 344), (15, 360), (15, 352), (15, 344), (15, 360), (15, 360),
+    ]),
+    (16, "broadcast_first", &[
+        (4, 96), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0),
+        (3, 72), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0),
+    ]),
+    (16, "broadcast_last", &[
+        (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0), (3, 72),
+        (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0), (4, 96),
+    ]),
+    (16, "alltoallv", &[(15, 184); 16]),
+    (16, "cocreate", &[(15, 120); 16]),
+];
+
+#[test]
+fn both_runtimes_send_exactly_the_tabulated_traffic() {
+    for &(p, name, expect) in ORACLE {
+        assert_eq!(expect.len(), p, "{name}@{p}: one row per rank");
+        let v1 = run(p, |mut comm| {
+            let op = op(name, comm.rank(), p);
+            perform(&mut comm, op);
+            (comm.stats().messages_sent, comm.stats().bytes_sent)
+        });
+        assert_eq!(v1, expect, "v1 {name}@{p}");
+        let report = EventSim::new(p).run(|rank, _| ScriptProgram::new(vec![op(name, rank, p)]));
+        let v2: Vec<(u64, u64)> = report
+            .into_values_and_stats()
+            .iter()
+            .map(|(_, stats)| (stats.messages_sent, stats.bytes_sent))
+            .collect();
+        assert_eq!(v2, expect, "v2 {name}@{p}");
+    }
+}

@@ -81,21 +81,19 @@ pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, Si
         .run(|rank, size| ScriptProgram::new(schedule(rank, size)));
     let sim = report.sim;
     let per_rank = report
-        .outcomes
+        .into_values_and_stats()
         .into_iter()
-        .zip(report.comm_stats)
-        .map(|(o, stats)| {
-            let replies = o.value().expect("healthy run");
+        .map(|(replies, stats)| {
             let (mut rows, mut norms, mut energy) = (Vec::new(), Vec::new(), Vec::new());
             for reply in replies {
                 match reply {
-                    Reply::Alltoall(r) => rows = r.clone(),
-                    Reply::Gathered(n) => norms = n.clone(),
-                    Reply::Reduced(Ok(e)) => energy = e.clone(),
+                    Reply::Alltoall(r) => rows = r,
+                    Reply::Gathered(n) => norms = n,
+                    Reply::Reduced(Ok(e)) => energy = e,
                     other => unreachable!("not in the PARATEC schedule: {other:?}"),
                 }
             }
-            (fold_output(&rows, &norms, &energy), stats.expect("healthy rank"))
+            (fold_output(&rows, &norms, &energy), stats)
         })
         .collect();
     (per_rank, sim)
