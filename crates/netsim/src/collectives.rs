@@ -103,22 +103,9 @@ pub fn halo_exchange_2d_stats_faulted(
 /// `bytes_per_pair` between every ordered pair of the first `p` endpoints —
 /// the communication core of a distributed matrix/FFT transpose.
 pub fn all_to_all_time(net: &Network, p: usize, bytes_per_pair: u64) -> f64 {
-    assert!(p <= net.config().endpoints);
-    let mut msgs = Vec::with_capacity(p * (p - 1));
-    // Stagger destinations (rotation schedule) like real MPI_Alltoall
-    // implementations to avoid synthetic endpoint hotspots.
-    for round in 1..p {
-        for src in 0..p {
-            let dst = (src + round) % p;
-            msgs.push(Message {
-                src,
-                dst,
-                bytes: bytes_per_pair,
-                submit_s: 0.0,
-            });
-        }
-    }
-    NetSim::new(net).run(&msgs).makespan_s
+    // Every rotation round simulated: the sampled schedule with nothing
+    // left to extrapolate.
+    all_to_all_stats_sampled(net, p, bytes_per_pair, p.saturating_sub(1).max(1)).makespan_s
 }
 
 /// Time (seconds) for a 3D face halo exchange over a `px × py × pz`
@@ -231,6 +218,8 @@ pub fn all_to_all_stats_sampled_faulted(
     let simulate = total_rounds.min(max_rounds);
     let stride = total_rounds as f64 / simulate as f64;
     let mut msgs = Vec::with_capacity(simulate * p);
+    // Stagger destinations (rotation schedule) like real MPI_Alltoall
+    // implementations to avoid synthetic endpoint hotspots.
     for k in 0..simulate {
         let round = 1 + (k as f64 * stride) as usize;
         for src in 0..p {
@@ -270,9 +259,10 @@ pub fn allreduce_stats_faulted(net: &Network, p: usize, bytes: u64, faults: &Lin
     }
     let rounds = (usize::BITS - (p - 1).leading_zeros()) as usize;
     let mut total: Option<SimStats> = None;
+    let mut msgs = Vec::with_capacity(p);
     for r in 0..rounds {
         let dist = 1usize << r;
-        let mut msgs = Vec::new();
+        msgs.clear();
         for src in 0..p {
             let dst = src ^ dist;
             if dst < p {
@@ -428,6 +418,54 @@ mod tests {
             (sampled - full).abs() / full < 0.35,
             "sampled {sampled} vs full {full}"
         );
+    }
+
+    #[test]
+    fn all_to_all_of_fewer_than_two_ranks_is_empty() {
+        let net = mk(TopologyKind::Crossbar, 4);
+        for p in [0, 1] {
+            assert_eq!(all_to_all_time(&net, p, 10_000), 0.0, "p={p}");
+            let stats = all_to_all_stats_sampled(&net, p, 10_000, 1);
+            assert_eq!(stats.messages, 0, "p={p}");
+            assert!(
+                stats.finish_s.is_empty() && stats.size_dist.is_empty(),
+                "p={p}"
+            );
+            assert_eq!(stats.makespan_s, 0.0, "p={p}");
+        }
+    }
+
+    #[test]
+    fn all_to_all_time_is_the_full_rotation_list_bit_for_bit() {
+        // Every rotation round, spelled out message by message.
+        let full_rotation = |net: &Network, p: usize, bytes: u64| {
+            let mut msgs = Vec::new();
+            for round in 1..p {
+                for src in 0..p {
+                    msgs.push(Message {
+                        src,
+                        dst: (src + round) % p,
+                        bytes,
+                        submit_s: 0.0,
+                    });
+                }
+            }
+            NetSim::new(net).run(&msgs).makespan_s
+        };
+        let slim_tree = TopologyKind::FatTree {
+            arity: 4,
+            slim: 0.5,
+        };
+        for kind in [TopologyKind::Crossbar, slim_tree, TopologyKind::Torus2D] {
+            let net = mk(kind, 33);
+            for p in [2, 16, 33] {
+                assert_eq!(
+                    all_to_all_time(&net, p, 40_000).to_bits(),
+                    full_rotation(&net, p, 40_000).to_bits(),
+                    "{kind:?} p={p}"
+                );
+            }
+        }
     }
 
     #[test]

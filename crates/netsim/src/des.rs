@@ -127,9 +127,11 @@ impl SimStats {
 pub struct NetSim<'a> {
     net: &'a Network,
     link_free_s: Vec<f64>,
-    /// Per-link bandwidth derating in `(0, 1]` (failure injection: a
-    /// degraded cable, a congested switch port).
-    link_derate: Vec<f64>,
+    /// Per-link delivered bandwidth in bytes/s, derated by the link's
+    /// failure-injection factor in `(0, 1]` (a degraded cable, a
+    /// congested switch port). A hop's transfer time is
+    /// `bytes / link_rate[l]`.
+    link_rate: Vec<f64>,
 }
 
 impl<'a> NetSim<'a> {
@@ -138,18 +140,28 @@ impl<'a> NetSim<'a> {
         Self {
             net,
             link_free_s: vec![0.0; net.num_links()],
-            link_derate: vec![1.0; net.num_links()],
+            link_rate: (0..net.num_links())
+                .map(|l| Self::rate(net, l, 1.0))
+                .collect(),
         }
     }
 
+    /// The one spelling of a link's delivered bytes/s. The operand order
+    /// is part of the model: every published cell's bits depend on it.
+    fn rate(net: &Network, id: usize, derate: f64) -> f64 {
+        net.link_bw(id) * derate * 1e9
+    }
+
     /// Simulator with the degradation half of a fault description already
-    /// applied: every link's derate is its
-    /// [`Network::effective_link_factor`] (degrades and crossbar
-    /// port-lane loss). Hard link failures are the network's concern —
-    /// build it with [`Network::with_faults`] so routes avoid them.
+    /// applied: every link named by a degrade or a crossbar port-lane
+    /// loss is derated to its [`Network::effective_link_factor`]. Hard
+    /// link failures are the network's concern — build it with
+    /// [`Network::with_faults`] so routes avoid them.
     pub fn with_faults(net: &'a Network, faults: &crate::fault::LinkFaults) -> Self {
         let mut sim = Self::new(net);
-        for id in 0..net.num_links() {
+        let degraded = faults.degraded_links.iter().map(|&(id, _)| id);
+        let ports = faults.lost_ports.iter().flat_map(|&e| [2 * e, 2 * e + 1]);
+        for id in degraded.chain(ports).filter(|&id| id < net.num_links()) {
             let factor = net.effective_link_factor(faults, id);
             if factor > 0.0 && factor < 1.0 {
                 sim.degrade_link(id, factor);
@@ -165,67 +177,89 @@ impl<'a> NetSim<'a> {
     /// participant).
     pub fn degrade_link(&mut self, id: usize, factor: f64) {
         assert!(factor > 0.0 && factor <= 1.0);
-        self.link_derate[id] = factor;
+        self.link_rate[id] = Self::rate(self.net, id, factor);
     }
 
     /// Simulate a batch of messages. Messages are processed in submission
     /// order (stable for equal times), each acquiring its route's links
     /// FIFO. Returns per-message finish times and the makespan.
     pub fn run(&mut self, messages: &[Message]) -> SimStats {
-        let mut order: Vec<usize> = (0..messages.len()).collect();
-        order.sort_by(|&a, &b| {
-            messages[a]
-                .submit_s
-                .partial_cmp(&messages[b].submit_s)
-                .expect("finite times")
-                .then(a.cmp(&b))
-        });
+        // Every collective submits its whole batch at t = 0, so the
+        // stable index sort only runs when the batch is out of order (a
+        // NaN time counts as out of order and fails the `expect`).
+        let in_order = messages.windows(2).all(|w| w[0].submit_s <= w[1].submit_s);
+        // Left empty, `order` stands for the identity.
+        let mut order: Vec<usize> = Vec::new();
+        if !in_order {
+            order.extend(0..messages.len());
+            order.sort_by(|&a, &b| {
+                messages[a]
+                    .submit_s
+                    .partial_cmp(&messages[b].submit_s)
+                    .expect("finite times")
+                    .then(a.cmp(&b))
+            });
+        }
 
         let latency_s = self.net.config().latency_us * 1e-6;
         let sw_latency = latency_s * (1.0 - HOP_LATENCY_SHARE);
         let hop_latency = latency_s * HOP_LATENCY_SHARE;
+        let local_rate = self.net.config().link_bw_gbs * 1e9;
 
         let mut finish = vec![0.0f64; messages.len()];
         let mut total_bytes = 0u64;
         let mut hops = 0u64;
         let mut link_bytes = vec![0u64; self.net.num_links()];
-        let mut size_dist: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut hop_dist: BTreeMap<u64, u64> = BTreeMap::new();
-        for &i in &order {
+        // Distributions are kept flat while messages fly and become maps
+        // once, below: payload sizes as runs of equal consecutive sizes
+        // (a collective has one or two), hop counts as an array indexed
+        // by route length.
+        let mut size_runs: Vec<(u64, u64)> = Vec::new();
+        let mut hop_counts: Vec<u64> = Vec::new();
+        let mut route: Vec<usize> = Vec::new();
+        for k in 0..messages.len() {
+            let i = order.get(k).copied().unwrap_or(k);
             let m = &messages[i];
             total_bytes += m.bytes;
-            let route = self.net.route(m.src, m.dst);
+            self.net.route_into(m.src, m.dst, &mut route);
             hops += route.len() as u64;
-            *size_dist.entry(m.bytes).or_insert(0) += 1;
-            *hop_dist.entry(route.len() as u64).or_insert(0) += 1;
-            for &l in route.iter() {
-                link_bytes[l] += m.bytes;
+            match size_runs.last_mut() {
+                Some((bytes, n)) if *bytes == m.bytes => *n += 1,
+                _ => size_runs.push((m.bytes, 1)),
             }
+            if hop_counts.len() <= route.len() {
+                hop_counts.resize(route.len() + 1, 0);
+            }
+            hop_counts[route.len()] += 1;
+            let bytes = m.bytes as f64;
             if route.is_empty() {
                 // Local copy: charge only a memcpy-ish cost via injection bw.
-                finish[i] = m.submit_s + m.bytes as f64 / (self.net.config().link_bw_gbs * 1e9);
+                finish[i] = m.submit_s + bytes / local_rate;
                 continue;
             }
+            // The first (injection) link carries the per-message software
+            // overhead: a sender issuing many small messages serializes
+            // on it (what makes per-band FFT transposes latency-bound at
+            // high processor counts). Every further hop costs the
+            // wire/switch share.
             let mut t = m.submit_s;
-            for (k, &l) in route.iter().enumerate() {
+            let mut latency = sw_latency;
+            for &l in &route {
+                link_bytes[l] += m.bytes;
                 let start = t.max(self.link_free_s[l]);
-                let xfer = m.bytes as f64 / (self.net.link_bw(l) * self.link_derate[l] * 1e9);
-                // The first (injection) link carries the per-message
-                // software overhead: a sender issuing many small messages
-                // serializes on it (what makes per-band FFT transposes
-                // latency-bound at high processor counts). Every further
-                // hop costs the wire/switch share.
-                let occupancy = if k == 0 {
-                    sw_latency + xfer
-                } else {
-                    hop_latency + xfer
-                };
+                let occupancy = latency + bytes / self.link_rate[l];
                 t = start + occupancy;
                 self.link_free_s[l] = t;
+                latency = hop_latency;
             }
             finish[i] = t;
         }
         let makespan_s = finish.iter().cloned().fold(0.0, f64::max);
+        let mut size_dist: BTreeMap<u64, u64> = BTreeMap::new();
+        for (bytes, n) in size_runs {
+            *size_dist.entry(bytes).or_insert(0) += n;
+        }
+        let hop_dist = (0u64..).zip(hop_counts).filter(|&(_, n)| n > 0).collect();
         SimStats {
             finish_s: finish,
             makespan_s,
@@ -451,6 +485,44 @@ mod tests {
         sim.degrade_link(2 * 3, 0.01); // rank 3's injection link: not on the route
         let faulty = sim.run(&msgs).makespan_s;
         assert!((clean - faulty).abs() < 1e-15);
+    }
+
+    #[test]
+    fn healthy_with_faults_is_new_and_fault_entries_reach_their_links() {
+        use crate::fault::LinkFaults;
+        let n = net(TopologyKind::Crossbar, 8);
+        let msgs: Vec<Message> = (0..8)
+            .map(|i| Message {
+                src: i,
+                dst: (i + 3) % 8,
+                bytes: 50_000 + i as u64,
+                submit_s: 0.0,
+            })
+            .collect();
+        let plain = NetSim::new(&n).run(&msgs);
+        let healthy = NetSim::with_faults(&n, &LinkFaults::healthy()).run(&msgs);
+        assert_eq!(plain.finish_s, healthy.finish_s);
+        assert_eq!(plain.makespan_s, healthy.makespan_s);
+        assert_eq!(plain.link_bytes, healthy.link_bytes);
+        assert_eq!(plain.size_dist, healthy.size_dist);
+        assert_eq!(plain.hop_dist, healthy.hop_dist);
+
+        // Two 0.5 derates on one link compose to 0.25; a lost port
+        // halves both of its endpoint's links; out-of-range ids are
+        // ignored.
+        let faults = LinkFaults::healthy()
+            .degrade_link(4, 0.5)
+            .degrade_link(4, 0.5)
+            .degrade_link(999, 0.5)
+            .lose_port(5)
+            .lose_port(99);
+        let by_faults = NetSim::with_faults(&n, &faults).run(&msgs);
+        let mut by_hand = NetSim::new(&n);
+        by_hand.degrade_link(4, 0.25);
+        by_hand.degrade_link(10, 0.5);
+        by_hand.degrade_link(11, 0.5);
+        assert_eq!(by_faults.finish_s, by_hand.run(&msgs).finish_s);
+        assert!(by_faults.makespan_s > plain.makespan_s);
     }
 
     #[test]

@@ -49,8 +49,10 @@ pub struct Network {
     links: Vec<Link>,
     /// Torus dimensions when applicable.
     torus_dims: Option<(usize, usize)>,
-    /// Fat-tree level count when applicable.
-    tree_levels: usize,
+    /// Fat-tree levels, leaf uplinks first: `(group, base)` where a level
+    /// groups `group` endpoints under one switch and group `g`'s up/down
+    /// link pair sits at `base + 2 * g`. Empty for the other topologies.
+    tree: Vec<(usize, usize)>,
     /// Hard-failed link ids (empty for a healthy network). Only the torus
     /// can route around these; see [`Network::with_faults`].
     failed: Vec<bool>,
@@ -72,19 +74,12 @@ impl Network {
                     config,
                     links,
                     torus_dims: None,
-                    tree_levels: 0,
+                    tree: Vec::new(),
                     failed: Vec::new(),
                 }
             }
             TopologyKind::FatTree { arity, slim } => {
                 assert!(arity >= 2);
-                // Levels needed to span all endpoints.
-                let mut levels = 0usize;
-                let mut span = 1usize;
-                while span < config.endpoints {
-                    span *= arity;
-                    levels += 1;
-                }
                 // Links: first, one injection + one ejection link per
                 // endpoint into its leaf switch; then, for each level l
                 // (0 = leaf uplink), each group of arity^(l+1) endpoints
@@ -96,21 +91,22 @@ impl Network {
                         bw_gbs: config.link_bw_gbs,
                     })
                     .collect();
-                for l in 0..levels {
-                    let group = pow(arity, l + 1);
+                // As many levels as it takes to span all endpoints.
+                let mut tree = Vec::new();
+                let mut group = 1usize;
+                while group < config.endpoints {
+                    group *= arity;
                     let groups = config.endpoints.div_ceil(group);
-                    let cap = config.link_bw_gbs * (arity as f64 * slim).powi(l as i32);
-                    for _ in 0..groups {
-                        // up and down
-                        links.push(Link { bw_gbs: cap });
-                        links.push(Link { bw_gbs: cap });
-                    }
+                    let cap = config.link_bw_gbs * (arity as f64 * slim).powi(tree.len() as i32);
+                    tree.push((group, links.len()));
+                    // up and down, per group
+                    links.resize(links.len() + 2 * groups, Link { bw_gbs: cap });
                 }
                 Self {
                     config,
                     links,
                     torus_dims: None,
-                    tree_levels: levels,
+                    tree,
                     failed: Vec::new(),
                 }
             }
@@ -126,7 +122,7 @@ impl Network {
                     config,
                     links,
                     torus_dims: Some((x, y)),
-                    tree_levels: 0,
+                    tree: Vec::new(),
                     failed: Vec::new(),
                 }
             }
@@ -188,101 +184,114 @@ impl Network {
     /// Deterministic route from `src` to `dst` as a list of link ids.
     /// An empty route means a local (same-endpoint) transfer.
     pub fn route(&self, src: usize, dst: usize) -> Vec<usize> {
+        let mut route = Vec::new();
+        self.route_into(src, dst, &mut route);
+        route
+    }
+
+    /// [`Network::route`] written into a caller-owned buffer, so a
+    /// simulator routing thousands of messages allocates once. The
+    /// contract [`crate::des::NetSim::run`] relies on: `route` is cleared
+    /// first (stale contents never survive); links are pushed in
+    /// traversal order; and the link leaving `src` (its injection link)
+    /// comes first, so index 0 is the one that carries the per-message
+    /// software latency.
+    pub fn route_into(&self, src: usize, dst: usize, route: &mut Vec<usize>) {
         assert!(src < self.config.endpoints && dst < self.config.endpoints);
+        route.clear();
         if src == dst {
-            return Vec::new();
+            return;
         }
         match self.config.kind {
-            TopologyKind::Crossbar => {
-                vec![2 * src, 2 * dst + 1]
-            }
-            TopologyKind::FatTree { arity, .. } => {
-                // Inject at src, climb until src and dst share a group
-                // (collecting the up links of src's groups and down links of
-                // dst's groups), then eject at dst.
-                let mut up = vec![2 * src];
-                let mut down = vec![2 * dst + 1];
-                let mut base = 2 * self.config.endpoints; // link offset of level l
-                for l in 0..self.tree_levels {
-                    let group = pow(arity, l + 1);
-                    let groups = self.config.endpoints.div_ceil(group);
+            TopologyKind::Crossbar => route.extend([2 * src, 2 * dst + 1]),
+            TopologyKind::FatTree { .. } => {
+                // Inject at src, climb src's up links until src and dst
+                // share a group, descend dst's down links, eject at dst.
+                route.push(2 * src);
+                let mut climbed = 0;
+                for &(group, base) in &self.tree {
                     let gs = src / group;
-                    let gd = dst / group;
-                    if gs == gd {
+                    if gs == dst / group {
                         break;
                     }
-                    // Each group has [up, down] pair at base + 2*g.
-                    up.push(base + 2 * gs);
-                    down.push(base + 2 * gd + 1);
-                    base += 2 * groups;
+                    route.push(base + 2 * gs);
+                    climbed += 1;
                 }
-                down.reverse();
-                up.extend(down);
-                up
+                for &(group, base) in self.tree[..climbed].iter().rev() {
+                    route.push(base + 2 * (dst / group) + 1);
+                }
+                route.push(2 * dst + 1);
             }
-            TopologyKind::Torus2D => {
-                let (xd, yd) = self.torus_dims.expect("torus dims");
-                let (sx, sy) = (src % xd, src / xd);
-                let (dx, dy) = (dst % xd, dst / xd);
-                // Dimension-order routing, X then Y. Per ring, the
-                // shortest direction is preferred (ties go forward); a
-                // hard-failed link on the preferred arc flips the whole
-                // traversal to the long way round that ring.
-                let mut route = self.ring_traversal(sx, dx, xd, |c| sy * xd + c, 0);
-                route.extend(self.ring_traversal(sy, dy, yd, |c| c * xd + dx, 2));
-                route
-            }
+            TopologyKind::Torus2D => route.extend(self.torus_route(src, dst)),
         }
     }
 
-    /// Links for one torus-ring traversal from coordinate `from` to `to`
-    /// on a ring of `len` nodes. `node_of(c)` maps a ring coordinate to a
-    /// node id; `dir_base` selects the dimension's link pair (0 = ±x,
-    /// 2 = ±y). Prefers the shortest direction; a failed link on that arc
-    /// diverts the whole traversal the other way round the ring.
+    /// Dimension-order torus route, X ring then Y ring.
+    fn torus_route(&self, src: usize, dst: usize) -> impl Iterator<Item = usize> {
+        let (xd, yd) = self.torus_dims.expect("torus dims");
+        let (sx, sy) = (src % xd, src / xd);
+        let (dx, dy) = (dst % xd, dst / xd);
+        self.ring_traversal(sx, dx, xd, move |c| sy * xd + c, 0)
+            .chain(self.ring_traversal(sy, dy, yd, move |c| c * xd + dx, 2))
+    }
+
+    /// Links of one torus-ring traversal from coordinate `from` to `to`
+    /// on a ring of `len` nodes, in order. `node_of(c)` maps a ring
+    /// coordinate to a node id; `dir_base` selects the dimension's link
+    /// pair (0 = ±x, 2 = ±y). Prefers the shortest direction (ties go
+    /// forward); a hard-failed link on that arc diverts the whole
+    /// traversal the long way round the ring.
     fn ring_traversal(
         &self,
         from: usize,
         to: usize,
         len: usize,
-        node_of: impl Fn(usize) -> usize,
+        node_of: impl Fn(usize) -> usize + Copy,
         dir_base: usize,
-    ) -> Vec<usize> {
-        if from == to {
-            return Vec::new();
-        }
+    ) -> impl Iterator<Item = usize> {
         let fwd = (to + len - from) % len;
-        let arc = |forward: bool| -> Vec<usize> {
-            let mut links = Vec::new();
+        let arc = move |forward: bool| {
+            let hops = if forward { fwd } else { len - fwd };
             let mut c = from;
-            while c != to {
+            (0..hops).map(move |_| {
                 let node = node_of(c);
                 if forward {
-                    links.push(4 * node + dir_base);
-                    c = (c + 1) % len;
+                    c = if c + 1 == len { 0 } else { c + 1 };
+                    4 * node + dir_base
                 } else {
-                    links.push(4 * node + dir_base + 1);
-                    c = (c + len - 1) % len;
+                    c = if c == 0 { len - 1 } else { c - 1 };
+                    4 * node + dir_base + 1
                 }
-            }
-            links
+            })
         };
-        let preferred = arc(fwd <= len - fwd);
-        if !preferred.iter().any(|&l| self.link_failed(l)) {
-            return preferred;
+        let blocked =
+            |forward: bool| !self.failed.is_empty() && arc(forward).any(|l| self.failed[l]);
+        let mut forward = fwd <= len - fwd;
+        if blocked(forward) {
+            forward = !forward;
+            assert!(
+                !blocked(forward),
+                "torus ring partitioned: failures on both arcs between \
+                 coordinates {from} and {to}"
+            );
         }
-        let detour = arc(fwd > len - fwd);
-        assert!(
-            !detour.iter().any(|&l| self.link_failed(l)),
-            "torus ring partitioned: failures on both arcs between \
-             coordinates {from} and {to}"
-        );
-        detour
+        arc(forward)
     }
 
     /// Hop count between two endpoints.
     pub fn hops(&self, src: usize, dst: usize) -> usize {
-        self.route(src, dst).len()
+        assert!(src < self.config.endpoints && dst < self.config.endpoints);
+        if src == dst {
+            return 0;
+        }
+        match self.config.kind {
+            TopologyKind::Crossbar => 2,
+            TopologyKind::FatTree { .. } => {
+                let apart = |&&(group, _): &&(usize, usize)| src / group != dst / group;
+                2 + 2 * self.tree.iter().take_while(apart).count()
+            }
+            TopologyKind::Torus2D => self.torus_route(src, dst).count(),
+        }
     }
 
     /// Effective bandwidth factor of link `id` under `faults`, in
@@ -313,12 +322,11 @@ impl Network {
                 (n as f64 / 2.0) * self.config.link_bw_gbs
             }
             TopologyKind::FatTree { arity, slim } => {
-                if self.tree_levels == 0 {
-                    return f64::INFINITY;
-                }
                 // Cut at the top level: capacity of top-level links.
-                let l = self.tree_levels - 1;
-                let group = pow(arity, l + 1);
+                let Some(&(group, _)) = self.tree.last() else {
+                    return f64::INFINITY;
+                };
+                let l = self.tree.len() - 1;
                 let groups = n.div_ceil(group);
                 let cap = self.config.link_bw_gbs * (arity as f64 * slim).powi(l as i32);
                 // Links crossing the cut ~ half of the top-level groups' uplinks.
@@ -416,10 +424,6 @@ impl Network {
             .map(|&id| healthy_per_link * self.effective_link_factor(faults, id))
             .sum()
     }
-}
-
-fn pow(base: usize, exp: usize) -> usize {
-    base.pow(exp as u32)
 }
 
 /// Factor `n` into the most-square `(x, y)` with `x * y >= n`.

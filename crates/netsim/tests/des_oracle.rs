@@ -1,0 +1,577 @@
+//! Independent oracle for the DES hot path.
+//!
+//! `NetSim::run` and `Network::route_into` are written for speed: one
+//! scratch route buffer, hoisted per-link denominators, run-length
+//! bookkeeping, a sort only when the batch needs one. This file keeps the
+//! straightforward spelling — a fresh `Vec` per route, a `BTreeMap` update
+//! per message, an unconditional stable sort, a derate looked up per link —
+//! as a private reference, and requires the crate to agree with it **bit
+//! for bit** on every `SimStats` field, for every topology family, every
+//! collective the engine issues, and every fault shape the chaos harness
+//! injects. The message lists are rebuilt here too, so the collectives'
+//! schedules are checked against a second spelling as well.
+
+use std::collections::BTreeMap;
+
+use pvs_netsim::collectives::{
+    all_to_all_stats_sampled_faulted, allreduce_stats_faulted, halo_exchange_2d_stats_faulted,
+    halo_exchange_3d_stats_faulted,
+};
+use pvs_netsim::{LinkFaults, Message, NetSim, Network, NetworkConfig, SimStats, TopologyKind};
+
+const HOP_LATENCY_SHARE: f64 = 0.1;
+const ENDPOINTS: [usize; 7] = [1, 2, 7, 16, 64, 250, 1024];
+
+fn kinds() -> [TopologyKind; 6] {
+    let tree = |arity, slim| TopologyKind::FatTree { arity, slim };
+    [
+        TopologyKind::Crossbar,
+        tree(2, 1.0),
+        tree(2, 0.5),
+        tree(4, 1.0),
+        tree(4, 0.5),
+        TopologyKind::Torus2D,
+    ]
+}
+
+fn cfg(kind: TopologyKind, endpoints: usize) -> NetworkConfig {
+    NetworkConfig {
+        kind,
+        endpoints,
+        // With this bandwidth and the 0.7 derate of `fault_cases`, the three
+        // ways to associate `bw * derate * 1e9` give three different
+        // doubles, so the operand order of the hoisted rate is pinned.
+        link_bw_gbs: 2.718281828,
+        latency_us: 7.3,
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reference: routing
+// ---------------------------------------------------------------------
+
+fn ref_route(net: &Network, src: usize, dst: usize) -> Vec<usize> {
+    let endpoints = net.config().endpoints;
+    assert!(src < endpoints && dst < endpoints);
+    if src == dst {
+        return Vec::new();
+    }
+    match net.config().kind {
+        TopologyKind::Crossbar => vec![2 * src, 2 * dst + 1],
+        TopologyKind::FatTree { arity, .. } => {
+            let mut levels = 0usize;
+            let mut span = 1usize;
+            while span < endpoints {
+                span *= arity;
+                levels += 1;
+            }
+            let mut up = vec![2 * src];
+            let mut down = vec![2 * dst + 1];
+            let mut base = 2 * endpoints;
+            for l in 0..levels {
+                let group = arity.pow(l as u32 + 1);
+                let groups = endpoints.div_ceil(group);
+                let gs = src / group;
+                let gd = dst / group;
+                if gs == gd {
+                    break;
+                }
+                up.push(base + 2 * gs);
+                down.push(base + 2 * gd + 1);
+                base += 2 * groups;
+            }
+            down.reverse();
+            up.extend(down);
+            up
+        }
+        TopologyKind::Torus2D => {
+            let (xd, yd) = net.torus_dims().expect("torus dims");
+            let (sx, sy) = (src % xd, src / xd);
+            let (dx, dy) = (dst % xd, dst / xd);
+            let mut route = ref_ring(net, sx, dx, xd, |c| sy * xd + c, 0);
+            route.extend(ref_ring(net, sy, dy, yd, |c| c * xd + dx, 2));
+            route
+        }
+    }
+}
+
+fn ref_ring(
+    net: &Network,
+    from: usize,
+    to: usize,
+    len: usize,
+    node_of: impl Fn(usize) -> usize,
+    dir_base: usize,
+) -> Vec<usize> {
+    if from == to {
+        return Vec::new();
+    }
+    let fwd = (to + len - from) % len;
+    let arc = |forward: bool| -> Vec<usize> {
+        let mut links = Vec::new();
+        let mut c = from;
+        while c != to {
+            let node = node_of(c);
+            if forward {
+                links.push(4 * node + dir_base);
+                c = (c + 1) % len;
+            } else {
+                links.push(4 * node + dir_base + 1);
+                c = (c + len - 1) % len;
+            }
+        }
+        links
+    };
+    let preferred = arc(fwd <= len - fwd);
+    if !preferred.iter().any(|&l| net.link_failed(l)) {
+        return preferred;
+    }
+    let detour = arc(fwd > len - fwd);
+    assert!(
+        !detour.iter().any(|&l| net.link_failed(l)),
+        "reference: torus ring partitioned"
+    );
+    detour
+}
+
+// ---------------------------------------------------------------------
+// The reference: the simulator
+// ---------------------------------------------------------------------
+
+/// Straightforward simulator state: per-link free time and derate.
+struct RefSim<'a> {
+    net: &'a Network,
+    link_free_s: Vec<f64>,
+    link_derate: Vec<f64>,
+}
+
+impl<'a> RefSim<'a> {
+    /// Every link asked for its effective factor, one by one.
+    fn with_faults(net: &'a Network, faults: &LinkFaults) -> Self {
+        let mut link_derate = vec![1.0; net.num_links()];
+        for (id, derate) in link_derate.iter_mut().enumerate() {
+            let factor = net.effective_link_factor(faults, id);
+            if factor > 0.0 && factor < 1.0 {
+                *derate = factor;
+            }
+        }
+        Self {
+            net,
+            link_free_s: vec![0.0; net.num_links()],
+            link_derate,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.link_free_s.iter_mut().for_each(|t| *t = 0.0);
+    }
+
+    fn run(&mut self, messages: &[Message]) -> SimStats {
+        let mut order: Vec<usize> = (0..messages.len()).collect();
+        order.sort_by(|&a, &b| {
+            messages[a]
+                .submit_s
+                .partial_cmp(&messages[b].submit_s)
+                .expect("finite times")
+                .then(a.cmp(&b))
+        });
+        let latency_s = self.net.config().latency_us * 1e-6;
+        let sw_latency = latency_s * (1.0 - HOP_LATENCY_SHARE);
+        let hop_latency = latency_s * HOP_LATENCY_SHARE;
+
+        let mut finish = vec![0.0f64; messages.len()];
+        let mut total_bytes = 0u64;
+        let mut hops = 0u64;
+        let mut link_bytes = vec![0u64; self.net.num_links()];
+        let mut size_dist: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut hop_dist: BTreeMap<u64, u64> = BTreeMap::new();
+        for &i in &order {
+            let m = &messages[i];
+            total_bytes += m.bytes;
+            let route = ref_route(self.net, m.src, m.dst);
+            hops += route.len() as u64;
+            *size_dist.entry(m.bytes).or_insert(0) += 1;
+            *hop_dist.entry(route.len() as u64).or_insert(0) += 1;
+            for &l in route.iter() {
+                link_bytes[l] += m.bytes;
+            }
+            if route.is_empty() {
+                finish[i] = m.submit_s + m.bytes as f64 / (self.net.config().link_bw_gbs * 1e9);
+                continue;
+            }
+            let mut t = m.submit_s;
+            for (k, &l) in route.iter().enumerate() {
+                let start = t.max(self.link_free_s[l]);
+                let xfer = m.bytes as f64 / (self.net.link_bw(l) * self.link_derate[l] * 1e9);
+                let occupancy = if k == 0 {
+                    sw_latency + xfer
+                } else {
+                    hop_latency + xfer
+                };
+                t = start + occupancy;
+                self.link_free_s[l] = t;
+            }
+            finish[i] = t;
+        }
+        let makespan_s = finish.iter().cloned().fold(0.0, f64::max);
+        SimStats {
+            finish_s: finish,
+            makespan_s,
+            total_bytes,
+            messages: messages.len() as u64,
+            hops,
+            link_bytes,
+            size_dist,
+            hop_dist,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reference: message lists of the four collectives
+// ---------------------------------------------------------------------
+
+fn msg(src: usize, dst: usize, bytes: u64) -> Message {
+    Message {
+        src,
+        dst,
+        bytes,
+        submit_s: 0.0,
+    }
+}
+
+fn halo_2d_msgs(px: usize, py: usize, edge: u64, corner: u64) -> Vec<Message> {
+    let rank = |x: usize, y: usize| (y % py) * px + (x % px);
+    let mut msgs = Vec::new();
+    for y in 0..py {
+        for x in 0..px {
+            let src = rank(x, y);
+            for (dx, dy) in [(1, 0), (px - 1, 0), (0, 1), (0, py - 1)] {
+                let dst = rank(x + dx, y + dy);
+                if dst != src && edge > 0 {
+                    msgs.push(msg(src, dst, edge));
+                }
+            }
+            for (dx, dy) in [(1, 1), (1, py - 1), (px - 1, 1), (px - 1, py - 1)] {
+                let dst = rank(x + dx, y + dy);
+                if dst != src && corner > 0 {
+                    msgs.push(msg(src, dst, corner));
+                }
+            }
+        }
+    }
+    msgs
+}
+
+fn halo_3d_msgs(px: usize, py: usize, pz: usize, face: u64) -> Vec<Message> {
+    let rank = |x: usize, y: usize, z: usize| ((z % pz) * py + (y % py)) * px + (x % px);
+    let mut msgs = Vec::new();
+    for z in 0..pz {
+        for y in 0..py {
+            for x in 0..px {
+                let src = rank(x, y, z);
+                let steps = [
+                    (1, 0, 0),
+                    (px - 1, 0, 0),
+                    (0, 1, 0),
+                    (0, py - 1, 0),
+                    (0, 0, 1),
+                    (0, 0, pz - 1),
+                ];
+                for (dx, dy, dz) in steps {
+                    let dst = rank(x + dx, y + dy, z + dz);
+                    if dst != src {
+                        msgs.push(msg(src, dst, face));
+                    }
+                }
+            }
+        }
+    }
+    msgs
+}
+
+/// Sampled rotation schedule and the factor its makespan is scaled by.
+fn all_to_all_msgs(p: usize, bytes: u64, max_rounds: usize) -> (Vec<Message>, f64) {
+    if p < 2 {
+        return (Vec::new(), 1.0);
+    }
+    let total_rounds = p - 1;
+    let simulate = total_rounds.min(max_rounds);
+    let stride = total_rounds as f64 / simulate as f64;
+    let mut msgs = Vec::new();
+    for k in 0..simulate {
+        let round = 1 + (k as f64 * stride) as usize;
+        for src in 0..p {
+            msgs.push(msg(src, (src + round) % p, bytes));
+        }
+    }
+    (msgs, total_rounds as f64 / simulate as f64)
+}
+
+/// One message list per recursive-doubling round.
+fn allreduce_rounds(p: usize, bytes: u64) -> Vec<Vec<Message>> {
+    let mut rounds = Vec::new();
+    let mut dist = 1usize;
+    while dist < p {
+        rounds.push(
+            (0..p)
+                .filter(|src| src ^ dist < p)
+                .map(|src| msg(src, src ^ dist, bytes))
+                .collect(),
+        );
+        dist <<= 1;
+    }
+    rounds
+}
+
+// ---------------------------------------------------------------------
+// Comparison
+// ---------------------------------------------------------------------
+
+fn assert_same(got: &SimStats, want: &SimStats, ctx: &str) {
+    assert_eq!(
+        got.finish_s.len(),
+        want.finish_s.len(),
+        "{ctx}: finish_s length"
+    );
+    for (i, (g, w)) in got.finish_s.iter().zip(&want.finish_s).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{ctx}: finish_s[{i}] {g:e} vs {w:e}"
+        );
+    }
+    assert_eq!(
+        got.makespan_s.to_bits(),
+        want.makespan_s.to_bits(),
+        "{ctx}: makespan_s {:e} vs {:e}",
+        got.makespan_s,
+        want.makespan_s
+    );
+    assert_eq!(got.total_bytes, want.total_bytes, "{ctx}: total_bytes");
+    assert_eq!(got.messages, want.messages, "{ctx}: messages");
+    assert_eq!(got.hops, want.hops, "{ctx}: hops");
+    assert_eq!(got.link_bytes, want.link_bytes, "{ctx}: link_bytes");
+    assert_eq!(got.size_dist, want.size_dist, "{ctx}: size_dist");
+    assert_eq!(got.hop_dist, want.hop_dist, "{ctx}: hop_dist");
+}
+
+/// Smallest-first factorisation of `n` into `parts` factors.
+fn factors(n: usize, parts: usize) -> Vec<usize> {
+    if parts == 1 {
+        return vec![n];
+    }
+    let root = (n as f64).powf(1.0 / parts as f64).round() as usize;
+    let f = (1..=root.max(1))
+        .rev()
+        .find(|&f| n.is_multiple_of(f))
+        .unwrap_or(1);
+    let mut rest = factors(n / f, parts - 1);
+    rest.insert(0, f);
+    rest
+}
+
+/// The fault shapes the chaos harness injects, as `(label, faults)`.
+/// Hard failures are only legal on the torus.
+fn fault_cases(net: &Network) -> Vec<(&'static str, LinkFaults)> {
+    let last = net.num_links() - 1;
+    let mut cases = vec![
+        ("healthy", LinkFaults::healthy()),
+        (
+            "degraded",
+            // Link 0 is endpoint 0's injection link (+x of node 0 on the
+            // torus); the last link is the top of the tree. The second
+            // one composes two derates.
+            LinkFaults::healthy()
+                .degrade_link(0, 0.7)
+                .degrade_link(last, 0.5)
+                .degrade_link(last, 0.5),
+        ),
+        (
+            "lost-port",
+            LinkFaults::healthy()
+                .lose_port(0)
+                .lose_port(net.config().endpoints / 2),
+        ),
+    ];
+    if matches!(net.config().kind, TopologyKind::Torus2D) {
+        cases.push((
+            "failed-links",
+            LinkFaults::healthy()
+                .fail_link(0)
+                .fail_link(2)
+                .degrade_link(1, 0.7),
+        ));
+    }
+    cases
+}
+
+/// Every `(kind, endpoints, fault case)` the collectives are checked on.
+fn for_each_network(mut check: impl FnMut(&Network, &LinkFaults, &str)) {
+    for kind in kinds() {
+        for endpoints in ENDPOINTS {
+            let healthy = Network::new(cfg(kind, endpoints));
+            for (label, faults) in fault_cases(&healthy) {
+                let net = Network::with_faults(cfg(kind, endpoints), &faults);
+                check(&net, &faults, &format!("{kind:?} n={endpoints} {label}"));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Tests
+// ---------------------------------------------------------------------
+
+#[test]
+fn halo_exchanges_match_the_reference() {
+    for_each_network(|net, faults, ctx| {
+        let n = net.config().endpoints;
+        let g = factors(n, 2);
+        let want = RefSim::with_faults(net, faults).run(&halo_2d_msgs(g[0], g[1], 48_000, 600));
+        let got = halo_exchange_2d_stats_faulted(net, g[0], g[1], 48_000, 600, faults);
+        assert_same(&got, &want, &format!("halo2d {ctx}"));
+
+        let g = factors(n, 3);
+        let want = RefSim::with_faults(net, faults).run(&halo_3d_msgs(g[0], g[1], g[2], 125_000));
+        let got = halo_exchange_3d_stats_faulted(net, g[0], g[1], g[2], 125_000, faults);
+        assert_same(&got, &want, &format!("halo3d {ctx}"));
+    });
+}
+
+#[test]
+fn sampled_all_to_all_matches_the_reference() {
+    for_each_network(|net, faults, ctx| {
+        let p = net.config().endpoints;
+        let (msgs, scale) = all_to_all_msgs(p, 9_216, 24);
+        let mut want = RefSim::with_faults(net, faults).run(&msgs);
+        want.makespan_s *= scale;
+        let got = all_to_all_stats_sampled_faulted(net, p, 9_216, 24, faults);
+        assert_same(&got, &want, &format!("all-to-all {ctx}"));
+    });
+}
+
+#[test]
+fn allreduce_matches_the_reference() {
+    for_each_network(|net, faults, ctx| {
+        let p = net.config().endpoints;
+        let mut sim = RefSim::with_faults(net, faults);
+        let mut want = sim.run(&[]);
+        for (r, msgs) in allreduce_rounds(p, 8_192).iter().enumerate() {
+            sim.reset();
+            let round = sim.run(msgs);
+            if r == 0 {
+                want = round;
+            } else {
+                want.absorb_sequential(&round);
+            }
+        }
+        let got = allreduce_stats_faulted(net, p, 8_192, faults);
+        assert_same(&got, &want, &format!("allreduce {ctx}"));
+    });
+}
+
+/// A batch no collective produces: submit times out of order and tied,
+/// three payload sizes interleaved, local copies, and a second batch on
+/// the same (un-reset, then reset) simulator. Exercises the sort
+/// fallback, the run-length flush and the 0-hop bucket.
+#[test]
+fn hand_built_batches_match_the_reference() {
+    for_each_network(|net, faults, ctx| {
+        let n = net.config().endpoints;
+        let sizes = [4_096u64, 17, 4_096, 4_096, 1_000_000, 17];
+        let times = [3e-6, 0.0, 3e-6, 1e-6, 0.0, 2.5e-4, 1e-6];
+        let unsorted: Vec<Message> = (0..60)
+            .map(|i| Message {
+                src: (i * 7) % n,
+                dst: if i % 5 == 0 {
+                    (i * 7) % n
+                } else {
+                    (i * 11 + 3) % n
+                },
+                bytes: sizes[i % sizes.len()],
+                submit_s: times[i % times.len()],
+            })
+            .collect();
+        // Already non-decreasing, with ties and a size change mid-run.
+        let sorted: Vec<Message> = (0..40)
+            .map(|i| Message {
+                src: (i * 3) % n,
+                dst: (i * 13 + 1) % n,
+                bytes: if i < 25 { 2_048 } else { 96 },
+                submit_s: (i / 4) as f64 * 1e-6,
+            })
+            .collect();
+
+        let mut reference = RefSim::with_faults(net, faults);
+        let mut sim = NetSim::with_faults(net, faults);
+        assert_same(
+            &sim.run(&unsorted),
+            &reference.run(&unsorted),
+            &format!("unsorted {ctx}"),
+        );
+        // Link occupancy carries over into the next batch…
+        assert_same(
+            &sim.run(&sorted),
+            &reference.run(&sorted),
+            &format!("carried {ctx}"),
+        );
+        // …until it is reset.
+        sim.reset();
+        reference.reset();
+        assert_same(
+            &sim.run(&unsorted),
+            &reference.run(&unsorted),
+            &format!("reset {ctx}"),
+        );
+        assert_same(&sim.run(&[]), &reference.run(&[]), &format!("empty {ctx}"));
+    });
+}
+
+#[test]
+#[should_panic(expected = "finite times")]
+fn nan_submit_times_still_reach_the_sort() {
+    let net = Network::new(cfg(TopologyKind::Crossbar, 4));
+    let at = |submit_s| Message {
+        src: 0,
+        dst: 1,
+        bytes: 8,
+        submit_s,
+    };
+    let _ = NetSim::new(&net).run(&[at(0.0), at(f64::NAN), at(1.0)]);
+}
+
+#[test]
+fn route_into_matches_the_reference_for_every_pair() {
+    for kind in kinds() {
+        let healthy = Network::new(cfg(kind, 64));
+        for (label, faults) in fault_cases(&healthy) {
+            let net = Network::with_faults(cfg(kind, 64), &faults);
+            // Stale contents must not survive a call.
+            let mut route = vec![usize::MAX; 3];
+            for src in 0..64 {
+                for dst in 0..64 {
+                    let want = ref_route(&net, src, dst);
+                    net.route_into(src, dst, &mut route);
+                    assert_eq!(route, want, "{kind:?} {label} {src}->{dst}");
+                    assert_eq!(net.route(src, dst), want, "{kind:?} {label} {src}->{dst}");
+                    assert_eq!(
+                        net.hops(src, dst),
+                        want.len(),
+                        "{kind:?} {label} {src}->{dst}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "torus ring partitioned")]
+fn a_partitioned_ring_still_panics() {
+    // Both x exits of node 0 on a 4x4 torus: +x blocks the short arc to
+    // node 1, -x blocks the detour.
+    let faults = LinkFaults::healthy().fail_link(0).fail_link(1);
+    let net = Network::with_faults(cfg(TopologyKind::Torus2D, 16), &faults);
+    net.route_into(0, 1, &mut Vec::new());
+}
