@@ -8,8 +8,12 @@
 //! ```
 //!
 //! Flags: `--smoke` (every app at P = 64 plus LBMHD at P = 65536,
-//! written under `target/`), `--threads N` (event-loop worker threads,
-//! default honours `PVS_THREADS`), `--out PATH`.
+//! written under `target/`), `--threads N` (recorded as the document's
+//! `sweep_threads`, default honours `PVS_THREADS`; the event runtime
+//! resumes every superstep on one thread whatever it says), `--out PATH`.
+//!
+//! Every cell prints its host wall and that wall per program resume
+//! (`ns/resume`); no wall-clock value enters a cell's counters.
 //!
 //! The smoke set is a strict subset of the full ladder, so CI gates
 //! with the fresh smoke document as the `compare` baseline against the
@@ -55,14 +59,17 @@ pub fn run(args: &Args) -> i32 {
         })?;
 
         for c in &out.cells {
+            let host_s = c.host_secs.first().copied().unwrap_or(0.0);
+            let resumes = c.snapshot.counter("mpisim.sim.resumes").unwrap_or(0);
             println!(
-                "{:<8} P={:<7} events={:<10} comm={:<9} checksum={:<17} host {:.3}s",
+                "{:<8} P={:<7} events={:<10} comm={:<9} checksum={:<17} host {:.3}s {:>5.0} ns/resume",
                 c.cell.app,
                 c.cell.procs,
                 c.report.time_s,
                 c.report.comm_s,
                 c.report.gflops_per_p,
-                c.host_secs.first().copied().unwrap_or(0.0)
+                host_s,
+                host_s * 1e9 / resumes as f64
             );
         }
         Ok(out.to_json() + "\n")

@@ -6,7 +6,7 @@
 //! so the paper's largest configurations (LBMHD 8192² on P = 8192, the
 //! Earth Simulator weak-scaling studies) could never be replayed
 //! rank-for-rank before. The event-driven runtime multiplexes virtual
-//! ranks over a small worker pool, so this sweep runs the per-app scale
+//! ranks on one scheduler thread, so this sweep runs the per-app scale
 //! kernels (`pvs_lbmhd::scale`, `pvs_gtc::scale`, `pvs_cactus::scale`,
 //! `pvs_paratec::scale`) at rank counts up to 131 072.
 //!
@@ -203,9 +203,8 @@ fn run_cell(cell: RankScaleCell, threads: usize) -> CellProfile {
     }
 }
 
-/// Run the sweep: the identity gate first, then the cells serially (a
-/// 10⁵-rank cell owns the worker pool; running cells concurrently would
-/// multiply peak memory, not throughput).
+/// Run the sweep: the identity gate first, then the cells serially (running
+/// 10⁵-rank cells concurrently would multiply peak memory).
 pub fn run_rankscale(cells: &[RankScaleCell], threads: usize) -> Result<ProfileOutput, String> {
     verify_identity(threads)?;
     let profiles = cells.iter().map(|&c| run_cell(c, threads)).collect();

@@ -4,7 +4,7 @@
 //! per rank, which caps simulations far below the scales the related
 //! scale studies run natively (weak scaling to 10⁵ ranks). This module
 //! removes the cap: virtual ranks are **continuation-style tasks**
-//! multiplexed over the shared [`pvs_core::ThreadPool`], scheduled by
+//! resumed on the scheduler's own thread, scheduled by
 //! the same simulated-picosecond event core ([`pvs_core::EventQueue`])
 //! that drives the fault planner. A rank blocked in a receive or a
 //! collective *parks* — its continuation is keyed on what it waits for
@@ -22,16 +22,24 @@
 //!
 //! ## Scheduling determinism rule
 //!
-//! Results are bit-identical at any host thread count because
+//! Results are a function of the programs alone — no host thread count
+//! or timing enters them — because
 //!
 //! 1. every event carries `(at_ps, seq)` and drains in that order
 //!    ([`EventQueue`] keeps FIFO among equal timestamps);
 //! 2. one *batch* = every rank runnable at the earliest timestamp; the
-//!    batch is resumed in parallel via [`ThreadPool::map`] (input-order
-//!    results), but each rank touches only its own state and mailbox;
+//!    batch is resumed **in place**: rank slots never leave the
+//!    scheduler's slot array, and a resume touches only its own slot —
+//!    state, mailbox, and the outbox / collective entry its resume slice
+//!    leaves behind — so the order of resumes within a batch is not
+//!    observable;
 //! 3. all cross-rank effects (packet delivery, wakeups, collective
-//!    completion) are applied **serially, in batch order**, after the
-//!    parallel phase.
+//!    completion) are applied **in batch order** — queue order, not rank
+//!    order — after every rank of the batch has been resumed.
+//!
+//! Every superstep runs on the scheduler thread: a resume is ~0.2 µs of
+//! work, and sharing a batch out to workers measured slower than one
+//! thread at every rung of the rank ladder (DESIGN §12).
 //!
 //! ## Collectives
 //!
@@ -54,7 +62,7 @@ use crate::collective::{binomial, dissemination, fold_max, fold_sum, ring, rotat
 use crate::comm::{received, take_match, CommStats, Packet, Payload, Received, Want};
 use crate::fault::{FaultError, FaultSpec, FaultStats, RankOutcome};
 use crate::tags::{self, assert_user_tag, ctag};
-use pvs_core::{EventQueue, ThreadPool};
+use pvs_core::EventQueue;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, RwLock};
 
@@ -142,8 +150,9 @@ pub enum Reply {
     Reduced(Result<Vec<f64>, FaultError>),
     /// [`Op::AllreduceMaxScalar`] result.
     MaxReduced(Result<f64, FaultError>),
-    /// [`Op::Allgather`] result (healthy mode only).
-    Gathered(Vec<Vec<f64>>),
+    /// [`Op::Allgather`] result (healthy mode only): one allocation,
+    /// shared by every rank's reply.
+    Gathered(Arc<[Vec<f64>]>),
     /// [`Op::Broadcast`] result (healthy mode only).
     Broadcasted(Vec<f64>),
     /// [`Op::Alltoallv`] result (healthy mode only).
@@ -227,7 +236,7 @@ pub struct SimStats {
     pub ranks: u64,
     /// Program resumes (continuation invocations).
     pub resumes: u64,
-    /// Scheduler batches dispatched to the pool.
+    /// Scheduler batches (supersteps) resumed.
     pub batches: u64,
     /// Point-to-point packets routed through the scheduler.
     pub messages: u64,
@@ -316,7 +325,6 @@ impl<T> SimReport<T> {
 #[derive(Debug, Clone)]
 pub struct EventSim {
     nranks: usize,
-    threads: usize,
     faults: Option<FaultSpec>,
 }
 
@@ -324,16 +332,13 @@ impl EventSim {
     /// A healthy simulation of `nranks` virtual ranks.
     pub fn new(nranks: usize) -> Self {
         assert!(nranks >= 1);
-        EventSim {
-            nranks,
-            threads: 0,
-            faults: None,
-        }
+        EventSim { nranks, faults: None }
     }
 
-    /// Use `threads` pool workers (default: [`pvs_core::pool::default_threads`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Accepted so callers that size a worker pool keep compiling; it
+    /// changes nothing. Every superstep is resumed on the calling thread
+    /// (see the module header), and results never depended on the count.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -353,30 +358,33 @@ impl EventSim {
         P: RankProgram,
         F: Fn(usize, usize) -> P,
     {
-        let world = Arc::new(World::new(self.nranks, self.faults.clone()));
-        let mut sched = Scheduler {
-            world: Arc::clone(&world),
-            slots: (0..self.nranks)
-                .map(|rank| {
-                    world.alive(rank).then(|| RankSlot {
-                        program: make(rank, self.nranks),
-                        ctx: RankCtx {
-                            rank,
-                            size: self.nranks,
-                            comm: CommStats::default(),
-                            faults: FaultStats::default(),
-                            clock_ps: 0,
-                        },
-                        mailbox: VecDeque::new(),
-                        parked: None,
-                        reply: Some(Reply::Start),
-                        finished: None,
-                        coll_seq: 0,
-                    })
+        let world = World::new(self.nranks, self.faults.clone());
+        let slots = (0..self.nranks)
+            .map(|rank| {
+                world.alive(rank).then(|| RankSlot {
+                    program: make(rank, self.nranks),
+                    ctx: RankCtx {
+                        rank,
+                        size: self.nranks,
+                        comm: CommStats::default(),
+                        faults: FaultStats::default(),
+                        clock_ps: 0,
+                    },
+                    mailbox: VecDeque::new(),
+                    parked: None,
+                    reply: Some(Reply::Start),
+                    finished: None,
+                    outbox: Vec::new(),
+                    entered: None,
+                    resumes: 0,
                 })
-                .collect(),
+            })
+            .collect();
+        let mut sched = Scheduler {
+            world,
+            slots,
             queue: EventQueue::new(),
-            groups: BTreeMap::new(),
+            group: Group::default(),
             parked_count: 0,
             sim: SimStats {
                 ranks: self.nranks as u64,
@@ -384,15 +392,10 @@ impl EventSim {
             },
             batch_dist: BTreeMap::new(),
         };
-        for &rank in world.survivors() {
+        for &rank in sched.world.survivors() {
             sched.queue.push(0, rank);
         }
-        let threads = match self.threads {
-            0 => pvs_core::pool::default_threads(),
-            n => n,
-        };
-        let pool = (threads > 1).then(|| ThreadPool::new(threads));
-        sched.drive(pool.as_ref());
+        sched.drive();
         sched.into_report()
     }
 }
@@ -417,11 +420,12 @@ type RecvReply = fn(Received) -> Reply;
 enum Parked {
     /// Blocked receive of `(src, tag)`.
     Recv { src: usize, tag: u64, reply: RecvReply },
-    /// Entered collective number `idx` (per-rank collective counter).
-    Collective { idx: u64 },
+    /// Entered the collective in flight.
+    Collective,
 }
 
-/// One virtual rank's complete state.
+/// One virtual rank's complete state. It never leaves `Scheduler::slots`:
+/// a resume borrows it (`&mut`) and nothing else of the scheduler.
 struct RankSlot<P: RankProgram> {
     program: P,
     ctx: RankCtx,
@@ -430,30 +434,35 @@ struct RankSlot<P: RankProgram> {
     /// The reply to hand to the next resume (set whenever runnable).
     reply: Option<Reply>,
     finished: Option<P::Output>,
-    /// Collectives entered so far — the group key, so every rank's k-th
-    /// collective joins the same group (MPI requires identical order).
-    coll_seq: u64,
-}
-
-/// A collective in progress: the `Op` each participant entered with.
-type Group = BTreeMap<usize, Op>;
-
-/// What one rank's parallel resume slice produced. The rank parked iff
-/// `slot.parked` is set: it was runnable, so unparked, when the slice began.
-struct LocalOutcome<P: RankProgram> {
-    slot: RankSlot<P>,
+    /// Packets the last resume slice sent, until the serial phase delivers them.
     outbox: Vec<(usize, Packet)>,
-    entered: Option<(u64, Op)>,
+    /// The collective the last resume slice parked on, until the serial phase enters it.
+    entered: Option<Op>,
+    /// Program resumes so far.
     resumes: u64,
 }
 
+/// The slot array, indexed by rank; a failed rank leaves a hole.
+type Slots<P> = [Option<RankSlot<P>>];
+
+/// The collective in flight: the `Op` each rank entered with, by rank.
+/// One at a time suffices — every rank's k-th collective joins the same
+/// group (MPI requires identical order), and nobody reaches its k+1-th
+/// before every survivor has entered the k-th and so completed it.
+#[derive(Default)]
+struct Group {
+    ops: Vec<Option<Op>>,
+    /// The first rank to enter, whose op the others must match.
+    first: Option<usize>,
+    entered: usize,
+}
+
 struct Scheduler<P: RankProgram> {
-    /// Shared, read-only, with the parallel resume phase.
-    world: Arc<World>,
+    world: World,
     slots: Vec<Option<RankSlot<P>>>,
     /// Runnable ranks keyed by their simulated clocks.
     queue: EventQueue<usize>,
-    groups: BTreeMap<u64, Group>,
+    group: Group,
     parked_count: u64,
     sim: SimStats,
     /// Batches by rank count: `batch_dist[size]` batches resumed exactly
@@ -463,58 +472,58 @@ struct Scheduler<P: RankProgram> {
 }
 
 impl<P: RankProgram> Scheduler<P> {
-    fn drive(&mut self, pool: Option<&ThreadPool>) {
+    fn drive(&mut self) {
+        // Rank ids in queue order, reused by every superstep.
+        let mut batch: Vec<usize> = Vec::new();
+        let mut outbox = Vec::new();
         while let Some(at_ps) = self.queue.peek_time() {
             // One batch: every rank runnable at the earliest timestamp.
-            let mut batch: Vec<RankSlot<P>> = Vec::new();
+            batch.clear();
             while self.queue.peek_time() == Some(at_ps) {
                 // INFALLIBLE: peek_time just returned Some.
-                let rank = self.queue.pop().expect("peeked entry").payload;
-                // INFALLIBLE: a rank is scheduled at most once and its
-                // slot is returned before the next batch.
-                batch.push(self.slots[rank].take().expect("scheduled rank owns its slot"));
+                batch.push(self.queue.pop().expect("peeked entry").payload);
             }
             self.sim.batches += 1;
             *self.batch_dist.entry(batch.len() as u64).or_insert(0) += 1;
 
-            // Parallel phase: resume each rank against only its own
-            // state. Input order in == input order out (ThreadPool::map),
-            // so the serial application below is batch-order
-            // deterministic at any worker count.
-            let world = Arc::clone(&self.world);
-            let run_one = move |slot: RankSlot<P>| run_local(&world, slot);
-            let outcomes: Vec<LocalOutcome<P>> = match pool {
-                Some(pool) if batch.len() > 1 => pool.map(batch, run_one),
-                _ => batch.into_iter().map(run_one).collect(),
-            };
-
-            // Serial phase, step 1: restore every slot and settle park
-            // accounting BEFORE any delivery — a packet toward a rank
-            // later in the same batch must find its mailbox (a missing
-            // slot means a failed rank and would blackhole it).
-            let mut effects = Vec::with_capacity(outcomes.len());
-            for out in outcomes {
-                self.sim.resumes += out.resumes;
-                if out.slot.parked.is_some() {
+            // Resume every rank of the batch against only its own slot.
+            for &rank in &batch {
+                // INFALLIBLE: only surviving ranks are ever scheduled.
+                let slot = self.slots[rank].as_mut().expect("scheduled rank owns its slot");
+                run_local(&self.world, slot);
+            }
+            // Effects, step 1: settle park accounting for the whole
+            // batch BEFORE any delivery — a packet toward a rank later in
+            // the same batch wakes it, and a wake must find its park counted.
+            for &rank in &batch {
+                if self.slot(rank).parked.is_some() {
                     self.parked_count += 1;
                     self.sim.parks += 1;
                 }
-                let rank = out.slot.ctx.rank;
-                self.slots[rank] = Some(out.slot);
-                effects.push((rank, out.outbox, out.entered));
             }
             self.sim.peak_parked = self.sim.peak_parked.max(self.parked_count);
-            // Serial phase, step 2: cross-rank effects in batch order.
-            for (rank, outbox, entered) in effects {
-                for (dst, packet) in outbox {
+            // Effects, step 2: cross-rank effects in batch order.
+            for &rank in &batch {
+                let slot = self.slot(rank);
+                // Drained, the buffer goes to the next slot: no superstep
+                // allocates or frees an outbox.
+                std::mem::swap(&mut outbox, &mut slot.outbox);
+                let entered = slot.entered.take();
+                for (dst, packet) in outbox.drain(..) {
                     self.deliver(dst, packet);
                 }
-                if let Some((idx, op)) = entered {
-                    self.enter_collective(rank, idx, op);
+                if let Some(op) = entered {
+                    self.enter_collective(rank, op);
                 }
             }
         }
         self.check_quiescent();
+    }
+
+    fn slot(&mut self, rank: usize) -> &mut RankSlot<P> {
+        // INFALLIBLE: only surviving ranks run, park or enter collectives,
+        // and a survivor's slot is live for the whole run.
+        self.slots[rank].as_mut().expect("surviving rank owns its slot")
     }
 
     /// Append `packet` to `dst`'s mailbox and wake `dst` if it parks on
@@ -537,35 +546,46 @@ impl<P: RankProgram> Scheduler<P> {
 
     /// Unpark `rank` with the reply to the op it parked on.
     fn wake(&mut self, rank: usize, reply: Reply) {
-        // INFALLIBLE: only surviving ranks park, and their slots are live.
-        let slot = self.slots[rank].as_mut().expect("parked rank owns its slot");
+        let slot = self.slot(rank);
         slot.parked = None;
         slot.reply = Some(reply);
+        let at_ps = slot.ctx.clock_ps;
         self.parked_count -= 1;
         self.sim.wakeups += 1;
-        self.queue.push(slot.ctx.clock_ps, rank);
+        self.queue.push(at_ps, rank);
     }
 
-    /// Register `rank`'s entry into its `idx`-th collective; complete
-    /// the group centrally once every expected participant has entered.
-    fn enter_collective(&mut self, rank: usize, idx: u64, op: Op) {
-        let group = self.groups.entry(idx).or_default();
-        if let Some(first) = group.values().next() {
-            assert_eq!(
-                std::mem::discriminant(first),
-                std::mem::discriminant(&op),
-                "collective #{idx}: rank {rank} entered {op:?} while peers entered {first:?} \
-                 — all ranks must issue collectives in the same order"
-            );
+    /// Register `rank`'s entry into the collective in flight; complete it
+    /// centrally once every expected participant has entered.
+    fn enter_collective(&mut self, rank: usize, op: Op) {
+        let group = &mut self.group;
+        if group.ops.is_empty() {
+            group.ops.resize_with(self.slots.len(), || None);
         }
-        group.insert(rank, op);
-        if group.len() < self.world.survivors().len() {
+        let first = group.first.and_then(|first| group.ops[first].as_ref()).unwrap_or(&op);
+        assert_eq!(
+            std::mem::discriminant(first),
+            std::mem::discriminant(&op),
+            "collective #{}: rank {rank} entered {op:?} while peers entered {first:?} \
+             — all ranks must issue collectives in the same order",
+            self.sim.collectives
+        );
+        group.first.get_or_insert(rank);
+        debug_assert!(group.ops[rank].is_none(), "rank {rank} entered twice, or a stale entry survived");
+        group.ops[rank] = Some(op);
+        group.entered += 1;
+        if group.entered < self.world.survivors().len() {
             return;
         }
-        // INFALLIBLE: the key was just inserted.
-        let group = self.groups.remove(&idx).expect("complete group");
+        (group.first, group.entered) = (None, 0);
         self.sim.collectives += 1;
-        for (rank, reply) in complete_collective(&self.world, group, &mut self.slots) {
+        // Survivors in rank order are the participants in index order.
+        let ops = group.ops.iter_mut().filter_map(Option::take);
+        let replies = complete_collective(&self.world, ops, &mut self.slots);
+        // A barrier or broadcast reads only some of the entries: drop the
+        // rest, so the group is empty between collectives.
+        group.ops.iter_mut().for_each(|op| *op = None);
+        for (rank, reply) in replies {
             self.wake(rank, reply);
         }
     }
@@ -584,8 +604,8 @@ impl<P: RankProgram> Scheduler<P> {
                 Some(Parked::Recv { src, tag, .. }) => {
                     format!("rank {rank} waiting on recv(src={src}, tag={tag:#x})")
                 }
-                Some(Parked::Collective { idx }) => {
-                    format!("rank {rank} inside collective #{idx}")
+                Some(Parked::Collective) => {
+                    format!("rank {rank} inside collective #{}", self.sim.collectives)
                 }
                 None => format!("rank {rank} runnable but unscheduled"),
             });
@@ -603,14 +623,15 @@ impl<P: RankProgram> Scheduler<P> {
         let mut outcomes = Vec::with_capacity(nranks);
         let mut comm_stats = Vec::with_capacity(nranks);
         let mut clocks_ps = Vec::with_capacity(nranks);
-        for slot in self.slots.iter_mut() {
-            match slot.take() {
+        for slot in &mut self.slots {
+            match slot {
                 None => {
                     outcomes.push(RankOutcome::Failed);
                     comm_stats.push(None);
                     clocks_ps.push(0);
                 }
-                Some(mut s) => {
+                Some(s) => {
+                    self.sim.resumes += s.resumes;
                     // INFALLIBLE: check_quiescent proved every survivor
                     // finished before the queue drained.
                     let value = s.finished.take().expect("rank finished");
@@ -634,25 +655,22 @@ impl<P: RankProgram> Scheduler<P> {
 }
 
 /// Resume one rank until it parks or finishes, touching only its own
-/// state. Cross-rank effects accumulate in the outbox / collective
-/// entry and are applied serially by the scheduler.
-fn run_local<P: RankProgram>(world: &World, mut slot: RankSlot<P>) -> LocalOutcome<P> {
-    let mut outbox: Vec<(usize, Packet)> = Vec::new();
-    let mut entered = None;
-    let mut resumes = 0u64;
+/// slot. Cross-rank effects are left in the slot's outbox / collective
+/// entry and applied by the scheduler once the whole batch has run.
+fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>) {
     loop {
         // INFALLIBLE: a runnable rank always has its next reply staged
         // (Start at launch, op completion at every wake).
         let reply = slot.reply.take().expect("runnable rank has a reply");
-        resumes += 1;
+        slot.resumes += 1;
         // Point-to-point ops leave the receive they still have to complete.
         let (src, tag, reply): (_, _, RecvReply) = match slot.program.resume(&slot.ctx, reply) {
             Step::Finish(out) => {
                 slot.finished = Some(out);
-                break;
+                return;
             }
             Step::Op(Op::Send { dst, tag, data }) => {
-                let sent = local_send(world, &mut slot, &mut outbox, dst, tag, data);
+                let sent = local_send(world, slot, dst, tag, data);
                 slot.reply = Some(Reply::Sent(sent));
                 continue;
             }
@@ -663,7 +681,7 @@ fn run_local<P: RankProgram>(world: &World, mut slot: RankSlot<P>) -> LocalOutco
                     slot.reply = Some(Reply::Exchanged(Ok(data)));
                     continue;
                 }
-                if let Err(e) = local_send(world, &mut slot, &mut outbox, partner, tag, data) {
+                if let Err(e) = local_send(world, slot, partner, tag, data) {
                     slot.reply = Some(Reply::Exchanged(Err(e)));
                     continue;
                 }
@@ -675,11 +693,9 @@ fn run_local<P: RankProgram>(world: &World, mut slot: RankSlot<P>) -> LocalOutco
                     "{collective:?} has no faulty-mode counterpart in v1 \
                      (FaultyComm offers barrier and sum allreduce only)"
                 );
-                let idx = slot.coll_seq;
-                slot.coll_seq += 1;
-                slot.parked = Some(Parked::Collective { idx });
-                entered = Some((idx, collective));
-                break;
+                slot.parked = Some(Parked::Collective);
+                slot.entered = Some(collective);
+                return;
             }
         };
         assert_user_tag(tag);
@@ -687,11 +703,10 @@ fn run_local<P: RankProgram>(world: &World, mut slot: RankSlot<P>) -> LocalOutco
             Some(result) => slot.reply = Some(reply(result)),
             None => {
                 slot.parked = Some(Parked::Recv { src, tag, reply });
-                break;
+                return;
             }
         }
     }
-    LocalOutcome { slot, outbox, entered, resumes }
 }
 
 /// The v2 send path: charge the message as v1 does, then emit what v1
@@ -699,7 +714,6 @@ fn run_local<P: RankProgram>(world: &World, mut slot: RankSlot<P>) -> LocalOutco
 fn local_send<P: RankProgram>(
     world: &World,
     slot: &mut RankSlot<P>,
-    outbox: &mut Vec<(usize, Packet)>,
     dst: usize,
     tag: u64,
     data: Vec<f64>,
@@ -715,7 +729,7 @@ fn local_send<P: RankProgram>(
     if dst == src {
         slot.mailbox.push_back(packet);
     } else {
-        outbox.push((dst, packet));
+        slot.outbox.push((dst, packet));
     }
     sent
 }
@@ -731,11 +745,12 @@ fn try_recv(world: &World, mailbox: &mut VecDeque<Packet>, src: usize, tag: u64)
 
 /// Complete a collective centrally: canonical rank-order values, plus
 /// per-rank stats charged from the schedule v1 executes as messages.
-/// Returns `(rank, reply)` pairs in ascending rank order.
+/// `ops` are the participants' entries in index order; returns
+/// `(rank, reply)` pairs in ascending rank order.
 fn complete_collective<P: RankProgram>(
     world: &World,
-    group: Group,
-    slots: &mut [Option<RankSlot<P>>],
+    ops: impl Iterator<Item = Op>,
+    slots: &mut Slots<P>,
 ) -> Vec<(usize, Reply)> {
     // Every survivor has entered, so the participants are the survivors.
     let participants = world.survivors();
@@ -745,7 +760,7 @@ fn complete_collective<P: RankProgram>(
         participants.iter().map(|&r| (r, make(r))).collect()
     };
     let mixed = || -> ! { unreachable!("mixed collective") };
-    let mut ops = group.into_values().peekable();
+    let mut ops = ops.peekable();
     // INFALLIBLE: a group completes only after at least one entry.
     match ops.peek().expect("non-empty group") {
         Op::Barrier => {
@@ -778,18 +793,17 @@ fn complete_collective<P: RankProgram>(
             reply_all(&|_| Reply::MaxReduced(Ok(value)))
         }
         Op::Allgather { .. } => {
-            let rows: Vec<Vec<f64>> = ops.map(data_of).collect();
+            let rows: Arc<[Vec<f64>]> = ops.map(data_of).collect();
             // Each ring step forwards the frame that arrived the step
-            // before: the origin's rank id plus the origin's body.
+            // before — the origin's rank id plus the origin's body — so over
+            // the n−1 steps participant i sends the frames of origins
+            // i, i−1, …, i−(n−2): every one but its successor's.
+            let frames: usize = rows.iter().map(|row| 1 + row.len()).sum();
             for (i, &r) in participants.iter().enumerate() {
-                let (mut carried, mut bytes) = (i, 0u64);
-                for round in ring(n) {
-                    bytes += ((1 + rows[carried].len()) * 8) as u64;
-                    carried = round.origin(i, n);
-                }
-                charge(slots, &[r], ring_steps, bytes);
+                let unsent = 1 + rows[(i + 1) % n].len();
+                charge(slots, &[r], ring_steps, ((frames - unsent) * 8) as u64);
             }
-            reply_all(&|_| Reply::Gathered(rows.clone()))
+            reply_all(&|_| Reply::Gathered(Arc::clone(&rows)))
         }
         &Op::Broadcast { root, .. } => {
             assert!(root < n, "broadcast root {root} of {n}");
@@ -804,21 +818,20 @@ fn complete_collective<P: RankProgram>(
             reply_all(&|_| Reply::Broadcasted(data.clone()))
         }
         Op::Alltoallv { .. } => {
-            let all: Vec<Vec<Vec<f64>>> = ops
-                .zip(participants)
-                .map(|(op, &r)| match op {
-                    Op::Alltoallv { sends } => {
-                        assert_eq!(sends.len(), n, "rank {r}: sends.len() == size");
-                        sends
-                    }
-                    _ => mixed(),
-                })
-                .collect();
-            for (i, &r) in participants.iter().enumerate() {
-                let sent = rotation(n).map(|round| (all[i][round.to(i, n)].len() * 8) as u64);
+            // `received[me][i]` is what participant `i` sent to `me`:
+            // every block is moved to its one reader, sender by sender.
+            let mut received: Vec<Vec<Vec<f64>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+            for (i, (op, &r)) in ops.zip(participants).enumerate() {
+                let Op::Alltoallv { sends } = op else { mixed() };
+                assert_eq!(sends.len(), n, "rank {r}: sends.len() == size");
+                let sent = rotation(n).map(|round| (sends[round.to(i, n)].len() * 8) as u64);
                 charge(slots, &[r], rotation(n).len() as u64, sent.sum());
+                for (block, rows) in sends.into_iter().zip(&mut received) {
+                    rows.push(block);
+                }
             }
-            reply_all(&|me| Reply::Alltoall(all.iter().map(|sends| sends[me].clone()).collect()))
+            let replies = received.into_iter().map(Reply::Alltoall);
+            participants.iter().copied().zip(replies).collect()
         }
         &Op::CoCreate { len } => {
             for (op, &r) in ops.zip(participants) {
@@ -854,7 +867,7 @@ fn data_of(op: Op) -> Vec<f64> {
 /// retries fails *all* participants (the documented divergence).
 fn faulty_rounds<P: RankProgram>(
     world: &World,
-    slots: &mut [Option<RankSlot<P>>],
+    slots: &mut Slots<P>,
     rounds: impl IntoIterator<Item = Round>,
     ns: u64,
     value: Option<&[f64]>,
@@ -918,12 +931,7 @@ fn faulty_rounds<P: RankProgram>(
 }
 
 /// Add `messages` and `bytes` to the traffic each of `ranks` has sent.
-fn charge<P: RankProgram>(
-    slots: &mut [Option<RankSlot<P>>],
-    ranks: &[usize],
-    messages: u64,
-    bytes: u64,
-) {
+fn charge<P: RankProgram>(slots: &mut Slots<P>, ranks: &[usize], messages: u64, bytes: u64) {
     for &rank in ranks {
         // INFALLIBLE: collectives charge only alive participants.
         let slot = slots[rank].as_mut().expect("participant slot");
@@ -1031,8 +1039,8 @@ mod tests {
 
     #[test]
     fn sixty_five_thousand_ranks_without_rank_threads() {
-        // P = 65536 virtual ranks on a 2-worker pool: the whole point of
-        // the event-driven core. One ring shift + one allreduce each.
+        // P = 65536 virtual ranks and not one rank thread: the whole point
+        // of the event-driven core. One ring shift + one allreduce each.
         let n = 65536usize;
         let report = EventSim::new(n).threads(2).run(|rank, size| {
             let right = (rank + 1) % size;

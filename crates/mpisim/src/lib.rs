@@ -22,8 +22,8 @@
 //!   timeouts, rank failure with survivor-only collectives, and retry
 //!   counters reported through `pvs-obs`;
 //! * [`event`]: the event-driven runtime (v2) — virtual ranks as
-//!   continuation-style [`RankProgram`]s multiplexed on the shared
-//!   `pvs_core::ThreadPool`, scheduled by the simulated-picosecond
+//!   continuation-style [`RankProgram`]s resumed in place on the
+//!   scheduler thread, scheduled by the simulated-picosecond
 //!   event core, bit-identical to the thread-backed runtime and able to
 //!   simulate 10⁵+ ranks without 10⁵ OS threads;
 //! * `collective` (private): the one definition of every collective —

@@ -41,7 +41,8 @@ fn flatten_replies(replies: &[Reply]) -> Vec<Vec<f64>> {
             Reply::Start | Reply::Sent(Ok(())) | Reply::BarrierDone(Ok(())) => {}
             Reply::Reduced(Ok(v)) | Reply::Broadcasted(v) => out.push(v.clone()),
             Reply::MaxReduced(Ok(x)) => out.push(vec![*x]),
-            Reply::Gathered(rows) | Reply::Alltoall(rows) => out.extend(rows.iter().cloned()),
+            Reply::Gathered(rows) => out.extend(rows.iter().cloned()),
+            Reply::Alltoall(rows) => out.extend(rows.iter().cloned()),
             Reply::Exchanged(Ok(v)) | Reply::Received(Ok(v)) => out.push(v.clone()),
             other => panic!("unexpected reply in healthy run: {other:?}"),
         }

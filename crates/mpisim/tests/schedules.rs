@@ -7,7 +7,7 @@
 //! definitions (dissemination barrier, gather-to-all ring, binomial tree,
 //! all-to-all rotation), not from the code — and holds both runtimes to it.
 
-use pvs_mpisim::{run, CoArray, Comm, EventSim, Op, ScriptProgram};
+use pvs_mpisim::{run, CoArray, Comm, EventSim, Op, Reply, ScriptProgram};
 
 /// The collective `name` as rank `rank` of `p` enters it: 2-double sum,
 /// scalar max, ragged allgather rows of `rank % 3 + 1` doubles, 3-double
@@ -116,12 +116,65 @@ fn both_runtimes_send_exactly_the_tabulated_traffic() {
             (comm.stats().messages_sent, comm.stats().bytes_sent)
         });
         assert_eq!(v1, expect, "v1 {name}@{p}");
-        let report = EventSim::new(p).run(|rank, _| ScriptProgram::new(vec![op(name, rank, p)]));
-        let v2: Vec<(u64, u64)> = report
-            .into_values_and_stats()
-            .iter()
-            .map(|(_, stats)| (stats.messages_sent, stats.bytes_sent))
+        assert_eq!(v2_traffic(p, |rank| op(name, rank, p)), expect, "v2 {name}@{p}");
+    }
+}
+
+/// Per-rank `(messages_sent, bytes_sent)` of one op on the event runtime.
+fn v2_traffic(p: usize, op: impl Fn(usize) -> Op) -> Vec<(u64, u64)> {
+    let report = EventSim::new(p).run(|rank, _| ScriptProgram::new(vec![op(rank)]));
+    let per_rank = report.into_values_and_stats();
+    per_rank.iter().map(|(_, stats)| (stats.messages_sent, stats.bytes_sent)).collect()
+}
+
+/// The event runtime charges an allgather by a closed form; replay the
+/// ring literally — each step forwards the frame that arrived the step
+/// before, an origin id plus that origin's row — and hold both runtimes
+/// to the replay, with rows of 0, 1 and 5 doubles cycling.
+#[test]
+fn allgather_traffic_equals_a_literal_ring_replay() {
+    let row = |rank: usize| vec![rank as f64; [0, 1, 5][rank % 3]];
+    for n in [1usize, 2, 3, 7, 64] {
+        let replay: Vec<(u64, u64)> = (0..n)
+            .map(|me| {
+                let (mut carried, mut bytes) = (me, 0);
+                for step in 0..n - 1 {
+                    bytes += 8 * (1 + row(carried).len() as u64);
+                    carried = (me + n - 1 - step) % n;
+                }
+                (n as u64 - 1, bytes)
+            })
             .collect();
-        assert_eq!(v2, expect, "v2 {name}@{p}");
+        let v1 = run(n, move |mut comm| {
+            drop(comm.allgather(&row(comm.rank())));
+            (comm.stats().messages_sent, comm.stats().bytes_sent)
+        });
+        assert_eq!(v1, replay, "v1 n={n}");
+        let v2 = v2_traffic(n, |rank| Op::Allgather { data: row(rank) });
+        assert_eq!(v2, replay, "v2 n={n}");
+    }
+}
+
+/// Rank `me` receives `[sends_0[me], …, sends_{n−1}[me]]` from an
+/// all-to-all, with the ragged block lengths of PARATEC's transpose.
+#[test]
+fn alltoallv_delivers_column_me_of_the_send_matrix() {
+    let block = |src: usize, dst: usize, n: usize| -> Vec<f64> {
+        (0..(src + dst) % 3 + 1).map(|i| (src * n + dst) as f64 + i as f64 * 0.25).collect()
+    };
+    for n in [1usize, 2, 5, 16] {
+        let sends = |rank: usize| (0..n).map(|dst| block(rank, dst, n)).collect::<Vec<_>>();
+        let column = |me: usize| (0..n).map(|src| block(src, me, n)).collect::<Vec<_>>();
+        let v1 = run(n, move |mut comm| comm.alltoallv(sends(comm.rank())));
+        let v2 = EventSim::new(n)
+            .run(|rank, _| ScriptProgram::new(vec![Op::Alltoallv { sends: sends(rank) }]))
+            .into_values();
+        for me in 0..n {
+            assert_eq!(v1[me], column(me), "v1 n={n} rank {me}");
+            match &v2[me][..] {
+                [Reply::Alltoall(rows)] => assert_eq!(rows, &column(me), "v2 n={n} rank {me}"),
+                other => panic!("n={n} rank {me}: {other:?}"),
+            }
+        }
     }
 }

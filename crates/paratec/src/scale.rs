@@ -84,16 +84,16 @@ pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, Si
         .into_values_and_stats()
         .into_iter()
         .map(|(replies, stats)| {
-            let (mut rows, mut norms, mut energy) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut rows, mut norms, mut energy) = (Vec::new(), None, Vec::new());
             for reply in replies {
                 match reply {
                     Reply::Alltoall(r) => rows = r,
-                    Reply::Gathered(n) => norms = n,
+                    Reply::Gathered(n) => norms = Some(n),
                     Reply::Reduced(Ok(e)) => energy = e,
                     other => unreachable!("not in the PARATEC schedule: {other:?}"),
                 }
             }
-            (fold_output(&rows, &norms, &energy), stats)
+            (fold_output(&rows, norms.as_deref().unwrap_or(&[]), &energy), stats)
         })
         .collect();
     (per_rank, sim)
