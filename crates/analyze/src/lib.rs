@@ -25,5 +25,4 @@ pub mod chrome;
 pub mod findings;
 pub mod json;
 pub mod profiledoc;
-pub mod selftime;
 pub mod sentinel;

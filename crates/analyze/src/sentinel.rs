@@ -7,10 +7,9 @@
 //!   functions of the cell identity — the simulator is deterministic, so
 //!   any drift at all is a real behavioural change and is compared
 //!   *exactly*;
-//! * **host wall-clock** is machine-specific noise. It is always reported,
-//!   but only enforced when the caller opts in with a tolerance (CI on a
-//!   stable runner can pass `--host-tol 25`); the committed baseline was
-//!   produced on someone else's machine.
+//! * **host wall-clock** is machine-specific noise: the committed
+//!   baseline was produced on someone else's machine. It is reported as
+//!   drift and never enforced — host time is gated by `benchmark/`.
 //!
 //! A regression is: modelled time up, modelled Gflop/s per processor
 //! down, or a baseline cell missing from the new document. Improvements
@@ -99,10 +98,8 @@ impl Comparison {
     }
 }
 
-/// Compare `new` against the `old` baseline. `host_tol_pct` of `None`
-/// reports host drift without enforcing it; `Some(pct)` fails median
-/// host-time growth beyond that percentage.
-pub fn compare_docs(old: &ProfileDoc, new: &ProfileDoc, host_tol_pct: Option<f64>) -> Comparison {
+/// Compare `new` against the `old` baseline.
+pub fn compare_docs(old: &ProfileDoc, new: &ProfileDoc) -> Comparison {
     let mut cmp = Comparison::default();
     for old_cell in &old.cells {
         let key = old_cell.key();
@@ -140,20 +137,16 @@ pub fn compare_docs(old: &ProfileDoc, new: &ProfileDoc, host_tol_pct: Option<f64
                 });
             }
         }
-        // Host wall-clock: noisy, reported, enforced only on request.
+        // Host wall-clock: noisy, reported, never enforced.
         let (o, n) = (old_cell.host_median_s, new_cell.host_median_s);
         if o > 0.0 && n != o {
-            let growth_pct = 100.0 * (n - o) / o;
-            let over = host_tol_pct.map(|tol| growth_pct > tol).unwrap_or(false);
-            if over || host_tol_pct.is_none() {
-                cmp.drifts.push(Drift {
-                    key: key.clone(),
-                    metric: "host.median_s".into(),
-                    old: Some(o),
-                    new: Some(n),
-                    regression: over,
-                });
-            }
+            cmp.drifts.push(Drift {
+                key: key.clone(),
+                metric: "host.median_s".into(),
+                old: Some(o),
+                new: Some(n),
+                regression: false,
+            });
         }
     }
     for new_cell in &new.cells {
@@ -204,7 +197,7 @@ mod tests {
     #[test]
     fn identical_documents_compare_clean() {
         let a = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5), cell("GTC", 4.0, 1.0, 0.2)]);
-        let cmp = compare_docs(&a, &a, None);
+        let cmp = compare_docs(&a, &a);
         assert!(!cmp.regressed());
         assert!(cmp.drifts.is_empty());
         assert_eq!(cmp.matched_cells, 2);
@@ -214,9 +207,9 @@ mod tests {
     #[test]
     fn any_model_time_growth_is_a_regression() {
         let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
-        // 5% slower model time — must fail regardless of thresholds.
+        // 5% slower model time — any growth must fail.
         let new = doc(vec![cell("LBMHD", 10.5, 2.0, 0.5)]);
-        let cmp = compare_docs(&old, &new, None);
+        let cmp = compare_docs(&old, &new);
         assert!(cmp.regressed());
         assert_eq!(cmp.drifts.len(), 1);
         assert_eq!(cmp.drifts[0].metric, "model.time_s");
@@ -228,7 +221,7 @@ mod tests {
     fn model_improvement_is_drift_not_regression() {
         let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
         let new = doc(vec![cell("LBMHD", 9.0, 2.2, 0.5)]);
-        let cmp = compare_docs(&old, &new, None);
+        let cmp = compare_docs(&old, &new);
         assert!(!cmp.regressed());
         assert_eq!(cmp.drifts.len(), 2);
     }
@@ -237,42 +230,32 @@ mod tests {
     fn gflops_drop_is_a_regression() {
         let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
         let new = doc(vec![cell("LBMHD", 10.0, 1.8, 0.5)]);
-        assert!(compare_docs(&old, &new, None).regressed());
+        assert!(compare_docs(&old, &new).regressed());
     }
 
     #[test]
     fn missing_cell_fails_and_new_cell_does_not() {
         let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
         let new = doc(vec![cell("GTC", 4.0, 1.0, 0.2)]);
-        let cmp = compare_docs(&old, &new, None);
+        let cmp = compare_docs(&old, &new);
         assert!(cmp.regressed());
         let missing = cmp.drifts.iter().find(|d| d.new.is_none()).unwrap();
         assert!(missing.regression);
         let added = cmp.drifts.iter().find(|d| d.old.is_none()).unwrap();
         assert!(!added.regression);
         // Only the old cells gate; additions ride along.
-        let only_new = compare_docs(&doc(vec![]), &new, None);
+        let only_new = compare_docs(&doc(vec![]), &new);
         assert!(!only_new.regressed());
     }
 
     #[test]
-    fn host_drift_reports_but_only_enforces_with_tolerance() {
+    fn host_growth_is_reported_as_drift_and_never_a_regression() {
         let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.50)]);
         let new = doc(vec![cell("LBMHD", 10.0, 2.0, 0.60)]);
-        // No tolerance: reported, not a regression.
-        let cmp = compare_docs(&old, &new, None);
+        let cmp = compare_docs(&old, &new);
         assert!(!cmp.regressed());
         assert_eq!(cmp.drifts.len(), 1);
         assert_eq!(cmp.drifts[0].metric, "host.median_s");
-        // 25% tolerance: 20% growth still passes (and is not reported).
-        let cmp = compare_docs(&old, &new, Some(25.0));
-        assert!(!cmp.regressed());
-        assert!(cmp.drifts.is_empty());
-        // 10% tolerance: 20% growth fails.
-        let cmp = compare_docs(&old, &new, Some(10.0));
-        assert!(cmp.regressed());
-        // Host *improvement* never fails even with a tolerance.
-        let faster = doc(vec![cell("LBMHD", 10.0, 2.0, 0.30)]);
-        assert!(!compare_docs(&old, &faster, Some(10.0)).regressed());
+        assert!((cmp.drifts[0].pct_change().unwrap() - 20.0).abs() < 1e-9);
     }
 }

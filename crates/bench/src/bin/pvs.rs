@@ -46,7 +46,6 @@ const COMMANDS: &[(&str, Command)] = &[
     ("compare", |a| c::compare::SPEC.run(a, c::compare::run)),
     ("chaos", |a| c::chaos::SPEC.run(a, c::chaos::run)),
     ("rankscale", |a| c::rankscale::SPEC.run(a, c::rankscale::run)),
-    ("selfperf", |a| c::selfperf::SPEC.run(a, c::selfperf::run)),
     ("serve", |a| c::serve::SPEC.run(a, c::serve::run)),
     ("serve_load", |a| c::serve_load::SPEC.run(a, c::serve_load::run)),
     ("servechaos", |a| c::servechaos::SPEC.run(a, c::servechaos::run)),

@@ -2,28 +2,26 @@
 //!
 //! ```text
 //! cargo run -p pvs-bench --bin pvs -- compare BENCH_sweep.json target/BENCH_new.json
-//! cargo run -p pvs-bench --bin pvs -- compare old.json new.json --host-tol 25
 //! ```
 //!
 //! Joins the two profile documents on cell identity and exits nonzero on
 //! regression: any modelled-time growth or modelled-Gflop/s drop (the
 //! model is deterministic, so these compare exactly), or a baseline cell
-//! missing from the new document. Host wall-clock drift is reported but
-//! only enforced when `--host-tol <pct>` is given — host times are
-//! machine-specific noise and the committed baseline usually comes from
-//! another machine.
+//! missing from the new document. Host wall-clock drift is reported and
+//! never enforced — host times are machine-specific noise and the
+//! committed baseline usually comes from another machine.
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 clean,
 //! 1 regression, 2 malformed usage, 3 unreadable input, 4 input is not
 //! valid JSON, 5 input is JSON but not a known profile schema.
 
-use crate::cli::{self, exit, Args, Kind, Spec};
+use crate::cli::{self, exit, Args, Spec};
 use pvs_analyze::sentinel::compare_docs;
 
 pub const SPEC: Spec = Spec {
     command: "compare",
-    synopsis: "<old.json> <new.json> [--host-tol <pct>]",
-    flags: &[("--host-tol", Kind::Real)],
+    synopsis: "<old.json> <new.json>",
+    flags: &[],
     positionals: 2,
 };
 
@@ -40,7 +38,7 @@ pub fn run(args: &Args) -> i32 {
             }
         }
     }
-    let cmp = compare_docs(&docs[0], &docs[1], args.real("--host-tol"));
+    let cmp = compare_docs(&docs[0], &docs[1]);
     print!("{}", cmp.table().render());
     println!(
         "{} matched cells, {} drifts ({} vs {})",

@@ -14,7 +14,6 @@ pub mod profile;
 pub mod rankscale;
 pub mod roofline;
 pub mod scaling;
-pub mod selfperf;
 pub mod serve;
 pub mod serve_load;
 pub mod servechaos;

@@ -17,10 +17,6 @@
 //! per-cell self-time rollups), `--trace DIR` (export one Chrome
 //! trace-event JSON per cell — timestamps are simulated picoseconds).
 //!
-//! `PVS_SELF_PROFILE=1` additionally times the harness's own pipeline
-//! stages (see `pvs_bench::selfperf`) and prints one `self` line per
-//! stage; the document's model axes are bitwise-unaffected either way.
-//!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
 //! 1 internal failure, 2 malformed usage, 6 the output file or `--trace`
 //! directory cannot be written. Output paths are probed *before* the
@@ -29,12 +25,10 @@
 
 use crate::cli::{self, exit, Args, Kind, Spec};
 use crate::profile::{
-    measure_overhead, paper_cells, run_profile_with, smoke_cells, ProfileOptions, SweepCell,
+    measure_overhead, paper_cells, run_profile, smoke_cells, ProfileOptions, SweepCell,
 };
-use crate::selfperf::{collect_stages, HostProfiler};
 use pvs_analyze::{chrome, findings, profiledoc};
 use pvs_core::report::fmt_pct_signed;
-use std::sync::Arc;
 
 pub const SPEC: Spec = Spec {
     command: "profile",
@@ -96,10 +90,7 @@ fn sweep_document(
     trace_dir: Option<&str>,
     analyze: bool,
 ) -> Result<String, i32> {
-    // `PVS_SELF_PROFILE=1` arms the harness's own stage timing; the
-    // document's model axes are unaffected either way.
-    let profiler = Arc::new(HostProfiler::from_env());
-    let out = run_profile_with(cells, options, &profiler);
+    let out = run_profile(cells, options);
     for c in &out.cells {
         println!(
             "{:<8} {:<8} P={:<4} {:>7.3} Gflop/s/P  model {:>9.4}s  host {:>9.2e}s  {} counters, {} spans",
@@ -124,14 +115,6 @@ fn sweep_document(
             "no-obs baseline"
         }
     );
-    if profiler.enabled() {
-        for s in collect_stages(&profiler) {
-            println!(
-                "self     {:<30} {:>5} samples  p50 {:>7}us  p99 {:>7}us  total {:>9}us",
-                s.stage, s.summary.count, s.summary.p50, s.summary.p99, s.summary.sum
-            );
-        }
-    }
 
     if let Some(dir) = trace_dir {
         for c in &out.cells {

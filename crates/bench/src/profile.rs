@@ -12,7 +12,6 @@
 //! `pvs-bench`.
 
 use crate::harness::{interleaved_ab, time_samples};
-use crate::selfperf::{HostProfiler, STAGE_ENGINE, STAGE_POOL};
 use crate::tablegen::{fig9_procs, LARGEST_COMPARABLE};
 use pvs_core::engine::Engine;
 use pvs_core::json::{array, number, perf_report, JsonObject};
@@ -243,42 +242,21 @@ fn cell_engine(cell: &SweepCell, observe: bool) -> (Engine, Option<Arc<Registry>
 
 /// Run the sweep: the simulated pass fans out across `options.threads`
 /// workers; the host-timing pass then walks the cells serially.
-///
-/// Honors `PVS_SELF_PROFILE=1`: when set, the harness's own stage
-/// timings land in a fresh [`HostProfiler`] (which this entry point then
-/// drops — use [`run_profile_with`] to keep it). Armed or not, every
-/// model axis of the document is untouched — the profiler only ever
-/// times around the engine, never inside it — and when unset the stage
-/// wrappers are pure passthroughs.
 pub fn run_profile(cells: Vec<SweepCell>, options: ProfileOptions) -> ProfileOutput {
-    run_profile_with(cells, options, &Arc::new(HostProfiler::from_env()))
-}
-
-/// [`run_profile`] with an explicit self-profiler: the pool task body is
-/// attributed to `bench.hist.pool_task_us` (timed inside the worker) and
-/// each host-timing engine run to `bench.hist.engine_run_us`.
-pub fn run_profile_with(
-    cells: Vec<SweepCell>,
-    options: ProfileOptions,
-    profiler: &Arc<HostProfiler>,
-) -> ProfileOutput {
     // Pass 1 (parallel): the instrumented simulated runs. Each cell owns
     // its registry, so per-cell counters are thread-count independent.
     let pool = ThreadPool::new(options.threads);
     let observe = options.observe;
-    let prof = Arc::clone(profiler);
     let simulated: Vec<(SweepCell, PerfReport, Snapshot, TraceBuffer)> =
         pool.map(cells, move |cell| {
-            prof.stage(STAGE_POOL, || {
-                let phases = cell.phases();
-                let (engine, reg) = cell_engine(&cell, observe);
-                let report = engine.run(&phases, cell.procs);
-                let (snapshot, trace) = match reg {
-                    Some(reg) => (reg.snapshot(), reg.trace()),
-                    None => (Snapshot::default(), TraceBuffer::new()),
-                };
-                (cell, report, snapshot, trace)
-            })
+            let phases = cell.phases();
+            let (engine, reg) = cell_engine(&cell, observe);
+            let report = engine.run(&phases, cell.procs);
+            let (snapshot, trace) = match reg {
+                Some(reg) => (reg.snapshot(), reg.trace()),
+                None => (Snapshot::default(), TraceBuffer::new()),
+            };
+            (cell, report, snapshot, trace)
         });
     let harness_reg = Registry::new();
     pool.record_to(&harness_reg);
@@ -292,9 +270,7 @@ pub fn run_profile_with(
             let phases = cell.phases();
             let (engine, _reg) = cell_engine(&cell, observe);
             let host_secs = time_samples(options.host_samples, || {
-                profiler.stage(STAGE_ENGINE, || {
-                    std::hint::black_box(engine.run(&phases, cell.procs));
-                })
+                std::hint::black_box(engine.run(&phases, cell.procs));
             });
             let span_events = trace.events().len();
             CellProfile {

@@ -779,16 +779,7 @@ pub fn run_servechaos(threads: usize) -> Result<ServeChaosOutput, String> {
             outcome.report.requests as u64,
         );
         for cell in &outcome.cells {
-            // The committed baseline's rows were resolved from the
-            // scenario-qualified label by prefix, which sent
-            // `80x80x80@<scenario>` to Cactus's *large* case. The remap
-            // keeps those bytes so the rows still compare clean; delete
-            // it when `BENCH_servechaos.json` is next regenerated.
-            let modelled = match cell.config {
-                "80x80x80" => SweepCell { config: "250x64x64", ..cell.clone() },
-                _ => cell.clone(),
-            };
-            let mut row = observed_run(&modelled, &Adversity::healthy());
+            let mut row = observed_run(cell, &Adversity::healthy());
             row.cell.config = scenario_config(cell.config, outcome.report.name);
             rows.push(row);
         }

@@ -14,7 +14,7 @@
 //! offer the same work in the same order; only host timing differs. The
 //! emitted document is schema `pvs-bench/profile-v2`: model metrics are
 //! the served cell bytes (pure, gated exactly by `compare`), request
-//! latencies land in `host_wall` (report-only unless `--host-tol`).
+//! latencies land in `host_wall` (report-only).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

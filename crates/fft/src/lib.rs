@@ -14,9 +14,7 @@
 //!   the paper's greedy column load balancer (Fig. 4a), and reports the
 //!   communication-volume saving; [`dist3d`] runs the distributed 3D FFT
 //!   (1D FFTs along Z, Y, X with all-to-all transposes between) on the
-//!   `pvs-mpisim` runtime;
-//! * production meshes are rarely powers of two: [`bluestein`] provides
-//!   arbitrary-length transforms via the chirp-z convolution.
+//!   `pvs-mpisim` runtime.
 //!
 //! ## Example
 //!
@@ -34,13 +32,11 @@
 //! }
 //! ```
 
-pub mod bluestein;
 pub mod dist3d;
 pub mod fft1d;
 pub mod multi;
 pub mod sphere;
 
-pub use bluestein::{fft_any, ifft_any, BluesteinPlan};
 pub use dist3d::{fft3d_serial, ifft3d_serial, DistFft3};
 pub use fft1d::{fft, ifft, FftPlan};
 pub use multi::{fft_multi, ifft_multi, MultiFft};

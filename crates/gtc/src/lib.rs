@@ -24,10 +24,7 @@
 //!   split-condition rewrite that cut its overhead from 54% to 4% (§6.1);
 //! * [`sim`]: serial and distributed drivers with conservation and drift
 //!   physics tests;
-//! * [`perf`]: the Table 6 workload (10 and 100 particles per cell);
-//! * [`annulus`]: the poloidal-plane (annular) geometry extension — polar
-//!   deposition, the cylindrical screened-Poisson solve, and E×B rotation
-//!   on flux surfaces.
+//! * [`perf`]: the Table 6 workload (10 and 100 particles per cell).
 //!
 //! ## Example
 //!
@@ -43,7 +40,6 @@
 // Index loops mirror the Fortran-style kernels they reproduce (particle/grid index loops).
 #![allow(clippy::needless_range_loop)]
 
-pub mod annulus;
 pub mod deposit;
 pub mod field;
 pub mod grid2d;

@@ -77,7 +77,7 @@ fn sentinel_passes_the_committed_baseline_against_itself() {
         .expect("committed baseline readable");
     let doc = profiledoc::load(&text).expect("committed baseline loads");
     assert!(!doc.cells.is_empty());
-    let cmp = compare_docs(&doc, &doc, None);
+    let cmp = compare_docs(&doc, &doc);
     assert!(!cmp.regressed(), "{:?}", cmp.drifts);
     assert!(cmp.drifts.is_empty());
     assert_eq!(cmp.matched_cells, doc.cells.len());
@@ -92,7 +92,7 @@ fn sentinel_catches_a_synthetic_model_time_regression() {
     let old = profiledoc::load(&text).expect("committed baseline loads");
     let mut new = profiledoc::load(&text).unwrap();
     new.cells[0].model.time_s *= 1.05;
-    let cmp = compare_docs(&old, &new, None);
+    let cmp = compare_docs(&old, &new);
     assert!(cmp.regressed());
     let drift = cmp
         .drifts
@@ -103,7 +103,7 @@ fn sentinel_catches_a_synthetic_model_time_regression() {
     let pct = drift.pct_change().expect("finite drift");
     assert!((pct - 5.0).abs() < 1e-6, "{pct}");
     // The reverse direction — a speedup — is drift, not regression.
-    let cmp = compare_docs(&new, &old, None);
+    let cmp = compare_docs(&new, &old);
     assert!(!cmp.regressed(), "{:?}", cmp.drifts);
 }
 
