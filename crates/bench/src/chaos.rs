@@ -24,7 +24,7 @@
 //!   the `pvs-mpisim` collectives still complete over the survivors,
 //!   twice, with identical results and retry counters.
 
-use crate::profile::{observed_run, CellProfile, ProfileOptions, ProfileOutput, SweepCell};
+use crate::profile::{observed_run, CellProfile, ProfileOutput, SweepCell};
 use pvs_analyze::bottleneck::Bottleneck;
 use pvs_analyze::{findings, profiledoc};
 use pvs_core::checkpoint::SweepCheckpoint;
@@ -423,15 +423,7 @@ pub fn run_chaos(
     harness_reg.add("chaos.scenarios", scenarios.len() as u64);
 
     let output = ChaosOutput {
-        profile: ProfileOutput {
-            cells: rows,
-            harness: harness_reg.snapshot(),
-            options: ProfileOptions {
-                observe: true,
-                host_samples: 0,
-                threads,
-            },
-        },
+        profile: ProfileOutput::from_rows(rows, harness_reg.snapshot(), threads),
         scenarios: summaries,
     };
 

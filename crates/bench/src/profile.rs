@@ -142,6 +142,15 @@ pub struct ProfileOutput {
 }
 
 impl ProfileOutput {
+    /// The document of a harness that ran its own observed rows: the
+    /// rows, the harness registry's snapshot and the worker count; the
+    /// host samples per cell are what the rows carry.
+    pub fn from_rows(cells: Vec<CellProfile>, harness: Snapshot, threads: usize) -> Self {
+        let host_samples = cells.first().map_or(0, |cell| cell.host_secs.len());
+        let options = ProfileOptions { observe: true, host_samples, threads };
+        ProfileOutput { cells, harness, options }
+    }
+
     /// Sum of per-cell median host seconds — the scalar the overhead
     /// comparison against `--no-obs` uses.
     pub fn host_median_sum_s(&self) -> f64 {

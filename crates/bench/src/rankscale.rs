@@ -26,10 +26,11 @@
 //!   bits in rank order, folded below 2⁵³ so it round-trips f64 JSON
 //!   exactly. Any behavioural drift anywhere in the runtime moves it.
 
-use crate::profile::{CellProfile, ProfileOptions, ProfileOutput, SweepCell};
+use crate::profile::{CellProfile, ProfileOutput, SweepCell};
+use pvs_core::hash::Fnv1a;
 use pvs_core::report::{PerfReport, PhaseBreakdown};
 use pvs_mpisim::event::SimStats;
-use pvs_mpisim::CommStats;
+use pvs_mpisim::{first_divergence, CommStats};
 use pvs_obs::span::TraceBuffer;
 use pvs_obs::Registry;
 
@@ -102,28 +103,8 @@ pub fn verify_identity(threads: usize) -> Result<(), String> {
     for app in ["LBMHD", "GTC", "CACTUS", "PARATEC"] {
         let (v1_run, v2_run) = kernels(app);
         for p in IDENTITY_P {
-            let v1 = v1_run(p);
-            let (v2, _) = v2_run(p, threads);
-            if v1.len() != v2.len() {
-                return Err(format!(
-                    "{app} P={p}: rank count diverged (v1 {} vs v2 {})",
-                    v1.len(),
-                    v2.len()
-                ));
-            }
-            for (rank, ((a, sa), (b, sb))) in v1.iter().zip(&v2).enumerate() {
-                let a_bits: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
-                let b_bits: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-                if a_bits != b_bits {
-                    return Err(format!(
-                        "{app} P={p} rank {rank}: values diverged (v1 {a:?} vs v2 {b:?})"
-                    ));
-                }
-                if sa != sb {
-                    return Err(format!(
-                        "{app} P={p} rank {rank}: traffic diverged (v1 {sa:?} vs v2 {sb:?})"
-                    ));
-                }
+            if let Some(divergence) = first_divergence(&v1_run(p), &v2_run(p, threads).0) {
+                return Err(format!("{app} {divergence}"));
             }
         }
     }
@@ -133,16 +114,13 @@ pub fn verify_identity(threads: usize) -> Result<(), String> {
 /// FNV-1a over every rank's output bits in rank order, folded below 2⁵³
 /// so the checksum survives the f64 JSON round-trip exactly.
 fn output_checksum(per_rank: &[(Vec<f64>, CommStats)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     for (values, _) in per_rank {
         for x in values {
-            for byte in x.to_bits().to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            hash.write(&x.to_bits().to_le_bytes());
         }
     }
-    h % (1u64 << 53)
+    hash.finish() % (1u64 << 53)
 }
 
 /// Run one cell on the event-driven runtime and render it as a
@@ -208,15 +186,7 @@ fn run_cell(cell: RankScaleCell, threads: usize) -> CellProfile {
 pub fn run_rankscale(cells: &[RankScaleCell], threads: usize) -> Result<ProfileOutput, String> {
     verify_identity(threads)?;
     let profiles = cells.iter().map(|&c| run_cell(c, threads)).collect();
-    Ok(ProfileOutput {
-        cells: profiles,
-        harness: Registry::new().snapshot(),
-        options: ProfileOptions {
-            observe: true,
-            host_samples: 1,
-            threads,
-        },
-    })
+    Ok(ProfileOutput::from_rows(profiles, Registry::new().snapshot(), threads))
 }
 
 #[cfg(test)]
@@ -249,17 +219,6 @@ mod tests {
     #[test]
     fn identity_gate_passes() {
         verify_identity(2).expect("v1 and v2 agree bit-for-bit");
-    }
-
-    #[test]
-    fn cells_are_thread_count_independent() {
-        let cell = RankScaleCell { app: "GTC", procs: 64 };
-        let a = run_cell(cell, 1);
-        let b = run_cell(cell, 4);
-        assert_eq!(a.snapshot, b.snapshot);
-        assert_eq!(a.report.time_s, b.report.time_s);
-        assert_eq!(a.report.comm_s, b.report.comm_s);
-        assert_eq!(a.report.gflops_per_p, b.report.gflops_per_p);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::chaos::scenario_config;
-use crate::profile::{observed_run, ProfileOptions, ProfileOutput, SweepCell};
+use crate::profile::{observed_run, ProfileOutput, SweepCell};
 use crate::serveload::{direct_cell_body, fetch_cell_body, run_load, ArrivalMode, LoadOptions, RetryPolicy};
 use pvs_core::Adversity;
 use pvs_fault::{HostFaultKind, HostFaultPlan};
@@ -788,11 +788,7 @@ pub fn run_servechaos(threads: usize) -> Result<ServeChaosOutput, String> {
     harness_reg.add("servechaos.scenarios", scenarios.len() as u64);
 
     Ok(ServeChaosOutput {
-        profile: ProfileOutput {
-            cells: rows,
-            harness: harness_reg.snapshot(),
-            options: ProfileOptions { observe: true, host_samples: 0, threads },
-        },
+        profile: ProfileOutput::from_rows(rows, harness_reg.snapshot(), threads),
         scenarios,
     })
 }

@@ -462,37 +462,6 @@ impl Engine {
         })
     }
 
-    /// Execute a batch of `(phases, procs)` configurations on this
-    /// machine, fanned out across host cores, with results in input order.
-    ///
-    /// Each cell is an independent pure function of `(machine, phases,
-    /// procs)`, so the parallel batch is bit-identical to running
-    /// [`Engine::run`] serially over the same configurations.
-    pub fn run_sweep(&self, batch: Vec<(Vec<Phase>, usize)>) -> Vec<PerfReport> {
-        self.run_sweep_threads(batch, default_threads())
-    }
-
-    /// [`Engine::run_sweep`] with an explicit worker count (1 = serial,
-    /// used by the determinism tests).
-    pub fn run_sweep_threads(
-        &self,
-        batch: Vec<(Vec<Phase>, usize)>,
-        threads: usize,
-    ) -> Vec<PerfReport> {
-        // The recorder is deliberately not carried into the workers —
-        // flush order across threads would depend on scheduling. The
-        // adversity is: damaged-machine sweeps stay deterministic
-        // because each cell is still a pure function of its inputs.
-        let template = Engine {
-            machine: self.machine.clone(),
-            recorder: None,
-            adversity: self.adversity.clone(),
-        };
-        ThreadPool::new(threads).map(batch, move |(phases, procs)| {
-            template.run(&phases, procs)
-        })
-    }
-
     fn run_loop(&self, l: &LoopPhase) -> LoopOutcome {
         match &self.machine.cpu {
             CpuClass::Vector {
@@ -1222,17 +1191,13 @@ mod tests {
         );
         let batch: Vec<(Vec<Phase>, usize)> =
             (0..6).map(|i| (comm_heavy(16 << (i % 3)), 16 << (i % 3))).collect();
-        let serial: Vec<String> = engine
-            .run_sweep_threads(batch.clone(), 1)
-            .iter()
-            .map(fingerprint)
-            .collect();
-        let wide: Vec<String> = engine
-            .run_sweep_threads(batch, 8)
-            .iter()
-            .map(fingerprint)
-            .collect();
-        assert_eq!(serial, wide);
+        let sweep = |threads: usize| -> Vec<String> {
+            let engine = engine.clone();
+            ThreadPool::new(threads).map(batch.clone(), move |(phases, procs)| {
+                fingerprint(&engine.run(&phases, procs))
+            })
+        };
+        assert_eq!(sweep(1), sweep(8));
     }
 
     #[test]
@@ -1349,7 +1314,9 @@ mod tests {
             (vec![blas3_like()], 16),
             (vec![lbmhd_like(), blas3_like()], 64),
         ];
-        let swept = engine.run_sweep(batch.clone());
+        let pooled = engine.clone();
+        let swept = ThreadPool::new(default_threads())
+            .map(batch.clone(), move |(phases, procs)| pooled.run(&phases, procs));
         for ((phases, procs), got) in batch.into_iter().zip(&swept) {
             let lone = engine.run(&phases, procs);
             assert_eq!(fingerprint(&lone), fingerprint(got));

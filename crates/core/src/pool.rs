@@ -147,11 +147,6 @@ impl ThreadPool {
         Self { shared, workers }
     }
 
-    /// Pool sized by [`default_threads`].
-    pub fn with_default_threads() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
@@ -385,27 +380,6 @@ impl PoolMetrics {
     }
 }
 
-/// One-shot convenience: map `items` through `f` on a temporary pool of
-/// `threads` workers, preserving input order.
-pub fn parallel_map_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    ThreadPool::new(threads).map(items, f)
-}
-
-/// [`parallel_map_threads`] with [`default_threads`] workers.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    parallel_map_threads(items, default_threads(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,9 +430,8 @@ mod tests {
 
     #[test]
     fn one_thread_degenerate_case_matches() {
-        let serial = parallel_map_threads((0..40u64).collect(), 1, |i| i.wrapping_mul(31) ^ 5);
-        let wide = parallel_map_threads((0..40u64).collect(), 8, |i| i.wrapping_mul(31) ^ 5);
-        assert_eq!(serial, wide);
+        let map = |threads| ThreadPool::new(threads).map((0..40u64).collect(), |i| i.wrapping_mul(31) ^ 5);
+        assert_eq!(map(1), map(8));
     }
 
     #[test]

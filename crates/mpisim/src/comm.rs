@@ -436,23 +436,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_order_tags_are_buffered() {
-        let results = run(2, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, 1, vec![1.0]);
-                c.send(1, 2, vec![2.0]);
-                0.0
-            } else {
-                // Receive tag 2 first even though tag 1 was sent first.
-                let b = c.recv(0, 2)[0];
-                let a = c.recv(0, 1)[0];
-                b * 10.0 + a
-            }
-        });
-        assert_eq!(results[1], 21.0);
-    }
-
     fn mailbox(packets: Vec<(usize, u64, Payload)>) -> VecDeque<Packet> {
         let packet = |(src, tag, payload)| Packet { src, tag, payload };
         packets.into_iter().map(packet).collect()
@@ -492,20 +475,18 @@ mod tests {
         assert!(take_match(&mut m, 0, 1, Want::Data).is_none());
         assert_eq!(m.len(), 2, "other sources and tags stay buffered");
         // The same order end to end, on both runtimes.
-        let v1 = run(2, |mut c| match c.rank() {
-            0 => (1..=3).map(|x| c.send(1, 1, vec![x as f64])).map(|()| 0.0).collect(),
-            _ => (0..3).map(|_| c.recv(0, 1)[0]).collect::<Vec<f64>>(),
-        });
-        assert_eq!(v1[1], [1.0, 2.0, 3.0]);
-        let v2 = crate::run_events(2, |rank, _| {
+        let make = |rank, _| {
             let send = |x: f64| crate::Op::Send { dst: 1, tag: 1, data: vec![x] };
             crate::ScriptProgram::new(match rank {
                 0 => vec![send(1.0), send(2.0), send(3.0)],
                 _ => vec![crate::Op::Recv { src: 0, tag: 1 }; 3],
             })
-        });
-        let got: Vec<String> = v2[1].iter().map(|reply| format!("{reply:?}")).collect();
-        assert_eq!(got, ["Received(Ok([1.0]))", "Received(Ok([2.0]))", "Received(Ok([3.0]))"]);
+        };
+        for report in [crate::run_programs(2, None, make), crate::EventSim::new(2).run(make)] {
+            let replies = &report.into_values()[1];
+            let got: Vec<String> = replies.iter().map(|reply| format!("{reply:?}")).collect();
+            assert_eq!(got, ["Received(Ok([1.0]))", "Received(Ok([2.0]))", "Received(Ok([3.0]))"]);
+        }
     }
 
     #[test]

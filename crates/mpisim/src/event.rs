@@ -335,13 +335,6 @@ impl EventSim {
         EventSim { nranks, faults: None }
     }
 
-    /// Accepted so callers that size a worker pool keep compiling; it
-    /// changes nothing. Every superstep is resumed on the calling thread
-    /// (see the module header), and results never depended on the count.
-    pub fn threads(self, _threads: usize) -> Self {
-        self
-    }
-
     /// Inject faults: every message replays the seeded drop/delay draws
     /// [`crate::run_faulty`] makes, and ranks in the failed set never
     /// execute. Mirrors v1's faulty surface — only the collectives
@@ -398,17 +391,6 @@ impl EventSim {
         sched.drive();
         sched.into_report()
     }
-}
-
-/// Run `nranks` virtual ranks through the event-driven scheduler and
-/// collect their outputs in rank order — the v2 analogue of
-/// [`crate::comm::run`].
-pub fn run_events<P, F>(nranks: usize, make: F) -> Vec<P::Output>
-where
-    P: RankProgram,
-    F: Fn(usize, usize) -> P,
-{
-    EventSim::new(nranks).run(make).into_values()
 }
 
 /// The shape a completed receive is answered in: [`Reply::Received`],
@@ -943,7 +925,7 @@ fn charge<P: RankProgram>(slots: &mut Slots<P>, ranks: &[usize], messages: u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::run;
+    use crate::threaded::run_programs;
 
     fn probe(rank: usize) -> f64 {
         [1e16, 1.0, -1e16][rank % 3]
@@ -978,19 +960,13 @@ mod tests {
     #[test]
     fn ring_and_allreduce_match_v1_bitwise() {
         for n in [1usize, 2, 3, 7, 8, 16] {
-            let v1 = run(n, |mut c| {
-                if n > 1 {
-                    c.send((c.rank() + 1) % n, 7, vec![c.rank() as f64]);
-                    let _ = c.recv((c.rank() + n - 1) % n, 7);
-                }
-                c.allreduce_sum(&[probe(c.rank())])
-            });
-            let v2 = run_events(n, |r, s| ring_script(r, s));
+            let v1 = run_programs(n, None, ring_script).into_values();
+            let v2 = EventSim::new(n).run(ring_script).into_values();
             for (rank, (a, b)) in v1.iter().zip(&v2).enumerate() {
-                let got = reduced(b.last().expect("allreduce reply"));
+                let sums = [a, b].map(|replies| reduced(replies.last().expect("allreduce reply")));
                 assert_eq!(
-                    a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    sums[0].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    sums[1].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     "n={n} rank={rank}"
                 );
             }
@@ -1000,11 +976,8 @@ mod tests {
     #[test]
     fn allreduce_is_bit_identical_across_ranks_on_v2() {
         for n in [2usize, 3, 7, 8] {
-            let results = run_events(n, |rank, _| {
-                ScriptProgram::new(vec![Op::AllreduceSum {
-                    data: vec![probe(rank), 0.1],
-                }])
-            });
+            let script = |rank, _| ScriptProgram::new(vec![Op::AllreduceSum { data: vec![probe(rank), 0.1] }]);
+            let results = EventSim::new(n).run(script).into_values();
             let first = reduced(results[0].last().expect("reply")).to_vec();
             for r in &results {
                 let got = reduced(r.last().expect("reply"));
@@ -1018,31 +991,11 @@ mod tests {
     }
 
     #[test]
-    fn results_are_thread_count_independent() {
-        let at = |threads: usize| {
-            let report = EventSim::new(16).threads(threads).run(|r, s| ring_script(r, s));
-            (
-                report
-                    .outcomes
-                    .iter()
-                    .map(|o| format!("{:?}", o.value()))
-                    .collect::<Vec<_>>(),
-                report.comm_stats.clone(),
-                report.sim,
-            )
-        };
-        let serial = at(1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(at(threads), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn sixty_five_thousand_ranks_without_rank_threads() {
         // P = 65536 virtual ranks and not one rank thread: the whole point
         // of the event-driven core. One ring shift + one allreduce each.
         let n = 65536usize;
-        let report = EventSim::new(n).threads(2).run(|rank, size| {
+        let report = EventSim::new(n).run(|rank, size| {
             let right = (rank + 1) % size;
             let left = (rank + size - 1) % size;
             ScriptProgram::new(vec![
@@ -1074,7 +1027,7 @@ mod tests {
     #[test]
     fn deadlock_is_diagnosed_not_hung() {
         let err = std::panic::catch_unwind(|| {
-            run_events(2, |rank, _| {
+            EventSim::new(2).run(|rank, _| {
                 // Rank 1 waits for a message nobody sends.
                 if rank == 1 {
                     ScriptProgram::new(vec![Op::Recv { src: 0, tag: 9 }])
@@ -1094,7 +1047,7 @@ mod tests {
 
     #[test]
     fn loopback_and_self_exchange() {
-        let results = run_events(3, |rank, _| {
+        let report = EventSim::new(3).run(|rank, _| {
             ScriptProgram::new(vec![
                 Op::Send {
                     dst: rank,
@@ -1109,6 +1062,7 @@ mod tests {
                 },
             ])
         });
+        let results = report.into_values();
         for (rank, replies) in results.iter().enumerate() {
             match (&replies[1], &replies[2]) {
                 (Reply::Received(Ok(v)), Reply::Exchanged(Ok(e))) => {
@@ -1122,7 +1076,7 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered_like_v1() {
-        let results = run_events(2, |rank, _| {
+        let make = |rank, _| {
             if rank == 0 {
                 ScriptProgram::new(vec![
                     Op::Send {
@@ -1142,18 +1096,20 @@ mod tests {
                     Op::Recv { src: 0, tag: 1 },
                 ])
             }
-        });
-        match (&results[1][0], &results[1][1]) {
-            (Reply::Received(Ok(b)), Reply::Received(Ok(a))) => {
-                assert_eq!((b[0], a[0]), (2.0, 1.0));
+        };
+        for report in [run_programs(2, None, make), EventSim::new(2).run(make)] {
+            match &report.into_values()[1][..] {
+                [Reply::Received(Ok(b)), Reply::Received(Ok(a))] => {
+                    assert_eq!((b[0], a[0]), (2.0, 1.0));
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn sim_stats_report_to_obs() {
-        let report = EventSim::new(4).run(|r, s| ring_script(r, s));
+        let report = EventSim::new(4).run(ring_script);
         let reg = pvs_obs::Registry::new();
         report.record_to(&reg);
         assert_eq!(reg.gauge("mpisim.sim.ranks"), 4);
@@ -1172,17 +1128,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_distribution_is_thread_count_invariant() {
-        let one = EventSim::new(8).threads(1).run(|r, s| ring_script(r, s));
-        let many = EventSim::new(8).threads(8).run(|r, s| ring_script(r, s));
-        assert_eq!(one.batch_sizes, many.batch_sizes);
-        assert_eq!(one.sim, many.sim);
-    }
-
-    #[test]
     #[should_panic(expected = "same order")]
     fn mismatched_collectives_are_diagnosed() {
-        run_events(2, |rank, _| {
+        EventSim::new(2).run(|rank, _| {
             if rank == 0 {
                 ScriptProgram::new(vec![Op::Barrier])
             } else {

@@ -26,6 +26,9 @@
 //!   scheduler thread, scheduled by the simulated-picosecond
 //!   event core, bit-identical to the thread-backed runtime and able to
 //!   simulate 10⁵+ ranks without 10⁵ OS threads;
+//! * [`threaded`]: the same [`RankProgram`]s on the thread-backed
+//!   runtime, each [`Op`] answered by the [`Comm`] / [`FaultyComm`]
+//!   method of the same name;
 //! * `collective` (private): the one definition of every collective —
 //!   schedules, canonical folds, survivor set, seeded per-message fault
 //!   charge — run as packets by `comm`/`fault`/`caf`, as sums by `event`;
@@ -33,11 +36,14 @@
 //!   reserved so user traffic can never collide with a collective's
 //!   internal messages.
 //!
-//! Two runtimes, one semantics: [`run`] spawns a thread per rank (v1,
-//! natural closures, bounded P), [`EventSim`]/[`run_events`] schedules
-//! parked continuations (v2, explicit state machines, P bounded by
-//! memory). The conformance suite pins them bit-identical on values and
-//! traffic statistics for every collective.
+//! Two runtimes, one semantics, one spelling per workload: a rank
+//! workload is a [`RankProgram`] value and the runtime is an argument.
+//! [`run_programs`] gives each rank a thread and real packets (v1, bounded
+//! P; [`run`] is its closure form), [`EventSim`] schedules parked
+//! continuations (v2, P bounded by memory). The conformance suite runs
+//! every scenario — one op list — through both and pins them
+//! bit-identical on values, traffic statistics, fault accounting and
+//! clocks.
 //!
 //! ## Example
 //!
@@ -56,15 +62,16 @@ pub mod comm;
 pub mod event;
 pub mod fault;
 pub mod tags;
+pub mod threaded;
 
 pub use caf::CoArray;
 pub use cart::{Cart2d, Cart3d};
 pub use comm::{run, Comm, CommStats, RecvRequest};
 pub use event::{
-    run_events, EventSim, Op, RankCtx, RankProgram, Reply, ScriptProgram, SimReport, SimStats,
-    Step,
+    EventSim, Op, RankCtx, RankProgram, Reply, ScriptProgram, SimReport, SimStats, Step,
 };
 pub use fault::{
     retry_backoff_ps, run_faulty, FaultError, FaultSpec, FaultStats, FaultyComm, RankOutcome,
 };
 pub use tags::{is_user_tag, COLLECTIVE_BIT};
+pub use threaded::{first_divergence, run_programs};

@@ -1,8 +1,10 @@
-//! v1 ↔ v2 conformance: the thread-backed runtime (`run`/`run_faulty`)
-//! and the event-driven runtime (`EventSim`) must agree **bit-for-bit**
-//! on every value and every statistic, at every rank count, in healthy
-//! and faulty regimes alike. These tests are the gate that lets the
-//! scale harness trust v2 at rank counts v1 cannot reach.
+//! v1 ↔ v2 conformance: the thread-backed runtime (`run_programs`, over
+//! `run`/`run_faulty`) and the event-driven runtime (`EventSim`) must
+//! agree **bit-for-bit** on every value and every statistic, at every
+//! rank count, in healthy and faulty regimes alike. Every scenario is one
+//! program run through both, so a disagreement is a runtime's, never a
+//! second spelling's. These tests are the gate that lets the scale
+//! harness trust v2 at rank counts v1 cannot reach.
 //!
 //! Faulty *collective* regimes are restricted to retry-succeeds seeds:
 //! on a mid-collective timeout v1's ring deadlocks (the erroring rank
@@ -12,8 +14,10 @@
 //! hanging the v1 side.
 
 use pvs_mpisim::{
-    run, run_faulty, CommStats, EventSim, FaultSpec, Op, Reply, ScriptProgram,
+    run_programs, EventSim, FaultError, FaultSpec, Op, RankCtx, RankProgram, Reply, ScriptProgram,
+    SimReport, Step,
 };
+use std::fmt::Debug;
 
 const SWEEP_P: [usize; 4] = [1, 2, 4, 16];
 
@@ -32,116 +36,153 @@ fn spec_with(seed: u64, drop: u32, max_attempts: u32, delay: u32) -> FaultSpec {
     spec
 }
 
-/// Flatten a v2 reply stream into the same `Vec<Vec<f64>>` shape the v1
-/// closure records, panicking on any fault in a healthy run.
-fn flatten_replies(replies: &[Reply]) -> Vec<Vec<f64>> {
-    let mut out = Vec::new();
-    for reply in replies {
-        match reply {
-            Reply::Start | Reply::Sent(Ok(())) | Reply::BarrierDone(Ok(())) => {}
-            Reply::Reduced(Ok(v)) | Reply::Broadcasted(v) => out.push(v.clone()),
-            Reply::MaxReduced(Ok(x)) => out.push(vec![*x]),
-            Reply::Gathered(rows) => out.extend(rows.iter().cloned()),
-            Reply::Alltoall(rows) => out.extend(rows.iter().cloned()),
-            Reply::Exchanged(Ok(v)) | Reply::Received(Ok(v)) => out.push(v.clone()),
-            other => panic!("unexpected reply in healthy run: {other:?}"),
-        }
-    }
-    out
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
-fn bits(vals: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    vals.iter()
-        .map(|v| v.iter().map(|x| x.to_bits()).collect())
-        .collect()
+/// What a reply carried, every double as its bit pattern, or the fault
+/// it surfaced.
+fn carried(reply: &Reply) -> Result<Vec<Vec<u64>>, FaultError> {
+    Ok(match reply {
+        Reply::Start => Vec::new(),
+        Reply::Sent(done) | Reply::BarrierDone(done) => {
+            (*done)?;
+            Vec::new()
+        }
+        Reply::Received(data) | Reply::Exchanged(data) | Reply::Reduced(data) => {
+            vec![bits(data.as_ref().map_err(|e| *e)?)]
+        }
+        Reply::MaxReduced(x) => vec![vec![(*x)?.to_bits()]],
+        Reply::Broadcasted(data) => vec![bits(data)],
+        Reply::Gathered(rows) => rows.iter().map(|row| bits(row)).collect(),
+        Reply::Alltoall(rows) => rows.iter().map(|row| bits(row)).collect(),
+        Reply::CoCreated(array) => vec![vec![array.this_image() as u64, array.num_images() as u64]],
+    })
+}
+
+fn script_bits(replies: &Vec<Reply>) -> Vec<Result<Vec<Vec<u64>>, FaultError>> {
+    replies.iter().map(carried).collect()
+}
+
+/// `make`'s programs on the event runtime, healthy or under `faults`.
+fn on_events<P: RankProgram>(
+    n: usize,
+    faults: &Option<FaultSpec>,
+    make: impl Fn(usize, usize) -> P,
+) -> SimReport<P::Output> {
+    let sim = EventSim::new(n);
+    match faults {
+        Some(spec) => sim.faults(spec.clone()).run(make),
+        None => sim.run(make),
+    }
+}
+
+/// Run the same `make` on the thread-backed runtime and hold it to the
+/// event runtime's report `v2`, rank by rank: who survived, the values
+/// (as `view` renders them), fault accounting, traffic and clock.
+fn assert_threads_match<P: RankProgram, V: PartialEq + Debug>(
+    ctx: &str,
+    faults: Option<FaultSpec>,
+    make: impl Fn(usize, usize) -> P + Send + Sync,
+    v2: &SimReport<P::Output>,
+    view: impl Fn(&P::Output) -> V,
+) {
+    let n = v2.outcomes.len();
+    let v1 = run_programs(n, faults, make);
+    for rank in 0..n {
+        let ctx = format!("{ctx} n={n} rank={rank}");
+        let values = |report: &SimReport<P::Output>| report.outcomes[rank].value().map(&view);
+        assert_eq!(values(&v1), values(v2), "values {ctx}");
+        assert_eq!(v1.outcomes[rank].faults(), v2.outcomes[rank].faults(), "fault stats {ctx}");
+        assert_eq!(v1.comm_stats[rank], v2.comm_stats[rank], "traffic {ctx}");
+        assert_eq!(v1.clocks_ps[rank], v2.clocks_ps[rank], "clock {ctx}");
+    }
+}
+
+/// The healthy sweep: one op of every kind, each arm naming what follows
+/// that kind. There is no wildcard arm, so a new `Op` variant does not
+/// compile until it has a place in this both-runtimes scenario.
+fn every_op(rank: usize, size: usize) -> Vec<Op> {
+    let r = rank as f64;
+    let root = size - 1;
+    let mut ops = vec![Op::Barrier];
+    loop {
+        let next = match &ops[ops.len() - 1] {
+            Op::Barrier => Op::AllreduceSum { data: vec![probe(rank), 0.25 * r] },
+            Op::AllreduceSum { .. } => Op::AllreduceMaxScalar { x: probe(rank) },
+            Op::AllreduceMaxScalar { .. } => Op::Allgather { data: vec![r + 0.5; rank % 3 + 1] },
+            Op::Allgather { .. } => Op::Broadcast {
+                root,
+                data: if rank == root { vec![3.5, -1e16, probe(rank)] } else { Vec::new() },
+            },
+            Op::Broadcast { .. } => Op::Alltoallv {
+                sends: (0..size).map(|d| vec![(rank * size + d) as f64; (rank + d) % 2 + 1]).collect(),
+            },
+            Op::Alltoallv { .. } => Op::CoCreate { len: 3 },
+            Op::CoCreate { .. } => Op::Sendrecv {
+                partner: if rank ^ 1 < size { rank ^ 1 } else { rank },
+                tag: 11,
+                data: vec![r, r + 0.5],
+            },
+            Op::Sendrecv { .. } => Op::Send { dst: (rank + 1) % size, tag: 12, data: vec![r * 7.0] },
+            Op::Send { .. } => Op::Recv { src: (rank + size - 1) % size, tag: 12 },
+            Op::Recv { .. } => return ops,
+        };
+        ops.push(next);
+    }
+}
+
+/// A data-dependent program, GTC's shape: ring-shift a value until a max
+/// reduction reports every rank's hop budget spent, so the op sequence is
+/// known only from the replies — and `ctx.comm` is read mid-run.
+struct GatedShift {
+    value: f64,
+    hops: u32,
+}
+
+impl GatedShift {
+    fn new(rank: usize, _size: usize) -> Self {
+        GatedShift { value: probe(rank), hops: (rank % 3) as u32 }
+    }
+
+    fn gate(&self) -> Step<Vec<f64>> {
+        Step::Op(Op::AllreduceMaxScalar { x: self.hops as f64 })
+    }
+}
+
+impl RankProgram for GatedShift {
+    type Output = Vec<f64>;
+
+    fn resume(&mut self, ctx: &RankCtx, reply: Reply) -> Step<Vec<f64>> {
+        let (right, left) = ((ctx.rank + 1) % ctx.size, (ctx.rank + ctx.size - 1) % ctx.size);
+        match reply {
+            Reply::Start => self.gate(),
+            Reply::MaxReduced(Ok(most)) if most > 0.0 => {
+                Step::Op(Op::Send { dst: right, tag: 30, data: vec![self.value, 0.5] })
+            }
+            Reply::MaxReduced(Ok(_)) => Step::Finish(vec![self.value, ctx.comm.bytes_sent as f64]),
+            Reply::Sent(Ok(())) => Step::Op(Op::Recv { src: left, tag: 30 }),
+            Reply::Received(Ok(data)) => {
+                self.value = data[0] + data[1] + ctx.comm.messages_sent as f64;
+                self.hops = self.hops.saturating_sub(1);
+                self.gate()
+            }
+            other => panic!("unexpected reply in the gated shift: {other:?}"),
+        }
+    }
 }
 
 /// Every collective plus both p2p shapes, v1 and v2, all rank counts:
-/// values and per-rank traffic statistics must match bitwise.
+/// values and per-rank traffic statistics must match bitwise — for the
+/// fixed script and for a program whose ops depend on what it receives.
 #[test]
 fn healthy_sweep_is_bit_exact() {
     for n in SWEEP_P {
-        let bcast_root = n - 1;
-        let v1: Vec<(Vec<Vec<f64>>, CommStats)> = run(n, move |mut c| {
-            let rank = c.rank();
-            let r = rank as f64;
-            let mut out: Vec<Vec<f64>> = Vec::new();
-            c.barrier();
-            out.push(c.allreduce_sum(&[probe(rank), 0.25 * r]));
-            out.push(vec![c.allreduce_max_scalar(probe(rank))]);
-            out.extend(c.allgather(&vec![r + 0.5; rank % 3 + 1]));
-            let root_data = if rank == bcast_root {
-                vec![3.5, -1e16, probe(rank)]
-            } else {
-                Vec::new()
-            };
-            out.push(c.broadcast(bcast_root, root_data));
-            let sends: Vec<Vec<f64>> = (0..n)
-                .map(|d| vec![(rank * n + d) as f64; (rank + d) % 2 + 1])
-                .collect();
-            out.extend(c.alltoallv(sends));
-            let partner = if rank ^ 1 < n { rank ^ 1 } else { rank };
-            out.push(c.sendrecv(partner, 11, vec![r, r + 0.5]));
-            if n > 1 {
-                c.send((rank + 1) % n, 12, vec![r * 7.0]);
-                out.push(c.recv((rank + n - 1) % n, 12));
-            }
-            (out, c.stats())
-        });
-        let report = EventSim::new(n).run(|rank, size| {
-            let r = rank as f64;
-            let mut ops = vec![
-                Op::Barrier,
-                Op::AllreduceSum {
-                    data: vec![probe(rank), 0.25 * r],
-                },
-                Op::AllreduceMaxScalar { x: probe(rank) },
-                Op::Allgather {
-                    data: vec![r + 0.5; rank % 3 + 1],
-                },
-                Op::Broadcast {
-                    root: bcast_root,
-                    data: if rank == bcast_root {
-                        vec![3.5, -1e16, probe(rank)]
-                    } else {
-                        Vec::new()
-                    },
-                },
-                Op::Alltoallv {
-                    sends: (0..size)
-                        .map(|d| vec![(rank * size + d) as f64; (rank + d) % 2 + 1])
-                        .collect(),
-                },
-                Op::Sendrecv {
-                    partner: if rank ^ 1 < size { rank ^ 1 } else { rank },
-                    tag: 11,
-                    data: vec![r, r + 0.5],
-                },
-            ];
-            if size > 1 {
-                ops.push(Op::Send {
-                    dst: (rank + 1) % size,
-                    tag: 12,
-                    data: vec![r * 7.0],
-                });
-                ops.push(Op::Recv {
-                    src: (rank + size - 1) % size,
-                    tag: 12,
-                });
-            }
-            ScriptProgram::new(ops)
-        });
-        for rank in 0..n {
-            let (v1_vals, v1_stats) = &v1[rank];
-            let replies = report.outcomes[rank].value().expect("completed");
-            let v2_vals = flatten_replies(replies);
-            assert_eq!(bits(v1_vals), bits(&v2_vals), "values n={n} rank={rank}");
-            assert_eq!(
-                Some(*v1_stats),
-                report.comm_stats[rank],
-                "traffic n={n} rank={rank}"
-            );
-        }
+        let script = |rank, size| ScriptProgram::new(every_op(rank, size));
+        let v2 = on_events(n, &None, script);
+        assert_threads_match("script", None, script, &v2, script_bits);
+        let v2 = on_events(n, &None, GatedShift::new);
+        assert_threads_match("gated shift", None, GatedShift::new, &v2, |values| bits(values));
     }
 }
 
@@ -164,69 +205,25 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
             ..spec_with(3, 500, 64, 1000)
         },
     ];
+    // Pairwise exchange, then a one-way send/recv chain.
+    let make = |rank: usize, size| {
+        let mut ops = vec![Op::Sendrecv { partner: rank ^ 1, tag: 5, data: vec![rank as f64] }];
+        if rank + 1 < size {
+            ops.push(Op::Send { dst: rank + 1, tag: 6, data: vec![2.5] });
+        }
+        if rank > 0 {
+            ops.push(Op::Recv { src: rank - 1, tag: 6 });
+        }
+        ScriptProgram::new(ops)
+    };
     for spec in regimes {
         for n in [2usize, 4] {
-            let v1 = {
-                let spec = spec.clone();
-                run_faulty(n, spec, |c| {
-                    let rank = c.rank();
-                    let n = c.size();
-                    let mut log: Vec<String> = Vec::new();
-                    // Pairwise exchange, then a one-way send/recv chain.
-                    let partner = rank ^ 1;
-                    log.push(format!("{:?}", c.sendrecv(partner, 5, vec![rank as f64])));
-                    if rank + 1 < n {
-                        log.push(format!("{:?}", c.send(rank + 1, 6, vec![2.5])));
-                    }
-                    if rank > 0 {
-                        log.push(format!("{:?}", c.recv(rank - 1, 6)));
-                    }
-                    (log, c.comm_stats(), c.clock_ps())
-                })
-            };
-            let report = EventSim::new(n).faults(spec.clone()).run(|rank, size| {
-                let mut ops = vec![Op::Sendrecv {
-                    partner: rank ^ 1,
-                    tag: 5,
-                    data: vec![rank as f64],
-                }];
-                if rank + 1 < size {
-                    ops.push(Op::Send {
-                        dst: rank + 1,
-                        tag: 6,
-                        data: vec![2.5],
-                    });
-                }
-                if rank > 0 {
-                    ops.push(Op::Recv { src: rank - 1, tag: 6 });
-                }
-                ScriptProgram::new(ops)
-            });
-            for rank in 0..n {
-                let (v1_log, v1_comm, v1_clock) = v1[rank].value().expect("v1 completed");
-                let replies = report.outcomes[rank].value().expect("v2 completed");
-                let v2_log: Vec<String> = replies
-                    .iter()
-                    .map(|reply| match reply {
-                        Reply::Exchanged(res) => format!("{res:?}"),
-                        Reply::Sent(res) => format!("{res:?}"),
-                        Reply::Received(res) => format!("{res:?}"),
-                        other => panic!("unexpected reply: {other:?}"),
-                    })
-                    .collect();
-                let ctx = format!("seed={} n={n} rank={rank}", spec.seed);
-                assert_eq!(v1_log, &v2_log, "results {ctx}");
-                assert_eq!(
-                    v1[rank].faults(),
-                    report.outcomes[rank].faults(),
-                    "fault stats {ctx}"
-                );
-                assert_eq!(Some(*v1_comm), report.comm_stats[rank], "traffic {ctx}");
-                assert_eq!(*v1_clock, report.clocks_ps[rank], "clock {ctx}");
-            }
+            let seed = format!("seed={}", spec.seed);
+            let v2 = on_events(n, &Some(spec.clone()), make);
+            assert_threads_match(&seed, Some(spec.clone()), make, &v2, script_bits);
             if spec.base_backoff_ps == u64::MAX {
-                let pinned = report.clocks_ps.iter().filter(|&&c| c == u64::MAX).count();
-                assert!(pinned > 0, "seed={} n={n}: no delayed send after a drop", spec.seed);
+                let pinned = v2.clocks_ps.iter().filter(|&&c| c == u64::MAX).count();
+                assert!(pinned > 0, "{seed} n={n}: no delayed send after a drop");
             }
         }
     }
@@ -242,57 +239,23 @@ fn faulty_collectives_with_retries_are_bit_exact() {
         (16, spec_with(11, 250, 64, 500)),
         (5, spec_with(9, 300, 64, 0).fail_rank(1).fail_rank(3)),
     ];
+    let make = |rank, _| {
+        ScriptProgram::new(vec![Op::Barrier, Op::AllreduceSum { data: vec![probe(rank), 0.5] }])
+    };
     for (n, spec) in cases {
-        let report = EventSim::new(n).faults(spec.clone()).run(|rank, _| {
-            ScriptProgram::new(vec![
-                Op::Barrier,
-                Op::AllreduceSum {
-                    data: vec![probe(rank), 0.5],
-                },
-            ])
-        });
+        let v2 = on_events(n, &Some(spec.clone()), make);
         // Guard: the seed must keep every retry under budget, otherwise
         // the v1 ring below would deadlock instead of failing the test.
-        for outcome in &report.outcomes {
+        for outcome in &v2.outcomes {
             if let Some(f) = outcome.faults() {
                 assert_eq!(f.timeouts, 0, "pick a retry-succeeds seed (n={n})");
             }
-        }
-        let v1 = {
-            let spec = spec.clone();
-            run_faulty(n, spec, |c| {
-                c.barrier().expect("barrier survives retries");
-                let v = c
-                    .allreduce_sum(&[probe(c.rank()), 0.5])
-                    .expect("allreduce survives retries");
-                (v, c.comm_stats(), c.clock_ps())
-            })
-        };
-        for rank in 0..n {
-            let ctx = format!("seed={} n={n} rank={rank}", spec.seed);
-            match (v1[rank].value(), report.outcomes[rank].value()) {
-                (None, None) => {} // failed rank in both runtimes
-                (Some((v1_vals, v1_comm, v1_clock)), Some(replies)) => {
-                    let v2_vals = match replies.as_slice() {
-                        [Reply::BarrierDone(Ok(())), Reply::Reduced(Ok(v))] => v,
-                        other => panic!("unexpected replies {ctx}: {other:?}"),
-                    };
-                    assert_eq!(
-                        v1_vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        v2_vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "values {ctx}"
-                    );
-                    assert_eq!(
-                        v1[rank].faults(),
-                        report.outcomes[rank].faults(),
-                        "fault stats {ctx}"
-                    );
-                    assert_eq!(Some(*v1_comm), report.comm_stats[rank], "traffic {ctx}");
-                    assert_eq!(*v1_clock, report.clocks_ps[rank], "clock {ctx}");
-                }
-                (a, b) => panic!("survivor mismatch {ctx}: v1={} v2={}", a.is_some(), b.is_some()),
+            match outcome.value().map(Vec::as_slice) {
+                None | Some([Reply::BarrierDone(Ok(())), Reply::Reduced(Ok(_))]) => {}
+                Some(other) => panic!("unexpected replies seed={} n={n}: {other:?}", spec.seed),
             }
         }
+        assert_threads_match(&format!("seed={}", spec.seed), Some(spec), make, &v2, script_bits);
     }
 }
 
@@ -300,39 +263,15 @@ fn faulty_collectives_with_retries_are_bit_exact() {
 #[test]
 fn rank_failure_fail_fast_is_bit_exact() {
     let spec = FaultSpec::healthy().fail_rank(2);
-    let n = 4;
-    let v1 = run_faulty(n, spec.clone(), |c| {
-        let mut log = Vec::new();
-        log.push(format!("{:?}", c.send(2, 9, vec![1.0])));
-        log.push(format!("{:?}", c.recv(2, 9)));
-        (log, c.comm_stats(), c.clock_ps())
-    });
-    let report = EventSim::new(n).faults(spec).run(|_, _| {
-        ScriptProgram::new(vec![
-            Op::Send {
-                dst: 2,
-                tag: 9,
-                data: vec![1.0],
-            },
-            Op::Recv { src: 2, tag: 9 },
-        ])
-    });
+    let make = |_, _| {
+        ScriptProgram::new(vec![Op::Send { dst: 2, tag: 9, data: vec![1.0] }, Op::Recv { src: 2, tag: 9 }])
+    };
+    let v2 = on_events(4, &Some(spec.clone()), make);
+    let failed = Err(FaultError::RankFailed { rank: 2 });
     for rank in [0usize, 1, 3] {
-        let (v1_log, v1_comm, v1_clock) = v1[rank].value().expect("v1 completed");
-        let replies = report.outcomes[rank].value().expect("v2 completed");
-        let v2_log: Vec<String> = replies
-            .iter()
-            .map(|reply| match reply {
-                Reply::Sent(res) => format!("{res:?}"),
-                Reply::Received(res) => format!("{res:?}"),
-                other => panic!("unexpected reply: {other:?}"),
-            })
-            .collect();
-        assert_eq!(v1_log, &v2_log, "rank {rank}");
-        assert_eq!(v1[rank].faults(), report.outcomes[rank].faults(), "rank {rank}");
-        assert_eq!(Some(*v1_comm), report.comm_stats[rank], "rank {rank}");
-        assert_eq!(*v1_clock, report.clocks_ps[rank], "rank {rank}");
+        let replies = v2.outcomes[rank].value().expect("v2 completed");
+        assert_eq!(script_bits(replies), [failed.clone(), failed.clone()], "rank {rank}");
     }
-    assert!(v1[2].value().is_none());
-    assert!(report.outcomes[2].value().is_none());
+    assert!(v2.outcomes[2].is_failed());
+    assert_threads_match("fail-fast", Some(spec), make, &v2, script_bits);
 }

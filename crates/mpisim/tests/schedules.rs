@@ -7,7 +7,7 @@
 //! definitions (dissemination barrier, gather-to-all ring, binomial tree,
 //! all-to-all rotation), not from the code — and holds both runtimes to it.
 
-use pvs_mpisim::{run, CoArray, Comm, EventSim, Op, Reply, ScriptProgram};
+use pvs_mpisim::{run_programs, EventSim, Op, Reply, ScriptProgram, SimReport};
 
 /// The collective `name` as rank `rank` of `p` enters it: 2-double sum,
 /// scalar max, ragged allgather rows of `rank % 3 + 1` doubles, 3-double
@@ -25,20 +25,6 @@ fn op(name: &str, rank: usize, p: usize) -> Op {
         },
         "cocreate" => Op::CoCreate { len: 4 },
         other => panic!("no such collective: {other}"),
-    }
-}
-
-/// Execute a collective op on a v1 endpoint.
-fn perform(comm: &mut Comm, op: Op) {
-    match op {
-        Op::Barrier => comm.barrier(),
-        Op::AllreduceSum { data } => drop(comm.allreduce_sum(&data)),
-        Op::AllreduceMaxScalar { x } => drop(comm.allreduce_max_scalar(x)),
-        Op::Allgather { data } => drop(comm.allgather(&data)),
-        Op::Broadcast { root, data } => drop(comm.broadcast(root, data)),
-        Op::Alltoallv { sends } => drop(comm.alltoallv(sends)),
-        Op::CoCreate { len } => drop(CoArray::create(comm, len)),
-        other => panic!("not a collective: {other:?}"),
     }
 }
 
@@ -110,21 +96,25 @@ const ORACLE: &[(usize, &str, &[(u64, u64)])] = &[
 fn both_runtimes_send_exactly_the_tabulated_traffic() {
     for &(p, name, expect) in ORACLE {
         assert_eq!(expect.len(), p, "{name}@{p}: one row per rank");
-        let v1 = run(p, |mut comm| {
-            let op = op(name, comm.rank(), p);
-            perform(&mut comm, op);
-            (comm.stats().messages_sent, comm.stats().bytes_sent)
-        });
+        let [v1, v2] = traffic(p, |rank| op(name, rank, p));
         assert_eq!(v1, expect, "v1 {name}@{p}");
-        assert_eq!(v2_traffic(p, |rank| op(name, rank, p)), expect, "v2 {name}@{p}");
+        assert_eq!(v2, expect, "v2 {name}@{p}");
     }
 }
 
-/// Per-rank `(messages_sent, bytes_sent)` of one op on the event runtime.
-fn v2_traffic(p: usize, op: impl Fn(usize) -> Op) -> Vec<(u64, u64)> {
-    let report = EventSim::new(p).run(|rank, _| ScriptProgram::new(vec![op(rank)]));
-    let per_rank = report.into_values_and_stats();
-    per_rank.iter().map(|(_, stats)| (stats.messages_sent, stats.bytes_sent)).collect()
+/// One single-op script per rank on the thread-backed and on the event
+/// runtime, in that order.
+fn on_both(p: usize, op: impl Fn(usize) -> Op + Sync) -> [SimReport<Vec<Reply>>; 2] {
+    let make = |rank, _| ScriptProgram::new(vec![op(rank)]);
+    [run_programs(p, None, make), EventSim::new(p).run(make)]
+}
+
+/// Per-rank `(messages_sent, bytes_sent)` of one op on each runtime.
+fn traffic(p: usize, op: impl Fn(usize) -> Op + Sync) -> [Vec<(u64, u64)>; 2] {
+    on_both(p, op).map(|report| {
+        let per_rank = report.into_values_and_stats();
+        per_rank.iter().map(|(_, stats)| (stats.messages_sent, stats.bytes_sent)).collect()
+    })
 }
 
 /// The event runtime charges an allgather by a closed form; replay the
@@ -145,12 +135,8 @@ fn allgather_traffic_equals_a_literal_ring_replay() {
                 (n as u64 - 1, bytes)
             })
             .collect();
-        let v1 = run(n, move |mut comm| {
-            drop(comm.allgather(&row(comm.rank())));
-            (comm.stats().messages_sent, comm.stats().bytes_sent)
-        });
+        let [v1, v2] = traffic(n, |rank| Op::Allgather { data: row(rank) });
         assert_eq!(v1, replay, "v1 n={n}");
-        let v2 = v2_traffic(n, |rank| Op::Allgather { data: row(rank) });
         assert_eq!(v2, replay, "v2 n={n}");
     }
 }
@@ -165,15 +151,12 @@ fn alltoallv_delivers_column_me_of_the_send_matrix() {
     for n in [1usize, 2, 5, 16] {
         let sends = |rank: usize| (0..n).map(|dst| block(rank, dst, n)).collect::<Vec<_>>();
         let column = |me: usize| (0..n).map(|src| block(src, me, n)).collect::<Vec<_>>();
-        let v1 = run(n, move |mut comm| comm.alltoallv(sends(comm.rank())));
-        let v2 = EventSim::new(n)
-            .run(|rank, _| ScriptProgram::new(vec![Op::Alltoallv { sends: sends(rank) }]))
-            .into_values();
-        for me in 0..n {
-            assert_eq!(v1[me], column(me), "v1 n={n} rank {me}");
-            match &v2[me][..] {
-                [Reply::Alltoall(rows)] => assert_eq!(rows, &column(me), "v2 n={n} rank {me}"),
-                other => panic!("n={n} rank {me}: {other:?}"),
+        for (v, report) in on_both(n, |rank| Op::Alltoallv { sends: sends(rank) }).into_iter().enumerate() {
+            for (me, replies) in report.into_values().iter().enumerate() {
+                match &replies[..] {
+                    [Reply::Alltoall(rows)] => assert_eq!(rows, &column(me), "v{} n={n} rank {me}", v + 1),
+                    other => panic!("v{} n={n} rank {me}: {other:?}", v + 1),
+                }
             }
         }
     }
