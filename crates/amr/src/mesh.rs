@@ -58,12 +58,6 @@ impl AmrMesh {
         self.tiles_per_side * self.tile
     }
 
-    /// Tile index with periodic wraparound.
-    pub fn tile_index(&self, tx: isize, ty: isize) -> usize {
-        let t = self.tiles_per_side as isize;
-        (ty.rem_euclid(t) * t + tx.rem_euclid(t)) as usize
-    }
-
     /// Coarse cell value at global (periodic) coordinates — reads the
     /// restricted value for refined tiles (kept in sync by the solver).
     pub fn coarse_at(&self, x: isize, y: isize) -> f64 {

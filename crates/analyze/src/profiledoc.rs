@@ -1,19 +1,18 @@
-//! The `BENCH_sweep.json` document model and its compat reader.
+//! The `BENCH_sweep.json` document model and its reader.
 //!
 //! `pvs-bench`'s `profile` command writes schema `pvs-bench/profile-v2`
-//! (pretty-printed, stable key order). This module loads both v2 and the
-//! original single-line `profile-v1` into one [`ProfileDoc`] — the
-//! shared input of the bottleneck classifier ([`crate::bottleneck`]),
-//! the Amdahl decomposition ([`crate::amdahl`]), and the regression
-//! sentinel ([`crate::sentinel`]).
+//! (pretty-printed, stable key order). This module loads it into one
+//! [`ProfileDoc`] — the shared input of the bottleneck classifier
+//! ([`crate::bottleneck`]), the Amdahl decomposition
+//! ([`crate::amdahl`]), and the regression sentinel
+//! ([`crate::sentinel`]). Whitespace is not part of the schema: a
+//! compact rendering of the same document loads identically.
 
 use pvs_core::json::{parse, Value};
 
 /// Schema identifier the current writer emits (canonical spelling in
 /// `pvs_core::schema`).
 pub const SCHEMA_V2: &str = pvs_core::schema::PROFILE_V2;
-/// The original compact schema, still readable.
-pub const SCHEMA_V1: &str = pvs_core::schema::PROFILE_V1;
 
 /// Model-side metrics of one cell (pure functions of the cell identity —
 /// deterministic across hosts and thread counts).
@@ -154,15 +153,15 @@ fn name_value_pairs(v: Option<&Value>) -> Vec<(String, u64)> {
         .unwrap_or_default()
 }
 
-/// Load a profile document (schema v1 or v2) from its JSON text.
+/// Load a profile document from its JSON text.
 pub fn load(text: &str) -> Result<ProfileDoc, LoadError> {
     let doc = parse(text).map_err(LoadError::Parse)?;
     let schema = doc
         .str("schema")
         .ok_or_else(|| LoadError::Schema("missing `schema` member".into()))?;
-    if schema != SCHEMA_V1 && schema != SCHEMA_V2 {
+    if schema != SCHEMA_V2 {
         return Err(LoadError::Schema(format!(
-            "unknown schema `{schema}` (expected `{SCHEMA_V1}` or `{SCHEMA_V2}`)"
+            "unknown schema `{schema}` (expected `{SCHEMA_V2}`)"
         )));
     }
     let cells_json = doc
@@ -230,10 +229,10 @@ pub fn load(text: &str) -> Result<ProfileDoc, LoadError> {
 mod tests {
     use super::*;
 
-    /// A two-cell document in the v1 (compact) shape.
-    fn v1_doc() -> String {
+    /// A two-cell document, compact (single-line) rendering.
+    fn compact_doc() -> String {
         concat!(
-            "{\"schema\":\"pvs-bench/profile-v1\",\"observed\":true,",
+            "{\"schema\":\"pvs-bench/profile-v2\",\"observed\":true,",
             "\"sweep_threads\":1,\"host_samples_per_cell\":1,",
             "\"host_median_sum_s\":0.5,\"harness\":[],\"cells\":[",
             "{\"app\":\"LBMHD\",\"config\":\"8192x8192\",\"machine\":\"Power3\",",
@@ -257,9 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_load() {
-        let doc = load(&v1_doc()).unwrap();
-        assert_eq!(doc.schema, SCHEMA_V1);
+    fn compact_documents_load() {
+        let doc = load(&compact_doc()).unwrap();
+        assert_eq!(doc.schema, SCHEMA_V2);
         assert_eq!(doc.cells.len(), 2);
         let lbmhd = doc.cell("LBMHD", "Power3").unwrap();
         assert_eq!(lbmhd.procs, 64);
@@ -275,21 +274,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_schema_string_is_accepted() {
-        let doc = v1_doc().replace(SCHEMA_V1, SCHEMA_V2);
-        assert_eq!(load(&doc).unwrap().schema, SCHEMA_V2);
-    }
-
-    #[test]
     fn pretty_printed_v2_loads_identically() {
-        let compact = load(&v1_doc()).unwrap();
-        let pretty = load(&pvs_core::json::pretty(&v1_doc())).unwrap();
+        let compact = load(&compact_doc()).unwrap();
+        let pretty = load(&pvs_core::json::pretty(&compact_doc())).unwrap();
         assert_eq!(compact, pretty);
     }
 
     #[test]
     fn unknown_schema_is_rejected() {
-        let doc = v1_doc().replace(SCHEMA_V1, "pvs-bench/profile-v99");
+        let doc = compact_doc().replace(SCHEMA_V2, "pvs-bench/profile-v99");
         match load(&doc) {
             Err(LoadError::Schema(msg)) => assert!(msg.contains("profile-v99")),
             other => panic!("expected schema error, got {other:?}"),
@@ -304,7 +297,7 @@ mod tests {
 
     #[test]
     fn cell_key_is_fully_qualified() {
-        let doc = load(&v1_doc()).unwrap();
+        let doc = load(&compact_doc()).unwrap();
         assert_eq!(doc.cells[0].key(), "LBMHD/8192x8192/Power3/P64");
     }
 }

@@ -11,8 +11,8 @@
 //! `--out PATH` (override the output path), `--checkpoint-check` (kill a
 //! degraded sweep mid-flight, resume it from the serialized checkpoint,
 //! and require bit-identical results — then exit),
-//! `--verify-checkpoint PATH` (integrity-check a serialized run or
-//! sweep checkpoint without resuming it — then exit).
+//! `--verify-checkpoint PATH` (integrity-check a serialized sweep
+//! checkpoint without resuming it — then exit).
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
 //! 1 a resilience invariant failed, 2 malformed usage, 3 a checkpoint
@@ -26,16 +26,14 @@ use crate::chaos::{
 };
 use crate::cli::{self, exit, Args, Kind, Spec};
 use crate::profile::{paper_cells, smoke_cells};
-use pvs_core::checkpoint::{
-    RunCheckpoint, SweepCheckpoint, RUN_CHECKPOINT_VERSION, SWEEP_CHECKPOINT_VERSION,
-};
+use pvs_core::checkpoint::SweepCheckpoint;
 
 /// Integrity-check a serialized checkpoint without resuming it: the
 /// surface operators point at a file left by a dead campaign before
-/// deciding whether a resume can trust it. Dispatches on the version
-/// header, then runs the full checksum + structural parse. Returns the
-/// process exit code: 0 valid, `UNREADABLE` on I/O failure, `MALFORMED`
-/// for truncation, bit damage, or a file that is no checkpoint at all.
+/// deciding whether a resume can trust it. Runs the full version,
+/// checksum and structural parse. Returns the process exit code: 0
+/// valid, `UNREADABLE` on I/O failure, `MALFORMED` for truncation, bit
+/// damage, or a file that is no checkpoint at all.
 fn verify_checkpoint(path: &str) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -44,30 +42,13 @@ fn verify_checkpoint(path: &str) -> i32 {
             return exit::UNREADABLE;
         }
     };
-    let header = text.lines().next().unwrap_or("").trim();
-    let outcome = if header == SWEEP_CHECKPOINT_VERSION {
-        SweepCheckpoint::parse(&text).map(|ck| {
-            format!("sweep checkpoint: {} of {} cells completed", ck.completed(), ck.total())
-        })
-    } else if header == RUN_CHECKPOINT_VERSION {
-        RunCheckpoint::parse(&text).map(|ck| {
-            format!(
-                "run checkpoint: {} procs on {}, phase {} of {}",
-                ck.procs(),
-                ck.machine(),
-                ck.next_phase(),
-                ck.phases_total()
-            )
-        })
-    } else {
-        Err(format!(
-            "unrecognized header {header:?} (expected {SWEEP_CHECKPOINT_VERSION:?} \
-             or {RUN_CHECKPOINT_VERSION:?})"
-        ))
-    };
-    match outcome {
-        Ok(summary) => {
-            println!("ok: {path} is a valid {summary}");
+    match SweepCheckpoint::parse(&text) {
+        Ok(ck) => {
+            println!(
+                "ok: {path} is a valid sweep checkpoint: {} of {} cells completed",
+                ck.completed(),
+                ck.total()
+            );
             exit::OK
         }
         Err(e) => {

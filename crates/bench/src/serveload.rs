@@ -182,18 +182,6 @@ impl LoadRun {
         }
     }
 
-    /// Latencies of successful requests, sorted ascending.
-    pub fn sorted_latencies_s(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.ok)
-            .map(|s| s.latency_s)
-            .collect();
-        v.sort_by(f64::total_cmp);
-        v
-    }
-
     /// Histogram of successful request latencies in whole microseconds —
     /// the same [`pvs_obs::Histogram`] the server uses for
     /// `serve.hist.busy_us`, so client-side and server-side quantiles

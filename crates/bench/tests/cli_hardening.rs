@@ -198,12 +198,17 @@ fn compare_classifies_damaged_documents() {
     assert_exit(&out, 4, "truncated JSON is malformed input");
     assert_no_panic(&out, "compare on truncated JSON");
 
-    let future = dir.join("future.json");
-    std::fs::write(&future, "{\"schema\": \"pvs-bench/profile-v99\", \"cells\": []}").unwrap();
-    let out = run(&["compare", good, future.to_str().unwrap()]);
-    assert_exit(&out, 5, "unknown schema version is its own failure mode");
-    assert_no_panic(&out, "compare on unknown schema");
-    assert!(stderr(&out).contains("profile-v99"), "{}", stderr(&out));
+    // A version from the future and the retired compact v1: neither is
+    // a schema this build reads.
+    for version in ["profile-v99", "profile-v1"] {
+        let other = dir.join(format!("{version}.json"));
+        let doc = format!("{{\"schema\": \"pvs-bench/{version}\", \"cells\": []}}");
+        std::fs::write(&other, doc).unwrap();
+        let out = run(&["compare", good, other.to_str().unwrap()]);
+        assert_exit(&out, 5, "unknown schema version is its own failure mode");
+        assert_no_panic(&out, "compare on unknown schema");
+        assert!(stderr(&out).contains(version), "{}", stderr(&out));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -248,6 +253,11 @@ fn chaos_verify_checkpoint_accepts_valid_rejects_damaged() {
     use pvs_core::checkpoint::SweepCheckpoint;
     let dir = scratch_dir("chaos_verify");
     let doc = SweepCheckpoint::new(3).serialize();
+    let unsealed: String = doc
+        .lines()
+        .filter(|l| !l.starts_with("sum "))
+        .map(|l| format!("{l}\n"))
+        .collect();
     // (file, contents if written, exit code, what the output must say)
     let cases = [
         // Missing file: unreadable input, not malformed.
@@ -258,12 +268,23 @@ fn chaos_verify_checkpoint_accepts_valid_rejects_damaged() {
         ("trunc.ck", Some(doc[..doc.len() - 9].to_string()), 4, "failed verification"),
         // A single flipped digit inside a record: caught by the FNV seal.
         ("flipped.ck", Some(doc.replace("total 3", "total 7")), 4, "checksum"),
+        // The seal is mandatory: an otherwise valid document with its
+        // `sum` line stripped does not verify.
+        ("unsealed.ck", Some(unsealed), 4, "integrity line"),
+        // The retired mid-run checkpoint format: a version this build
+        // does not read.
+        (
+            "run.ck",
+            Some("pvs-core/checkpoint-v1\nmachine ES\nprocs 4\n".to_string()),
+            4,
+            "unknown checkpoint version",
+        ),
         // A file that is no checkpoint at all.
         (
             "alien.ck",
             Some("{\"schema\": \"pvs-bench/profile-v2\"}".to_string()),
             4,
-            "unrecognized header",
+            "unknown checkpoint version",
         ),
     ];
     for (file, contents, code, says) in cases {

@@ -86,17 +86,6 @@ impl Grid3 {
         self.nx * self.ny * self.nz
     }
 
-    /// Apply `op(f, x, y, z)` over every interior point of every field.
-    pub fn for_interior(&self, mut op: impl FnMut(usize, usize, usize)) {
-        for z in 0..self.nz {
-            for y in 0..self.ny {
-                for x in 0..self.nx {
-                    op(x, y, z);
-                }
-            }
-        }
-    }
-
     /// Fill ghost zones of every field periodically from the interior.
     pub fn fill_periodic_ghosts(&mut self) {
         let g = self.ghost as isize;

@@ -234,11 +234,6 @@ pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
     out
 }
 
-/// The processor counts of Table 5.
-pub fn table5_procs() -> Vec<usize> {
-    vec![16, 64, 256, 1024]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

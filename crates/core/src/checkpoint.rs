@@ -1,31 +1,21 @@
-//! Versioned checkpoint/restart for engine runs and sweeps.
+//! Versioned checkpoint/restart for sweeps.
 //!
-//! Two granularities:
+//! A [`SweepCheckpoint`] holds the completed cells of a sweep, so a
+//! killed grid run restarts without recomputing finished cells. The
+//! cell is the unit of restart: one engine run is a single function
+//! call of well under a millisecond, cheaper to repeat than to save.
 //!
-//! * [`RunCheckpoint`] — the engine's phase-boundary state mid-run,
-//!   produced by [`crate::engine::Engine::run_until`] and consumed by
-//!   [`crate::engine::Engine::resume`]. Because the engine only flushes
-//!   counters and spans to its recorder when a run *completes*, a
-//!   suspended-and-resumed run produces bit-identical reports **and**
-//!   bit-identical observability output.
-//! * [`SweepCheckpoint`] — completed cells of a sweep, so a killed grid
-//!   run restarts without recomputing finished cells.
-//!
-//! The format is line-oriented text with a leading version string.
-//! Floating-point state is stored as raw IEEE-754 bit patterns
-//! (16 hex digits), so a serialize → parse round trip is exact and the
-//! resumed run cannot drift by even one ULP. Unknown versions are
-//! rejected with an error naming both versions — never misparsed.
+//! The format is line-oriented text with a leading version string and a
+//! mandatory trailing integrity line. Floating-point state is stored as
+//! raw IEEE-754 bit patterns (16 hex digits), so a serialize → parse
+//! round trip is exact and a restored report cannot drift by even one
+//! ULP. Unknown versions are rejected with an error naming both
+//! versions — never misparsed.
 
-use crate::engine::{RunState, RunTally};
 use crate::report::{PerfReport, PhaseBreakdown};
 use pvs_vectorsim::metrics::VectorMetrics;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Version tag on the first line of a serialized [`RunCheckpoint`]
-/// (the canonical spelling lives in [`crate::schema`]).
-pub const RUN_CHECKPOINT_VERSION: &str = crate::schema::RUN_CHECKPOINT_V1;
 
 /// Version tag on the first line of a serialized [`SweepCheckpoint`]
 /// (the canonical spelling lives in [`crate::schema`]).
@@ -45,15 +35,15 @@ fn seal(mut out: String) -> String {
     out
 }
 
-/// Verify the integrity line, when present. Documents written before
-/// the line existed carry no `sum` record and are accepted unchecked
-/// (their field parsers still reject structural damage).
+/// Verify the integrity line. A document without one is damaged: every
+/// writer seals, so a missing `sum` record means the tail was cut or the
+/// line was stripped.
 fn check_integrity(text: &str) -> Result<(), String> {
     // The integrity line is always the second-to-last record; records
     // never start with "sum ", so the last match is the seal.
-    let Some(at) = text.rfind("\nsum ") else {
-        return Ok(());
-    };
+    let at = text
+        .rfind("\nsum ")
+        .ok_or("truncated checkpoint: missing integrity line")?;
     let covered = &text[..at + 1];
     let stored = text[at + 1..]
         .lines()
@@ -124,217 +114,6 @@ fn open_versioned<'a>(text: &'a str, version: &str) -> Result<Lines<'a>, String>
             "unknown checkpoint version {v:?} (this build reads {version:?})"
         )),
         None => Err("empty checkpoint document".to_string()),
-    }
-}
-
-/// A run suspended at a phase boundary. Opaque except for identity
-/// accessors; resume it with [`crate::engine::Engine::resume`] on an
-/// engine bound to the same machine.
-#[derive(Debug, Clone)]
-pub struct RunCheckpoint {
-    pub(crate) machine: String,
-    pub(crate) procs: usize,
-    pub(crate) phases_total: usize,
-    pub(crate) state: RunState,
-}
-
-impl RunCheckpoint {
-    /// Machine the suspended run was bound to.
-    pub fn machine(&self) -> &str {
-        &self.machine
-    }
-
-    /// Processor count of the suspended run.
-    pub fn procs(&self) -> usize {
-        self.procs
-    }
-
-    /// Index of the first phase that has *not* run yet.
-    pub fn next_phase(&self) -> usize {
-        self.state.next_phase
-    }
-
-    /// Total phases in the stream this checkpoint was cut from.
-    pub fn phases_total(&self) -> usize {
-        self.phases_total
-    }
-
-    /// Render to the versioned text format.
-    pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        let s = &self.state;
-        let t = &s.tally;
-        out.push_str(RUN_CHECKPOINT_VERSION);
-        out.push('\n');
-        let _ = writeln!(out, "machine {}", self.machine);
-        let _ = writeln!(out, "procs {}", self.procs);
-        let _ = writeln!(out, "phases_total {}", self.phases_total);
-        let _ = writeln!(out, "next_phase {}", s.next_phase);
-        let _ = writeln!(out, "time {}", f64_hex(s.time_s));
-        let _ = writeln!(out, "comm {}", f64_hex(s.comm_s));
-        let _ = writeln!(out, "flops {}", f64_hex(s.flops));
-        let _ = writeln!(
-            out,
-            "metrics {} {} {}",
-            s.metrics.vector_element_ops, s.metrics.vector_instructions, s.metrics.scalar_ops
-        );
-        let _ = writeln!(
-            out,
-            "tally {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            t.loop_phases,
-            t.comm_phases,
-            t.comm_repetitions,
-            t.strips,
-            t.bank_accesses,
-            t.bank_stall_cycles,
-            t.net_messages,
-            t.net_payload_bytes,
-            t.net_hops,
-            t.net_bisection_bytes,
-            t.net_links_used,
-            t.net_peak_link_bytes,
-            f64_hex(t.loop_flops),
-            f64_hex(t.loop_bytes),
-            f64_hex(t.loop_seconds),
-            f64_hex(t.comm_seconds),
-        );
-        for (name, value, count) in &t.hist_samples {
-            let _ = writeln!(out, "hs {value} {count} {name}");
-        }
-        for (name, begin, end) in &s.phase_spans {
-            let _ = writeln!(out, "span {} {} {name}", f64_hex(*begin), f64_hex(*end));
-        }
-        for b in &s.breakdown {
-            let _ = writeln!(
-                out,
-                "bd {} {} {} {}",
-                f64_hex(b.seconds),
-                f64_hex(b.flops),
-                u8::from(b.is_comm),
-                b.name
-            );
-        }
-        seal(out)
-    }
-
-    /// Parse the versioned text format. Rejects unknown versions,
-    /// checksum mismatches, and truncated or malformed documents with a
-    /// one-line description.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        check_integrity(text)?;
-        let mut lines = open_versioned(text, RUN_CHECKPOINT_VERSION)?;
-        let machine = lines.expect_field("machine")?.to_string();
-        let procs = parse_num(lines.expect_field("procs")?, "procs")?;
-        let phases_total = parse_num(lines.expect_field("phases_total")?, "phases_total")?;
-        let next_phase = parse_num(lines.expect_field("next_phase")?, "next_phase")?;
-        let time_s = f64_from_hex(lines.expect_field("time")?)?;
-        let comm_s = f64_from_hex(lines.expect_field("comm")?)?;
-        let flops = f64_from_hex(lines.expect_field("flops")?)?;
-
-        let mline = lines.expect_field("metrics")?;
-        let m: Vec<&str> = mline.split_whitespace().collect();
-        if m.len() != 3 {
-            return Err(format!("metrics line needs 3 fields, got {}", m.len()));
-        }
-        let metrics = VectorMetrics {
-            vector_element_ops: parse_num(m[0], "vector_element_ops")?,
-            vector_instructions: parse_num(m[1], "vector_instructions")?,
-            scalar_ops: parse_num(m[2], "scalar_ops")?,
-        };
-
-        let tline = lines.expect_field("tally")?;
-        let tt: Vec<&str> = tline.split_whitespace().collect();
-        if tt.len() != 16 {
-            return Err(format!("tally line needs 16 fields, got {}", tt.len()));
-        }
-        let mut tally = RunTally {
-            loop_phases: parse_num(tt[0], "loop_phases")?,
-            comm_phases: parse_num(tt[1], "comm_phases")?,
-            comm_repetitions: parse_num(tt[2], "comm_repetitions")?,
-            strips: parse_num(tt[3], "strips")?,
-            bank_accesses: parse_num(tt[4], "bank_accesses")?,
-            bank_stall_cycles: parse_num(tt[5], "bank_stall_cycles")?,
-            net_messages: parse_num(tt[6], "net_messages")?,
-            net_payload_bytes: parse_num(tt[7], "net_payload_bytes")?,
-            net_hops: parse_num(tt[8], "net_hops")?,
-            net_bisection_bytes: parse_num(tt[9], "net_bisection_bytes")?,
-            net_links_used: parse_num(tt[10], "net_links_used")?,
-            net_peak_link_bytes: parse_num(tt[11], "net_peak_link_bytes")?,
-            loop_flops: f64_from_hex(tt[12])?,
-            loop_bytes: f64_from_hex(tt[13])?,
-            loop_seconds: f64_from_hex(tt[14])?,
-            comm_seconds: f64_from_hex(tt[15])?,
-            hist_samples: Vec::new(),
-        };
-
-        let mut phase_spans = Vec::new();
-        let mut breakdown = Vec::new();
-        loop {
-            let line = lines
-                .next()
-                .ok_or_else(|| "truncated checkpoint: missing \"end\"".to_string())?;
-            if line == "end" {
-                break;
-            }
-            if line.starts_with("sum ") {
-                continue; // integrity line, already verified up front
-            }
-            if let Some(rest) = line.strip_prefix("hs ") {
-                let mut f = rest.splitn(3, ' ');
-                let value = parse_num(f.next().ok_or("hs line: missing value")?, "hs value")?;
-                let count = parse_num(f.next().ok_or("hs line: missing count")?, "hs count")?;
-                let name = f.next().ok_or("hs line: missing name")?.to_string();
-                tally.hist_samples.push((name, value, count));
-            } else if let Some(rest) = line.strip_prefix("span ") {
-                let mut f = rest.splitn(3, ' ');
-                let begin = f64_from_hex(f.next().ok_or("span line: missing begin")?)?;
-                let end = f64_from_hex(f.next().ok_or("span line: missing end")?)?;
-                let name = f.next().ok_or("span line: missing name")?.to_string();
-                phase_spans.push((name, begin, end));
-            } else if let Some(rest) = line.strip_prefix("bd ") {
-                let mut f = rest.splitn(4, ' ');
-                let seconds = f64_from_hex(f.next().ok_or("bd line: missing seconds")?)?;
-                let flops = f64_from_hex(f.next().ok_or("bd line: missing flops")?)?;
-                let is_comm = match f.next().ok_or("bd line: missing is_comm")? {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("bd line: bad is_comm {other:?}")),
-                };
-                let name = f.next().ok_or("bd line: missing name")?.to_string();
-                breakdown.push(PhaseBreakdown {
-                    name,
-                    seconds,
-                    flops,
-                    is_comm,
-                });
-            } else {
-                return Err(format!(
-                    "line {}: unexpected record {line:?}",
-                    lines.line_no
-                ));
-            }
-        }
-
-        if next_phase > phases_total {
-            return Err(format!(
-                "next_phase {next_phase} exceeds phases_total {phases_total}"
-            ));
-        }
-        Ok(Self {
-            machine,
-            procs,
-            phases_total,
-            state: RunState {
-                next_phase,
-                time_s,
-                comm_s,
-                flops,
-                metrics,
-                breakdown,
-                tally,
-                phase_spans,
-            },
-        })
     }
 }
 
@@ -432,9 +211,8 @@ fn parse_report(lines: &mut Lines<'_>) -> Result<PerfReport, String> {
     }
 }
 
-/// Completed cells of a sweep, keyed by job index. Feed it to
-/// [`crate::engine::run_sweep_resumed`] to finish an interrupted sweep
-/// without recomputing finished cells.
+/// Completed cells of a sweep, keyed by job index: what a restarted
+/// sweep reads back so it recomputes only the cells still missing.
 #[derive(Debug, Clone, Default)]
 pub struct SweepCheckpoint {
     total: usize,
@@ -500,8 +278,8 @@ impl SweepCheckpoint {
     /// checksum mismatches, and malformed documents with a one-line
     /// description.
     pub fn parse(text: &str) -> Result<Self, String> {
-        check_integrity(text)?;
         let mut lines = open_versioned(text, SWEEP_CHECKPOINT_VERSION)?;
+        check_integrity(text)?;
         let total = parse_num(lines.expect_field("total")?, "total")?;
         let mut ck = SweepCheckpoint::new(total);
         loop {
@@ -544,25 +322,23 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected_not_misparsed() {
-        let doc = "pvs-core/checkpoint-v99\nmachine ES\n";
-        let err = RunCheckpoint::parse(doc).unwrap_err();
-        assert!(err.contains("unknown checkpoint version"), "{err}");
-        assert!(err.contains("v99"), "{err}");
+        // Unsealed on purpose: the version check comes first, so the
+        // error names both version strings rather than the missing seal.
+        let doc = "pvs-core/sweep-checkpoint-v99\ntotal 1\n";
         let err = SweepCheckpoint::parse(doc).unwrap_err();
         assert!(err.contains("unknown checkpoint version"), "{err}");
+        assert!(err.contains("v99"), "{err}");
+        assert!(err.contains(SWEEP_CHECKPOINT_VERSION), "{err}");
     }
 
     #[test]
     fn truncated_document_is_rejected() {
-        let err = RunCheckpoint::parse("pvs-core/checkpoint-v1\nmachine ES\n").unwrap_err();
-        assert!(err.contains("truncated") || err.contains("missing"), "{err}");
         let err = SweepCheckpoint::parse("pvs-core/sweep-checkpoint-v1\ntotal 4\n").unwrap_err();
         assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]
     fn empty_document_is_rejected() {
-        assert!(RunCheckpoint::parse("").is_err());
         assert!(SweepCheckpoint::parse("").is_err());
     }
 
@@ -685,45 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn bit_flipped_run_checkpoint_is_rejected() {
-        // A run checkpoint built by hand (the engine path is exercised
-        // elsewhere); flip one hex digit of the `time` bit pattern.
-        let mut doc = String::from("pvs-core/checkpoint-v1\n");
-        doc.push_str("machine ES\nprocs 4\nphases_total 2\nnext_phase 1\n");
-        doc.push_str(&format!("time {}\n", f64_hex(1.5)));
-        doc.push_str(&format!("comm {}\n", f64_hex(0.5)));
-        doc.push_str(&format!("flops {}\n", f64_hex(1e9)));
-        doc.push_str("metrics 1 2 3\n");
-        doc.push_str(&format!(
-            "tally 1 1 1 1 1 1 1 1 1 1 1 1 {} {} {} {}\n",
-            f64_hex(1.0),
-            f64_hex(2.0),
-            f64_hex(3.0),
-            f64_hex(4.0)
-        ));
-        let sealed = super::seal(doc);
-        RunCheckpoint::parse(&sealed).unwrap();
-        let time_at = sealed.find("time ").unwrap() + "time ".len();
-        let mut flipped_bytes = sealed.clone().into_bytes();
-        let replacement = if flipped_bytes[time_at] == b'0' { b'1' } else { b'0' };
-        flipped_bytes[time_at] = replacement;
-        let flipped = String::from_utf8(flipped_bytes).unwrap();
-        let err = RunCheckpoint::parse(&flipped).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-    }
-
-    #[test]
-    fn legacy_documents_without_an_integrity_line_still_parse() {
+    fn documents_without_an_integrity_line_are_rejected() {
         let sealed = fixture_checkpoint().serialize();
-        // Strip the integrity line: what a pre-checksum writer produced.
-        let legacy: String = sealed
+        let stripped: String = sealed
             .lines()
             .filter(|l| !l.starts_with("sum "))
             .map(|l| format!("{l}\n"))
             .collect();
-        let back = SweepCheckpoint::parse(&legacy).unwrap();
-        assert_eq!(back.total(), 1);
-        assert!(back.contains(0));
+        let err = SweepCheckpoint::parse(&stripped).unwrap_err();
+        assert!(err.contains("missing integrity line"), "{err}");
     }
 
     #[test]
@@ -731,14 +477,14 @@ mod tests {
         let mut doc = String::from("pvs-core/sweep-checkpoint-v1\ntotal 1\n");
         doc.push_str("cell 5\nmachine ES\nprocs 4\n");
         doc.push_str(&format!(
-            "scalars {} {} {} {} {}\nendcell\nend\n",
+            "scalars {} {} {} {} {}\nendcell\n",
             f64_hex(1.0),
             f64_hex(0.0),
             f64_hex(0.0),
             f64_hex(0.0),
             f64_hex(0.0)
         ));
-        let err = SweepCheckpoint::parse(&doc).unwrap_err();
+        let err = SweepCheckpoint::parse(&super::seal(doc)).unwrap_err();
         assert!(err.contains("outside sweep"), "{err}");
     }
 }

@@ -9,7 +9,6 @@
 //! (CAF) semantics skipping the MPI intermediate-copy traffic.
 
 use crate::adversity::Adversity;
-use crate::checkpoint::{RunCheckpoint, SweepCheckpoint};
 use crate::kernel::vector_loop_from_phase;
 use crate::machine::{CpuClass, Machine};
 use crate::phase::{CommPattern, CommPhase, LoopPhase, Phase};
@@ -64,31 +63,31 @@ struct LoopOutcome {
 /// holds per-run aggregates, so batching the emission is invisible in the
 /// snapshot — it exists to keep instrumentation overhead low (one locked
 /// update per counter per run instead of one per phase).
-#[derive(Default, Clone, Debug)]
-pub(crate) struct RunTally {
-    pub(crate) loop_phases: u64,
-    pub(crate) comm_phases: u64,
-    pub(crate) loop_flops: f64,
-    pub(crate) loop_bytes: f64,
-    pub(crate) loop_seconds: f64,
-    pub(crate) comm_seconds: f64,
-    pub(crate) comm_repetitions: u64,
-    pub(crate) strips: u64,
-    pub(crate) bank_accesses: u64,
-    pub(crate) bank_stall_cycles: u64,
-    pub(crate) net_messages: u64,
-    pub(crate) net_payload_bytes: u64,
-    pub(crate) net_hops: u64,
-    pub(crate) net_bisection_bytes: u64,
-    pub(crate) net_links_used: u64,
-    pub(crate) net_peak_link_bytes: u64,
+#[derive(Default)]
+struct RunTally {
+    loop_phases: u64,
+    comm_phases: u64,
+    loop_flops: f64,
+    loop_bytes: f64,
+    loop_seconds: f64,
+    comm_seconds: f64,
+    comm_repetitions: u64,
+    strips: u64,
+    bank_accesses: u64,
+    bank_stall_cycles: u64,
+    net_messages: u64,
+    net_payload_bytes: u64,
+    net_hops: u64,
+    net_bisection_bytes: u64,
+    net_links_used: u64,
+    net_peak_link_bytes: u64,
     /// Weighted histogram samples `(name, value, count)` accumulated
     /// across phases and flushed as one `record_many` batch. All values
     /// are simulated units (bytes, hops, queue depths, strip lengths) —
     /// pure functions of `(app, machine, procs)` like every counter
     /// above. Order is the phase walk order, but histograms are
     /// order-independent, so the flushed state is too.
-    pub(crate) hist_samples: Vec<(String, u64, u64)>,
+    hist_samples: Vec<(&'static str, u64, u64)>,
 }
 
 impl RunTally {
@@ -134,63 +133,7 @@ impl RunTally {
             r.gauge_max("netsim.link.peak_bytes", self.net_peak_link_bytes);
         }
         if !self.hist_samples.is_empty() {
-            let samples: Vec<(&str, u64, u64)> = self
-                .hist_samples
-                .iter()
-                .map(|(name, value, count)| (name.as_str(), *value, *count))
-                .collect();
-            r.record_many(&samples);
-        }
-    }
-}
-
-/// The engine's phase-boundary accumulator state: everything `advance`
-/// mutates between phases, and exactly what a [`RunCheckpoint`] captures.
-/// Because counters and spans flush to the recorder only at run
-/// completion, carrying the tally and span list here makes a
-/// suspend/resume cycle invisible in the observability output too.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RunState {
-    pub(crate) next_phase: usize,
-    pub(crate) time_s: f64,
-    pub(crate) comm_s: f64,
-    pub(crate) flops: f64,
-    pub(crate) metrics: VectorMetrics,
-    pub(crate) breakdown: Vec<PhaseBreakdown>,
-    pub(crate) tally: RunTally,
-    /// (name, begin_s, end_s) per phase; flushed as one span batch.
-    pub(crate) phase_spans: Vec<(String, f64, f64)>,
-}
-
-/// What [`Engine::run_until`] produced: either the finished report or a
-/// checkpoint at the requested phase boundary.
-#[derive(Debug, Clone)]
-pub enum RunOutcome {
-    /// The stream ran to the end.
-    Complete(PerfReport),
-    /// The run stopped at a phase boundary; resume with
-    /// [`Engine::resume`].
-    Suspended(RunCheckpoint),
-}
-
-impl RunOutcome {
-    /// The report, panicking on a suspension — for callers that did not
-    /// ask to stop.
-    pub fn expect_complete(self) -> PerfReport {
-        match self {
-            RunOutcome::Complete(r) => r,
-            RunOutcome::Suspended(ck) => {
-                panic!("run suspended at phase {} of {}", ck.next_phase(), ck.phases_total())
-            }
-        }
-    }
-
-    /// The checkpoint, panicking on completion — for callers that
-    /// stopped mid-stream on purpose.
-    pub fn expect_suspended(self) -> RunCheckpoint {
-        match self {
-            RunOutcome::Suspended(ck) => ck,
-            RunOutcome::Complete(_) => panic!("run completed instead of suspending"),
+            r.record_many(&self.hist_samples);
         }
     }
 }
@@ -256,88 +199,25 @@ impl Engine {
     /// per-processor performance report (Gflop/s per processor, % of peak,
     /// AVL/VOR on vector machines, communication fraction).
     pub fn run(&self, phases: &[Phase], procs: usize) -> PerfReport {
-        self.advance(RunState::default(), phases, procs, None)
-            .expect_complete()
-    }
-
-    /// [`Engine::run`], stopping at a phase boundary: with
-    /// `stop_before = Some(k)` the run suspends just before phase index
-    /// `k` and returns the checkpoint (or completes if `k` is past the
-    /// end). `None` always runs to completion.
-    pub fn run_until(
-        &self,
-        phases: &[Phase],
-        procs: usize,
-        stop_before: Option<usize>,
-    ) -> RunOutcome {
-        self.advance(RunState::default(), phases, procs, stop_before)
-    }
-
-    /// Continue a suspended run to completion. The checkpoint must have
-    /// been cut from the same machine, processor count, and phase
-    /// stream; resuming reproduces the uninterrupted run bit for bit —
-    /// report fields, counters, and spans alike.
-    pub fn resume(&self, ck: RunCheckpoint, phases: &[Phase], procs: usize) -> RunOutcome {
-        self.resume_until(ck, phases, procs, None)
-    }
-
-    /// [`Engine::resume`] with another stop point, for chains of
-    /// suspensions.
-    pub fn resume_until(
-        &self,
-        ck: RunCheckpoint,
-        phases: &[Phase],
-        procs: usize,
-        stop_before: Option<usize>,
-    ) -> RunOutcome {
-        assert_eq!(
-            ck.machine, self.machine.name,
-            "checkpoint was cut on a different machine"
-        );
-        assert_eq!(ck.procs, procs, "checkpoint was cut for a different procs");
-        assert_eq!(
-            ck.phases_total,
-            phases.len(),
-            "checkpoint was cut from a different phase stream"
-        );
-        self.advance(ck.state, phases, procs, stop_before)
-    }
-
-    fn advance(
-        &self,
-        mut state: RunState,
-        phases: &[Phase],
-        procs: usize,
-        stop_before: Option<usize>,
-    ) -> RunOutcome {
         assert!(procs >= 1);
-        assert!(state.next_phase <= phases.len(), "checkpoint beyond stream");
         let rec = self.recorder.as_deref();
+        let mut time_s = 0.0;
+        let mut comm_s = 0.0;
+        let mut flops = 0.0;
+        let mut metrics = VectorMetrics::default();
+        let mut breakdown = Vec::with_capacity(phases.len());
+        let mut tally = RunTally::default();
 
-        while state.next_phase < phases.len() {
-            if stop_before.is_some_and(|k| state.next_phase >= k) {
-                return RunOutcome::Suspended(RunCheckpoint {
-                    machine: self.machine.name.to_string(),
-                    procs,
-                    phases_total: phases.len(),
-                    state,
-                });
-            }
-            let phase = &phases[state.next_phase];
-            let began_s = state.time_s;
+        for phase in phases {
             match phase {
                 Phase::Loop(l) => {
                     let outcome = self.run_loop(l);
-                    state.time_s += outcome.seconds;
-                    state.flops += phase.counted_flops();
+                    time_s += outcome.seconds;
+                    flops += phase.counted_flops();
                     if let Some(m) = outcome.metrics {
-                        state.metrics.merge(&m);
+                        metrics.merge(&m);
                     }
                     if rec.is_some() {
-                        state
-                            .phase_spans
-                            .push((l.name.to_string(), began_s, state.time_s));
-                        let tally = &mut state.tally;
                         tally.loop_phases += 1;
                         tally.loop_flops += phase.total_flops();
                         tally.loop_bytes +=
@@ -348,22 +228,18 @@ impl Engine {
                         tally.bank_stall_cycles += outcome.bank_stall_cycles;
                         for &(len, n) in &outcome.strip_lens {
                             if n > 0 {
-                                tally.hist_samples.push((
-                                    "vectorsim.hist.strip_len".to_string(),
-                                    len,
-                                    n,
-                                ));
+                                tally
+                                    .hist_samples
+                                    .push(("vectorsim.hist.strip_len", len, n));
                             }
                         }
                         for &(depth, n) in &outcome.bank_depths {
-                            tally.hist_samples.push((
-                                "memsim.hist.bank_queue_depth".to_string(),
-                                depth,
-                                n,
-                            ));
+                            tally
+                                .hist_samples
+                                .push(("memsim.hist.bank_queue_depth", depth, n));
                         }
                     }
-                    state.breakdown.push(PhaseBreakdown {
+                    breakdown.push(PhaseBreakdown {
                         name: l.name.to_string(),
                         seconds: outcome.seconds,
                         flops: phase.total_flops(),
@@ -372,13 +248,9 @@ impl Engine {
                 }
                 Phase::Comm(c) => {
                     let (secs, stats) = self.run_comm(c, procs);
-                    state.time_s += secs;
-                    state.comm_s += secs;
+                    time_s += secs;
+                    comm_s += secs;
                     if rec.is_some() {
-                        state
-                            .phase_spans
-                            .push((c.name.to_string(), began_s, state.time_s));
-                        let tally = &mut state.tally;
                         tally.comm_phases += 1;
                         tally.comm_repetitions += c.repetitions as u64;
                         tally.comm_seconds += secs;
@@ -394,17 +266,13 @@ impl Engine {
                         // Distributions, like the traffic counters,
                         // describe one repetition of the pattern.
                         for (&bytes, &n) in &stats.size_dist {
-                            tally
-                                .hist_samples
-                                .push(("netsim.hist.msg_bytes".to_string(), bytes, n));
+                            tally.hist_samples.push(("netsim.hist.msg_bytes", bytes, n));
                         }
                         for (&hops, &n) in &stats.hop_dist {
-                            tally
-                                .hist_samples
-                                .push(("netsim.hist.msg_hops".to_string(), hops, n));
+                            tally.hist_samples.push(("netsim.hist.msg_hops", hops, n));
                         }
                     }
-                    state.breakdown.push(PhaseBreakdown {
+                    breakdown.push(PhaseBreakdown {
                         name: c.name.to_string(),
                         seconds: secs,
                         flops: 0.0,
@@ -412,54 +280,55 @@ impl Engine {
                     });
                 }
             }
-            state.next_phase += 1;
         }
 
         if let Some(r) = rec {
             // Whole phase tree in one batch: entry 0 is the root "run"
-            // span; every phase is its child.
-            let mut batch = Vec::with_capacity(state.phase_spans.len() + 1);
+            // span; every phase is its child. Phase boundaries are the
+            // same left-to-right sum of `seconds` that produced `time_s`,
+            // so the last child ends exactly where the root does.
+            let mut batch = Vec::with_capacity(breakdown.len() + 1);
             batch.push(SpanRecord {
                 name: "run",
                 parent: None,
                 begin_ticks: 0,
-                end_ticks: ticks(state.time_s),
+                end_ticks: ticks(time_s),
             });
-            batch.extend(
-                state
-                    .phase_spans
-                    .iter()
-                    .map(|(name, begin_s, end_s)| SpanRecord {
-                        name: name.as_str(),
-                        parent: Some(0),
-                        begin_ticks: ticks(*begin_s),
-                        end_ticks: ticks(*end_s),
-                    }),
-            );
+            let mut end_s = 0.0;
+            batch.extend(breakdown.iter().map(|b| {
+                let begin_s = end_s;
+                end_s += b.seconds;
+                SpanRecord {
+                    name: b.name.as_str(),
+                    parent: Some(0),
+                    begin_ticks: ticks(begin_s),
+                    end_ticks: ticks(end_s),
+                }
+            }));
             r.span_many(&batch);
-            state.tally.flush(r, &state.metrics, self.machine.clock_mhz);
+            tally.flush(r, &metrics, self.machine.clock_mhz);
         }
 
-        let gflops_per_p = if state.time_s > 0.0 {
-            state.flops / 1e9 / state.time_s
+        let gflops_per_p = if time_s > 0.0 {
+            flops / 1e9 / time_s
         } else {
             0.0
         };
-        RunOutcome::Complete(PerfReport {
+        PerfReport {
             machine: self.machine.name.to_string(),
             procs,
-            time_s: state.time_s,
-            comm_s: state.comm_s,
-            flops_per_p: state.flops,
+            time_s,
+            comm_s,
+            flops_per_p: flops,
             gflops_per_p,
             pct_peak: 100.0 * gflops_per_p / self.machine.peak_gflops,
             vector_metrics: if self.machine.is_vector() {
-                Some(state.metrics)
+                Some(metrics)
             } else {
                 None
             },
-            phases: state.breakdown,
-        })
+            phases: breakdown,
+        }
     }
 
     fn run_loop(&self, l: &LoopPhase) -> LoopOutcome {
@@ -663,37 +532,6 @@ pub fn run_sweep_threads(jobs: Vec<SweepJob>, threads: usize) -> Vec<PerfReport>
     ThreadPool::new(threads).map(jobs, |job| {
         Engine::new(job.machine).run(&job.phases, job.procs)
     })
-}
-
-/// Finish an interrupted sweep: cells already recorded in `checkpoint`
-/// are taken from it verbatim, the rest run fresh (in parallel) and are
-/// recorded as they land. Because every cell is a pure function of its
-/// job, the assembled result is bit-identical to an uninterrupted
-/// [`run_sweep_threads`] over the same jobs — the restart is invisible.
-pub fn run_sweep_resumed(
-    jobs: Vec<SweepJob>,
-    threads: usize,
-    checkpoint: &mut SweepCheckpoint,
-) -> Vec<PerfReport> {
-    assert_eq!(
-        checkpoint.total(),
-        jobs.len(),
-        "checkpoint tracks a different sweep"
-    );
-    let pending: Vec<(usize, SweepJob)> = jobs
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !checkpoint.contains(*i))
-        .collect();
-    let fresh = ThreadPool::new(threads).map(pending, |(i, job)| {
-        (i, Engine::new(job.machine).run(&job.phases, job.procs))
-    });
-    for (i, report) in fresh {
-        checkpoint.record(i, report);
-    }
-    checkpoint
-        .reports_in_order()
-        .expect("all cells recorded")
 }
 
 #[cfg(test)]
@@ -988,6 +826,8 @@ mod tests {
                 "phases tile the run with no gaps"
             );
         }
+        // Same left-to-right sum on both sides: no rounding allowance.
+        assert_eq!(children.last().unwrap().end_ticks, root.end_ticks);
         // Child durations tile the root span exactly.
         let covered: u64 = children.iter().map(|e| e.duration_ticks().unwrap()).sum();
         let drift = covered.abs_diff(root.duration_ticks().unwrap());
@@ -1198,112 +1038,6 @@ mod tests {
             })
         };
         assert_eq!(sweep(1), sweep(8));
-    }
-
-    #[test]
-    fn suspended_run_resumes_bit_identically() {
-        for procs in [16usize, 64] {
-            let phases = comm_heavy(procs);
-            let full_reg = std::sync::Arc::new(pvs_obs::Registry::new());
-            let full = Engine::new(platforms::x1())
-                .with_recorder(full_reg.clone())
-                .run(&phases, procs);
-
-            let split_reg = std::sync::Arc::new(pvs_obs::Registry::new());
-            let engine = Engine::new(platforms::x1()).with_recorder(split_reg.clone());
-            let ck = engine
-                .run_until(&phases, procs, Some(1))
-                .expect_suspended();
-            assert_eq!(ck.next_phase(), 1);
-            // Through the wire format: serialize, parse, resume.
-            let ck = RunCheckpoint::parse(&ck.serialize()).expect("round trip");
-            let resumed = engine.resume(ck, &phases, procs).expect_complete();
-
-            assert_eq!(fingerprint(&full), fingerprint(&resumed));
-            assert_eq!(
-                full.phases.len(),
-                resumed.phases.len(),
-                "breakdown carried across the suspension"
-            );
-            // Observability is part of the contract: counters, gauges,
-            // and the span tree must be indistinguishable.
-            assert_eq!(full_reg.snapshot(), split_reg.snapshot());
-            assert_eq!(full_reg.trace_jsonl(), split_reg.trace_jsonl());
-        }
-    }
-
-    #[test]
-    fn checkpoint_chain_across_every_boundary_matches() {
-        let phases = comm_heavy(64);
-        let engine = Engine::new(platforms::earth_simulator());
-        let full = engine.run(&phases, 64);
-        // Suspend at every phase boundary in turn, resuming one phase at
-        // a time through the serialized format.
-        let mut outcome = engine.run_until(&phases, 64, Some(1));
-        let mut stop = 2;
-        let resumed = loop {
-            match outcome {
-                RunOutcome::Complete(r) => break r,
-                RunOutcome::Suspended(ck) => {
-                    let ck = RunCheckpoint::parse(&ck.serialize()).expect("round trip");
-                    outcome = engine.resume_until(ck, &phases, 64, Some(stop));
-                    stop += 1;
-                }
-            }
-        };
-        assert_eq!(fingerprint(&full), fingerprint(&resumed));
-    }
-
-    #[test]
-    fn run_until_past_the_end_completes() {
-        let phases = [lbmhd_like()];
-        let engine = Engine::new(platforms::x1());
-        let r = engine.run_until(&phases, 4, Some(99)).expect_complete();
-        assert_eq!(fingerprint(&r), fingerprint(&engine.run(&phases, 4)));
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine")]
-    fn resume_on_the_wrong_machine_is_rejected() {
-        let phases = [lbmhd_like()];
-        let ck = Engine::new(platforms::x1())
-            .run_until(&phases, 4, Some(0))
-            .expect_suspended();
-        let _ = Engine::new(platforms::earth_simulator()).resume(ck, &phases, 4);
-    }
-
-    #[test]
-    fn killed_sweep_resumes_to_the_uninterrupted_result() {
-        let jobs: Vec<SweepJob> = platforms::all()
-            .into_iter()
-            .flat_map(|m| {
-                [16usize, 64].into_iter().map(move |procs| {
-                    SweepJob::new(m.clone(), vec![lbmhd_like(), blas3_like()], procs)
-                })
-            })
-            .collect();
-        let uninterrupted: Vec<String> = run_sweep_threads(jobs.clone(), 8)
-            .iter()
-            .map(fingerprint)
-            .collect();
-
-        for threads in [1usize, 8] {
-            // "Kill" the sweep after 4 cells: only their results survive,
-            // through the serialized checkpoint, as a crashed driver
-            // would have left them on disk.
-            let mut ck = SweepCheckpoint::new(jobs.len());
-            for (i, job) in jobs.iter().take(4).enumerate() {
-                ck.record(i, Engine::new(job.machine.clone()).run(&job.phases, job.procs));
-            }
-            let mut ck = SweepCheckpoint::parse(&ck.serialize()).expect("round trip");
-            assert_eq!(ck.completed(), 4);
-            let resumed: Vec<String> = run_sweep_resumed(jobs.clone(), threads, &mut ck)
-                .iter()
-                .map(fingerprint)
-                .collect();
-            assert_eq!(uninterrupted, resumed, "threads={threads}");
-            assert!(ck.is_complete());
-        }
     }
 
     #[test]

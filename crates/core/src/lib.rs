@@ -64,8 +64,8 @@ pub mod rng;
 pub mod schema;
 
 pub use adversity::Adversity;
-pub use checkpoint::{RunCheckpoint, SweepCheckpoint};
-pub use engine::{run_sweep, run_sweep_resumed, run_sweep_threads, Engine, RunOutcome, SweepJob};
+pub use checkpoint::SweepCheckpoint;
+pub use engine::{run_sweep, run_sweep_threads, Engine, SweepJob};
 pub use event::{EventQueue, Scheduled};
 pub use hash::{fnv1a, fnv1a_hex, Fnv1a};
 pub use kernel::{KernelDescriptor, MachineKind, StaticPrediction};

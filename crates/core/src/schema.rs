@@ -9,21 +9,13 @@
 //! a version bump is one edit here plus the compiler finding every
 //! consumer.
 //!
-//! Identifiers are `<producer>/<format>-v<N>`. Version bumps append a
-//! new const (readers keep accepting old versions where compat matters —
-//! see `pvs_analyze::profiledoc`); they never mutate an existing one.
+//! Identifiers are `<producer>/<format>-v<N>`. A version bump appends a
+//! new const and never mutates an existing one; an identifier stays
+//! registered only while some command still writes it.
 
 /// `BENCH_*.json` profile documents, current writer schema
 /// (pretty-printed, stable key order).
 pub const PROFILE_V2: &str = "pvs-bench/profile-v2";
-
-/// The original compact single-line profile schema, still readable by
-/// `pvs_analyze::profiledoc`.
-pub const PROFILE_V1: &str = "pvs-bench/profile-v1";
-
-/// Version tag on the first line of a serialized engine
-/// [`crate::checkpoint::RunCheckpoint`].
-pub const RUN_CHECKPOINT_V1: &str = "pvs-core/checkpoint-v1";
 
 /// Version tag on the first line of a serialized
 /// [`crate::checkpoint::SweepCheckpoint`].
@@ -40,14 +32,7 @@ pub const SPILL_CELL_V1: &str = "pvs-serve/spill-cell-v1";
 
 /// Every registered schema identifier, for registry-wide checks
 /// (`pvs-lint` PVS015 walks this list).
-pub const ALL: [&str; 6] = [
-    PROFILE_V2,
-    PROFILE_V1,
-    RUN_CHECKPOINT_V1,
-    SWEEP_CHECKPOINT_V1,
-    SNAPSHOT_V1,
-    SPILL_CELL_V1,
-];
+pub const ALL: [&str; 4] = [PROFILE_V2, SWEEP_CHECKPOINT_V1, SNAPSHOT_V1, SPILL_CELL_V1];
 
 #[cfg(test)]
 mod tests {

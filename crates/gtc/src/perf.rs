@@ -274,11 +274,6 @@ pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
     out
 }
 
-/// The Table 6 cells: (particles per cell, procs).
-pub fn table6_configs() -> Vec<(usize, usize)> {
-    vec![(10, 32), (10, 64), (100, 32), (100, 64)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,14 +122,6 @@ impl LbmhdWorkload {
 
         vec![collision, stream, exchange]
     }
-
-    /// Total flops per processor for the run (the "valid baseline
-    /// flop-count" divided by wall-clock to get Gflops/P).
-    pub fn flops_per_proc(&self) -> f64 {
-        self.sites_per_proc() as f64
-            * self.steps as f64
-            * (COLLISION_FLOPS_PER_SITE + STREAM_INTERP_FLOPS_PER_SITE)
-    }
 }
 
 /// The kernels this crate registers with the static-analysis layer: the
@@ -149,18 +141,6 @@ pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
         ));
     }
     out
-}
-
-/// The (grid, processor-count) cells of Table 3.
-pub fn table3_configs() -> Vec<(usize, usize)> {
-    vec![
-        (4096, 16),
-        (4096, 64),
-        (4096, 256),
-        (8192, 64),
-        (8192, 256),
-        (8192, 1024),
-    ]
 }
 
 #[cfg(test)]

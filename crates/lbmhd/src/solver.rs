@@ -217,13 +217,6 @@ impl Simulation {
         }
         (mass, mom, btot)
     }
-
-    /// Direct access to a hydrodynamic distribution plane (for the
-    /// distributed solver's halo packing and for tests).
-    pub fn f_plane(&self, i: usize) -> &[f64] {
-        let n = self.num_sites();
-        &self.f[i * n..(i + 1) * n]
-    }
 }
 
 #[cfg(test)]

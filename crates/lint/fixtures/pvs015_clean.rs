@@ -6,11 +6,11 @@ fn current_schema() -> &'static str {
 }
 
 fn is_known(schema: &str) -> bool {
-    schema == pvs_core::schema::PROFILE_V1 || schema == current_schema()
+    schema == pvs_core::schema::SNAPSHOT_V1 || schema == current_schema()
 }
 
 fn checkpoint_header() -> String {
-    format!("{}\nmachine ES\n", pvs_core::schema::RUN_CHECKPOINT_V1)
+    format!("{}\ntotal 3\n", pvs_core::schema::SWEEP_CHECKPOINT_V1)
 }
 
 #[cfg(test)]

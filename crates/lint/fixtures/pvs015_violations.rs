@@ -4,9 +4,9 @@
 const LOCAL_COPY: &str = "pvs-bench/profile-v2";
 
 fn is_known(schema: &str) -> bool {
-    schema == "pvs-bench/profile-v1" || schema == LOCAL_COPY
+    schema == "pvs-obs/snapshot-v1" || schema == LOCAL_COPY
 }
 
 fn checkpoint_header() -> String {
-    format!("{}\nmachine ES\n", "pvs-core/checkpoint-v1")
+    format!("{}\ntotal 3\n", "pvs-core/sweep-checkpoint-v1")
 }

@@ -208,11 +208,6 @@ impl BandwidthModel {
         }
         self.peak_dram_gbs * base * util
     }
-
-    /// Sustained fraction of peak DRAM bandwidth (convenience).
-    pub fn sustained_fraction(&self, working_set_bytes: usize, pattern: AccessPattern) -> f64 {
-        self.sustained_gbs(working_set_bytes, pattern) / self.peak_dram_gbs
-    }
 }
 
 #[cfg(test)]

@@ -170,15 +170,6 @@ impl BankedMemory {
         stalls
     }
 
-    /// Average stall cycles per access so far.
-    pub fn stall_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.stall_cycles as f64 / self.accesses as f64
-        }
-    }
-
     /// Effective throughput as a fraction of peak (1 element/cycle).
     pub fn efficiency(&self) -> f64 {
         if self.accesses == 0 {

@@ -144,11 +144,6 @@ impl CacheHierarchy {
         self.accesses = 0;
         self.hits_per_level = [0; 3];
     }
-
-    /// Number of configured levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 #[cfg(test)]

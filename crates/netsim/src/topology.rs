@@ -156,11 +156,6 @@ impl Network {
         self.failed.get(id).copied().unwrap_or(false)
     }
 
-    /// Whether any link is hard-failed.
-    pub fn has_failures(&self) -> bool {
-        self.failed.iter().any(|&f| f)
-    }
-
     /// The configuration this network was built from.
     pub fn config(&self) -> &NetworkConfig {
         &self.config

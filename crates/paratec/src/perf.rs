@@ -187,18 +187,6 @@ pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
     out
 }
 
-/// Table 4 processor counts per system.
-pub fn table4_configs() -> Vec<(usize, usize)> {
-    let mut rows = Vec::new();
-    for p in [32, 64, 128, 256, 512, 1024] {
-        rows.push((432, p));
-    }
-    for p in [64, 128, 256, 512, 1024] {
-        rows.push((686, p));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
