@@ -47,7 +47,7 @@ pub fn run(args: &Args) -> i32 {
     let code = cli::write_probed(&cli::bench_out_path(args, "mpisim"), || {
         let max_p = cells.iter().map(|c| c.procs).max().unwrap_or(0);
         println!(
-            "{} cells up to P={} on the event-driven runtime ({} threads)",
+            "{} cells up to P={} on the event-driven runtime (one scheduler thread; sweep_threads {} recorded)",
             cells.len(),
             max_p,
             threads

@@ -199,10 +199,14 @@ pub(crate) fn binomial(me: usize, root: usize, n: usize) -> (Option<usize>, Vec<
 
 /// Left-fold contributions as x₀ + x₁ + … + x_{n−1}: the canonical order,
 /// so every rank of both runtimes returns the same bits although
-/// floating-point addition is not associative.
+/// floating-point addition is not associative. Contributions of unequal
+/// length are a program bug, diagnosed here for both runtimes: a `zip`
+/// would silently drop the longer tail.
 pub(crate) fn fold_sum(contribs: &[Vec<f64>]) -> Vec<f64> {
     let mut acc = contribs[0].clone();
-    for c in &contribs[1..] {
+    for (i, c) in contribs.iter().enumerate().skip(1) {
+        let (len, len0) = (c.len(), acc.len());
+        assert_eq!(len, len0, "sum allreduce: participant {i} contributed {len} doubles, participant 0 {len0}");
         for (a, b) in acc.iter_mut().zip(c) {
             *a += *b;
         }

@@ -69,6 +69,20 @@ pub(crate) enum Want {
     Window,
 }
 
+impl Packet {
+    /// Whether a receive of `(src, tag)` that takes `want` takes this
+    /// packet: the one match test, for a mailbox scan and for the event
+    /// runtime's hand-off to a parked receiver alike.
+    pub(crate) fn matches(&self, src: usize, tag: u64, want: Want) -> bool {
+        let wanted = match self.payload {
+            Payload::Data(_) => want != Want::Window,
+            Payload::Lost { .. } => want == Want::DataOrLost,
+            Payload::Window(_) => want == Want::Window,
+        };
+        self.src == src && self.tag == tag && wanted
+    }
+}
+
 /// First-match extraction from a mailbox: the earliest-arrived packet
 /// from `src` with `tag` of a wanted kind, so messages that arrive ahead
 /// of their receive are buffered and matched later.
@@ -78,12 +92,7 @@ pub(crate) fn take_match(
     tag: u64,
     want: Want,
 ) -> Option<Payload> {
-    let wanted = |payload: &Payload| match payload {
-        Payload::Data(_) => want != Want::Window,
-        Payload::Lost { .. } => want == Want::DataOrLost,
-        Payload::Window(_) => want == Want::Window,
-    };
-    let pos = mailbox.iter().position(|p| p.src == src && p.tag == tag && wanted(&p.payload))?;
+    let pos = mailbox.iter().position(|p| p.matches(src, tag, want))?;
     mailbox.remove(pos).map(|p| p.payload)
 }
 

@@ -30,12 +30,13 @@
 //! 2. one *batch* = every rank runnable at the earliest timestamp; the
 //!    batch is resumed **in place**: rank slots never leave the
 //!    scheduler's slot array, and a resume touches only its own slot —
-//!    state, mailbox, and the outbox / collective entry its resume slice
-//!    leaves behind — so the order of resumes within a batch is not
-//!    observable;
+//!    state and mailbox — and appends what it asks of other ranks to the
+//!    scheduler's one effects log, so the order of resumes within a batch
+//!    is observable only as the order of the log;
 //! 3. all cross-rank effects (packet delivery, wakeups, collective
-//!    completion) are applied **in batch order** — queue order, not rank
-//!    order — after every rank of the batch has been resumed.
+//!    completion) are applied **in log order** — batch order, i.e. queue
+//!    order, not rank order; within a rank its sends, then its collective
+//!    entry — after every rank of the batch has been resumed.
 //!
 //! Every superstep runs on the scheduler thread: a resume is ~0.2 µs of
 //! work, and sharing a batch out to workers measured slower than one
@@ -57,6 +58,7 @@
 //! participant with the first timeout in schedule order. Conformance is
 //! therefore gated on regimes where retries succeed.
 
+use crate::blocks::Blocks;
 use crate::caf::CoArray;
 use crate::collective::{binomial, dissemination, fold_max, fold_sum, ring, rotation, Round, World};
 use crate::comm::{received, take_match, CommStats, Packet, Payload, Received, Want};
@@ -122,7 +124,7 @@ pub enum Op {
     /// Personalized all-to-all: `sends[d]` goes to rank `d`.
     Alltoallv {
         /// Per-destination payloads (`sends.len() == size`).
-        sends: Vec<Vec<f64>>,
+        sends: Blocks,
     },
     /// Collectively create a [`CoArray`] window of `len` doubles.
     CoCreate {
@@ -155,8 +157,9 @@ pub enum Reply {
     Gathered(Arc<[Vec<f64>]>),
     /// [`Op::Broadcast`] result (healthy mode only).
     Broadcasted(Vec<f64>),
-    /// [`Op::Alltoallv`] result (healthy mode only).
-    Alltoall(Vec<Vec<f64>>),
+    /// [`Op::Alltoallv`] result (healthy mode only): block `s` is what
+    /// rank `s` sent here.
+    Alltoall(Blocks),
     /// [`Op::CoCreate`] result (healthy mode only).
     CoCreated(CoArray),
 }
@@ -367,8 +370,6 @@ impl EventSim {
                     parked: None,
                     reply: Some(Reply::Start),
                     finished: None,
-                    outbox: Vec::new(),
-                    entered: None,
                     resumes: 0,
                 })
             })
@@ -406,20 +407,28 @@ enum Parked {
     Collective,
 }
 
+/// What a resume asks of another rank's slot or of the group, logged
+/// while the batch runs and applied once all of it has.
+enum Effect {
+    /// Route `packet` to `dst`.
+    Deliver { dst: usize, packet: Packet },
+    /// `rank` parked on the collective `op`.
+    Enter { rank: usize, op: Op },
+}
+
 /// One virtual rank's complete state. It never leaves `Scheduler::slots`:
-/// a resume borrows it (`&mut`) and nothing else of the scheduler.
+/// a resume borrows it (`&mut`), the effects log, and nothing else of
+/// the scheduler.
 struct RankSlot<P: RankProgram> {
     program: P,
     ctx: RankCtx,
+    /// Packets that arrived ahead of their receive. A packet that matches
+    /// the receive its rank is parked on never enters it (`deliver`).
     mailbox: VecDeque<Packet>,
     parked: Option<Parked>,
     /// The reply to hand to the next resume (set whenever runnable).
     reply: Option<Reply>,
     finished: Option<P::Output>,
-    /// Packets the last resume slice sent, until the serial phase delivers them.
-    outbox: Vec<(usize, Packet)>,
-    /// The collective the last resume slice parked on, until the serial phase enters it.
-    entered: Option<Op>,
     /// Program resumes so far.
     resumes: u64,
 }
@@ -457,7 +466,9 @@ impl<P: RankProgram> Scheduler<P> {
     fn drive(&mut self) {
         // Rank ids in queue order, reused by every superstep.
         let mut batch: Vec<usize> = Vec::new();
-        let mut outbox = Vec::new();
+        // The batch's cross-rank effects in resume order, likewise reused:
+        // sized once, for an effect per rank of the first batch.
+        let mut effects: Vec<Effect> = Vec::with_capacity(self.queue.len());
         while let Some(at_ps) = self.queue.peek_time() {
             // One batch: every rank runnable at the earliest timestamp.
             batch.clear();
@@ -468,11 +479,11 @@ impl<P: RankProgram> Scheduler<P> {
             self.sim.batches += 1;
             *self.batch_dist.entry(batch.len() as u64).or_insert(0) += 1;
 
-            // Resume every rank of the batch against only its own slot.
+            // Resume every rank of the batch against its own slot and the log.
             for &rank in &batch {
                 // INFALLIBLE: only surviving ranks are ever scheduled.
                 let slot = self.slots[rank].as_mut().expect("scheduled rank owns its slot");
-                run_local(&self.world, slot);
+                run_local(&self.world, slot, &mut effects);
             }
             // Effects, step 1: settle park accounting for the whole
             // batch BEFORE any delivery — a packet toward a rank later in
@@ -484,18 +495,12 @@ impl<P: RankProgram> Scheduler<P> {
                 }
             }
             self.sim.peak_parked = self.sim.peak_parked.max(self.parked_count);
-            // Effects, step 2: cross-rank effects in batch order.
-            for &rank in &batch {
-                let slot = self.slot(rank);
-                // Drained, the buffer goes to the next slot: no superstep
-                // allocates or frees an outbox.
-                std::mem::swap(&mut outbox, &mut slot.outbox);
-                let entered = slot.entered.take();
-                for (dst, packet) in outbox.drain(..) {
-                    self.deliver(dst, packet);
-                }
-                if let Some(op) = entered {
-                    self.enter_collective(rank, op);
+            // Effects, step 2: cross-rank effects in log order — batch
+            // order, and within a rank its sends, then its collective entry.
+            for effect in effects.drain(..) {
+                match effect {
+                    Effect::Deliver { dst, packet } => self.deliver(dst, packet),
+                    Effect::Enter { rank, op } => self.enter_collective(rank, op),
                 }
             }
         }
@@ -508,8 +513,11 @@ impl<P: RankProgram> Scheduler<P> {
         self.slots[rank].as_mut().expect("surviving rank owns its slot")
     }
 
-    /// Append `packet` to `dst`'s mailbox and wake `dst` if it parks on
-    /// a matching receive. Packets toward failed ranks are blackholed
+    /// Hand `packet` to `dst` if it parks on a receive the packet matches,
+    /// else append it to `dst`'s mailbox. The hand-off is v1's first match:
+    /// a rank parks only after its mailbox held no match, and every later
+    /// arrival comes through here, so a parked receiver's mailbox never
+    /// holds an earlier one. Packets toward failed ranks are blackholed
     /// (a dead node's NIC still sinks traffic); packets toward finished
     /// ranks are buffered and never read, exactly like v1's channels.
     fn deliver(&mut self, dst: usize, packet: Packet) {
@@ -517,12 +525,12 @@ impl<P: RankProgram> Scheduler<P> {
             return; // blackhole: dst is in the failed set
         };
         self.sim.messages += 1;
-        slot.mailbox.push_back(packet);
-        let Some(Parked::Recv { src, tag, reply }) = slot.parked else {
-            return;
-        };
-        if let Some(result) = try_recv(&self.world, &mut slot.mailbox, src, tag) {
-            self.wake(dst, reply(result));
+        match slot.parked {
+            Some(Parked::Recv { src, tag, reply }) if packet.matches(src, tag, Want::DataOrLost) => {
+                let result = received(&self.world, src, tag, packet.payload);
+                self.wake(dst, reply(result));
+            }
+            _ => slot.mailbox.push_back(packet),
         }
     }
 
@@ -637,9 +645,10 @@ impl<P: RankProgram> Scheduler<P> {
 }
 
 /// Resume one rank until it parks or finishes, touching only its own
-/// slot. Cross-rank effects are left in the slot's outbox / collective
-/// entry and applied by the scheduler once the whole batch has run.
-fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>) {
+/// slot. Cross-rank effects are appended to `effects` — sends in send
+/// order, then the collective entry that ends the slice — and applied by
+/// the scheduler once the whole batch has run.
+fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>, effects: &mut Vec<Effect>) {
     loop {
         // INFALLIBLE: a runnable rank always has its next reply staged
         // (Start at launch, op completion at every wake).
@@ -652,7 +661,7 @@ fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>) {
                 return;
             }
             Step::Op(Op::Send { dst, tag, data }) => {
-                let sent = local_send(world, slot, dst, tag, data);
+                let sent = local_send(world, slot, effects, dst, tag, data);
                 slot.reply = Some(Reply::Sent(sent));
                 continue;
             }
@@ -663,7 +672,7 @@ fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>) {
                     slot.reply = Some(Reply::Exchanged(Ok(data)));
                     continue;
                 }
-                if let Err(e) = local_send(world, slot, partner, tag, data) {
+                if let Err(e) = local_send(world, slot, effects, partner, tag, data) {
                     slot.reply = Some(Reply::Exchanged(Err(e)));
                     continue;
                 }
@@ -676,7 +685,7 @@ fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>) {
                      (FaultyComm offers barrier and sum allreduce only)"
                 );
                 slot.parked = Some(Parked::Collective);
-                slot.entered = Some(collective);
+                effects.push(Effect::Enter { rank: slot.ctx.rank, op: collective });
                 return;
             }
         };
@@ -696,6 +705,7 @@ fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>) {
 fn local_send<P: RankProgram>(
     world: &World,
     slot: &mut RankSlot<P>,
+    effects: &mut Vec<Effect>,
     dst: usize,
     tag: u64,
     data: Vec<f64>,
@@ -711,7 +721,7 @@ fn local_send<P: RankProgram>(
     if dst == src {
         slot.mailbox.push_back(packet);
     } else {
-        slot.outbox.push((dst, packet));
+        effects.push(Effect::Deliver { dst, packet });
     }
     sent
 }
@@ -800,16 +810,26 @@ fn complete_collective<P: RankProgram>(
             reply_all(&|_| Reply::Broadcasted(data.clone()))
         }
         Op::Alltoallv { .. } => {
-            // `received[me][i]` is what participant `i` sent to `me`:
-            // every block is moved to its one reader, sender by sender.
-            let mut received: Vec<Vec<Vec<f64>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-            for (i, (op, &r)) in ops.zip(participants).enumerate() {
-                let Op::Alltoallv { sends } = op else { mixed() };
+            let blocks = |op| if let Op::Alltoallv { sends } = op { sends } else { mixed() };
+            let sends: Vec<Blocks> = ops.map(blocks).collect();
+            // One pass over the block lengths charges every sender and
+            // sizes every reader's buffer exactly.
+            let mut doubles = vec![0usize; n];
+            for (i, (sends, &r)) in sends.iter().zip(participants).enumerate() {
                 assert_eq!(sends.len(), n, "rank {r}: sends.len() == size");
-                let sent = rotation(n).map(|round| (sends[round.to(i, n)].len() * 8) as u64);
+                let sent = rotation(n).map(|round| (sends.get(round.to(i, n)).len() * 8) as u64);
                 charge(slots, &[r], rotation(n).len() as u64, sent.sum());
-                for (block, rows) in sends.into_iter().zip(&mut received) {
-                    rows.push(block);
+                for (total, block) in doubles.iter_mut().zip(sends.iter()) {
+                    *total += block.len();
+                }
+            }
+            // Block `i` of `received[me]` is what participant `i` sent to
+            // `me`: copied into the reader's one buffer sender by sender,
+            // each sender's buffer freed as soon as it has been scattered.
+            let mut received: Vec<Blocks> = doubles.iter().map(|&d| Blocks::with_capacity(n, d)).collect();
+            for sends in sends {
+                for (block, rows) in sends.iter().zip(&mut received) {
+                    rows.push(block.iter().copied());
                 }
             }
             let replies = received.into_iter().map(Reply::Alltoall);

@@ -55,6 +55,7 @@
 //! assert!(results.iter().all(|&x| x == 6.0));
 //! ```
 
+mod blocks;
 pub mod caf;
 pub mod cart;
 mod collective;
@@ -64,6 +65,7 @@ pub mod fault;
 pub mod tags;
 pub mod threaded;
 
+pub use blocks::Blocks;
 pub use caf::CoArray;
 pub use cart::{Cart2d, Cart3d};
 pub use comm::{run, Comm, CommStats, RecvRequest};

@@ -47,7 +47,11 @@ impl Endpoint for Comm {
             Op::AllreduceMaxScalar { x } => Reply::MaxReduced(Ok(self.allreduce_max_scalar(x))),
             Op::Allgather { data } => Reply::Gathered(self.allgather(&data).into()),
             Op::Broadcast { root, data } => Reply::Broadcasted(self.broadcast(root, data)),
-            Op::Alltoallv { sends } => Reply::Alltoall(self.alltoallv(sends)),
+            Op::Alltoallv { sends } => {
+                // `Comm` moves one packet per block: nested at the v1 boundary.
+                let received = self.alltoallv(sends.iter().map(<[f64]>::to_vec).collect());
+                Reply::Alltoall(received.into_iter().collect())
+            }
             Op::CoCreate { len } => Reply::CoCreated(CoArray::create(self, len)),
         }
     }

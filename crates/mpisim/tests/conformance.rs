@@ -55,7 +55,7 @@ fn carried(reply: &Reply) -> Result<Vec<Vec<u64>>, FaultError> {
         Reply::MaxReduced(x) => vec![vec![(*x)?.to_bits()]],
         Reply::Broadcasted(data) => vec![bits(data)],
         Reply::Gathered(rows) => rows.iter().map(|row| bits(row)).collect(),
-        Reply::Alltoall(rows) => rows.iter().map(|row| bits(row)).collect(),
+        Reply::Alltoall(rows) => rows.iter().map(bits).collect(),
         Reply::CoCreated(array) => vec![vec![array.this_image() as u64, array.num_images() as u64]],
     })
 }
@@ -274,4 +274,23 @@ fn rank_failure_fail_fast_is_bit_exact() {
     }
     assert!(v2.outcomes[2].is_failed());
     assert_threads_match("fail-fast", Some(spec), make, &v2, script_bits);
+}
+
+/// A sum allreduce whose contributions differ in length: rank 1 brings 3
+/// doubles to a 2-double reduction. Both runtimes fold through the one
+/// `fold_sum`, which used to `zip` the third element away in silence.
+fn ragged_allreduce(rank: usize, _size: usize) -> ScriptProgram {
+    ScriptProgram::new(vec![Op::AllreduceSum { data: vec![1.0; if rank == 1 { 3 } else { 2 }] }])
+}
+
+#[test]
+#[should_panic(expected = "participant 1 contributed 3 doubles, participant 0 2")]
+fn a_ragged_allreduce_is_diagnosed_on_threads() {
+    run_programs(3, None, ragged_allreduce);
+}
+
+#[test]
+#[should_panic(expected = "participant 1 contributed 3 doubles, participant 0 2")]
+fn a_ragged_allreduce_is_diagnosed_on_events() {
+    EventSim::new(3).run(ragged_allreduce);
 }

@@ -7,7 +7,7 @@
 //! definitions (dissemination barrier, gather-to-all ring, binomial tree,
 //! all-to-all rotation), not from the code — and holds both runtimes to it.
 
-use pvs_mpisim::{run_programs, EventSim, Op, Reply, ScriptProgram, SimReport};
+use pvs_mpisim::{run_programs, Blocks, EventSim, Op, Reply, ScriptProgram, SimReport};
 
 /// The collective `name` as rank `rank` of `p` enters it: 2-double sum,
 /// scalar max, ragged allgather rows of `rank % 3 + 1` doubles, 3-double
@@ -142,20 +142,26 @@ fn allgather_traffic_equals_a_literal_ring_replay() {
 }
 
 /// Rank `me` receives `[sends_0[me], …, sends_{n−1}[me]]` from an
-/// all-to-all, with the ragged block lengths of PARATEC's transpose.
+/// all-to-all: with the ragged block lengths of PARATEC's transpose
+/// (1–3 doubles), and with rows a third of whose blocks are empty — at
+/// n = 1 the lone block itself.
 #[test]
 fn alltoallv_delivers_column_me_of_the_send_matrix() {
-    let block = |src: usize, dst: usize, n: usize| -> Vec<f64> {
-        (0..(src + dst) % 3 + 1).map(|i| (src * n + dst) as f64 + i as f64 * 0.25).collect()
-    };
-    for n in [1usize, 2, 5, 16] {
-        let sends = |rank: usize| (0..n).map(|dst| block(rank, dst, n)).collect::<Vec<_>>();
-        let column = |me: usize| (0..n).map(|src| block(src, me, n)).collect::<Vec<_>>();
+    for (n, shortest) in [1usize, 2, 5, 16].into_iter().flat_map(|n| [(n, 1), (n, 0)]) {
+        let block = |src: usize, dst: usize| -> Vec<f64> {
+            (0..(src + dst) % 3 + shortest).map(|i| (src * n + dst) as f64 + i as f64 * 0.25).collect()
+        };
+        let sends = |rank: usize| (0..n).map(|dst| block(rank, dst)).collect::<Blocks>();
+        let column = |me: usize| (0..n).map(|src| block(src, me)).collect::<Vec<_>>();
         for (v, report) in on_both(n, |rank| Op::Alltoallv { sends: sends(rank) }).into_iter().enumerate() {
             for (me, replies) in report.into_values().iter().enumerate() {
+                let ctx = format!("v{} n={n} shortest={shortest} rank {me}", v + 1);
                 match &replies[..] {
-                    [Reply::Alltoall(rows)] => assert_eq!(rows, &column(me), "v{} n={n} rank {me}", v + 1),
-                    other => panic!("v{} n={n} rank {me}: {other:?}", v + 1),
+                    [Reply::Alltoall(rows)] => {
+                        assert_eq!(rows.len(), n, "{ctx}");
+                        assert_eq!(rows.iter().map(<[f64]>::to_vec).collect::<Vec<_>>(), column(me), "{ctx}");
+                    }
+                    other => panic!("{ctx}: {other:?}"),
                 }
             }
         }

@@ -7,7 +7,9 @@
 //! park accounting for the whole batch, then deliveries and collective
 //! entries in batch order.
 
-use pvs_mpisim::{EventSim, FaultSpec, Op, RankCtx, RankProgram, Reply, ScriptProgram, Step};
+use pvs_mpisim::{
+    run_programs, EventSim, FaultSpec, Op, RankCtx, RankProgram, Reply, ScriptProgram, SimReport, Step,
+};
 
 /// Catastrophic-cancellation probe: canonical fold order is observable.
 fn probe(rank: usize) -> f64 {
@@ -136,4 +138,108 @@ fn the_caller_sees_the_payload_of_the_first_panic_in_batch_order() {
     // exchange in descending order.
     assert_eq!(exploded(false), "rank 10 exploded");
     assert_eq!(exploded(true), "rank 4000 exploded");
+}
+
+/// `make`'s programs on both runtimes: the event runtime's report, after
+/// holding its outcomes (replies and fault accounting, `Debug`-rendered —
+/// every double round-trips), traffic and clocks to the thread-backed
+/// runtime's, where every receive scans a real mailbox.
+fn held_to_threads(
+    name: &str,
+    n: usize,
+    faults: Option<FaultSpec>,
+    make: impl Fn(usize, usize) -> ScriptProgram + Send + Sync,
+) -> SimReport<Vec<Reply>> {
+    let sim = EventSim::new(n);
+    let v2 = match &faults {
+        Some(spec) => sim.faults(spec.clone()).run(&make),
+        None => sim.run(&make),
+    };
+    let v1 = run_programs(n, faults, &make);
+    assert_eq!(format!("{:?}", v1.outcomes), format!("{:?}", v2.outcomes), "{name}: outcomes");
+    assert_eq!(v1.comm_stats, v2.comm_stats, "{name}: traffic");
+    assert_eq!(v1.clocks_ps, v2.clocks_ps, "{name}: clocks");
+    v2
+}
+
+/// Each reply as `Debug` prints it.
+fn rendered(replies: &[Reply]) -> Vec<String> {
+    replies.iter().map(|reply| format!("{reply:?}")).collect()
+}
+
+/// `deliver` completes a parked receive from the arriving packet itself.
+/// In every scenario both ranks run in the first superstep, so rank 1 is
+/// parked when rank 0's packets are routed, in send order, after it. What
+/// rank 0 sees is held to the thread runtime only.
+#[test]
+fn a_parked_receiver_is_handed_its_first_match_and_nothing_else() {
+    let send = |tag, x: f64| Op::Send { dst: 1, tag, data: vec![x] };
+    let recv = |tag| Op::Recv { src: 0, tag };
+    // Both messages' every attempt is lost: tombstones travel instead.
+    let mut lossy = FaultSpec::healthy().with_seed(7).drop_per_mille(1000);
+    lossy.max_attempts = 3;
+    let lost = |tag: u32, ms: u32| {
+        format!("Received(Err(Timeout {{ peer: 0, tag: {tag}, attempts: 3, expired_at_ps: {ms}000000000 }}))")
+    };
+    // (scenario, faults, each rank's ops, rank 1's replies,
+    //  [parks, wakeups, messages, batches])
+    type Case = (&'static str, Option<FaultSpec>, [Vec<Op>; 2], Vec<String>, [u64; 4]);
+    let cases: Vec<Case> = vec![
+        (
+            "a non-match arrives first: it stays buffered for the receive that wants it",
+            None,
+            [vec![send(1, 1.0), send(2, 2.0)], vec![recv(2), recv(1)]],
+            vec!["Received(Ok([2.0]))".into(), "Received(Ok([1.0]))".into()],
+            [1, 1, 2, 2],
+        ),
+        (
+            "two matches in one superstep: the first is handed off, the second buffered",
+            None,
+            [vec![send(6, 9.0), send(5, 1.0), send(5, 2.0)], vec![recv(5), recv(5), recv(6)]],
+            vec!["Received(Ok([1.0]))".into(), "Received(Ok([2.0]))".into(), "Received(Ok([9.0]))".into()],
+            [1, 1, 3, 2],
+        ),
+        (
+            "a parked exchange is answered as an exchange",
+            None,
+            [0, 1].map(|rank| vec![Op::Sendrecv { partner: 1 - rank, tag: 3, data: vec![rank as f64 + 0.5] }]),
+            vec!["Exchanged(Ok([0.5]))".into()],
+            [2, 2, 2, 2],
+        ),
+        (
+            "a tombstone handed to a parked receiver is the sender's timeout, at the sender's expiry",
+            Some(lossy),
+            [vec![send(1, 1.0), send(2, 2.0)], vec![recv(2), recv(1)]],
+            vec![lost(2, 14), lost(1, 7)],
+            [1, 1, 2, 2],
+        ),
+    ];
+    for (name, faults, ops, sees, [parks, wakeups, messages, batches]) in cases {
+        let report = held_to_threads(name, 2, faults, |rank, _| ScriptProgram::new(ops[rank].clone()));
+        assert_eq!(rendered(report.outcomes[1].value().expect("no failed rank")), sees, "{name}");
+        let sim = report.sim;
+        assert_eq!([sim.parks, sim.wakeups, sim.messages, sim.batches], [parks, wakeups, messages, batches], "{name}");
+    }
+}
+
+#[test]
+fn log_ordered_effects_reproduce_the_mirror_exchange() {
+    // Superstep 2 runs P−1, …, 0 (wake order) bar the never-parked middle
+    // rank, so its log interleaves ranks in descending order; every value
+    // must still reach its mirror, on each tag, through a hand-off.
+    let p = 4097usize;
+    let report = EventSim::new(p).run(|rank, size| {
+        mirror_exchanges(rank, size, &[1, 2], Op::AllreduceSum { data: vec![probe(rank)] })
+    });
+    let sim = report.sim;
+    assert_eq!([sim.parks, sim.wakeups, sim.messages, sim.batches], [12289, 12289, 8192, 4]);
+    assert_eq!(report.batch_sizes, [(4096, 2), (4097, 2)]);
+    let canonical = (1..p).fold(probe(0), |acc, rank| acc + probe(rank));
+    for (rank, replies) in report.into_values().iter().enumerate() {
+        let mirror = (p - 1 - rank) as f64;
+        let received = |tag: f64| format!("Received(Ok([{:?}]))", mirror + tag);
+        let reduced = format!("Reduced(Ok([{canonical:?}]))");
+        let expect = ["Sent(Ok(()))".into(), received(1.0), "Sent(Ok(()))".into(), received(2.0), reduced];
+        assert_eq!(rendered(replies), expect, "rank {rank}");
+    }
 }

@@ -12,19 +12,18 @@ use pvs_mpisim::event::{EventSim, Op, Reply, ScriptProgram, SimReport, SimStats}
 use pvs_mpisim::{run_programs, CommStats};
 
 /// The block rank `rank` ships to rank `dst` in the transpose
-/// (variable-length, as slab decompositions are never perfectly even).
-fn block(rank: usize, dst: usize, size: usize) -> Vec<f64> {
+/// (variable-length, as slab decompositions are never perfectly even),
+/// as the elements to write into the rank's one send buffer.
+fn block(rank: usize, dst: usize, size: usize) -> impl Iterator<Item = f64> {
     let len = (rank + dst) % 3 + 1;
-    (0..len)
-        .map(|i| {
-            let base = ((rank * size + dst) * 31 + i * 7) as f64 * 1e-3;
-            if i == 0 {
-                base + [1e16, 1.0, -1e16][(rank + dst) % 3]
-            } else {
-                base
-            }
-        })
-        .collect()
+    (0..len).map(move |i| {
+        let base = ((rank * size + dst) * 31 + i * 7) as f64 * 1e-3;
+        if i == 0 {
+            base + [1e16, 1.0, -1e16][(rank + dst) % 3]
+        } else {
+            base
+        }
+    })
 }
 
 /// Per-rank wavefunction norm contribution (data-independent).
