@@ -10,8 +10,8 @@
 //!   bandwidth-, bisection-, or scalar-serialization-bound;
 //! * [`findings`] — the rendered findings table over a whole sweep;
 //! * [`chrome`] — Chrome trace-event export and self-time rollups;
-//! * [`sentinel`] — the deterministic perf-regression comparison behind
-//!   `pvs-bench compare`;
+//! * [`sentinel`] — the equality gate on committed baselines behind
+//!   `pvs compare`;
 //! * [`profiledoc`] — the `BENCH_sweep.json` reader (schema v1 and
 //!   v2), over the shared `pvs_core::json` parser ([`json`] re-exports
 //!   it).

@@ -155,7 +155,13 @@ fn name_value_pairs(v: Option<&Value>) -> Vec<(String, u64)> {
 
 /// Load a profile document from its JSON text.
 pub fn load(text: &str) -> Result<ProfileDoc, LoadError> {
-    let doc = parse(text).map_err(LoadError::Parse)?;
+    from_value(&parse(text).map_err(LoadError::Parse)?)
+}
+
+/// Read an already-parsed profile document — every check [`load`] makes
+/// after the parse (known schema, a `cells` array, each cell's identity
+/// and model metrics).
+pub fn from_value(doc: &Value) -> Result<ProfileDoc, LoadError> {
     let schema = doc
         .str("schema")
         .ok_or_else(|| LoadError::Schema("missing `schema` member".into()))?;

@@ -1,165 +1,222 @@
-//! The deterministic perf-regression sentinel.
+//! The baseline gate: two profile documents agree when they are equal.
 //!
-//! `pvs-bench compare <old.json> <new.json>` joins two profile documents
-//! on cell identity and diffs them with two distinct policies:
+//! `pvs compare <old.json> <new.json>` walks the two parsed documents
+//! member by member. Everything a writer emitted is compared — `schema`,
+//! `observed`, `harness`, and every member of every cell, the cells
+//! joined on `(app, config, machine, procs)` — except the host notes
+//! named in [`UNGATED`] and [`UNGATED_CELL`]. The lists name what is
+//! *not* compared, so a member a later writer adds is gated by default.
 //!
-//! * **model metrics** (`time_s`, `comm_s`, `gflops_per_p`) are pure
-//!   functions of the cell identity — the simulator is deterministic, so
-//!   any drift at all is a real behavioural change and is compared
-//!   *exactly*;
-//! * **host wall-clock** is machine-specific noise: the committed
-//!   baseline was produced on someone else's machine. It is reported as
-//!   drift and never enforced — host time is gated by `benchmark/`.
-//!
-//! A regression is: modelled time up, modelled Gflop/s per processor
-//! down, or a baseline cell missing from the new document. Improvements
-//! and new cells are drift (reported, exit 0).
+//! The simulators are deterministic and every gated member is a pure
+//! function of the cell identity (or, in `harness`, of the seeded fault
+//! plan), so there is no tolerance and no direction: a model time that
+//! went *down* is as much a changed model as one that went up, and a
+//! cell present on one side only is a difference. Host wall-clock is
+//! machine-specific noise, lives only in the ungated members, and is
+//! gated by `benchmark/`.
 
-use crate::profiledoc::ProfileDoc;
-use pvs_report::tables::Table;
+use pvs_core::json::{number, Value};
 
-/// How one metric of one cell moved between the two documents.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Drift {
-    /// Cell identity key (`app/config/machine/Pn`).
-    pub key: String,
-    /// Metric name (`model.time_s`, `host.median_s`, ...).
-    pub metric: String,
-    /// Baseline value (`None` when the cell is new).
-    pub old: Option<f64>,
-    /// New value (`None` when the cell disappeared).
-    pub new: Option<f64>,
-    /// Whether this drift alone fails the comparison.
-    pub regression: bool,
+/// Top-level members that are host notes, never compared: the worker
+/// count a run happened to use, its host-sample bookkeeping, and
+/// `serve_load`'s latency aggregates and final server snapshot.
+pub const UNGATED: [&str; 5] = [
+    "sweep_threads",
+    "host_samples_per_cell",
+    "host_median_sum_s",
+    "load",
+    "server",
+];
+
+/// Per-cell members that are host notes, never compared.
+pub const UNGATED_CELL: [&str; 1] = ["host_wall"];
+
+/// One JSON path at which the two documents disagree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Difference {
+    /// Dotted path from the document root. Cells are addressed by
+    /// identity (`cells[app/config/machine/Pn].model.time_s`) and
+    /// `name`/`value` arrays by name (`harness.chaos.scenarios`).
+    pub path: String,
+    /// The old side, rendered (`absent` when the path exists only in new).
+    pub old: String,
+    /// The new side, rendered (`absent` when the path exists only in old).
+    pub new: String,
 }
 
-impl Drift {
-    /// Relative change in percent, when both sides exist and the old
-    /// value is nonzero.
-    pub fn pct_change(&self) -> Option<f64> {
-        match (self.old, self.new) {
-            (Some(o), Some(n)) if o != 0.0 => Some(100.0 * (n - o) / o),
-            _ => None,
-        }
+impl std::fmt::Display for Difference {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {} -> {}", self.path, self.old, self.new)
     }
 }
 
 /// Outcome of comparing two profile documents.
 #[derive(Debug, Clone, Default)]
 pub struct Comparison {
-    /// Every drift found, in document (cell) order.
-    pub drifts: Vec<Drift>,
+    /// Every differing path: top-level members in document order, then
+    /// cells in document order.
+    pub differences: Vec<Difference>,
     /// Number of cells present in both documents.
     pub matched_cells: usize,
 }
 
 impl Comparison {
-    /// Whether any drift is a regression (nonzero exit for the CLI).
-    pub fn regressed(&self) -> bool {
-        self.drifts.iter().any(|d| d.regression)
-    }
-
-    /// Render the per-cell drift table. Empty drift list renders a
-    /// one-row "no drift" table so the output is never blank.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Profile drift (old -> new)",
-            &["Cell", "Metric", "Old", "New", "Change", "Verdict"],
-        );
-        if self.drifts.is_empty() {
-            t.push_row(vec![
-                format!("{} matched cells", self.matched_cells),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "none".into(),
-                "ok".into(),
-            ]);
-            return t;
-        }
-        for d in &self.drifts {
-            let fmt = |v: Option<f64>| match v {
-                Some(x) => format!("{x:.6}"),
-                None => "absent".to_string(),
-            };
-            t.push_row(vec![
-                d.key.clone(),
-                d.metric.clone(),
-                fmt(d.old),
-                fmt(d.new),
-                match d.pct_change() {
-                    Some(p) => format!("{p:+.2}%"),
-                    None => "-".to_string(),
-                },
-                if d.regression { "REGRESSION" } else { "drift" }.to_string(),
-            ]);
-        }
-        t
+    /// Whether the documents agree (exit 0 for the CLI).
+    pub fn equal(&self) -> bool {
+        self.differences.is_empty()
     }
 }
 
-/// Compare `new` against the `old` baseline.
-pub fn compare_docs(old: &ProfileDoc, new: &ProfileDoc) -> Comparison {
-    let mut cmp = Comparison::default();
-    for old_cell in &old.cells {
-        let key = old_cell.key();
-        let Some(new_cell) = new.cells.iter().find(|c| c.key() == key) else {
-            cmp.drifts.push(Drift {
-                key,
-                metric: "cell".into(),
-                old: Some(old_cell.model.time_s),
-                new: None,
-                regression: true,
-            });
-            continue;
-        };
-        cmp.matched_cells += 1;
-        // Model metrics: exact comparison — the model is deterministic.
-        let model = [
-            ("model.time_s", old_cell.model.time_s, new_cell.model.time_s),
-            ("model.comm_s", old_cell.model.comm_s, new_cell.model.comm_s),
-            (
-                "model.gflops_per_p",
-                old_cell.model.gflops_per_p,
-                new_cell.model.gflops_per_p,
-            ),
-        ];
-        for (metric, o, n) in model {
-            if o != n {
-                let slower = metric == "model.gflops_per_p" && n < o;
-                let longer = metric != "model.gflops_per_p" && n > o;
-                cmp.drifts.push(Drift {
-                    key: key.clone(),
-                    metric: metric.into(),
-                    old: Some(o),
-                    new: Some(n),
-                    regression: slower || longer,
-                });
+type Members<'a> = Vec<(&'a str, &'a Value)>;
+
+/// An object's members in document order (none for any other value).
+fn members(value: &Value) -> Members<'_> {
+    match value {
+        Value::Object(members) => members.iter().map(|(k, v)| (k.as_str(), v)).collect(),
+        _ => Vec::new(),
+    }
+}
+
+fn find<'a>(side: &Members<'a>, key: &str) -> Option<&'a Value> {
+    side.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+}
+
+/// A `[{"name": .., "value": ..}, ..]` array (counters, gauges,
+/// `harness`) read as the map it encodes, so a difference names the
+/// counter and not an array index.
+fn named_values(items: &[Value]) -> Option<Members<'_>> {
+    items
+        .iter()
+        .map(|item| match item {
+            Value::Object(members) if members.len() == 2 => {
+                Some((item.str("name")?, item.get("value")?))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn show(value: Option<&Value>) -> String {
+    match value {
+        None => "absent".to_string(),
+        Some(Value::Null) => "null".to_string(),
+        Some(Value::Bool(b)) => b.to_string(),
+        Some(Value::Number(x)) => number(*x),
+        Some(Value::String(s)) => format!("{s:?}"),
+        Some(Value::Array(items)) => format!("[{} items]", items.len()),
+        Some(Value::Object(members)) => format!("{{{} members}}", members.len()),
+    }
+}
+
+fn diff(path: &str, old: Option<&Value>, new: Option<&Value>, out: &mut Vec<Difference>) {
+    if old == new {
+        return;
+    }
+    match (old, new) {
+        (Some(a @ Value::Object(_)), Some(b @ Value::Object(_))) => {
+            diff_members(path, &members(a), &members(b), &[], out)
+        }
+        (Some(Value::Array(a)), Some(Value::Array(b))) => {
+            match (named_values(a), named_values(b)) {
+                (Some(a), Some(b)) => diff_members(path, &a, &b, &[], out),
+                _ => {
+                    for i in 0..a.len().max(b.len()) {
+                        diff(&format!("{path}[{i}]"), a.get(i), b.get(i), out);
+                    }
+                }
             }
         }
-        // Host wall-clock: noisy, reported, never enforced.
-        let (o, n) = (old_cell.host_median_s, new_cell.host_median_s);
-        if o > 0.0 && n != o {
-            cmp.drifts.push(Drift {
-                key: key.clone(),
-                metric: "host.median_s".into(),
-                old: Some(o),
-                new: Some(n),
-                regression: false,
-            });
+        _ => out.push(Difference {
+            path: path.to_string(),
+            old: show(old),
+            new: show(new),
+        }),
+    }
+}
+
+/// Compare two keyed member lists: old's keys in old's order, then the
+/// keys only new has. Order itself is not compared.
+fn diff_members(
+    path: &str,
+    old: &Members<'_>,
+    new: &Members<'_>,
+    ungated: &[&str],
+    out: &mut Vec<Difference>,
+) {
+    let only_new = new.iter().filter(|(k, _)| find(old, k).is_none());
+    for (key, _) in old.iter().chain(only_new) {
+        if ungated.contains(key) {
+            continue;
+        }
+        let at = if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        };
+        diff(&at, find(old, key), find(new, key), out);
+    }
+}
+
+/// `app/config/machine/Pn` — the identity cells are joined on (the same
+/// spelling as [`crate::profiledoc::ProfileCell::key`]).
+fn cell_key(cell: &Value) -> String {
+    format!(
+        "{}/{}/{}/P{}",
+        cell.str("app").unwrap_or("?"),
+        cell.str("config").unwrap_or(""),
+        cell.str("machine").unwrap_or("?"),
+        cell.num("procs").map_or("?".to_string(), number),
+    )
+}
+
+/// A document's cells with the identity each is joined on.
+fn cells(doc: &Value) -> Vec<(String, &Value)> {
+    doc.get("cells")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .map(|cell| (cell_key(cell), cell))
+        .collect()
+}
+
+/// Compare `new` against `old`, both parsed profile documents.
+pub fn compare_docs(old: &Value, new: &Value) -> Comparison {
+    let mut cmp = Comparison::default();
+    let ungated_top: Vec<&str> = UNGATED.iter().copied().chain(["cells"]).collect();
+    diff_members(
+        "",
+        &members(old),
+        &members(new),
+        &ungated_top,
+        &mut cmp.differences,
+    );
+
+    let mut new_cells: Vec<Option<(String, &Value)>> = cells(new).into_iter().map(Some).collect();
+    for (key, old_cell) in cells(old) {
+        let path = format!("cells[{key}]");
+        // Each new cell answers one old cell, so a duplicated identity on
+        // one side does not pass against a single cell on the other.
+        let twin = new_cells
+            .iter_mut()
+            .find(|slot| slot.as_ref().is_some_and(|(k, _)| *k == key))
+            .and_then(Option::take);
+        match twin {
+            Some((_, new_cell)) => {
+                cmp.matched_cells += 1;
+                diff_members(
+                    &path,
+                    &members(old_cell),
+                    &members(new_cell),
+                    &UNGATED_CELL,
+                    &mut cmp.differences,
+                );
+            }
+            None => diff(&path, Some(old_cell), None, &mut cmp.differences),
         }
     }
-    for new_cell in &new.cells {
-        let key = new_cell.key();
-        if !old.cells.iter().any(|c| c.key() == key) {
-            cmp.drifts.push(Drift {
-                key,
-                metric: "cell".into(),
-                old: None,
-                new: Some(new_cell.model.time_s),
-                regression: false,
-            });
-        }
+    for (key, new_cell) in new_cells.into_iter().flatten() {
+        let path = format!("cells[{key}]");
+        diff(&path, None, Some(new_cell), &mut cmp.differences);
     }
     cmp
 }
@@ -167,95 +224,221 @@ pub fn compare_docs(old: &ProfileDoc, new: &ProfileDoc) -> Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiledoc::{ModelMetrics, ProfileCell};
+    use pvs_core::json::parse;
 
-    fn doc(cells: Vec<ProfileCell>) -> ProfileDoc {
-        ProfileDoc {
-            schema: crate::profiledoc::SCHEMA_V2.into(),
-            observed: true,
-            cells,
-        }
-    }
+    /// A two-cell document with every kind of member the writers emit.
+    const DOC: &str = r#"{"schema":"pvs-bench/profile-v2","observed":true,
+        "sweep_threads":1,"host_samples_per_cell":3,"host_median_sum_s":0.5,
+        "load":{"wall_s":1.5},"server":{"uptime_s":2},
+        "harness":[{"name":"chaos.scenarios","value":6},
+                   {"name":"servechaos.spill-corruption.store.quarantined","value":3}],
+        "cells":[
+          {"app":"LBMHD","config":"8192x8192","machine":"Power3","procs":64,
+           "model":{"machine":"Power3","procs":64,"time_s":10,"comm_s":0.25,
+                    "gflops_per_p":2,"pct_peak":6.5,
+                    "phases":[{"name":"collision","seconds":6,"flops":2.8e10,"is_comm":false},
+                              {"name":"exchange","seconds":0.25,"flops":0,"is_comm":true}]},
+           "host_wall":{"median_s":0.25,"samples":1,"all_s":[0.25]},
+           "span_events":3,
+           "counters":[{"name":"engine.phases","value":2}],
+           "gauges":[{"name":"netsim.link.peak_bytes","value":512}]},
+          {"app":"GTC","config":"100 part/cell","machine":"ES","procs":64,
+           "model":{"machine":"ES","procs":64,"time_s":4,"comm_s":0.5,
+                    "gflops_per_p":1,"pct_peak":15,"avl":230.5,"vor_pct":97.25,"phases":[]},
+           "host_wall":{"median_s":0.125,"samples":1,"all_s":[0.125]},
+           "span_events":1,"counters":[],"gauges":[]}
+        ]}"#;
 
-    fn cell(app: &str, time_s: f64, gflops: f64, host_s: f64) -> ProfileCell {
-        ProfileCell {
-            app: app.into(),
-            config: "cfg".into(),
-            machine: "ES".into(),
-            procs: 64,
-            model: ModelMetrics {
-                time_s,
-                comm_s: 0.1,
-                gflops_per_p: gflops,
-                ..ModelMetrics::default()
-            },
-            host_median_s: host_s,
-            ..ProfileCell::default()
-        }
+    /// `DOC` with the first `from` replaced by `to`, compared against `DOC`
+    /// in both directions (equality has none): the differing paths.
+    fn paths_after(from: &str, to: &str) -> Vec<String> {
+        assert!(DOC.contains(from), "{from:?} not in the document");
+        let (old, new) = (
+            parse(DOC).unwrap(),
+            parse(&DOC.replacen(from, to, 1)).unwrap(),
+        );
+        let forward = compare_docs(&old, &new);
+        assert_eq!(forward.matched_cells, 2);
+        assert_eq!(
+            compare_docs(&new, &old).differences.len(),
+            forward.differences.len(),
+            "a difference has no direction"
+        );
+        forward.differences.into_iter().map(|d| d.path).collect()
     }
 
     #[test]
-    fn identical_documents_compare_clean() {
-        let a = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5), cell("GTC", 4.0, 1.0, 0.2)]);
-        let cmp = compare_docs(&a, &a);
-        assert!(!cmp.regressed());
-        assert!(cmp.drifts.is_empty());
+    fn identical_documents_compare_equal() {
+        let doc = parse(DOC).unwrap();
+        let cmp = compare_docs(&doc, &doc);
+        assert!(cmp.equal(), "{:?}", cmp.differences);
         assert_eq!(cmp.matched_cells, 2);
-        assert!(cmp.table().render().contains("2 matched cells"));
     }
 
     #[test]
-    fn any_model_time_growth_is_a_regression() {
-        let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
-        // 5% slower model time — any growth must fail.
-        let new = doc(vec![cell("LBMHD", 10.5, 2.0, 0.5)]);
+    fn whitespace_and_member_order_are_not_part_of_the_document() {
+        let reordered = DOC.replacen("\"span_events\":3,", "", 1).replacen(
+            "\"gauges\":[{\"name\":\"netsim.link.peak_bytes\",\"value\":512}]",
+            "\"gauges\":[{\"name\":\"netsim.link.peak_bytes\",\"value\":512}],\"span_events\":3",
+            1,
+        );
+        assert_ne!(reordered, DOC);
+        let pretty = pvs_core::json::pretty(&reordered);
+        assert!(compare_docs(&parse(DOC).unwrap(), &parse(&pretty).unwrap()).equal());
+    }
+
+    #[test]
+    fn a_model_metric_moving_either_way_is_a_difference() {
+        let time = "cells[LBMHD/8192x8192/Power3/P64].model.time_s";
+        // 5 % slower and 5 % faster: the model changed both times.
+        assert_eq!(paths_after("\"time_s\":10,", "\"time_s\":10.5,"), [time]);
+        assert_eq!(paths_after("\"time_s\":10,", "\"time_s\":9.5,"), [time]);
+        let checksum = "cells[LBMHD/8192x8192/Power3/P64].model.gflops_per_p";
+        assert_eq!(
+            paths_after("\"gflops_per_p\":2,", "\"gflops_per_p\":3,"),
+            [checksum]
+        );
+        assert_eq!(
+            paths_after("\"gflops_per_p\":2,", "\"gflops_per_p\":1,"),
+            [checksum]
+        );
+    }
+
+    #[test]
+    fn every_emitted_member_is_gated_and_named_by_path() {
+        let lbmhd = "cells[LBMHD/8192x8192/Power3/P64]";
+        let gtc = "cells[GTC/100 part/cell/ES/P64]";
+        for (from, to, path) in [
+            (
+                "\"value\":3}",
+                "\"value\":0}",
+                "harness.servechaos.spill-corruption.store.quarantined".to_string(),
+            ),
+            (
+                "\"engine.phases\",\"value\":2",
+                "\"engine.phases\",\"value\":3",
+                format!("{lbmhd}.counters.engine.phases"),
+            ),
+            (
+                "\"value\":512",
+                "\"value\":1024",
+                format!("{lbmhd}.gauges.netsim.link.peak_bytes"),
+            ),
+            (
+                "\"span_events\":3",
+                "\"span_events\":4",
+                format!("{lbmhd}.span_events"),
+            ),
+            (
+                "\"seconds\":0.25",
+                "\"seconds\":0.5",
+                format!("{lbmhd}.model.phases[1].seconds"),
+            ),
+            ("\"avl\":230.5", "\"avl\":231.5", format!("{gtc}.model.avl")),
+            ("\"vor_pct\":97.25,", "", format!("{gtc}.model.vor_pct")),
+            (
+                "\"observed\":true",
+                "\"observed\":false",
+                "observed".to_string(),
+            ),
+            // A member no typed reader knows is still part of the document.
+            (
+                "\"span_events\":1",
+                "\"span_events\":1,\"energy_j\":7",
+                format!("{gtc}.energy_j"),
+            ),
+            (
+                "\"harness\":[",
+                "\"fidelity\":{\"median_err\":13.8},\"harness\":[",
+                "fidelity".to_string(),
+            ),
+        ] {
+            assert_eq!(paths_after(from, to), [path], "{from} -> {to}");
+        }
+    }
+
+    #[test]
+    fn a_difference_renders_as_path_old_new() {
+        let (old, new) = (
+            parse(DOC).unwrap(),
+            parse(&DOC.replacen("\"value\":3}", "\"value\":0}", 1)).unwrap(),
+        );
         let cmp = compare_docs(&old, &new);
-        assert!(cmp.regressed());
-        assert_eq!(cmp.drifts.len(), 1);
-        assert_eq!(cmp.drifts[0].metric, "model.time_s");
-        assert!((cmp.drifts[0].pct_change().unwrap() - 5.0).abs() < 1e-9);
-        assert!(cmp.table().render().contains("REGRESSION"));
+        assert!(!cmp.equal());
+        assert_eq!(
+            cmp.differences[0].to_string(),
+            "harness.servechaos.spill-corruption.store.quarantined 3 -> 0"
+        );
     }
 
     #[test]
-    fn model_improvement_is_drift_not_regression() {
-        let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
-        let new = doc(vec![cell("LBMHD", 9.0, 2.2, 0.5)]);
+    fn a_counter_on_one_side_only_is_absent_on_the_other() {
+        let (old, new) = (
+            parse(DOC).unwrap(),
+            parse(&DOC.replacen("{\"name\":\"chaos.scenarios\",\"value\":6},", "", 1)).unwrap(),
+        );
         let cmp = compare_docs(&old, &new);
-        assert!(!cmp.regressed());
-        assert_eq!(cmp.drifts.len(), 2);
+        assert_eq!(cmp.differences.len(), 1);
+        assert_eq!(
+            cmp.differences[0].to_string(),
+            "harness.chaos.scenarios 6 -> absent"
+        );
     }
 
     #[test]
-    fn gflops_drop_is_a_regression() {
-        let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
-        let new = doc(vec![cell("LBMHD", 10.0, 1.8, 0.5)]);
-        assert!(compare_docs(&old, &new).regressed());
+    fn host_notes_are_never_compared() {
+        for (from, to) in [
+            ("\"sweep_threads\":1", "\"sweep_threads\":8"),
+            ("\"host_samples_per_cell\":3", "\"host_samples_per_cell\":1"),
+            ("\"host_median_sum_s\":0.5", "\"host_median_sum_s\":0.75"),
+            ("\"load\":{\"wall_s\":1.5}", "\"load\":{\"wall_s\":9}"),
+            ("\"server\":{\"uptime_s\":2},", ""),
+            (
+                "\"median_s\":0.25,\"samples\":1,\"all_s\":[0.25]",
+                "\"median_s\":0.5,\"samples\":2,\"all_s\":[0.5,0.5]",
+            ),
+        ] {
+            assert_eq!(paths_after(from, to), [""; 0], "{from} -> {to}");
+        }
     }
 
     #[test]
-    fn missing_cell_fails_and_new_cell_does_not() {
-        let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.5)]);
-        let new = doc(vec![cell("GTC", 4.0, 1.0, 0.2)]);
-        let cmp = compare_docs(&old, &new);
-        assert!(cmp.regressed());
-        let missing = cmp.drifts.iter().find(|d| d.new.is_none()).unwrap();
-        assert!(missing.regression);
-        let added = cmp.drifts.iter().find(|d| d.old.is_none()).unwrap();
-        assert!(!added.regression);
-        // Only the old cells gate; additions ride along.
-        let only_new = compare_docs(&doc(vec![]), &new);
-        assert!(!only_new.regressed());
-    }
-
-    #[test]
-    fn host_growth_is_reported_as_drift_and_never_a_regression() {
-        let old = doc(vec![cell("LBMHD", 10.0, 2.0, 0.50)]);
-        let new = doc(vec![cell("LBMHD", 10.0, 2.0, 0.60)]);
-        let cmp = compare_docs(&old, &new);
-        assert!(!cmp.regressed());
-        assert_eq!(cmp.drifts.len(), 1);
-        assert_eq!(cmp.drifts[0].metric, "host.median_s");
-        assert!((cmp.drifts[0].pct_change().unwrap() - 20.0).abs() < 1e-9);
+    fn a_cell_on_one_side_only_is_a_difference_either_way() {
+        let both = parse(DOC).unwrap();
+        let start = DOC.find("{\"app\":\"GTC\"").unwrap();
+        let end = DOC.rfind(']').unwrap();
+        let one = parse(&format!(
+            "{}{}",
+            DOC[..start].trim_end().trim_end_matches(','),
+            &DOC[end..]
+        ))
+        .unwrap();
+        for (old, new, want) in [
+            (
+                &both,
+                &one,
+                "cells[GTC/100 part/cell/ES/P64] {9 members} -> absent",
+            ),
+            (
+                &one,
+                &both,
+                "cells[GTC/100 part/cell/ES/P64] absent -> {9 members}",
+            ),
+        ] {
+            let cmp = compare_docs(old, new);
+            assert_eq!(cmp.matched_cells, 1);
+            assert_eq!(cmp.differences.len(), 1);
+            assert_eq!(cmp.differences[0].to_string(), want);
+        }
+        // A duplicated identity does not pass against a single cell.
+        let twice = parse(&format!(
+            "{},{}{}",
+            &DOC[..end].trim_end(),
+            &DOC[start..end].trim_end(),
+            &DOC[end..]
+        ))
+        .unwrap();
+        assert!(!compare_docs(&both, &twice).equal());
+        assert!(!compare_docs(&twice, &both).equal());
     }
 }

@@ -7,7 +7,7 @@
 //! the resilience invariants the fault model promises, and renders the
 //! whole thing as a `pvs-bench/profile-v2` document (`BENCH_chaos.json`)
 //! with the scenario name folded into each cell's `config` field — so
-//! the `compare` sentinel diffs chaos baselines with no new schema.
+//! `compare` gates chaos baselines with no new schema.
 //!
 //! Invariants checked on every run:
 //!
@@ -49,7 +49,7 @@ pub struct ChaosScenario {
     pub plan: FaultPlan,
 }
 
-/// Stable label for a fault kind (used to prove smoke coverage).
+/// Stable label for a fault kind (used to prove scenario coverage).
 pub fn kind_label(kind: &FaultKind) -> &'static str {
     match kind {
         FaultKind::LinkFailure { .. } => "link-failure",
@@ -174,9 +174,9 @@ fn worker_loss() -> ChaosScenario {
     }
 }
 
-/// The six-scenario CI set: every fault kind the planner knows is
-/// injected by at least one scenario.
-pub fn smoke_scenarios() -> Vec<ChaosScenario> {
+/// The six scenarios: every fault kind the planner knows is injected by
+/// at least one of them.
+pub fn scenarios() -> Vec<ChaosScenario> {
     vec![
         x1_link_down(),
         es_port_loss(),
@@ -187,16 +187,10 @@ pub fn smoke_scenarios() -> Vec<ChaosScenario> {
     ]
 }
 
-/// The full set (currently the same scenarios; the grid they run over is
-/// what grows in full mode).
-pub fn full_scenarios() -> Vec<ChaosScenario> {
-    smoke_scenarios()
-}
-
 /// What one scenario did, for the human-readable summary. Worker
 /// retirement counts are host-scheduling dependent (a quota only fires
 /// if that worker wins a task), so they are reported here and *not* in
-/// the JSON document.
+/// the JSON document — `compare` gates the document's `harness` exactly.
 #[derive(Debug, Clone)]
 pub struct ScenarioSummary {
     /// Scenario name.
@@ -485,7 +479,7 @@ fn check_bisection_shift(
 /// bit-identical to the uninterrupted one. Returns a human-readable
 /// summary on success.
 pub fn checkpoint_roundtrip_check(threads: usize) -> Result<String, String> {
-    let scenario = smoke_scenarios()
+    let scenario = scenarios()
         .into_iter()
         .find(|s| s.name == "bank-fault")
         .ok_or("no bank-fault scenario")?;
@@ -537,8 +531,8 @@ mod tests {
     use crate::profile::smoke_cells;
 
     #[test]
-    fn smoke_scenarios_cover_every_fault_kind() {
-        let covered = covered_kinds(&smoke_scenarios());
+    fn scenarios_cover_every_fault_kind() {
+        let covered = covered_kinds(&scenarios());
         for kind in [
             "link-failure",
             "link-degrade",
@@ -549,16 +543,15 @@ mod tests {
             "message-delay",
             "worker-loss",
         ] {
-            assert!(covered.contains(kind), "no smoke scenario injects {kind}");
+            assert!(covered.contains(kind), "no scenario injects {kind}");
         }
-        assert!(smoke_scenarios().len() <= 6, "smoke stays CI-sized");
     }
 
     #[test]
     fn smoke_chaos_passes_its_invariants() {
-        let out = run_chaos(&smoke_cells(), &smoke_scenarios(), 2).expect("invariants hold");
+        let out = run_chaos(&smoke_cells(), &scenarios(), 2).expect("invariants hold");
         assert_eq!(out.scenarios.len(), 6);
-        // Every scenario matched at least one cell of the smoke grid.
+        // Every scenario matched at least one cell of the six-cell grid.
         assert!(out.scenarios.iter().all(|s| s.cells >= 1));
         // The comm-fault scenarios really injected and retried.
         let msg = out
@@ -585,7 +578,7 @@ mod tests {
 
     #[test]
     fn chaos_document_reuses_the_profile_schema() {
-        let out = run_chaos(&smoke_cells(), &smoke_scenarios(), 2).expect("invariants hold");
+        let out = run_chaos(&smoke_cells(), &scenarios(), 2).expect("invariants hold");
         let json = out.to_json();
         assert!(json.contains("\"schema\": \"pvs-bench/profile-v2\""));
         assert!(json.contains("@healthy"));
@@ -614,12 +607,12 @@ mod tests {
                 .join("\n")
         };
         let a = strip(
-            run_chaos(&smoke_cells(), &smoke_scenarios(), 1)
+            run_chaos(&smoke_cells(), &scenarios(), 1)
                 .expect("invariants hold")
                 .to_json(),
         );
         let b = strip(
-            run_chaos(&smoke_cells(), &smoke_scenarios(), 4)
+            run_chaos(&smoke_cells(), &scenarios(), 4)
                 .expect("invariants hold")
                 .to_json(),
         );

@@ -19,7 +19,8 @@
 //! file first and is renamed into place, so a failed run never leaves a
 //! truncated document where a good one was expected.
 
-use pvs_analyze::profiledoc::{self, LoadError, ProfileDoc};
+use pvs_analyze::profiledoc;
+use pvs_core::json::Value;
 use std::path::{Path, PathBuf};
 
 /// Process exit codes shared by the `pvs` commands.
@@ -196,13 +197,14 @@ impl Args {
     }
 }
 
-/// Where a bench document goes: `--out` if given, else the committed
-/// baseline `BENCH_<stem>.json`, or its `target/` twin under `--smoke`.
+/// Where a bench document goes: `--out` if given, else
+/// `target/BENCH_<stem>.json` — the fresh side of
+/// `pvs compare BENCH_<stem>.json target/BENCH_<stem>.json`. A committed
+/// baseline is rewritten only by naming it (`--out BENCH_<stem>.json`).
 pub fn bench_out_path(args: &Args, stem: &str) -> String {
     match args.text("--out") {
         Some(path) => path.to_string(),
-        None if args.flag("--smoke") => format!("target/BENCH_{stem}_smoke.json"),
-        None => format!("BENCH_{stem}.json"),
+        None => format!("target/BENCH_{stem}.json"),
     }
 }
 
@@ -231,19 +233,18 @@ pub fn write_probed(path: &str, produce: impl FnOnce() -> Result<String, i32>) -
     }
 }
 
-/// Load a profile document, classifying every failure mode into the
-/// shared exit-code convention. Returns `(exit_code, one_line_message)`
-/// on failure; callers print the message to stderr and exit.
-pub fn load_profile_doc(path: &str) -> Result<ProfileDoc, (i32, String)> {
+/// Load a profile document for `compare`: the parsed JSON, once it has
+/// passed the typed reader's checks. Every failure mode is classified
+/// into the shared exit-code convention. Returns
+/// `(exit_code, one_line_message)` on failure; callers print the message
+/// to stderr and exit.
+pub fn load_profile_doc(path: &str) -> Result<Value, (i32, String)> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| (exit::UNREADABLE, format!("cannot read {path}: {e}")))?;
-    profiledoc::load(&text).map_err(|e| {
-        let code = match &e {
-            LoadError::Parse(_) => exit::MALFORMED,
-            LoadError::Schema(_) => exit::SCHEMA,
-        };
-        (code, format!("{path}: {e}"))
-    })
+    let doc = pvs_core::json::parse(&text)
+        .map_err(|e| (exit::MALFORMED, format!("{path}: {e}")))?;
+    profiledoc::from_value(&doc).map_err(|e| (exit::SCHEMA, format!("{path}: {e}")))?;
+    Ok(doc)
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {

@@ -1,14 +1,14 @@
 //! Run the paper sweep under injected faults and write `BENCH_chaos.json`.
 //!
 //! ```text
-//! cargo run --release -p pvs-bench --bin pvs -- chaos                 # full grid
-//! cargo run --release -p pvs-bench --bin pvs -- chaos --smoke      # CI subset
+//! cargo run --release -p pvs-bench --bin pvs -- chaos                        # target/BENCH_chaos.json
+//! cargo run --release -p pvs-bench --bin pvs -- chaos --out BENCH_chaos.json # rewrite the baseline
 //! cargo run --release -p pvs-bench --bin pvs -- chaos --checkpoint-check
 //! ```
 //!
-//! Flags: `--smoke` (the 6-cell grid, written under `target/`),
-//! `--threads N` (sweep worker threads, default honours `PVS_THREADS`),
-//! `--out PATH` (override the output path), `--checkpoint-check` (kill a
+//! Flags: `--threads N` (sweep worker threads, default honours
+//! `PVS_THREADS`), `--out PATH` (default `target/BENCH_chaos.json`; the
+//! committed baseline is rewritten only by naming it), `--checkpoint-check` (kill a
 //! degraded sweep mid-flight, resume it from the serialized checkpoint,
 //! and require bit-identical results — then exit),
 //! `--verify-checkpoint PATH` (integrity-check a serialized sweep
@@ -21,11 +21,9 @@
 //! written. The output path is probed before the sweep runs and written
 //! atomically — no partial documents.
 
-use crate::chaos::{
-    checkpoint_roundtrip_check, covered_kinds, full_scenarios, run_chaos, smoke_scenarios,
-};
+use crate::chaos::{self, checkpoint_roundtrip_check, covered_kinds, run_chaos};
 use crate::cli::{self, exit, Args, Kind, Spec};
-use crate::profile::{paper_cells, smoke_cells};
+use crate::profile::paper_cells;
 use pvs_core::checkpoint::SweepCheckpoint;
 
 /// Integrity-check a serialized checkpoint without resuming it: the
@@ -60,10 +58,8 @@ fn verify_checkpoint(path: &str) -> i32 {
 
 pub const SPEC: Spec = Spec {
     command: "chaos",
-    synopsis: "[--smoke] [--threads N] [--out PATH] [--checkpoint-check] \
-               [--verify-checkpoint PATH]",
+    synopsis: "[--threads N] [--out PATH] [--checkpoint-check] [--verify-checkpoint PATH]",
     flags: &[
-        ("--smoke", Kind::Flag),
         ("--threads", Kind::Count),
         ("--out", Kind::Text),
         ("--checkpoint-check", Kind::Flag),
@@ -92,11 +88,7 @@ pub fn run(args: &Args) -> i32 {
         };
     }
 
-    let (cells, scenarios) = if args.flag("--smoke") {
-        (smoke_cells(), smoke_scenarios())
-    } else {
-        (paper_cells(), full_scenarios())
-    };
+    let (cells, scenarios) = (paper_cells(), chaos::scenarios());
     let code = cli::write_probed(&cli::bench_out_path(args, "chaos"), || {
         let kinds = covered_kinds(&scenarios);
         println!(

@@ -1,18 +1,19 @@
-//! The perf-regression sentinel CLI.
+//! The baseline gate CLI.
 //!
 //! ```text
-//! cargo run -p pvs-bench --bin pvs -- compare BENCH_sweep.json target/BENCH_new.json
+//! cargo run -p pvs-bench --bin pvs -- compare BENCH_sweep.json target/BENCH_sweep.json
 //! ```
 //!
-//! Joins the two profile documents on cell identity and exits nonzero on
-//! regression: any modelled-time growth or modelled-Gflop/s drop (the
-//! model is deterministic, so these compare exactly), or a baseline cell
-//! missing from the new document. Host wall-clock drift is reported and
-//! never enforced — host times are machine-specific noise and the
-//! committed baseline usually comes from another machine.
+//! Two profile documents agree when they are equal: `schema`,
+//! `observed`, `harness` and every member of every cell (joined on cell
+//! identity), except the host notes `pvs_analyze::sentinel` names as
+//! ungated. Prints one `path old -> new` row per differing JSON path and
+//! exits nonzero on any — there is no tolerance and no direction, the
+//! simulators are deterministic. Host wall-clock is machine-specific
+//! noise: the one `host_median_sum_s` note is printed and never enforced.
 //!
-//! Exit codes (the shared `pvs_bench::cli` convention): 0 clean,
-//! 1 regression, 2 malformed usage, 3 unreadable input, 4 input is not
+//! Exit codes (the shared `pvs_bench::cli` convention): 0 equal,
+//! 1 different, 2 malformed usage, 3 unreadable input, 4 input is not
 //! valid JSON, 5 input is JSON but not a known profile schema.
 
 use crate::cli::{self, exit, Args, Spec};
@@ -38,19 +39,28 @@ pub fn run(args: &Args) -> i32 {
             }
         }
     }
-    let cmp = compare_docs(&docs[0], &docs[1]);
-    print!("{}", cmp.table().render());
+    let (old, new) = (&docs[0], &docs[1]);
+    let cmp = compare_docs(old, new);
+    for difference in &cmp.differences {
+        println!("{difference}");
+    }
+    match (old.num("host_median_sum_s"), new.num("host_median_sum_s")) {
+        (Some(o), Some(n)) if o != n => {
+            println!("note: host_median_sum_s {o:.3e}s -> {n:.3e}s (host time, not compared)")
+        }
+        _ => {}
+    }
     println!(
-        "{} matched cells, {} drifts ({} vs {})",
+        "{} matched cells, {} differences ({} vs {})",
         cmp.matched_cells,
-        cmp.drifts.len(),
+        cmp.differences.len(),
         old_path,
         new_path
     );
-    if cmp.regressed() {
-        eprintln!("REGRESSION: model metrics moved the wrong way (see table)");
+    if !cmp.equal() {
+        eprintln!("DIFFERENT: the documents disagree outside the host notes (rows above)");
         return exit::FAILURE;
     }
-    println!("ok: no regression");
+    println!("ok: documents are equal");
     exit::OK
 }

@@ -2,18 +2,18 @@
 //! instrumentation and write the observability baseline.
 //!
 //! ```text
-//! cargo run --release -p pvs-bench --bin pvs -- profile               # BENCH_sweep.json
-//! cargo run --release -p pvs-bench --bin pvs -- profile --smoke    # CI subset
+//! cargo run --release -p pvs-bench --bin pvs -- profile               # target/BENCH_sweep.json
+//! cargo run --release -p pvs-bench --bin pvs -- profile --out BENCH_sweep.json  # rewrite the baseline
 //! cargo run --release -p pvs-bench --bin pvs -- profile --no-obs   # overhead baseline
-//! cargo run --release -p pvs-bench --bin pvs -- profile --smoke --analyze
-//! cargo run --release -p pvs-bench --bin pvs -- profile --smoke --trace target/traces
+//! cargo run --release -p pvs-bench --bin pvs -- profile --analyze
+//! cargo run --release -p pvs-bench --bin pvs -- profile --trace target/traces
 //! ```
 //!
-//! Flags: `--smoke` (6-cell subset, written under `target/`),
-//! `--no-obs` (no recorder attached — the baseline the ≤5% overhead
-//! claim is measured against), `--samples N` (host wall-clock samples
-//! per cell, default 3), `--out PATH` (override the output path),
-//! `--analyze` (print the bottleneck-attribution findings table and
+//! Flags: `--no-obs` (no recorder attached — the baseline the ≤5%
+//! overhead claim is measured against), `--samples N` (host wall-clock
+//! samples per cell, default 3), `--out PATH` (default
+//! `target/BENCH_sweep.json`; the committed baseline is rewritten only by
+//! naming it), `--analyze` (print the bottleneck-attribution findings table and
 //! per-cell self-time rollups), `--trace DIR` (export one Chrome
 //! trace-event JSON per cell — timestamps are simulated picoseconds).
 //!
@@ -24,18 +24,14 @@
 //! partial document behind.
 
 use crate::cli::{self, exit, Args, Kind, Spec};
-use crate::profile::{
-    measure_overhead, paper_cells, run_profile, smoke_cells, ProfileOptions, SweepCell,
-};
+use crate::profile::{measure_overhead, paper_cells, run_profile, ProfileOptions, SweepCell};
 use pvs_analyze::{chrome, findings, profiledoc};
 use pvs_core::report::fmt_pct_signed;
 
 pub const SPEC: Spec = Spec {
     command: "profile",
-    synopsis: "[--smoke] [--no-obs] [--samples N] [--out PATH] [--analyze] [--trace DIR] \
-               [--overhead [N]]",
+    synopsis: "[--no-obs] [--samples N] [--out PATH] [--analyze] [--trace DIR] [--overhead [N]]",
     flags: &[
-        ("--smoke", Kind::Flag),
         ("--no-obs", Kind::Flag),
         ("--samples", Kind::Count),
         ("--out", Kind::Text),
@@ -48,7 +44,7 @@ pub const SPEC: Spec = Spec {
 
 /// `pvs profile`.
 pub fn run(args: &Args) -> i32 {
-    let cells = if args.flag("--smoke") { smoke_cells() } else { paper_cells() };
+    let cells = paper_cells();
 
     if args.flag("--overhead") {
         let rounds = args.count("--overhead").unwrap_or(9);
@@ -70,7 +66,7 @@ pub fn run(args: &Args) -> i32 {
     }
     let trace_dir = args.text("--trace");
 
-    // Both destinations are probed before minutes of sweep.
+    // Both destinations are probed before the sweep.
     cli::write_probed(&cli::bench_out_path(args, "sweep"), || {
         if let Some(dir) = trace_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -104,8 +100,14 @@ fn sweep_document(
             c.span_events,
         );
     }
+    let pool = out.pool.as_ref().map_or(String::new(), |pool| {
+        format!(
+            " (tasks per worker {:?}, peak queue depth {})",
+            pool.per_worker_tasks, pool.peak_queue_depth
+        )
+    });
     println!(
-        "{} cells, sweep on {} threads, host median sum {:.3e}s ({})",
+        "{} cells, sweep on {} threads{pool}, host median sum {:.3e}s ({})",
         out.cells.len(),
         out.options.threads,
         out.host_median_sum_s(),

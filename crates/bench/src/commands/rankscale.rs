@@ -3,22 +3,16 @@
 //! `BENCH_mpisim.json`.
 //!
 //! ```text
-//! cargo run --release -p pvs-bench --bin pvs -- rankscale               # full ladder
-//! cargo run --release -p pvs-bench --bin pvs -- rankscale --smoke    # CI subset
+//! cargo run --release -p pvs-bench --bin pvs -- rankscale                          # target/BENCH_mpisim.json
+//! cargo run --release -p pvs-bench --bin pvs -- rankscale --out BENCH_mpisim.json  # rewrite the baseline
 //! ```
 //!
-//! Flags: `--smoke` (every app at P = 64 plus LBMHD at P = 65536,
-//! written under `target/`), `--threads N` (recorded as the document's
-//! `sweep_threads`, default honours `PVS_THREADS`; the event runtime
-//! resumes every superstep on one thread whatever it says), `--out PATH`.
+//! Flags: `--out PATH` (default `target/BENCH_mpisim.json`; the committed
+//! baseline is rewritten only by naming it). There is no worker count to
+//! set: the event runtime resumes every superstep on one thread.
 //!
 //! Every cell prints its host wall and that wall per program resume
 //! (`ns/resume`); no wall-clock value enters a cell's counters.
-//!
-//! The smoke set is a strict subset of the full ladder, so CI gates
-//! with the fresh smoke document as the `compare` baseline against the
-//! committed full `BENCH_mpisim.json`: every fresh cell must exist in
-//! the committed document with bit-identical model metrics.
 //!
 //! Before any cell runs, the identity gate replays every kernel on both
 //! runtimes at small P and requires bit-identical values and traffic;
@@ -30,30 +24,28 @@
 //! written atomically — no partial documents.
 
 use crate::cli::{self, exit, Args, Kind, Spec};
-use crate::rankscale::{run_rankscale, smoke_cells, weak_scaling_cells, IDENTITY_P};
+use crate::rankscale::{run_rankscale, weak_scaling_cells, IDENTITY_P};
 
 pub const SPEC: Spec = Spec {
     command: "rankscale",
-    synopsis: "[--smoke] [--threads N] [--out PATH]",
-    flags: &[("--smoke", Kind::Flag), ("--threads", Kind::Count), ("--out", Kind::Text)],
+    synopsis: "[--out PATH]",
+    flags: &[("--out", Kind::Text)],
     positionals: 0,
 };
 
 /// `pvs rankscale`.
 pub fn run(args: &Args) -> i32 {
-    let threads = args.count("--threads").unwrap_or_else(pvs_core::pool::default_threads);
-    let cells = if args.flag("--smoke") { smoke_cells() } else { weak_scaling_cells() };
+    let cells = weak_scaling_cells();
 
     let code = cli::write_probed(&cli::bench_out_path(args, "mpisim"), || {
         let max_p = cells.iter().map(|c| c.procs).max().unwrap_or(0);
         println!(
-            "{} cells up to P={} on the event-driven runtime (one scheduler thread; sweep_threads {} recorded)",
+            "{} cells up to P={} on the event-driven runtime (one scheduler thread)",
             cells.len(),
-            max_p,
-            threads
+            max_p
         );
 
-        let out = run_rankscale(&cells, threads).map_err(|e| {
+        let out = run_rankscale(&cells).map_err(|e| {
             eprintln!("IDENTITY FAILURE: {e}");
             exit::FAILURE
         })?;

@@ -2,18 +2,18 @@
 //! `BENCH_serve.json` emitter.
 //!
 //! ```text
-//! cargo run --release -p pvs-bench --bin pvs -- serve_load --inline --out BENCH_serve.json
+//! cargo run --release -p pvs-bench --bin pvs -- serve_load --inline --check-identity --out target/BENCH_serve.json
+//! cargo run --release -p pvs-bench --bin pvs -- serve_load --inline --out BENCH_serve.json  # rewrite the baseline
 //! cargo run --release -p pvs-bench --bin pvs -- serve_load --addr 127.0.0.1:7411 --rate 500
-//! cargo run --release -p pvs-bench --bin pvs -- serve_load --inline --smoke --check-identity
 //! ```
 //!
 //! Flags: `--inline` (start a server in-process on an ephemeral port —
 //! the one-command CI path) or `--addr A` (drive an existing server);
 //! `--requests N`; `--connections C` (closed loop, default 4) or
 //! `--rate R` (open loop, Poisson arrivals at R req/s); `--seed S`;
-//! `--smoke` (16 requests over 4 cells); `--check-identity` (verify
-//! every served cell byte-matches a direct engine run); `--stats-every N`
-//! (poll the server's live telemetry plane during the run, printing one
+//! `--check-identity` (verify every served cell byte-matches a direct
+//! engine run); `--stats-every N` (poll the server's live telemetry
+//! plane during the run, printing one
 //! snapshot line per N completed requests and validating each response
 //! against the versioned snapshot schema); `--retry-attempts N` (total
 //! attempts per request for retryable failures — `overloaded` and
@@ -33,14 +33,14 @@ use std::time::Duration;
 use crate::cli::{self, exit, Args, Kind, Spec};
 use crate::serveload::{
     bench_serve_doc, check_identity, fetch_cell_body, fetch_stats, paper_serve_cells, run_load,
-    smoke_serve_cells, ArrivalMode, LoadOptions, RetryPolicy,
+    ArrivalMode, LoadOptions, RetryPolicy,
 };
 use pvs_serve::{Request, Server, ServerOptions};
 
 pub const SPEC: Spec = Spec {
     command: "serve_load",
     synopsis: "[--inline | --addr A] [--requests N] [--connections C | --rate R] \
-               [--seed S] [--smoke] [--check-identity] [--stats-every N] \
+               [--seed S] [--check-identity] [--stats-every N] \
                [--retry-attempts N] [--out PATH]",
     flags: &[
         ("--inline", Kind::Flag),
@@ -49,7 +49,6 @@ pub const SPEC: Spec = Spec {
         ("--connections", Kind::Count),
         ("--rate", Kind::Real),
         ("--seed", Kind::Index),
-        ("--smoke", Kind::Flag),
         ("--check-identity", Kind::Flag),
         ("--stats-every", Kind::Count),
         ("--retry-attempts", Kind::Count),
@@ -107,11 +106,10 @@ fn spawn_stats_poller(
 
 /// `pvs serve_load`.
 pub fn run(args: &Args) -> i32 {
-    let smoke = args.flag("--smoke");
-    let mut options = LoadOptions {
-        requests: args.count("--requests").unwrap_or(if smoke { 16 } else { 64 }),
-        ..LoadOptions::default()
-    };
+    let mut options = LoadOptions::default();
+    if let Some(requests) = args.count("--requests") {
+        options.requests = requests;
+    }
     if let Some(connections) = args.count("--connections") {
         options.mode = ArrivalMode::Closed { connections };
     }
@@ -136,7 +134,7 @@ pub fn run(args: &Args) -> i32 {
     if args.flag("--inline") && addr.is_some() {
         return SPEC.usage_error("--inline and --addr are mutually exclusive");
     }
-    let cells = if smoke { smoke_serve_cells() } else { paper_serve_cells() };
+    let cells = paper_serve_cells();
     let load = || drive(args, addr, &cells, &options);
     match args.text("--out") {
         Some(out) => cli::write_probed(out, load),

@@ -2,8 +2,8 @@
 //! `BENCH_servechaos.json`.
 //!
 //! ```text
-//! cargo run --release -p pvs-bench --bin pvs -- servechaos
-//! cargo run --release -p pvs-bench --bin pvs -- servechaos --smoke
+//! cargo run --release -p pvs-bench --bin pvs -- servechaos                             # target/BENCH_servechaos.json
+//! cargo run --release -p pvs-bench --bin pvs -- servechaos --out BENCH_servechaos.json # rewrite the baseline
 //! ```
 //!
 //! Six seeded scenarios against in-process stores and live TCP servers:
@@ -11,12 +11,11 @@
 //! panic storm, deadline pressure, and backoff under overload. Every
 //! assertion is exact (zero unplanned panics, byte-identical bodies,
 //! pinned counters), and the run renders as a `pvs-bench/profile-v2`
-//! document the `compare` sentinel gates.
+//! document `compare` gates, scenario counters included.
 //!
-//! Flags: `--smoke` (same scenarios and cells — the harness is already
-//! CI-sized — but the document lands under `target/` instead of the
-//! repository root), `--threads N` (store worker threads, default
-//! honours `PVS_THREADS`), `--out PATH` (override the output path).
+//! Flags: `--threads N` (store worker threads, default honours
+//! `PVS_THREADS`), `--out PATH` (default `target/BENCH_servechaos.json`;
+//! the committed baseline is rewritten only by naming it).
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
 //! 1 a resilience invariant failed, 2 malformed usage, 6 the output
@@ -28,8 +27,8 @@ use crate::servechaos::run_servechaos;
 
 pub const SPEC: Spec = Spec {
     command: "servechaos",
-    synopsis: "[--smoke] [--threads N] [--out PATH]",
-    flags: &[("--smoke", Kind::Flag), ("--threads", Kind::Count), ("--out", Kind::Text)],
+    synopsis: "[--threads N] [--out PATH]",
+    flags: &[("--threads", Kind::Count), ("--out", Kind::Text)],
     positionals: 0,
 };
 

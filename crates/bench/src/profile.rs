@@ -5,8 +5,9 @@
 //! Each cell gets its own [`pvs_obs::Registry`], so the simulated
 //! counters for a cell are a pure function of `(app, machine, procs)`
 //! and identical at any thread count. The simulated sweep itself fans
-//! out across host cores through [`pvs_core::pool::ThreadPool`], whose
-//! own `pool.*` metrics land in a separate harness registry. Host
+//! out across host cores through [`pvs_core::pool::ThreadPool`]; which
+//! worker won which cell depends on the host schedule, so the pool's own
+//! metrics are printed and never written into the document. Host
 //! wall-clock is measured afterwards, serially, one cell at a time,
 //! through [`crate::harness::time_samples`] — host timing never leaves
 //! `pvs-bench`.
@@ -17,7 +18,7 @@ use pvs_core::engine::Engine;
 use pvs_core::json::{array, number, perf_report, JsonObject};
 use pvs_core::machine::Machine;
 use pvs_core::phase::Phase;
-use pvs_core::pool::ThreadPool;
+use pvs_core::pool::{PoolMetrics, ThreadPool};
 use pvs_core::report::PerfReport;
 use pvs_core::{platforms, Adversity};
 use pvs_obs::span::TraceBuffer;
@@ -65,10 +66,10 @@ pub fn paper_cells() -> Vec<SweepCell> {
     cells
 }
 
-/// A fast subset for CI smoke runs that still exercises every bottleneck
-/// class the analysis layer distinguishes: LBMHD and GTC on one
-/// superscalar and one vector machine, plus PARATEC and Cactus on the X1
-/// (the bisection-bound and scalar-serialization-bound corners).
+/// The six cells of the attribution table (and of most tests): one per
+/// bottleneck class the analysis layer distinguishes — LBMHD and GTC on
+/// one superscalar and one vector machine, plus PARATEC and Cactus on the
+/// X1 (the bisection-bound and scalar-serialization-bound corners).
 pub fn smoke_cells() -> Vec<SweepCell> {
     paper_cells()
         .into_iter()
@@ -130,13 +131,18 @@ impl CellProfile {
 }
 
 /// A complete profiling run: per-cell profiles plus the harness's own
-/// `pool.*` metrics.
+/// counters.
 #[derive(Debug, Clone)]
 pub struct ProfileOutput {
     /// One profile per requested cell, in input order.
     pub cells: Vec<CellProfile>,
-    /// Snapshot of the harness registry (thread-pool metrics).
+    /// Snapshot of the harness registry — the document's `harness`
+    /// array, which `compare` gates exactly: only values that are a pure
+    /// function of the harness's seeds belong here.
     pub harness: Snapshot,
+    /// What the sweep pool of [`run_profile`] did. Schedule-dependent, so
+    /// it is printed on the summary line and not part of the document.
+    pub pool: Option<PoolMetrics>,
     /// The options the run used.
     pub options: ProfileOptions,
 }
@@ -148,7 +154,7 @@ impl ProfileOutput {
     pub fn from_rows(cells: Vec<CellProfile>, harness: Snapshot, threads: usize) -> Self {
         let host_samples = cells.first().map_or(0, |cell| cell.host_secs.len());
         let options = ProfileOptions { observe: true, host_samples, threads };
-        ProfileOutput { cells, harness, options }
+        ProfileOutput { cells, harness, pool: None, options }
     }
 
     /// Sum of per-cell median host seconds — the scalar the overhead
@@ -267,8 +273,7 @@ pub fn run_profile(cells: Vec<SweepCell>, options: ProfileOptions) -> ProfileOut
             };
             (cell, report, snapshot, trace)
         });
-    let harness_reg = Registry::new();
-    pool.record_to(&harness_reg);
+    let pool = pool.metrics();
 
     // Pass 2 (serial): host wall-clock per cell. The registry is
     // attached once per cell, so each timed call pays exactly the
@@ -295,7 +300,8 @@ pub fn run_profile(cells: Vec<SweepCell>, options: ProfileOptions) -> ProfileOut
 
     ProfileOutput {
         cells,
-        harness: harness_reg.snapshot(),
+        harness: Snapshot::default(),
+        pool: Some(pool),
         options,
     }
 }
@@ -353,7 +359,7 @@ mod tests {
         assert!(cells.iter().any(|c| c.machine == "ES"));
         assert!(cells.iter().any(|c| c.machine == "Power3"));
         // The bisection-bound and scalar-serialization corners ride along
-        // so `--smoke --analyze` sees every bottleneck class.
+        // so the attribution table shows every bottleneck class.
         assert!(cells.iter().any(|c| c.app == "PARATEC" && c.machine == "X1"));
         assert!(cells.iter().any(|c| c.app == "CACTUS" && c.machine == "X1"));
     }
@@ -376,15 +382,10 @@ mod tests {
                 .unwrap();
             assert_eq!(phases as usize + 1, c.span_events, "one span per phase + root");
         }
-        // The harness pool ran one task per cell.
-        let tasks = out
-            .harness
-            .counters
-            .iter()
-            .find(|(n, _)| n == "pool.tasks_executed")
-            .map(|(_, v)| *v)
-            .unwrap();
-        assert_eq!(tasks, 6);
+        // The sweep pool ran one task per cell, and says so outside the
+        // document: who ran which cell is the host's schedule.
+        assert_eq!(out.pool.as_ref().unwrap().tasks_executed, 6);
+        assert!(out.harness.counters.is_empty() && out.harness.gauges.is_empty());
     }
 
     #[test]
@@ -520,7 +521,7 @@ mod tests {
         assert!(balance('[', ']'));
         assert!(json.contains("\"schema\": \"pvs-bench/profile-v2\""));
         assert!(json.contains("\"app\": \"LBMHD\""));
-        assert!(json.contains("\"pool.tasks_executed\""));
+        assert!(json.contains("\"harness\": []"), "no pool.* in the document");
         assert!(json.contains("\"engine.phases\""));
         assert!(!json.contains("NaN") && !json.contains("inf"));
         // Pretty-printed: one member per line, two-space indented.

@@ -15,9 +15,9 @@
 //! (values and per-rank traffic). A mismatch hard-fails the whole run —
 //! scale numbers from a divergent simulator are worthless.
 //!
-//! The output document reuses the `pvs-bench/profile-v2` schema so the
-//! `compare` sentinel gates it exactly like `BENCH_sweep.json`. The
-//! model axes are synthetic but deterministic:
+//! The output document reuses the `pvs-bench/profile-v2` schema so
+//! `compare` gates it exactly like `BENCH_sweep.json`. The model axes
+//! are synthetic but deterministic:
 //!
 //! * `model.time_s`  — total simulator events (resumes + routed
 //!   messages + completed collectives);
@@ -44,6 +44,9 @@ pub struct RankScaleCell {
 }
 
 type KernelV1 = fn(usize) -> Vec<(Vec<f64>, CommStats)>;
+/// `run_scale_v2(p, _threads)`: the second argument is unused (the event
+/// runtime resumes every superstep on one thread) and stays only because
+/// `benchmark/` links the signature; callers here pass 1.
 type KernelV2 = fn(usize, usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats);
 
 /// The two runtime entry points for one application's kernel.
@@ -84,29 +87,16 @@ pub fn weak_scaling_cells() -> Vec<RankScaleCell> {
     cells
 }
 
-/// The CI subset: every app at P = 64 plus the headline LBMHD cell at
-/// P = 65536 — the "more virtual ranks than the host could ever thread"
-/// configuration the event-driven runtime exists for.
-pub fn smoke_cells() -> Vec<RankScaleCell> {
-    vec![
-        RankScaleCell { app: "LBMHD", procs: 64 },
-        RankScaleCell { app: "GTC", procs: 64 },
-        RankScaleCell { app: "CACTUS", procs: 64 },
-        RankScaleCell { app: "PARATEC", procs: 64 },
-        RankScaleCell { app: "LBMHD", procs: 65536 },
-    ]
-}
-
 /// Rank counts the identity gate replays on both runtimes.
 pub const IDENTITY_P: [usize; 3] = [2, 4, 16];
 
 /// Run every app's kernel on both runtimes at [`IDENTITY_P`] and demand
 /// bit-identical values and traffic statistics.
-pub fn verify_identity(threads: usize) -> Result<(), String> {
+pub fn verify_identity() -> Result<(), String> {
     for app in ["LBMHD", "GTC", "CACTUS", "PARATEC"] {
         let (v1_run, v2_run) = kernels(app);
         for p in IDENTITY_P {
-            if let Some(divergence) = first_divergence(&v1_run(p), &v2_run(p, threads).0) {
+            if let Some(divergence) = first_divergence(&v1_run(p), &v2_run(p, 1).0) {
                 return Err(format!("{app} {divergence}"));
             }
         }
@@ -128,10 +118,10 @@ fn output_checksum(per_rank: &[(Vec<f64>, CommStats)]) -> u64 {
 
 /// Run one cell on the event-driven runtime and render it as a
 /// profile-v2 cell.
-fn run_cell(cell: RankScaleCell, threads: usize) -> CellProfile {
+fn run_cell(cell: RankScaleCell) -> CellProfile {
     let (_, v2_run) = kernels(cell.app);
     let started = std::time::Instant::now();
-    let (per_rank, sim) = v2_run(cell.procs, threads);
+    let (per_rank, sim) = v2_run(cell.procs, 1);
     let host_s = started.elapsed().as_secs_f64();
 
     let reg = Registry::new();
@@ -186,24 +176,15 @@ fn run_cell(cell: RankScaleCell, threads: usize) -> CellProfile {
 
 /// Run the sweep: the identity gate first, then the cells serially (running
 /// 10⁵-rank cells concurrently would multiply peak memory).
-pub fn run_rankscale(cells: &[RankScaleCell], threads: usize) -> Result<ProfileOutput, String> {
-    verify_identity(threads)?;
-    let profiles = cells.iter().map(|&c| run_cell(c, threads)).collect();
-    Ok(ProfileOutput::from_rows(profiles, Registry::new().snapshot(), threads))
+pub fn run_rankscale(cells: &[RankScaleCell]) -> Result<ProfileOutput, String> {
+    verify_identity()?;
+    let profiles = cells.iter().map(|&c| run_cell(c)).collect();
+    Ok(ProfileOutput::from_rows(profiles, Registry::new().snapshot(), 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn smoke_set_includes_the_headline_cell() {
-        let cells = smoke_cells();
-        assert!(cells.iter().any(|c| c.app == "LBMHD" && c.procs == 65536));
-        for app in ["LBMHD", "GTC", "CACTUS", "PARATEC"] {
-            assert!(cells.iter().any(|c| c.app == app && c.procs == 64));
-        }
-    }
 
     #[test]
     fn ladder_reaches_past_1e5_ranks() {
@@ -221,18 +202,15 @@ mod tests {
 
     #[test]
     fn identity_gate_passes() {
-        verify_identity(2).expect("v1 and v2 agree bit-for-bit");
+        verify_identity().expect("v1 and v2 agree bit-for-bit");
     }
 
     #[test]
     fn document_round_trips_through_the_sentinel_loader() {
-        let out = run_rankscale(
-            &[
-                RankScaleCell { app: "LBMHD", procs: 64 },
-                RankScaleCell { app: "PARATEC", procs: 64 },
-            ],
-            2,
-        )
+        let out = run_rankscale(&[
+            RankScaleCell { app: "LBMHD", procs: 64 },
+            RankScaleCell { app: "PARATEC", procs: 64 },
+        ])
         .expect("identity gate passes");
         let json = out.to_json();
         assert!(json.contains("\"schema\": \"pvs-bench/profile-v2\""));

@@ -24,11 +24,6 @@
 //! * **Structured failure** — hostile frames, poisoned keys, expired
 //!   budgets, and overload all answer tagged error responses (or a
 //!   clean close), and the server keeps serving afterwards.
-//!
-//! The grid is deliberately CI-sized: `--smoke` and the full run share
-//! the same scenarios and cells (only the default output path
-//! differs), so the committed baseline and the CI document always join
-//! on identical cell identities.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

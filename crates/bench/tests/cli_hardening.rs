@@ -2,7 +2,7 @@
 //! real executable (`CARGO_BIN_EXE_pvs`). Every failure mode must
 //! produce a one-line diagnostic and its documented exit code — never a
 //! panic, never a partial output file. The code convention lives in
-//! `pvs_bench::cli`: 0 ok, 1 regression/invariant, 2 usage, 3 unreadable
+//! `pvs_bench::cli`: 0 ok, 1 difference/invariant, 2 usage, 3 unreadable
 //! input, 4 input not JSON, 5 unknown schema, 6 unwritable output.
 
 use std::path::PathBuf;
@@ -107,8 +107,14 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["compare", "--bogus-flag"],
     &["compare", "a.json", "b.json", "--host-tol", "25"],
     &["profile", "--bogus"],
-    &["profile", "--smoke", "--samples", "zero"],
-    &["profile", "--smoke", "--out"],
+    &["profile", "--samples", "zero"],
+    &["profile", "--out"],
+    // Retired with smoke mode: the five harnesses run in full.
+    &["profile", "--smoke"],
+    &["chaos", "--smoke"],
+    &["servechaos", "--smoke"],
+    &["rankscale", "--smoke"],
+    &["serve_load", "--inline", "--smoke"],
     &["chaos", "--bogus"],
     &["chaos", "--threads", "none"],
     &["chaos", "--verify-checkpoint"],
@@ -116,7 +122,8 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["servechaos", "--threads", "zero"],
     &["servechaos", "--threads", "0"],
     &["rankscale", "--bogus"],
-    &["rankscale", "--threads", "0"],
+    // The event runtime has one scheduler thread; there is nothing to set.
+    &["rankscale", "--threads", "2"],
     &["scaling", "--bogus"],
     &["fig9", "--jsonn"],
     &["table3", "extra-positional"],
@@ -151,11 +158,11 @@ fn usage_errors_exit_2() {
 /// Commands that write a document: `--out` under a regular file must
 /// fail fast with exit 6, before the run, leaving nothing behind.
 const WRITERS: &[&[&str]] = &[
-    &["profile", "--smoke"],
-    &["chaos", "--smoke"],
-    &["servechaos", "--smoke"],
-    &["rankscale", "--smoke"],
-    &["serve_load", "--inline", "--smoke"],
+    &["profile"],
+    &["chaos"],
+    &["servechaos"],
+    &["rankscale"],
+    &["serve_load", "--inline"],
     &["experiments"],
 ];
 
@@ -212,6 +219,130 @@ fn compare_classifies_damaged_documents() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The committed baseline `BENCH_<stem>.json` at the repository root.
+fn committed(stem: &str) -> String {
+    format!("{}/../../BENCH_{stem}.json", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `text` with the number after the first `"field": ` past `anchor`
+/// replaced by `change(number)` — one member of a pretty-printed
+/// document moved, everything else byte-identical.
+fn tampered(text: &str, anchor: &str, field: &str, change: fn(f64) -> f64) -> String {
+    let label = format!("\"{field}\": ");
+    let at = text.find(anchor).unwrap_or_else(|| panic!("{anchor} not found"));
+    let after = text[at..].find(&label).unwrap_or_else(|| panic!("no {field} after {anchor}"));
+    let start = at + after + label.len();
+    let end = start + text[start..].find([',', '\n']).expect("a number ends");
+    let old: f64 = text[start..end].parse().expect("a number");
+    format!("{}{}{}", &text[..start], change(old), &text[end..])
+}
+
+/// The gate gates: one member of a committed baseline changed alone,
+/// whatever its kind and whichever way it moved, exits 1 and names the
+/// path; a changed host note exits 0.
+#[test]
+fn compare_exits_1_naming_the_path_of_any_changed_member() {
+    let lbmhd = "cells[LBMHD/8192x8192/Power3/P64]";
+    let rung = "cells[LBMHD/weak-scaling/mpisim-v2/P64]";
+    let quarantined = "servechaos.spill-corruption.store.quarantined";
+    let drops = "chaos.msg-drop-delay.mpisim.drops";
+    // (baseline, anchor, field after the anchor, change, exit code, stdout says)
+    let cases: [(&str, &str, &str, fn(f64) -> f64, i32, String); 13] = [
+        // A quarantine that stops firing (exit 0 under the old policy).
+        ("servechaos", quarantined, "value", |_| 0.0, 1, format!("harness.{quarantined}")),
+        // The LBMHD P=64 rank-output checksum, either way.
+        ("mpisim", "\"cells\"", "gflops_per_p", |x| x + 1.0, 1, format!("{rung}.model.gflops_per_p")),
+        ("mpisim", "\"cells\"", "gflops_per_p", |x| x - 1.0, 1, format!("{rung}.model.gflops_per_p")),
+        // A model that got 5 % faster is a changed model.
+        ("sweep", "\"cells\"", "time_s", |x| x * 0.95, 1, format!("{lbmhd}.model.time_s")),
+        ("sweep", "\"cells\"", "time_s", |x| x * 1.05, 1, format!("{lbmhd}.model.time_s")),
+        ("sweep", "\"stream\"", "seconds", |x| x * 2.0, 1, format!("{lbmhd}.model.phases[1].seconds")),
+        ("sweep", "\"engine.loop.flops\"", "value", |x| x + 1.0, 1, format!("{lbmhd}.counters.engine.loop.flops")),
+        ("sweep", "\"gauges\"", "value", |x| x + 1.0, 1, format!("{lbmhd}.gauges.netsim.link.peak_bytes")),
+        ("sweep", "\"cells\"", "span_events", |x| x + 1.0, 1, format!("{lbmhd}.span_events")),
+        ("serve", "\"GTC\"", "avl", |x| x + 1.0, 1, "cells[GTC/100 part/cell/ES/P64].model.avl".into()),
+        ("chaos", drops, "value", |x| x + 2.0, 1, format!("harness.{drops}")),
+        // Host notes are printed at most, never compared.
+        ("sweep", "\"schema\"", "sweep_threads", |_| 8.0, 0, "ok: documents are equal".into()),
+        ("sweep", "\"host_wall\"", "median_s", |x| x * 3.0, 0, "ok: documents are equal".into()),
+    ];
+    let dir = scratch_dir("cmp_tamper");
+    let new = dir.join("new.json");
+    let new = new.to_str().unwrap();
+    for (stem, anchor, field, change, code, says) in cases {
+        let old = committed(stem);
+        let text = std::fs::read_to_string(&old).unwrap();
+        std::fs::write(new, tampered(&text, anchor, field, change)).unwrap();
+        let ctx = format!("{stem}: {field} after {anchor}");
+        for (a, b) in [(old.as_str(), new), (new, old.as_str())] {
+            let out = run(&["compare", a, b]);
+            assert_exit(&out, code, &ctx);
+            assert_no_panic(&out, &ctx);
+            assert!(stdout(&out).contains(&says), "{ctx}: {}", stdout(&out));
+            // One member moved: one row (none for a host note).
+            assert!(stdout(&out).contains(&format!(", {code} differences")), "{ctx}");
+        }
+    }
+
+    // A member the typed reader has never heard of is still the document's.
+    let old = committed("sweep");
+    let text = std::fs::read_to_string(&old).unwrap();
+    let unknown = "\"energy_j\": 7,\n      \"span_events\":";
+    std::fs::write(new, text.replacen("\"span_events\":", unknown, 1)).unwrap();
+    let out = run(&["compare", &old, new]);
+    assert_exit(&out, 1, "an unknown member on one side");
+    assert!(stdout(&out).contains(&format!("{lbmhd}.energy_j absent -> 7")), "{}", stdout(&out));
+
+    // A cell on one side only, whichever side.
+    std::fs::write(new, text.replacen("\"app\": \"LBMHD\"", "\"app\": \"LBMHD-2\"", 1)).unwrap();
+    let out = run(&["compare", &old, new]);
+    assert_exit(&out, 1, "a cell renamed on one side");
+    let said = stdout(&out);
+    assert!(said.contains(&format!("{lbmhd} {{9 members}} -> absent")), "{said}");
+    assert!(said.contains("cells[LBMHD-2/8192x8192/Power3/P64] absent -> {9 members}"), "{said}");
+    assert!(said.contains("19 matched cells, 2 differences"), "{said}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each harness, run in full into a scratch directory, equals its
+/// committed baseline — the tier-1 recipe, in the test profile.
+#[test]
+fn fresh_full_runs_equal_the_committed_baselines() {
+    let dir = scratch_dir("fresh");
+    let harnesses: [(&str, &[&str]); 5] = [
+        ("sweep", &["profile", "--samples", "1"]),
+        ("chaos", &["chaos"]),
+        ("servechaos", &["servechaos"]),
+        ("mpisim", &["rankscale"]),
+        ("serve", &["serve_load", "--inline", "--check-identity"]),
+    ];
+    for (stem, args) in harnesses {
+        let fresh = dir.join(format!("BENCH_{stem}.json"));
+        let mut argv = args.to_vec();
+        argv.extend(["--out", fresh.to_str().unwrap()]);
+        let out = run(&argv);
+        assert_exit(&out, 0, &format!("{args:?}"));
+        assert!(stderr(&out).is_empty(), "{args:?}: {}", stderr(&out));
+        let out = run(&["compare", &committed(stem), fresh.to_str().unwrap()]);
+        assert_exit(&out, 0, &format!("fresh {stem} vs committed:\n{}", stdout(&out)));
+        assert!(stdout(&out).contains("ok: documents are equal"), "{}", stdout(&out));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Without `--out` a harness writes under `target/`: running the recipe
+/// cannot rewrite a committed baseline.
+#[test]
+fn default_destination_is_under_target() {
+    let dir = scratch_dir("default_out");
+    let out = Command::new(PVS).arg("chaos").current_dir(&dir).output().expect("pvs spawns");
+    assert_exit(&out, 0, "chaos with no --out");
+    assert!(stdout(&out).contains("wrote target/BENCH_chaos.json"), "{}", stdout(&out));
+    assert!(dir.join("target/BENCH_chaos.json").exists());
+    assert!(!dir.join("BENCH_chaos.json").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn profile_unwritable_trace_dir_exits_6_fast_and_writes_nothing() {
     let dir = scratch_dir("prof_trace");
@@ -221,7 +352,6 @@ fn profile_unwritable_trace_dir_exits_6_fast_and_writes_nothing() {
     let trace = occupied.join("traces");
     let out = run(&[
         "profile",
-        "--smoke",
         "--out",
         out_json.to_str().unwrap(),
         "--trace",
@@ -302,14 +432,13 @@ fn chaos_verify_checkpoint_accepts_valid_rejects_damaged() {
 }
 
 #[test]
-fn serve_load_inline_smoke_passes_identity() {
-    let dir = scratch_dir("serve_smoke");
+fn serve_load_inline_passes_identity() {
+    let dir = scratch_dir("serve_inline");
     let out_path = dir.join("BENCH_serve.json");
     let out = run(
         &[
             "serve_load",
             "--inline",
-            "--smoke",
             "--requests",
             "8",
             "--connections",
@@ -319,8 +448,8 @@ fn serve_load_inline_smoke_passes_identity() {
             out_path.to_str().unwrap(),
         ],
     );
-    assert_exit(&out, 0, "inline smoke load run");
-    assert_no_panic(&out, "serve_load inline smoke");
+    assert_exit(&out, 0, "inline load run");
+    assert_no_panic(&out, "serve_load inline");
     assert!(stdout(&out).contains("identity: every served cell"), "{}", stdout(&out));
     let doc = std::fs::read_to_string(&out_path).unwrap();
     assert!(doc.contains("\"schema\": \"pvs-bench/profile-v2\""), "{doc}");

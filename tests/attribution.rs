@@ -1,13 +1,13 @@
-//! End-to-end pins for the analysis layer: the smoke sweep's bottleneck
-//! classifications, the regression sentinel's exit semantics, and the
-//! Chrome trace export — the acceptance criteria of the pvs-analyze PR,
-//! exercised through the same code paths the `profile` and `compare`
-//! binaries use.
+//! End-to-end pins for the analysis layer: the six-cell sweep's
+//! bottleneck classifications, the baseline gate's equality rule on the
+//! committed baselines, and the Chrome trace export — exercised through
+//! the same code paths the `profile` and `compare` commands use.
 
 use pvs::analyze::bottleneck::Bottleneck;
 use pvs::analyze::chrome::{to_chrome_trace, validate_chrome_trace};
 use pvs::analyze::sentinel::compare_docs;
 use pvs::analyze::{findings, profiledoc};
+use pvs::core::json::{parse, Value};
 use pvs_bench::profile::{run_profile, smoke_cells, ProfileOptions};
 
 fn quick_options() -> ProfileOptions {
@@ -17,8 +17,8 @@ fn quick_options() -> ProfileOptions {
     }
 }
 
-/// Run the smoke sweep and round-trip it through the document loader,
-/// exactly as `profile --smoke --analyze` does.
+/// Run the six one-per-bottleneck-class cells and round-trip them through
+/// the document loader, exactly as `profile --analyze` does.
 fn smoke_doc() -> profiledoc::ProfileDoc {
     let out = run_profile(smoke_cells(), quick_options());
     profiledoc::load(&out.to_json()).expect("smoke sweep document loads")
@@ -68,46 +68,61 @@ fn findings_table_renders_every_smoke_cell() {
     }
 }
 
-/// The committed baseline compared against itself is the sentinel's
-/// identity case: zero drift, no regression — the `pvs-bench compare
-/// BENCH_sweep.json BENCH_sweep.json` invocation the verify skill runs.
+fn committed_baseline(stem: &str) -> Value {
+    let path = format!("{}/BENCH_{stem}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("committed baseline readable");
+    let doc = parse(&text).expect("committed baseline parses");
+    profiledoc::from_value(&doc).expect("committed baseline passes the typed reader");
+    doc
+}
+
+fn member_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(members) = value else { panic!("{key}: not an object") };
+    let (_, member) = members.iter_mut().find(|(k, _)| k == key).expect(key);
+    member
+}
+
+/// Every committed baseline compared against itself is the gate's
+/// identity case: all cells matched, no difference.
 #[test]
 fn sentinel_passes_the_committed_baseline_against_itself() {
-    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sweep.json"))
-        .expect("committed baseline readable");
-    let doc = profiledoc::load(&text).expect("committed baseline loads");
-    assert!(!doc.cells.is_empty());
-    let cmp = compare_docs(&doc, &doc);
-    assert!(!cmp.regressed(), "{:?}", cmp.drifts);
-    assert!(cmp.drifts.is_empty());
-    assert_eq!(cmp.matched_cells, doc.cells.len());
+    for stem in ["sweep", "chaos", "servechaos", "mpisim", "serve"] {
+        let doc = committed_baseline(stem);
+        let cells = doc.get("cells").and_then(Value::as_array).unwrap().len();
+        assert!(cells > 0, "{stem}");
+        let cmp = compare_docs(&doc, &doc);
+        assert!(cmp.equal(), "{stem}: {:?}", cmp.differences);
+        assert_eq!(cmp.matched_cells, cells, "{stem}");
+    }
 }
 
-/// A synthetic 5% model-time slowdown in one cell must trip the sentinel
-/// — model metrics compare exactly, so any growth is a regression.
+/// A synthetic 5% model-time move in one cell must trip the gate, named
+/// by its path — and in both directions: the model is deterministic, so
+/// a speed-up nobody asked for is a changed model too.
 #[test]
 fn sentinel_catches_a_synthetic_model_time_regression() {
-    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sweep.json"))
-        .expect("committed baseline readable");
-    let old = profiledoc::load(&text).expect("committed baseline loads");
-    let mut new = profiledoc::load(&text).unwrap();
-    new.cells[0].model.time_s *= 1.05;
-    let cmp = compare_docs(&old, &new);
-    assert!(cmp.regressed());
-    let drift = cmp
-        .drifts
-        .iter()
-        .find(|d| d.regression)
-        .expect("regression drift recorded");
-    assert_eq!(drift.metric, "model.time_s");
-    let pct = drift.pct_change().expect("finite drift");
-    assert!((pct - 5.0).abs() < 1e-6, "{pct}");
-    // The reverse direction — a speedup — is drift, not regression.
-    let cmp = compare_docs(&new, &old);
-    assert!(!cmp.regressed(), "{:?}", cmp.drifts);
+    let old = committed_baseline("sweep");
+    for factor in [1.05, 0.95] {
+        let mut new = old.clone();
+        let Value::Array(cells) = member_mut(&mut new, "cells") else { panic!("cells") };
+        let Value::Number(time_s) = member_mut(member_mut(&mut cells[0], "model"), "time_s")
+        else {
+            panic!("model.time_s")
+        };
+        *time_s *= factor;
+        for (a, b) in [(&old, &new), (&new, &old)] {
+            let cmp = compare_docs(a, b);
+            assert!(!cmp.equal());
+            assert_eq!(cmp.differences.len(), 1, "{:?}", cmp.differences);
+            assert_eq!(
+                cmp.differences[0].path,
+                "cells[LBMHD/8192x8192/Power3/P64].model.time_s"
+            );
+        }
+    }
 }
 
-/// Every smoke cell's trace exports to a schema-valid Chrome trace-event
+/// Every cell's trace exports to a schema-valid Chrome trace-event
 /// document whose timestamps are the engine's simulated picoseconds.
 #[test]
 fn exported_chrome_traces_validate_for_every_smoke_cell() {
