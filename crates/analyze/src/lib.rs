@@ -12,9 +12,9 @@
 //! * [`chrome`] — Chrome trace-event export and self-time rollups;
 //! * [`sentinel`] — the equality gate on committed baselines behind
 //!   `pvs compare`;
-//! * [`profiledoc`] — the `BENCH_sweep.json` reader (schema v1 and
-//!   v2), over the shared `pvs_core::json` parser ([`json`] re-exports
-//!   it).
+//! * [`profiledoc`] — the `BENCH_sweep.json` reader (schema
+//!   `profile-v2` only), over the shared `pvs_core::json` parser
+//!   ([`json`] re-exports it).
 //!
 //! Everything is std-only and deterministic: same inputs, byte-identical
 //! reports, no host clocks.

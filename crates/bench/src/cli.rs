@@ -53,7 +53,8 @@ pub enum Kind {
     Count,
     /// Unsigned integer, zero allowed.
     Index,
-    /// Any floating-point number.
+    /// A finite floating-point number greater than zero: every real
+    /// flag is a rate, a bandwidth, a latency or an efficiency.
     Real,
     /// A [`Kind::Count`] that may be left out (`--overhead [N]`).
     OptionalCount,
@@ -129,7 +130,10 @@ impl Spec {
                     let (ok, want) = match kind {
                         Kind::Count => (is_count(value), "a positive integer"),
                         Kind::Index => (value.parse::<usize>().is_ok(), "a non-negative integer"),
-                        Kind::Real => (value.parse::<f64>().is_ok(), "a number"),
+                        Kind::Real => (
+                            value.parse::<f64>().is_ok_and(|v| v.is_finite() && v > 0.0),
+                            "a positive finite number",
+                        ),
                         _ => (true, ""),
                     };
                     if !ok {

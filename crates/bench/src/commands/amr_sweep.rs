@@ -4,6 +4,24 @@
 use pvs_amr::perf::{sweep_tile_sizes, AmrWorkload};
 use pvs_core::engine::Engine;
 use pvs_core::platforms;
+use pvs_core::report::PerfReport;
+
+/// The sweep both `pvs amr_sweep` and `pvs experiments` render: each of
+/// [`sweep_tile_sizes`] with the report of 2^20 cells/step of stencil
+/// work on each of [`platforms::all`], in that order.
+pub fn rows() -> Vec<(usize, Vec<PerfReport>)> {
+    sweep_tile_sizes()
+        .into_iter()
+        .map(|tile| {
+            let phases = AmrWorkload::new(1 << 20, tile).phases();
+            let reports = platforms::all()
+                .into_iter()
+                .map(|m| Engine::new(m).run(&phases, 1))
+                .collect();
+            (tile, reports)
+        })
+        .collect()
+}
 
 /// `pvs amr_sweep`.
 pub fn run() {
@@ -12,22 +30,13 @@ pub fn run() {
         "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
         "tile", "Power3", "Power4", "Altix", "ES", "X1", "ES AVL"
     );
-    for tile in sweep_tile_sizes() {
-        let w = AmrWorkload::new(1 << 20, tile);
-        let mut cells = Vec::new();
-        let mut avl = 0.0;
-        for m in platforms::all() {
-            let name = m.name;
-            let r = Engine::new(m).run(&w.phases(), 1);
-            if name == "ES" {
-                avl = r.avl().unwrap_or(0.0);
-            }
-            cells.push(format!("{:.2}", r.gflops_per_p));
+    for (tile, reports) in rows() {
+        print!("{tile:>6}");
+        for r in &reports {
+            print!(" {:>9.2}", r.gflops_per_p);
         }
-        println!(
-            "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8.0}",
-            tile, cells[0], cells[1], cells[2], cells[3], cells[4], avl
-        );
+        let es = reports.iter().find(|r| r.machine == "ES");
+        println!(" {:>8.0}", es.and_then(PerfReport::avl).unwrap_or(0.0));
     }
     println!("\nThe vector machines forfeit their advantage as AMR tiles shrink below");
     println!("the hardware vector length - the 'additional dimension of architectural");

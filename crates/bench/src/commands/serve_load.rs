@@ -114,9 +114,6 @@ pub fn run(args: &Args) -> i32 {
         options.mode = ArrivalMode::Closed { connections };
     }
     if let Some(rate_rps) = args.real("--rate") {
-        if rate_rps <= 0.0 {
-            return SPEC.usage_error("--rate needs a positive number");
-        }
         options.mode = ArrivalMode::Open { rate_rps };
     }
     if let Some(seed) = args.count("--seed") {

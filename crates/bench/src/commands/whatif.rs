@@ -67,6 +67,9 @@ pub fn run(args: &Args) -> i32 {
         let CpuClass::Superscalar { issue_efficiency, .. } = &mut machine.cpu else {
             return SPEC.usage_error("--issue-eff applies to superscalar machines");
         };
+        if v > 1.0 {
+            return SPEC.usage_error("--issue-eff is a fraction of peak issue, at most 1");
+        }
         *issue_efficiency = v;
     }
     if let Some(topology) = args.text("--topology") {

@@ -165,8 +165,7 @@ impl ProfileOutput {
 
     /// Render the run as the `BENCH_sweep.json` document: schema
     /// `pvs-bench/profile-v2` — stable key order, pretty-printed so the
-    /// committed baseline diffs line-by-line. (`pvs-analyze` still reads
-    /// the compact v1 documents older baselines carry.)
+    /// committed baseline diffs line-by-line.
     pub fn to_json(&self) -> String {
         pvs_core::json::pretty(&self.to_json_compact())
     }

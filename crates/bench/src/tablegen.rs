@@ -656,24 +656,13 @@ pub fn fig9_model_threads(threads: usize) -> TableOutput {
         "Figure 9: Sustained performance (% of peak) using 64 processors (model vs paper)",
         &["App", "Power3", "Power4", "Altix", "ES", "X1"],
     );
-    // Paper series read from Tables 3-6 at the Fig. 9 configurations.
-    let paper_vals: [(&str, [Option<f64>; 5]); 4] = [
-        (
-            "LBMHD",
-            [Some(7.0), Some(5.0), Some(11.0), Some(58.0), Some(35.0)],
-        ),
-        (
-            "PARATEC",
-            [Some(57.0), Some(33.0), Some(54.0), Some(58.0), Some(20.0)],
-        ),
-        (
-            "CACTUS",
-            [Some(6.0), Some(11.0), Some(7.0), Some(34.0), Some(6.0)],
-        ),
-        (
-            "GTC",
-            [Some(9.0), Some(6.0), Some(5.0), Some(16.0), Some(11.0)],
-        ),
+    // The paper series is the %-of-peak half of Tables 3-6 at the Fig. 9
+    // configurations; all 20 cells are published.
+    let paper_tables = [
+        paper::table3(),
+        paper::table4(),
+        paper::table5(),
+        paper::table6(),
     ];
 
     // Pass 1: one job per (app, machine) cell, row-major.
@@ -691,31 +680,27 @@ pub fn fig9_model_threads(threads: usize) -> TableOutput {
     let mut comparisons = Vec::new();
     let mut model_vals: Vec<[f64; 5]> = Vec::new();
     let mut next = results.iter();
-    for (app, paper_row) in &paper_vals {
+    for ((app, config), rows) in LARGEST_COMPARABLE.into_iter().zip(&paper_tables) {
         let mut cells = vec![app.to_string()];
         let mut row_vals = [0.0f64; 5];
         for (col, &m) in machines.iter().enumerate() {
             let r = next.next().expect("fig9 report");
             row_vals[col] = r.pct_peak;
-            if let Some(p) = paper_row[col] {
-                comparisons.push(Comparison::new(
-                    format!("Fig9 {app} {m} %peak"),
-                    p,
-                    r.pct_peak,
-                ));
-            }
-            cells.push(match paper_row[col] {
-                Some(p) => format!("{:.0}% (paper {:.0}%)", r.pct_peak, p),
-                None => format!("{:.0}%", r.pct_peak),
-            });
+            let (_, p) = paper::lookup(rows, config, fig9_procs(app, m), m)
+                .expect("Fig. 9 plots published cells");
+            comparisons.push(Comparison::new(
+                format!("Fig9 {app} {m} %peak"),
+                p,
+                r.pct_peak,
+            ));
+            cells.push(format!("{:.0}% (paper {:.0}%)", r.pct_peak, p));
         }
         model_vals.push(row_vals);
         table.push_row(cells);
     }
 
     let mut checks = Vec::new();
-    for (i, (app, _)) in paper_vals.iter().enumerate() {
-        let v = model_vals[i];
+    for ((app, _), v) in LARGEST_COMPARABLE.into_iter().zip(&model_vals) {
         checks.push(ShapeCheck::new(
             format!("{app}: ES sustains the highest fraction of peak"),
             (0..5).all(|c| v[3] >= v[c]),

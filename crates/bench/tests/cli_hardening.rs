@@ -136,12 +136,18 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["serve_load", "--inline", "--addr", "127.0.0.1:1"],
     &["serve_load", "--rate", "-3"],
     &["serve_load", "--rate", "abc"],
+    // A real flag is finite and positive, checked before any model work.
+    &["serve_load", "--inline", "--rate", "nan"],
+    &["serve_load", "--inline", "--rate", "inf"],
     &["experiments", "--bogus"],
     &["experiments", "--out"],
     &["whatif"],
     &["whatif", "Cray-2"],
     &["whatif", "Power3", "--scalar-gflops", "1"],
     &["whatif", "Power3", "--peak", "abc"],
+    &["whatif", "Power3", "--peak", "nan"],
+    &["whatif", "ES", "--mem-bw", "-5"],
+    &["whatif", "Power3", "--issue-eff", "7"],
 ];
 
 #[test]

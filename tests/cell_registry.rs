@@ -1,12 +1,12 @@
 //! The cell registry (`pvs::serve::workload::cell_phases`) is the one
 //! place a paper cell becomes a phase stream. These tests pin what the
-//! consolidation must not move: the table bytes EXPERIMENTS.md carries,
+//! consolidation must not move: every byte EXPERIMENTS.md carries,
 //! the registry's coverage of every published cell, and its agreement
 //! with the serving plane.
 
 use pvs::report::paper::{self, PaperRow, MACHINES};
 use pvs::serve::workload::{cell_phases, Request, APP_CONFIGS};
-use pvs_bench::{fig9_model, table3_model, table4_model, table5_model, table6_model, table7_model};
+use pvs_bench::commands::experiments;
 
 fn paper_tables() -> [(&'static str, Vec<PaperRow>); 4] {
     [
@@ -21,28 +21,19 @@ fn paper_tables() -> [(&'static str, Vec<PaperRow>); 4] {
 fn regenerated_tables_match_the_committed_experiments_document() {
     let committed = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
         .expect("EXPERIMENTS.md is committed at the repository root");
-    let generators = [
-        table3_model,
-        table4_model,
-        table5_model,
-        table6_model,
-        table7_model,
-        fig9_model,
-    ];
-    let mut lines = 0;
-    for out in generators.map(|generate| generate()) {
-        let title = &out.table.title;
-        assert!(
-            committed.contains(&out.table.render()),
-            "{title}: table body moved"
-        );
-        for c in &out.comparisons {
-            assert!(committed.contains(&c.line()), "{title}: {} moved", c.line());
-            lines += 1;
-        }
-    }
-    // 28 + 28 + 30 + 21 (Tables 3-6) + 16 (Table 7) + 20 (Fig. 9).
-    assert_eq!(lines, 143, "every published comparison is pinned");
+    // The whole file: every table body, all 143 comparison lines, the
+    // aggregates, the AMR and attribution tables and the prose between.
+    let generated = experiments::document().expect("the attribution sweep loads");
+    let stale = generated
+        .lines()
+        .zip(committed.lines())
+        .position(|(g, c)| g != c);
+    assert!(
+        generated == committed,
+        "stale from line index {stale:?}: run `pvs experiments --out EXPERIMENTS.md`"
+    );
+    let again = experiments::document();
+    assert!(again.as_ref() == Ok(&generated), "a second call moved");
 }
 
 #[test]
