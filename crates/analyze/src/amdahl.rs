@@ -90,7 +90,8 @@ pub fn decompose(cell: &ProfileCell, machine: &Machine) -> Option<AmdahlDecompos
             },
         )
     } else {
-        // Unobserved run: fall back to the model report's AVL/VOR.
+        // No vector counters in the cell: fall back to the model
+        // report's AVL/VOR.
         (
             cell.model.vor_pct? / 100.0,
             cell.model.avl.unwrap_or(0.0),

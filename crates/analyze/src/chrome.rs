@@ -1,43 +1,66 @@
-//! Chrome trace-event export and per-span self-time rollups.
+//! Chrome trace-event export and per-phase time rollups.
 //!
-//! A [`TraceBuffer`] holds one run's span tree with timestamps in
-//! simulated picoseconds (the engine never reads a host clock — PVS003).
-//! This module serializes it into the Chrome trace-event JSON format
-//! (`chrome://tracing` / Perfetto's legacy loader): one complete `"X"`
-//! event per closed span, `ts`/`dur` in the buffer's own tick unit, and
-//! the span tree carried in `args`. It also folds the tree into
-//! *self-time* rollups — per span name, total duration minus the time
-//! covered by child spans — which is what a flame-graph's width shows.
+//! A profile document's `model.phases` is the run's timeline: phase
+//! names and modelled seconds in execution order (the engine never reads
+//! a host clock — PVS003). This module renders it in the Chrome
+//! trace-event JSON format (`chrome://tracing` / Perfetto's legacy
+//! loader): one complete `"X"` event for the whole `run` and one per
+//! phase under it, `ts`/`dur` in simulated picoseconds. It also folds
+//! the phases into per-name time rollups — what a flame-graph's width
+//! shows.
 
+use crate::profiledoc::ModelMetrics;
 use pvs_core::json::{array, parse, JsonObject, Value};
-use pvs_obs::span::TraceBuffer;
 
-/// Serialize a trace buffer as a Chrome trace-event document.
-///
-/// Only closed spans become events (Chrome's `"X"` phase needs a
-/// duration); open spans are skipped. Events appear in begin order. The
-/// whole simulated run is one process/thread, so `pid`/`tid` are fixed.
-pub fn to_chrome_trace(trace: &TraceBuffer, label: &str) -> String {
-    let events = trace.events().iter().filter_map(|e| {
-        let dur = e.duration_ticks()?;
-        let mut args = JsonObject::new().number("span_id", e.id.0 as f64);
-        if let Some(parent) = e.parent {
-            args = args.number("parent_span_id", parent.0 as f64);
-        }
-        Some(
-            JsonObject::new()
-                .string("name", &e.name)
-                .string("ph", "X")
-                .number("ts", e.begin_ticks as f64)
-                .number("dur", dur as f64)
-                .number("pid", 1.0)
-                .number("tid", 1.0)
-                .raw("args", args.render())
-                .render(),
-        )
-    });
+/// Modelled seconds as trace ticks: simulated picoseconds.
+fn ticks(seconds: f64) -> u64 {
+    (seconds * 1e12).round() as u64
+}
+
+/// `(name, begin_ticks, duration_ticks)` per phase. Boundaries are the
+/// left-to-right sum of `seconds` that produced `time_s`, so the last
+/// phase ends exactly where the run does.
+fn phase_ticks(phases: &[(String, f64, bool)]) -> impl Iterator<Item = (&str, u64, u64)> {
+    let mut end_s = 0.0;
+    phases.iter().map(move |(name, seconds, _)| {
+        let begin = ticks(end_s);
+        end_s += seconds;
+        (name.as_str(), begin, ticks(end_s).saturating_sub(begin))
+    })
+}
+
+/// Render a cell's model timeline as a Chrome trace-event document: the
+/// `run` event (`span_id` 1) followed by its phases in execution order.
+/// The whole simulated run is one process/thread, so `pid`/`tid` are
+/// fixed.
+pub fn to_chrome_trace(model: &ModelMetrics, label: &str) -> String {
+    let event = |name: &str, ts: u64, dur: u64, args: JsonObject| {
+        JsonObject::new()
+            .string("name", name)
+            .string("ph", "X")
+            .number("ts", ts as f64)
+            .number("dur", dur as f64)
+            .number("pid", 1.0)
+            .number("tid", 1.0)
+            .raw("args", args.render())
+            .render()
+    };
+    let run = event(
+        "run",
+        0,
+        ticks(model.time_s),
+        JsonObject::new().number("span_id", 1.0),
+    );
+    let phases = phase_ticks(&model.phases)
+        .enumerate()
+        .map(|(i, (name, ts, dur))| {
+            let args = JsonObject::new()
+                .number("span_id", (i + 2) as f64)
+                .number("parent_span_id", 1.0);
+            event(name, ts, dur, args)
+        });
     JsonObject::new()
-        .raw("traceEvents", array(events))
+        .raw("traceEvents", array(std::iter::once(run).chain(phases)))
         .string("displayTimeUnit", "ns")
         .raw(
             "otherData",
@@ -49,57 +72,35 @@ pub fn to_chrome_trace(trace: &TraceBuffer, label: &str) -> String {
         .render()
 }
 
-/// Self-time of every span name: `(name, total_ticks, self_ticks, count)`
-/// sorted by self-time descending, name ascending on ties. Self-time is
-/// a span's duration minus the duration covered by its direct children,
-/// summed over all closed spans of the same name.
-pub fn self_time_rollup(trace: &TraceBuffer) -> Vec<SelfTime> {
-    // child_ticks[i] accumulates closed-child durations of event i.
-    let events = trace.events();
-    let mut child_ticks = vec![0u64; events.len()];
-    for e in events {
-        if let (Some(parent), Some(dur)) = (e.parent, e.duration_ticks()) {
-            if let Some(slot) = child_ticks.get_mut(parent.0 as usize - 1) {
-                *slot += dur;
-            }
-        }
-    }
-    let mut by_name: Vec<SelfTime> = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        let Some(dur) = e.duration_ticks() else { continue };
-        let self_ticks = dur.saturating_sub(child_ticks[i]);
-        match by_name.iter_mut().find(|r| r.name == e.name) {
+/// Time per phase name, sorted by ticks descending, name ascending on
+/// ties.
+pub fn self_time_rollup(phases: &[(String, f64, bool)]) -> Vec<PhaseTime> {
+    let mut by_name: Vec<PhaseTime> = Vec::new();
+    for (name, _, dur) in phase_ticks(phases) {
+        match by_name.iter_mut().find(|r| r.name == name) {
             Some(r) => {
-                r.total_ticks += dur;
-                r.self_ticks += self_ticks;
+                r.ticks += dur;
                 r.count += 1;
             }
-            None => by_name.push(SelfTime {
-                name: e.name.clone(),
-                total_ticks: dur,
-                self_ticks,
+            None => by_name.push(PhaseTime {
+                name: name.to_string(),
+                ticks: dur,
                 count: 1,
             }),
         }
     }
-    by_name.sort_by(|a, b| {
-        b.self_ticks
-            .cmp(&a.self_ticks)
-            .then_with(|| a.name.cmp(&b.name))
-    });
+    by_name.sort_by(|a, b| b.ticks.cmp(&a.ticks).then_with(|| a.name.cmp(&b.name)));
     by_name
 }
 
-/// Aggregated time of one span name across a trace.
+/// Aggregated time of one phase name across a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelfTime {
-    /// Span name.
+pub struct PhaseTime {
+    /// Phase name.
     pub name: String,
-    /// Summed durations of all closed spans with this name.
-    pub total_ticks: u64,
-    /// Summed durations minus child-covered time.
-    pub self_ticks: u64,
-    /// Number of closed spans with this name.
+    /// Summed durations of all phases with this name.
+    pub ticks: u64,
+    /// Number of phases with this name.
     pub count: u64,
 }
 
@@ -131,78 +132,80 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    /// run(0..100) { collision(0..60) { inner(10..30) }, stream(60..90) },
-    /// plus an open span that must not become an event.
-    fn sample_trace() -> TraceBuffer {
-        let mut t = TraceBuffer::new();
-        let run = t.begin("run", None, 0);
-        let coll = t.begin("collision", Some(run), 0);
-        let inner = t.begin("inner", Some(coll), 10);
-        t.end(inner, 30);
-        t.end(coll, 60);
-        let stream = t.begin("stream", Some(run), 60);
-        t.end(stream, 90);
-        t.begin("open", Some(run), 95);
-        t.end(run, 100);
-        t
+    fn model(time_s: f64, phases: &[(&str, f64, bool)]) -> ModelMetrics {
+        ModelMetrics {
+            time_s,
+            phases: phases
+                .iter()
+                .map(|&(name, seconds, is_comm)| (name.to_string(), seconds, is_comm))
+                .collect(),
+            ..ModelMetrics::default()
+        }
+    }
+
+    /// The LBMHD/ES/P64 cell of `BENCH_sweep.json`.
+    fn lbmhd_es() -> ModelMetrics {
+        model(
+            8.095052333333333,
+            &[
+                ("collision", 4.644864, false),
+                ("stream", 3.35872, false),
+                ("exchange", 0.09146833333333333, true),
+            ],
+        )
     }
 
     #[test]
-    fn export_validates_and_skips_open_spans() {
-        let doc = to_chrome_trace(&sample_trace(), "LBMHD/ES");
-        // 5 spans begun, one left open → 4 complete events.
+    fn lbmhd_es_document_renders_its_four_events() {
+        let doc = parse(&to_chrome_trace(&lbmhd_es(), "LBMHD/ES/P64")).unwrap();
+        let events: Vec<(&str, f64, f64, f64, Option<f64>)> = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let args = e.get("args").unwrap();
+                (
+                    e.str("name").unwrap(),
+                    e.num("ts").unwrap(),
+                    e.num("dur").unwrap(),
+                    args.num("span_id").unwrap(),
+                    args.num("parent_span_id"),
+                )
+            })
+            .collect();
+        assert_eq!(
+            events,
+            [
+                ("run", 0.0, 8095052333333.0, 1.0, None),
+                ("collision", 0.0, 4644864000000.0, 2.0, Some(1.0)),
+                ("stream", 4644864000000.0, 3358720000000.0, 3.0, Some(1.0)),
+                ("exchange", 8003584000000.0, 91468333333.0, 4.0, Some(1.0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn export_validates_and_carries_the_label() {
+        let doc = to_chrome_trace(&lbmhd_es(), "LBMHD/ES");
         assert_eq!(validate_chrome_trace(&doc), Ok(4));
         assert!(doc.contains("\"displayTimeUnit\":\"ns\""));
         assert!(doc.contains("\"label\":\"LBMHD/ES\""));
-        assert!(!doc.contains("\"open\""));
+        assert_eq!(validate_chrome_trace(&to_chrome_trace(&model(0.0, &[]), "t")), Ok(1));
     }
 
     #[test]
-    fn events_carry_tree_and_tick_fields() {
-        let doc = parse(&to_chrome_trace(&sample_trace(), "t")).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        // Begin order: run first.
-        assert_eq!(events[0].str("name"), Some("run"));
-        assert_eq!(events[0].num("ts"), Some(0.0));
-        assert_eq!(events[0].num("dur"), Some(100.0));
-        assert_eq!(events[0].get("args").unwrap().num("parent_span_id"), None);
-        let coll = &events[1];
-        assert_eq!(coll.str("name"), Some("collision"));
-        assert_eq!(coll.str("ph"), Some("X"));
-        assert_eq!(coll.get("args").unwrap().num("parent_span_id"), Some(1.0));
-        assert_eq!(coll.get("args").unwrap().num("span_id"), Some(2.0));
-    }
-
-    #[test]
-    fn self_time_subtracts_children() {
-        let rollup = self_time_rollup(&sample_trace());
-        let get = |name: &str| rollup.iter().find(|r| r.name == name).unwrap();
-        // collision: 60 total, child inner covers 20 → 40 self.
-        assert_eq!(get("collision").self_ticks, 40);
-        assert_eq!(get("collision").total_ticks, 60);
-        // run: 100 total − (60 + 30) closed children → 10 self; the open
-        // child contributes nothing.
-        assert_eq!(get("run").self_ticks, 10);
-        assert_eq!(get("stream").self_ticks, 30);
-        assert_eq!(get("inner").self_ticks, 20);
-        // Sorted by self-time descending.
-        assert_eq!(rollup[0].name, "collision");
-        // The open span never rolls up.
-        assert!(rollup.iter().all(|r| r.name != "open"));
-    }
-
-    #[test]
-    fn repeated_names_aggregate() {
-        let mut t = TraceBuffer::new();
-        for rep in 0..3u64 {
-            let s = t.begin("step", None, rep * 10);
-            t.end(s, rep * 10 + 4);
-        }
-        let rollup = self_time_rollup(&t);
-        assert_eq!(rollup.len(), 1);
-        assert_eq!(rollup[0].count, 3);
-        assert_eq!(rollup[0].total_ticks, 12);
-        assert_eq!(rollup[0].self_ticks, 12);
+    fn rollup_groups_by_name_and_orders_by_time_then_name() {
+        let phases = model(
+            0.0,
+            &[("step", 4e-12, false), ("b", 6e-12, true), ("step", 4e-12, false), ("a", 6e-12, false)],
+        )
+        .phases;
+        let rollup = self_time_rollup(&phases);
+        let rows: Vec<(&str, u64, u64)> =
+            rollup.iter().map(|r| (r.name.as_str(), r.ticks, r.count)).collect();
+        assert_eq!(rows, [("step", 8, 2), ("a", 6, 1), ("b", 6, 1)]);
+        assert_eq!(self_time_rollup(&lbmhd_es().phases)[0].name, "collision");
     }
 
     #[test]

@@ -77,7 +77,6 @@ mod tests {
         };
         ProfileDoc {
             schema: crate::profiledoc::SCHEMA_V2.into(),
-            observed: true,
             cells: vec![scalar_cell, foreign_cell],
         }
     }

@@ -1,7 +1,7 @@
 //! pvs-analyze: bottleneck attribution for the parallel-vector study.
 //!
 //! The observability layer (`pvs-obs`) records what a simulated run
-//! *did* — counters, gauges, span trees. This crate turns those records
+//! *did* — counters, gauges, histograms. This crate turns those records
 //! plus the machine models into *why it was slow*:
 //!
 //! * [`amdahl`] — vectorized/scalar time split and the closed-form
@@ -9,7 +9,8 @@
 //! * [`bottleneck`] — per-cell classification into compute-, memory-
 //!   bandwidth-, bisection-, or scalar-serialization-bound;
 //! * [`findings`] — the rendered findings table over a whole sweep;
-//! * [`chrome`] — Chrome trace-event export and self-time rollups;
+//! * [`chrome`] — Chrome trace-event export and per-phase time rollups
+//!   of a cell's `model.phases`;
 //! * [`sentinel`] — the equality gate on committed baselines behind
 //!   `pvs compare`;
 //! * [`profiledoc`] — the `BENCH_sweep.json` reader (schema

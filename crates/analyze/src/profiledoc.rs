@@ -51,8 +51,6 @@ pub struct ProfileCell {
     pub host_median_s: f64,
     /// All host samples in sample order.
     pub host_all_s: Vec<f64>,
-    /// Span events recorded for the cell.
-    pub span_events: u64,
     /// Counter snapshot, sorted by name as the registry dumps it.
     pub counters: Vec<(String, u64)>,
     /// Gauge snapshot, sorted by name.
@@ -104,8 +102,6 @@ impl ProfileCell {
 pub struct ProfileDoc {
     /// Schema string found in the document.
     pub schema: String,
-    /// Whether the run had a recorder attached.
-    pub observed: bool,
     /// All cells in document order.
     pub cells: Vec<ProfileCell>,
 }
@@ -219,14 +215,12 @@ pub fn from_value(doc: &Value) -> Result<ProfileDoc, LoadError> {
                 .and_then(Value::as_array)
                 .map(|xs| xs.iter().filter_map(Value::as_f64).collect())
                 .unwrap_or_default(),
-            span_events: c.num("span_events").unwrap_or(0.0) as u64,
             counters: name_value_pairs(c.get("counters")),
             gauges: name_value_pairs(c.get("gauges")),
         });
     }
     Ok(ProfileDoc {
         schema: schema.to_string(),
-        observed: doc.get("observed").and_then(Value::as_bool).unwrap_or(true),
         cells,
     })
 }
@@ -238,7 +232,7 @@ mod tests {
     /// A two-cell document, compact (single-line) rendering.
     fn compact_doc() -> String {
         concat!(
-            "{\"schema\":\"pvs-bench/profile-v2\",\"observed\":true,",
+            "{\"schema\":\"pvs-bench/profile-v2\",",
             "\"sweep_threads\":1,\"host_samples_per_cell\":1,",
             "\"host_median_sum_s\":0.5,\"harness\":[],\"cells\":[",
             "{\"app\":\"LBMHD\",\"config\":\"8192x8192\",\"machine\":\"Power3\",",
@@ -247,14 +241,14 @@ mod tests {
             "\"pct_peak\":6.5,\"phases\":[{\"name\":\"collision\",",
             "\"seconds\":219.7,\"flops\":2.8e10,\"is_comm\":false}]},",
             "\"host_wall\":{\"median_s\":0.25,\"samples\":1,\"all_s\":[0.25]},",
-            "\"span_events\":4,\"counters\":[{\"name\":\"engine.phases\",",
+            "\"counters\":[{\"name\":\"engine.phases\",",
             "\"value\":3}],\"gauges\":[]},",
             "{\"app\":\"GTC\",\"config\":\"100 part/cell\",\"machine\":\"ES\",",
             "\"procs\":64,\"model\":{\"machine\":\"ES\",\"procs\":64,",
             "\"time_s\":1.5,\"comm_s\":0.1,\"gflops_per_p\":1.2,",
             "\"pct_peak\":15.0,\"avl\":230.5,\"vor_pct\":97.2,\"phases\":[]},",
             "\"host_wall\":{\"median_s\":0.25,\"samples\":1,\"all_s\":[0.25]},",
-            "\"span_events\":7,\"counters\":[],\"gauges\":",
+            "\"counters\":[],\"gauges\":",
             "[{\"name\":\"netsim.link.peak_bytes\",\"value\":512}]}",
             "]}"
         )

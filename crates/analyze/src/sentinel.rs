@@ -2,8 +2,7 @@
 //!
 //! `pvs compare <old.json> <new.json>` walks the two parsed documents
 //! member by member. Everything a writer emitted is compared — `schema`,
-//! `observed`, `harness`, and every member of every cell, the cells
-//! joined on `(app, config, machine, procs)` — except the host notes
+//! `harness`, and every member of every cell, the cells joined on `(app, config, machine, procs)` — except the host notes
 //! named in [`UNGATED`] and [`UNGATED_CELL`]. The lists name what is
 //! *not* compared, so a member a later writer adds is gated by default.
 //!
@@ -227,7 +226,7 @@ mod tests {
     use pvs_core::json::parse;
 
     /// A two-cell document with every kind of member the writers emit.
-    const DOC: &str = r#"{"schema":"pvs-bench/profile-v2","observed":true,
+    const DOC: &str = r#"{"schema":"pvs-bench/profile-v2",
         "sweep_threads":1,"host_samples_per_cell":3,"host_median_sum_s":0.5,
         "load":{"wall_s":1.5},"server":{"uptime_s":2},
         "harness":[{"name":"chaos.scenarios","value":6},
@@ -239,14 +238,13 @@ mod tests {
                     "phases":[{"name":"collision","seconds":6,"flops":2.8e10,"is_comm":false},
                               {"name":"exchange","seconds":0.25,"flops":0,"is_comm":true}]},
            "host_wall":{"median_s":0.25,"samples":1,"all_s":[0.25]},
-           "span_events":3,
            "counters":[{"name":"engine.phases","value":2}],
            "gauges":[{"name":"netsim.link.peak_bytes","value":512}]},
           {"app":"GTC","config":"100 part/cell","machine":"ES","procs":64,
            "model":{"machine":"ES","procs":64,"time_s":4,"comm_s":0.5,
                     "gflops_per_p":1,"pct_peak":15,"avl":230.5,"vor_pct":97.25,"phases":[]},
            "host_wall":{"median_s":0.125,"samples":1,"all_s":[0.125]},
-           "span_events":1,"counters":[],"gauges":[]}
+           "counters":[],"gauges":[]}
         ]}"#;
 
     /// `DOC` with the first `from` replaced by `to`, compared against `DOC`
@@ -277,11 +275,11 @@ mod tests {
 
     #[test]
     fn whitespace_and_member_order_are_not_part_of_the_document() {
-        let reordered = DOC.replacen("\"span_events\":3,", "", 1).replacen(
-            "\"gauges\":[{\"name\":\"netsim.link.peak_bytes\",\"value\":512}]",
-            "\"gauges\":[{\"name\":\"netsim.link.peak_bytes\",\"value\":512}],\"span_events\":3",
-            1,
-        );
+        let counters = "\"counters\":[{\"name\":\"engine.phases\",\"value\":2}]";
+        let gauges = "\"gauges\":[{\"name\":\"netsim.link.peak_bytes\",\"value\":512}]";
+        let reordered = DOC
+            .replacen(&format!("{counters},"), "", 1)
+            .replacen(gauges, &format!("{gauges},{counters}"), 1);
         assert_ne!(reordered, DOC);
         let pretty = pvs_core::json::pretty(&reordered);
         assert!(compare_docs(&parse(DOC).unwrap(), &parse(&pretty).unwrap()).equal());
@@ -325,11 +323,6 @@ mod tests {
                 format!("{lbmhd}.gauges.netsim.link.peak_bytes"),
             ),
             (
-                "\"span_events\":3",
-                "\"span_events\":4",
-                format!("{lbmhd}.span_events"),
-            ),
-            (
                 "\"seconds\":0.25",
                 "\"seconds\":0.5",
                 format!("{lbmhd}.model.phases[1].seconds"),
@@ -337,14 +330,14 @@ mod tests {
             ("\"avl\":230.5", "\"avl\":231.5", format!("{gtc}.model.avl")),
             ("\"vor_pct\":97.25,", "", format!("{gtc}.model.vor_pct")),
             (
-                "\"observed\":true",
-                "\"observed\":false",
-                "observed".to_string(),
+                "\"schema\":\"pvs-bench/profile-v2\"",
+                "\"schema\":\"pvs-bench/profile-v3\"",
+                "schema".to_string(),
             ),
             // A member no typed reader knows is still part of the document.
             (
-                "\"span_events\":1",
-                "\"span_events\":1,\"energy_j\":7",
+                "\"counters\":[],",
+                "\"counters\":[],\"energy_j\":7,",
                 format!("{gtc}.energy_j"),
             ),
             (
@@ -417,12 +410,12 @@ mod tests {
             (
                 &both,
                 &one,
-                "cells[GTC/100 part/cell/ES/P64] {9 members} -> absent",
+                "cells[GTC/100 part/cell/ES/P64] {8 members} -> absent",
             ),
             (
                 &one,
                 &both,
-                "cells[GTC/100 part/cell/ES/P64] absent -> {9 members}",
+                "cells[GTC/100 part/cell/ES/P64] absent -> {8 members}",
             ),
         ] {
             let cmp = compare_docs(old, new);

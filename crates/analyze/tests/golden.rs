@@ -1,40 +1,41 @@
 //! Golden-fixture test pinning the Chrome trace-event serialized form.
 //!
 //! `--trace` writes these documents to disk for chrome://tracing and
-//! Perfetto; the exact byte shape is an external interface the same way
-//! the span JSONL is (see the pvs-obs golden). The reference tree here
-//! mirrors the one in `crates/obs/tests/golden.rs` so the two wire
-//! formats are pinned against the same structure. Regenerate after an
-//! intentional change with
+//! Perfetto; the exact byte shape is an external interface. Regenerate
+//! after an intentional change with
 //! `PVS_ANALYZE_BLESS=1 cargo test -p pvs-analyze --test golden`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use pvs_analyze::chrome::{to_chrome_trace, validate_chrome_trace};
-use pvs_obs::span::TraceBuffer;
+use pvs_analyze::profiledoc::ModelMetrics;
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
-fn reference_trace() -> TraceBuffer {
-    let mut t = TraceBuffer::new();
-    let run = t.begin("run", None, 0);
-    let coll = t.begin("collision", Some(run), 0);
-    let inner = t.begin("strip \"tail\"", Some(coll), 412_000_000);
-    t.end(inner, 500_000_000);
-    t.end(coll, 812_000_000);
-    let stream = t.begin("stream", Some(run), 812_000_000);
-    t.end(stream, 1_300_000_000);
-    t.begin("abandoned", Some(run), 1_350_000_000);
-    t.end(run, 1_400_000_000);
-    t
+/// A phase list with a comm phase and a name that needs escaping.
+fn reference_model() -> ModelMetrics {
+    let phases = [
+        ("collision", 812e-6, false),
+        ("strip \"tail\"", 88e-6, false),
+        ("stream", 488e-6, false),
+        ("exchange", 12e-6, true),
+    ];
+    ModelMetrics {
+        time_s: 1400e-6,
+        phases: phases
+            .iter()
+            .map(|&(name, seconds, is_comm)| (name.to_string(), seconds, is_comm))
+            .collect(),
+        ..ModelMetrics::default()
+    }
 }
 
 #[test]
 fn chrome_trace_matches_golden() {
-    let actual = to_chrome_trace(&reference_trace(), "LBMHD/ES/P64");
+    let actual = to_chrome_trace(&reference_model(), "LBMHD/ES/P64");
     let path = fixture_path("chrome_trace.json");
     if std::env::var_os("PVS_ANALYZE_BLESS").is_some() {
         fs::create_dir_all(path.parent().unwrap()).expect("fixture dir");
@@ -51,9 +52,9 @@ fn chrome_trace_matches_golden() {
 
 #[test]
 fn golden_form_still_validates() {
-    // The pinned bytes must themselves satisfy the trace-event schema —
-    // 4 closed spans become events, the open one is dropped.
-    let doc = to_chrome_trace(&reference_trace(), "LBMHD/ES/P64");
-    assert_eq!(validate_chrome_trace(&doc), Ok(4));
+    // The pinned bytes must themselves satisfy the trace-event schema:
+    // the run plus its four phases.
+    let doc = to_chrome_trace(&reference_model(), "LBMHD/ES/P64");
+    assert_eq!(validate_chrome_trace(&doc), Ok(5));
     assert!(doc.contains("\"tick_unit\":\"simulated picoseconds\""));
 }

@@ -4,9 +4,8 @@
 //! cargo run -p pvs-bench --bin pvs -- compare BENCH_sweep.json target/BENCH_sweep.json
 //! ```
 //!
-//! Two profile documents agree when they are equal: `schema`,
-//! `observed`, `harness` and every member of every cell (joined on cell
-//! identity), except the host notes `pvs_analyze::sentinel` names as
+//! Two profile documents agree when they are equal: `schema`, `harness`
+//! and every member of every cell (joined on cell identity), except the host notes `pvs_analyze::sentinel` names as
 //! ungated. Prints one `path old -> new` row per differing JSON path and
 //! exits nonzero on any — there is no tolerance and no direction, the
 //! simulators are deterministic. Host wall-clock is machine-specific

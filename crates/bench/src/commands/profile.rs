@@ -4,18 +4,19 @@
 //! ```text
 //! cargo run --release -p pvs-bench --bin pvs -- profile               # target/BENCH_sweep.json
 //! cargo run --release -p pvs-bench --bin pvs -- profile --out BENCH_sweep.json  # rewrite the baseline
-//! cargo run --release -p pvs-bench --bin pvs -- profile --no-obs   # overhead baseline
+//! cargo run --release -p pvs-bench --bin pvs -- profile --overhead   # recorder cost, A/B
 //! cargo run --release -p pvs-bench --bin pvs -- profile --analyze
 //! cargo run --release -p pvs-bench --bin pvs -- profile --trace target/traces
 //! ```
 //!
-//! Flags: `--no-obs` (no recorder attached — the baseline the ≤5%
-//! overhead claim is measured against), `--samples N` (host wall-clock
-//! samples per cell, default 3), `--out PATH` (default
-//! `target/BENCH_sweep.json`; the committed baseline is rewritten only by
-//! naming it), `--analyze` (print the bottleneck-attribution findings table and
-//! per-cell self-time rollups), `--trace DIR` (export one Chrome
-//! trace-event JSON per cell — timestamps are simulated picoseconds).
+//! Flags: `--samples N` (host wall-clock samples per cell, default 3),
+//! `--out PATH` (default `target/BENCH_sweep.json`; the committed
+//! baseline is rewritten only by naming it), `--analyze` (print the
+//! bottleneck-attribution findings table and per-cell self-time
+//! rollups), `--trace DIR` (render each cell's `model.phases` as one
+//! Chrome trace-event JSON — timestamps are simulated picoseconds),
+//! `--overhead [N]` (on its own: every cell with and without a recorder
+//! attached, N interleaved rounds, one line, no document).
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
 //! 1 internal failure, 2 malformed usage, 6 the output file or `--trace`
@@ -30,9 +31,8 @@ use pvs_core::report::fmt_pct_signed;
 
 pub const SPEC: Spec = Spec {
     command: "profile",
-    synopsis: "[--no-obs] [--samples N] [--out PATH] [--analyze] [--trace DIR] [--overhead [N]]",
+    synopsis: "[--samples N] [--out PATH] [--analyze] [--trace DIR] | --overhead [N]",
     flags: &[
-        ("--no-obs", Kind::Flag),
         ("--samples", Kind::Count),
         ("--out", Kind::Text),
         ("--analyze", Kind::Flag),
@@ -47,6 +47,12 @@ pub fn run(args: &Args) -> i32 {
     let cells = paper_cells();
 
     if args.flag("--overhead") {
+        if let Some(other) = ["--samples", "--out", "--analyze", "--trace"]
+            .into_iter()
+            .find(|name| args.flag(name))
+        {
+            return SPEC.usage_error(&format!("--overhead writes no document: drop {other}"));
+        }
         let rounds = args.count("--overhead").unwrap_or(9);
         let (observed, plain) = measure_overhead(&cells, rounds);
         println!(
@@ -57,10 +63,7 @@ pub fn run(args: &Args) -> i32 {
         );
         return exit::OK;
     }
-    let mut options = ProfileOptions {
-        observe: !args.flag("--no-obs"),
-        ..ProfileOptions::default()
-    };
+    let mut options = ProfileOptions::default();
     if let Some(n) = args.count("--samples") {
         options.host_samples = n;
     }
@@ -89,7 +92,7 @@ fn sweep_document(
     let out = run_profile(cells, options);
     for c in &out.cells {
         println!(
-            "{:<8} {:<8} P={:<4} {:>7.3} Gflop/s/P  model {:>9.4}s  host {:>9.2e}s  {} counters, {} spans",
+            "{:<8} {:<8} P={:<4} {:>7.3} Gflop/s/P  model {:>9.4}s  host {:>9.2e}s  {} counters",
             c.cell.app,
             c.cell.machine,
             c.cell.procs,
@@ -97,7 +100,6 @@ fn sweep_document(
             c.report.time_s,
             c.host_median_s(),
             c.snapshot.counters.len(),
-            c.span_events,
         );
     }
     let pool = out.pool.as_ref().map_or(String::new(), |pool| {
@@ -107,77 +109,69 @@ fn sweep_document(
         )
     });
     println!(
-        "{} cells, sweep on {} threads{pool}, host median sum {:.3e}s ({})",
+        "{} cells, sweep on {} threads{pool}, host median sum {:.3e}s",
         out.cells.len(),
         out.options.threads,
         out.host_median_sum_s(),
-        if out.options.observe {
-            "observed"
-        } else {
-            "no-obs baseline"
-        }
     );
 
+    let json = out.to_json();
+    if trace_dir.is_none() && !analyze {
+        return Ok(json + "\n");
+    }
+
+    // Round-trip the document through the same reader `compare` and
+    // offline analysis use — what gets traced and analyzed is exactly
+    // what the file says.
+    let doc = match profiledoc::load(&json) {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("error: cannot read the sweep document back: {e}");
+            return Err(exit::FAILURE);
+        }
+    };
+
     if let Some(dir) = trace_dir {
-        for c in &out.cells {
+        for c in &doc.cells {
             let name = format!(
                 "{}_{}_P{}.trace.json",
-                c.cell.app.to_lowercase(),
-                c.cell.machine.to_lowercase().replace('-', "_"),
-                c.cell.procs
+                c.app.to_lowercase(),
+                c.machine.to_lowercase().replace('-', "_"),
+                c.procs
             );
-            let label = format!("{}/{}/P{}", c.cell.app, c.cell.machine, c.cell.procs);
+            let label = format!("{}/{}/P{}", c.app, c.machine, c.procs);
             let path = std::path::Path::new(dir).join(&name);
-            let doc = chrome::to_chrome_trace(&c.trace, &label);
+            let trace = chrome::to_chrome_trace(&c.model, &label);
             let display = path.display().to_string();
-            if let Err(e) = cli::write_atomic(&display, &(doc + "\n")) {
+            if let Err(e) = cli::write_atomic(&display, &(trace + "\n")) {
                 eprintln!("error: cannot write {display}: {e}");
                 return Err(exit::WRITE);
             }
-            println!("wrote {} ({} spans)", path.display(), c.trace.events().len());
+            println!("wrote {display} ({} events)", c.model.phases.len() + 1);
         }
     }
 
-    let json = out.to_json();
-
     if analyze {
-        // Round-trip the document through the same reader `compare` and
-        // offline analysis use — what gets analyzed is exactly what the
-        // file says.
-        match profiledoc::load(&json) {
-            Ok(doc) => {
-                let diagnoses = findings::analyze_doc(&doc);
-                print!("{}", findings::findings_table(&diagnoses).render());
-                for c in &out.cells {
-                    let rollup = chrome::self_time_rollup(&c.trace);
-                    let total: u64 = rollup.iter().map(|r| r.self_ticks).sum();
-                    if total == 0 {
-                        continue;
-                    }
-                    let top: Vec<String> = rollup
-                        .iter()
-                        .take(3)
-                        .map(|r| {
-                            format!(
-                                "{} {:.0}%",
-                                r.name,
-                                100.0 * r.self_ticks as f64 / total as f64
-                            )
-                        })
-                        .collect();
-                    println!(
-                        "self-time {:<8} {:<8} P={:<4} {}",
-                        c.cell.app,
-                        c.cell.machine,
-                        c.cell.procs,
-                        top.join(", ")
-                    );
-                }
+        let diagnoses = findings::analyze_doc(&doc);
+        print!("{}", findings::findings_table(&diagnoses).render());
+        for c in &doc.cells {
+            let rollup = chrome::self_time_rollup(&c.model.phases);
+            let total: u64 = rollup.iter().map(|r| r.ticks).sum();
+            if total == 0 {
+                continue;
             }
-            Err(e) => {
-                eprintln!("error: --analyze cannot read the sweep document: {e}");
-                return Err(exit::FAILURE);
-            }
+            let top: Vec<String> = rollup
+                .iter()
+                .take(3)
+                .map(|r| format!("{} {:.0}%", r.name, 100.0 * r.ticks as f64 / total as f64))
+                .collect();
+            println!(
+                "self-time {:<8} {:<8} P={:<4} {}",
+                c.app,
+                c.machine,
+                c.procs,
+                top.join(", ")
+            );
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::cli::{exit, Args, Kind, Spec};
 use crate::tablegen::{comparable_phases, LARGEST_COMPARABLE};
 use pvs_core::engine::Engine;
-use pvs_core::machine::CpuClass;
+use pvs_core::machine::{CpuClass, Machine};
 use pvs_core::platforms;
 use pvs_netsim::topology::TopologyKind;
 
@@ -36,20 +36,18 @@ pub const SPEC: Spec = Spec {
     positionals: 1,
 };
 
-/// `pvs whatif`.
-pub fn run(args: &Args) -> i32 {
-    let Some(mut machine) = platforms::all()
+/// The study machine `args` names, and it again with the flags' fields
+/// overwritten — or the usage error's exit code.
+fn patched(args: &Args) -> Result<(Machine, Machine), i32> {
+    let Some(baseline) = platforms::all()
         .into_iter()
         .find(|m| m.name == args.positional(0))
     else {
-        return SPEC.usage_error(&format!("unknown machine {:?}", args.positional(0)));
+        return Err(SPEC.usage_error(&format!("unknown machine {:?}", args.positional(0))));
     };
-    let baseline = machine.clone();
-    let procs = args.count("--procs").unwrap_or(64);
-
+    let mut machine = baseline.clone();
     for (flag, field) in [
         ("--mem-bw", &mut machine.mem_bw_gbs),
-        ("--peak", &mut machine.peak_gflops),
         ("--net-bw", &mut machine.net_bw_gbs_per_cpu),
         ("--latency", &mut machine.mpi_latency_us),
     ] {
@@ -57,18 +55,30 @@ pub fn run(args: &Args) -> i32 {
             *field = v;
         }
     }
+    if let Some(v) = args.real("--peak") {
+        // Peak is clock × width. `peak_gflops` alone is only the %-of-peak
+        // denominator on a vector machine, whose rate is the unit's clock
+        // × pipes: scale the clocks with it, so the unit's peak stays the
+        // machine's and memory GB/s (bytes per cycle × clock) stays fixed.
+        let scale = v / machine.peak_gflops;
+        machine.peak_gflops = v;
+        machine.clock_mhz *= scale;
+        if let CpuClass::Vector { unit, .. } = &mut machine.cpu {
+            unit.clock_mhz *= scale;
+        }
+    }
     if let Some(v) = args.real("--scalar-gflops") {
         let CpuClass::Vector { unit, .. } = &mut machine.cpu else {
-            return SPEC.usage_error("--scalar-gflops applies to vector machines");
+            return Err(SPEC.usage_error("--scalar-gflops applies to vector machines"));
         };
         unit.scalar_peak_gflops = v;
     }
     if let Some(v) = args.real("--issue-eff") {
         let CpuClass::Superscalar { issue_efficiency, .. } = &mut machine.cpu else {
-            return SPEC.usage_error("--issue-eff applies to superscalar machines");
+            return Err(SPEC.usage_error("--issue-eff applies to superscalar machines"));
         };
         if v > 1.0 {
-            return SPEC.usage_error("--issue-eff is a fraction of peak issue, at most 1");
+            return Err(SPEC.usage_error("--issue-eff is a fraction of peak issue, at most 1"));
         }
         *issue_efficiency = v;
     }
@@ -80,9 +90,33 @@ pub fn run(args: &Args) -> i32 {
                 arity: 4,
                 slim: 1.0,
             },
-            other => return SPEC.usage_error(&format!("unknown topology {other:?}")),
+            other => return Err(SPEC.usage_error(&format!("unknown topology {other:?}"))),
         };
     }
+    Ok((baseline, machine))
+}
+
+/// `(app, baseline Gflop/s/P, what-if Gflop/s/P)` for the four apps. The
+/// code variant follows the machine's name, which no flag changes, so
+/// both columns run the same phase stream.
+fn rows(baseline: &Machine, machine: &Machine, procs: usize) -> Vec<(&'static str, f64, f64)> {
+    LARGEST_COMPARABLE
+        .iter()
+        .map(|&(app, _)| {
+            let phases = comparable_phases(app, machine.name, procs);
+            let run = |m: &Machine| Engine::new(m.clone()).run(&phases, procs).gflops_per_p;
+            (app, run(baseline), run(machine))
+        })
+        .collect()
+}
+
+/// `pvs whatif`.
+pub fn run(args: &Args) -> i32 {
+    let (baseline, machine) = match patched(args) {
+        Ok(pair) => pair,
+        Err(code) => return code,
+    };
+    let procs = args.count("--procs").unwrap_or(64);
 
     println!(
         "What-if: {} with mem {} GB/s (was {}), peak {} GF/s (was {}), P={procs}\n",
@@ -97,12 +131,7 @@ pub fn run(args: &Args) -> i32 {
         "App", "baseline GF/P", "what-if GF/P", "change"
     );
 
-    // The code variant follows the machine's name, which no flag changes,
-    // so both columns run the same phase stream.
-    for (app, _) in LARGEST_COMPARABLE {
-        let phases = comparable_phases(app, machine.name, procs);
-        let base = Engine::new(baseline.clone()).run(&phases, procs).gflops_per_p;
-        let what = Engine::new(machine.clone()).run(&phases, procs).gflops_per_p;
+    for (app, base, what) in rows(&baseline, &machine, procs) {
         println!(
             "{:<9} {:>14.3} {:>14.3} {:>+7.1}%",
             app,
@@ -112,4 +141,40 @@ pub fn run(args: &Args) -> i32 {
         );
     }
     exit::OK
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Percent change per app for `pvs whatif <argv>` at P=64, with the
+    /// patched machine.
+    fn changes(argv: &[&str]) -> (Machine, Vec<(&'static str, f64)>) {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        let (baseline, machine) = patched(&SPEC.parse(&argv).unwrap()).unwrap();
+        let changes = rows(&baseline, &machine, 64)
+            .into_iter()
+            .map(|(app, base, what)| (app, 100.0 * (what / base - 1.0)))
+            .collect();
+        (machine, changes)
+    }
+
+    #[test]
+    fn peak_moves_a_vector_machines_rate_not_only_its_header() {
+        let paratec = |changes: &[(&str, f64)]| {
+            changes.iter().find(|(app, _)| *app == "PARATEC").expect("four apps").1
+        };
+        let (es, doubled) = changes(&["ES", "--peak", "16"]);
+        let CpuClass::Vector { unit, .. } = &es.cpu else { panic!("ES is vector") };
+        assert!((unit.vector_peak_gflops() - es.peak_gflops).abs() < 1e-9);
+        // Both clocks moved together: the unit still sees 32 GB/s.
+        let unit_gbs = es.bytes_per_cycle() * unit.clock_mhz * 1e-3;
+        assert!((unit_gbs - 32.0).abs() < 1e-9, "{unit_gbs}");
+        assert!(paratec(&doubled) > 20.0, "PARATEC/ES is compute-bound: {doubled:?}");
+        // The unchanged peak is the unchanged machine.
+        for (app, pct) in changes(&["ES", "--peak", "8"]).1 {
+            assert_eq!(pct, 0.0, "{app}");
+        }
+        assert!(paratec(&changes(&["Power3", "--peak", "3"]).1) > 90.0);
+    }
 }

@@ -2,14 +2,12 @@
 //!
 //! One `pvs` binary (`src/bin/pvs.rs`) with one command per table,
 //! figure, sweep, harness and server ([`commands`]), backed by the
-//! generators in [`tablegen`] and [`figures`], plus Criterion
-//! microbenchmarks of the real kernels and the ablations DESIGN.md lists
-//! (see `benches/`).
+//! generators in [`tablegen`] and [`figures`]; host wall-clock timing
+//! for the commands lives in [`harness`].
 //!
 //! ```text
 //! cargo run -p pvs-bench --bin pvs -- table3      # LBMHD, model vs paper
 //! cargo run -p pvs-bench --bin pvs -- fig9       # sustained %peak bars
-//! cargo bench -p pvs-bench                # kernel + ablation benches
 //! ```
 
 pub mod chaos;

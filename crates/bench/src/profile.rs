@@ -21,7 +21,6 @@ use pvs_core::phase::Phase;
 use pvs_core::pool::{PoolMetrics, ThreadPool};
 use pvs_core::report::PerfReport;
 use pvs_core::{platforms, Adversity};
-use pvs_obs::span::TraceBuffer;
 use pvs_obs::{Registry, Snapshot};
 use std::sync::Arc;
 
@@ -83,9 +82,6 @@ pub fn smoke_cells() -> Vec<SweepCell> {
 /// Knobs for one profiling run.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileOptions {
-    /// Attach a recorder to every cell (`false` = the `--no-obs`
-    /// baseline used to measure instrumentation overhead).
-    pub observe: bool,
     /// Host wall-clock samples per cell.
     pub host_samples: usize,
     /// Worker threads for the simulated sweep (host timing is serial
@@ -96,7 +92,6 @@ pub struct ProfileOptions {
 impl Default for ProfileOptions {
     fn default() -> Self {
         Self {
-            observe: true,
             host_samples: 3,
             threads: pvs_core::pool::default_threads(),
         }
@@ -110,13 +105,8 @@ pub struct CellProfile {
     pub cell: SweepCell,
     /// The simulated performance report.
     pub report: PerfReport,
-    /// Counter/gauge snapshot for this cell (empty when unobserved).
+    /// Counter/gauge/histogram snapshot for this cell.
     pub snapshot: Snapshot,
-    /// The cell's span trace (empty when unobserved). Feeds `--trace`
-    /// (Chrome trace export) and `--analyze` (self-time rollups).
-    pub trace: TraceBuffer,
-    /// Span events recorded for this cell (0 when unobserved).
-    pub span_events: usize,
     /// Host wall-clock seconds per [`Engine::run`] call, one entry per
     /// sample, in sample order.
     pub host_secs: Vec<f64>,
@@ -153,12 +143,11 @@ impl ProfileOutput {
     /// host samples per cell are what the rows carry.
     pub fn from_rows(cells: Vec<CellProfile>, harness: Snapshot, threads: usize) -> Self {
         let host_samples = cells.first().map_or(0, |cell| cell.host_secs.len());
-        let options = ProfileOptions { observe: true, host_samples, threads };
+        let options = ProfileOptions { host_samples, threads };
         ProfileOutput { cells, harness, pool: None, options }
     }
 
-    /// Sum of per-cell median host seconds — the scalar the overhead
-    /// comparison against `--no-obs` uses.
+    /// Sum of per-cell median host seconds.
     pub fn host_median_sum_s(&self) -> f64 {
         self.cells.iter().map(|c| c.host_median_s()).sum()
     }
@@ -196,7 +185,6 @@ impl ProfileOutput {
                 .number("procs", c.cell.procs as f64)
                 .raw("model", perf_report(&c.report))
                 .raw("host_wall", host)
-                .number("span_events", c.span_events as f64)
                 .raw("counters", counters)
                 .raw("gauges", gauges)
                 .render()
@@ -211,7 +199,6 @@ impl ProfileOutput {
         ));
         JsonObject::new()
             .string("schema", pvs_core::schema::PROFILE_V2)
-            .boolean("observed", self.options.observe)
             .number("sweep_threads", self.options.threads as f64)
             .number("host_samples_per_cell", self.options.host_samples as f64)
             .number("host_median_sum_s", self.host_median_sum_s())
@@ -221,36 +208,25 @@ impl ProfileOutput {
     }
 }
 
+/// The cell's engine with a fresh registry attached.
+fn observed_engine(cell: &SweepCell) -> (Engine, Arc<Registry>) {
+    let reg = Arc::new(Registry::new());
+    (Engine::new(cell.machine()).with_recorder(reg.clone()), reg)
+}
+
 /// Run one cell serially under full observability (no host timing) —
 /// the reference the chaos harnesses compare degraded and served runs
 /// against.
 pub(crate) fn observed_run(cell: &SweepCell, adversity: &Adversity) -> CellProfile {
-    let reg = Arc::new(Registry::new());
-    let engine = Engine::new(cell.machine())
-        .with_recorder(reg.clone())
-        .with_adversity(adversity.clone());
-    let report = engine.run(&cell.phases(), cell.procs);
-    let trace = reg.trace();
-    let span_events = trace.events().len();
+    let (engine, reg) = observed_engine(cell);
+    let report = engine
+        .with_adversity(adversity.clone())
+        .run(&cell.phases(), cell.procs);
     CellProfile {
         cell: cell.clone(),
         report,
         snapshot: reg.snapshot(),
-        trace,
-        span_events,
         host_secs: Vec::new(),
-    }
-}
-
-/// Build the engine for a cell, with a fresh registry attached when
-/// observing. Returns the engine and its registry.
-fn cell_engine(cell: &SweepCell, observe: bool) -> (Engine, Option<Arc<Registry>>) {
-    let engine = Engine::new(cell.machine());
-    if observe {
-        let reg = Arc::new(Registry::new());
-        (engine.with_recorder(reg.clone()), Some(reg))
-    } else {
-        (engine, None)
     }
 }
 
@@ -260,40 +236,23 @@ pub fn run_profile(cells: Vec<SweepCell>, options: ProfileOptions) -> ProfileOut
     // Pass 1 (parallel): the instrumented simulated runs. Each cell owns
     // its registry, so per-cell counters are thread-count independent.
     let pool = ThreadPool::new(options.threads);
-    let observe = options.observe;
-    let simulated: Vec<(SweepCell, PerfReport, Snapshot, TraceBuffer)> =
-        pool.map(cells, move |cell| {
-            let phases = cell.phases();
-            let (engine, reg) = cell_engine(&cell, observe);
-            let report = engine.run(&phases, cell.procs);
-            let (snapshot, trace) = match reg {
-                Some(reg) => (reg.snapshot(), reg.trace()),
-                None => (Snapshot::default(), TraceBuffer::new()),
-            };
-            (cell, report, snapshot, trace)
-        });
+    let simulated: Vec<CellProfile> =
+        pool.map(cells, |cell| observed_run(&cell, &Adversity::healthy()));
     let pool = pool.metrics();
 
     // Pass 2 (serial): host wall-clock per cell. The registry is
     // attached once per cell, so each timed call pays exactly the
-    // steady-state counter/span cost.
+    // steady-state counter cost.
     let cells = simulated
         .into_iter()
-        .map(|(cell, report, snapshot, trace)| {
+        .map(|mut profile| {
+            let cell = &profile.cell;
             let phases = cell.phases();
-            let (engine, _reg) = cell_engine(&cell, observe);
-            let host_secs = time_samples(options.host_samples, || {
+            let (engine, _reg) = observed_engine(cell);
+            profile.host_secs = time_samples(options.host_samples, || {
                 std::hint::black_box(engine.run(&phases, cell.procs));
             });
-            let span_events = trace.events().len();
-            CellProfile {
-                cell,
-                report,
-                snapshot,
-                trace,
-                span_events,
-                host_secs,
-            }
+            profile
         })
         .collect();
 
@@ -314,14 +273,17 @@ pub fn measure_overhead(cells: &[SweepCell], rounds: usize) -> (f64, f64) {
     // Build (and drop) the engine *inside* each timed iteration: a
     // registry lives for exactly one run in real usage, so its
     // construction and teardown belong to the observed arm's cost.
-    // Reusing one registry across a whole sample window would instead
-    // accumulate hundreds of runs' spans and measure heap growth, not
-    // instrumentation.
-    let run = |observe: bool, (cell, phases): &(&SweepCell, Vec<Phase>)| {
-        let (engine, _reg) = cell_engine(cell, observe);
-        std::hint::black_box(engine.run(phases, cell.procs));
-    };
-    interleaved_ab(&prepared, rounds, |item| run(true, item), |item| run(false, item))
+    interleaved_ab(
+        &prepared,
+        rounds,
+        |(cell, phases)| {
+            let (engine, _reg) = observed_engine(cell);
+            std::hint::black_box(engine.run(phases, cell.procs));
+        },
+        |(cell, phases)| {
+            std::hint::black_box(Engine::new(cell.machine()).run(phases, cell.procs));
+        },
+    )
 }
 
 #[cfg(test)]
@@ -330,7 +292,6 @@ mod tests {
 
     fn quick_options() -> ProfileOptions {
         ProfileOptions {
-            observe: true,
             host_samples: 1,
             threads: 2,
         }
@@ -364,13 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn observed_profile_exports_counters_and_spans() {
+    fn profile_exports_counters_per_cell() {
         let out = run_profile(smoke_cells(), quick_options());
         assert_eq!(out.cells.len(), 6);
         for c in &out.cells {
             assert!(!c.snapshot.counters.is_empty(), "{} has counters", c.cell.app);
-            assert!(c.span_events >= 2, "root span + phase spans");
-            assert_eq!(c.trace.events().len(), c.span_events);
             assert_eq!(c.host_secs.len(), 1);
             let phases = c
                 .snapshot
@@ -379,25 +338,12 @@ mod tests {
                 .find(|(n, _)| n == "engine.phases")
                 .map(|(_, v)| *v)
                 .unwrap();
-            assert_eq!(phases as usize + 1, c.span_events, "one span per phase + root");
+            assert_eq!(phases as usize, c.report.phases.len(), "one report row per phase");
         }
         // The sweep pool ran one task per cell, and says so outside the
         // document: who ran which cell is the host's schedule.
         assert_eq!(out.pool.as_ref().unwrap().tasks_executed, 6);
         assert!(out.harness.counters.is_empty() && out.harness.gauges.is_empty());
-    }
-
-    #[test]
-    fn unobserved_profile_has_no_cell_counters() {
-        let out = run_profile(
-            smoke_cells(),
-            ProfileOptions {
-                observe: false,
-                ..quick_options()
-            },
-        );
-        assert!(out.cells.iter().all(|c| c.snapshot.counters.is_empty()));
-        assert!(out.cells.iter().all(|c| c.span_events == 0));
     }
 
     #[test]
@@ -418,7 +364,6 @@ mod tests {
         );
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.snapshot, b.snapshot, "{} {}", a.cell.app, a.cell.machine);
-            assert_eq!(a.span_events, b.span_events);
         }
     }
 
@@ -464,23 +409,16 @@ mod tests {
     fn observed_model_is_bitwise_identical_to_unobserved() {
         // The histogram wiring rides the same recorder gate as every
         // counter: with a recorder attached the *rendered* model report
-        // must still match the `--no-obs` arm byte for byte.
-        let observed = run_profile(smoke_cells(), quick_options());
-        let plain = run_profile(
-            smoke_cells(),
-            ProfileOptions {
-                observe: false,
-                ..quick_options()
-            },
-        );
-        for (a, b) in observed.cells.iter().zip(&plain.cells) {
-            assert!(!a.snapshot.hists.is_empty(), "observed arm has histograms");
+        // must still match a bare engine's byte for byte.
+        for c in &run_profile(smoke_cells(), quick_options()).cells {
+            assert!(!c.snapshot.hists.is_empty(), "observed arm has histograms");
+            let bare = Engine::new(c.cell.machine()).run(&c.cell.phases(), c.cell.procs);
             assert_eq!(
-                pvs_core::json::perf_report(&a.report),
-                pvs_core::json::perf_report(&b.report),
+                perf_report(&c.report),
+                perf_report(&bare),
                 "{} {}",
-                a.cell.app,
-                a.cell.machine
+                c.cell.app,
+                c.cell.machine
             );
         }
     }

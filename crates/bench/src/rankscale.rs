@@ -31,7 +31,6 @@ use pvs_core::hash::Fnv1a;
 use pvs_core::report::{PerfReport, PhaseBreakdown};
 use pvs_mpisim::event::SimStats;
 use pvs_mpisim::{first_divergence, CommStats};
-use pvs_obs::span::TraceBuffer;
 use pvs_obs::Registry;
 
 /// One rank-scaling cell: an application kernel at a rank count.
@@ -168,8 +167,6 @@ fn run_cell(cell: RankScaleCell) -> CellProfile {
         },
         report,
         snapshot: reg.snapshot(),
-        trace: TraceBuffer::new(),
-        span_events: 0,
         host_secs: vec![host_s],
     }
 }

@@ -28,7 +28,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::chaos::scenario_config;
@@ -70,21 +70,6 @@ fn scratch(name: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// The panic hook is process-global; scenarios that inject panics
-/// silence it while they run so CI logs stay readable, serialized so a
-/// concurrent restore cannot interleave. Any *unplanned* panic still
-/// fails the run: the exact `serve.sim.panics` assertions catch it.
-static HOOK_GUARD: Mutex<()> = Mutex::new(());
-
-fn with_silent_panics<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(hook);
-    out
 }
 
 /// Deterministic budget probe: reports `calls` nonzero probes, then
@@ -482,7 +467,7 @@ fn panic_storm(plan: &HostFaultPlan) -> Result<ScenarioOutcome, String> {
         ..Default::default()
     }));
     let outcomes: Vec<Result<_, ServeError>> =
-        with_silent_panics(|| (0..5).map(|_| s.get(&request_of(&storm_cell))).collect());
+        (0..5).map(|_| s.get(&request_of(&storm_cell))).collect();
     let mut internal = 0;
     let mut failed = 0;
     for outcome in &outcomes {
@@ -525,9 +510,7 @@ fn panic_storm(plan: &HostFaultPlan) -> Result<ScenarioOutcome, String> {
         panic_inject: Some(PanicSpec { key_substring: storm_key, times: 1 }),
         ..Default::default()
     }));
-    let (first, second) = with_silent_panics(|| {
-        (r.get(&request_of(&storm_cell)), r.get(&request_of(&storm_cell)))
-    });
+    let (first, second) = (r.get(&request_of(&storm_cell)), r.get(&request_of(&storm_cell)));
     if !matches!(first, Err(ServeError::Internal(_))) {
         return Err(format!("{name}: one-shot panic did not surface as internal: {first:?}"));
     }

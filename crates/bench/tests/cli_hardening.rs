@@ -109,6 +109,13 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["profile", "--bogus"],
     &["profile", "--samples", "zero"],
     &["profile", "--out"],
+    // Retired with the span subsystem: every sweep is observed.
+    &["profile", "--no-obs"],
+    // `--overhead` prints one line and writes nothing; it takes no company.
+    &["profile", "--overhead", "1", "--out", "x.json"],
+    &["profile", "--overhead", "1", "--samples", "2"],
+    &["profile", "--overhead", "--analyze"],
+    &["profile", "--overhead", "1", "--analyze", "--trace", "zz"],
     // Retired with smoke mode: the five harnesses run in full.
     &["profile", "--smoke"],
     &["chaos", "--smoke"],
@@ -253,7 +260,7 @@ fn compare_exits_1_naming_the_path_of_any_changed_member() {
     let quarantined = "servechaos.spill-corruption.store.quarantined";
     let drops = "chaos.msg-drop-delay.mpisim.drops";
     // (baseline, anchor, field after the anchor, change, exit code, stdout says)
-    let cases: [(&str, &str, &str, fn(f64) -> f64, i32, String); 13] = [
+    let cases: [(&str, &str, &str, fn(f64) -> f64, i32, String); 12] = [
         // A quarantine that stops firing (exit 0 under the old policy).
         ("servechaos", quarantined, "value", |_| 0.0, 1, format!("harness.{quarantined}")),
         // The LBMHD P=64 rank-output checksum, either way.
@@ -265,7 +272,6 @@ fn compare_exits_1_naming_the_path_of_any_changed_member() {
         ("sweep", "\"stream\"", "seconds", |x| x * 2.0, 1, format!("{lbmhd}.model.phases[1].seconds")),
         ("sweep", "\"engine.loop.flops\"", "value", |x| x + 1.0, 1, format!("{lbmhd}.counters.engine.loop.flops")),
         ("sweep", "\"gauges\"", "value", |x| x + 1.0, 1, format!("{lbmhd}.gauges.netsim.link.peak_bytes")),
-        ("sweep", "\"cells\"", "span_events", |x| x + 1.0, 1, format!("{lbmhd}.span_events")),
         ("serve", "\"GTC\"", "avl", |x| x + 1.0, 1, "cells[GTC/100 part/cell/ES/P64].model.avl".into()),
         ("chaos", drops, "value", |x| x + 2.0, 1, format!("harness.{drops}")),
         // Host notes are printed at most, never compared.
@@ -293,8 +299,8 @@ fn compare_exits_1_naming_the_path_of_any_changed_member() {
     // A member the typed reader has never heard of is still the document's.
     let old = committed("sweep");
     let text = std::fs::read_to_string(&old).unwrap();
-    let unknown = "\"energy_j\": 7,\n      \"span_events\":";
-    std::fs::write(new, text.replacen("\"span_events\":", unknown, 1)).unwrap();
+    let unknown = "\"energy_j\": 7,\n      \"counters\":";
+    std::fs::write(new, text.replacen("\"counters\":", unknown, 1)).unwrap();
     let out = run(&["compare", &old, new]);
     assert_exit(&out, 1, "an unknown member on one side");
     assert!(stdout(&out).contains(&format!("{lbmhd}.energy_j absent -> 7")), "{}", stdout(&out));
@@ -304,8 +310,8 @@ fn compare_exits_1_naming_the_path_of_any_changed_member() {
     let out = run(&["compare", &old, new]);
     assert_exit(&out, 1, "a cell renamed on one side");
     let said = stdout(&out);
-    assert!(said.contains(&format!("{lbmhd} {{9 members}} -> absent")), "{said}");
-    assert!(said.contains("cells[LBMHD-2/8192x8192/Power3/P64] absent -> {9 members}"), "{said}");
+    assert!(said.contains(&format!("{lbmhd} {{8 members}} -> absent")), "{said}");
+    assert!(said.contains("cells[LBMHD-2/8192x8192/Power3/P64] absent -> {8 members}"), "{said}");
     assert!(said.contains("19 matched cells, 2 differences"), "{said}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

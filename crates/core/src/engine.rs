@@ -21,7 +21,7 @@ use pvs_netsim::collectives::{
     halo_exchange_3d_stats_faulted,
 };
 use pvs_netsim::topology::Network;
-use pvs_obs::{Recorder, SpanRecord};
+use pvs_obs::Recorder;
 use pvs_vectorsim::exec::{MemoryEnv, VectorUnit};
 use pvs_vectorsim::metrics::VectorMetrics;
 use std::sync::Arc;
@@ -35,12 +35,6 @@ const MAX_A2A_ROUNDS: usize = 24;
 /// Latency ratio of one-sided (CAF) to MPI semantics on hardware with a
 /// globally addressable memory (X1 measured: 3.9 µs vs 7.3 µs).
 const ONE_SIDED_LATENCY_RATIO: f64 = 3.9 / 7.3;
-
-/// Convert modelled seconds to the engine's span tick unit: simulated
-/// picoseconds. Purely a function of the model output — no host clocks.
-fn ticks(seconds: f64) -> u64 {
-    (seconds * 1e12).round() as u64
-}
 
 /// What a single loop phase produced: modelled seconds, the vector
 /// counters (vector machines only), the strip-mine loop count, and the
@@ -138,9 +132,9 @@ impl RunTally {
     }
 }
 
-/// An engine bound to one machine, optionally reporting counters and
-/// phase spans into a [`Recorder`], optionally running under injected
-/// hardware damage.
+/// An engine bound to one machine, optionally reporting counters,
+/// gauges and histograms into a [`Recorder`], optionally running under
+/// injected hardware damage.
 #[derive(Clone)]
 pub struct Engine {
     machine: Machine,
@@ -168,10 +162,10 @@ impl Engine {
         }
     }
 
-    /// Attach a recorder: every subsequent [`Engine::run`] opens a root
-    /// `run` span with one child span per phase (ticks are simulated
-    /// picoseconds) and emits `engine.*`, `vectorsim.*`, `memsim.bank.*`
-    /// and `netsim.*` counters.
+    /// Attach a recorder: every subsequent [`Engine::run`] emits
+    /// `engine.*`, `vectorsim.*`, `memsim.bank.*` and `netsim.*` counters
+    /// and histograms. Per-phase time is not recorded:
+    /// [`PerfReport::phases`] is that timeline.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -283,29 +277,6 @@ impl Engine {
         }
 
         if let Some(r) = rec {
-            // Whole phase tree in one batch: entry 0 is the root "run"
-            // span; every phase is its child. Phase boundaries are the
-            // same left-to-right sum of `seconds` that produced `time_s`,
-            // so the last child ends exactly where the root does.
-            let mut batch = Vec::with_capacity(breakdown.len() + 1);
-            batch.push(SpanRecord {
-                name: "run",
-                parent: None,
-                begin_ticks: 0,
-                end_ticks: ticks(time_s),
-            });
-            let mut end_s = 0.0;
-            batch.extend(breakdown.iter().map(|b| {
-                let begin_s = end_s;
-                end_s += b.seconds;
-                SpanRecord {
-                    name: b.name.as_str(),
-                    parent: Some(0),
-                    begin_ticks: ticks(begin_s),
-                    end_ticks: ticks(end_s),
-                }
-            }));
-            r.span_many(&batch);
             tally.flush(r, &metrics, self.machine.clock_mhz);
         }
 
@@ -785,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_reconstruct_the_phase_tree() {
+    fn phases_tile_the_run_exactly() {
         let phases = [
             lbmhd_like(),
             Phase::comm(
@@ -804,38 +775,20 @@ mod tests {
             .with_recorder(reg.clone())
             .run(&phases, 16);
 
-        let trace = reg.trace();
-        let roots = trace.roots();
-        assert_eq!(roots.len(), 1, "exactly one root span");
-        let root = trace.get(roots[0]).unwrap().clone();
-        assert_eq!(root.name, "run");
-        assert_eq!(root.begin_ticks, 0);
-        assert_eq!(root.end_ticks, Some(ticks(report.time_s)));
-
-        let children: Vec<_> = trace
-            .children(root.id)
-            .into_iter()
-            .map(|id| trace.get(id).unwrap().clone())
-            .collect();
-        let names: Vec<&str> = children.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["collision", "halo", "dgemm"], "phase order preserved");
-        for pair in children.windows(2) {
-            assert_eq!(
-                pair[0].end_ticks.unwrap(),
-                pair[1].begin_ticks,
-                "phases tile the run with no gaps"
-            );
-        }
+        let comm: Vec<bool> = report.phases.iter().map(|p| p.is_comm).collect();
+        assert_eq!(comm, [false, true, false]);
         // Same left-to-right sum on both sides: no rounding allowance.
-        assert_eq!(children.last().unwrap().end_ticks, root.end_ticks);
-        // Child durations tile the root span exactly.
-        let covered: u64 = children.iter().map(|e| e.duration_ticks().unwrap()).sum();
-        let drift = covered.abs_diff(root.duration_ticks().unwrap());
-        assert!(drift <= children.len() as u64, "rounding drift {drift}");
-        // No grandchildren: the engine's tree is exactly two levels.
-        for c in &children {
-            assert!(trace.children(c.id).is_empty());
+        let (mut time_s, mut comm_s) = (0.0, 0.0);
+        for p in &report.phases {
+            time_s += p.seconds;
+            if p.is_comm {
+                comm_s += p.seconds;
+            }
         }
+        assert_eq!(time_s, report.time_s, "phases tile the run with no gaps");
+        assert_eq!(comm_s, report.comm_s);
         assert_eq!(reg.counter("engine.phases"), 3);
         assert_eq!(reg.counter("engine.loop.phases"), 2);
         assert_eq!(reg.counter("engine.comm.phases"), 1);

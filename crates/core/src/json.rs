@@ -8,13 +8,26 @@
 //! lines back into memory. Object members are kept as an ordered
 //! `Vec<(String, Value)>` so a parse → re-render round trip preserves
 //! the writer's stable key order (no hash containers; PVS005).
-//!
-//! String escaping is [`pvs_obs::span::escape_json`], shared with the
-//! span JSONL dump — the one escape function in the tree.
+//! [`escape`] is the one string-escape function in the tree.
 
 use crate::report::PerfReport;
 
-pub use pvs_obs::span::escape_json as escape;
+/// Minimal JSON string escaping: quotes, backslashes, control chars.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Render a finite number (JSON has no NaN/Inf; they become null).
 pub fn number(x: f64) -> String {
@@ -473,6 +486,8 @@ mod tests {
             let rendered = JsonObject::new().string("s", &s).render();
             assert_eq!(parse(&rendered).unwrap().str("s"), Some(s.as_str()), "{rendered}");
         }
+        assert_eq!(escape("a\tb\nc"), "a\\tb\\nc");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 // What pvs-obs must never become: a recorder that consults host clocks.
-// Span ticks are opaque caller-supplied values (the engine passes
-// simulated picoseconds); the moment the observability layer reaches for
+// Recorded values are opaque and caller-supplied (the engine passes
+// simulated quantities); the moment the observability layer reaches for
 // Instant or SystemTime, counters stop being a pure function of the
 // simulated inputs and PVS003 fires.
 

@@ -1,18 +1,17 @@
 //! # pvs-obs — observability for the simulation stack
 //!
 //! A zero-external-dep layer the simulators report into: named monotonic
-//! counters, gauges, and deterministic log2-bucketed [`Histogram`]s, plus
-//! lightweight span tracing with parent linkage, all behind the
-//! [`Recorder`] trait. The engine, thread pool, and
+//! counters, gauges, and deterministic log2-bucketed [`Histogram`]s, all
+//! behind the [`Recorder`] trait. The engine, thread pool, and
 //! memory/network/vector simulators call `Recorder` methods; a [`Registry`]
-//! collects everything for one run and renders it as sorted counter lists
-//! or a JSONL trace.
+//! collects everything for one run and snapshots it as sorted lists.
+//! Per-phase model time is not recorded here: `PerfReport::phases`
+//! already is that timeline.
 //!
 //! Two design rules keep the repo's invariants intact:
 //!
-//! * **No host clocks.** This crate records only *simulated* quantities
-//!   and opaque caller-supplied tick values (the engine uses simulated
-//!   picoseconds). Host wall-clock timing lives exclusively in
+//! * **No host clocks.** This crate records only *simulated* or
+//!   caller-defined quantities. Host wall-clock timing lives exclusively in
 //!   `pvs-bench`, where lint PVS003 permits it.
 //! * **Deterministic iteration.** Counter and gauge storage is a
 //!   `BTreeMap`, so every dump is sorted by name and byte-identical
@@ -25,9 +24,7 @@
 pub mod hist;
 pub mod recorder;
 pub mod registry;
-pub mod span;
 
 pub use hist::{HistSummary, Histogram};
-pub use recorder::{NullRecorder, Recorder};
+pub use recorder::Recorder;
 pub use registry::{Kind, Registry, Snapshot};
-pub use span::{SpanEvent, SpanId, SpanRecord, TraceBuffer};

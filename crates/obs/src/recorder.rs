@@ -1,16 +1,11 @@
-//! The [`Recorder`] trait the simulators report into, plus the no-op
-//! implementation used when observability is off.
+//! The [`Recorder`] trait the simulators report into.
 
-use crate::span::{SpanId, SpanRecord};
-
-/// Sink for observability data. Implemented by [`crate::Registry`] (which
-/// stores everything) and [`NullRecorder`] (which drops everything);
+/// Sink for observability data, implemented by [`crate::Registry`];
 /// simulators take `&dyn Recorder` so instrumentation costs one virtual
 /// call when enabled and nothing structural when not wired at all.
 ///
 /// All quantities are simulated or caller-defined — implementations must
-/// not consult host clocks (`tick` arguments are opaque; the engine
-/// passes simulated picoseconds).
+/// not consult host clocks.
 pub trait Recorder: Send + Sync {
     /// Add `delta` to the named monotonic counter (creating it at 0).
     fn add(&self, name: &str, delta: u64);
@@ -22,14 +17,6 @@ pub trait Recorder: Send + Sync {
     /// marks: peak queue depth, widest strip).
     fn gauge_max(&self, name: &str, value: u64);
 
-    /// Open a span named `name` under `parent` at `begin_ticks`; returns
-    /// the id to close it with (implementations that drop trace data
-    /// return [`SpanId::NULL`]).
-    fn span_begin(&self, name: &str, parent: Option<SpanId>, begin_ticks: u64) -> SpanId;
-
-    /// Close the span `id` at `end_ticks`.
-    fn span_end(&self, id: SpanId, end_ticks: u64);
-
     /// Add several counter increments at once. Semantically identical to
     /// calling [`Recorder::add`] per entry; lock-based implementations
     /// override this to batch the whole slice under one acquisition, which
@@ -38,16 +25,6 @@ pub trait Recorder: Send + Sync {
         for (name, delta) in entries {
             self.add(name, *delta);
         }
-    }
-
-    /// Record an already-finished span in one call — equivalent to
-    /// [`Recorder::span_begin`] immediately followed by
-    /// [`Recorder::span_end`]. The engine times a phase first and records
-    /// it after, so this is its hot path.
-    fn span(&self, name: &str, parent: Option<SpanId>, begin_ticks: u64, end_ticks: u64) -> SpanId {
-        let id = self.span_begin(name, parent, begin_ticks);
-        self.span_end(id, end_ticks);
-        id
     }
 
     /// Record `count` occurrences of `value` into the named histogram
@@ -69,59 +46,5 @@ pub trait Recorder: Send + Sync {
         for (name, value, count) in entries {
             self.record_n(name, *value, *count);
         }
-    }
-
-    /// Record a batch of finished spans in one call — a whole phase tree
-    /// at once. Entry order is preserved; each entry's `parent` refers to
-    /// an earlier entry of the same batch. Semantically equivalent to
-    /// calling [`Recorder::span`] per entry; lock-based implementations
-    /// override it to take their lock once.
-    fn span_many(&self, spans: &[SpanRecord<'_>]) {
-        let mut ids: Vec<SpanId> = Vec::with_capacity(spans.len());
-        for (i, s) in spans.iter().enumerate() {
-            let parent = s.parent.filter(|&p| p < i).map(|p| ids[p]);
-            ids.push(self.span(s.name, parent, s.begin_ticks, s.end_ticks));
-        }
-    }
-}
-
-/// Drops everything. Useful as a default and for measuring the dispatch
-/// overhead of instrumentation alone.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn add(&self, _name: &str, _delta: u64) {}
-    fn gauge_set(&self, _name: &str, _value: u64) {}
-    fn gauge_max(&self, _name: &str, _value: u64) {}
-    fn record_n(&self, _name: &str, _value: u64, _count: u64) {}
-    fn span_begin(&self, _name: &str, _parent: Option<SpanId>, _begin_ticks: u64) -> SpanId {
-        SpanId::NULL
-    }
-    fn span_end(&self, _id: SpanId, _end_ticks: u64) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_recorder_is_inert() {
-        let r = NullRecorder;
-        r.add("test.x", 5);
-        r.gauge_set("test.g", 1);
-        r.gauge_max("test.g", 2);
-        r.record("test.h", 7);
-        r.record_n("test.h", 7, 3);
-        r.record_many(&[("test.h", 1, 1)]);
-        let s = r.span_begin("s", None, 0);
-        assert!(s.is_null());
-        r.span_end(s, 10);
-    }
-
-    #[test]
-    fn trait_object_safe() {
-        let r: &dyn Recorder = &NullRecorder;
-        r.add("via.dyn", 1);
     }
 }

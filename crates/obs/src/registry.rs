@@ -1,5 +1,5 @@
-//! The [`Registry`]: a thread-safe store of one run's counters, gauges,
-//! and trace.
+//! The [`Registry`]: a thread-safe store of one run's counters, gauges
+//! and histograms.
 //!
 //! One registry per observed run keeps parallel sweeps isolated: each
 //! sweep cell builds its own registry inside the pool closure, so cells
@@ -12,7 +12,6 @@ use std::sync::Mutex;
 
 use crate::hist::Histogram;
 use crate::recorder::Recorder;
-use crate::span::{SpanId, TraceBuffer};
 
 /// What a snapshot entry *is*, which fixes how deltas treat it:
 /// counters and histograms accumulate and subtract; gauges are
@@ -110,7 +109,6 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     hists: BTreeMap<String, Histogram>,
-    trace: TraceBuffer,
 }
 
 /// Thread-safe recorder that stores everything it is handed.
@@ -118,7 +116,7 @@ struct Inner {
 pub struct Registry {
     // LOCK ORDER: 30 — innermost of the cross-crate request path:
     // recorder calls are made under serve's flight map (tier 10), and
-    // registry holders call nothing but BTreeMap/TraceBuffer methods.
+    // registry holders call nothing but BTreeMap/Histogram methods.
     inner: Mutex<Inner>,
 }
 
@@ -158,16 +156,6 @@ impl Registry {
             hists: inner.hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         }
     }
-
-    /// Copy of the span trace recorded so far.
-    pub fn trace(&self) -> TraceBuffer {
-        self.lock_inner().trace.clone()
-    }
-
-    /// JSONL rendering of the span trace (see [`TraceBuffer::to_jsonl`]).
-    pub fn trace_jsonl(&self) -> String {
-        self.lock_inner().trace.to_jsonl()
-    }
 }
 
 impl Recorder for Registry {
@@ -193,14 +181,6 @@ impl Recorder for Registry {
                 inner.gauges.insert(name.to_string(), value);
             }
         }
-    }
-
-    fn span_begin(&self, name: &str, parent: Option<SpanId>, begin_ticks: u64) -> SpanId {
-        self.lock_inner().trace.begin(name, parent, begin_ticks)
-    }
-
-    fn span_end(&self, id: SpanId, end_ticks: u64) {
-        self.lock_inner().trace.end(id, end_ticks);
     }
 
     fn record_n(&self, name: &str, value: u64, count: u64) {
@@ -244,24 +224,6 @@ impl Recorder for Registry {
                     inner.counters.insert((*name).to_string(), *delta);
                 }
             }
-        }
-    }
-
-    fn span(&self, name: &str, parent: Option<SpanId>, begin_ticks: u64, end_ticks: u64) -> SpanId {
-        let mut inner = self.lock_inner();
-        let id = inner.trace.begin(name, parent, begin_ticks);
-        inner.trace.end(id, end_ticks);
-        id
-    }
-
-    fn span_many(&self, spans: &[crate::span::SpanRecord<'_>]) {
-        let mut inner = self.lock_inner();
-        let mut ids: Vec<SpanId> = Vec::with_capacity(spans.len());
-        for (i, s) in spans.iter().enumerate() {
-            let parent = s.parent.filter(|&p| p < i).map(|p| ids[p]);
-            let id = inner.trace.begin(s.name, parent, s.begin_ticks);
-            inner.trace.end(id, s.end_ticks);
-            ids.push(id);
         }
     }
 }
@@ -324,19 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_flow_into_trace() {
-        let r = Registry::new();
-        let run = r.span_begin("run", None, 0);
-        let ph = r.span_begin("phase", Some(run), 2);
-        r.span_end(ph, 8);
-        r.span_end(run, 10);
-        let t = r.trace();
-        assert_eq!(t.roots(), vec![run]);
-        assert_eq!(t.children(run), vec![ph]);
-        assert!(r.trace_jsonl().contains("\"name\":\"phase\""));
-    }
-
-    #[test]
     fn batched_paths_match_the_one_call_paths() {
         let a = Registry::new();
         a.add("test.x", 1);
@@ -345,13 +294,6 @@ mod tests {
         let b = Registry::new();
         b.add_many(&[("test.x", 1), ("test.y", 2), ("test.x", 3)]);
         assert_eq!(a.snapshot(), b.snapshot());
-
-        let root = b.span_begin("run", None, 0);
-        let ph = b.span("phase", Some(root), 2, 8);
-        b.span_end(root, 10);
-        let t = b.trace();
-        assert_eq!(t.children(root), vec![ph]);
-        assert_eq!(t.get(ph).unwrap().duration_ticks(), Some(6));
     }
 
     #[test]

@@ -610,7 +610,13 @@ impl CellStore {
                     if job_key.contains(&spec.key_substring)
                         && store.panics_so_far(&job_key) < spec.times
                     {
-                        panic!("injected panic for key {job_key}");
+                        // `resume_unwind` skips the panic hook: a planned
+                        // panic unwinds like a real one but prints nothing,
+                        // so no caller has to silence the process-global
+                        // hook (and a genuine panic still reports).
+                        std::panic::resume_unwind(Box::new(format!(
+                            "injected panic for key {job_key}"
+                        )));
                     }
                 }
                 let mut engine = Engine::new(resolved.machine);
@@ -652,20 +658,6 @@ mod tests {
 
     fn store(options: StoreOptions) -> Arc<CellStore> {
         Arc::new(CellStore::new(options))
-    }
-
-    /// The panic hook is process-global; tests that silence it while
-    /// injecting panics serialize here so a concurrent test's restore
-    /// can't interleave with another's install.
-    static HOOK_GUARD: Mutex<()> = Mutex::new(());
-
-    fn with_silent_panics<T>(f: impl FnOnce() -> T) -> T {
-        let _guard = HOOK_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // keep injected panics off stderr
-        let out = f();
-        std::panic::set_hook(hook);
-        out
     }
 
     fn lbmhd() -> Request {
@@ -928,9 +920,7 @@ mod tests {
             panic_inject: Some(PanicSpec { key_substring: key.clone(), times: u32::MAX }),
             ..Default::default()
         });
-        let (first, second) = with_silent_panics(|| {
-            (s.get(&lbmhd()).unwrap_err(), s.get(&lbmhd()).unwrap_err())
-        });
+        let (first, second) = (s.get(&lbmhd()).unwrap_err(), s.get(&lbmhd()).unwrap_err());
         assert!(matches!(first, ServeError::Internal(_)), "{first:?}");
         assert!(matches!(second, ServeError::Internal(_)), "{second:?}");
         // The key is now retired: served structurally, no more sim runs.
@@ -944,6 +934,45 @@ mod tests {
         assert!(s.get(&Request::cell("GTC", "100 part/cell", "ES", 64)).is_ok());
     }
 
+    /// Planned panics unwind through `resume_unwind`, which never runs
+    /// the panic hook — so neither these tests nor `servechaos` touch the
+    /// process-global hook, and a genuine panic still reports. A probe
+    /// that forwards everything but its own two markers sees the genuine
+    /// panic and none of the injected ones.
+    #[test]
+    fn injected_panics_bypass_the_panic_hook_and_genuine_ones_do_not() {
+        const GENUINE: &str = "probe: a genuine panic";
+        let planned = Arc::new(AtomicU64::new(0));
+        let genuine = Arc::new(AtomicU64::new(0));
+        let previous = Arc::new(std::panic::take_hook());
+        std::panic::set_hook({
+            let (planned, genuine, previous) = (planned.clone(), genuine.clone(), previous.clone());
+            Box::new(move |info| match info.payload_as_str() {
+                Some(message) if message.contains("injected panic") => {
+                    planned.fetch_add(1, Ordering::SeqCst);
+                }
+                Some(GENUINE) => {
+                    genuine.fetch_add(1, Ordering::SeqCst);
+                }
+                _ => previous(info),
+            })
+        });
+        let s = store(StoreOptions {
+            threads: 1,
+            panic_inject: Some(PanicSpec { key_substring: lbmhd().key_hash(), times: 1 }),
+            ..Default::default()
+        });
+        let injected = s.get(&lbmhd());
+        let caught = std::panic::catch_unwind(|| panic!("{GENUINE}"));
+        drop(std::panic::take_hook());
+        std::panic::set_hook(Arc::into_inner(previous).expect("the probe was the other owner"));
+        assert!(matches!(injected, Err(ServeError::Internal(_))), "{injected:?}");
+        assert!(caught.is_err());
+        assert_eq!(s.registry().counter("serve.sim.panics"), 1);
+        assert_eq!(planned.load(Ordering::SeqCst), 0, "a planned panic reached the hook");
+        assert_eq!(genuine.load(Ordering::SeqCst), 1, "a genuine panic did not");
+    }
+
     #[test]
     fn followers_redrive_past_a_panicked_leader_and_recover() {
         let key = lbmhd().key_hash();
@@ -953,16 +982,14 @@ mod tests {
             panic_inject: Some(PanicSpec { key_substring: key, times: 1 }),
             ..Default::default()
         });
-        let results: Vec<Result<CellResponse, ServeError>> = with_silent_panics(|| {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        let s = Arc::clone(&s);
-                        scope.spawn(move || s.get(&lbmhd()))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
+        let results: Vec<Result<CellResponse, ServeError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let s = Arc::clone(&s);
+                    scope.spawn(move || s.get(&lbmhd()))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         // Exactly one caller led the panicking flight and got the
         // structured internal error; everyone else recovered (re-drive

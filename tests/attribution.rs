@@ -8,7 +8,8 @@ use pvs::analyze::chrome::{to_chrome_trace, validate_chrome_trace};
 use pvs::analyze::sentinel::compare_docs;
 use pvs::analyze::{findings, profiledoc};
 use pvs::core::json::{parse, Value};
-use pvs_bench::profile::{run_profile, smoke_cells, ProfileOptions};
+use pvs_bench::chaos::{run_chaos, scenarios};
+use pvs_bench::profile::{paper_cells, run_profile, smoke_cells, ProfileOptions};
 
 fn quick_options() -> ProfileOptions {
     ProfileOptions {
@@ -83,16 +84,32 @@ fn member_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
 }
 
 /// Every committed baseline compared against itself is the gate's
-/// identity case: all cells matched, no difference.
+/// identity case: all cells matched, no difference. The two pure-model
+/// baselines are also held against a fresh run — a stale committed file
+/// fails here, not only in the command gate (the socket and
+/// 131 072-rank harnesses stay there).
 #[test]
 fn sentinel_passes_the_committed_baseline_against_itself() {
-    for stem in ["sweep", "chaos", "servechaos", "mpisim", "serve"] {
+    let fresh_sweep = run_profile(paper_cells(), quick_options()).to_json();
+    let fresh_chaos = run_chaos(&paper_cells(), &scenarios(), 1)
+        .expect("resilience invariants hold")
+        .to_json();
+    for (stem, fresh) in [
+        ("sweep", Some(fresh_sweep)),
+        ("chaos", Some(fresh_chaos)),
+        ("servechaos", None),
+        ("mpisim", None),
+        ("serve", None),
+    ] {
         let doc = committed_baseline(stem);
         let cells = doc.get("cells").and_then(Value::as_array).unwrap().len();
         assert!(cells > 0, "{stem}");
-        let cmp = compare_docs(&doc, &doc);
-        assert!(cmp.equal(), "{stem}: {:?}", cmp.differences);
-        assert_eq!(cmp.matched_cells, cells, "{stem}");
+        let fresh = fresh.map(|text| parse(&text).expect("fresh document parses"));
+        for new in [Some(&doc), fresh.as_ref()].into_iter().flatten() {
+            let cmp = compare_docs(&doc, new);
+            assert!(cmp.equal(), "{stem}: {:?}", cmp.differences);
+            assert_eq!(cmp.matched_cells, cells, "{stem}");
+        }
     }
 }
 
@@ -122,22 +139,28 @@ fn sentinel_catches_a_synthetic_model_time_regression() {
     }
 }
 
-/// Every cell's trace exports to a schema-valid Chrome trace-event
-/// document whose timestamps are the engine's simulated picoseconds.
+/// Every cell's `model.phases` renders to a schema-valid Chrome
+/// trace-event document whose timestamps are simulated picoseconds.
 #[test]
 fn exported_chrome_traces_validate_for_every_smoke_cell() {
-    let out = run_profile(smoke_cells(), quick_options());
-    for c in &out.cells {
-        let label = format!("{}/{}/P{}", c.cell.app, c.cell.machine, c.cell.procs);
-        let doc = to_chrome_trace(&c.trace, &label);
-        let events = validate_chrome_trace(&doc)
+    for c in &smoke_doc().cells {
+        let label = c.key();
+        let text = to_chrome_trace(&c.model, &label);
+        let events = validate_chrome_trace(&text)
             .unwrap_or_else(|e| panic!("{label}: invalid chrome trace: {e}"));
-        assert_eq!(events, c.trace.events().len(), "{label}");
-        // The root "run" span covers the whole modelled runtime in
-        // simulated picoseconds.
-        let run = c.trace.events().first().expect("root span");
-        let expect_ps = (c.report.time_s * 1e12).round() as u64;
-        assert_eq!(run.name, "run");
-        assert_eq!(run.end_ticks, Some(expect_ps), "{label}");
+        assert_eq!(events, c.model.phases.len() + 1, "{label}");
+        // The "run" event covers the whole modelled runtime in simulated
+        // picoseconds, and the last phase ends where it does.
+        let trace = parse(&text).unwrap();
+        let events = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+        let (run, last) = (&events[0], events.last().unwrap());
+        assert_eq!(run.str("name"), Some("run"));
+        assert_eq!(run.num("ts"), Some(0.0));
+        assert_eq!(run.num("dur"), Some((c.model.time_s * 1e12).round()), "{label}");
+        assert_eq!(
+            last.num("ts").unwrap() + last.num("dur").unwrap(),
+            run.num("dur").unwrap(),
+            "{label}"
+        );
     }
 }
