@@ -60,18 +60,6 @@ pub fn serialization_penalty(machine: &Machine) -> Option<f64> {
     }
 }
 
-/// The serialization penalty the execution model actually produces — the
-/// nominal ratio corrected for scalar-unit efficiency and vector startup
-/// (see `VectorUnitConfig::effective_serialization_penalty`). Engine
-/// slowdowns are checked against the closed form at *this* penalty; the
-/// paper-facing decomposition keeps the nominal 8:1 / 32:1.
-pub fn effective_penalty(machine: &Machine) -> Option<f64> {
-    match &machine.cpu {
-        CpuClass::Vector { unit, .. } => Some(unit.effective_serialization_penalty()),
-        CpuClass::Superscalar { .. } => None,
-    }
-}
-
 /// Decompose a cell. `None` on superscalar machines (no scalar/vector
 /// split exists) and when the cell carries neither `vectorsim.*`
 /// counters nor model AVL/VOR (nothing to attribute).
@@ -107,16 +95,6 @@ pub fn decompose(cell: &ProfileCell, machine: &Machine) -> Option<AmdahlDecompos
         scalar_time_fraction: scalar_weight / total,
         predicted_unvectorized_slowdown: closed_form_slowdown(vor, penalty),
     })
-}
-
-/// Relative disagreement between a measured slowdown (e.g. the engine run
-/// with the unvectorized variant divided by the vectorized run) and the
-/// closed-form bound. The model-lint tolerance (5%) is a good threshold
-/// for compute-bound loops; memory-bound loops legitimately fall short of
-/// the bound because the scalar unit still waits on the same memory.
-pub fn bound_disagreement(measured_slowdown: f64, vor: f64, penalty: f64) -> f64 {
-    let bound = closed_form_slowdown(vor, penalty);
-    (measured_slowdown - bound).abs() / bound
 }
 
 #[cfg(test)]
@@ -197,18 +175,23 @@ mod tests {
         };
         for machine in [platforms::earth_simulator(), platforms::x1()] {
             let nominal = serialization_penalty(&machine).unwrap();
-            let effective = effective_penalty(&machine).unwrap();
+            // What the execution model actually produces: the nominal
+            // ratio corrected for scalar-unit efficiency and vector startup.
+            let CpuClass::Vector { unit, .. } = &machine.cpu else {
+                unreachable!("{} is a vector machine", machine.name)
+            };
+            let effective = unit.effective_serialization_penalty();
             let engine = Engine::new(machine.clone());
             let vectorized = engine.run(&[loop_of(VectorizationInfo::full())], 4);
             let scalar = engine.run(&[loop_of(VectorizationInfo::scalar())], 4);
             let measured = scalar.time_s / vectorized.time_s;
             let vor = vectorized.vector_metrics.unwrap().vor();
-            let disagreement = bound_disagreement(measured, vor, effective);
+            let bound = closed_form_slowdown(vor, effective);
+            let disagreement = (measured - bound).abs() / bound;
             assert!(
                 disagreement < 0.05,
-                "{}: measured {measured:.2}x vs closed-form {:.2}x ({:.0}% off)",
+                "{}: measured {measured:.2}x vs closed-form {bound:.2}x ({:.0}% off)",
                 machine.name,
-                closed_form_slowdown(vor, effective),
                 100.0 * disagreement
             );
             assert!(

@@ -27,15 +27,15 @@
 use crate::profile::{observed_run, CellProfile, ProfileOutput, SweepCell};
 use pvs_analyze::bottleneck::Bottleneck;
 use pvs_analyze::{findings, profiledoc};
-use pvs_core::checkpoint::SweepCheckpoint;
 use pvs_core::engine::Engine;
 use pvs_core::pool::ThreadPool;
-use pvs_core::report::PerfReport;
+use pvs_core::report::{PerfReport, PhaseBreakdown};
 use pvs_fault::{FaultKind, FaultPlan};
 use pvs_mpisim::fault::{run_faulty, total_fault_stats, FaultSpec, FaultStats};
 use pvs_netsim::Network;
 use pvs_obs::{Recorder, Registry};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{Debug, Display};
 
 /// One named fault scenario: what breaks, and which machines it applies
 /// to.
@@ -240,14 +240,66 @@ fn cell_key(c: &SweepCell) -> String {
     format!("{}/{}/P{}", c.app, c.machine, c.procs)
 }
 
-/// Bit-exact fingerprint of a report list, via the checkpoint format
-/// (f64s serialize as raw bits, so equal fingerprints mean equal runs).
-fn fingerprint(reports: &[PerfReport]) -> String {
-    let mut cp = SweepCheckpoint::new(reports.len());
-    for (i, r) in reports.iter().enumerate() {
-        cp.record(i, r.clone());
+/// Whether two runs of one cell are the same report, bit for bit; if
+/// not, the first member they differ on as `field: left vs right`, an
+/// `f64` as its bit pattern beside its value. Reports and phases are
+/// destructured exhaustively, so a new member does not compile until it
+/// is compared here.
+fn same_report(a: &PerfReport, b: &PerfReport) -> Result<(), String> {
+    fn exact<T: PartialEq + Debug>(field: impl Display, a: T, b: T) -> Result<(), String> {
+        if a == b {
+            return Ok(());
+        }
+        Err(format!("{field}: {a:?} vs {b:?}"))
     }
-    cp.serialize()
+    fn bits(field: impl Display, a: f64, b: f64) -> Result<(), String> {
+        if a.to_bits() == b.to_bits() {
+            return Ok(());
+        }
+        Err(format!("{field}: {:#018x} ({a:e}) vs {:#018x} ({b:e})", a.to_bits(), b.to_bits()))
+    }
+    let PerfReport {
+        machine,
+        procs,
+        time_s,
+        comm_s,
+        flops_per_p,
+        gflops_per_p,
+        pct_peak,
+        vector_metrics,
+        phases,
+    } = a;
+    exact("machine", machine, &b.machine)?;
+    exact("procs", procs, &b.procs)?;
+    bits("time_s", *time_s, b.time_s)?;
+    bits("comm_s", *comm_s, b.comm_s)?;
+    bits("flops_per_p", *flops_per_p, b.flops_per_p)?;
+    bits("gflops_per_p", *gflops_per_p, b.gflops_per_p)?;
+    bits("pct_peak", *pct_peak, b.pct_peak)?;
+    // Integer counters: derived equality covers every one of them.
+    exact("vector_metrics", vector_metrics, &b.vector_metrics)?;
+    exact("phases.len", phases.len(), b.phases.len())?;
+    for (i, (x, y)) in phases.iter().zip(&b.phases).enumerate() {
+        let PhaseBreakdown { name, seconds, flops, is_comm } = x;
+        exact(format_args!("phases[{i}].name"), name, &y.name)?;
+        bits(format_args!("phases[{i}].seconds"), *seconds, y.seconds)?;
+        bits(format_args!("phases[{i}].flops"), *flops, y.flops)?;
+        exact(format_args!("phases[{i}].is_comm"), is_comm, &y.is_comm)?;
+    }
+    Ok(())
+}
+
+/// The first cell and member on which two passes over `cells` differ, as
+/// `app/machine/P field: left vs right`; `None` when every report of one
+/// is bit-equal to its counterpart in the other.
+fn first_divergence(cells: &[SweepCell], left: &[PerfReport], right: &[PerfReport]) -> Option<String> {
+    if left.len() != right.len() {
+        return Some(format!("{} reports vs {}", left.len(), right.len()));
+    }
+    cells.iter().zip(left).zip(right).find_map(|((cell, l), r)| {
+        let field = same_report(l, r).err()?;
+        Some(format!("{} {field}", cell_key(cell)))
+    })
 }
 
 /// The message-runtime workload each comm-fault scenario must survive: a
@@ -325,10 +377,10 @@ pub fn run_chaos(
         let retired = pool_reg.counter("pool.workers.retired");
 
         // Invariant: degraded results are thread-schedule independent.
-        if fingerprint(&serial_reports) != fingerprint(&pooled_reports) {
+        if let Some(at) = first_divergence(&cells, &serial_reports, &pooled_reports) {
             return Err(format!(
-                "scenario {}: pooled degraded sweep diverged from the serial pass \
-                 ({} threads, {} retirements)",
+                "scenario {}: pooled degraded sweep diverged from the serial pass at {at} \
+                 (serial vs pooled; {} threads, {} retirements)",
                 scenario.name,
                 threads,
                 retirements.len()
@@ -472,59 +524,6 @@ fn check_bisection_shift(
     Ok(())
 }
 
-/// Mid-sweep kill + restart under faults: run the degraded bank-fault
-/// cells to completion as a reference, then re-run with a kill after the
-/// first half — serializing the sweep checkpoint to text and parsing it
-/// back, as a fresh process would — and require the resumed sweep to be
-/// bit-identical to the uninterrupted one. Returns a human-readable
-/// summary on success.
-pub fn checkpoint_roundtrip_check(threads: usize) -> Result<String, String> {
-    let scenario = scenarios()
-        .into_iter()
-        .find(|s| s.name == "bank-fault")
-        .ok_or("no bank-fault scenario")?;
-    let adversity = scenario.plan.compile_all().adversity;
-    let cells: Vec<SweepCell> = crate::profile::smoke_cells()
-        .into_iter()
-        .filter(|c| scenario.machines.contains(&c.machine))
-        .collect();
-    if cells.len() < 2 {
-        return Err("checkpoint check needs at least two cells".into());
-    }
-    let run_cell = |cell: &SweepCell| degraded_run(cell, &adversity);
-
-    // Uninterrupted reference, through the pool.
-    let adversity_for_pool = adversity.clone();
-    let reference: Vec<PerfReport> = ThreadPool::new(threads)
-        .map(cells.clone(), move |cell| degraded_run(&cell, &adversity_for_pool));
-
-    // Interrupted run: complete the first half, "kill" the process by
-    // serializing the checkpoint, parse it back, finish the rest.
-    let half = cells.len() / 2;
-    let mut first = SweepCheckpoint::new(cells.len());
-    for (i, cell) in cells.iter().take(half).enumerate() {
-        first.record(i, run_cell(cell));
-    }
-    let wire = first.serialize();
-    let mut resumed = SweepCheckpoint::parse(&wire)
-        .map_err(|e| format!("checkpoint did not survive the wire: {e}"))?;
-    for (i, cell) in cells.iter().enumerate().skip(half) {
-        resumed.record(i, run_cell(cell));
-    }
-    let finished = resumed
-        .reports_in_order()
-        .ok_or("resumed checkpoint is incomplete")?;
-
-    if fingerprint(&reference) != fingerprint(&finished) {
-        return Err("resumed sweep diverged from the uninterrupted run".into());
-    }
-    Ok(format!(
-        "checkpoint/restart identity holds: {} degraded cells, killed after {half}, \
-         resumed bit-identically ({threads}-thread reference)",
-        cells.len()
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,9 +590,31 @@ mod tests {
     }
 
     #[test]
-    fn degraded_checkpoint_roundtrip_holds() {
-        let summary = checkpoint_roundtrip_check(2).expect("identity holds");
-        assert!(summary.contains("bit-identically"));
+    fn a_one_unit_divergence_names_its_cell_and_member() {
+        let cells: Vec<SweepCell> =
+            smoke_cells().into_iter().filter(|c| c.machine == "ES").collect();
+        let healthy = pvs_core::Adversity::healthy();
+        let serial: Vec<PerfReport> = cells.iter().map(|c| degraded_run(c, &healthy)).collect();
+        assert_eq!(first_divergence(&cells, &serial, &serial), None);
+
+        let last = cells.len() - 1;
+        let key = cell_key(&cells[last]);
+        // (one member of the last cell's report moved by one unit, what the check must name)
+        type Mutation = fn(&mut PerfReport);
+        let mutations: [(Mutation, &str); 4] = [
+            (|r| r.flops_per_p = f64::from_bits(r.flops_per_p.to_bits() + 1), "flops_per_p: 0x"),
+            (|r| r.vector_metrics.as_mut().unwrap().scalar_ops += 1, "vector_metrics: Some("),
+            (|r| r.phases[0].seconds = -r.phases[0].seconds, "phases[0].seconds: 0x"),
+            (|r| { r.phases.pop(); }, "phases.len: "),
+        ];
+        for (mutate, names) in mutations {
+            let mut pooled = serial.clone();
+            mutate(&mut pooled[last]);
+            let at = first_divergence(&cells, &serial, &pooled).expect("a divergence");
+            assert!(at.starts_with(&format!("{key} {names}")), "{at}");
+        }
+        let short = first_divergence(&cells, &serial, &serial[..last]).expect("a divergence");
+        assert_eq!(short, format!("{} reports vs {last}", cells.len()));
     }
 
     #[test]

@@ -347,7 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn cell_counters_are_thread_count_independent() {
+    fn cell_snapshots_are_thread_count_independent() {
+        // `record_many` batches land atomically under one registry lock,
+        // so the exact bucket contents of every histogram — not just the
+        // summaries — must match at any worker count.
         let serial = run_profile(
             smoke_cells(),
             ProfileOptions {
@@ -364,40 +367,8 @@ mod tests {
         );
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.snapshot, b.snapshot, "{} {}", a.cell.app, a.cell.machine);
-        }
-    }
-
-    #[test]
-    fn hist_buckets_are_thread_count_independent_and_nonempty() {
-        // `record_many` batches land atomically under one registry lock,
-        // so the exact bucket contents — not just the summaries — must
-        // match at any worker count.
-        let serial = run_profile(
-            smoke_cells(),
-            ProfileOptions {
-                threads: 1,
-                ..quick_options()
-            },
-        );
-        let parallel = run_profile(
-            smoke_cells(),
-            ProfileOptions {
-                threads: 8,
-                ..quick_options()
-            },
-        );
-        let buckets = |c: &CellProfile| -> Vec<(String, Vec<(u64, u64)>)> {
-            c.snapshot
-                .hists
-                .iter()
-                .map(|(name, h)| (name.clone(), h.nonzero_buckets()))
-                .collect()
-        };
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-            let (ba, bb) = (buckets(a), buckets(b));
-            assert_eq!(ba, bb, "{} {}", a.cell.app, a.cell.machine);
             assert!(
-                ba.iter().any(|(_, nz)| !nz.is_empty()),
+                a.snapshot.hists.iter().any(|(_, h)| !h.is_empty()),
                 "{} {} has populated model histograms",
                 a.cell.app,
                 a.cell.machine

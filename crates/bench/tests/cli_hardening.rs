@@ -124,7 +124,9 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["serve_load", "--inline", "--smoke"],
     &["chaos", "--bogus"],
     &["chaos", "--threads", "none"],
-    &["chaos", "--verify-checkpoint"],
+    // Retired with the sweep checkpoint: no command wrote the format.
+    &["chaos", "--checkpoint-check"],
+    &["chaos", "--verify-checkpoint", "x.ck"],
     &["servechaos", "--bogus"],
     &["servechaos", "--threads", "zero"],
     &["servechaos", "--threads", "0"],
@@ -390,55 +392,41 @@ fn fig3_pgm_writes_the_image_into_the_working_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The rule in `pvs_core::schema`, run: an identifier stays registered
+/// only while something still writes it, so each one is looked for in
+/// bytes its writer has just produced.
 #[test]
-fn chaos_verify_checkpoint_accepts_valid_rejects_damaged() {
-    use pvs_core::checkpoint::SweepCheckpoint;
-    let dir = scratch_dir("chaos_verify");
-    let doc = SweepCheckpoint::new(3).serialize();
-    let unsealed: String = doc
-        .lines()
-        .filter(|l| !l.starts_with("sum "))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    // (file, contents if written, exit code, what the output must say)
-    let cases = [
-        // Missing file: unreadable input, not malformed.
-        ("never-written.ck", None, 3, "cannot read"),
-        // The intact document verifies clean and names the progress.
-        ("valid.ck", Some(doc.clone()), 0, "0 of 3 cells"),
-        // Byte truncation: the checksum (or structure) no longer holds.
-        ("trunc.ck", Some(doc[..doc.len() - 9].to_string()), 4, "failed verification"),
-        // A single flipped digit inside a record: caught by the FNV seal.
-        ("flipped.ck", Some(doc.replace("total 3", "total 7")), 4, "checksum"),
-        // The seal is mandatory: an otherwise valid document with its
-        // `sum` line stripped does not verify.
-        ("unsealed.ck", Some(unsealed), 4, "integrity line"),
-        // The retired mid-run checkpoint format: a version this build
-        // does not read.
-        (
-            "run.ck",
-            Some("pvs-core/checkpoint-v1\nmachine ES\nprocs 4\n".to_string()),
-            4,
-            "unknown checkpoint version",
-        ),
-        // A file that is no checkpoint at all.
-        (
-            "alien.ck",
-            Some("{\"schema\": \"pvs-bench/profile-v2\"}".to_string()),
-            4,
-            "unknown checkpoint version",
-        ),
+fn every_schema_id_has_a_writer() {
+    use pvs_bench::serveload::{fetch_stats, paper_serve_cells};
+    use pvs_core::schema;
+    use pvs_serve::{Server, ServerOptions, StoreOptions};
+
+    let dir = scratch_dir("schema_writers");
+    let profile = dir.join("profile.json");
+    let out = run(&["profile", "--samples", "1", "--out", profile.to_str().unwrap()]);
+    assert_exit(&out, 0, "profile --out");
+
+    // An inline server over a store that spills: its `stats` reply, and
+    // the file the store writes for the one cell it is asked for.
+    let spill = dir.join("spill");
+    let store = StoreOptions { threads: 1, spill_dir: Some(spill.clone()), ..Default::default() };
+    let server = Server::start(ServerOptions { store, ..Default::default() }).expect("inline server");
+    let cell = &paper_serve_cells()[0];
+    server.store().get(cell).expect("a served cell");
+    let stats = fetch_stats(&server.addr().to_string()).expect("a stats reply");
+    drop(server);
+    let spilled = std::fs::read_to_string(spill.join(format!("{}.cell", cell.key_hash())))
+        .expect("a spilled cell");
+
+    let table = [
+        (schema::PROFILE_V2, std::fs::read_to_string(&profile).unwrap()),
+        (schema::SNAPSHOT_V1, stats),
+        (schema::SPILL_CELL_V1, spilled.lines().next().unwrap().to_string()),
     ];
-    for (file, contents, code, says) in cases {
-        let path = dir.join(file);
-        if let Some(contents) = contents {
-            std::fs::write(&path, contents).unwrap();
-        }
-        let out = run(&["chaos", "--verify-checkpoint", path.to_str().unwrap()]);
-        assert_exit(&out, code, file);
-        assert_no_panic(&out, file);
-        let said = stdout(&out) + &stderr(&out);
-        assert!(said.contains(says), "{file}: {said}");
+    assert_eq!(table.len(), schema::ALL.len(), "a registered id no writer is listed for");
+    for (id, written) in &table {
+        assert!(schema::ALL.contains(id), "{id} is not registered");
+        assert!(written.contains(id), "{id} is not in what its writer wrote:\n{written}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

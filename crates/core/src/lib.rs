@@ -49,7 +49,6 @@
 //! ```
 
 pub mod adversity;
-pub mod checkpoint;
 pub mod engine;
 pub mod event;
 pub mod hash;
@@ -64,7 +63,6 @@ pub mod rng;
 pub mod schema;
 
 pub use adversity::Adversity;
-pub use checkpoint::SweepCheckpoint;
 pub use engine::{run_sweep, run_sweep_threads, Engine, SweepJob};
 pub use event::{EventQueue, Scheduled};
 pub use hash::{fnv1a, fnv1a_hex, Fnv1a};

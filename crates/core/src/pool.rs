@@ -349,19 +349,6 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Each worker's share of the executed tasks, in `[0, 1]` — the
-    /// load-balance ("busy share") picture without any host clocks. All
-    /// zeros when nothing ran.
-    pub fn busy_shares(&self) -> Vec<f64> {
-        if self.tasks_executed == 0 {
-            return vec![0.0; self.per_worker_tasks.len()];
-        }
-        self.per_worker_tasks
-            .iter()
-            .map(|&t| t as f64 / self.tasks_executed as f64)
-            .collect()
-    }
-
     /// Report into a [`Recorder`]: `pool.tasks_executed` and
     /// `pool.worker.<i>.tasks` counters, `pool.queue.peak_depth` and
     /// `pool.threads` gauges.
@@ -628,9 +615,6 @@ mod tests {
             );
             assert!(m.peak_queue_depth >= 1);
             assert!(m.peak_queue_depth <= jobs as u64);
-            let shares = m.busy_shares();
-            let total: f64 = shares.iter().sum();
-            assert!((total - 1.0).abs() < 1e-12, "shares sum to 1: {total}");
         }
     }
 
@@ -640,7 +624,6 @@ mod tests {
         pool.map((0..10u32).collect(), |x| x);
         let m = pool.metrics();
         assert_eq!(m.per_worker_tasks, vec![10]);
-        assert_eq!(m.busy_shares(), vec![1.0]);
     }
 
     #[test]
@@ -664,6 +647,6 @@ mod tests {
         let m = pool.metrics();
         assert_eq!(m.tasks_executed, 0);
         assert_eq!(m.peak_queue_depth, 0);
-        assert_eq!(m.busy_shares(), vec![0.0; 3]);
+        assert_eq!(m.per_worker_tasks, vec![0; 3]);
     }
 }

@@ -11,15 +11,13 @@
 //!
 //! Identifiers are `<producer>/<format>-v<N>`. A version bump appends a
 //! new const and never mutates an existing one; an identifier stays
-//! registered only while some command still writes it.
+//! registered only while some command still writes it
+//! (`every_schema_id_has_a_writer` in `pvs-bench`'s `cli_hardening`
+//! runs each writer and looks for its identifier).
 
 /// `BENCH_*.json` profile documents, current writer schema
 /// (pretty-printed, stable key order).
 pub const PROFILE_V2: &str = "pvs-bench/profile-v2";
-
-/// Version tag on the first line of a serialized
-/// [`crate::checkpoint::SweepCheckpoint`].
-pub const SWEEP_CHECKPOINT_V1: &str = "pvs-core/sweep-checkpoint-v1";
 
 /// Live telemetry snapshot served by `pvs-serve` (`stats`/`health`
 /// responses): counters, gauges, and histogram summaries.
@@ -32,7 +30,7 @@ pub const SPILL_CELL_V1: &str = "pvs-serve/spill-cell-v1";
 
 /// Every registered schema identifier, for registry-wide checks
 /// (`pvs-lint` PVS015 walks this list).
-pub const ALL: [&str; 4] = [PROFILE_V2, SWEEP_CHECKPOINT_V1, SNAPSHOT_V1, SPILL_CELL_V1];
+pub const ALL: [&str; 3] = [PROFILE_V2, SNAPSHOT_V1, SPILL_CELL_V1];
 
 #[cfg(test)]
 mod tests {

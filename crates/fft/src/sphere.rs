@@ -8,8 +8,7 @@
 //! to the processor currently holding the fewest points.
 //!
 //! Communicating only these non-zero columns (instead of the full `n³`
-//! grid) is what makes the specialized 3D FFT's transposes affordable;
-//! [`sphere_fill_fraction`] quantifies the saving.
+//! grid) is what makes the specialized 3D FFT's transposes affordable.
 
 /// One column of the G-sphere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,13 +86,6 @@ pub fn proc_loads(cols: &[GColumn], assignment: &[usize], p: usize) -> Vec<usize
     load
 }
 
-/// Fraction of the full `n³` grid occupied by the sphere — the
-/// communication-volume ratio of sphere-only vs full-grid transposes.
-pub fn sphere_fill_fraction(n: usize, g2_max: f64) -> f64 {
-    let points: usize = gsphere_columns(n, g2_max).iter().map(|c| c.len).sum();
-    points as f64 / (n * n * n) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,15 +154,6 @@ mod tests {
                 max - min
             );
         }
-    }
-
-    #[test]
-    fn sphere_fill_fraction_well_below_one() {
-        // The paper's saving: the sphere occupies a small fraction of the
-        // cube, so transposing only non-zero columns cuts communication.
-        let frac = sphere_fill_fraction(32, 64.0);
-        assert!(frac < 0.30, "fill fraction {frac}");
-        assert!(frac > 0.005);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Charge deposition: classic PIC and the 4-point gyroaverage, in serial,
-//! work-vector, and thread-parallel forms.
+//! Charge deposition: classic PIC and the 4-point gyroaverage, in serial
+//! and work-vector forms.
 //!
 //! The gyrokinetic trick (paper Fig. 8): instead of resolving the fast
 //! circular motion, each particle is a charged *ring*; four points on the
@@ -60,41 +60,6 @@ pub fn deposit_gyro_workvector(p: &Particles, grid: &mut Grid2d, lanes: usize) {
     wv.reduce_into(grid.as_mut_slice());
 }
 
-/// Thread-parallel 4-point deposition with thread-private grids (GTC's
-/// loop-level OpenMP second level of parallelism): each thread deposits a
-/// particle range into its own copy; copies are summed afterwards.
-pub fn deposit_gyro_threaded(p: &Particles, grid: &mut Grid2d, threads: usize) {
-    assert!(threads >= 1);
-    let (nx, ny) = (grid.nx, grid.ny);
-    let chunk = p.len().div_ceil(threads);
-    let partials: Vec<Grid2d> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = (t * chunk).min(p.len());
-            let hi = ((t + 1) * chunk).min(p.len());
-            handles.push(scope.spawn(move || {
-                let mut local = Grid2d::new(nx, ny);
-                for i in lo..hi {
-                    let q = p.w[i] * 0.25;
-                    for (dx, dy) in ring_points(p.rho[i]) {
-                        local.scatter(p.x[i] + dx, p.y[i] + dy, q);
-                    }
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("deposit thread"))
-            .collect()
-    });
-    for partial in partials {
-        for (g, v) in grid.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-            *g += v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,20 +94,6 @@ mod tests {
             deposit_gyro_workvector(&p, &mut wv, lanes);
             for (a, b) in serial.as_slice().iter().zip(wv.as_slice()) {
                 assert!((a - b).abs() < 1e-10, "lanes={lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_matches_serial() {
-        let p = sample_particles(400, 6);
-        let mut serial = Grid2d::new(16, 16);
-        deposit_gyro_serial(&p, &mut serial);
-        for threads in [1, 2, 5] {
-            let mut th = Grid2d::new(16, 16);
-            deposit_gyro_threaded(&p, &mut th, threads);
-            for (a, b) in serial.as_slice().iter().zip(th.as_slice()) {
-                assert!((a - b).abs() < 1e-10, "threads={threads}");
             }
         }
     }

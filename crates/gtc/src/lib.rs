@@ -11,11 +11,10 @@
 //!
 //! * [`deposit`]: the **4-point gyroaveraged charge deposition** (paper
 //!   Fig. 8b) — each particle is a charged ring sampled at four points,
-//!   each bilinearly scattered to the grid. Three interchangeable
-//!   implementations: serial scatter, the Nishiguchi **work-vector**
+//!   each bilinearly scattered to the grid. Two interchangeable
+//!   implementations: serial scatter and the Nishiguchi **work-vector**
 //!   vectorization (lane-private grids + reduction, cf.
-//!   `pvs-vectorsim::workvec`), and an OpenMP-style threaded variant with
-//!   thread-private grids (GTC's hybrid MPI/OpenMP second level);
+//!   `pvs-vectorsim::workvec`);
 //! * [`field`]: the gyrokinetic (screened) Poisson solve
 //!   `−∇²φ + φ/λ² = ρ` by conjugate gradient, and `E = −∇φ`;
 //! * [`push`]: gyroaveraged field gather and second-order E×B drift push;

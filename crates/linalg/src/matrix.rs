@@ -84,11 +84,6 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -243,11 +238,5 @@ mod tests {
         let d = m.dagger();
         assert_eq!(d[(1, 0)], Complex64::new(0.0, -1.0));
         assert_eq!(d.dagger().max_abs_diff(&m), 0.0);
-    }
-
-    #[test]
-    fn fro_norm() {
-        let m = Matrix::from_fn(2, 2, |_, _| 2.0);
-        assert!((m.fro_norm() - 4.0).abs() < 1e-12);
     }
 }

@@ -9,8 +9,8 @@ fn is_known(schema: &str) -> bool {
     schema == pvs_core::schema::SNAPSHOT_V1 || schema == current_schema()
 }
 
-fn checkpoint_header() -> String {
-    format!("{}\ntotal 3\n", pvs_core::schema::SWEEP_CHECKPOINT_V1)
+fn spill_header(body: &str) -> String {
+    format!("{} {}\n", pvs_core::schema::SPILL_CELL_V1, body.len())
 }
 
 #[cfg(test)]

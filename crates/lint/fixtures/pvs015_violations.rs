@@ -7,6 +7,6 @@ fn is_known(schema: &str) -> bool {
     schema == "pvs-obs/snapshot-v1" || schema == LOCAL_COPY
 }
 
-fn checkpoint_header() -> String {
-    format!("{}\ntotal 3\n", "pvs-core/sweep-checkpoint-v1")
+fn spill_header(body: &str) -> String {
+    format!("{} {}\n", "pvs-serve/spill-cell-v1", body.len())
 }

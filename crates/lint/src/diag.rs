@@ -344,7 +344,7 @@ impl LintCode {
                  \n\
                  Every on-disk format in the workspace is versioned by a\n\
                  leading schema identifier (`pvs-bench/profile-v2`,\n\
-                 `pvs-core/sweep-checkpoint-v1`, ...). Writer and reader must\n\
+                 `pvs-serve/spill-cell-v1`, ...). Writer and reader must\n\
                  agree on the exact bytes, so each identifier has one canonical\n\
                  spelling: a const in `pvs_core::schema`. Any other file that\n\
                  spells a registered identifier as a string literal (exact\n\

@@ -173,9 +173,10 @@ fn dfs<'a>(
     }
 }
 
-/// The observed lock-order graph as sorted `holder -> acquired` pairs —
-/// exposed so tests can pin the real workspace's graph.
-pub fn lock_graph(ws: &WorkspaceFacts) -> Vec<(String, String)> {
+/// The observed lock-order graph as sorted `holder -> acquired` pairs,
+/// for the tests that pin the real workspace's graph.
+#[cfg(test)]
+pub(crate) fn lock_graph(ws: &WorkspaceFacts) -> Vec<(String, String)> {
     let mut pairs: Vec<(String, String)> = ws
         .edges
         .iter()

@@ -96,11 +96,6 @@ impl BankedMemory {
         );
     }
 
-    /// Number of banks currently mapped out.
-    pub fn failed_bank_count(&self) -> usize {
-        self.failed_banks
-    }
-
     /// Model the compiler's `duplicate` directive: create `copies` images of
     /// the address space offset by one bank each; successive accesses rotate
     /// across images so that repeated hits on one hot word spread over
@@ -381,7 +376,7 @@ mod tests {
         assert!(stalls > 0, "remapped bank 0 must collide with bank 1");
         assert!(broken.efficiency() < healthy.efficiency());
         assert!(broken.remapped_accesses > 0);
-        assert_eq!(broken.failed_bank_count(), 1);
+        assert_eq!(broken.failed_banks, 1);
     }
 
     #[test]
@@ -393,7 +388,7 @@ mod tests {
         let sb = b.gather(0, &idx);
         assert_eq!(sa, sb);
         assert_eq!(a.remapped_accesses, 0);
-        assert_eq!(a.failed_bank_count(), 0);
+        assert_eq!(a.failed_banks, 0);
     }
 
     #[test]
@@ -414,7 +409,7 @@ mod tests {
         m.strided_access(0, 64, 1);
         m.reset();
         assert_eq!(m.remapped_accesses, 0);
-        assert_eq!(m.failed_bank_count(), 1);
+        assert_eq!(m.failed_banks, 1);
         m.access(0);
         assert_eq!(m.remapped_accesses, 1, "bank 0 is still mapped out");
     }

@@ -187,11 +187,6 @@ impl Cache {
         }
         self.stats = CacheStats::default();
     }
-
-    /// Number of valid lines currently resident.
-    pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +308,6 @@ mod tests {
         c.access(0);
         c.reset();
         assert_eq!(c.stats().accesses, 0);
-        assert_eq!(c.resident_lines(), 0);
         assert!(!c.access(0).is_hit());
     }
 

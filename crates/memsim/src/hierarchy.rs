@@ -56,7 +56,6 @@ pub struct CacheHierarchy {
     pub memory_bytes: u64,
     /// Total accesses.
     pub accesses: u64,
-    hits_per_level: [u64; 3],
 }
 
 impl CacheHierarchy {
@@ -69,7 +68,6 @@ impl CacheHierarchy {
             line_bytes,
             memory_bytes: 0,
             accesses: 0,
-            hits_per_level: [0; 3],
         }
     }
 
@@ -85,18 +83,9 @@ impl CacheHierarchy {
             }
         }
         match hit_level {
-            Some(0) => {
-                self.hits_per_level[0] += 1;
-                LevelHit::L1
-            }
-            Some(1) => {
-                self.hits_per_level[1] += 1;
-                LevelHit::L2
-            }
-            Some(2) => {
-                self.hits_per_level[2] += 1;
-                LevelHit::L3
-            }
+            Some(0) => LevelHit::L1,
+            Some(1) => LevelHit::L2,
+            Some(2) => LevelHit::L3,
             Some(_) => unreachable!(),
             None => {
                 self.memory_bytes += self.line_bytes as u64;
@@ -121,20 +110,6 @@ impl CacheHierarchy {
         1.0 - dram_lines as f64 / n as f64
     }
 
-    /// Hits recorded at a level (0-indexed).
-    pub fn level_hits(&self, level: usize) -> u64 {
-        self.hits_per_level[level]
-    }
-
-    /// Fraction of accesses that required DRAM.
-    pub fn dram_access_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            return 0.0;
-        }
-        let dram_lines = self.memory_bytes / self.line_bytes as u64;
-        dram_lines as f64 / self.accesses as f64
-    }
-
     /// Reset contents and statistics.
     pub fn reset(&mut self) {
         for c in &mut self.levels {
@@ -142,7 +117,6 @@ impl CacheHierarchy {
         }
         self.memory_bytes = 0;
         self.accesses = 0;
-        self.hits_per_level = [0; 3];
     }
 }
 
@@ -181,7 +155,7 @@ mod tests {
             h.access(i * 128);
         }
         assert_eq!(h.memory_bytes, n_lines * 128);
-        assert_eq!(h.dram_access_rate(), 1.0);
+        assert_eq!(h.accesses, n_lines, "every access went to DRAM");
     }
 
     #[test]
@@ -191,7 +165,7 @@ mod tests {
         h.run_trace(ws.clone());
         let rate = h.run_trace(ws);
         assert!(rate > 0.99, "resident working set must hit, got {rate}");
-        assert!(h.level_hits(0) > 0);
+        assert_eq!(h.access(0), LevelHit::L1);
     }
 
     #[test]

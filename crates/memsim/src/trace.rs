@@ -39,30 +39,6 @@ pub fn ghost_zone_sweep(
     t
 }
 
-/// Blocked 2D sweep: an `n x n` array of `elem_bytes` elements, visited in
-/// `block x block` tiles (row-major within each tile), each tile revisited
-/// `passes` times before moving on — the collision-routine blocking described
-/// in the LBMHD port.
-pub fn blocked_2d(n: usize, block: usize, passes: usize, elem_bytes: usize) -> Vec<u64> {
-    assert!(block >= 1 && block <= n);
-    let mut t = Vec::new();
-    let tiles = n / block;
-    for bi in 0..tiles {
-        for bj in 0..tiles {
-            for _ in 0..passes {
-                for i in 0..block {
-                    for j in 0..block {
-                        let row = bi * block + i;
-                        let col = bj * block + j;
-                        t.push(((row * n + col) * elem_bytes) as u64);
-                    }
-                }
-            }
-        }
-    }
-    t
-}
-
 /// Indirect gather: accesses `indices[i] * elem_bytes` offsets from `base`,
 /// the pattern of PIC charge deposition and gather-push.
 pub fn indirect(base: u64, indices: &[usize], elem_bytes: usize) -> Vec<u64> {
@@ -103,21 +79,6 @@ mod tests {
         let t = ghost_zone_sweep(2, 3, 2, 8);
         // Row stride is 5 elements = 40 bytes.
         assert_eq!(t, vec![0, 8, 16, 40, 48, 56]);
-    }
-
-    #[test]
-    fn blocked_covers_everything_once_per_pass() {
-        let t = blocked_2d(4, 2, 1, 8);
-        assert_eq!(t.len(), 16);
-        let mut sorted = t.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 16, "each element exactly once");
-    }
-
-    #[test]
-    fn blocked_passes_multiply_length() {
-        assert_eq!(blocked_2d(4, 2, 3, 8).len(), 48);
     }
 
     #[test]

@@ -118,16 +118,6 @@ pub struct CommStats {
     pub bytes_sent: u64,
 }
 
-/// A pending nonblocking receive (see [`Comm::irecv`]). Sends complete
-/// immediately in this runtime (unbounded channels), so only receives need
-/// request objects.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "complete the request with Comm::wait"]
-pub struct RecvRequest {
-    src: usize,
-    tag: u64,
-}
-
 /// A rank's endpoint in the communicator (the `MPI_COMM_WORLD` analogue).
 pub struct Comm {
     rank: usize,
@@ -197,25 +187,6 @@ impl Comm {
             let packet = self.receiver.recv().expect("senders alive");
             self.pending.push_back(packet);
         }
-    }
-
-    /// Post a nonblocking receive for `(src, tag)`. The returned request is
-    /// completed with [`Comm::wait`]; matching and buffering behave exactly
-    /// like [`Comm::recv`] (the applications' real MPI counterparts post
-    /// `irecv`s before computing on the interior).
-    pub fn irecv(&mut self, src: usize, tag: u64) -> RecvRequest {
-        assert_user_tag(tag);
-        RecvRequest { src, tag }
-    }
-
-    /// Complete a nonblocking receive.
-    pub fn wait(&mut self, req: RecvRequest) -> Vec<f64> {
-        self.recv(req.src, req.tag)
-    }
-
-    /// Complete a batch of nonblocking receives (`MPI_Waitall`).
-    pub fn wait_all(&mut self, reqs: Vec<RecvRequest>) -> Vec<Vec<f64>> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
     }
 
     /// Combined send + receive with the same partner (halo exchanges).
@@ -510,29 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_receives_overlap_with_work() {
-        // Post irecvs first, "compute", send late, then wait-all: the
-        // requests must match regardless of arrival order.
-        let results = run(3, |mut c| {
-            let me = c.rank();
-            let reqs: Vec<RecvRequest> = (0..3)
-                .filter(|&s| s != me)
-                .map(|s| c.irecv(s, 42))
-                .collect();
-            // "Interior compute" happens here; then send to everyone.
-            for dst in 0..3 {
-                if dst != me {
-                    c.send(dst, 42, vec![me as f64]);
-                }
-            }
-            let got = c.wait_all(reqs);
-            got.iter().map(|v| v[0]).sum::<f64>()
-        });
-        // Each rank sums the other two ranks' ids.
-        assert_eq!(results, vec![3.0, 2.0, 1.0]);
-    }
-
-    #[test]
     fn sendrecv_swaps() {
         let results = run(2, |mut c| {
             let partner = 1 - c.rank();
@@ -657,9 +605,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "reserved collective bit")]
-    fn reserved_tags_are_rejected_on_irecv() {
+    fn reserved_tags_are_rejected_on_recv() {
         run(1, |mut c| {
-            let _ = c.irecv(0, crate::tags::COLLECTIVE_BIT);
+            let _ = c.recv(0, crate::tags::COLLECTIVE_BIT);
         });
     }
 

@@ -68,7 +68,7 @@ pub mod threaded;
 pub use blocks::Blocks;
 pub use caf::CoArray;
 pub use cart::{Cart2d, Cart3d};
-pub use comm::{run, Comm, CommStats, RecvRequest};
+pub use comm::{run, Comm, CommStats};
 pub use event::{
     EventSim, Op, RankCtx, RankProgram, Reply, ScriptProgram, SimReport, SimStats, Step,
 };

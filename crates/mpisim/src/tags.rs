@@ -50,7 +50,7 @@ pub fn is_user_tag(tag: u64) -> bool {
 }
 
 /// Panic unless `tag` is legal for application traffic. Called by every
-/// public point-to-point entry (`send`, `recv`, `irecv`, `sendrecv`) in
+/// public point-to-point entry (`send`, `recv`, `sendrecv`) in
 /// both runtimes.
 pub(crate) fn assert_user_tag(tag: u64) {
     assert!(

@@ -16,22 +16,11 @@ use crate::des::{Message, NetSim, SimStats};
 use crate::fault::LinkFaults;
 use crate::topology::Network;
 
-/// Time (seconds) for a 2D periodic halo exchange: every rank exchanges
-/// `bytes_per_edge` with its four neighbours in a `px x py` process grid,
-/// plus `bytes_per_corner` with its four diagonal neighbours (LBMHD's
-/// octagonal lattice streams along diagonals too).
-pub fn halo_exchange_2d_time(
-    net: &Network,
-    px: usize,
-    py: usize,
-    bytes_per_edge: u64,
-    bytes_per_corner: u64,
-) -> f64 {
-    halo_exchange_2d_stats(net, px, py, bytes_per_edge, bytes_per_corner).makespan_s
-}
-
-/// [`halo_exchange_2d_time`] returning the full traffic statistics
-/// (message counts, per-link bytes) for observability consumers.
+/// A 2D periodic halo exchange: every rank exchanges `bytes_per_edge`
+/// with its four neighbours in a `px x py` process grid, plus
+/// `bytes_per_corner` with its four diagonal neighbours (LBMHD's
+/// octagonal lattice streams along diagonals too). `makespan_s` is the
+/// time in seconds.
 pub fn halo_exchange_2d_stats(
     net: &Network,
     px: usize,
@@ -99,29 +88,9 @@ pub fn halo_exchange_2d_stats_faulted(
     NetSim::with_faults(net, faults).run(&msgs)
 }
 
-/// Time (seconds) for an all-to-all personalized exchange of
-/// `bytes_per_pair` between every ordered pair of the first `p` endpoints —
-/// the communication core of a distributed matrix/FFT transpose.
-pub fn all_to_all_time(net: &Network, p: usize, bytes_per_pair: u64) -> f64 {
-    // Every rotation round simulated: the sampled schedule with nothing
-    // left to extrapolate.
-    all_to_all_stats_sampled(net, p, bytes_per_pair, p.saturating_sub(1).max(1)).makespan_s
-}
-
-/// Time (seconds) for a 3D face halo exchange over a `px × py × pz`
-/// process grid: every rank exchanges `bytes_per_face` with its six face
-/// neighbours (Cactus ghost zones).
-pub fn halo_exchange_3d_time(
-    net: &Network,
-    px: usize,
-    py: usize,
-    pz: usize,
-    bytes_per_face: u64,
-) -> f64 {
-    halo_exchange_3d_stats(net, px, py, pz, bytes_per_face).makespan_s
-}
-
-/// [`halo_exchange_3d_time`] returning the full traffic statistics.
+/// A 3D face halo exchange over a `px × py × pz` process grid: every
+/// rank exchanges `bytes_per_face` with its six face neighbours (Cactus
+/// ghost zones).
 pub fn halo_exchange_3d_stats(
     net: &Network,
     px: usize,
@@ -175,20 +144,13 @@ pub fn halo_exchange_3d_stats_faulted(
     NetSim::with_faults(net, faults).run(&msgs)
 }
 
-/// Like [`all_to_all_time`], but simulating at most `max_rounds` of the
-/// `p - 1` rotation rounds and scaling linearly — accurate because every
-/// round is a full permutation placing identical load on the network, and
-/// necessary to keep 1024-rank FFT-transpose modelling cheap.
-pub fn all_to_all_time_sampled(
-    net: &Network,
-    p: usize,
-    bytes_per_pair: u64,
-    max_rounds: usize,
-) -> f64 {
-    all_to_all_stats_sampled(net, p, bytes_per_pair, max_rounds).makespan_s
-}
-
-/// [`all_to_all_time_sampled`] returning traffic statistics. `makespan_s`
+/// An all-to-all personalized exchange of `bytes_per_pair` between every
+/// ordered pair of the first `p` endpoints — the communication core of a
+/// distributed matrix/FFT transpose — simulating at most `max_rounds` of
+/// the `p - 1` rotation rounds and scaling linearly: accurate because
+/// every round is a full permutation placing identical load on the
+/// network, and necessary to keep 1024-rank FFT-transpose modelling cheap
+/// (`max_rounds >= p - 1` simulates every round). `makespan_s`
 /// is the extrapolated full-collective time; the traffic counters
 /// (messages, bytes, hops, per-link loads) describe only the rounds
 /// actually simulated — consumers extrapolating totals should scale by
@@ -237,15 +199,11 @@ pub fn all_to_all_stats_sampled_faulted(
     stats
 }
 
-/// Time (seconds) for a recursive-doubling allreduce of `bytes` across the
-/// first `p` endpoints (p rounded down to a power of two for the exchange
-/// schedule; stragglers pair up in an extra round).
-pub fn allreduce_time(net: &Network, p: usize, bytes: u64) -> f64 {
-    allreduce_stats(net, p, bytes).makespan_s
-}
-
-/// [`allreduce_time`] returning traffic statistics accumulated over all
-/// exchange rounds (rounds execute back to back, so makespans add).
+/// A recursive-doubling allreduce of `bytes` across the first `p`
+/// endpoints (p rounded down to a power of two for the exchange schedule;
+/// stragglers pair up in an extra round), with traffic statistics
+/// accumulated over all exchange rounds (rounds execute back to back, so
+/// makespans add).
 pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
     allreduce_stats_faulted(net, p, bytes, &LinkFaults::healthy())
 }
@@ -329,6 +287,12 @@ mod tests {
         })
     }
 
+    /// Every rotation round simulated: the sampled schedule with nothing
+    /// left to extrapolate.
+    fn all_to_all_time(net: &Network, p: usize, bytes_per_pair: u64) -> f64 {
+        all_to_all_stats_sampled(net, p, bytes_per_pair, p.saturating_sub(1).max(1)).makespan_s
+    }
+
     #[test]
     fn halo_stats_count_every_message() {
         let net = mk(TopologyKind::Crossbar, 16);
@@ -340,7 +304,6 @@ mod tests {
         // Byte-hop conservation: per-link loads sum to bytes x hops traversed.
         let link_sum: u64 = stats.link_bytes.iter().sum();
         assert!(link_sum >= stats.total_bytes);
-        assert_eq!(stats.makespan_s, halo_exchange_2d_time(&net, 4, 4, 10_000, 100));
     }
 
     #[test]
@@ -363,7 +326,6 @@ mod tests {
         let stats = allreduce_stats(&net, 16, 8_000);
         // 4 recursive-doubling rounds x 16 ranks exchanging pairwise.
         assert_eq!(stats.messages, 4 * 16);
-        assert!((stats.makespan_s - allreduce_time(&net, 16, 8_000)).abs() < 1e-15);
         let single = allreduce_stats(&net, 1, 8_000);
         assert_eq!(single.messages, 0);
         assert_eq!(single.makespan_s, 0.0);
@@ -374,17 +336,14 @@ mod tests {
         let net = mk(TopologyKind::Crossbar, 16);
         let stats = all_to_all_stats_sampled(&net, 16, 10_000, 5);
         assert_eq!(stats.messages, 5 * 16, "5 simulated rounds of p messages");
-        assert!(
-            (stats.makespan_s - all_to_all_time_sampled(&net, 16, 10_000, 5)).abs() < 1e-15
-        );
     }
 
     #[test]
     fn halo_scales_mildly_with_processors() {
         let n64 = mk(TopologyKind::Crossbar, 64);
         let n256 = mk(TopologyKind::Crossbar, 256);
-        let t64 = halo_exchange_2d_time(&n64, 8, 8, 100_000, 1_000);
-        let t256 = halo_exchange_2d_time(&n256, 16, 16, 100_000, 1_000);
+        let t64 = halo_exchange_2d_stats(&n64, 8, 8, 100_000, 1_000).makespan_s;
+        let t256 = halo_exchange_2d_stats(&n256, 16, 16, 100_000, 1_000).makespan_s;
         // Nearest-neighbour traffic on a crossbar: roughly constant per P.
         assert!(t256 < 2.0 * t64, "halo should not blow up: {t64} -> {t256}");
     }
@@ -413,7 +372,7 @@ mod tests {
     fn sampled_all_to_all_tracks_full_simulation() {
         let net = mk(TopologyKind::Torus2D, 32);
         let full = all_to_all_time(&net, 32, 40_000);
-        let sampled = all_to_all_time_sampled(&net, 32, 40_000, 8);
+        let sampled = all_to_all_stats_sampled(&net, 32, 40_000, 8).makespan_s;
         assert!(
             (sampled - full).abs() / full < 0.35,
             "sampled {sampled} vs full {full}"
@@ -472,15 +431,15 @@ mod tests {
     fn sampled_all_to_all_exact_when_rounds_cover_all() {
         let net = mk(TopologyKind::Crossbar, 16);
         let full = all_to_all_time(&net, 16, 10_000);
-        let sampled = all_to_all_time_sampled(&net, 16, 10_000, 15);
+        let sampled = all_to_all_stats_sampled(&net, 16, 10_000, 15).makespan_s;
         assert!((sampled - full).abs() / full < 0.25, "{sampled} vs {full}");
     }
 
     #[test]
     fn allreduce_log_rounds() {
         let net = mk(TopologyKind::Crossbar, 64);
-        let t8 = allreduce_time(&net, 8, 8_000);
-        let t64 = allreduce_time(&net, 64, 8_000);
+        let t8 = allreduce_stats(&net, 8, 8_000).makespan_s;
+        let t64 = allreduce_stats(&net, 64, 8_000).makespan_s;
         // 3 rounds vs 6 rounds: about 2x.
         assert!(
             t64 < 3.0 * t8,
@@ -492,7 +451,7 @@ mod tests {
     #[test]
     fn allreduce_single_rank_is_free() {
         let net = mk(TopologyKind::Crossbar, 4);
-        assert_eq!(allreduce_time(&net, 1, 1_000_000), 0.0);
+        assert_eq!(allreduce_stats(&net, 1, 1_000_000).makespan_s, 0.0);
     }
 
     #[test]

@@ -26,16 +26,15 @@
 //! ## Example
 //!
 //! ```
-//! use pvs_netsim::collectives::all_to_all_time;
+//! use pvs_netsim::collectives::all_to_all_stats_sampled;
 //! use pvs_netsim::topology::{Network, NetworkConfig, TopologyKind};
 //!
 //! let mk = |kind| Network::new(NetworkConfig {
 //!     kind, endpoints: 64, link_bw_gbs: 1.0, latency_us: 5.0,
 //! });
 //! // The ES-style crossbar beats the X1-style torus under all-to-all load.
-//! let crossbar = all_to_all_time(&mk(TopologyKind::Crossbar), 64, 50_000);
-//! let torus = all_to_all_time(&mk(TopologyKind::Torus2D), 64, 50_000);
-//! assert!(torus > crossbar);
+//! let time = |net| all_to_all_stats_sampled(&net, 64, 50_000, 63).makespan_s;
+//! assert!(time(mk(TopologyKind::Torus2D)) > time(mk(TopologyKind::Crossbar)));
 //! ```
 
 pub mod collectives;
@@ -43,10 +42,7 @@ pub mod des;
 pub mod fault;
 pub mod topology;
 
-pub use collectives::{
-    all_to_all_time, all_to_all_time_sampled, allreduce_time, halo_exchange_2d_time,
-    measured_bisection_gbs,
-};
+pub use collectives::measured_bisection_gbs;
 pub use des::{Message, NetSim, SimStats};
 pub use fault::LinkFaults;
 pub use topology::{Network, NetworkConfig, TopologyKind};

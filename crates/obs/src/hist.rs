@@ -233,15 +233,6 @@ impl Histogram {
             max,
         }
     }
-
-    /// Sorted `(bucket_lower_bound, count)` pairs for every nonzero
-    /// bucket.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .map(|(&idx, &n)| (Self::value_of(idx), n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +247,6 @@ mod tests {
             assert_eq!(h.percentile(50), v);
             assert_eq!(h.min(), v);
             assert_eq!(h.max(), v);
-            assert_eq!(h.nonzero_buckets(), vec![(v, 1)]);
         }
     }
 

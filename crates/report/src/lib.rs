@@ -1,7 +1,7 @@
 //! # pvs-report — table rendering and paper reference data
 //!
 //! Holds the published numbers from every evaluation table of the SC 2004
-//! paper ([`paper`]), generic text/markdown table rendering ([`tables`]),
+//! paper ([`paper`]), generic text table rendering ([`tables`]),
 //! and paper-vs-model comparison helpers ([`compare`]) used by the
 //! `pvs-bench` regeneration commands and by EXPERIMENTS.md.
 //!

@@ -1,4 +1,4 @@
-//! Plain-text and markdown table rendering.
+//! Plain-text table rendering.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
@@ -74,34 +74,6 @@ impl Table {
         }
         out
     }
-
-    /// GitHub-flavoured markdown.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            out.push_str(&format!("### {}\n\n", self.title));
-        }
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for r in &self.rows {
-            let mut cells = r.clone();
-            cells.resize(self.headers.len(), String::new());
-            out.push_str(&format!("| {} |\n", cells.join(" | ")));
-        }
-        out
-    }
-}
-
-/// Format a `(Gflops/P, %peak)` cell the way the paper prints them.
-pub fn perf_cell(gflops: f64, pct: f64) -> String {
-    format!("{gflops:.3} ({pct:.0}%)")
 }
 
 /// A dash for configurations the paper left blank.
@@ -115,7 +87,7 @@ mod tests {
 
     fn sample() -> Table {
         let mut t = Table::new("Demo", &["Config", "P", "ES"]);
-        t.push_row(vec!["4096²".into(), "16".into(), perf_cell(4.62, 58.0)]);
+        t.push_row(vec!["4096²".into(), "16".into(), "4.620 (58%)".into()]);
         t.push_row(vec!["8192²".into(), "1024".into(), blank_cell()]);
         t
     }
@@ -130,14 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_render_is_wellformed() {
-        let s = sample().render_markdown();
-        assert!(s.starts_with("### Demo"));
-        assert_eq!(s.matches("|---|---|---|").count(), 1);
-        assert_eq!(s.lines().filter(|l| l.starts_with('|')).count(), 4);
-    }
-
-    #[test]
     fn columns_align() {
         // ASCII-only table so byte offsets equal display columns.
         let mut t = Table::new("T", &["Config", "P", "ES"]);
@@ -148,13 +112,5 @@ mod tests {
         let data = lines[4];
         let hpos = header.find(" P").expect("header col") + 1;
         assert_eq!(&data[hpos..hpos + 2], "16");
-    }
-
-    #[test]
-    fn ragged_rows_are_padded_in_markdown() {
-        let mut t = Table::new("", &["A", "B"]);
-        t.push_row(vec!["x".into()]);
-        let md = t.render_markdown();
-        assert!(md.contains("| x |  |"));
     }
 }

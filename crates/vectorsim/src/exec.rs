@@ -183,10 +183,9 @@ impl VectorUnit {
         let spill_factor = (l.live_vector_temps as f64 / cfg.vector_registers as f64).max(1.0);
         let vinsn_per_iter = (l.flops_per_iter / 2.0).max(1.0) * spill_factor;
 
-        let chunks = strip_chunks(trips_per_stream, cfg.max_vl);
         let gf = l.gather_fraction.clamp(0.0, 1.0);
         let mut cycles_per_outer = 0.0;
-        for &c in &chunks {
+        for c in strip_chunks(trips_per_stream, cfg.max_vl) {
             // Each vector instruction pays its issue/startup latency plus
             // its execution slots; short chunks cannot amortize the startup,
             // which is exactly why AVL matters. Gather/scatter elements

@@ -8,18 +8,19 @@ pub fn num_strips(n: usize, vl: usize) -> usize {
     n.div_ceil(vl)
 }
 
-/// The chunk sizes of each strip: `vl, vl, …, remainder`.
-pub fn strip_chunks(n: usize, vl: usize) -> Vec<usize> {
+/// The chunk sizes of each strip, in order: `vl, vl, …, remainder`.
+/// Lazy: a GTC cell at small P walks hundreds of thousands of strips, and
+/// a materialised list made a process's peak memory depend on which cell
+/// it had last been asked for.
+pub fn strip_chunks(n: usize, vl: usize) -> impl Iterator<Item = usize> {
     let strips = num_strips(n, vl);
-    (0..strips)
-        .map(|s| {
-            if s + 1 < strips || n.is_multiple_of(vl) {
-                vl
-            } else {
-                n % vl
-            }
-        })
-        .collect()
+    (0..strips).map(move |s| {
+        if s + 1 < strips || n.is_multiple_of(vl) {
+            vl
+        } else {
+            n % vl
+        }
+    })
 }
 
 /// Average vector length over the strips covering `n` iterations — exactly
@@ -41,13 +42,13 @@ mod tests {
     #[test]
     fn exact_multiple() {
         assert_eq!(num_strips(512, 256), 2);
-        assert_eq!(strip_chunks(512, 256), vec![256, 256]);
+        assert_eq!(strip_chunks(512, 256).collect::<Vec<_>>(), [256, 256]);
         assert_eq!(average_vector_length(512, 256), 256.0);
     }
 
     #[test]
     fn remainder_strip() {
-        assert_eq!(strip_chunks(300, 256), vec![256, 44]);
+        assert_eq!(strip_chunks(300, 256).collect::<Vec<_>>(), [256, 44]);
         assert!((average_vector_length(300, 256) - 150.0).abs() < 1e-12);
     }
 
@@ -61,7 +62,7 @@ mod tests {
     fn empty_loop() {
         assert_eq!(num_strips(0, 64), 0);
         assert_eq!(average_vector_length(0, 64), 0.0);
-        assert!(strip_chunks(0, 64).is_empty());
+        assert_eq!(strip_chunks(0, 64).count(), 0);
     }
 
     #[test]
@@ -89,7 +90,7 @@ mod tests {
     fn chunks_sum_to_n() {
         for n in NS {
             for vl in VLS {
-                assert_eq!(strip_chunks(n, vl).iter().sum::<usize>(), n, "n={n} vl={vl}");
+                assert_eq!(strip_chunks(n, vl).sum::<usize>(), n, "n={n} vl={vl}");
             }
         }
     }

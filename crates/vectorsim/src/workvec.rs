@@ -113,11 +113,6 @@ impl WorkVectorGrid {
     pub fn lanes(&self) -> usize {
         self.lanes
     }
-
-    /// Memory footprint in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -207,12 +202,5 @@ mod tests {
         let mut out = vec![0.0; 10];
         wv.reduce_into(&mut out);
         assert!(out.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn footprint_scales_with_lanes() {
-        let a = WorkVectorGrid::new(1, 100).footprint_bytes();
-        let b = WorkVectorGrid::new(64, 100).footprint_bytes();
-        assert_eq!(b, 64 * a);
     }
 }
