@@ -35,6 +35,8 @@
 //! sim.run(4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index loops mirror the Fortran-style kernels they reproduce (tile sweeps).
 #![allow(clippy::needless_range_loop)]
 

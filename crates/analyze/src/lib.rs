@@ -20,6 +20,8 @@
 //! Everything is std-only and deterministic: same inputs, byte-identical
 //! reports, no host clocks.
 
+#![forbid(unsafe_code)]
+
 pub mod amdahl;
 pub mod bottleneck;
 pub mod chrome;

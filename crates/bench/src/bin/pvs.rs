@@ -12,6 +12,8 @@
 //! 2 usage, 3 unreadable input, 4 not JSON, 5 unknown schema,
 //! 6 unwritable output); `pvs <command> --help` prints its flags.
 
+#![forbid(unsafe_code)]
+
 use pvs_bench::commands::{self as c, figure, model, plain};
 use pvs_bench::figures;
 

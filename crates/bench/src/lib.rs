@@ -10,6 +10,8 @@
 //! cargo run -p pvs-bench --bin pvs -- fig9       # sustained %peak bars
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod cli;
 pub mod commands;

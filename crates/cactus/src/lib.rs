@@ -40,6 +40,8 @@
 //! assert!(sim.constraint_violation() < 1e-10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index loops mirror the Fortran-style kernels they reproduce (multi-field stencil loops).
 #![allow(clippy::needless_range_loop)]
 

@@ -247,24 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_kernels_static_dynamic_agree() {
-        for d in kernel_descriptors() {
-            let s = d.static_prediction();
-            let m = d.dynamic_metrics();
-            if s.avl > 0.0 {
-                assert!(
-                    (m.avl() - s.avl).abs() / s.avl < 0.05,
-                    "{}: static AVL {} vs dynamic {}",
-                    d.kernel,
-                    s.avl,
-                    m.avl()
-                );
-            }
-            assert!((m.vor() - s.vor).abs() < 0.05, "{}", d.kernel);
-        }
-    }
-
-    #[test]
     fn es_large_case_more_efficient_than_small() {
         // Paper: 34% of peak on 250x64x64 vs 17-18% on 80³ (AVL 248 vs 92).
         let large = run(platforms::earth_simulator(), &CactusWorkload::large(16));

@@ -5,9 +5,9 @@
 //! before execution. This module owns that lowering
 //! ([`vector_loop_from_phase`], shared with [`crate::engine::Engine`] so
 //! the static and dynamic paths can never drift apart) and builds
-//! [`KernelDescriptor`]s from phase streams so `pvs-lint` can cross-check
-//! every registered kernel's static intensity/AVL/VOR prediction against
-//! the dynamic execution model.
+//! [`KernelDescriptor`]s from phase streams so the root test
+//! `tests/simulators.rs` can hold every registered kernel's static AVL/VOR
+//! prediction to the dynamic execution model.
 
 pub use pvs_vectorsim::descriptor::{KernelDescriptor, MachineKind, StaticPrediction};
 

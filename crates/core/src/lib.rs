@@ -48,6 +48,8 @@
 //! assert!(es.gflops_per_p > 10.0 * p3.gflops_per_p);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversity;
 pub mod engine;
 pub mod event;

@@ -41,6 +41,8 @@
 //! assert_eq!(late.adversity.failed_banks, vec![3]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pvs_core::{Adversity, EventQueue, Pcg32, SplitMix64};
 use pvs_mpisim::FaultSpec;
 use pvs_netsim::LinkFaults;

@@ -32,6 +32,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dist3d;
 pub mod fft1d;
 pub mod multi;

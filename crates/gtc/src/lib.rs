@@ -36,6 +36,8 @@
 //! assert!((sim.particles.total_charge() - q0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index loops mirror the Fortran-style kernels they reproduce (particle/grid index loops).
 #![allow(clippy::needless_range_loop)]
 

@@ -287,24 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_kernels_static_dynamic_agree() {
-        for d in kernel_descriptors() {
-            let s = d.static_prediction();
-            let m = d.dynamic_metrics();
-            if s.avl > 0.0 {
-                assert!(
-                    (m.avl() - s.avl).abs() / s.avl < 0.05,
-                    "{}: static AVL {} vs dynamic {}",
-                    d.kernel,
-                    s.avl,
-                    m.avl()
-                );
-            }
-            assert!((m.vor() - s.vor).abs() < 0.05, "{}", d.kernel);
-        }
-    }
-
-    #[test]
     fn vector_machines_lead_but_at_modest_fractions() {
         // Paper (100 ppc, P=32): ES 1.34 (17%), X1 1.50 (12%).
         let w = GtcWorkload::new(100, 32);

@@ -43,6 +43,8 @@
 //! assert!((mass0 - mass1).abs() / mass0 < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index loops mirror the Fortran-style kernels they reproduce (SoA plane gathers).
 #![allow(clippy::needless_range_loop)]
 

@@ -28,6 +28,8 @@
 //! assert!(c.max_abs_diff(&a) < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index loops mirror the Fortran-style kernels they reproduce (BLAS-style index loops).
 #![allow(clippy::needless_range_loop)]
 

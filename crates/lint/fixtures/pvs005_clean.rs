@@ -1,7 +1,7 @@
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 pub fn dedup_count(xs: &[u32]) -> usize {
-    let seen: HashSet<u32> = xs.iter().copied().collect();
+    let seen: BTreeSet<u32> = xs.iter().copied().collect();
     seen.len()
 }
 

@@ -14,3 +14,21 @@ pub fn render(table: &[(u32, f64)]) -> Vec<String> {
     }
     rows
 }
+
+pub struct Ledger {
+    m: std::collections::HashMap<u32, f64>,
+}
+
+impl Ledger {
+    pub fn total(&self) -> f64 {
+        let mut t = 0.0;
+        for (_, v) in self.m.iter() {
+            t += v;
+        }
+        t
+    }
+}
+
+pub fn sum_param(m: &HashMap<u32, f64>) -> f64 {
+    m.values().sum()
+}

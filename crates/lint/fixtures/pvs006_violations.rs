@@ -1,5 +1,5 @@
-use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
+
 
 pub fn total(rx: &Receiver<f64>) -> f64 {
     let mut sum = 0.0;
@@ -9,11 +9,11 @@ pub fn total(rx: &Receiver<f64>) -> f64 {
     sum
 }
 
-pub fn weighted() -> f64 {
-    let mut weights = HashMap::new();
-    weights.insert(1u32, 0.5);
+pub fn weighted(rx: &Receiver<(u32, f64)>) -> f64 {
+    // Drains in arrival order, which is whatever order the senders
+    // happened to run in.
     let mut acc = 0.0;
-    for (_k, v) in weights.iter() {
+    for (_k, v) in rx.try_iter() {
         acc += v;
     }
     acc

@@ -16,7 +16,8 @@
 //!   including multi-line continuations, `record_to` tuple arrays, and
 //!   `format!` templates, which become `*`-wildcard patterns) and every
 //!   name read back (`.counter("..")`, `.gauge("..")`), each tagged
-//!   test/non-test. PVS014 joins the two sides.
+//!   test/non-test. PVS014 joins the two sides; a literal at a write
+//!   site that is not a dotted name at all is PVS011's finding.
 //! * **Schema facts** — exact-literal occurrences of the canonical
 //!   schema identifiers registered in `pvs_core::schema` (PVS015).
 //!
@@ -130,6 +131,9 @@ pub struct FileFacts {
     pub emitted: Vec<NameFact>,
     /// Counter names read back.
     pub consumed: Vec<NameFact>,
+    /// Literals at unambiguous Recorder write sites that are not dotted
+    /// counter names (PVS011; empty for test-tree files).
+    pub malformed: Vec<NameFact>,
     /// `// DOCUMENTED: <name>` directives (fixtures document their own
     /// names; the real tree documents in the README).
     pub documented: Vec<String>,
@@ -215,6 +219,7 @@ impl FileFacts {
             locks: Vec::new(),
             emitted: Vec::new(),
             consumed: Vec::new(),
+            malformed: Vec::new(),
             documented: Vec::new(),
             schema_lits: Vec::new(),
             holders: vec![Vec::new(); n],
@@ -232,6 +237,9 @@ impl FileFacts {
         }
         ff.scan_lock_usage(test_cutoff);
         ff.collect_names(test_cutoff);
+        if is_test_file {
+            ff.malformed.clear();
+        }
         ff.collect_schema_literals(test_cutoff);
         ff
     }
@@ -354,11 +362,8 @@ impl FileFacts {
             let mut search = 0;
             while let Some(pos) = code[search..].find("drop(") {
                 let at = search + pos;
-                let arg: String = code[at + 5..]
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                guards.retain(|g| g.binding.as_deref() != Some(arg.as_str()));
+                let arg = leading_ident(&code[at + 5..]);
+                guards.retain(|g| g.binding.as_deref() != Some(arg));
                 search = at + 5;
             }
 
@@ -388,69 +393,52 @@ impl FileFacts {
         for idx in 0..self.lines.len() {
             let code = self.lines[idx].code.clone();
             let raw = self.raw.get(idx).cloned().unwrap_or_default();
-            let in_test = idx >= cutoff;
+            let fact = |name: String| NameFact {
+                name,
+                file: self.path.clone(),
+                line: idx + 1,
+                in_test: idx >= cutoff,
+            };
 
             // Consumption: `.counter("..")` / `.gauge("..")` /
             // `.hist("..")` — histogram reads join the same registry
             // namespace as counter and gauge reads.
-            for marker in [".counter(\"", ".gauge(\"", ".hist(\""] {
+            for marker in [".counter(", ".gauge(", ".hist("] {
                 for name in literals_after_marker(&code, &raw, marker) {
                     if is_counter_name(&name, false) && name != "test" {
-                        self.consumed.push(NameFact {
-                            name,
-                            file: self.path.clone(),
-                            line: idx + 1,
-                            in_test,
-                        });
+                        self.consumed.push(fact(name));
                     }
                 }
             }
 
             // Emission: single-name Recorder writes (histogram records
-            // included).
-            for marker in [
-                ".add(\"",
-                ".gauge_set(\"",
-                ".gauge_max(\"",
-                ".record(\"",
-                ".record_n(\"",
-            ] {
+            // included — `*.hist.*` names join the same namespace), and
+            // their `format!` templates, which become wildcard patterns.
+            for marker in [".add(", ".gauge_set(", ".gauge_max(", ".record(", ".record_n("] {
                 for name in literals_after_marker(&code, &raw, marker) {
                     if is_counter_name(&name, false) {
-                        self.emitted.push(NameFact {
-                            name,
-                            file: self.path.clone(),
-                            line: idx + 1,
-                            in_test,
-                        });
+                        self.emitted.push(fact(name));
+                    } else {
+                        self.malformed.push(fact(name));
                     }
                 }
-            }
-
-            // Emission: `format!` templates become wildcard patterns.
-            for marker in [
-                ".add(&format!(\"",
-                ".gauge_set(&format!(\"",
-                ".gauge_max(&format!(\"",
-                ".record(&format!(\"",
-                ".record_n(&format!(\"",
-            ] {
-                for template in literals_after_marker(&code, &raw, marker) {
+                let template_marker = format!("{marker}&format!(");
+                for template in literals_after_marker(&code, &raw, &template_marker) {
                     if let Some(pattern) = template_to_pattern(&template) {
-                        self.emitted.push(NameFact {
-                            name: pattern,
-                            file: self.path.clone(),
-                            line: idx + 1,
-                            in_test,
-                        });
+                        self.emitted.push(fact(pattern));
                     }
                 }
             }
 
-            // Emission: tuple batches. Context: `add_many(&[..])` and
-            // `record_many(&[..])` spans, literal-headed `.push(("..`
-            // tuples (and their multi-line continuation), and
-            // `record_to` bodies (the tuple-array idiom).
+            // Emission: tuple batches. Every literal-headed tuple on an
+            // `add_many(&[(` / `record_many(&[(` / `entries.push((` line
+            // names a counter; the looser contexts — any `.push(("..`
+            // tuple (and its multi-line continuation), `add_many` spans
+            // and `record_to` bodies (the tuple-array idiom) — only
+            // contribute the literals that already are names.
+            let batch_line = code.contains("add_many(&[(")
+                || code.contains("record_many(&[(")
+                || code.contains("entries.push((");
             let prev_continues = idx > 0
                 && self.lines[idx - 1].code.trim_end().ends_with("push((");
             let in_record_to = self.fn_of_line[idx]
@@ -458,9 +446,7 @@ impl FileFacts {
             if code.contains("add_many(&[") || code.contains("record_many(&[") {
                 in_add_many_span = !code.contains("])");
             }
-            let tuple_ctx = code.contains("add_many(&[(")
-                || code.contains("record_many(&[(")
-                || code.contains("entries.push((")
+            let tuple_ctx = batch_line
                 || code.contains(".push((\"")
                 || prev_continues
                 || in_record_to
@@ -469,7 +455,7 @@ impl FileFacts {
                 in_add_many_span = false;
             }
             if tuple_ctx {
-                let mut names = literals_after_marker(&code, &raw, "(\"");
+                let mut names = literals_after_marker(&code, &raw, "(");
                 // A continuation line may *start* with the literal.
                 if code.trim_start().starts_with('"') {
                     if let Some(col) = code.find('"') {
@@ -480,12 +466,9 @@ impl FileFacts {
                 }
                 for name in names {
                     if is_counter_name(&name, false) {
-                        self.emitted.push(NameFact {
-                            name,
-                            file: self.path.clone(),
-                            line: idx + 1,
-                            in_test,
-                        });
+                        self.emitted.push(fact(name));
+                    } else if batch_line {
+                        self.malformed.push(fact(name));
                     }
                 }
             }
@@ -527,6 +510,21 @@ impl FileFacts {
     }
 }
 
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The identifier `s` starts with (possibly empty).
+fn leading_ident(s: &str) -> &str {
+    &s[..s.find(|c| !is_ident_char(c)).unwrap_or(s.len())]
+}
+
+/// The identifier `s` ends with (possibly empty).
+fn trailing_ident(s: &str) -> &str {
+    let start = s.char_indices().rev().take_while(|&(_, c)| is_ident_char(c)).last();
+    &s[start.map_or(s.len(), |(i, _)| i)..]
+}
+
 /// `name: Mutex<..>` / `name: Arc<Mutex<..>>` / `name: Vec<Mutex<..>>`
 /// struct field (references are not declarations).
 fn mutex_field_name(code: &str) -> Option<String> {
@@ -535,17 +533,9 @@ fn mutex_field_name(code: &str) -> Option<String> {
         return None;
     }
     let colon = code[..pos].rfind(':')?;
-    let name: String = code[..colon]
-        .trim_end()
-        .chars()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect::<String>()
-        .chars()
-        .rev()
-        .collect();
-    (!name.is_empty() && !name.chars().next().is_some_and(|c| c.is_ascii_digit()))
-        .then_some(name)
+    let name = trailing_ident(code[..colon].trim_end());
+    (!name.is_empty() && !name.starts_with(|c: char| c.is_ascii_digit()))
+        .then(|| name.to_string())
 }
 
 /// `let name = ..Mutex::new(..)..` / `let name: Mutex<..> = ..` binding.
@@ -561,23 +551,15 @@ fn mutex_let_name(code: &str) -> Option<String> {
     }
     let let_pos = code.find("let ")?;
     let rest = code[let_pos + 4..].trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
+    let name = leading_ident(rest.strip_prefix("mut ").unwrap_or(rest));
+    (!name.is_empty()).then(|| name.to_string())
 }
 
 /// `fn name` on this line (the declaration, not a call).
 fn fn_decl_name(code: &str) -> Option<String> {
     let pos = find_fn_keyword(code)?;
-    let name: String = code[pos + 3..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
+    let name = leading_ident(code[pos + 3..].trim_start());
+    (!name.is_empty()).then(|| name.to_string())
 }
 
 /// Position of a word-boundary `fn ` keyword.
@@ -605,10 +587,7 @@ fn find_acquisitions(code: &str, resolve: &dyn Fn(&str) -> Option<String>) -> Ve
     let is_let = code.trim_start().starts_with("let ");
     let binding = is_let.then(|| {
         let rest = code.trim_start()[4..].trim_start();
-        let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-        rest.chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect::<String>()
+        leading_ident(rest.strip_prefix("mut ").unwrap_or(rest)).to_string()
     });
 
     // `.lock()` on a receiver: the lock is the receiver's last segment.
@@ -616,15 +595,7 @@ fn find_acquisitions(code: &str, resolve: &dyn Fn(&str) -> Option<String>) -> Ve
     while let Some(pos) = code[search..].find(".lock()") {
         let at = search + pos;
         search = at + 7;
-        let recv: String = code[..at]
-            .chars()
-            .rev()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect::<String>()
-            .chars()
-            .rev()
-            .collect();
-        let Some(lock_id) = resolve(&recv) else { continue };
+        let Some(lock_id) = resolve(trailing_ident(&code[..at])) else { continue };
         let scoped = is_let && binds_receiver(code, at) && guard_chain_ends(code, at + 6);
         out.push(Acquire {
             lock_id,
@@ -638,15 +609,12 @@ fn find_acquisitions(code: &str, resolve: &dyn Fn(&str) -> Option<String>) -> Ve
     while let Some(pos) = code[search..].find(".lock_") {
         let at = search + pos;
         search = at + 6;
-        let name: String = code[at + 6..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
+        let name = leading_ident(&code[at + 6..]);
         let open = at + 6 + name.len();
         if name.is_empty() || code.as_bytes().get(open) != Some(&b'(') {
             continue;
         }
-        let Some(lock_id) = resolve(&name) else { continue };
+        let Some(lock_id) = resolve(name) else { continue };
         let Some(close) = matching_paren(code, open) else { continue };
         let scoped = is_let && binds_receiver(code, at) && guard_chain_ends(code, close);
         out.push(Acquire {
@@ -757,16 +725,16 @@ fn call_idents(code: &str) -> Vec<String> {
     out
 }
 
-/// String literals directly after each occurrence of `marker` (which
-/// ends with the opening quote), read back from the raw line.
+/// String literals opening right after an occurrence of `marker`
+/// (whitespace allowed between), read back from the raw line: the code
+/// channel blanks literal contents but keeps columns and delimiters.
 fn literals_after_marker(code: &str, raw: &str, marker: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut search = 0;
-    while let Some(pos) = code[search..].find(marker) {
-        let quote_col = search + pos + marker.len() - 1;
-        search = quote_col + 1;
-        if let Some(lit) = read_literal(raw, quote_col) {
-            out.push(lit);
+    for (pos, _) in code.match_indices(marker) {
+        let after = &code[pos + marker.len()..];
+        let quote_col = code.len() - after.trim_start().len();
+        if code[quote_col..].starts_with('"') {
+            out.extend(read_literal(raw, quote_col));
         }
     }
     out
@@ -1186,8 +1154,12 @@ mod tests {
     fn wildcard_counter_grammar() {
         assert!(is_counter_name("pool.worker.*.tasks", true));
         assert!(!is_counter_name("pool.worker.*.tasks", false));
-        assert!(is_counter_name("a.b", false));
-        assert!(!is_counter_name("a", true));
+        for ok in ["a.b", "engine.loop.cycles", "pool.worker.0.tasks", "net_sim.x9"] {
+            assert!(is_counter_name(ok, false), "{ok}");
+        }
+        for bad in ["flops", "Engine.phases", "a..b", ".a", "a.", "a b.c", "net-sim.x", ""] {
+            assert!(!is_counter_name(bad, true), "{bad}");
+        }
         assert_eq!(
             template_to_pattern("chaos.{}.mpisim.{name}").as_deref(),
             Some("chaos.*.mpisim.*")

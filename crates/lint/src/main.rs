@@ -11,6 +11,8 @@
 //! Exit status: 0 when the tree is clean (warnings allowed), 1 when any
 //! error-severity finding fired, 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -43,10 +45,10 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 fn usage() -> &'static str {
     "usage: pvs-lint [--json] [--root DIR] [--codes PVS0xx,PVS0yy] [--explain PVS00N]\n\
      \n\
-     Walks every workspace manifest, Rust source file, and registered\n\
-     kernel descriptor, and reports invariant violations. --codes keeps\n\
-     only the listed codes (comma-separated). Exit 0 when clean\n\
-     (warnings allowed), 1 on errors, 2 on usage errors.\n\
+     Walks every workspace manifest and Rust source file and reports\n\
+     invariant violations. --codes keeps only the listed codes\n\
+     (comma-separated). Exit 0 when clean (warnings allowed), 1 on\n\
+     errors, 2 on usage errors.\n\
      \n\
      Lint codes:"
 }
@@ -55,6 +57,20 @@ fn print_code_table() {
     for code in LintCode::all() {
         eprintln!("  {} ({}): {}", code.as_str(), code.severity(), code.summary());
     }
+}
+
+/// Malformed usage: the complaint, the synopsis and the code table on
+/// stderr; exit 2.
+fn usage_error(complaint: &str) -> ExitCode {
+    eprintln!("pvs-lint: {complaint}\n\n{}", usage());
+    print_code_table();
+    ExitCode::from(2)
+}
+
+fn unknown_code(name: &str) -> ExitCode {
+    eprintln!("pvs-lint: unknown lint code `{name}`; known codes:");
+    print_code_table();
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -67,67 +83,43 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--codes" => match args.next() {
-                Some(list) => {
-                    let mut wanted = Vec::new();
-                    for name in list.split(',').filter(|s| !s.is_empty()) {
-                        match LintCode::parse(name.trim()) {
-                            Some(code) => wanted.push(code),
-                            None => {
-                                eprintln!("pvs-lint: unknown lint code `{name}`; known codes:");
-                                print_code_table();
-                                return ExitCode::from(2);
-                            }
-                        }
+            "--codes" => {
+                let Some(list) = args.next() else {
+                    return usage_error("--codes needs a comma-separated list");
+                };
+                let mut wanted = Vec::new();
+                for name in list.split(',').filter(|s| !s.is_empty()) {
+                    match LintCode::parse(name.trim()) {
+                        Some(code) => wanted.push(code),
+                        None => return unknown_code(name),
                     }
-                    codes = Some(wanted);
                 }
-                None => {
-                    eprintln!("pvs-lint: --codes needs a comma-separated list\n\n{}", usage());
-                    print_code_table();
-                    return ExitCode::from(2);
-                }
-            },
+                codes = Some(wanted);
+            }
             "--root" => match args.next() {
                 Some(dir) => root_arg = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("pvs-lint: --root needs a directory\n\n{}", usage());
-                    print_code_table();
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--root needs a directory"),
             },
             "--explain" => match args.next() {
                 Some(code) => explain = Some(code),
-                None => {
-                    eprintln!("pvs-lint: --explain needs a lint code\n\n{}", usage());
-                    print_code_table();
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--explain needs a lint code"),
             },
             "--help" | "-h" => {
                 eprintln!("{}", usage());
                 print_code_table();
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("pvs-lint: unknown argument `{other}`\n\n{}", usage());
-                print_code_table();
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
 
-    if let Some(code_name) = explain {
-        return match LintCode::parse(&code_name) {
+    if let Some(name) = explain {
+        return match LintCode::parse(&name) {
             Some(code) => {
                 out_line(code.explain());
                 ExitCode::SUCCESS
             }
-            None => {
-                eprintln!("pvs-lint: unknown lint code `{code_name}`; known codes:");
-                print_code_table();
-                ExitCode::from(2)
-            }
+            None => unknown_code(&name),
         };
     }
 
@@ -161,9 +153,8 @@ fn main() -> ExitCode {
             out_line(&d.render());
         }
         out_line(&format!(
-            "pvs-lint: {} file(s) scanned, {} kernel descriptor(s) cross-checked: \
-             {errors} error(s), {warnings} warning(s)",
-            report.files_scanned, report.kernels_checked
+            "pvs-lint: {} file(s) scanned: {errors} error(s), {warnings} warning(s)",
+            report.files_scanned
         ));
     }
 

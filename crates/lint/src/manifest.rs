@@ -7,7 +7,7 @@
 //! crates, optional deps), so the only safe state is "not declared at
 //! all". These passes parse the manifests and lockfile by hand (no toml
 //! crate, for exactly the reason being linted) and report the offending
-//! line. `tests/no_external_deps.rs` is a thin driver over this module.
+//! line.
 
 use std::fs;
 use std::path::{Path, PathBuf};

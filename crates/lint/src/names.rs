@@ -1,4 +1,9 @@
-//! PVS014/PVS015 — the counter-name and schema-version registries.
+//! PVS011/PVS014/PVS015 — the counter-name grammar and registry, and
+//! the schema-version registry.
+//!
+//! **PVS011** holds every name literal handed to a Recorder write to the
+//! lowercase `snake.dotted` grammar the registry joins on; the sites are
+//! the ones [`crate::facts`] already scans for PVS014.
 //!
 //! **PVS014** joins the emission and consumption sides of the
 //! `pvs-obs` name-string contract across the whole workspace:
@@ -27,6 +32,31 @@ use std::collections::BTreeSet;
 
 /// The one file allowed to spell schema identifiers as literals.
 const SCHEMA_HOME: &str = "crates/core/src/schema.rs";
+
+/// PVS011: name literals at Recorder write sites must be lowercase
+/// `snake.dotted` paths — the names are joined across the engine, the
+/// committed baselines and the analysis layer, so a malformed literal
+/// forks the namespace silently. Non-literal names (`format!`,
+/// variables) are not checked.
+pub fn check_counter_grammar(ws: &WorkspaceFacts) -> Vec<Diagnostic> {
+    ws.files
+        .iter()
+        .flat_map(|f| f.malformed.iter())
+        .map(|fact| {
+            Diagnostic::new(
+                LintCode::Pvs011,
+                fact.file.clone(),
+                fact.line,
+                format!(
+                    "counter name literal {:?} is not lowercase \
+                     `snake.dotted` — recorder names must be two or more \
+                     `[a-z0-9_]+` segments joined by dots",
+                    fact.name
+                ),
+            )
+        })
+        .collect()
+}
 
 /// PVS014: consumed-but-never-emitted (error) and
 /// emitted-but-undocumented (warning). `documented` is the canonical
@@ -185,6 +215,38 @@ mod tests {
         assert!(!glob_match("a.*.c", "a.c"));
         // a pattern matches a pattern with identical shape
         assert!(glob_match("pool.worker.*.tasks", "pool.worker.*.tasks"));
+    }
+
+    #[test]
+    fn malformed_recorder_names_flagged() {
+        let src = "r.add(\"flops\", 1);\n\
+                   r.gauge_set(\"queueDepth\", 2);\n\
+                   r.gauge_max( \"Engine.Phases\", 3);\n\
+                   entries.push((\"engine..cycles\", 4));\n\
+                   r.add_many(&[(\"ok.name\", 1), (\"bad name\", 2)]);\n";
+        let d = check_counter_grammar(&ws(src));
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        assert!(d.iter().all(|d| d.code == LintCode::Pvs011));
+    }
+
+    #[test]
+    fn dotted_dynamic_and_non_recorder_names_are_fine() {
+        let src = "r.add(\"engine.loop.flops\", 1);\n\
+                   r.gauge_max(\"netsim.link.peak_bytes\", 2);\n\
+                   entries.push((\"memsim.bank.stall_cycles\", 3));\n\
+                   r.add_many(&[(\"vectorsim.strips\", 1), (\"pool.queue.depth\", 2)]);\n\
+                   r.add(&format!(\"pool.worker.{i}.tasks\"), 1);\n\
+                   r.add(name, 1);\n\
+                   // r.add(\"BAD\", 1) would be wrong\n\
+                   stack.push((\"Label\", 1));\n\
+                   let v = other.add(2);\n";
+        assert!(check_counter_grammar(&ws(src)).is_empty());
+    }
+
+    #[test]
+    fn test_trees_are_out_of_scope_for_the_grammar() {
+        let ff = FileFacts::parse("fixture", "tests/t.rs", "r.add(\"Odd\", 1);\n", true);
+        assert!(check_counter_grammar(&WorkspaceFacts::build(vec![ff])).is_empty());
     }
 
     #[test]

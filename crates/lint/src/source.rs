@@ -1,4 +1,4 @@
-//! Invariant lints over scanned source files (PVS003–PVS007, PVS011,
+//! Invariant lints over scanned source files (PVS003, PVS005–PVS007,
 //! PVS012).
 //!
 //! Each pass is a heuristic over the comment/string-stripped code channel
@@ -26,13 +26,9 @@ pub fn check_source(ctx: SourceContext<'_>, text: &str) -> Vec<Diagnostic> {
     let lines = scan_source(text);
     let mut out = Vec::new();
     pass_time_sources(&ctx, &lines, &mut out);
-    pass_unsafe_safety(&ctx, &lines, &mut out);
-    let hash_vars = collect_hash_bindings(&lines);
-    pass_hash_iteration(&ctx, &lines, &hash_vars, &mut out);
-    pass_unordered_accumulation(&ctx, &lines, &hash_vars, &mut out);
+    pass_hash_containers(&ctx, &lines, &mut out);
+    pass_unordered_accumulation(&ctx, &lines, &mut out);
     pass_allow_escape_hatches(&ctx, &lines, &mut out);
-    let raw_lines: Vec<&str> = text.lines().collect();
-    pass_counter_names(&ctx, &raw_lines, &lines, &mut out);
     pass_result_unwraps(&ctx, &lines, &mut out);
     out
 }
@@ -98,160 +94,40 @@ fn pass_time_sources(ctx: &SourceContext<'_>, lines: &[ScannedLine], out: &mut V
     }
 }
 
-/// How many lines above an `unsafe` token a `// SAFETY:` comment may sit.
-const SAFETY_COMMENT_WINDOW: usize = 3;
-
-/// PVS004: every `unsafe` keyword needs a `SAFETY:` comment on the same
-/// line or within the [`SAFETY_COMMENT_WINDOW`] lines above it.
-fn pass_unsafe_safety(ctx: &SourceContext<'_>, lines: &[ScannedLine], out: &mut Vec<Diagnostic>) {
+/// PVS005: `HashMap`/`HashSet` named in model or library source. Hash
+/// iteration order is randomized per process; anything a walk feeds —
+/// rendered tables, figures, accumulated floats — loses byte-identical
+/// reproducibility, and whether a container is ever walked (through a
+/// struct field, a parameter, a call three frames away) is not decidable
+/// from line text. So the rule is on the type name, which is.
+fn pass_hash_containers(ctx: &SourceContext<'_>, lines: &[ScannedLine], out: &mut Vec<Diagnostic>) {
     for (idx, line) in lines.iter().enumerate() {
-        if !has_word(&line.code, "unsafe") {
-            continue;
-        }
-        let window_start = idx.saturating_sub(SAFETY_COMMENT_WINDOW);
-        let documented = lines[window_start..=idx]
-            .iter()
-            .any(|l| l.comment.contains("SAFETY:"));
-        if !documented {
-            out.push(Diagnostic::new(
-                LintCode::Pvs004,
-                ctx.path,
-                idx + 1,
-                format!(
-                    "`unsafe` without a `// SAFETY:` comment on the same line or \
-                     the {SAFETY_COMMENT_WINDOW} lines above it"
-                ),
-            ));
-        }
-    }
-}
-
-/// Bindings declared with a hash-container type anywhere in the file:
-/// `let [mut] name` on a line that mentions `HashMap`/`HashSet`.
-fn collect_hash_bindings(lines: &[ScannedLine]) -> Vec<String> {
-    let mut vars = Vec::new();
-    for line in lines {
-        let code = &line.code;
-        if !has_word(code, "HashMap") && !has_word(code, "HashSet") {
-            continue;
-        }
-        let Some(let_pos) = find_word(code, "let") else {
-            continue;
-        };
-        let rest = code[let_pos + 3..].trim_start();
-        let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if !name.is_empty() && !vars.contains(&name) {
-            vars.push(name);
-        }
-    }
-    vars
-}
-
-/// Position of `word` in `code` at an identifier boundary.
-fn find_word(code: &str, word: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(word) {
-        let at = start + pos;
-        let end = at + word.len();
-        let before_ok = at == 0 || !bytes[at - 1].is_ascii_alphanumeric() && bytes[at - 1] != b'_';
-        let after_ok = end >= bytes.len() || !bytes[end].is_ascii_alphanumeric() && bytes[end] != b'_';
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        start = at + 1;
-    }
-    None
-}
-
-/// The iteration forms PVS005 flags on a hash-typed binding.
-const ITERATION_METHODS: [&str; 7] = [
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".drain(",
-    ".into_iter()",
-];
-
-/// Does this line iterate the named hash binding?
-fn iterates_hash_var(code: &str, name: &str) -> bool {
-    for method in ITERATION_METHODS {
-        let needle = format!("{name}{method}");
-        if code.contains(&needle) && word_before(code, &needle) {
-            return true;
-        }
-    }
-    // `for x in name {` / `for x in &name {` / `.. in name.method() ..`
-    if let Some(in_pos) = find_word(code, "in") {
-        let tail = code[in_pos + 2..].trim_start();
-        let tail = tail.trim_start_matches(['&', '*']).trim_start_matches("mut ");
-        let ident: String = tail
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if ident == name {
-            return true;
-        }
-    }
-    false
-}
-
-/// Is the needle's first identifier not a suffix of a longer identifier?
-fn word_before(code: &str, needle: &str) -> bool {
-    code.find(needle).is_some_and(|at| {
-        at == 0 || {
-            let b = code.as_bytes()[at - 1];
-            !b.is_ascii_alphanumeric() && b != b'_'
-        }
-    })
-}
-
-/// PVS005: iteration over an unordered hash container. Hash iteration
-/// order is randomized per process; anything it feeds — rendered tables,
-/// figures, accumulated floats — loses byte-identical reproducibility.
-fn pass_hash_iteration(
-    ctx: &SourceContext<'_>,
-    lines: &[ScannedLine],
-    hash_vars: &[String],
-    out: &mut Vec<Diagnostic>,
-) {
-    for (idx, line) in lines.iter().enumerate() {
-        for name in hash_vars {
-            if iterates_hash_var(&line.code, name) {
+        for token in ["HashMap", "HashSet"] {
+            if has_word(&line.code, token) {
                 out.push(Diagnostic::new(
                     LintCode::Pvs005,
                     ctx.path,
                     idx + 1,
                     format!(
-                        "iteration over unordered hash container `{name}` — use a \
-                         BTree container or sort first (hash order is \
-                         per-process random)"
+                        "`{token}` named in model/library source — hash iteration \
+                         order is per-process random; use a BTree container or a \
+                         sorted Vec"
                     ),
                 ));
-                break;
             }
         }
     }
 }
 
-/// The unordered-source loop headers PVS006 tracks: channel receives and
-/// hash-container walks.
-fn is_unordered_loop_header(code: &str, hash_vars: &[String]) -> bool {
+/// The unordered-source loop headers PVS006 tracks: channel receives
+/// (the other unordered source, a hash-container walk, is PVS005's).
+fn is_unordered_loop_header(code: &str) -> bool {
     let channel_source = [".recv()", ".try_recv()", ".try_iter()", ".recv_timeout("]
         .iter()
         .any(|m| code.contains(m));
     let for_loop = has_word(code, "for") && has_word(code, "in");
     let while_let = code.contains("while let");
-    if (for_loop || while_let) && channel_source {
-        return true;
-    }
-    for_loop && hash_vars.iter().any(|name| iterates_hash_var(code, name))
+    (for_loop || while_let) && channel_source
 }
 
 /// PVS006: floating-point accumulation inside a loop whose iteration
@@ -262,14 +138,13 @@ fn is_unordered_loop_header(code: &str, hash_vars: &[String]) -> bool {
 fn pass_unordered_accumulation(
     ctx: &SourceContext<'_>,
     lines: &[ScannedLine],
-    hash_vars: &[String],
     out: &mut Vec<Diagnostic>,
 ) {
     let mut depth: i64 = 0;
     let mut regions: Vec<i64> = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
         let code = &line.code;
-        let header = is_unordered_loop_header(code, hash_vars);
+        let header = is_unordered_loop_header(code);
         let entry_depth = depth;
         depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
         if header && depth > entry_depth {
@@ -307,24 +182,32 @@ const BANNED_SUPPRESSIONS: [&str; 10] = [
 ];
 
 /// PVS007: blanket lint-suppression escape hatches. The workspace builds
-/// warning-clean; broad `#[allow(..)]` categories would let that rot
-/// silently. Narrow, named allows stay legal.
+/// warning-clean; broad `allow(..)` categories would let that rot
+/// silently. Narrow, named allows stay legal. Any attribute line counts
+/// (`#![cfg_attr(test, allow(warnings))]` suppresses as much as the bare
+/// form); a `.expect(..)` method call on one does not.
 fn pass_allow_escape_hatches(
     ctx: &SourceContext<'_>,
     lines: &[ScannedLine],
     out: &mut Vec<Diagnostic>,
 ) {
     for (idx, line) in lines.iter().enumerate() {
-        let code = &line.code;
-        for marker in ["[allow(", "[expect("] {
-            let Some(pos) = code.find(marker) else { continue };
-            let open = pos + marker.len();
-            let inner = match code[open..].find(')') {
-                Some(close) => &code[open..open + close],
-                None => &code[open..],
-            };
-            for item in inner.split(',') {
-                let item = item.trim();
+        let Some(attr) = ["#[", "#!["].iter().filter_map(|m| line.code.find(m)).min() else {
+            continue;
+        };
+        let code = &line.code[attr..];
+        let calls = ["allow(", "expect("]
+            .into_iter()
+            .flat_map(|m| code.match_indices(m).map(move |(pos, _)| (pos, pos + m.len())));
+        for (pos, open) in calls {
+            // `.expect(` is a method call and `disallow(` another word
+            // (`code` opens with `#[`, so `pos >= 2`).
+            let prev = code.as_bytes()[pos - 1];
+            if prev == b'.' || prev == b'_' || prev.is_ascii_alphanumeric() {
+                continue;
+            }
+            let inner = code[open..].split(')').next().unwrap_or_default();
+            for item in inner.split(',').map(str::trim) {
                 if BANNED_SUPPRESSIONS.contains(&item) {
                     out.push(Diagnostic::new(
                         LintCode::Pvs007,
@@ -337,100 +220,6 @@ fn pass_allow_escape_hatches(
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-/// Is `name` a lowercase dotted counter path: at least two
-/// `[a-z0-9_]+` segments separated by single dots?
-fn is_dotted_counter_name(name: &str) -> bool {
-    let mut segments = 0;
-    for seg in name.split('.') {
-        if seg.is_empty()
-            || !seg
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-        {
-            return false;
-        }
-        segments += 1;
-    }
-    segments >= 2
-}
-
-/// The single-name Recorder write calls PVS011 checks when their first
-/// argument is a string literal (histogram records included —
-/// `*.hist.*` names join the same namespace as counters and gauges).
-const RECORDER_WRITE_MARKERS: [&str; 5] =
-    [".add(", ".gauge_set(", ".gauge_max(", ".record(", ".record_n("];
-
-/// PVS011: counter/gauge name literals handed to the Recorder must be
-/// lowercase `snake.dotted` paths — the names are joined across the
-/// engine, the committed baseline, and the analysis layer, so a
-/// malformed literal forks the namespace silently. The scanner blanks
-/// string contents in the code channel but preserves column positions,
-/// so the pass locates the opening quote in the code channel and reads
-/// the literal text back out of the raw line. Non-literal names
-/// (`format!`, variables) are not checked.
-fn pass_counter_names(
-    ctx: &SourceContext<'_>,
-    raw_lines: &[&str],
-    lines: &[ScannedLine],
-    out: &mut Vec<Diagnostic>,
-) {
-    for (idx, line) in lines.iter().enumerate() {
-        let code = &line.code;
-        let Some(raw) = raw_lines.get(idx) else {
-            continue;
-        };
-        let mut quote_cols: Vec<usize> = Vec::new();
-        for marker in RECORDER_WRITE_MARKERS {
-            let mut start = 0;
-            while let Some(pos) = code[start..].find(marker) {
-                let after_paren = start + pos + marker.len();
-                let skipped = code[after_paren..]
-                    .len()
-                    .saturating_sub(code[after_paren..].trim_start().len());
-                let quote_at = after_paren + skipped;
-                if code[quote_at..].starts_with('"') {
-                    quote_cols.push(quote_at);
-                }
-                start = after_paren;
-            }
-        }
-        // Batch idioms: every `("`-opened tuple on the line names a
-        // counter (`entries.push(("x", n))`, `add_many(&[("x", n), ..])`,
-        // `record_many(&[("x", v, n), ..])`).
-        if code.contains("add_many(&[(")
-            || code.contains("record_many(&[(")
-            || code.contains("entries.push((")
-        {
-            let mut start = 0;
-            while let Some(pos) = code[start..].find("(\"") {
-                quote_cols.push(start + pos + 1);
-                start = start + pos + 2;
-            }
-        }
-        quote_cols.sort_unstable();
-        quote_cols.dedup();
-        for qc in quote_cols {
-            let Some(rest) = raw.get(qc + 1..) else {
-                continue;
-            };
-            let Some(end) = rest.find('"') else { continue };
-            let name = &rest[..end];
-            if !is_dotted_counter_name(name) {
-                out.push(Diagnostic::new(
-                    LintCode::Pvs011,
-                    ctx.path,
-                    idx + 1,
-                    format!(
-                        "counter name literal {name:?} is not lowercase \
-                         `snake.dotted` — recorder names must be two or more \
-                         `[a-z0-9_]+` segments joined by dots"
-                    ),
-                ));
             }
         }
     }
@@ -466,7 +255,7 @@ const RESULT_MARKERS: [&str; 13] = [
 ];
 
 /// How many lines above an `unwrap`/`expect` a `// INFALLIBLE:`
-/// justification may sit (mirrors the PVS004 `// SAFETY:` window).
+/// justification may sit.
 const INFALLIBLE_COMMENT_WINDOW: usize = 3;
 
 /// PVS012: `unwrap()`/`expect()` on a Result in simulator library code.
@@ -602,32 +391,20 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_needs_safety_comment() {
-        let bad = "fn f() {\n    unsafe { danger() }\n}\n";
-        assert_eq!(codes(&check("core", bad)), vec![("PVS004", 2)]);
-        let good = "fn f() {\n    // SAFETY: bounds checked above\n    unsafe { danger() }\n}\n";
-        assert!(check("core", good).is_empty());
-        let same_line = "unsafe { x() } // SAFETY: x is idempotent\n";
-        assert!(check("core", same_line).is_empty());
-    }
-
-    #[test]
-    fn hash_iteration_flagged() {
-        let src = "let mut m = std::collections::HashMap::new();\n\
-                   m.insert(1, 2.0);\n\
-                   for (k, v) in m.iter() {\n\
-                   }\n";
-        let found = check("report", src);
-        assert!(codes(&found).contains(&("PVS005", 3)), "{found:?}");
+    fn hash_containers_flagged_wherever_they_are_named() {
+        // The struct-field and parameter walks a binding tracker cannot
+        // see: the type name is on a line either way.
+        let field = "struct S { m: std::collections::HashMap<u32, f64> }\n\
+                     impl S { fn t(&self) -> f64 { let mut t = 0.0; for (_, v) in self.m.iter() { t += v; } t } }\n";
+        assert_eq!(codes(&check("report", field)), vec![("PVS005", 1)]);
+        let param = "fn total(m: &HashMap<u32, f64>) -> f64 {\n    m.values().sum()\n}\n";
+        assert_eq!(codes(&check("report", param)), vec![("PVS005", 1)]);
+        let set = "let set: std::collections::HashSet<_> = xs.iter().collect();\n";
+        assert_eq!(codes(&check("paratec", set)), vec![("PVS005", 1)]);
         let sorted = "let m = std::collections::BTreeMap::new();\nfor (k, v) in m.iter() {}\n";
         assert!(check("report", sorted).is_empty());
-    }
-
-    #[test]
-    fn hash_len_without_iteration_is_fine() {
-        let src = "let set: std::collections::HashSet<_> = xs.iter().collect();\n\
-                   assert_eq!(set.len(), xs.len());\n";
-        assert!(check("paratec", src).is_empty());
+        let prose = "// a HashMap would be wrong here\nlet s = \"HashSet\";\nstruct MyHashMap;\n";
+        assert!(check("report", prose).is_empty());
     }
 
     #[test]
@@ -652,51 +429,18 @@ mod tests {
         assert_eq!(codes(&check("gtc", src)), vec![("PVS007", 1)]);
         let expect = "#[expect(unused)]\nfn g() {}\n";
         assert_eq!(codes(&check("gtc", expect)), vec![("PVS007", 1)]);
-    }
-
-    #[test]
-    fn method_expect_is_not_an_attribute() {
-        let src = "let v = map.get(&k).expect(\"present\");\n";
-        assert!(check("core", src).is_empty());
-    }
-
-    #[test]
-    fn dotted_counter_name_grammar() {
-        for ok in ["a.b", "engine.loop.cycles", "pool.worker.0.tasks", "net_sim.x9"] {
-            assert!(is_dotted_counter_name(ok), "{ok}");
-        }
-        for bad in ["flops", "Engine.phases", "a..b", ".a", "a.", "a b.c", "net-sim.x", ""] {
-            assert!(!is_dotted_counter_name(bad), "{bad}");
-        }
-    }
-
-    #[test]
-    fn malformed_recorder_names_flagged() {
-        let src = "r.add(\"flops\", 1);\n\
-                   r.gauge_set(\"queueDepth\", 2);\n\
-                   r.gauge_max( \"Engine.Phases\", 3);\n\
-                   entries.push((\"engine..cycles\", 4));\n\
-                   r.add_many(&[(\"ok.name\", 1), (\"bad name\", 2)]);\n";
+        let nested = "#![cfg_attr(test, allow(warnings))]\n\
+                      #[cfg_attr(feature = \"x\", allow(dead_code, unused))]\nfn h() {}\n";
         assert_eq!(
-            codes(&check("core", src)),
-            vec![
-                ("PVS011", 1),
-                ("PVS011", 2),
-                ("PVS011", 3),
-                ("PVS011", 4),
-                ("PVS011", 5),
-            ]
+            codes(&check("gtc", nested)),
+            vec![("PVS007", 1), ("PVS007", 2), ("PVS007", 2)]
         );
     }
 
     #[test]
-    fn dotted_and_dynamic_recorder_names_are_fine() {
-        let src = "r.add(\"engine.loop.flops\", 1);\n\
-                   r.gauge_max(\"netsim.link.peak_bytes\", 2);\n\
-                   entries.push((\"memsim.bank.stall_cycles\", 3));\n\
-                   r.add_many(&[(\"vectorsim.strips\", 1), (\"pool.queue.depth\", 2)]);\n\
-                   r.add(&format!(\"pool.worker.{i}.tasks\"), 1);\n\
-                   r.add(name, 1);\n";
+    fn method_expect_is_not_an_attribute() {
+        let src = "let v = map.get(&k).expect(\"present\");\n\
+                   #[test] fn t() { r.expect(warnings); disallow(unused); }\n";
         assert!(check("core", src).is_empty());
     }
 
@@ -740,13 +484,5 @@ mod tests {
                             #[cfg(test)]\n\
                             mod tests {}\n";
         assert_eq!(codes(&check("core", before_tests)), vec![("PVS012", 1)]);
-    }
-
-    #[test]
-    fn counter_names_in_comments_and_plain_pushes_ignored() {
-        let src = "// r.add(\"BAD\", 1) would be wrong\n\
-                   stack.push((\"Label\", 1));\n\
-                   let v = other.add(2);\n";
-        assert!(check("core", src).is_empty());
     }
 }

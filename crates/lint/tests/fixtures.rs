@@ -19,19 +19,20 @@ fn fixture_dir() -> PathBuf {
 }
 
 /// Run the pass family a fixture's name/extension selects. The
-/// cross-file codes (PVS013–PVS015) treat the fixture as a one-file
-/// workspace; PVS014 fixtures document their names with `// DOCUMENTED:`
-/// directives in place of the README table.
+/// cross-file codes (PVS011, PVS013–PVS015) treat the fixture as a
+/// one-file workspace; PVS014 fixtures document their names with
+/// `// DOCUMENTED:` directives in place of the README table.
 fn findings_for(name: &str) -> Vec<Diagnostic> {
     let text = fs::read_to_string(fixture_dir().join(name)).expect("fixture readable");
     let mut diags = if name.ends_with(".toml") {
         check_manifest_text(name, &text)
     } else if name.ends_with(".lock") {
         check_lockfile_text(name, &text)
-    } else if name.starts_with("pvs013") || name.starts_with("pvs014") || name.starts_with("pvs015")
-    {
+    } else if ["pvs011", "pvs013", "pvs014", "pvs015"].contains(&&name[..6]) {
         let ws = WorkspaceFacts::build(vec![FileFacts::parse("fixture", name, &text, false)]);
-        if name.starts_with("pvs013") {
+        if name.starts_with("pvs011") {
+            names::check_counter_grammar(&ws)
+        } else if name.starts_with("pvs013") {
             locks::check(&ws)
         } else if name.starts_with("pvs014") {
             let docs = ws
@@ -80,11 +81,10 @@ fn assert_matches_golden(fixture: &str) {
     );
 }
 
-const VIOLATION_FIXTURES: [&str; 12] = [
+const VIOLATION_FIXTURES: [&str; 11] = [
     "pvs001_violations.toml",
     "pvs002_violations.lock",
     "pvs003_violations.rs",
-    "pvs004_violations.rs",
     "pvs005_violations.rs",
     "pvs006_violations.rs",
     "pvs007_violations.rs",
@@ -95,11 +95,10 @@ const VIOLATION_FIXTURES: [&str; 12] = [
     "pvs015_violations.rs",
 ];
 
-const CLEAN_FIXTURES: [&str; 12] = [
+const CLEAN_FIXTURES: [&str; 11] = [
     "pvs001_clean.toml",
     "pvs002_clean.lock",
     "pvs003_clean.rs",
-    "pvs004_clean.rs",
     "pvs005_clean.rs",
     "pvs006_clean.rs",
     "pvs007_clean.rs",

@@ -39,6 +39,8 @@
 //! assert!(l2.stats().hit_rate() > 0.49);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bandwidth;
 pub mod banks;
 pub mod cache;

@@ -55,6 +55,8 @@
 //! assert!(results.iter().all(|&x| x == 6.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod blocks;
 pub mod caf;
 pub mod cart;

@@ -37,6 +37,8 @@
 //! assert!(time(mk(TopologyKind::Torus2D)) > time(mk(TopologyKind::Crossbar)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod des;
 pub mod fault;

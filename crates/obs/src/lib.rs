@@ -21,6 +21,8 @@
 //! Counter names follow a `layer.component.metric` scheme, e.g.
 //! `engine.loop.flops`, `pool.queue.peak_depth`, `memsim.bank.stall_cycles`.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod recorder;
 pub mod registry;

@@ -108,7 +108,7 @@ mod tests {
     fn inversion_symmetry() {
         // For every G in the sphere, −G is in the sphere.
         let b = PwBasis::new(8, 3.0);
-        let set: std::collections::HashSet<_> = b.g_index.iter().cloned().collect();
+        let set: std::collections::BTreeSet<_> = b.g_index.iter().cloned().collect();
         for &(ix, iy, iz) in &b.g_index {
             let neg = ((8 - ix) % 8, (8 - iy) % 8, (8 - iz) % 8);
             assert!(set.contains(&neg), "missing -G for ({ix},{iy},{iz})");

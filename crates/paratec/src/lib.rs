@@ -44,6 +44,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Index loops mirror the Fortran-style kernels they reproduce (band/coefficient index loops).
 #![allow(clippy::needless_range_loop)]
 

@@ -199,24 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_kernels_static_dynamic_agree() {
-        for d in kernel_descriptors() {
-            let s = d.static_prediction();
-            let m = d.dynamic_metrics();
-            if s.avl > 0.0 {
-                assert!(
-                    (m.avl() - s.avl).abs() / s.avl < 0.05,
-                    "{}: static AVL {} vs dynamic {}",
-                    d.kernel,
-                    s.avl,
-                    m.avl()
-                );
-            }
-            assert!((m.vor() - s.vor).abs() < 0.05, "{}", d.kernel);
-        }
-    }
-
-    #[test]
     fn high_fractions_of_peak_everywhere() {
         // "PARATEC runs at a high percentage of peak on both superscalar
         // and vector-based architectures".

@@ -16,6 +16,8 @@
 //! assert_eq!(cell, Some((4.62, 58.0)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod image;
 pub mod json;

@@ -27,6 +27,8 @@
 //! The `serve` and `serve_load` commands of `pvs-bench` wrap this crate
 //! with CLI plumbing and a seeded load generator.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod proto;
 pub mod server;

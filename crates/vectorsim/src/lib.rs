@@ -20,7 +20,7 @@
 //!   2–8× memory footprint for vectorizability (GTC charge deposition);
 //! * **static kernel descriptors** ([`descriptor`]): the "compiler listing"
 //!   view of a registered kernel — closed-form intensity/AVL/VOR
-//!   predictions that `pvs-lint` cross-checks against the dynamic model.
+//!   predictions that `tests/simulators.rs` holds to the dynamic model.
 //!
 //! ## Example
 //!
@@ -38,6 +38,8 @@
 //! assert!(r.gflops() > 4.0);           // well-vectorized: most of 8 GF/s
 //! assert!(r.metrics.avl() > 250.0);    // full 256-element strips
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod descriptor;

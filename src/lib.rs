@@ -9,6 +9,8 @@
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! system inventory and experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use pvs_amr as amr;
 pub use pvs_analyze as analyze;
 pub use pvs_cactus as cactus;

@@ -10,6 +10,11 @@ use pvs::analyze::{findings, profiledoc};
 use pvs::core::json::{parse, Value};
 use pvs_bench::chaos::{run_chaos, scenarios};
 use pvs_bench::profile::{paper_cells, run_profile, smoke_cells, ProfileOptions};
+use pvs_bench::rankscale::{run_rankscale, weak_scaling_cells};
+use pvs_bench::servechaos::run_servechaos;
+use pvs_bench::serveload::{
+    bench_serve_doc, fetch_cell_body, fetch_stats, paper_serve_cells, run_load, LoadOptions,
+};
 
 fn quick_options() -> ProfileOptions {
     ProfileOptions {
@@ -83,29 +88,53 @@ fn member_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
     member
 }
 
+/// What `pvs serve_load --inline --out` writes: the default load against
+/// an in-process server on an ephemeral port, then the eight served
+/// bodies and the final stats snapshot.
+fn fresh_serve_doc() -> String {
+    let (cells, options) = (paper_serve_cells(), LoadOptions::default());
+    let server = pvs::serve::Server::start(Default::default()).expect("inline server starts");
+    let addr = server.addr().to_string();
+    let run = run_load(&addr, &cells, &options).expect("load run completes");
+    let bodies: Vec<String> = cells
+        .iter()
+        .map(|c| fetch_cell_body(&addr, c).expect("served cell body"))
+        .collect();
+    let stats = fetch_stats(&addr).expect("stats reply");
+    bench_serve_doc(&cells, &bodies, &run, &stats, &options)
+}
+
 /// Every committed baseline compared against itself is the gate's
-/// identity case: all cells matched, no difference. The two pure-model
-/// baselines are also held against a fresh run — a stale committed file
-/// fails here, not only in the command gate (the socket and
-/// 131 072-rank harnesses stay there).
+/// identity case: all cells matched, no difference. Each is also held
+/// against a fresh run of its harness, so a stale committed file fails
+/// here, in `cargo test`, and not only in the command gate.
 #[test]
 fn sentinel_passes_the_committed_baseline_against_itself() {
-    let fresh_sweep = run_profile(paper_cells(), quick_options()).to_json();
-    let fresh_chaos = run_chaos(&paper_cells(), &scenarios(), 1)
-        .expect("resilience invariants hold")
-        .to_json();
-    for (stem, fresh) in [
-        ("sweep", Some(fresh_sweep)),
-        ("chaos", Some(fresh_chaos)),
-        ("servechaos", None),
-        ("mpisim", None),
-        ("serve", None),
-    ] {
+    let threads = pvs::core::pool::default_threads();
+    let fresh = [
+        ("sweep", run_profile(paper_cells(), quick_options()).to_json()),
+        (
+            "chaos",
+            run_chaos(&paper_cells(), &scenarios(), 1)
+                .expect("resilience invariants hold")
+                .to_json(),
+        ),
+        (
+            "servechaos",
+            run_servechaos(threads).expect("the serving plane survives").to_json(),
+        ),
+        (
+            "mpisim",
+            run_rankscale(&weak_scaling_cells()).expect("v1/v2 identity gate holds").to_json(),
+        ),
+        ("serve", fresh_serve_doc()),
+    ];
+    for (stem, fresh) in fresh {
         let doc = committed_baseline(stem);
         let cells = doc.get("cells").and_then(Value::as_array).unwrap().len();
         assert!(cells > 0, "{stem}");
-        let fresh = fresh.map(|text| parse(&text).expect("fresh document parses"));
-        for new in [Some(&doc), fresh.as_ref()].into_iter().flatten() {
+        let fresh = parse(&fresh).expect("fresh document parses");
+        for new in [&doc, &fresh] {
             let cmp = compare_docs(&doc, new);
             assert!(cmp.equal(), "{stem}: {:?}", cmp.differences);
             assert_eq!(cmp.matched_cells, cells, "{stem}");

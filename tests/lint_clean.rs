@@ -1,20 +1,22 @@
 //! Tier-1: the whole workspace must be clean under `pvs-lint`.
 //!
-//! Runs every lint pass — manifest/lockfile invariants, the
-//! determinism/safety source lints, and the static-vs-dynamic kernel
-//! model cross-checks — exactly as `cargo run -p pvs-lint` does, and
-//! fails on any error-severity finding. Warnings (the PVS010
-//! short-vector advisories, a real property of the paper's Cactus
-//! small-grid workloads) are allowed but pinned so silent drift shows.
+//! Runs every lint pass — manifest/lockfile invariants (no external
+//! dependency can come back: PVS001/PVS002 are errors like any other),
+//! the determinism source lints, and the cross-file lock-order,
+//! counter-name and schema-literal passes — exactly as
+//! `cargo run -p pvs-lint` does. Errors fail; so do warnings, because a
+//! clean tree has none.
 
 use std::path::Path;
 
 use pvs::lint::diag::Severity;
 use pvs::lint::lint_workspace;
+use pvs::lint::manifest::workspace_manifest_paths;
 
 #[test]
 fn workspace_has_no_lint_errors() {
-    let report = lint_workspace(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let report = lint_workspace(root);
     let errors: Vec<String> = report
         .diagnostics
         .iter()
@@ -28,23 +30,19 @@ fn workspace_has_no_lint_errors() {
         report.files_scanned
     );
     assert!(
-        report.kernels_checked >= 20,
-        "kernel registry regressed: only {} descriptors",
-        report.kernels_checked
+        workspace_manifest_paths(root).len() >= 15,
+        "manifest walker regressed: expected the full workspace"
     );
 }
 
 #[test]
-fn known_warnings_are_exactly_the_cactus_short_vector_advisories() {
+fn a_clean_tree_has_zero_warnings() {
     let report = lint_workspace(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let warnings: Vec<&str> = report
+    let warnings: Vec<String> = report
         .diagnostics
         .iter()
         .filter(|d| d.severity == Severity::Warning)
-        .map(|d| d.file.as_str())
+        .map(|d| d.render())
         .collect();
-    assert!(
-        warnings.iter().all(|f| f.contains("cactus")),
-        "unexpected warning outside the known Cactus short-loop set: {warnings:?}"
-    );
+    assert!(warnings.is_empty(), "{warnings:#?}");
 }

@@ -1,7 +1,9 @@
 //! Integration: cross-validation of the simulated substrate — measured
 //! (discrete-event) network behaviour vs analytic expectations, prefetch
-//! simulation vs its closed form, and engine sanity across the whole
-//! platform × workload matrix.
+//! simulation vs its closed form, every registered kernel's static
+//! ("listing file") AVL/VOR vs the dynamic pipeline's ("hardware
+//! counter") AVL/VOR, and engine sanity across the whole platform ×
+//! workload matrix.
 
 use pvs::netsim::collectives::measured_bisection_gbs;
 use pvs::netsim::topology::{Network, NetworkConfig, TopologyKind};
@@ -149,4 +151,86 @@ fn one_sided_semantics_never_slow_communication_down() {
             "{pattern:?}: one-sided {t1} vs two-sided {t2}"
         );
     }
+}
+
+/// `(AVL gap relative to the static prediction, absolute VOR gap)` between
+/// a descriptor's closed-form strip-mining arithmetic and its run through
+/// the instruction-accounting pipeline. The two derivations share nothing
+/// but the loop description, so a gap means one of them, or the
+/// descriptor, is wrong.
+fn static_dynamic_gaps(d: &pvs::core::kernel::KernelDescriptor) -> (f64, f64) {
+    let (s, m) = (d.static_prediction(), d.dynamic_metrics());
+    let avl_gap = if s.avl == 0.0 { m.avl().abs() } else { (m.avl() - s.avl).abs() / s.avl };
+    (avl_gap, (m.vor() - s.vor).abs())
+}
+
+/// The paper's listing-file vs hardware-counter cross-check, over every
+/// kernel the workspace registers: static and dynamic AVL within 5 %,
+/// VOR within 0.05. The kernels a vector machine runs at under half its
+/// vector length are exactly the paper's Cactus small-grid pathology
+/// (§5.2: an 80-point x-dimension on a VL-256 machine) — a new member of
+/// that set is a workload or descriptor change worth a look.
+#[test]
+fn registered_kernels_static_and_dynamic_vectorization_agree() {
+    let mut all = pvs::vectorsim::descriptor::reference_descriptors();
+    all.extend(pvs::lbmhd::perf::kernel_descriptors());
+    all.extend(pvs::gtc::perf::kernel_descriptors());
+    all.extend(pvs::cactus::perf::kernel_descriptors());
+    all.extend(pvs::paratec::perf::kernel_descriptors());
+    assert!(all.len() >= 38, "registry shrank to {}", all.len());
+
+    let mut short_vector = Vec::new();
+    for d in &all {
+        let label = format!("{}/{} on {}", d.app, d.kernel, d.machine.name());
+        let (avl_gap, vor_gap) = static_dynamic_gaps(d);
+        assert!(avl_gap <= 0.05, "{label}: static vs dynamic AVL differ by {avl_gap}");
+        assert!(vor_gap <= 0.05, "{label}: static vs dynamic VOR differ by {vor_gap}");
+        let s = d.static_prediction();
+        if s.vor > 0.0 && s.avl < d.machine.unit().max_vl as f64 / 2.0 {
+            short_vector.push(label);
+        }
+    }
+    assert_eq!(
+        short_vector,
+        [
+            "cactus/small/ADM_BSSN_Sources on ES",
+            "cactus/small/ADM_BSSN_Sources on X1",
+            "cactus/small/radiation_boundary on X1",
+        ]
+    );
+    for app in ["vectorsim", "lbmhd", "gtc", "cactus", "paratec"] {
+        for machine in ["ES", "X1"] {
+            assert!(
+                all.iter().any(|d| d.app == app && d.machine.name() == machine),
+                "no {app} descriptor for {machine}"
+            );
+        }
+    }
+}
+
+/// The check above has teeth: three trips of a loop with a fractional
+/// vector-instruction count per iteration, where the dynamic accounting's
+/// ceil-rounding visibly departs from the closed-form strip average.
+#[test]
+fn a_divergent_descriptor_is_caught() {
+    use pvs::core::kernel::{KernelDescriptor, MachineKind};
+    use pvs::vectorsim::exec::{LoopClass, VectorLoop};
+
+    let d = KernelDescriptor {
+        app: "fixture",
+        kernel: "rounding_pathology".to_string(),
+        machine: MachineKind::Es,
+        source_hint: "tests/simulators.rs",
+        vloop: VectorLoop {
+            trips: 3,
+            outer_iters: 1,
+            flops_per_iter: 3.0,
+            bytes_per_iter: 8.0,
+            gather_fraction: 0.0,
+            live_vector_temps: 8,
+            class: LoopClass::Vectorizable { multistreamable: true },
+        },
+    };
+    let (avl_gap, _) = static_dynamic_gaps(&d);
+    assert!(avl_gap > 0.05, "expected divergence, got {avl_gap}");
 }
