@@ -230,7 +230,7 @@ mod tests {
         "sweep_threads":1,"host_samples_per_cell":3,"host_median_sum_s":0.5,
         "load":{"wall_s":1.5},"server":{"uptime_s":2},
         "harness":[{"name":"chaos.scenarios","value":6},
-                   {"name":"servechaos.spill-corruption.store.quarantined","value":3}],
+                   {"name":"chaos.msg-drop-delay.mpisim.drops","value":3}],
         "cells":[
           {"app":"LBMHD","config":"8192x8192","machine":"Power3","procs":64,
            "model":{"machine":"Power3","procs":64,"time_s":10,"comm_s":0.25,
@@ -310,7 +310,7 @@ mod tests {
             (
                 "\"value\":3}",
                 "\"value\":0}",
-                "harness.servechaos.spill-corruption.store.quarantined".to_string(),
+                "harness.chaos.msg-drop-delay.mpisim.drops".to_string(),
             ),
             (
                 "\"engine.phases\",\"value\":2",
@@ -360,7 +360,7 @@ mod tests {
         assert!(!cmp.equal());
         assert_eq!(
             cmp.differences[0].to_string(),
-            "harness.servechaos.spill-corruption.store.quarantined 3 -> 0"
+            "harness.chaos.msg-drop-delay.mpisim.drops 3 -> 0"
         );
     }
 

@@ -50,7 +50,6 @@ const COMMANDS: &[(&str, Command)] = &[
     ("rankscale", |a| c::rankscale::SPEC.run(a, c::rankscale::run)),
     ("serve", |a| c::serve::SPEC.run(a, c::serve::run)),
     ("serve_load", |a| c::serve_load::SPEC.run(a, c::serve_load::run)),
-    ("servechaos", |a| c::servechaos::SPEC.run(a, c::servechaos::run)),
 ];
 
 fn listing() -> String {

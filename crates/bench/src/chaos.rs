@@ -67,7 +67,7 @@ pub fn kind_label(kind: &FaultKind) -> &'static str {
 pub fn covered_kinds(scenarios: &[ChaosScenario]) -> BTreeSet<&'static str> {
     scenarios
         .iter()
-        .flat_map(|s| s.plan.events().map(|e| kind_label(&e.kind)))
+        .flat_map(|s| s.plan.kinds().iter().map(kind_label))
         .collect()
 }
 
@@ -81,21 +81,16 @@ fn x1_link_down() -> ChaosScenario {
     let cut = net.bisection_cut_links().expect("the X1 is a torus");
     let rows = cut.len() / 4;
     let mut plan = FaultPlan::new(0x11A0);
-    let mut t = 1_000_000; // onset 1 µs, one row per µs after
     for row in cut.chunks(4).take(rows / 2) {
         plan = plan
-            .inject(t, FaultKind::LinkFailure { link: row[0] })
-            .inject(t, FaultKind::LinkFailure { link: row[2] });
-        t += 1_000_000;
+            .inject(FaultKind::LinkFailure { link: row[0] })
+            .inject(FaultKind::LinkFailure { link: row[2] });
     }
     for row in cut.chunks(4).skip(rows / 2) {
-        plan = plan.inject(
-            t,
-            FaultKind::LinkDegrade {
-                link: row[0],
-                factor: 0.5,
-            },
-        );
+        plan = plan.inject(FaultKind::LinkDegrade {
+            link: row[0],
+            factor: 0.5,
+        });
     }
     ChaosScenario {
         name: "x1-link-down",
@@ -108,7 +103,7 @@ fn x1_link_down() -> ChaosScenario {
 fn es_port_loss() -> ChaosScenario {
     let mut plan = FaultPlan::new(0xE5F0);
     for port in 0..4 {
-        plan = plan.inject(2_000_000, FaultKind::PortLoss { port });
+        plan = plan.inject(FaultKind::PortLoss { port });
     }
     ChaosScenario {
         name: "es-port-loss",
@@ -120,8 +115,8 @@ fn es_port_loss() -> ChaosScenario {
 /// Memory banks mapped out of the interleave on the vector machines.
 fn bank_fault() -> ChaosScenario {
     let plan = FaultPlan::new(0xBA4F)
-        .inject(500_000, FaultKind::BankFault { bank: 0 })
-        .inject(700_000, FaultKind::BankFault { bank: 3 });
+        .inject(FaultKind::BankFault { bank: 0 })
+        .inject(FaultKind::BankFault { bank: 3 });
     ChaosScenario {
         name: "bank-fault",
         machines: &["ES", "X1"],
@@ -133,14 +128,11 @@ fn bank_fault() -> ChaosScenario {
 /// runtime must retry its way to the same collective results.
 fn msg_drop_delay() -> ChaosScenario {
     let plan = FaultPlan::new(0xD07D)
-        .inject(1_000, FaultKind::MessageLoss { drop_per_mille: 150 })
-        .inject(
-            2_000,
-            FaultKind::MessageDelay {
-                delay_per_mille: 300,
-                delay_ps: 2_000_000,
-            },
-        );
+        .inject(FaultKind::MessageLoss { drop_per_mille: 150 })
+        .inject(FaultKind::MessageDelay {
+            delay_per_mille: 300,
+            delay_ps: 2_000_000,
+        });
     ChaosScenario {
         name: "msg-drop-delay",
         machines: &["Power3"],
@@ -152,8 +144,8 @@ fn msg_drop_delay() -> ChaosScenario {
 /// survivors.
 fn rank_fail_retry() -> ChaosScenario {
     let plan = FaultPlan::new(0x4A4F)
-        .inject(1_000, FaultKind::RankFailure { rank: 4 })
-        .inject(2_000, FaultKind::MessageLoss { drop_per_mille: 100 });
+        .inject(FaultKind::RankFailure { rank: 4 })
+        .inject(FaultKind::MessageLoss { drop_per_mille: 100 });
     ChaosScenario {
         name: "rank-fail-retry",
         machines: &["ES"],
@@ -165,8 +157,8 @@ fn rank_fail_retry() -> ChaosScenario {
 /// effect on the results.
 fn worker_loss() -> ChaosScenario {
     let plan = FaultPlan::new(0x1057)
-        .inject(3_000, FaultKind::WorkerLoss { worker: 1, after_tasks: 1 })
-        .inject(3_000, FaultKind::WorkerLoss { worker: 2, after_tasks: 1 });
+        .inject(FaultKind::WorkerLoss { worker: 1, after_tasks: 1 })
+        .inject(FaultKind::WorkerLoss { worker: 2, after_tasks: 1 });
     ChaosScenario {
         name: "worker-loss",
         machines: &["Power3"],
@@ -225,7 +217,7 @@ impl ChaosOutput {
 /// Scenario-qualified config label. Leaked once per distinct label —
 /// the label set is a small static cross product, so the leak is
 /// bounded and the `&'static str` plugs into [`SweepCell`] unchanged.
-pub(crate) fn scenario_config(config: &str, scenario: &str) -> &'static str {
+fn scenario_config(config: &str, scenario: &str) -> &'static str {
     Box::leak(format!("{config}@{scenario}").into_boxed_str())
 }
 

@@ -5,9 +5,9 @@
 //! cargo run --release -p pvs-bench --bin pvs -- chaos --out BENCH_chaos.json # rewrite the baseline
 //! ```
 //!
-//! Flags: `--threads N` (sweep worker threads, default honours
-//! `PVS_THREADS`), `--out PATH` (default `target/BENCH_chaos.json`; the
-//! committed baseline is rewritten only by naming it).
+//! Flags: `--out PATH` (default `target/BENCH_chaos.json`; the committed
+//! baseline is rewritten only by naming it). The sweep pool's width is
+//! `PVS_THREADS`.
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
 //! 1 a resilience invariant failed, 2 malformed usage, 6 the output
@@ -20,14 +20,14 @@ use crate::profile::paper_cells;
 
 pub const SPEC: Spec = Spec {
     command: "chaos",
-    synopsis: "[--threads N] [--out PATH]",
-    flags: &[("--threads", Kind::Count), ("--out", Kind::Text)],
+    synopsis: "[--out PATH]",
+    flags: &[("--out", Kind::Text)],
     positionals: 0,
 };
 
 /// `pvs chaos`.
 pub fn run(args: &Args) -> i32 {
-    let threads = args.count("--threads").unwrap_or_else(pvs_core::pool::default_threads);
+    let threads = pvs_core::pool::default_threads();
     let (cells, scenarios) = (paper_cells(), chaos::scenarios());
     let code = cli::write_probed(&cli::bench_out_path(args, "chaos"), || {
         let kinds = covered_kinds(&scenarios);

@@ -16,7 +16,6 @@ pub mod roofline;
 pub mod scaling;
 pub mod serve;
 pub mod serve_load;
-pub mod servechaos;
 pub mod whatif;
 
 use crate::cli::{exit, Kind, Spec};

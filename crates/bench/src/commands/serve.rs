@@ -7,11 +7,11 @@
 //! ```
 //!
 //! Flags: `--addr A` (bind address, port 0 for ephemeral), `--threads N`
-//! (simulation pool), `--shards N` (cache shards), `--max-pending N`
-//! (admission cap on distinct in-flight simulations), `--spill-dir PATH`
-//! (on-disk cache), `--max-connections N` (cap on live connection
-//! threads), `--idle-timeout-ms N` (exit after N ms without traffic;
-//! default runs until a client sends `{"op":"shutdown"}`).
+//! (simulation pool), `--max-pending N` (admission cap on distinct
+//! in-flight simulations), `--spill-dir PATH` (on-disk cache),
+//! `--max-connections N` (cap on live connection threads),
+//! `--idle-timeout-ms N` (exit after N ms without traffic; default runs
+//! until a client sends `{"op":"shutdown"}`).
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 clean
 //! shutdown, 2 malformed usage, 6 the bind failed.
@@ -23,12 +23,11 @@ use pvs_serve::{Server, ServerOptions};
 
 pub const SPEC: Spec = Spec {
     command: "serve",
-    synopsis: "[--addr A] [--threads N] [--shards N] [--max-pending N] \
+    synopsis: "[--addr A] [--threads N] [--max-pending N] \
                [--spill-dir PATH] [--max-connections N] [--idle-timeout-ms N]",
     flags: &[
         ("--addr", Kind::Text),
         ("--threads", Kind::Index),
-        ("--shards", Kind::Index),
         ("--max-pending", Kind::Index),
         ("--spill-dir", Kind::Text),
         ("--max-connections", Kind::Index),
@@ -45,7 +44,6 @@ pub fn run(args: &Args) -> i32 {
     };
     for (flag, field) in [
         ("--threads", &mut options.store.threads),
-        ("--shards", &mut options.store.shards),
         ("--max-connections", &mut options.max_connections),
     ] {
         if let Some(n) = args.count(flag) {
@@ -71,7 +69,7 @@ pub fn run(args: &Args) -> i32 {
     println!(
         "  threads={} shards={} max_pending={} spill={}",
         store.threads,
-        store.shards,
+        pvs_serve::cache::DEFAULT_SHARDS,
         store.max_pending,
         store
             .spill_dir

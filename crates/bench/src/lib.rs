@@ -19,7 +19,6 @@ pub mod figures;
 pub mod harness;
 pub mod profile;
 pub mod rankscale;
-pub mod servechaos;
 pub mod serveload;
 pub mod tablegen;
 

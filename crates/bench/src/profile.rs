@@ -215,8 +215,7 @@ fn observed_engine(cell: &SweepCell) -> (Engine, Arc<Registry>) {
 }
 
 /// Run one cell serially under full observability (no host timing) —
-/// the reference the chaos harnesses compare degraded and served runs
-/// against.
+/// the reference the chaos harness compares degraded runs against.
 pub(crate) fn observed_run(cell: &SweepCell, adversity: &Adversity) -> CellProfile {
     let (engine, reg) = observed_engine(cell);
     let report = engine

@@ -737,6 +737,8 @@ mod tests {
         // Every slept backoff honored the server's 20 ms queue-depth hint.
         assert_eq!(backoffs.count(), 4);
         assert!(backoffs.min() >= 20, "hint floors the backoff: {}", backoffs.min());
+        // The server turned away every attempt: 2 requests × 3 attempts.
+        assert_eq!(server.store().registry().counter("serve.queue.rejected"), 6);
 
         // No-retry mode fails fast on the same server.
         let fast = run_load(&addr, &cells, &LoadOptions { retry: None, requests: 1, ..options })

@@ -60,7 +60,7 @@ fn commands() -> Vec<String> {
         .skip(1)
         .map(|l| l.trim().to_string())
         .collect();
-    assert_eq!(names.len(), 29, "the command table: {names:?}");
+    assert_eq!(names.len(), 28, "the command table: {names:?}");
     names
 }
 
@@ -90,7 +90,8 @@ fn every_command_answers_help_and_rejects_unknown_flags() {
 
 #[test]
 fn unknown_or_missing_command_exits_2_listing_the_commands() {
-    for args in [&["frobnicate"][..], &["selfperf"], &[]] {
+    // Retired commands are unknown ones: their checks live in unit tests.
+    for args in [&["frobnicate"][..], &["selfperf"], &["servechaos"], &[]] {
         let out = run(args);
         assert_exit(&out, 2, "no such command");
         assert!(stdout(&out).is_empty());
@@ -116,20 +117,17 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["profile", "--overhead", "1", "--samples", "2"],
     &["profile", "--overhead", "--analyze"],
     &["profile", "--overhead", "1", "--analyze", "--trace", "zz"],
-    // Retired with smoke mode: the five harnesses run in full.
+    // Retired with smoke mode: the four harnesses run in full.
     &["profile", "--smoke"],
     &["chaos", "--smoke"],
-    &["servechaos", "--smoke"],
     &["rankscale", "--smoke"],
     &["serve_load", "--inline", "--smoke"],
     &["chaos", "--bogus"],
-    &["chaos", "--threads", "none"],
+    // The pool width is PVS_THREADS, as for every other sweep.
+    &["chaos", "--threads", "2"],
     // Retired with the sweep checkpoint: no command wrote the format.
     &["chaos", "--checkpoint-check"],
     &["chaos", "--verify-checkpoint", "x.ck"],
-    &["servechaos", "--bogus"],
-    &["servechaos", "--threads", "zero"],
-    &["servechaos", "--threads", "0"],
     &["rankscale", "--bogus"],
     // The event runtime has one scheduler thread; there is nothing to set.
     &["rankscale", "--threads", "2"],
@@ -139,6 +137,8 @@ const USAGE_ERRORS: &[&[&str]] = &[
     &["serve", "--bogus"],
     &["serve", "--threads"],
     &["serve", "--max-pending", "lots"],
+    // Sixteen cache shards is a constant, not a knob.
+    &["serve", "--shards", "4"],
     &["serve_load", "--bogus"],
     &["serve_load", "--requests", "many"],
     &["serve_load", "--requests", "0"],
@@ -175,7 +175,6 @@ fn usage_errors_exit_2() {
 const WRITERS: &[&[&str]] = &[
     &["profile"],
     &["chaos"],
-    &["servechaos"],
     &["rankscale"],
     &["serve_load", "--inline"],
     &["experiments"],
@@ -259,12 +258,9 @@ fn tampered(text: &str, anchor: &str, field: &str, change: fn(f64) -> f64) -> St
 fn compare_exits_1_naming_the_path_of_any_changed_member() {
     let lbmhd = "cells[LBMHD/8192x8192/Power3/P64]";
     let rung = "cells[LBMHD/weak-scaling/mpisim-v2/P64]";
-    let quarantined = "servechaos.spill-corruption.store.quarantined";
     let drops = "chaos.msg-drop-delay.mpisim.drops";
     // (baseline, anchor, field after the anchor, change, exit code, stdout says)
-    let cases: [(&str, &str, &str, fn(f64) -> f64, i32, String); 12] = [
-        // A quarantine that stops firing (exit 0 under the old policy).
-        ("servechaos", quarantined, "value", |_| 0.0, 1, format!("harness.{quarantined}")),
+    let cases: [(&str, &str, &str, fn(f64) -> f64, i32, String); 11] = [
         // The LBMHD P=64 rank-output checksum, either way.
         ("mpisim", "\"cells\"", "gflops_per_p", |x| x + 1.0, 1, format!("{rung}.model.gflops_per_p")),
         ("mpisim", "\"cells\"", "gflops_per_p", |x| x - 1.0, 1, format!("{rung}.model.gflops_per_p")),
@@ -323,10 +319,9 @@ fn compare_exits_1_naming_the_path_of_any_changed_member() {
 #[test]
 fn fresh_full_runs_equal_the_committed_baselines() {
     let dir = scratch_dir("fresh");
-    let harnesses: [(&str, &[&str]); 5] = [
+    let harnesses: [(&str, &[&str]); 4] = [
         ("sweep", &["profile", "--samples", "1"]),
         ("chaos", &["chaos"]),
-        ("servechaos", &["servechaos"]),
         ("mpisim", &["rankscale"]),
         ("serve", &["serve_load", "--inline", "--check-identity"]),
     ];

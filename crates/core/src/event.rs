@@ -1,19 +1,17 @@
-//! The shared simulated-time event core.
+//! The simulated-time event core.
 //!
-//! Two layers of the stack schedule work in **simulated picoseconds**:
-//! `pvs-fault` keeps its fault plan as a time-sorted list of onset
-//! events, and `pvs-mpisim`'s event-driven runtime (mpisim v2) parks
-//! rank continuations and reschedules them at simulated timestamps.
-//! Both need the same structure — a queue ordered by `(at_ps, insertion
-//! sequence)` — and both need it *deterministic*: equal timestamps must
-//! preserve insertion order, so replaying the same pushes always drains
-//! in the same order regardless of host thread count or allocator state.
+//! `pvs-mpisim`'s event-driven runtime (mpisim v2) schedules work in
+//! **simulated picoseconds**: it parks rank continuations and
+//! reschedules them at simulated timestamps. It needs a queue ordered by
+//! `(at_ps, insertion sequence)`, and it needs it *deterministic*: equal
+//! timestamps must preserve insertion order, so replaying the same
+//! pushes always drains in the same order regardless of host thread
+//! count or allocator state.
 //!
 //! [`EventQueue`] is that structure. It is a plain sorted `VecDeque`
-//! rather than a binary heap because the dominant workloads are
-//! append-mostly (ranks rescheduled at their current clock, fault events
-//! appended in construction order): a sorted insert at the tail is O(1),
-//! a front pop is O(1), and the rare out-of-order insert pays a linear
+//! rather than a binary heap because the workload is append-mostly
+//! (ranks rescheduled at their current clock): a sorted insert at the
+//! tail is O(1), a front pop is O(1), and the rare out-of-order insert pays a linear
 //! shift that is bounded by the number of genuinely *future* events.
 //! No wall clocks anywhere — timestamps are caller-supplied simulated
 //! picoseconds, so the determinism lint (PVS003) holds.

@@ -5,8 +5,8 @@
 //! scale studies run natively (weak scaling to 10⁵ ranks). This module
 //! removes the cap: virtual ranks are **continuation-style tasks**
 //! resumed on the scheduler's own thread, scheduled by
-//! the same simulated-picosecond event core ([`pvs_core::EventQueue`])
-//! that drives the fault planner. A rank blocked in a receive or a
+//! the simulated-picosecond event core ([`pvs_core::EventQueue`]).
+//! A rank blocked in a receive or a
 //! collective *parks* — its continuation is keyed on what it waits for
 //! and rescheduled when the matching packet arrives or the collective
 //! completes — so P is bounded by memory, not by thread count.

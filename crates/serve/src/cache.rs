@@ -352,24 +352,25 @@ mod tests {
         warm.insert("00000000000000bb", "other body".into()).unwrap();
 
         // Kill-the-writer-mid-spill simulation: truncate one entry to a
-        // prefix of itself (a non-atomic torn write) and leave a partial
+        // prefix of itself (a non-atomic torn write), leave a partial
         // temp file (the atomic writer's artifact when killed between
-        // write and rename).
+        // write and rename), and a bare orphan temp from another writer.
         let torn = dir.join("00000000000000aa.cell");
         let full = std::fs::read(&torn).unwrap();
         std::fs::write(&torn, &full[..full.len() / 2]).unwrap();
         std::fs::write(dir.join("00000000000000cc.cell.tmp.999"), b"partial").unwrap();
+        std::fs::write(dir.join("00000000000000dd.tmp.7"), b"{\"half\":").unwrap();
 
         let cold = ShardedCache::new(2, Some(dir.clone()));
         let scan = cold.verify_spill();
-        assert_eq!(scan, SpillScan { verified: 1, quarantined: 2 }, "{scan:?}");
+        assert_eq!(scan, SpillScan { verified: 1, quarantined: 3 }, "{scan:?}");
         // The torn entry reads as corrupt-before-scan too: a second
         // cold cache (no warm-start scan) still refuses to serve it.
         assert_eq!(cold.get_disk("00000000000000aa"), DiskRead::Miss, "quarantined");
         assert_eq!(&*disk_hit(&cold, "00000000000000bb"), "other body");
-        // Quarantine holds both artifacts.
+        // Quarantine holds all three artifacts.
         let q: Vec<_> = std::fs::read_dir(dir.join("quarantine")).unwrap().flatten().collect();
-        assert_eq!(q.len(), 2, "{q:?}");
+        assert_eq!(q.len(), 3, "{q:?}");
         // A rescan is idempotent: quarantined files never come back.
         assert_eq!(cold.verify_spill(), SpillScan { verified: 1, quarantined: 0 });
         std::fs::remove_dir_all(&dir).unwrap();

@@ -48,7 +48,7 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 pub struct ServerOptions {
     /// Bind address; use port `0` for an ephemeral port (tests).
     pub addr: String,
-    /// Store knobs (threads, shards, admission cap, spill dir).
+    /// Store knobs (threads, admission cap, spill dir).
     pub store: StoreOptions,
     /// Exit after this long with no connections or requests
     /// (`None` = run until `shutdown`).

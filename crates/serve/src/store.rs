@@ -10,7 +10,7 @@
 //!    Disk entries are checksum-verified before serving; a damaged entry
 //!    is quarantined ([`crate::cache`]) and recomputed, never served.
 //! 3. **Supervisor check** — a key that has panicked the simulation
-//!    [`StoreOptions::max_key_panics`] times is *poisoned*: it is served
+//!    [`MAX_KEY_PANICS`] times is *poisoned*: it is served
 //!    as a structured [`ServeError::Failed`] instead of re-running a
 //!    crashing input forever.
 //! 4. **Deadline** — a request carrying a budget
@@ -64,13 +64,16 @@ pub type BudgetProbe = Arc<dyn Fn() -> Duration + Send + Sync>;
 /// flight. Requests without a deadline block without polling.
 const WAIT_POLL: Duration = Duration::from_millis(5);
 
+/// Panics on the same key before the supervisor poisons it.
+pub const MAX_KEY_PANICS: u32 = 3;
+
 /// Re-drive attempts before a follower gives up on a key whose leaders
 /// keep dying. Generous: each attempt either succeeds, poisons the key
-/// (→ structured `failed`), or burns one of `max_key_panics`, so the
+/// (→ structured `failed`), or burns one of [`MAX_KEY_PANICS`], so the
 /// loop converges long before this backstop.
 const MAX_REDRIVES: u32 = 8;
 
-/// Deterministic panic-injection knob for resilience harnesses: the
+/// Deterministic panic-injection knob for the supervisor's tests: the
 /// simulation panics on keys containing `key_substring` until that key
 /// has panicked `times` times. `times = 1` exercises follower re-drive
 /// and recovery; `times = u32::MAX` exercises poison-pill retirement.
@@ -87,17 +90,13 @@ pub struct PanicSpec {
 pub struct StoreOptions {
     /// Worker threads for the simulation pool.
     pub threads: usize,
-    /// Cache shard count.
-    pub shards: usize,
     /// Maximum distinct in-flight simulations before misses are
     /// rejected `overloaded`. `0` rejects every miss (useful in tests
     /// and as a drain mode); hits always serve.
     pub max_pending: usize,
     /// On-disk spill directory (`None` = memory only).
     pub spill_dir: Option<PathBuf>,
-    /// Panics on the same key before the supervisor poisons it.
-    pub max_key_panics: u32,
-    /// Deterministic fault injection (harness use only).
+    /// Deterministic fault injection (test use only).
     pub panic_inject: Option<PanicSpec>,
 }
 
@@ -105,10 +104,8 @@ impl Default for StoreOptions {
     fn default() -> Self {
         Self {
             threads: pvs_core::pool::default_threads(),
-            shards: DEFAULT_SHARDS,
             max_pending: 64,
             spill_dir: None,
-            max_key_panics: 3,
             panic_inject: None,
         }
     }
@@ -279,7 +276,7 @@ impl Flight {
 struct SupervisorState {
     /// Panics observed per key.
     panics: BTreeMap<String, u32>,
-    /// Keys retired after reaching `max_key_panics`.
+    /// Keys retired after reaching [`MAX_KEY_PANICS`].
     failed: BTreeSet<String>,
 }
 
@@ -292,7 +289,6 @@ pub struct CellStore {
     // sit below both in the order.
     flights: Mutex<BTreeMap<String, Arc<Flight>>>,
     max_pending: usize,
-    max_key_panics: u32,
     panic_inject: Option<PanicSpec>,
     // LOCK ORDER: 12 — supervisor panic ledger. Always taken standalone
     // (never while holding the flight map or a slot); holders only
@@ -321,7 +317,7 @@ impl CellStore {
     /// outcome lands in `serve.store.verified` / `serve.store.quarantined`
     /// before the first request can arrive.
     pub fn new(options: StoreOptions) -> Self {
-        let cache = ShardedCache::new(options.shards, options.spill_dir);
+        let cache = ShardedCache::new(DEFAULT_SHARDS, options.spill_dir);
         let registry = Arc::new(Registry::new());
         let scan = cache.verify_spill();
         if scan.verified > 0 {
@@ -335,7 +331,6 @@ impl CellStore {
             pool: ThreadPool::new(options.threads),
             flights: Mutex::new(BTreeMap::new()),
             max_pending: options.max_pending,
-            max_key_panics: options.max_key_panics.max(1),
             panic_inject: options.panic_inject,
             supervisor: Mutex::new(SupervisorState::default()),
             registry,
@@ -402,7 +397,7 @@ impl CellStore {
     }
 
     /// Record one panic on `key`; retire the key once the count reaches
-    /// `max_key_panics`. Returns the new count.
+    /// [`MAX_KEY_PANICS`]. Returns the new count.
     fn note_panic(&self, key: &str) -> u32 {
         let poisoned;
         let count;
@@ -411,7 +406,7 @@ impl CellStore {
             let entry = sup.panics.entry(key.to_string()).or_insert(0);
             *entry += 1;
             count = *entry;
-            poisoned = count >= self.max_key_panics && sup.failed.insert(key.to_string());
+            poisoned = count >= MAX_KEY_PANICS && sup.failed.insert(key.to_string());
         }
         if poisoned {
             self.registry.add("serve.supervisor.poisoned", 1);
@@ -664,6 +659,17 @@ mod tests {
         Request::cell("LBMHD", "8192x8192", "ES", 64)
     }
 
+    /// The bytes a direct engine run renders for `request`.
+    fn direct(request: &Request) -> String {
+        let resolved = request.resolve().unwrap();
+        let reports = run_sweep(vec![SweepJob {
+            machine: resolved.machine,
+            phases: resolved.phases,
+            procs: resolved.procs,
+        }]);
+        perf_report(&reports[0])
+    }
+
     /// Deterministic budget: reports `calls` nonzero probes, then zero
     /// forever. No wall clock involved.
     fn countdown(calls: u64) -> BudgetProbe {
@@ -694,13 +700,7 @@ mod tests {
         let s = store(StoreOptions { threads: 2, ..Default::default() });
         let req = Request::cell("CACTUS", "250x64x64", "X1", 64);
         let served = s.get(&req).unwrap();
-        let resolved = req.resolve().unwrap();
-        let direct = run_sweep(vec![SweepJob {
-            machine: resolved.machine,
-            phases: resolved.phases,
-            procs: resolved.procs,
-        }]);
-        assert_eq!(*served.body, perf_report(&direct[0]));
+        assert_eq!(*served.body, direct(&req));
     }
 
     #[test]
@@ -804,33 +804,47 @@ mod tests {
 
     #[test]
     fn corrupt_spill_entry_is_quarantined_and_recomputed_identically() {
-        let dir = std::env::temp_dir().join(format!("pvs_serve_corrupt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = || StoreOptions {
-            threads: 2,
-            spill_dir: Some(dir.clone()),
-            ..Default::default()
-        };
-        let first = store(opts());
-        let body = first.get(&lbmhd()).unwrap().body;
-        drop(first);
+        // A torn write, media decay, and a foreign file under our name.
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [(&str, Damage); 3] = [
+            ("truncated", |b| b.truncate(b.len() / 2)),
+            ("bit-flipped", |b| {
+                let last = b.len() - 1;
+                b[last] ^= 0x04;
+            }),
+            ("garbage-header", |b| {
+                b.splice(0..0, *b"pvs-serve/not-a-cell 0 0\n");
+            }),
+        ];
+        for (name, damage) in damages {
+            let dir = std::env::temp_dir()
+                .join(format!("pvs_serve_corrupt_{}_{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let opts = || StoreOptions {
+                threads: 2,
+                spill_dir: Some(dir.clone()),
+                ..Default::default()
+            };
+            let first = store(opts());
+            let body = first.get(&lbmhd()).unwrap().body;
+            drop(first);
 
-        // Flip a bit in the spilled body.
-        let path = dir.join(format!("{}.cell", lbmhd().key_hash()));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x04;
-        std::fs::write(&path, &bytes).unwrap();
+            let file = format!("{}.cell", lbmhd().key_hash());
+            let mut bytes = std::fs::read(dir.join(&file)).unwrap();
+            damage(&mut bytes);
+            std::fs::write(dir.join(&file), &bytes).unwrap();
 
-        // Warm start quarantines it...
-        let second = store(opts());
-        assert_eq!(second.registry().counter("serve.store.quarantined"), 1);
-        assert_eq!(second.registry().counter("serve.store.verified"), 0);
-        // ...and the recomputed body is byte-identical to the original.
-        let served = second.get(&lbmhd()).unwrap();
-        assert_eq!(served.source, CellSource::Computed);
-        assert_eq!(served.body, body);
-        std::fs::remove_dir_all(&dir).unwrap();
+            // Warm start quarantines it...
+            let second = store(opts());
+            assert_eq!(second.registry().counter("serve.store.quarantined"), 1, "{name}");
+            assert_eq!(second.registry().counter("serve.store.verified"), 0, "{name}");
+            assert!(dir.join("quarantine").join(&file).exists(), "{name}");
+            // ...and the recomputed body is byte-identical to the original.
+            let served = second.get(&lbmhd()).unwrap();
+            assert_eq!(served.source, CellSource::Computed, "{name}");
+            assert_eq!(served.body, body, "{name}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -892,10 +906,13 @@ mod tests {
         }
         assert_eq!(s.registry().counter("serve.deadline.abandoned"), 1);
         assert_eq!(s.registry().counter("serve.sim.runs"), 0);
-        // The abandoned flight leaves no residue: the next undeadlined
-        // request computes normally.
-        assert!(s.get(&lbmhd()).is_ok());
+        // The abandoned flight leaves no residue: the next request, with
+        // a budget that outlives the run, computes the exact bytes.
+        let served = s.get_with_budget(&lbmhd(), Some(countdown(1_000_000))).unwrap();
+        assert_eq!(served.source, CellSource::Computed);
+        assert_eq!(*served.body, direct(&lbmhd()));
         assert_eq!(s.registry().counter("serve.sim.runs"), 1);
+        assert_eq!(s.registry().counter("serve.deadline.requests"), 2);
     }
 
     #[test]
@@ -916,27 +933,32 @@ mod tests {
         let key = lbmhd().key_hash();
         let s = store(StoreOptions {
             threads: 1,
-            max_key_panics: 2,
             panic_inject: Some(PanicSpec { key_substring: key.clone(), times: u32::MAX }),
             ..Default::default()
         });
-        let (first, second) = (s.get(&lbmhd()).unwrap_err(), s.get(&lbmhd()).unwrap_err());
-        assert!(matches!(first, ServeError::Internal(_)), "{first:?}");
-        assert!(matches!(second, ServeError::Internal(_)), "{second:?}");
+        for attempt in 0..MAX_KEY_PANICS {
+            let err = s.get(&lbmhd()).unwrap_err();
+            assert!(matches!(err, ServeError::Internal(_)), "{attempt}: {err:?}");
+        }
         // The key is now retired: served structurally, no more sim runs.
-        let third = s.get(&lbmhd()).unwrap_err();
-        assert_eq!(third, ServeError::Failed { panics: 2 });
+        for _ in 0..2 {
+            assert_eq!(s.get(&lbmhd()).unwrap_err(), ServeError::Failed { panics: MAX_KEY_PANICS });
+        }
         let snap = s.registry().snapshot();
-        assert_eq!(snap.counter("serve.sim.panics"), Some(2), "{snap:?}");
+        let panics = Some(u64::from(MAX_KEY_PANICS));
+        assert_eq!(snap.counter("serve.sim.panics"), panics, "{snap:?}");
+        assert_eq!(snap.counter("serve.sim.runs"), panics);
+        assert_eq!(snap.counter("serve.errors.internal"), panics);
         assert_eq!(snap.counter("serve.supervisor.poisoned"), Some(1));
-        assert_eq!(snap.counter("serve.supervisor.failed_served"), Some(1));
+        assert_eq!(snap.counter("serve.supervisor.failed_served"), Some(2));
         // Other keys are untouched by the poisoning.
-        assert!(s.get(&Request::cell("GTC", "100 part/cell", "ES", 64)).is_ok());
+        let gtc = Request::cell("GTC", "100 part/cell", "ES", 64);
+        assert_eq!(*s.get(&gtc).unwrap().body, direct(&gtc));
     }
 
     /// Planned panics unwind through `resume_unwind`, which never runs
-    /// the panic hook — so neither these tests nor `servechaos` touch the
-    /// process-global hook, and a genuine panic still reports. A probe
+    /// the panic hook — so these tests never touch the process-global
+    /// hook, and a genuine panic still reports. A probe
     /// that forwards everything but its own two markers sees the genuine
     /// panic and none of the injected ones.
     #[test]
@@ -996,16 +1018,7 @@ mod tests {
         // or arrived after the recomputed body hit the cache).
         let failed = results.iter().filter(|r| r.is_err()).count();
         assert_eq!(failed, 1, "{results:?}");
-        let direct = {
-            let resolved = lbmhd().resolve().unwrap();
-            perf_report(
-                &run_sweep(vec![SweepJob {
-                    machine: resolved.machine,
-                    phases: resolved.phases,
-                    procs: resolved.procs,
-                }])[0],
-            )
-        };
+        let direct = direct(&lbmhd());
         for r in results.iter().flatten() {
             assert_eq!(*r.body, direct, "recovered bodies must be byte-identical");
         }

@@ -3,7 +3,7 @@
 //! [`cell_phases`] is the workspace's one mapping from a paper cell —
 //! `(app, config, machine, procs)`, spelled as Tables 3–6 print them —
 //! to the phase stream the engine runs. The table generators, the
-//! profiling / chaos / self-profiling harnesses and the serving plane
+//! profiling and chaos harnesses and the serving plane
 //! all resolve cells through it, so a served cell and a table cell of
 //! the same name can never disagree.
 //!
@@ -77,6 +77,12 @@ pub fn cell_phases(app: &str, config: &str, machine: &str, procs: usize) -> Opti
 /// questions without letting a client request an absurd simulation).
 pub const MAX_PROCS: usize = 4096;
 
+/// Largest fault plan a request may ask for (the default is
+/// [`DEFAULT_FAULT_EVENTS`]). Resolving builds the whole plan before any
+/// cache probe, admission cap or deadline check, so this bound is what
+/// keeps one request line from costing unbounded work.
+pub const MAX_FAULT_EVENTS: usize = 64;
+
 /// Number of fault events a seeded plan injects when the request does
 /// not say (matches the chaos harness's light-damage scenarios).
 pub const DEFAULT_FAULT_EVENTS: usize = 4;
@@ -126,6 +132,8 @@ pub enum RequestError {
     UnknownMachine(String),
     /// Processor count outside `1..=MAX_PROCS`.
     BadProcs(usize),
+    /// Fault plan longer than `MAX_FAULT_EVENTS` events.
+    BadFaultEvents(usize),
 }
 
 impl std::fmt::Display for RequestError {
@@ -142,6 +150,9 @@ impl std::fmt::Display for RequestError {
             }
             RequestError::BadProcs(p) => {
                 write!(f, "procs {p} out of range (expected 1..={MAX_PROCS})")
+            }
+            RequestError::BadFaultEvents(n) => {
+                write!(f, "fault_events {n} out of range (expected 0..={MAX_FAULT_EVENTS})")
             }
         }
     }
@@ -199,6 +210,11 @@ impl Request {
     pub fn resolve(&self) -> Result<ResolvedCell, RequestError> {
         if self.procs < 1 || self.procs > MAX_PROCS {
             return Err(RequestError::BadProcs(self.procs));
+        }
+        if let Some(FaultSpec { events, .. }) = self.faults {
+            if events > MAX_FAULT_EVENTS {
+                return Err(RequestError::BadFaultEvents(events));
+            }
         }
         // The served vocabulary is closed: the five study machines and
         // the published problem sizes, nothing else the registry knows.
@@ -316,6 +332,15 @@ mod tests {
             Request::cell("LBMHD", "8192x8192", "ES", MAX_PROCS + 1).resolve(),
             Err(RequestError::BadProcs(_))
         ));
+        let faulty = |events| Request {
+            faults: Some(FaultSpec { seed: 1, events }),
+            ..Request::cell("GTC", "10 part/cell", "X1", 64)
+        };
+        assert!(faulty(MAX_FAULT_EVENTS).resolve().is_ok());
+        assert_eq!(
+            faulty(MAX_FAULT_EVENTS + 1).resolve().unwrap_err(),
+            RequestError::BadFaultEvents(MAX_FAULT_EVENTS + 1)
+        );
     }
 
     #[test]
@@ -347,7 +372,13 @@ mod tests {
         let mut r = Request::cell("GTC", "100 part/cell", "X1", 64);
         r.faults = Some(FaultSpec { seed: 42, events: 6 });
         let cell = r.resolve().unwrap();
-        assert!(cell.adversity.is_some());
+        // Pinned: the damage this seed compiles to. Nothing else holds the
+        // bytes of a served faulty cell, so a change to the plan's draw
+        // order or compile rule must fail here.
+        assert_eq!(
+            cell.adversity,
+            Some(Adversity { net: pvs_netsim::LinkFaults::healthy(), failed_banks: vec![1, 13] })
+        );
         // Same seed, same damage: resolve twice and compare.
         let again = r.resolve().unwrap();
         assert_eq!(

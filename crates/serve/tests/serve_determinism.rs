@@ -141,8 +141,12 @@ fn malformed_and_invalid_requests_get_tagged_errors() {
     let server = Server::start(ServerOptions::default()).unwrap();
     let mut stream = connect(&server);
 
-    let garbled = roundtrip(&mut stream, "this is not json");
-    assert!(garbled.contains("\"error\":\"malformed\""), "{garbled}");
+    for frame in ["this is not json", r#"{"op":"teleport"}"#, "[1,2"] {
+        let garbled = roundtrip(&mut stream, frame);
+        assert!(garbled.contains("\"error\":\"malformed\""), "{frame}: {garbled}");
+    }
+    let registry = server.store().registry();
+    assert_eq!(registry.counter("serve.errors.malformed"), 3);
 
     let unknown = roundtrip(
         &mut stream,
@@ -150,6 +154,15 @@ fn malformed_and_invalid_requests_get_tagged_errors() {
     );
     assert!(unknown.contains("\"error\":\"bad_request\""), "{unknown}");
     assert!(unknown.contains("LINPACK"), "{unknown}");
+
+    // A fault plan past MAX_FAULT_EVENTS is refused before it is built.
+    let huge_plan = roundtrip(
+        &mut stream,
+        r#"{"op":"cell","app":"GTC","config":"10 part/cell","machine":"X1","procs":64,"fault_seed":1,"fault_events":1e15}"#,
+    );
+    assert!(huge_plan.contains("\"error\":\"bad_request\""), "{huge_plan}");
+    assert!(huge_plan.contains("fault_events"), "{huge_plan}");
+    assert_eq!(registry.counter("serve.sim.runs"), 0);
 
     // The connection survives errors: a good request still works.
     let ok = roundtrip(

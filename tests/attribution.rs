@@ -11,7 +11,6 @@ use pvs::core::json::{parse, Value};
 use pvs_bench::chaos::{run_chaos, scenarios};
 use pvs_bench::profile::{paper_cells, run_profile, smoke_cells, ProfileOptions};
 use pvs_bench::rankscale::{run_rankscale, weak_scaling_cells};
-use pvs_bench::servechaos::run_servechaos;
 use pvs_bench::serveload::{
     bench_serve_doc, fetch_cell_body, fetch_stats, paper_serve_cells, run_load, LoadOptions,
 };
@@ -110,7 +109,6 @@ fn fresh_serve_doc() -> String {
 /// here, in `cargo test`, and not only in the command gate.
 #[test]
 fn sentinel_passes_the_committed_baseline_against_itself() {
-    let threads = pvs::core::pool::default_threads();
     let fresh = [
         ("sweep", run_profile(paper_cells(), quick_options()).to_json()),
         (
@@ -118,10 +116,6 @@ fn sentinel_passes_the_committed_baseline_against_itself() {
             run_chaos(&paper_cells(), &scenarios(), 1)
                 .expect("resilience invariants hold")
                 .to_json(),
-        ),
-        (
-            "servechaos",
-            run_servechaos(threads).expect("the serving plane survives").to_json(),
         ),
         (
             "mpisim",
