@@ -387,10 +387,6 @@ impl Engine {
             mem.gather(0, &idx);
             return Some(mem);
         }
-        if let Some(stride) = l.vector.bank_stride_words {
-            mem.strided_access(0, BANK_SAMPLE, stride);
-            return Some(mem);
-        }
         if !self.adversity.failed_banks.is_empty() {
             // Patterns that cannot conflict on healthy hardware *do*
             // conflict once banks are mapped out: the remapped share of

@@ -18,9 +18,6 @@ pub struct VectorizationInfo {
     /// On the X1, the compiler can also distribute iterations across the
     /// MSP's four SSPs.
     pub multistreamable: bool,
-    /// Memory stride in words for strided vector accesses, used for
-    /// bank-conflict analysis (`None` = unit stride / pattern-driven).
-    pub bank_stride_words: Option<usize>,
     /// For gather/scatter loops: number of distinct hot words per 4096
     /// accesses (small values concentrate on few banks — the GTC charge
     /// deposition pathology). `None` = no gather component.
@@ -51,7 +48,6 @@ impl VectorizationInfo {
         Self {
             vectorizable: true,
             multistreamable: true,
-            bank_stride_words: None,
             gather_hot_words: None,
             duplicated: false,
             vector_op_overhead: 1.0,

@@ -53,9 +53,26 @@ pub fn indirect(base: u64, indices: &[usize], elem_bytes: usize) -> Vec<u64> {
 /// RNG needed for trace generation).
 pub fn scrambled_indices(n: usize, grid_points: usize) -> Vec<usize> {
     assert!(grid_points > 0);
+    let d = grid_points as u64;
+    let c = fastmod_constant(d);
     (0..n)
-        .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize % grid_points)
+        .map(|i| fastmod((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16, c, d) as usize)
         .collect()
+}
+
+/// `⌈2^128 / d⌉ mod 2^128`, the multiplier [`fastmod`] needs for `d`.
+fn fastmod_constant(d: u64) -> u128 {
+    (u128::MAX / u128::from(d)).wrapping_add(1)
+}
+
+/// `v % d` without a division: the high 64 bits of `(c·v mod 2^128)·d`,
+/// exact for every 64-bit `v` and `d > 0` (Lemire, Kaser & Kurz 2019,
+/// Theorem 1, with 128-bit fractions).
+fn fastmod(v: u64, c: u128, d: u64) -> u64 {
+    let frac = c.wrapping_mul(u128::from(v));
+    let (hi, lo) = (frac >> 64, frac & u128::from(u64::MAX));
+    let d = u128::from(d);
+    ((hi * d + ((lo * d) >> 64)) >> 64) as u64
 }
 
 #[cfg(test)]
@@ -91,5 +108,37 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn fastmod_equals_the_remainder() {
+        for d in [
+            1u64,
+            2,
+            3,
+            7,
+            8,
+            4_096,
+            9_973,
+            (1 << 32) - 1,
+            (1 << 40) + 1,
+            u64::MAX,
+        ] {
+            let c = fastmod_constant(d);
+            let edges = [
+                0,
+                1,
+                d - 1,
+                d,
+                d.wrapping_add(1),
+                d.wrapping_mul(2),
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            let spread = (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for v in edges.into_iter().chain(spread) {
+                assert_eq!(fastmod(v, c, d), v % d, "{v} mod {d}");
+            }
+        }
     }
 }

@@ -52,5 +52,5 @@ pub use config::{es_processor, x1_msp, x1_ssp, VectorUnitConfig};
 pub use descriptor::{KernelDescriptor, MachineKind, StaticPrediction};
 pub use exec::{ExecResult, LoopClass, MemoryEnv, VectorLoop, VectorUnit};
 pub use metrics::VectorMetrics;
-pub use stripmine::{average_vector_length, num_strips, strip_chunks};
+pub use stripmine::{average_vector_length, num_strips};
 pub use workvec::{resolve_dependency, DepResolution, ScatterDependency};

@@ -8,21 +8,6 @@ pub fn num_strips(n: usize, vl: usize) -> usize {
     n.div_ceil(vl)
 }
 
-/// The chunk sizes of each strip, in order: `vl, vl, …, remainder`.
-/// Lazy: a GTC cell at small P walks hundreds of thousands of strips, and
-/// a materialised list made a process's peak memory depend on which cell
-/// it had last been asked for.
-pub fn strip_chunks(n: usize, vl: usize) -> impl Iterator<Item = usize> {
-    let strips = num_strips(n, vl);
-    (0..strips).map(move |s| {
-        if s + 1 < strips || n.is_multiple_of(vl) {
-            vl
-        } else {
-            n % vl
-        }
-    })
-}
-
 /// Average vector length over the strips covering `n` iterations — exactly
 /// the AVL a hardware counter reports for this loop (elements processed per
 /// vector instruction issued).
@@ -42,13 +27,12 @@ mod tests {
     #[test]
     fn exact_multiple() {
         assert_eq!(num_strips(512, 256), 2);
-        assert_eq!(strip_chunks(512, 256).collect::<Vec<_>>(), [256, 256]);
         assert_eq!(average_vector_length(512, 256), 256.0);
     }
 
     #[test]
     fn remainder_strip() {
-        assert_eq!(strip_chunks(300, 256).collect::<Vec<_>>(), [256, 44]);
+        assert_eq!(num_strips(300, 256), 2);
         assert!((average_vector_length(300, 256) - 150.0).abs() < 1e-12);
     }
 
@@ -62,7 +46,6 @@ mod tests {
     fn empty_loop() {
         assert_eq!(num_strips(0, 64), 0);
         assert_eq!(average_vector_length(0, 64), 0.0);
-        assert_eq!(strip_chunks(0, 64).count(), 0);
     }
 
     #[test]
@@ -76,46 +59,5 @@ mod tests {
         // On the X1 (VL=64): 250 -> 62.5, 80 -> 40.
         assert!((average_vector_length(250, 64) - 62.5).abs() < 1e-12);
         assert!((average_vector_length(80, 64) - 40.0).abs() < 1e-12);
-    }
-
-    // The former proptest properties, swept deterministically over a grid
-    // that hits every boundary class: vl | n, n < vl, n = vl ± 1, n = 0,
-    // prime/awkward values, and the hardware vector lengths (64, 256).
-    const NS: [usize; 16] = [
-        0, 1, 2, 3, 10, 63, 64, 65, 100, 250, 255, 256, 257, 999, 4096, 9999,
-    ];
-    const VLS: [usize; 9] = [1, 2, 3, 7, 63, 64, 256, 500, 511];
-
-    #[test]
-    fn chunks_sum_to_n() {
-        for n in NS {
-            for vl in VLS {
-                assert_eq!(strip_chunks(n, vl).sum::<usize>(), n, "n={n} vl={vl}");
-            }
-        }
-    }
-
-    #[test]
-    fn avl_bounded_by_vl() {
-        for n in NS.into_iter().filter(|&n| n >= 1) {
-            for vl in VLS {
-                let avl = average_vector_length(n, vl);
-                assert!(
-                    avl > 0.0 && avl <= vl as f64 + 1e-12,
-                    "n={n} vl={vl} avl={avl}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn all_chunks_positive_and_bounded() {
-        for n in NS.into_iter().filter(|&n| n >= 1) {
-            for vl in VLS {
-                for c in strip_chunks(n, vl) {
-                    assert!(c >= 1 && c <= vl, "n={n} vl={vl} chunk={c}");
-                }
-            }
-        }
     }
 }

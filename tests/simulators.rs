@@ -208,6 +208,46 @@ fn registered_kernels_static_and_dynamic_vectorization_agree() {
     }
 }
 
+/// The same cross-check for *time* (ROADMAP #6, vectorsim half): with no
+/// gathers, no spill and a clean memory environment, a vector loop costs
+/// SNIPPETS §1's `t₁ + N·t₂` per vector instruction, summed over strips —
+/// `outer × vinsn × (⌈N/VL⌉·startup + N/pipes)` cycles, `N` being the trips
+/// one stream sees — up to 5·10⁷ trips.
+#[test]
+fn vector_loop_time_matches_its_closed_form() {
+    use pvs::vectorsim::{es_processor, x1_msp, LoopClass, MemoryEnv, VectorLoop, VectorUnit};
+
+    for cfg in [es_processor(), x1_msp()] {
+        for trips in [1, 255, 256, 257, 4_096, 31_250, 3_125_000, 50_000_000] {
+            for (flops_per_iter, multistreamable) in [(2.0, true), (13.0, true), (24.0, false)] {
+                let l = VectorLoop {
+                    trips,
+                    outer_iters: 7,
+                    flops_per_iter,
+                    bytes_per_iter: 8.0,
+                    gather_fraction: 0.0,
+                    live_vector_temps: 8,
+                    class: LoopClass::Vectorizable { multistreamable },
+                };
+                let r = VectorUnit::new(cfg).execute(&l, &MemoryEnv::clean(64.0));
+                let streams = if multistreamable { cfg.ssp_count } else { 1 };
+                let n = trips.div_ceil(streams);
+                let vinsn = (flops_per_iter / 2.0).max(1.0);
+                let closed = 7.0
+                    * vinsn
+                    * (n.div_ceil(cfg.max_vl) as f64 * cfg.startup_cycles
+                        + n as f64 / cfg.pipes as f64);
+                let cycles = r.seconds * cfg.clock_mhz * 1e6;
+                assert!(
+                    ((cycles - closed) / closed).abs() <= 1e-12,
+                    "VL {} trips {trips} flops {flops_per_iter}: {cycles} vs closed form {closed}",
+                    cfg.max_vl
+                );
+            }
+        }
+    }
+}
+
 /// The check above has teeth: three trips of a loop with a fractional
 /// vector-instruction count per iteration, where the dynamic accounting's
 /// ceil-rounding visibly departs from the closed-form strip average.
