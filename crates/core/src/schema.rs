@@ -4,8 +4,9 @@
 //! Writer/reader drift between format versions is invisible until a
 //! reader rejects (or worse, misparses) a document some writer produced.
 //! This module is the single point of truth for every schema identifier
-//! the workspace writes or reads; `pvs-lint`'s PVS015 pass enforces that
-//! no other file spells one of these identifiers as a string literal, so
+//! the workspace writes or reads; source rule PVS015 in the root
+//! `tests/source_rules.rs` fails when any other file spells one of these
+//! identifiers as a string literal, so
 //! a version bump is one edit here plus the compiler finding every
 //! consumer.
 //!
@@ -29,7 +30,7 @@ pub const SNAPSHOT_V1: &str = "pvs-obs/snapshot-v1";
 pub const SPILL_CELL_V1: &str = "pvs-serve/spill-cell-v1";
 
 /// Every registered schema identifier, for registry-wide checks
-/// (`pvs-lint` PVS015 walks this list).
+/// (PVS015 in `tests/source_rules.rs` walks this list).
 pub const ALL: [&str; 3] = [PROFILE_V2, SNAPSHOT_V1, SPILL_CELL_V1];
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ pub use pvs_fft as fft;
 pub use pvs_gtc as gtc;
 pub use pvs_lbmhd as lbmhd;
 pub use pvs_linalg as linalg;
-pub use pvs_lint as lint;
 pub use pvs_memsim as memsim;
 pub use pvs_mpisim as mpisim;
 pub use pvs_netsim as netsim;
