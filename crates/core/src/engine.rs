@@ -248,8 +248,12 @@ impl Engine {
                         tally.comm_phases += 1;
                         tally.comm_repetitions += c.repetitions as u64;
                         tally.comm_seconds += secs;
-                        // Traffic counters describe one repetition of the
-                        // pattern; `engine.comm.repetitions` scales them.
+                        // Traffic counters describe the messages simulated
+                        // for one repetition of the pattern;
+                        // `engine.comm.repetitions` scales them. For an
+                        // all-to-all at ranks > MAX_A2A_ROUNDS + 1 that is
+                        // only the sampled rounds, not all ranks − 1 of them
+                        // (the makespan alone is extrapolated).
                         tally.net_messages += stats.messages;
                         tally.net_payload_bytes += stats.total_bytes;
                         tally.net_hops += stats.hops;
@@ -257,8 +261,8 @@ impl Engine {
                         tally.net_links_used += stats.links_used();
                         tally.net_peak_link_bytes =
                             tally.net_peak_link_bytes.max(stats.peak_link_bytes());
-                        // Distributions, like the traffic counters,
-                        // describe one repetition of the pattern.
+                        // Distributions cover the same simulated messages
+                        // as the traffic counters.
                         for (&bytes, &n) in &stats.size_dist {
                             tally.hist_samples.push(("netsim.hist.msg_bytes", bytes, n));
                         }

@@ -8,11 +8,12 @@
 //!   scaling limiter);
 //! * **allreduce** — CG dot products in PARATEC and GTC's Poisson solve.
 //!
-//! Each function builds the message set and runs it through [`NetSim`],
-//! so contention effects (torus bisection, slim-tree uplinks) emerge from
-//! the topology rather than being assumed.
+//! Each function walks its schedule and sends every message through
+//! [`NetSim::send`] as the schedule emits it, so contention effects (torus
+//! bisection, slim-tree uplinks) emerge from the topology rather than
+//! being assumed.
 
-use crate::des::{Message, NetSim, SimStats};
+use crate::des::{NetSim, SimStats};
 use crate::fault::LinkFaults;
 use crate::topology::Network;
 
@@ -47,7 +48,7 @@ pub fn halo_exchange_2d_stats_faulted(
         "process grid exceeds network"
     );
     let rank = |x: usize, y: usize| (y % py) * px + (x % px);
-    let mut msgs = Vec::new();
+    let mut sim = NetSim::with_faults(net, faults);
     for y in 0..py {
         for x in 0..px {
             let src = rank(x, y);
@@ -59,12 +60,7 @@ pub fn halo_exchange_2d_stats_faulted(
             ];
             for dst in edge_neighbors {
                 if dst != src && bytes_per_edge > 0 {
-                    msgs.push(Message {
-                        src,
-                        dst,
-                        bytes: bytes_per_edge,
-                        submit_s: 0.0,
-                    });
+                    sim.send(src, dst, bytes_per_edge, 0.0);
                 }
             }
             let corner_neighbors = [
@@ -75,17 +71,12 @@ pub fn halo_exchange_2d_stats_faulted(
             ];
             for dst in corner_neighbors {
                 if dst != src && bytes_per_corner > 0 {
-                    msgs.push(Message {
-                        src,
-                        dst,
-                        bytes: bytes_per_corner,
-                        submit_s: 0.0,
-                    });
+                    sim.send(src, dst, bytes_per_corner, 0.0);
                 }
             }
         }
     }
-    NetSim::with_faults(net, faults).run(&msgs)
+    sim.into_stats()
 }
 
 /// A 3D face halo exchange over a `px × py × pz` process grid: every
@@ -115,7 +106,7 @@ pub fn halo_exchange_3d_stats_faulted(
         "process grid exceeds network"
     );
     let rank = |x: usize, y: usize, z: usize| ((z % pz) * py + (y % py)) * px + (x % px);
-    let mut msgs = Vec::new();
+    let mut sim = NetSim::with_faults(net, faults);
     for z in 0..pz {
         for y in 0..py {
             for x in 0..px {
@@ -130,18 +121,13 @@ pub fn halo_exchange_3d_stats_faulted(
                 ];
                 for dst in neighbors {
                     if dst != src {
-                        msgs.push(Message {
-                            src,
-                            dst,
-                            bytes: bytes_per_face,
-                            submit_s: 0.0,
-                        });
+                        sim.send(src, dst, bytes_per_face, 0.0);
                     }
                 }
             }
         }
     }
-    NetSim::with_faults(net, faults).run(&msgs)
+    sim.into_stats()
 }
 
 /// An all-to-all personalized exchange of `bytes_per_pair` between every
@@ -173,37 +159,33 @@ pub fn all_to_all_stats_sampled_faulted(
     faults: &LinkFaults,
 ) -> SimStats {
     assert!(p <= net.config().endpoints && max_rounds >= 1);
+    let mut sim = NetSim::with_faults(net, faults);
     if p < 2 {
-        return NetSim::with_faults(net, faults).run(&[]);
+        return sim.into_stats();
     }
     let total_rounds = p - 1;
     let simulate = total_rounds.min(max_rounds);
     let stride = total_rounds as f64 / simulate as f64;
-    let mut msgs = Vec::with_capacity(simulate * p);
     // Stagger destinations (rotation schedule) like real MPI_Alltoall
     // implementations to avoid synthetic endpoint hotspots.
     for k in 0..simulate {
         let round = 1 + (k as f64 * stride) as usize;
         for src in 0..p {
-            let dst = (src + round) % p;
-            msgs.push(Message {
-                src,
-                dst,
-                bytes: bytes_per_pair,
-                submit_s: 0.0,
-            });
+            let dst = if src + round < p { src + round } else { src + round - p };
+            sim.send(src, dst, bytes_per_pair, 0.0);
         }
     }
-    let mut stats = NetSim::with_faults(net, faults).run(&msgs);
+    let mut stats = sim.into_stats();
     stats.makespan_s *= total_rounds as f64 / simulate as f64;
     stats
 }
 
 /// A recursive-doubling allreduce of `bytes` across the first `p`
-/// endpoints (p rounded down to a power of two for the exchange schedule;
-/// stragglers pair up in an extra round), with traffic statistics
-/// accumulated over all exchange rounds (rounds execute back to back, so
-/// makespans add).
+/// endpoints: ⌈log₂ p⌉ rounds, in round `r` every rank exchanges with
+/// rank `src ^ 2^r`, and a partner at or beyond `p` is skipped (so a
+/// non-power-of-two `p` just sends fewer messages in its top rounds).
+/// Rounds execute back to back on idle links, so makespans add; traffic
+/// statistics accumulate over all rounds.
 pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
     allreduce_stats_faulted(net, p, bytes, &LinkFaults::healthy())
 }
@@ -212,34 +194,23 @@ pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
 pub fn allreduce_stats_faulted(net: &Network, p: usize, bytes: u64, faults: &LinkFaults) -> SimStats {
     assert!(p >= 1 && p <= net.config().endpoints);
     let mut sim = NetSim::with_faults(net, faults);
-    if p == 1 {
-        return sim.run(&[]);
-    }
     let rounds = (usize::BITS - (p - 1).leading_zeros()) as usize;
-    let mut total: Option<SimStats> = None;
-    let mut msgs = Vec::with_capacity(p);
+    let mut makespan_s = 0.0;
     for r in 0..rounds {
         let dist = 1usize << r;
-        msgs.clear();
+        sim.reset();
+        let mut round_s = 0.0f64;
         for src in 0..p {
             let dst = src ^ dist;
             if dst < p {
-                msgs.push(Message {
-                    src,
-                    dst,
-                    bytes,
-                    submit_s: 0.0,
-                });
+                round_s = round_s.max(sim.send(src, dst, bytes, 0.0));
             }
         }
-        sim.reset();
-        let round_stats = sim.run(&msgs);
-        match &mut total {
-            None => total = Some(round_stats),
-            Some(t) => t.absorb_sequential(&round_stats),
-        }
+        makespan_s += round_s;
     }
-    total.expect("at least one round")
+    let mut stats = sim.into_stats();
+    stats.makespan_s = makespan_s;
+    stats
 }
 
 /// Measure the effective bisection bandwidth (GB/s) of a network by
@@ -255,27 +226,18 @@ pub fn measured_bisection_gbs(net: &Network, bytes_per_pair: u64) -> f64 {
 /// [`Network::bisection_gbs_degraded`].
 pub fn measured_bisection_gbs_faulted(net: &Network, bytes_per_pair: u64, faults: &LinkFaults) -> f64 {
     assert!(net.config().endpoints >= 2);
-    let mut msgs = Vec::new();
+    let mut sim = NetSim::with_faults(net, faults);
     for (a, b) in net.bisection_pairs() {
-        msgs.push(Message {
-            src: a,
-            dst: b,
-            bytes: bytes_per_pair,
-            submit_s: 0.0,
-        });
-        msgs.push(Message {
-            src: b,
-            dst: a,
-            bytes: bytes_per_pair,
-            submit_s: 0.0,
-        });
+        sim.send(a, b, bytes_per_pair, 0.0);
+        sim.send(b, a, bytes_per_pair, 0.0);
     }
-    NetSim::with_faults(net, faults).run(&msgs).aggregate_gbs()
+    sim.into_stats().aggregate_gbs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des::Message;
     use crate::topology::{NetworkConfig, TopologyKind};
 
     fn mk(kind: TopologyKind, endpoints: usize) -> Network {
@@ -386,10 +348,7 @@ mod tests {
             assert_eq!(all_to_all_time(&net, p, 10_000), 0.0, "p={p}");
             let stats = all_to_all_stats_sampled(&net, p, 10_000, 1);
             assert_eq!(stats.messages, 0, "p={p}");
-            assert!(
-                stats.finish_s.is_empty() && stats.size_dist.is_empty(),
-                "p={p}"
-            );
+            assert!(stats.size_dist.is_empty(), "p={p}");
             assert_eq!(stats.makespan_s, 0.0, "p={p}");
         }
     }

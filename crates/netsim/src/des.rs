@@ -32,8 +32,6 @@ pub struct Message {
 /// Aggregate results of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimStats {
-    /// Completion time of every message, in submission order.
-    pub finish_s: Vec<f64>,
     /// Time at which the last message completed.
     pub makespan_s: f64,
     /// Total payload bytes moved.
@@ -71,29 +69,6 @@ impl SimStats {
         self.link_bytes.iter().copied().max().unwrap_or(0)
     }
 
-    /// Fold a later, sequentially-executed round into this one: makespans
-    /// add, traffic counters sum, per-message finish times are appended
-    /// as-is (round-relative). Used by multi-round collectives.
-    pub fn absorb_sequential(&mut self, other: &SimStats) {
-        self.makespan_s += other.makespan_s;
-        self.total_bytes += other.total_bytes;
-        self.messages += other.messages;
-        self.hops += other.hops;
-        if self.link_bytes.len() < other.link_bytes.len() {
-            self.link_bytes.resize(other.link_bytes.len(), 0);
-        }
-        for (a, b) in self.link_bytes.iter_mut().zip(&other.link_bytes) {
-            *a += *b;
-        }
-        for (&size, &n) in &other.size_dist {
-            *self.size_dist.entry(size).or_insert(0) += n;
-        }
-        for (&hops, &n) in &other.hop_dist {
-            *self.hop_dist.entry(hops).or_insert(0) += n;
-        }
-        self.finish_s.extend_from_slice(&other.finish_s);
-    }
-
     /// Report aggregate traffic counters into a [`Recorder`] under the
     /// `netsim.*` names (message count, payload/hop totals, link usage;
     /// the full per-link byte vector stays on the struct for programmatic
@@ -122,7 +97,57 @@ impl SimStats {
     }
 }
 
-/// Discrete-event network simulator bound to a [`Network`].
+/// Traffic counters of the messages sent since the batch opened. The
+/// distributions stay flat while messages fly and become maps once, in
+/// [`Batch::into_stats`]: payload sizes as runs of equal consecutive sizes
+/// (a collective has one or two), hop counts as an array indexed by route
+/// length.
+#[derive(Debug)]
+struct Batch {
+    makespan_s: f64,
+    total_bytes: u64,
+    messages: u64,
+    hops: u64,
+    link_bytes: Vec<u64>,
+    size_runs: Vec<(u64, u64)>,
+    hop_counts: Vec<u64>,
+}
+
+impl Batch {
+    fn new(links: usize) -> Self {
+        Self {
+            makespan_s: 0.0,
+            total_bytes: 0,
+            messages: 0,
+            hops: 0,
+            link_bytes: vec![0; links],
+            size_runs: Vec::new(),
+            hop_counts: Vec::new(),
+        }
+    }
+
+    fn into_stats(self) -> SimStats {
+        let mut size_dist: BTreeMap<u64, u64> = BTreeMap::new();
+        for (bytes, n) in self.size_runs {
+            *size_dist.entry(bytes).or_insert(0) += n;
+        }
+        let hop_dist = (0u64..).zip(self.hop_counts).filter(|&(_, n)| n > 0).collect();
+        SimStats {
+            makespan_s: self.makespan_s,
+            total_bytes: self.total_bytes,
+            messages: self.messages,
+            hops: self.hops,
+            link_bytes: self.link_bytes,
+            size_dist,
+            hop_dist,
+        }
+    }
+}
+
+/// Discrete-event network simulator bound to a [`Network`]. Messages go
+/// in one at a time through [`NetSim::send`], which times each against
+/// the link clocks and counts it into the open batch; [`NetSim::run`] and
+/// [`NetSim::into_stats`] close the batch into a [`SimStats`].
 #[derive(Debug)]
 pub struct NetSim<'a> {
     net: &'a Network,
@@ -132,17 +157,29 @@ pub struct NetSim<'a> {
     /// congested switch port). A hop's transfer time is
     /// `bytes / link_rate[l]`.
     link_rate: Vec<f64>,
+    /// Software latency, charged on a message's injection link.
+    sw_latency: f64,
+    /// Wire/switch latency, charged on every further hop.
+    hop_latency: f64,
+    /// Bytes/s of a local (same-endpoint) copy.
+    local_rate: f64,
+    batch: Batch,
 }
 
 impl<'a> NetSim<'a> {
     /// New simulator with all links idle.
     pub fn new(net: &'a Network) -> Self {
+        let latency_s = net.config().latency_us * 1e-6;
         Self {
             net,
             link_free_s: vec![0.0; net.num_links()],
             link_rate: (0..net.num_links())
                 .map(|l| Self::rate(net, l, 1.0))
                 .collect(),
+            sw_latency: latency_s * (1.0 - HOP_LATENCY_SHARE),
+            hop_latency: latency_s * HOP_LATENCY_SHARE,
+            local_rate: net.config().link_bw_gbs * 1e9,
+            batch: Batch::new(net.num_links()),
         }
     }
 
@@ -180,99 +217,79 @@ impl<'a> NetSim<'a> {
         self.link_rate[id] = Self::rate(self.net, id, factor);
     }
 
-    /// Simulate a batch of messages. Messages are processed in submission
-    /// order (stable for equal times), each acquiring its route's links
-    /// FIFO. Returns per-message finish times and the makespan.
-    pub fn run(&mut self, messages: &[Message]) -> SimStats {
-        // Every collective submits its whole batch at t = 0, so the
-        // stable index sort only runs when the batch is out of order (a
-        // NaN time counts as out of order and fails the `expect`).
-        let in_order = messages.windows(2).all(|w| w[0].submit_s <= w[1].submit_s);
-        // Left empty, `order` stands for the identity.
-        let mut order: Vec<usize> = Vec::new();
-        if !in_order {
-            order.extend(0..messages.len());
-            order.sort_by(|&a, &b| {
-                messages[a]
-                    .submit_s
-                    .partial_cmp(&messages[b].submit_s)
-                    .expect("finite times")
-                    .then(a.cmp(&b))
-            });
+    /// The per-message step: send `bytes` from `src` to `dst` at
+    /// `submit_s`, each link of the route acquired FIFO behind the traffic
+    /// already sent, and count the message into the open batch. Returns
+    /// its finish time. Callers send in submission order.
+    pub fn send(&mut self, src: usize, dst: usize, bytes: u64, submit_s: f64) -> f64 {
+        let batch = &mut self.batch;
+        batch.messages += 1;
+        batch.total_bytes += bytes;
+        match batch.size_runs.last_mut() {
+            Some((size, n)) if *size == bytes => *n += 1,
+            _ => batch.size_runs.push((bytes, 1)),
         }
-
-        let latency_s = self.net.config().latency_us * 1e-6;
-        let sw_latency = latency_s * (1.0 - HOP_LATENCY_SHARE);
-        let hop_latency = latency_s * HOP_LATENCY_SHARE;
-        let local_rate = self.net.config().link_bw_gbs * 1e9;
-
-        let mut finish = vec![0.0f64; messages.len()];
-        let mut total_bytes = 0u64;
-        let mut hops = 0u64;
-        let mut link_bytes = vec![0u64; self.net.num_links()];
-        // Distributions are kept flat while messages fly and become maps
-        // once, below: payload sizes as runs of equal consecutive sizes
-        // (a collective has one or two), hop counts as an array indexed
-        // by route length.
-        let mut size_runs: Vec<(u64, u64)> = Vec::new();
-        let mut hop_counts: Vec<u64> = Vec::new();
-        let mut route: Vec<usize> = Vec::new();
-        for k in 0..messages.len() {
-            let i = order.get(k).copied().unwrap_or(k);
-            let m = &messages[i];
-            total_bytes += m.bytes;
-            self.net.route_into(m.src, m.dst, &mut route);
-            hops += route.len() as u64;
-            match size_runs.last_mut() {
-                Some((bytes, n)) if *bytes == m.bytes => *n += 1,
-                _ => size_runs.push((m.bytes, 1)),
-            }
-            if hop_counts.len() <= route.len() {
-                hop_counts.resize(route.len() + 1, 0);
-            }
-            hop_counts[route.len()] += 1;
-            let bytes = m.bytes as f64;
-            if route.is_empty() {
-                // Local copy: charge only a memcpy-ish cost via injection bw.
-                finish[i] = m.submit_s + bytes / local_rate;
-                continue;
-            }
-            // The first (injection) link carries the per-message software
-            // overhead: a sender issuing many small messages serializes
-            // on it (what makes per-band FFT transposes latency-bound at
-            // high processor counts). Every further hop costs the
-            // wire/switch share.
-            let mut t = m.submit_s;
-            let mut latency = sw_latency;
-            for &l in &route {
-                link_bytes[l] += m.bytes;
-                let start = t.max(self.link_free_s[l]);
-                let occupancy = latency + bytes / self.link_rate[l];
-                t = start + occupancy;
-                self.link_free_s[l] = t;
-                latency = hop_latency;
-            }
-            finish[i] = t;
+        // The first (injection) link carries the per-message software
+        // overhead: a sender issuing many small messages serializes on it
+        // (what makes per-band FFT transposes latency-bound at high
+        // processor counts). Every further hop costs the wire/switch share.
+        let size = bytes as f64;
+        let (free, rate, load) = (&mut self.link_free_s, &self.link_rate, &mut batch.link_bytes);
+        let hop_latency = self.hop_latency;
+        let mut latency = self.sw_latency;
+        let mut t = submit_s;
+        let mut hops = 0;
+        self.net.walk_route(src, dst, |l| {
+            load[l] += bytes;
+            let start = t.max(free[l]);
+            t = start + (latency + size / rate[l]);
+            free[l] = t;
+            latency = hop_latency;
+            hops += 1;
+        });
+        if hops == 0 {
+            // Local copy: charge only a memcpy-ish cost via injection bw.
+            t = submit_s + size / self.local_rate;
         }
-        let makespan_s = finish.iter().cloned().fold(0.0, f64::max);
-        let mut size_dist: BTreeMap<u64, u64> = BTreeMap::new();
-        for (bytes, n) in size_runs {
-            *size_dist.entry(bytes).or_insert(0) += n;
+        batch.hops += hops as u64;
+        if batch.hop_counts.len() <= hops {
+            batch.hop_counts.resize(hops + 1, 0);
         }
-        let hop_dist = (0u64..).zip(hop_counts).filter(|&(_, n)| n > 0).collect();
-        SimStats {
-            finish_s: finish,
-            makespan_s,
-            total_bytes,
-            messages: messages.len() as u64,
-            hops,
-            link_bytes,
-            size_dist,
-            hop_dist,
-        }
+        batch.hop_counts[hops] += 1;
+        batch.makespan_s = batch.makespan_s.max(t);
+        t
     }
 
-    /// Reset link occupancy (keeps injected faults).
+    /// Close the open batch: the traffic counters of every message sent
+    /// since the simulator was built or last [`NetSim::run`], with
+    /// `makespan_s` the latest finish time among them (0 for none).
+    pub fn into_stats(self) -> SimStats {
+        self.batch.into_stats()
+    }
+
+    /// Simulate a batch of messages: [`NetSim::send`] over them in
+    /// submission order (stable for equal times), closing the batch.
+    /// Link occupancy carries over into the next batch until
+    /// [`NetSim::reset`].
+    pub fn run(&mut self, messages: &[Message]) -> SimStats {
+        // Every collective submits its whole batch at t = 0, so the
+        // stable sort only runs when the batch is out of order (a NaN
+        // time counts as out of order and fails the `expect`).
+        if messages.windows(2).all(|w| w[0].submit_s <= w[1].submit_s) {
+            for m in messages {
+                self.send(m.src, m.dst, m.bytes, m.submit_s);
+            }
+        } else {
+            let mut order: Vec<&Message> = messages.iter().collect();
+            order.sort_by(|a, b| a.submit_s.partial_cmp(&b.submit_s).expect("finite times"));
+            for m in order {
+                self.send(m.src, m.dst, m.bytes, m.submit_s);
+            }
+        }
+        std::mem::replace(&mut self.batch, Batch::new(self.net.num_links())).into_stats()
+    }
+
+    /// Reset link occupancy (keeps injected faults and the open batch).
     pub fn reset(&mut self) {
         self.link_free_s.iter_mut().for_each(|t| *t = 0.0);
     }
@@ -422,27 +439,25 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sequential_merges_distributions() {
+    fn a_batch_counts_every_send_across_a_reset() {
         let n = net(TopologyKind::Crossbar, 4);
-        let one = [Message { src: 0, dst: 1, bytes: 500, submit_s: 0.0 }];
-        let mut a = NetSim::new(&n).run(&one);
-        let b = NetSim::new(&n).run(&one);
-        a.absorb_sequential(&b);
-        assert_eq!(a.size_dist.get(&500), Some(&2));
-        assert_eq!(a.hop_dist.values().sum::<u64>(), 2);
+        let mut sim = NetSim::new(&n);
+        let first = sim.send(0, 1, 500, 0.0);
+        sim.reset();
+        let second = sim.send(0, 1, 500, 0.0);
+        assert_eq!(first.to_bits(), second.to_bits(), "reset idles the links");
+        let stats = sim.into_stats();
+        assert_eq!(stats.messages, 2);
+        assert_eq!(stats.size_dist.get(&500), Some(&2));
+        assert_eq!(stats.hop_dist.get(&2), Some(&2));
+        assert_eq!(stats.link_bytes[0], 1000);
+        assert_eq!(stats.makespan_s, first);
     }
 
     #[test]
     fn submit_times_are_respected() {
         let n = net(TopologyKind::Crossbar, 4);
-        let mut sim = NetSim::new(&n);
-        let stats = sim.run(&[Message {
-            src: 0,
-            dst: 1,
-            bytes: 1000,
-            submit_s: 1.0,
-        }]);
-        assert!(stats.finish_s[0] > 1.0);
+        assert!(NetSim::new(&n).send(0, 1, 1000, 1.0) > 1.0);
     }
 
     #[test]
@@ -499,9 +514,15 @@ mod tests {
                 submit_s: 0.0,
             })
             .collect();
+        let finishes = |mut sim: NetSim| -> Vec<f64> {
+            msgs.iter().map(|m| sim.send(m.src, m.dst, m.bytes, m.submit_s)).collect()
+        };
         let plain = NetSim::new(&n).run(&msgs);
         let healthy = NetSim::with_faults(&n, &LinkFaults::healthy()).run(&msgs);
-        assert_eq!(plain.finish_s, healthy.finish_s);
+        assert_eq!(
+            finishes(NetSim::new(&n)),
+            finishes(NetSim::with_faults(&n, &LinkFaults::healthy()))
+        );
         assert_eq!(plain.makespan_s, healthy.makespan_s);
         assert_eq!(plain.link_bytes, healthy.link_bytes);
         assert_eq!(plain.size_dist, healthy.size_dist);
@@ -516,13 +537,12 @@ mod tests {
             .degrade_link(999, 0.5)
             .lose_port(5)
             .lose_port(99);
-        let by_faults = NetSim::with_faults(&n, &faults).run(&msgs);
         let mut by_hand = NetSim::new(&n);
         by_hand.degrade_link(4, 0.25);
         by_hand.degrade_link(10, 0.5);
         by_hand.degrade_link(11, 0.5);
-        assert_eq!(by_faults.finish_s, by_hand.run(&msgs).finish_s);
-        assert!(by_faults.makespan_s > plain.makespan_s);
+        assert_eq!(finishes(NetSim::with_faults(&n, &faults)), finishes(by_hand));
+        assert!(NetSim::with_faults(&n, &faults).run(&msgs).makespan_s > plain.makespan_s);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   contention simulator — used to *measure* effective bisection bandwidth
 //!   and collective times from first principles;
 //! * [`collectives`]: the communication patterns the applications use (halo
-//!   exchange, FFT transpose all-to-all, allreduce), expressed as message
-//!   sets and timed on the simulator.
+//!   exchange, FFT transpose all-to-all, allreduce), expressed as schedules
+//!   whose messages are timed on the simulator one by one as they are
+//!   emitted.
 //!
 //! The per-machine numbers (link bandwidth, latency) are calibrated from
 //! Table 1 of the paper by `pvs-core::platforms`.

@@ -53,6 +53,11 @@ pub struct Network {
     /// groups `group` endpoints under one switch and group `g`'s up/down
     /// link pair sits at `base + 2 * g`. Empty for the other topologies.
     tree: Vec<(usize, usize)>,
+    /// Fat-tree ancestor table, endpoint-major: `up[e * levels + l]` is
+    /// the up link endpoint `e` climbs at level `l` (its group's down link
+    /// is one past it). Two endpoints share a level-`l` switch exactly when
+    /// their entries there are equal. Empty for the other topologies.
+    up: Vec<u32>,
     /// Hard-failed link ids (empty for a healthy network). Only the torus
     /// can route around these; see [`Network::with_faults`].
     failed: Vec<bool>,
@@ -75,6 +80,7 @@ impl Network {
                     links,
                     torus_dims: None,
                     tree: Vec::new(),
+                    up: Vec::new(),
                     failed: Vec::new(),
                 }
             }
@@ -102,11 +108,22 @@ impl Network {
                     // up and down, per group
                     links.resize(links.len() + 2 * groups, Link { bw_gbs: cap });
                 }
+                assert!(links.len() <= u32::MAX as usize, "fat-tree link ids exceed u32");
+                let levels = tree.len();
+                let mut up = vec![0u32; config.endpoints * levels];
+                for (l, &(group, base)) in tree.iter().enumerate() {
+                    for (g, members) in up.chunks_mut(group * levels).enumerate() {
+                        for row in members.chunks_mut(levels) {
+                            row[l] = (base + 2 * g) as u32;
+                        }
+                    }
+                }
                 Self {
                     config,
                     links,
                     torus_dims: None,
                     tree,
+                    up,
                     failed: Vec::new(),
                 }
             }
@@ -123,6 +140,7 @@ impl Network {
                     links,
                     torus_dims: Some((x, y)),
                     tree: Vec::new(),
+                    up: Vec::new(),
                     failed: Vec::new(),
                 }
             }
@@ -176,58 +194,48 @@ impl Network {
         self.torus_dims
     }
 
-    /// Deterministic route from `src` to `dst` as a list of link ids.
-    /// An empty route means a local (same-endpoint) transfer.
-    pub fn route(&self, src: usize, dst: usize) -> Vec<usize> {
-        let mut route = Vec::new();
-        self.route_into(src, dst, &mut route);
-        route
-    }
-
-    /// [`Network::route`] written into a caller-owned buffer, so a
-    /// simulator routing thousands of messages allocates once. The
-    /// contract [`crate::des::NetSim::run`] relies on: `route` is cleared
-    /// first (stale contents never survive); links are pushed in
-    /// traversal order; and the link leaving `src` (its injection link)
-    /// comes first, so index 0 is the one that carries the per-message
-    /// software latency.
-    pub fn route_into(&self, src: usize, dst: usize, route: &mut Vec<usize>) {
+    /// Walk the deterministic route from `src` to `dst`, calling `hop`
+    /// with each link id in traversal order. The link leaving `src` (its
+    /// injection link) comes first, so the first call is the hop that
+    /// carries the per-message software latency. A local (same-endpoint)
+    /// transfer calls `hop` never. This is the one routing implementation:
+    /// [`Network::route`], [`Network::hops`] and every simulated message go
+    /// through it.
+    // Inlined into each caller so the callback's state (the DES clock)
+    // stays in registers; left to the compiler, the walk was not inlined
+    // and a simulated message cost more than storing its route had.
+    #[inline(always)]
+    pub fn walk_route(&self, src: usize, dst: usize, mut hop: impl FnMut(usize)) {
         assert!(src < self.config.endpoints && dst < self.config.endpoints);
-        route.clear();
         if src == dst {
             return;
         }
         match self.config.kind {
-            TopologyKind::Crossbar => route.extend([2 * src, 2 * dst + 1]),
+            TopologyKind::Crossbar => {
+                hop(2 * src);
+                hop(2 * dst + 1);
+            }
             TopologyKind::FatTree { .. } => {
                 // Inject at src, climb src's up links until src and dst
-                // share a group, descend dst's down links, eject at dst.
-                route.push(2 * src);
-                let mut climbed = 0;
-                for &(group, base) in &self.tree {
-                    let gs = src / group;
-                    if gs == dst / group {
-                        break;
-                    }
-                    route.push(base + 2 * gs);
-                    climbed += 1;
-                }
-                for &(group, base) in self.tree[..climbed].iter().rev() {
-                    route.push(base + 2 * (dst / group) + 1);
-                }
-                route.push(2 * dst + 1);
+                // share a switch, descend dst's down links, eject at dst.
+                let levels = self.tree.len();
+                let up_src = &self.up[src * levels..][..levels];
+                let up_dst = &self.up[dst * levels..][..levels];
+                let climbed = up_src.iter().zip(up_dst).take_while(|(s, d)| s != d).count();
+                hop(2 * src);
+                up_src[..climbed].iter().for_each(|&l| hop(l as usize));
+                up_dst[..climbed].iter().rev().for_each(|&l| hop(l as usize + 1));
+                hop(2 * dst + 1);
             }
-            TopologyKind::Torus2D => route.extend(self.torus_route(src, dst)),
+            TopologyKind::Torus2D => {
+                // Dimension order: the X ring, then the Y ring.
+                let (xd, yd) = self.torus_dims.expect("torus dims");
+                let (sx, sy) = (src % xd, src / xd);
+                let (dx, dy) = (dst % xd, dst / xd);
+                self.ring_traversal(sx, dx, xd, move |c| sy * xd + c, 0).for_each(&mut hop);
+                self.ring_traversal(sy, dy, yd, move |c| c * xd + dx, 2).for_each(hop);
+            }
         }
-    }
-
-    /// Dimension-order torus route, X ring then Y ring.
-    fn torus_route(&self, src: usize, dst: usize) -> impl Iterator<Item = usize> {
-        let (xd, yd) = self.torus_dims.expect("torus dims");
-        let (sx, sy) = (src % xd, src / xd);
-        let (dx, dy) = (dst % xd, dst / xd);
-        self.ring_traversal(sx, dx, xd, move |c| sy * xd + c, 0)
-            .chain(self.ring_traversal(sy, dy, yd, move |c| c * xd + dx, 2))
     }
 
     /// Links of one torus-ring traversal from coordinate `from` to `to`
@@ -244,7 +252,7 @@ impl Network {
         node_of: impl Fn(usize) -> usize + Copy,
         dir_base: usize,
     ) -> impl Iterator<Item = usize> {
-        let fwd = (to + len - from) % len;
+        let fwd = if to >= from { to - from } else { to + len - from };
         let arc = move |forward: bool| {
             let hops = if forward { fwd } else { len - fwd };
             let mut c = from;
@@ -273,20 +281,19 @@ impl Network {
         arc(forward)
     }
 
+    /// Deterministic route from `src` to `dst` as a list of link ids.
+    /// An empty route means a local (same-endpoint) transfer.
+    pub fn route(&self, src: usize, dst: usize) -> Vec<usize> {
+        let mut route = Vec::new();
+        self.walk_route(src, dst, |l| route.push(l));
+        route
+    }
+
     /// Hop count between two endpoints.
     pub fn hops(&self, src: usize, dst: usize) -> usize {
-        assert!(src < self.config.endpoints && dst < self.config.endpoints);
-        if src == dst {
-            return 0;
-        }
-        match self.config.kind {
-            TopologyKind::Crossbar => 2,
-            TopologyKind::FatTree { .. } => {
-                let apart = |&&(group, _): &&(usize, usize)| src / group != dst / group;
-                2 + 2 * self.tree.iter().take_while(apart).count()
-            }
-            TopologyKind::Torus2D => self.torus_route(src, dst).count(),
-        }
+        let mut hops = 0;
+        self.walk_route(src, dst, |_| hops += 1);
+        hops
     }
 
     /// Effective bandwidth factor of link `id` under `faults`, in

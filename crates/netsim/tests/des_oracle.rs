@@ -1,12 +1,15 @@
 //! Independent oracle for the DES hot path.
 //!
-//! `NetSim::run` and `Network::route_into` are written for speed: one
-//! scratch route buffer, hoisted per-link denominators, run-length
-//! bookkeeping, a sort only when the batch needs one. This file keeps the
-//! straightforward spelling — a fresh `Vec` per route, a `BTreeMap` update
-//! per message, an unconditional stable sort, a derate looked up per link —
-//! as a private reference, and requires the crate to agree with it **bit
-//! for bit** on every `SimStats` field, for every topology family, every
+//! `NetSim::send` and `Network::walk_route` are written for speed: no
+//! route is ever stored, the fat-tree climb reads a precomputed ancestor
+//! table, per-link denominators are hoisted, the distributions are
+//! run-length bookkeeping, and the collectives send straight from their
+//! schedule loops. This file keeps the straightforward spelling — a fresh
+//! `Vec` per route, a `BTreeMap` update per message, an unconditional
+//! stable sort, a derate looked up per link, one message list per
+//! collective — as a private reference, and requires the crate to agree
+//! with it **bit for bit**: every message's finish time (the step's return
+//! value) and every `SimStats` field, for every topology family, every
 //! collective the engine issues, and every fault shape the chaos harness
 //! injects. The message lists are rebuilt here too, so the collectives'
 //! schedules are checked against a second spelling as well.
@@ -166,7 +169,7 @@ impl<'a> RefSim<'a> {
         self.link_free_s.iter_mut().for_each(|t| *t = 0.0);
     }
 
-    fn run(&mut self, messages: &[Message]) -> SimStats {
+    fn run(&mut self, messages: &[Message]) -> RefRun {
         let mut order: Vec<usize> = (0..messages.len()).collect();
         order.sort_by(|&a, &b| {
             messages[a]
@@ -214,16 +217,45 @@ impl<'a> RefSim<'a> {
             finish[i] = t;
         }
         let makespan_s = finish.iter().cloned().fold(0.0, f64::max);
-        SimStats {
-            finish_s: finish,
-            makespan_s,
-            total_bytes,
-            messages: messages.len() as u64,
-            hops,
-            link_bytes,
-            size_dist,
-            hop_dist,
+        RefRun {
+            stats: SimStats {
+                makespan_s,
+                total_bytes,
+                messages: messages.len() as u64,
+                hops,
+                link_bytes,
+                size_dist,
+                hop_dist,
+            },
+            finish,
+            order,
         }
+    }
+}
+
+/// One reference batch: its statistics, every message's finish time by
+/// index, and the order the messages were processed in.
+struct RefRun {
+    stats: SimStats,
+    finish: Vec<f64>,
+    order: Vec<usize>,
+}
+
+/// Fold a later round, run after `total` on idle links, into it:
+/// makespans add and traffic counters sum.
+fn absorb_sequential(total: &mut SimStats, round: &SimStats) {
+    total.makespan_s += round.makespan_s;
+    total.total_bytes += round.total_bytes;
+    total.messages += round.messages;
+    total.hops += round.hops;
+    for (a, b) in total.link_bytes.iter_mut().zip(&round.link_bytes) {
+        *a += *b;
+    }
+    for (&size, &n) in &round.size_dist {
+        *total.size_dist.entry(size).or_insert(0) += n;
+    }
+    for (&hops, &n) in &round.hop_dist {
+        *total.hop_dist.entry(hops).or_insert(0) += n;
     }
 }
 
@@ -330,18 +362,6 @@ fn allreduce_rounds(p: usize, bytes: u64) -> Vec<Vec<Message>> {
 
 fn assert_same(got: &SimStats, want: &SimStats, ctx: &str) {
     assert_eq!(
-        got.finish_s.len(),
-        want.finish_s.len(),
-        "{ctx}: finish_s length"
-    );
-    for (i, (g, w)) in got.finish_s.iter().zip(&want.finish_s).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "{ctx}: finish_s[{i}] {g:e} vs {w:e}"
-        );
-    }
-    assert_eq!(
         got.makespan_s.to_bits(),
         want.makespan_s.to_bits(),
         "{ctx}: makespan_s {:e} vs {:e}",
@@ -354,6 +374,46 @@ fn assert_same(got: &SimStats, want: &SimStats, ctx: &str) {
     assert_eq!(got.link_bytes, want.link_bytes, "{ctx}: link_bytes");
     assert_eq!(got.size_dist, want.size_dist, "{ctx}: size_dist");
     assert_eq!(got.hop_dist, want.hop_dist, "{ctx}: hop_dist");
+}
+
+/// Drive the crate's per-message step over `msgs` in the reference's
+/// processing order, holding every returned finish time to the
+/// reference's bit for bit. Returns the latest of them.
+fn step_all(sim: &mut NetSim, msgs: &[Message], want: &RefRun, ctx: &str) -> f64 {
+    let mut latest = 0.0f64;
+    for &i in &want.order {
+        let m = &msgs[i];
+        let got = sim.send(m.src, m.dst, m.bytes, m.submit_s);
+        assert_eq!(
+            got.to_bits(),
+            want.finish[i].to_bits(),
+            "{ctx}: finish of message {i} {got:e} vs {:e}",
+            want.finish[i]
+        );
+        latest = latest.max(got);
+    }
+    latest
+}
+
+/// A collective's result `got` equals the reference run of its message
+/// list `msgs` (makespan scaled by `scale`), and so does the crate's step
+/// driven over that list message by message.
+fn check_collective(
+    net: &Network,
+    faults: &LinkFaults,
+    msgs: &[Message],
+    scale: f64,
+    got: &SimStats,
+    ctx: &str,
+) {
+    let mut want = RefSim::with_faults(net, faults).run(msgs);
+    let mut sim = NetSim::with_faults(net, faults);
+    step_all(&mut sim, msgs, &want, ctx);
+    let mut stepped = sim.into_stats();
+    want.stats.makespan_s *= scale;
+    stepped.makespan_s *= scale;
+    assert_same(got, &want.stats, ctx);
+    assert_same(&stepped, &want.stats, &format!("stepped {ctx}"));
 }
 
 /// Smallest-first factorisation of `n` into `parts` factors.
@@ -428,14 +488,14 @@ fn halo_exchanges_match_the_reference() {
     for_each_network(|net, faults, ctx| {
         let n = net.config().endpoints;
         let g = factors(n, 2);
-        let want = RefSim::with_faults(net, faults).run(&halo_2d_msgs(g[0], g[1], 48_000, 600));
         let got = halo_exchange_2d_stats_faulted(net, g[0], g[1], 48_000, 600, faults);
-        assert_same(&got, &want, &format!("halo2d {ctx}"));
+        let msgs = halo_2d_msgs(g[0], g[1], 48_000, 600);
+        check_collective(net, faults, &msgs, 1.0, &got, &format!("halo2d {ctx}"));
 
         let g = factors(n, 3);
-        let want = RefSim::with_faults(net, faults).run(&halo_3d_msgs(g[0], g[1], g[2], 125_000));
         let got = halo_exchange_3d_stats_faulted(net, g[0], g[1], g[2], 125_000, faults);
-        assert_same(&got, &want, &format!("halo3d {ctx}"));
+        let msgs = halo_3d_msgs(g[0], g[1], g[2], 125_000);
+        check_collective(net, faults, &msgs, 1.0, &got, &format!("halo3d {ctx}"));
     });
 }
 
@@ -443,11 +503,9 @@ fn halo_exchanges_match_the_reference() {
 fn sampled_all_to_all_matches_the_reference() {
     for_each_network(|net, faults, ctx| {
         let p = net.config().endpoints;
-        let (msgs, scale) = all_to_all_msgs(p, 9_216, 24);
-        let mut want = RefSim::with_faults(net, faults).run(&msgs);
-        want.makespan_s *= scale;
         let got = all_to_all_stats_sampled_faulted(net, p, 9_216, 24, faults);
-        assert_same(&got, &want, &format!("all-to-all {ctx}"));
+        let (msgs, scale) = all_to_all_msgs(p, 9_216, 24);
+        check_collective(net, faults, &msgs, scale, &got, &format!("all-to-all {ctx}"));
     });
 }
 
@@ -455,20 +513,39 @@ fn sampled_all_to_all_matches_the_reference() {
 fn allreduce_matches_the_reference() {
     for_each_network(|net, faults, ctx| {
         let p = net.config().endpoints;
-        let mut sim = RefSim::with_faults(net, faults);
-        let mut want = sim.run(&[]);
-        for (r, msgs) in allreduce_rounds(p, 8_192).iter().enumerate() {
+        let mut reference = RefSim::with_faults(net, faults);
+        let mut sim = NetSim::with_faults(net, faults);
+        let mut want = reference.run(&[]).stats;
+        let mut stepped_makespan = 0.0;
+        for msgs in allreduce_rounds(p, 8_192) {
+            reference.reset();
             sim.reset();
-            let round = sim.run(msgs);
-            if r == 0 {
-                want = round;
-            } else {
-                want.absorb_sequential(&round);
-            }
+            let round = reference.run(&msgs);
+            stepped_makespan += step_all(&mut sim, &msgs, &round, &format!("allreduce {ctx}"));
+            absorb_sequential(&mut want, &round.stats);
         }
+        let mut stepped = sim.into_stats();
+        stepped.makespan_s = stepped_makespan;
         let got = allreduce_stats_faulted(net, p, 8_192, faults);
         assert_same(&got, &want, &format!("allreduce {ctx}"));
+        assert_same(&stepped, &want, &format!("stepped allreduce {ctx}"));
     });
+}
+
+/// `sim.run(msgs)` equals the reference run, and so does a second
+/// simulator in the same state stepped through the reference's order.
+fn check_batch(
+    sim: &mut NetSim,
+    stepper: &mut NetSim,
+    reference: &mut RefSim,
+    msgs: &[Message],
+    ctx: &str,
+) {
+    let want = reference.run(msgs);
+    assert_same(&sim.run(msgs), &want.stats, ctx);
+    step_all(stepper, msgs, &want, ctx);
+    // An empty run closes the batch the steps opened.
+    assert_same(&stepper.run(&[]), &want.stats, &format!("stepped {ctx}"));
 }
 
 /// A batch no collective produces: submit times out of order and tied,
@@ -505,26 +582,17 @@ fn hand_built_batches_match_the_reference() {
 
         let mut reference = RefSim::with_faults(net, faults);
         let mut sim = NetSim::with_faults(net, faults);
-        assert_same(
-            &sim.run(&unsorted),
-            &reference.run(&unsorted),
-            &format!("unsorted {ctx}"),
-        );
+        let mut stepper = NetSim::with_faults(net, faults);
+        let (sim, stepper, reference) = (&mut sim, &mut stepper, &mut reference);
+        check_batch(sim, stepper, reference, &unsorted, &format!("unsorted {ctx}"));
         // Link occupancy carries over into the next batch…
-        assert_same(
-            &sim.run(&sorted),
-            &reference.run(&sorted),
-            &format!("carried {ctx}"),
-        );
+        check_batch(sim, stepper, reference, &sorted, &format!("carried {ctx}"));
         // …until it is reset.
         sim.reset();
+        stepper.reset();
         reference.reset();
-        assert_same(
-            &sim.run(&unsorted),
-            &reference.run(&unsorted),
-            &format!("reset {ctx}"),
-        );
-        assert_same(&sim.run(&[]), &reference.run(&[]), &format!("empty {ctx}"));
+        check_batch(sim, stepper, reference, &unsorted, &format!("reset {ctx}"));
+        check_batch(sim, stepper, reference, &[], &format!("empty {ctx}"));
     });
 }
 
@@ -542,18 +610,17 @@ fn nan_submit_times_still_reach_the_sort() {
 }
 
 #[test]
-fn route_into_matches_the_reference_for_every_pair() {
+fn walk_route_matches_the_reference_for_every_pair() {
     for kind in kinds() {
         let healthy = Network::new(cfg(kind, 64));
         for (label, faults) in fault_cases(&healthy) {
             let net = Network::with_faults(cfg(kind, 64), &faults);
-            // Stale contents must not survive a call.
-            let mut route = vec![usize::MAX; 3];
             for src in 0..64 {
                 for dst in 0..64 {
                     let want = ref_route(&net, src, dst);
-                    net.route_into(src, dst, &mut route);
-                    assert_eq!(route, want, "{kind:?} {label} {src}->{dst}");
+                    let mut walked = Vec::new();
+                    net.walk_route(src, dst, |l| walked.push(l));
+                    assert_eq!(walked, want, "{kind:?} {label} {src}->{dst}");
                     assert_eq!(net.route(src, dst), want, "{kind:?} {label} {src}->{dst}");
                     assert_eq!(
                         net.hops(src, dst),
@@ -573,5 +640,5 @@ fn a_partitioned_ring_still_panics() {
     // node 1, -x blocks the detour.
     let faults = LinkFaults::healthy().fail_link(0).fail_link(1);
     let net = Network::with_faults(cfg(TopologyKind::Torus2D, 16), &faults);
-    net.route_into(0, 1, &mut Vec::new());
+    net.walk_route(0, 1, |_| {});
 }

@@ -59,6 +59,43 @@ fn torus_bisection_grows_as_sqrt_of_endpoints() {
     assert!((3.0..6.0).contains(&growth), "sqrt scaling, got {growth}x");
 }
 
+/// ROADMAP #6, netsim half, on a healthy crossbar: the ES network's DES
+/// reduces to α–β costs. α is the MPI latency, 0.9α of it charged on a
+/// message's injection link and 0.1α on its ejection link; β is the link
+/// rate. A sampled all-to-all simulates k = min(P−1, 24) rotation rounds
+/// (24 is the engine's sampling cap), each a permutation, so every
+/// injection link serialises k messages and the last still crosses its
+/// ejection link: `k·(0.9α + n/β) + 0.1α + n/β`, scaled by (P−1)/k.
+/// Recursive doubling runs ⌈log₂P⌉ rounds on idle links, α + 2n/β each.
+#[test]
+fn crossbar_collectives_match_their_alpha_beta_closed_forms() {
+    use pvs::core::platforms;
+    use pvs::netsim::collectives::{all_to_all_stats_sampled, allreduce_stats};
+
+    let es = platforms::earth_simulator();
+    let close = |got: f64, want: f64| ((got - want) / want).abs() <= 1e-12;
+    for p in [2usize, 3, 7, 16, 25, 26, 64, 250, 512, 1024] {
+        let net = Network::new(es.network(p));
+        assert_eq!(net.config().kind, TopologyKind::Crossbar);
+        let alpha = net.config().latency_us * 1e-6;
+        let beta = net.config().link_bw_gbs * 1e9;
+        let k = (p - 1).min(24) as f64;
+        let rounds = p.next_power_of_two().trailing_zeros() as f64;
+        for n in [8u64, 64, 9_216, 1_000_000] {
+            let wire = n as f64 / beta;
+            let a2a = (k * (0.9 * alpha + wire) + 0.1 * alpha + wire) * (p - 1) as f64 / k;
+            let got = all_to_all_stats_sampled(&net, p, n, 24).makespan_s;
+            assert!(close(got, a2a), "all-to-all P={p} n={n}: {got:e} vs closed form {a2a:e}");
+            let allreduce = rounds * (alpha + 2.0 * wire);
+            let got = allreduce_stats(&net, p, n).makespan_s;
+            assert!(
+                close(got, allreduce),
+                "allreduce P={p} n={n}: {got:e} vs closed form {allreduce:e}"
+            );
+        }
+    }
+}
+
 #[test]
 fn prefetch_simulation_matches_closed_form_across_run_lengths() {
     use pvs::memsim::prefetch::{ghost_zone_coverage, PrefetchConfig, StreamPrefetcher};
