@@ -1044,6 +1044,43 @@ mod tests {
     }
 
     #[test]
+    fn faulted_served_bodies_are_pinned() {
+        // FNV-1a of the served body for `fault_seed 7`, `fault_events 8`
+        // at P = 64: hard link failures on the X1 torus, the same draws
+        // downgraded to derates on the ES crossbar and Power3's fat-tree.
+        // No baseline serves a faulted cell, so these hold the seeded
+        // damage generator and the damaged network to their bytes.
+        let pins = [
+            ("LBMHD", "8192x8192", "X1", "1b8e038707514d05"),
+            ("PARATEC", "432 atom", "X1", "3a4135dc3c2aba5b"),
+            ("LBMHD", "8192x8192", "ES", "94dbce76eb149410"),
+            ("PARATEC", "432 atom", "ES", "f85ea8194662ce17"),
+            ("LBMHD", "8192x8192", "Power3", "50e10b13f36df7b5"),
+            ("PARATEC", "432 atom", "Power3", "8636fe808f019deb"),
+        ];
+        let s = store(StoreOptions { threads: 2, ..Default::default() });
+        for (app, config, machine, pin) in pins {
+            let request = Request {
+                faults: Some(crate::workload::FaultSpec { seed: 7, events: 8 }),
+                ..Request::cell(app, config, machine, 64)
+            };
+            let adversity = request.resolve().unwrap().adversity.unwrap();
+            assert_eq!(
+                adversity.net.failed_links.is_empty(),
+                machine != "X1",
+                "{machine}: {adversity:?}"
+            );
+            assert!(!adversity.net.degraded_links.is_empty(), "{machine}: {adversity:?}");
+            let body = s.get(&request).unwrap().body;
+            assert_eq!(
+                pvs_core::hash::fnv1a_hex(body.as_bytes()),
+                pin,
+                "{app} {config} {machine}"
+            );
+        }
+    }
+
+    #[test]
     fn retry_hint_grows_with_queue_depth_and_caps() {
         assert_eq!(retry_after_ms(0), 20);
         assert_eq!(retry_after_ms(9), 200);
