@@ -1,11 +1,14 @@
 //! The chaos harness: the paper sweep re-run under injected faults.
 //!
-//! Each [`ChaosScenario`] is a deterministic [`FaultPlan`] plus the set
-//! of machines it makes sense on (hard link failures only reroute on the
-//! X1 torus, port loss only on the ES crossbar, and so on). The harness
-//! runs every applicable cell of the grid healthy and degraded, checks
-//! the resilience invariants the fault model promises, and renders the
-//! whole thing as a `pvs-bench/profile-v2` document (`BENCH_chaos.json`)
+//! Each [`ChaosScenario`] is the damage itself, built directly as the
+//! value each layer owns — an [`Adversity`] for the engine, a
+//! [`FaultSpec`] for the message runtime, worker retirements for the
+//! pool — plus the set of machines it makes sense on (hard link failures
+//! only reroute on the X1 torus, port loss only on the ES crossbar, and
+//! so on). The harness runs every applicable cell of the grid healthy
+//! and degraded, checks the resilience invariants the fault model
+//! promises, and renders the whole thing as a `pvs-bench/profile-v2`
+//! document (`BENCH_chaos.json`)
 //! with the scenario name folded into each cell's `config` field — so
 //! `compare` gates chaos baselines with no new schema.
 //!
@@ -30,11 +33,11 @@ use pvs_analyze::{findings, profiledoc};
 use pvs_core::engine::Engine;
 use pvs_core::pool::ThreadPool;
 use pvs_core::report::{PerfReport, PhaseBreakdown};
-use pvs_fault::{FaultKind, FaultPlan};
+use pvs_core::{Adversity, SplitMix64};
 use pvs_mpisim::fault::{run_faulty, total_fault_stats, FaultSpec, FaultStats};
-use pvs_netsim::Network;
+use pvs_netsim::{LinkFaults, Network};
 use pvs_obs::{Recorder, Registry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::{Debug, Display};
 
 /// One named fault scenario: what breaks, and which machines it applies
@@ -45,30 +48,31 @@ pub struct ChaosScenario {
     pub name: &'static str,
     /// Machines the scenario applies to.
     pub machines: &'static [&'static str],
-    /// The fault schedule.
-    pub plan: FaultPlan,
+    /// Engine-level damage: links and memory banks.
+    pub adversity: Adversity,
+    /// Message-runtime damage: drops, delays and failed ranks.
+    pub comm: FaultSpec,
+    /// `(worker, after_tasks)` retirements for the pooled pass.
+    pub retirements: Vec<(usize, u64)>,
 }
 
-/// Stable label for a fault kind (used to prove scenario coverage).
-pub fn kind_label(kind: &FaultKind) -> &'static str {
-    match kind {
-        FaultKind::LinkFailure { .. } => "link-failure",
-        FaultKind::LinkDegrade { .. } => "link-degrade",
-        FaultKind::PortLoss { .. } => "port-loss",
-        FaultKind::BankFault { .. } => "bank-fault",
-        FaultKind::RankFailure { .. } => "rank-failure",
-        FaultKind::MessageLoss { .. } => "message-loss",
-        FaultKind::MessageDelay { .. } => "message-delay",
-        FaultKind::WorkerLoss { .. } => "worker-loss",
+impl ChaosScenario {
+    /// A scenario on `machines` that breaks nothing yet.
+    fn healthy(name: &'static str, machines: &'static [&'static str]) -> Self {
+        ChaosScenario {
+            name,
+            machines,
+            adversity: Adversity::healthy(),
+            comm: FaultSpec::healthy(),
+            retirements: Vec::new(),
+        }
     }
 }
 
-/// Every fault kind injected by a scenario set.
-pub fn covered_kinds(scenarios: &[ChaosScenario]) -> BTreeSet<&'static str> {
-    scenarios
-        .iter()
-        .flat_map(|s| s.plan.kinds().iter().map(kind_label))
-        .collect()
+/// A healthy message-runtime spec whose drop and delay decisions derive
+/// from `seed`.
+fn seeded_comm(seed: u64) -> FaultSpec {
+    FaultSpec::healthy().with_seed(SplitMix64::new(seed).next_u64())
 }
 
 /// Cut the X1 bisection: both +x crossings die in half the torus rows
@@ -80,94 +84,69 @@ fn x1_link_down() -> ChaosScenario {
     let net = Network::new(pvs_core::platforms::x1().network(64));
     let cut = net.bisection_cut_links().expect("the X1 is a torus");
     let rows = cut.len() / 4;
-    let mut plan = FaultPlan::new(0x11A0);
+    let mut faults = LinkFaults::healthy();
     for row in cut.chunks(4).take(rows / 2) {
-        plan = plan
-            .inject(FaultKind::LinkFailure { link: row[0] })
-            .inject(FaultKind::LinkFailure { link: row[2] });
+        faults = faults.fail_link(row[0]).fail_link(row[2]);
     }
     for row in cut.chunks(4).skip(rows / 2) {
-        plan = plan.inject(FaultKind::LinkDegrade {
-            link: row[0],
-            factor: 0.5,
-        });
+        faults = faults.degrade_link(row[0], 0.5);
     }
     ChaosScenario {
-        name: "x1-link-down",
-        machines: &["X1"],
-        plan,
+        adversity: Adversity::healthy().with_net(faults),
+        ..ChaosScenario::healthy("x1-link-down", &["X1"])
     }
 }
 
 /// ES crossbar endpoints lose half their port lanes.
 fn es_port_loss() -> ChaosScenario {
-    let mut plan = FaultPlan::new(0xE5F0);
-    for port in 0..4 {
-        plan = plan.inject(FaultKind::PortLoss { port });
-    }
+    let faults = (0..4).fold(LinkFaults::healthy(), LinkFaults::lose_port);
     ChaosScenario {
-        name: "es-port-loss",
-        machines: &["ES"],
-        plan,
+        adversity: Adversity::healthy().with_net(faults),
+        ..ChaosScenario::healthy("es-port-loss", &["ES"])
     }
 }
 
 /// Memory banks mapped out of the interleave on the vector machines.
 fn bank_fault() -> ChaosScenario {
-    let plan = FaultPlan::new(0xBA4F)
-        .inject(FaultKind::BankFault { bank: 0 })
-        .inject(FaultKind::BankFault { bank: 3 });
     ChaosScenario {
-        name: "bank-fault",
-        machines: &["ES", "X1"],
-        plan,
+        adversity: Adversity::healthy().fail_bank(0).fail_bank(3),
+        ..ChaosScenario::healthy("bank-fault", &["ES", "X1"])
     }
 }
 
 /// Lossy, laggy message-passing: the engine model is untouched, but the
 /// runtime must retry its way to the same collective results.
 fn msg_drop_delay() -> ChaosScenario {
-    let plan = FaultPlan::new(0xD07D)
-        .inject(FaultKind::MessageLoss { drop_per_mille: 150 })
-        .inject(FaultKind::MessageDelay {
-            delay_per_mille: 300,
-            delay_ps: 2_000_000,
-        });
     ChaosScenario {
-        name: "msg-drop-delay",
-        machines: &["Power3"],
-        plan,
+        comm: FaultSpec {
+            delay_ps: 2_000_000,
+            ..seeded_comm(0xD07D).drop_per_mille(150).delay_per_mille(300)
+        },
+        ..ChaosScenario::healthy("msg-drop-delay", &["Power3"])
     }
 }
 
 /// One rank dies and messages drop on top: collectives complete over the
 /// survivors.
 fn rank_fail_retry() -> ChaosScenario {
-    let plan = FaultPlan::new(0x4A4F)
-        .inject(FaultKind::RankFailure { rank: 4 })
-        .inject(FaultKind::MessageLoss { drop_per_mille: 100 });
     ChaosScenario {
-        name: "rank-fail-retry",
-        machines: &["ES"],
-        plan,
+        comm: seeded_comm(0x4A4F).fail_rank(4).drop_per_mille(100),
+        ..ChaosScenario::healthy("rank-fail-retry", &["ES"])
     }
 }
 
 /// Host-pool workers retire mid-sweep; queued cells redistribute with no
 /// effect on the results.
 fn worker_loss() -> ChaosScenario {
-    let plan = FaultPlan::new(0x1057)
-        .inject(FaultKind::WorkerLoss { worker: 1, after_tasks: 1 })
-        .inject(FaultKind::WorkerLoss { worker: 2, after_tasks: 1 });
     ChaosScenario {
-        name: "worker-loss",
-        machines: &["Power3"],
-        plan,
+        retirements: vec![(1, 1), (2, 1)],
+        ..ChaosScenario::healthy("worker-loss", &["Power3"])
     }
 }
 
-/// The six scenarios: every fault kind the planner knows is injected by
-/// at least one of them.
+/// The six scenarios: between them they fail, derate and strip ports
+/// off links, map banks out, fail a rank, drop and delay messages, and
+/// retire workers.
 pub fn scenarios() -> Vec<ChaosScenario> {
     vec![
         x1_link_down(),
@@ -222,7 +201,7 @@ fn scenario_config(config: &str, scenario: &str) -> &'static str {
 }
 
 /// One bare engine run of a cell on its damaged machine.
-fn degraded_run(cell: &SweepCell, adversity: &pvs_core::Adversity) -> PerfReport {
+fn degraded_run(cell: &SweepCell, adversity: &Adversity) -> PerfReport {
     Engine::new(cell.machine())
         .with_adversity(adversity.clone())
         .run(&cell.phases(), cell.procs)
@@ -319,7 +298,7 @@ pub fn run_chaos(
     let mut healthy_times: BTreeMap<String, f64> = BTreeMap::new();
 
     // Healthy baseline rows, labelled `@healthy` so they diff natively.
-    let healthy = pvs_core::Adversity::healthy();
+    let healthy = Adversity::healthy();
     for cell in base {
         let mut profile = observed_run(cell, &healthy);
         healthy_times.insert(cell_key(cell), profile.report.time_s);
@@ -340,12 +319,10 @@ pub fn run_chaos(
                 scenario.name
             ));
         }
-        let compiled = scenario.plan.compile_all();
-
         // Serial observed pass.
         let mut serial_reports = Vec::with_capacity(cells.len());
         for cell in &cells {
-            let mut profile = observed_run(cell, &compiled.adversity);
+            let mut profile = observed_run(cell, &scenario.adversity);
             serial_reports.push(profile.report.clone());
             profile.cell.config = scenario_config(cell.config, scenario.name);
             rows.push(profile);
@@ -354,14 +331,14 @@ pub fn run_chaos(
         // Pooled pass: same degraded cells through a thread pool, with
         // the scenario's worker retirements injected (worker 0 stays
         // immortal; quotas beyond the pool width cannot apply).
-        let retirements: Vec<(usize, u64)> = compiled
+        let retirements: Vec<(usize, u64)> = scenario
             .retirements
             .iter()
             .filter(|(w, _)| *w != 0 && *w < threads)
             .copied()
             .collect();
         let pool = ThreadPool::with_retirements(threads, &retirements);
-        let adversity = compiled.adversity.clone();
+        let adversity = scenario.adversity.clone();
         let pooled_reports: Vec<PerfReport> =
             pool.map(cells.clone(), move |cell| degraded_run(&cell, &adversity));
         let pool_reg = Registry::new();
@@ -381,7 +358,7 @@ pub fn run_chaos(
 
         // Invariant: damage never speeds the model up; engine-level
         // damage must slow something down.
-        let engine_faulted = !compiled.adversity.is_healthy();
+        let engine_faulted = !scenario.adversity.is_healthy();
         let mut strictly_slower = false;
         for (cell, report) in cells.iter().zip(&serial_reports) {
             let key = cell_key(cell);
@@ -408,9 +385,9 @@ pub fn run_chaos(
         // Invariant: the message runtime retries through comm faults to
         // the same survivor results, twice.
         let mut mpisim = FaultStats::default();
-        if !compiled.comm.is_healthy() {
-            let (values, stats) = comm_workload(&compiled.comm);
-            let (again, stats_again) = comm_workload(&compiled.comm);
+        if !scenario.comm.is_healthy() {
+            let (values, stats) = comm_workload(&scenario.comm);
+            let (again, stats_again) = comm_workload(&scenario.comm);
             if values != again || stats != stats_again {
                 return Err(format!(
                     "scenario {}: message-runtime workload is not deterministic",
@@ -418,7 +395,7 @@ pub fn run_chaos(
                 ));
             }
             let survivors: Vec<usize> = (0..6)
-                .filter(|r| !compiled.comm.failed_ranks.contains(r))
+                .filter(|r| !scenario.comm.failed_ranks.contains(r))
                 .collect();
             let expected: f64 = survivors.iter().map(|r| (r + 1) as f64).sum();
             if values.len() != survivors.len() || values.iter().any(|&v| v != expected) {
@@ -522,20 +499,17 @@ mod tests {
     use crate::profile::smoke_cells;
 
     #[test]
-    fn scenarios_cover_every_fault_kind() {
-        let covered = covered_kinds(&scenarios());
-        for kind in [
-            "link-failure",
-            "link-degrade",
-            "port-loss",
-            "bank-fault",
-            "rank-failure",
-            "message-loss",
-            "message-delay",
-            "worker-loss",
-        ] {
-            assert!(covered.contains(kind), "no scenario injects {kind}");
-        }
+    fn scenarios_exercise_every_kind_of_damage() {
+        let all = scenarios();
+        let any = |f: &dyn Fn(&ChaosScenario) -> bool| all.iter().any(f);
+        assert!(any(&|s| !s.adversity.net.failed_links.is_empty()), "link failure");
+        assert!(any(&|s| !s.adversity.net.degraded_links.is_empty()), "link derate");
+        assert!(any(&|s| !s.adversity.net.lost_ports.is_empty()), "port loss");
+        assert!(any(&|s| !s.adversity.failed_banks.is_empty()), "bank fault");
+        assert!(any(&|s| !s.comm.failed_ranks.is_empty()), "rank failure");
+        assert!(any(&|s| s.comm.drop_per_mille > 0), "message loss");
+        assert!(any(&|s| s.comm.delay_per_mille > 0), "message delay");
+        assert!(any(&|s| !s.retirements.is_empty()), "worker loss");
     }
 
     #[test]
@@ -585,7 +559,7 @@ mod tests {
     fn a_one_unit_divergence_names_its_cell_and_member() {
         let cells: Vec<SweepCell> =
             smoke_cells().into_iter().filter(|c| c.machine == "ES").collect();
-        let healthy = pvs_core::Adversity::healthy();
+        let healthy = Adversity::healthy();
         let serial: Vec<PerfReport> = cells.iter().map(|c| degraded_run(c, &healthy)).collect();
         assert_eq!(first_divergence(&cells, &serial, &serial), None);
 

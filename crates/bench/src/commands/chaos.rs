@@ -14,7 +14,7 @@
 //! cannot be written. The output path is probed before the sweep runs and
 //! written atomically — no partial documents.
 
-use crate::chaos::{self, covered_kinds, run_chaos};
+use crate::chaos::{self, run_chaos};
 use crate::cli::{self, exit, Args, Kind, Spec};
 use crate::profile::paper_cells;
 
@@ -30,14 +30,7 @@ pub fn run(args: &Args) -> i32 {
     let threads = pvs_core::pool::default_threads();
     let (cells, scenarios) = (paper_cells(), chaos::scenarios());
     let code = cli::write_probed(&cli::bench_out_path(args, "chaos"), || {
-        let kinds = covered_kinds(&scenarios);
-        println!(
-            "{} scenarios over {} cells ({} threads); fault kinds: {}",
-            scenarios.len(),
-            cells.len(),
-            threads,
-            kinds.iter().copied().collect::<Vec<_>>().join(", ")
-        );
+        println!("{} scenarios over {} cells ({} threads)", scenarios.len(), cells.len(), threads);
 
         let out = run_chaos(&cells, &scenarios, threads).map_err(|e| {
             eprintln!("CHAOS FAILURE: {e}");

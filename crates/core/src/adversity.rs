@@ -8,10 +8,10 @@
 //! runs on the damaged machine and every derate shows up in the modelled
 //! time, the bottleneck attribution, and the observability counters.
 //!
-//! Like `LinkFaults`, adversity is *state*, not a schedule: the
-//! deterministic fault planner in `pvs-fault` compiles its
-//! picosecond-stamped event plan into one `Adversity` per run, so the
-//! engine stays clock-free and the determinism lint (PVS003) holds.
+//! Like `LinkFaults`, adversity is *state*, not a schedule: callers
+//! build it directly (or draw it with `pvs_fault::random_adversity`) and
+//! hand one value to each run, so the engine stays clock-free and the
+//! determinism lint (PVS003) holds.
 
 use pvs_netsim::LinkFaults;
 

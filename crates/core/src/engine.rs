@@ -17,8 +17,7 @@ use crate::report::{PerfReport, PhaseBreakdown};
 use pvs_memsim::banks::BankedMemory;
 use pvs_memsim::trace::scrambled_indices;
 use pvs_netsim::collectives::{
-    all_to_all_stats_sampled_faulted, allreduce_stats_faulted, halo_exchange_2d_stats_faulted,
-    halo_exchange_3d_stats_faulted,
+    all_to_all_stats_sampled, allreduce_stats, halo_exchange_2d_stats, halo_exchange_3d_stats,
 };
 use pvs_netsim::topology::Network;
 use pvs_obs::Recorder;
@@ -406,8 +405,7 @@ impl Engine {
         if c.one_sided {
             config.latency_us *= ONE_SIDED_LATENCY_RATIO;
         }
-        let faults = &self.adversity.net;
-        let net = Network::with_faults(config, faults);
+        let net = Network::with_faults(config, &self.adversity.net);
         let (stats, payload_per_rank) = match c.pattern {
             CommPattern::Halo2d {
                 px,
@@ -415,8 +413,7 @@ impl Engine {
                 bytes_edge,
                 bytes_corner,
             } => {
-                let s =
-                    halo_exchange_2d_stats_faulted(&net, px, py, bytes_edge, bytes_corner, faults);
+                let s = halo_exchange_2d_stats(&net, px, py, bytes_edge, bytes_corner);
                 (s, 4 * bytes_edge + 4 * bytes_corner)
             }
             CommPattern::Halo3d {
@@ -425,20 +422,14 @@ impl Engine {
                 pz,
                 bytes_face,
             } => {
-                let s = halo_exchange_3d_stats_faulted(&net, px, py, pz, bytes_face, faults);
+                let s = halo_exchange_3d_stats(&net, px, py, pz, bytes_face);
                 (s, 6 * bytes_face)
             }
             CommPattern::AllToAll {
                 ranks,
                 bytes_per_pair,
             } => {
-                let s = all_to_all_stats_sampled_faulted(
-                    &net,
-                    ranks,
-                    bytes_per_pair,
-                    MAX_A2A_ROUNDS,
-                    faults,
-                );
+                let s = all_to_all_stats_sampled(&net, ranks, bytes_per_pair, MAX_A2A_ROUNDS);
                 (s, ranks.saturating_sub(1) as u64 * bytes_per_pair)
             }
             CommPattern::AllReduce { ranks, bytes } => {
@@ -448,7 +439,7 @@ impl Engine {
                     0
                 };
                 (
-                    allreduce_stats_faulted(&net, ranks, bytes, faults),
+                    allreduce_stats(&net, ranks, bytes),
                     rounds as u64 * bytes,
                 )
             }

@@ -11,10 +11,11 @@
 //! Each function walks its schedule and sends every message through
 //! [`NetSim::send`] as the schedule emits it, so contention effects (torus
 //! bisection, slim-tree uplinks) emerge from the topology rather than
-//! being assumed.
+//! being assumed. On a network built by [`Network::with_faults`] the same
+//! functions time the damaged machine: routes detour around hard failures
+//! and derated links and lost crossbar port lanes slow what crosses them.
 
 use crate::des::{NetSim, SimStats};
-use crate::fault::LinkFaults;
 use crate::topology::Network;
 
 /// A 2D periodic halo exchange: every rank exchanges `bytes_per_edge`
@@ -29,26 +30,12 @@ pub fn halo_exchange_2d_stats(
     bytes_per_edge: u64,
     bytes_per_corner: u64,
 ) -> SimStats {
-    halo_exchange_2d_stats_faulted(net, px, py, bytes_per_edge, bytes_per_corner, &LinkFaults::healthy())
-}
-
-/// [`halo_exchange_2d_stats`] on a damaged network: link degrades and
-/// crossbar port-lane loss slow the affected routes (hard failures are
-/// baked into `net` via [`Network::with_faults`], which reroutes).
-pub fn halo_exchange_2d_stats_faulted(
-    net: &Network,
-    px: usize,
-    py: usize,
-    bytes_per_edge: u64,
-    bytes_per_corner: u64,
-    faults: &LinkFaults,
-) -> SimStats {
     assert!(
         px * py <= net.config().endpoints,
         "process grid exceeds network"
     );
     let rank = |x: usize, y: usize| (y % py) * px + (x % px);
-    let mut sim = NetSim::with_faults(net, faults);
+    let mut sim = NetSim::new(net);
     for y in 0..py {
         for x in 0..px {
             let src = rank(x, y);
@@ -89,24 +76,12 @@ pub fn halo_exchange_3d_stats(
     pz: usize,
     bytes_per_face: u64,
 ) -> SimStats {
-    halo_exchange_3d_stats_faulted(net, px, py, pz, bytes_per_face, &LinkFaults::healthy())
-}
-
-/// [`halo_exchange_3d_stats`] on a damaged network.
-pub fn halo_exchange_3d_stats_faulted(
-    net: &Network,
-    px: usize,
-    py: usize,
-    pz: usize,
-    bytes_per_face: u64,
-    faults: &LinkFaults,
-) -> SimStats {
     assert!(
         px * py * pz <= net.config().endpoints,
         "process grid exceeds network"
     );
     let rank = |x: usize, y: usize, z: usize| ((z % pz) * py + (y % py)) * px + (x % px);
-    let mut sim = NetSim::with_faults(net, faults);
+    let mut sim = NetSim::new(net);
     for z in 0..pz {
         for y in 0..py {
             for x in 0..px {
@@ -147,19 +122,8 @@ pub fn all_to_all_stats_sampled(
     bytes_per_pair: u64,
     max_rounds: usize,
 ) -> SimStats {
-    all_to_all_stats_sampled_faulted(net, p, bytes_per_pair, max_rounds, &LinkFaults::healthy())
-}
-
-/// [`all_to_all_stats_sampled`] on a damaged network.
-pub fn all_to_all_stats_sampled_faulted(
-    net: &Network,
-    p: usize,
-    bytes_per_pair: u64,
-    max_rounds: usize,
-    faults: &LinkFaults,
-) -> SimStats {
     assert!(p <= net.config().endpoints && max_rounds >= 1);
-    let mut sim = NetSim::with_faults(net, faults);
+    let mut sim = NetSim::new(net);
     if p < 2 {
         return sim.into_stats();
     }
@@ -187,13 +151,8 @@ pub fn all_to_all_stats_sampled_faulted(
 /// Rounds execute back to back on idle links, so makespans add; traffic
 /// statistics accumulate over all rounds.
 pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
-    allreduce_stats_faulted(net, p, bytes, &LinkFaults::healthy())
-}
-
-/// [`allreduce_stats`] on a damaged network.
-pub fn allreduce_stats_faulted(net: &Network, p: usize, bytes: u64, faults: &LinkFaults) -> SimStats {
     assert!(p >= 1 && p <= net.config().endpoints);
-    let mut sim = NetSim::with_faults(net, faults);
+    let mut sim = NetSim::new(net);
     let rounds = (usize::BITS - (p - 1).leading_zeros()) as usize;
     let mut makespan_s = 0.0;
     for r in 0..rounds {
@@ -215,18 +174,11 @@ pub fn allreduce_stats_faulted(net: &Network, p: usize, bytes: u64, faults: &Lin
 
 /// Measure the effective bisection bandwidth (GB/s) of a network by
 /// saturating it with pairwise traffic across a balanced cut and dividing
-/// moved bytes by the makespan.
+/// moved bytes by the makespan. On a damaged network, rerouting around
+/// failed torus links and derated survivors both show up in the number.
 pub fn measured_bisection_gbs(net: &Network, bytes_per_pair: u64) -> f64 {
-    measured_bisection_gbs_faulted(net, bytes_per_pair, &LinkFaults::healthy())
-}
-
-/// [`measured_bisection_gbs`] on a damaged network: rerouting around
-/// failed torus links and derated survivors both show up in the measured
-/// number, which is what the chaos harness compares against
-/// [`Network::bisection_gbs_degraded`].
-pub fn measured_bisection_gbs_faulted(net: &Network, bytes_per_pair: u64, faults: &LinkFaults) -> f64 {
     assert!(net.config().endpoints >= 2);
-    let mut sim = NetSim::with_faults(net, faults);
+    let mut sim = NetSim::new(net);
     for (a, b) in net.bisection_pairs() {
         sim.send(a, b, bytes_per_pair, 0.0);
         sim.send(b, a, bytes_per_pair, 0.0);
@@ -238,6 +190,7 @@ pub fn measured_bisection_gbs_faulted(net: &Network, bytes_per_pair: u64, faults
 mod tests {
     use super::*;
     use crate::des::Message;
+    use crate::fault::LinkFaults;
     use crate::topology::{NetworkConfig, TopologyKind};
 
     fn mk(kind: TopologyKind, endpoints: usize) -> Network {
@@ -445,42 +398,30 @@ mod tests {
     }
 
     #[test]
-    fn faulted_collectives_match_healthy_with_no_faults() {
+    fn a_network_built_with_no_faults_times_like_a_healthy_one() {
         let net = mk(TopologyKind::Torus2D, 16);
-        let h = LinkFaults::healthy();
+        let same = Network::with_faults(net.config().clone(), &LinkFaults::healthy());
         assert_eq!(
             halo_exchange_2d_stats(&net, 4, 4, 10_000, 100).makespan_s,
-            halo_exchange_2d_stats_faulted(&net, 4, 4, 10_000, 100, &h).makespan_s
+            halo_exchange_2d_stats(&same, 4, 4, 10_000, 100).makespan_s
         );
         assert_eq!(
             allreduce_stats(&net, 16, 8_000).makespan_s,
-            allreduce_stats_faulted(&net, 16, 8_000, &h).makespan_s
+            allreduce_stats(&same, 16, 8_000).makespan_s
         );
         assert_eq!(
             all_to_all_stats_sampled(&net, 16, 10_000, 5).makespan_s,
-            all_to_all_stats_sampled_faulted(&net, 16, 10_000, 5, &h).makespan_s
+            all_to_all_stats_sampled(&same, 16, 10_000, 5).makespan_s
         );
     }
 
     #[test]
     fn torus_link_failure_slows_all_to_all_and_shifts_traffic() {
-        let mk_net = |faults: &LinkFaults| {
-            crate::topology::Network::with_faults(
-                crate::topology::NetworkConfig {
-                    kind: TopologyKind::Torus2D,
-                    endpoints: 16,
-                    link_bw_gbs: 1.0,
-                    latency_us: 5.0,
-                },
-                faults,
-            )
-        };
-        let healthy_faults = LinkFaults::healthy();
-        let healthy_net = mk_net(&healthy_faults);
-        let healthy = all_to_all_stats_sampled_faulted(&healthy_net, 16, 50_000, 8, &healthy_faults);
+        let healthy_net = mk(TopologyKind::Torus2D, 16);
+        let healthy = all_to_all_stats_sampled(&healthy_net, 16, 50_000, 8);
         let faults = LinkFaults::healthy().fail_link(0).fail_link(2);
-        let net = mk_net(&faults);
-        let degraded = all_to_all_stats_sampled_faulted(&net, 16, 50_000, 8, &faults);
+        let net = Network::with_faults(healthy_net.config().clone(), &faults);
+        let degraded = all_to_all_stats_sampled(&net, 16, 50_000, 8);
         assert!(
             degraded.makespan_s >= healthy.makespan_s,
             "rerouting never speeds things up: {} vs {}",
@@ -500,21 +441,14 @@ mod tests {
     fn crossbar_port_loss_slows_the_halo() {
         let net = mk(TopologyKind::Crossbar, 16);
         let healthy = halo_exchange_2d_stats(&net, 4, 4, 200_000, 2_000).makespan_s;
-        let faults = LinkFaults::healthy().lose_port(5);
-        let degraded =
-            halo_exchange_2d_stats_faulted(&net, 4, 4, 200_000, 2_000, &faults).makespan_s;
+        let damaged = Network::with_faults(net.config().clone(), &LinkFaults::healthy().lose_port(5));
+        let degraded = halo_exchange_2d_stats(&damaged, 4, 4, 200_000, 2_000).makespan_s;
         assert!(degraded > healthy, "{degraded} vs {healthy}");
     }
 
     #[test]
     fn measured_bisection_drops_with_cut_link_failures() {
-        let cfgv = crate::topology::NetworkConfig {
-            kind: TopologyKind::Torus2D,
-            endpoints: 64,
-            link_bw_gbs: 1.0,
-            latency_us: 5.0,
-        };
-        let healthy_net = crate::topology::Network::new(cfgv.clone());
+        let healthy_net = mk(TopologyKind::Torus2D, 64);
         let cut = healthy_net.bisection_cut_links().expect("torus cut");
         // Cut layout per row: [interior +x, interior -x, wrap +x, wrap -x].
         // Failing both +x crossings in half the rows squeezes all of those
@@ -524,9 +458,9 @@ mod tests {
         for row in cut.chunks(4).take(4) {
             faults = faults.fail_link(row[0]).fail_link(row[2]);
         }
-        let net = crate::topology::Network::with_faults(cfgv, &faults);
+        let net = Network::with_faults(healthy_net.config().clone(), &faults);
         let healthy = measured_bisection_gbs(&healthy_net, 1_000_000);
-        let degraded = measured_bisection_gbs_faulted(&net, 1_000_000, &faults);
+        let degraded = measured_bisection_gbs(&net, 1_000_000);
         assert!(
             degraded > 0.0 && degraded < 0.9 * healthy,
             "lost cut capacity must show up: {degraded} vs {healthy}"

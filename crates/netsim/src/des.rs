@@ -167,54 +167,35 @@ pub struct NetSim<'a> {
 }
 
 impl<'a> NetSim<'a> {
-    /// New simulator with all links idle.
+    /// New simulator with all links idle, every link named by the
+    /// network's damage (a degrade or a crossbar port-lane loss) derated
+    /// to its [`Network::effective_link_factor`]. Hard link failures are
+    /// already routed around by the network itself.
     pub fn new(net: &'a Network) -> Self {
         let latency_s = net.config().latency_us * 1e-6;
+        // The one spelling of a link's delivered bytes/s. The operand
+        // order is part of the model: every published cell's bits depend
+        // on it.
+        let rate = |id: usize, derate: f64| net.link_bw(id) * derate * 1e9;
+        let mut link_rate: Vec<f64> = (0..net.num_links()).map(|l| rate(l, 1.0)).collect();
+        let faults = net.faults();
+        let degraded = faults.degraded_links.iter().map(|&(id, _)| id);
+        let ports = faults.lost_ports.iter().flat_map(|&e| [2 * e, 2 * e + 1]);
+        for id in degraded.chain(ports).filter(|&id| id < net.num_links()) {
+            let factor = net.effective_link_factor(id);
+            if factor > 0.0 && factor < 1.0 {
+                link_rate[id] = rate(id, factor);
+            }
+        }
         Self {
             net,
             link_free_s: vec![0.0; net.num_links()],
-            link_rate: (0..net.num_links())
-                .map(|l| Self::rate(net, l, 1.0))
-                .collect(),
+            link_rate,
             sw_latency: latency_s * (1.0 - HOP_LATENCY_SHARE),
             hop_latency: latency_s * HOP_LATENCY_SHARE,
             local_rate: net.config().link_bw_gbs * 1e9,
             batch: Batch::new(net.num_links()),
         }
-    }
-
-    /// The one spelling of a link's delivered bytes/s. The operand order
-    /// is part of the model: every published cell's bits depend on it.
-    fn rate(net: &Network, id: usize, derate: f64) -> f64 {
-        net.link_bw(id) * derate * 1e9
-    }
-
-    /// Simulator with the degradation half of a fault description already
-    /// applied: every link named by a degrade or a crossbar port-lane
-    /// loss is derated to its [`Network::effective_link_factor`]. Hard
-    /// link failures are the network's concern — build it with
-    /// [`Network::with_faults`] so routes avoid them.
-    pub fn with_faults(net: &'a Network, faults: &crate::fault::LinkFaults) -> Self {
-        let mut sim = Self::new(net);
-        let degraded = faults.degraded_links.iter().map(|&(id, _)| id);
-        let ports = faults.lost_ports.iter().flat_map(|&e| [2 * e, 2 * e + 1]);
-        for id in degraded.chain(ports).filter(|&id| id < net.num_links()) {
-            let factor = net.effective_link_factor(faults, id);
-            if factor > 0.0 && factor < 1.0 {
-                sim.degrade_link(id, factor);
-            }
-        }
-        sim
-    }
-
-    /// Inject a fault: link `id` delivers only `factor` of its bandwidth
-    /// from now on. Modelling a flaky cable or an oversubscribed port; the
-    /// interesting question is how far the damage spreads through
-    /// collectives (a single slow link stalls every bulk-synchronous
-    /// participant).
-    pub fn degrade_link(&mut self, id: usize, factor: f64) {
-        assert!(factor > 0.0 && factor <= 1.0);
-        self.link_rate[id] = Self::rate(self.net, id, factor);
     }
 
     /// The per-message step: send `bytes` from `src` to `dst` at
@@ -289,7 +270,7 @@ impl<'a> NetSim<'a> {
         std::mem::replace(&mut self.batch, Batch::new(self.net.num_links())).into_stats()
     }
 
-    /// Reset link occupancy (keeps injected faults and the open batch).
+    /// Reset link occupancy (keeps the derates and the open batch).
     pub fn reset(&mut self) {
         self.link_free_s.iter_mut().for_each(|t| *t = 0.0);
     }
@@ -298,15 +279,25 @@ impl<'a> NetSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::LinkFaults;
     use crate::topology::{NetworkConfig, TopologyKind};
 
-    fn net(kind: TopologyKind, endpoints: usize) -> Network {
-        Network::new(NetworkConfig {
+    fn cfg(kind: TopologyKind, endpoints: usize) -> NetworkConfig {
+        NetworkConfig {
             kind,
             endpoints,
             link_bw_gbs: 1.0,
             latency_us: 10.0,
-        })
+        }
+    }
+
+    fn net(kind: TopologyKind, endpoints: usize) -> Network {
+        Network::new(cfg(kind, endpoints))
+    }
+
+    /// A crossbar with `faults` applied.
+    fn damaged(endpoints: usize, faults: &LinkFaults) -> Network {
+        Network::with_faults(cfg(TopologyKind::Crossbar, endpoints), faults)
     }
 
     #[test]
@@ -477,9 +468,9 @@ mod tests {
             })
             .collect();
         let healthy = NetSim::new(&n).run(&msgs).makespan_s;
-        let mut sick = NetSim::new(&n);
-        sick.degrade_link(2 * 7, 0.1); // rank 7's injection link at 10%
-        let degraded = sick.run(&msgs).makespan_s;
+        // Rank 7's injection link at 10 %.
+        let sick = damaged(16, &LinkFaults::healthy().degrade_link(2 * 7, 0.1));
+        let degraded = NetSim::new(&sick).run(&msgs).makespan_s;
         assert!(
             degraded > 3.0 * healthy,
             "one bad link must dominate the collective: {degraded} vs {healthy}"
@@ -496,15 +487,14 @@ mod tests {
             submit_s: 0.0,
         }];
         let clean = NetSim::new(&n).run(&msgs).makespan_s;
-        let mut sim = NetSim::new(&n);
-        sim.degrade_link(2 * 3, 0.01); // rank 3's injection link: not on the route
-        let faulty = sim.run(&msgs).makespan_s;
+        // Rank 3's injection link: not on the route.
+        let sick = damaged(4, &LinkFaults::healthy().degrade_link(2 * 3, 0.01));
+        let faulty = NetSim::new(&sick).run(&msgs).makespan_s;
         assert!((clean - faulty).abs() < 1e-15);
     }
 
     #[test]
     fn healthy_with_faults_is_new_and_fault_entries_reach_their_links() {
-        use crate::fault::LinkFaults;
         let n = net(TopologyKind::Crossbar, 8);
         let msgs: Vec<Message> = (0..8)
             .map(|i| Message {
@@ -514,15 +504,14 @@ mod tests {
                 submit_s: 0.0,
             })
             .collect();
-        let finishes = |mut sim: NetSim| -> Vec<f64> {
-            msgs.iter().map(|m| sim.send(m.src, m.dst, m.bytes, m.submit_s)).collect()
+        let finishes = |net: &Network| -> Vec<u64> {
+            let mut sim = NetSim::new(net);
+            msgs.iter().map(|m| sim.send(m.src, m.dst, m.bytes, m.submit_s).to_bits()).collect()
         };
         let plain = NetSim::new(&n).run(&msgs);
-        let healthy = NetSim::with_faults(&n, &LinkFaults::healthy()).run(&msgs);
-        assert_eq!(
-            finishes(NetSim::new(&n)),
-            finishes(NetSim::with_faults(&n, &LinkFaults::healthy()))
-        );
+        let healthy_net = damaged(8, &LinkFaults::healthy());
+        let healthy = NetSim::new(&healthy_net).run(&msgs);
+        assert_eq!(finishes(&n), finishes(&healthy_net));
         assert_eq!(plain.makespan_s, healthy.makespan_s);
         assert_eq!(plain.link_bytes, healthy.link_bytes);
         assert_eq!(plain.size_dist, healthy.size_dist);
@@ -537,12 +526,12 @@ mod tests {
             .degrade_link(999, 0.5)
             .lose_port(5)
             .lose_port(99);
-        let mut by_hand = NetSim::new(&n);
-        by_hand.degrade_link(4, 0.25);
-        by_hand.degrade_link(10, 0.5);
-        by_hand.degrade_link(11, 0.5);
-        assert_eq!(finishes(NetSim::with_faults(&n, &faults)), finishes(by_hand));
-        assert!(NetSim::with_faults(&n, &faults).run(&msgs).makespan_s > plain.makespan_s);
+        let by_hand = LinkFaults::healthy()
+            .degrade_link(4, 0.25)
+            .degrade_link(10, 0.5)
+            .degrade_link(11, 0.5);
+        assert_eq!(finishes(&damaged(8, &faults)), finishes(&damaged(8, &by_hand)));
+        assert!(NetSim::new(&damaged(8, &faults)).run(&msgs).makespan_s > plain.makespan_s);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! lanes; losing one halves that endpoint's injection and ejection
 //! bandwidth).
 //!
-//! Faults here are *state*, not events: the deterministic fault scheduler
-//! in `pvs-fault` compiles its picosecond-stamped event plan into one
-//! `LinkFaults` per simulated phase, so the network layer stays free of
-//! any clock and PVS003 holds.
+//! Faults here are *state*, not events: a network built by
+//! [`crate::topology::Network::with_faults`] keeps its `LinkFaults`, routes
+//! around the hard failures, and every [`crate::des::NetSim`] on it prices
+//! the derates. No clock is involved, so PVS003 holds.
 
 /// The fault state of one network. Healthy by default.
 #[derive(Debug, Clone, Default, PartialEq)]

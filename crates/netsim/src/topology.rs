@@ -6,6 +6,8 @@
 //! non-blocking core for the crossbar, and dimension-order (X then Y) with
 //! wraparound for the 2D torus — matching how the real machines route.
 
+use crate::fault::LinkFaults;
+
 /// Topology family.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyKind {
@@ -58,9 +60,10 @@ pub struct Network {
     /// is one past it). Two endpoints share a level-`l` switch exactly when
     /// their entries there are equal. Empty for the other topologies.
     up: Vec<u32>,
-    /// Hard-failed link ids (empty for a healthy network). Only the torus
-    /// can route around these; see [`Network::with_faults`].
-    failed: Vec<bool>,
+    /// The damage this network was built with (healthy from
+    /// [`Network::new`]): routes avoid its hard failures, and
+    /// [`crate::des::NetSim::new`] prices its derates.
+    faults: LinkFaults,
 }
 
 impl Network {
@@ -81,7 +84,7 @@ impl Network {
                     torus_dims: None,
                     tree: Vec::new(),
                     up: Vec::new(),
-                    failed: Vec::new(),
+                    faults: LinkFaults::healthy(),
                 }
             }
             TopologyKind::FatTree { arity, slim } => {
@@ -124,7 +127,7 @@ impl Network {
                     torus_dims: None,
                     tree,
                     up,
-                    failed: Vec::new(),
+                    faults: LinkFaults::healthy(),
                 }
             }
             TopologyKind::Torus2D => {
@@ -141,37 +144,42 @@ impl Network {
                     torus_dims: Some((x, y)),
                     tree: Vec::new(),
                     up: Vec::new(),
-                    failed: Vec::new(),
+                    faults: LinkFaults::healthy(),
                 }
             }
         }
     }
 
-    /// Build a network with hard link failures applied. Only the 2D torus
-    /// has redundant paths to route around a dead link (the long way
-    /// round the affected ring); a failed link on a crossbar or fat-tree
-    /// would disconnect endpoints outright, so it is rejected here —
-    /// degrade those links instead (see [`crate::fault::LinkFaults`]).
-    pub fn with_faults(config: NetworkConfig, faults: &crate::fault::LinkFaults) -> Self {
+    /// Build a damaged network: the one way link damage enters the
+    /// simulator. Routes avoid the hard failures and every simulator on
+    /// the network prices the derates and lost port lanes. Only the 2D
+    /// torus has redundant paths to route around a dead link (the long
+    /// way round the affected ring); a failed link on a crossbar or
+    /// fat-tree would disconnect endpoints outright, so it is rejected
+    /// here — degrade those links instead.
+    pub fn with_faults(config: NetworkConfig, faults: &LinkFaults) -> Self {
         let mut net = Self::new(config);
-        if faults.failed_links.is_empty() {
-            return net;
+        if !faults.failed_links.is_empty() {
+            assert!(
+                matches!(net.config.kind, TopologyKind::Torus2D),
+                "hard link failures are only reroutable on the 2D torus"
+            );
         }
-        assert!(
-            matches!(net.config.kind, TopologyKind::Torus2D),
-            "hard link failures are only reroutable on the 2D torus"
-        );
-        net.failed = vec![false; net.links.len()];
         for &id in &faults.failed_links {
             assert!(id < net.links.len(), "failed link {id} out of range");
-            net.failed[id] = true;
         }
+        net.faults = faults.clone();
         net
+    }
+
+    /// The damage this network was built with.
+    pub(crate) fn faults(&self) -> &LinkFaults {
+        &self.faults
     }
 
     /// Whether link `id` is hard-failed.
     pub fn link_failed(&self, id: usize) -> bool {
-        self.failed.get(id).copied().unwrap_or(false)
+        self.faults.link_failed(id)
     }
 
     /// The configuration this network was built from.
@@ -267,8 +275,8 @@ impl Network {
                 }
             })
         };
-        let blocked =
-            |forward: bool| !self.failed.is_empty() && arc(forward).any(|l| self.failed[l]);
+        let failed = &self.faults.failed_links;
+        let blocked = |forward: bool| !failed.is_empty() && arc(forward).any(|l| failed.contains(&l));
         let mut forward = fwd <= len - fwd;
         if blocked(forward) {
             forward = !forward;
@@ -296,12 +304,13 @@ impl Network {
         hops
     }
 
-    /// Effective bandwidth factor of link `id` under `faults`, in
-    /// `[0, 1]`: 0 for a hard-failed link, otherwise the product of its
-    /// degrade factors, halved again on a crossbar whose endpoint
-    /// (`id / 2`) lost a port lane.
-    pub fn effective_link_factor(&self, faults: &crate::fault::LinkFaults, id: usize) -> f64 {
-        if self.link_failed(id) || faults.link_failed(id) {
+    /// Effective bandwidth factor of link `id` under the network's
+    /// damage, in `[0, 1]`: 0 for a hard-failed link, otherwise the
+    /// product of its degrade factors, halved again on a crossbar whose
+    /// endpoint (`id / 2`) lost a port lane.
+    pub fn effective_link_factor(&self, id: usize) -> f64 {
+        let faults = &self.faults;
+        if faults.link_failed(id) {
             return 0.0;
         }
         let mut factor = faults.degrade_factor(id);
@@ -409,12 +418,12 @@ impl Network {
         }
     }
 
-    /// [`Network::analytic_bisection_gbs`] with faults priced in: each
-    /// crossing link contributes its effective (derated) bandwidth, and
-    /// hard-failed links contribute nothing. Where the cut cannot be
-    /// enumerated (fat trees), the healthy analytic value is returned
-    /// unchanged. With no faults this equals the healthy value.
-    pub fn bisection_gbs_degraded(&self, faults: &crate::fault::LinkFaults) -> f64 {
+    /// [`Network::analytic_bisection_gbs`] with the network's damage
+    /// priced in: each crossing link contributes its effective (derated)
+    /// bandwidth, and hard-failed links contribute nothing. Where the cut
+    /// cannot be enumerated (fat trees), the healthy analytic value is
+    /// returned unchanged. With no faults this equals the healthy value.
+    pub fn bisection_gbs_degraded(&self) -> f64 {
         let Some(cut) = self.bisection_cut_links() else {
             return self.analytic_bisection_gbs();
         };
@@ -423,7 +432,7 @@ impl Network {
         }
         let healthy_per_link = self.analytic_bisection_gbs() / cut.len() as f64;
         cut.iter()
-            .map(|&id| healthy_per_link * self.effective_link_factor(faults, id))
+            .map(|&id| healthy_per_link * self.effective_link_factor(id))
             .sum()
     }
 }
@@ -642,7 +651,6 @@ mod tests {
 
     #[test]
     fn torus_reroutes_around_a_failed_link() {
-        use crate::fault::LinkFaults;
         let healthy = Network::new(cfg(TopologyKind::Torus2D, 16)); // 4x4
         // (0,0) -> (1,0) uses +x link of node 0 (link id 0).
         assert_eq!(healthy.route(0, 1), vec![0]);
@@ -663,7 +671,6 @@ mod tests {
 
     #[test]
     fn torus_detour_spans_both_dimensions() {
-        use crate::fault::LinkFaults;
         let n = 16; // 4x4
         let healthy = Network::new(cfg(TopologyKind::Torus2D, n));
         // Fail the first +y link on the route (0,0) -> (2,2): dimension
@@ -688,7 +695,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "torus ring partitioned")]
     fn partitioned_ring_is_rejected() {
-        use crate::fault::LinkFaults;
         // Fail both x exits of node 0 on a 4x4 torus: +x (link 0) blocks
         // the short arc to node 1 and -x (link 1) blocks the detour.
         let faults = LinkFaults::healthy().fail_link(0).fail_link(1);
@@ -699,14 +705,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "only reroutable on the 2D torus")]
     fn crossbar_rejects_hard_link_failures() {
-        use crate::fault::LinkFaults;
         let faults = LinkFaults::healthy().fail_link(0);
         let _ = Network::with_faults(cfg(TopologyKind::Crossbar, 8), &faults);
     }
 
     #[test]
     fn degraded_bisection_matches_healthy_when_fault_free() {
-        use crate::fault::LinkFaults;
         for kind in [
             TopologyKind::Crossbar,
             TopologyKind::Torus2D,
@@ -717,7 +721,7 @@ mod tests {
         ] {
             let net = Network::new(cfg(kind, 64));
             let healthy = net.analytic_bisection_gbs();
-            let degraded = net.bisection_gbs_degraded(&LinkFaults::healthy());
+            let degraded = net.bisection_gbs_degraded();
             assert!(
                 (healthy - degraded).abs() < 1e-9,
                 "{kind:?}: {healthy} vs {degraded}"
@@ -727,12 +731,11 @@ mod tests {
 
     #[test]
     fn failed_torus_link_cuts_recomputed_bisection() {
-        use crate::fault::LinkFaults;
         let net = Network::new(cfg(TopologyKind::Torus2D, 64)); // 8x8
         let cut = net.bisection_cut_links().expect("torus cut");
         let healthy = net.analytic_bisection_gbs();
-        let faults = LinkFaults::healthy().fail_link(cut[0]);
-        let degraded = net.bisection_gbs_degraded(&faults);
+        let damaged = |faults: &LinkFaults| Network::with_faults(cfg(TopologyKind::Torus2D, 64), faults);
+        let degraded = damaged(&LinkFaults::healthy().fail_link(cut[0])).bisection_gbs_degraded();
         let expected = healthy * (cut.len() as f64 - 1.0) / cut.len() as f64;
         assert!(
             (degraded - expected).abs() < 1e-9,
@@ -743,17 +746,17 @@ mod tests {
         let elsewhere = (0..net.num_links())
             .find(|l| !cut.contains(l))
             .expect("non-cut link");
-        let same = net.bisection_gbs_degraded(&LinkFaults::healthy().fail_link(elsewhere));
+        let same = damaged(&LinkFaults::healthy().fail_link(elsewhere)).bisection_gbs_degraded();
         assert!((same - healthy).abs() < 1e-9);
     }
 
     #[test]
     fn crossbar_port_loss_halves_its_share_of_bisection() {
-        use crate::fault::LinkFaults;
-        let net = Network::new(cfg(TopologyKind::Crossbar, 16));
-        let healthy = net.analytic_bisection_gbs();
         // Endpoint 0 is in the sending half of the cut.
-        let degraded = net.bisection_gbs_degraded(&LinkFaults::healthy().lose_port(0));
+        let faults = LinkFaults::healthy().lose_port(0);
+        let net = Network::with_faults(cfg(TopologyKind::Crossbar, 16), &faults);
+        let healthy = net.analytic_bisection_gbs();
+        let degraded = net.bisection_gbs_degraded();
         let expected = healthy - 0.5 * healthy / 8.0;
         assert!((degraded - expected).abs() < 1e-9, "{degraded} vs {expected}");
     }

@@ -17,8 +17,7 @@
 use std::collections::BTreeMap;
 
 use pvs_netsim::collectives::{
-    all_to_all_stats_sampled_faulted, allreduce_stats_faulted, halo_exchange_2d_stats_faulted,
-    halo_exchange_3d_stats_faulted,
+    all_to_all_stats_sampled, allreduce_stats, halo_exchange_2d_stats, halo_exchange_3d_stats,
 };
 use pvs_netsim::{LinkFaults, Message, NetSim, Network, NetworkConfig, SimStats, TopologyKind};
 
@@ -150,10 +149,10 @@ struct RefSim<'a> {
 
 impl<'a> RefSim<'a> {
     /// Every link asked for its effective factor, one by one.
-    fn with_faults(net: &'a Network, faults: &LinkFaults) -> Self {
+    fn new(net: &'a Network) -> Self {
         let mut link_derate = vec![1.0; net.num_links()];
         for (id, derate) in link_derate.iter_mut().enumerate() {
-            let factor = net.effective_link_factor(faults, id);
+            let factor = net.effective_link_factor(id);
             if factor > 0.0 && factor < 1.0 {
                 *derate = factor;
             }
@@ -398,16 +397,9 @@ fn step_all(sim: &mut NetSim, msgs: &[Message], want: &RefRun, ctx: &str) -> f64
 /// A collective's result `got` equals the reference run of its message
 /// list `msgs` (makespan scaled by `scale`), and so does the crate's step
 /// driven over that list message by message.
-fn check_collective(
-    net: &Network,
-    faults: &LinkFaults,
-    msgs: &[Message],
-    scale: f64,
-    got: &SimStats,
-    ctx: &str,
-) {
-    let mut want = RefSim::with_faults(net, faults).run(msgs);
-    let mut sim = NetSim::with_faults(net, faults);
+fn check_collective(net: &Network, msgs: &[Message], scale: f64, got: &SimStats, ctx: &str) {
+    let mut want = RefSim::new(net).run(msgs);
+    let mut sim = NetSim::new(net);
     step_all(&mut sim, msgs, &want, ctx);
     let mut stepped = sim.into_stats();
     want.stats.makespan_s *= scale;
@@ -466,14 +458,15 @@ fn fault_cases(net: &Network) -> Vec<(&'static str, LinkFaults)> {
     cases
 }
 
-/// Every `(kind, endpoints, fault case)` the collectives are checked on.
-fn for_each_network(mut check: impl FnMut(&Network, &LinkFaults, &str)) {
+/// Every `(kind, endpoints, fault case)` the collectives are checked on,
+/// each as one damaged network.
+fn for_each_network(mut check: impl FnMut(&Network, &str)) {
     for kind in kinds() {
         for endpoints in ENDPOINTS {
             let healthy = Network::new(cfg(kind, endpoints));
             for (label, faults) in fault_cases(&healthy) {
                 let net = Network::with_faults(cfg(kind, endpoints), &faults);
-                check(&net, &faults, &format!("{kind:?} n={endpoints} {label}"));
+                check(&net, &format!("{kind:?} n={endpoints} {label}"));
             }
         }
     }
@@ -485,36 +478,36 @@ fn for_each_network(mut check: impl FnMut(&Network, &LinkFaults, &str)) {
 
 #[test]
 fn halo_exchanges_match_the_reference() {
-    for_each_network(|net, faults, ctx| {
+    for_each_network(|net, ctx| {
         let n = net.config().endpoints;
         let g = factors(n, 2);
-        let got = halo_exchange_2d_stats_faulted(net, g[0], g[1], 48_000, 600, faults);
+        let got = halo_exchange_2d_stats(net, g[0], g[1], 48_000, 600);
         let msgs = halo_2d_msgs(g[0], g[1], 48_000, 600);
-        check_collective(net, faults, &msgs, 1.0, &got, &format!("halo2d {ctx}"));
+        check_collective(net, &msgs, 1.0, &got, &format!("halo2d {ctx}"));
 
         let g = factors(n, 3);
-        let got = halo_exchange_3d_stats_faulted(net, g[0], g[1], g[2], 125_000, faults);
+        let got = halo_exchange_3d_stats(net, g[0], g[1], g[2], 125_000);
         let msgs = halo_3d_msgs(g[0], g[1], g[2], 125_000);
-        check_collective(net, faults, &msgs, 1.0, &got, &format!("halo3d {ctx}"));
+        check_collective(net, &msgs, 1.0, &got, &format!("halo3d {ctx}"));
     });
 }
 
 #[test]
 fn sampled_all_to_all_matches_the_reference() {
-    for_each_network(|net, faults, ctx| {
+    for_each_network(|net, ctx| {
         let p = net.config().endpoints;
-        let got = all_to_all_stats_sampled_faulted(net, p, 9_216, 24, faults);
+        let got = all_to_all_stats_sampled(net, p, 9_216, 24);
         let (msgs, scale) = all_to_all_msgs(p, 9_216, 24);
-        check_collective(net, faults, &msgs, scale, &got, &format!("all-to-all {ctx}"));
+        check_collective(net, &msgs, scale, &got, &format!("all-to-all {ctx}"));
     });
 }
 
 #[test]
 fn allreduce_matches_the_reference() {
-    for_each_network(|net, faults, ctx| {
+    for_each_network(|net, ctx| {
         let p = net.config().endpoints;
-        let mut reference = RefSim::with_faults(net, faults);
-        let mut sim = NetSim::with_faults(net, faults);
+        let mut reference = RefSim::new(net);
+        let mut sim = NetSim::new(net);
         let mut want = reference.run(&[]).stats;
         let mut stepped_makespan = 0.0;
         for msgs in allreduce_rounds(p, 8_192) {
@@ -526,7 +519,7 @@ fn allreduce_matches_the_reference() {
         }
         let mut stepped = sim.into_stats();
         stepped.makespan_s = stepped_makespan;
-        let got = allreduce_stats_faulted(net, p, 8_192, faults);
+        let got = allreduce_stats(net, p, 8_192);
         assert_same(&got, &want, &format!("allreduce {ctx}"));
         assert_same(&stepped, &want, &format!("stepped allreduce {ctx}"));
     });
@@ -554,7 +547,7 @@ fn check_batch(
 /// fallback, the run-length flush and the 0-hop bucket.
 #[test]
 fn hand_built_batches_match_the_reference() {
-    for_each_network(|net, faults, ctx| {
+    for_each_network(|net, ctx| {
         let n = net.config().endpoints;
         let sizes = [4_096u64, 17, 4_096, 4_096, 1_000_000, 17];
         let times = [3e-6, 0.0, 3e-6, 1e-6, 0.0, 2.5e-4, 1e-6];
@@ -580,9 +573,9 @@ fn hand_built_batches_match_the_reference() {
             })
             .collect();
 
-        let mut reference = RefSim::with_faults(net, faults);
-        let mut sim = NetSim::with_faults(net, faults);
-        let mut stepper = NetSim::with_faults(net, faults);
+        let mut reference = RefSim::new(net);
+        let mut sim = NetSim::new(net);
+        let mut stepper = NetSim::new(net);
         let (sim, stepper, reference) = (&mut sim, &mut stepper, &mut reference);
         check_batch(sim, stepper, reference, &unsorted, &format!("unsorted {ctx}"));
         // Link occupancy carries over into the next batch…

@@ -11,7 +11,7 @@
 //! and the canonical key that makes responses content-addressable.
 //!
 //! A request names a sweep cell — `(app, config, machine, procs)` plus an
-//! optional seeded fault plan — and every field is validated against a
+//! optional seeded fault draw — and every field is validated against a
 //! closed vocabulary before any work happens. Validation is what makes
 //! the cache safe: only requests that resolve to a well-defined
 //! simulation are ever keyed, so a cache entry can always be regenerated
@@ -27,7 +27,6 @@ use pvs_cactus::perf::{CactusVariant, CactusWorkload};
 use pvs_core::machine::Machine;
 use pvs_core::phase::Phase;
 use pvs_core::{platforms, Adversity};
-use pvs_fault::FaultPlan;
 use pvs_gtc::perf::{GtcVariant, GtcWorkload};
 use pvs_lbmhd::perf::LbmhdWorkload;
 use pvs_paratec::perf::ParatecWorkload;
@@ -77,26 +76,22 @@ pub fn cell_phases(app: &str, config: &str, machine: &str, procs: usize) -> Opti
 /// questions without letting a client request an absurd simulation).
 pub const MAX_PROCS: usize = 4096;
 
-/// Largest fault plan a request may ask for (the default is
-/// [`DEFAULT_FAULT_EVENTS`]). Resolving builds the whole plan before any
+/// Most fault events a request may ask for (the default is
+/// [`DEFAULT_FAULT_EVENTS`]). Resolving draws every event before any
 /// cache probe, admission cap or deadline check, so this bound is what
 /// keeps one request line from costing unbounded work.
 pub const MAX_FAULT_EVENTS: usize = 64;
 
-/// Number of fault events a seeded plan injects when the request does
-/// not say (matches the chaos harness's light-damage scenarios).
+/// Number of fault events a request draws when it names a `fault_seed`
+/// but no `fault_events`.
 pub const DEFAULT_FAULT_EVENTS: usize = 4;
 
-/// Simulated-time horizon over which random fault plans scatter their
-/// events (1 simulated second — longer than any cell of the grid).
-const FAULT_HORIZON_PS: u64 = 1_000_000_000_000;
-
-/// A seeded fault plan attached to a request.
+/// Seeded damage attached to a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Plan seed; every downstream random decision derives from it.
+    /// Seed of [`pvs_fault::random_adversity`].
     pub seed: u64,
-    /// Number of injected events.
+    /// Number of events drawn.
     pub events: usize,
 }
 
@@ -111,7 +106,7 @@ pub struct Request {
     pub machine: String,
     /// Processor count.
     pub procs: usize,
-    /// Optional seeded fault plan (engine-level adversity).
+    /// Optional seeded damage (engine-level adversity).
     pub faults: Option<FaultSpec>,
 }
 
@@ -132,7 +127,7 @@ pub enum RequestError {
     UnknownMachine(String),
     /// Processor count outside `1..=MAX_PROCS`.
     BadProcs(usize),
-    /// Fault plan longer than `MAX_FAULT_EVENTS` events.
+    /// More than `MAX_FAULT_EVENTS` fault events.
     BadFaultEvents(usize),
 }
 
@@ -168,8 +163,8 @@ pub struct ResolvedCell {
     pub phases: Vec<Phase>,
     /// Processor count.
     pub procs: usize,
-    /// Engine-level damage compiled from the fault plan (`None` when the
-    /// request is healthy).
+    /// Engine-level damage drawn from the request's seed (`None` when
+    /// the request is healthy).
     pub adversity: Option<Adversity>,
 }
 
@@ -236,10 +231,7 @@ impl Request {
         let phases = cell_phases(&self.app, &self.config, &self.machine, self.procs)
             .expect("every APP_CONFIGS label is a registry cell");
         let adversity = self.faults.map(|f| {
-            let mut adversity =
-                FaultPlan::random(f.seed, FAULT_HORIZON_PS, f.events, self.procs, 16)
-                    .compile_all()
-                    .adversity;
+            let mut adversity = pvs_fault::random_adversity(f.seed, f.events, self.procs, 16);
             // Hard link failures are only reroutable on the 2D torus
             // (the X1); the network builder rejects them on crossbars
             // and fat-trees, whose routes are unique. Downgrade each to
@@ -372,9 +364,9 @@ mod tests {
         let mut r = Request::cell("GTC", "100 part/cell", "X1", 64);
         r.faults = Some(FaultSpec { seed: 42, events: 6 });
         let cell = r.resolve().unwrap();
-        // Pinned: the damage this seed compiles to. Nothing else holds the
-        // bytes of a served faulty cell, so a change to the plan's draw
-        // order or compile rule must fail here.
+        // Pinned: the damage this seed draws. A change to the draw order
+        // or to how a draw becomes damage must fail here (the served bytes
+        // of faulted cells are pinned in `store.rs`).
         assert_eq!(
             cell.adversity,
             Some(Adversity { net: pvs_netsim::LinkFaults::healthy(), failed_banks: vec![1, 13] })

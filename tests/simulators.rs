@@ -96,6 +96,55 @@ fn crossbar_collectives_match_their_alpha_beta_closed_forms() {
     }
 }
 
+/// ROADMAP #6, halo half: the law the ES-crossbar DES actually obeys,
+/// which counts each message's wire time **twice**. `NetSim::send` books
+/// each link in send order, not arrival order, so a receiver's ejection
+/// link is held by a message that arrives after one sent later; the
+/// neighbours serialise at α + 2n/β each.
+/// A 2D halo is `4·(α + 2e/β) + 4·(α + 2c/β)` (a term drops out when its
+/// byte count is 0), a 3D halo `6·(α + 2f/β)`. The α–β expectation with
+/// the wire term once, `6·(0.9α + f/β) + 0.1α + f/β` in 3D, is 1.71×
+/// short at f = 1 MB (ROADMAP #5d). Sides of 1–2 break the law: there
+/// neighbours coincide.
+#[test]
+fn crossbar_halos_count_the_wire_term_twice() {
+    use pvs::core::platforms;
+    use pvs::netsim::collectives::{halo_exchange_2d_stats, halo_exchange_3d_stats};
+
+    let es = platforms::earth_simulator();
+    let close = |got: f64, want: f64| ((got - want) / want).abs() <= 1e-12;
+    let es_net = |p: usize| {
+        let net = Network::new(es.network(p));
+        assert_eq!(net.config().kind, TopologyKind::Crossbar);
+        let alpha = net.config().latency_us * 1e-6;
+        let beta = net.config().link_bw_gbs * 1e9;
+        (net, alpha, beta)
+    };
+    let sizes = [0u64, 8, 4_096, 48_000, 1_000_000];
+    for (px, py) in [(3usize, 3usize), (3, 4), (4, 4), (5, 3), (8, 8), (16, 4)] {
+        let (net, alpha, beta) = es_net(px * py);
+        let term = |n: u64| if n == 0 { 0.0 } else { 4.0 * (alpha + 2.0 * n as f64 / beta) };
+        for e in sizes {
+            for c in sizes {
+                if e == 0 && c == 0 {
+                    continue;
+                }
+                let want = term(e) + term(c);
+                let got = halo_exchange_2d_stats(&net, px, py, e, c).makespan_s;
+                assert!(close(got, want), "2D {px}x{py} e={e} c={c}: {got:e} vs {want:e}");
+            }
+        }
+    }
+    for (px, py, pz) in [(3usize, 3usize, 3usize), (4, 3, 3), (4, 4, 4), (5, 4, 3), (8, 4, 4)] {
+        let (net, alpha, beta) = es_net(px * py * pz);
+        for f in sizes.into_iter().skip(1) {
+            let want = 6.0 * (alpha + 2.0 * f as f64 / beta);
+            let got = halo_exchange_3d_stats(&net, px, py, pz, f).makespan_s;
+            assert!(close(got, want), "3D {px}x{py}x{pz} f={f}: {got:e} vs {want:e}");
+        }
+    }
+}
+
 #[test]
 fn prefetch_simulation_matches_closed_form_across_run_lengths() {
     use pvs::memsim::prefetch::{ghost_zone_coverage, PrefetchConfig, StreamPrefetcher};

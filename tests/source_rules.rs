@@ -448,6 +448,78 @@ fn pvs002_path_only_lockfile(path: &str, text: &str) -> Vec<String> {
     out
 }
 
+/// A manifest's package name and the `pvs*` crates it depends on, from
+/// every dependency section but `[workspace.dependencies]`, which
+/// declares paths rather than edges. `None` without a `[package]`.
+fn manifest_edges(text: &str) -> Option<(String, BTreeSet<String>)> {
+    let (mut name, mut edges) = (None, BTreeSet::new());
+    let (mut in_package, mut section) = (false, None);
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_package = line == "[package]";
+            section = dependency_header(line).filter(|_| !line.starts_with("[workspace."));
+            if let Some(Some(dep)) = section {
+                edges.insert(dep.to_string());
+            }
+        } else if in_package {
+            if let Some(n) = line.strip_prefix("name = ") {
+                name = Some(n.trim_matches('"').to_string());
+            }
+        } else if section == Some(None) && !line.starts_with('#') {
+            let key = line.split(['=', '.']).next().unwrap_or("");
+            edges.insert(key.trim().trim_matches('"').to_string());
+        }
+    }
+    Some((name?, edges.into_iter().filter(|d| d.starts_with("pvs")).collect()))
+}
+
+/// PVS002, second half: every `pvs*` package's `dependencies` in a
+/// lockfile equal the `pvs*` dependencies its manifest declares
+/// (`manifests`: package name → edges). Cargo rewrites a stale lockfile
+/// on the next build, `--offline` included, so an edge changed in a
+/// manifest alone would surface as a silent rewrite wherever that
+/// lockfile is next built.
+fn pvs002_lockfile_edges(
+    path: &str,
+    lock: &str,
+    manifests: &BTreeMap<String, BTreeSet<String>>,
+) -> Vec<String> {
+    let mut packages: Vec<(String, usize, BTreeSet<String>)> = Vec::new();
+    let mut in_deps = false;
+    for (idx, line) in lock.lines().enumerate() {
+        let line = line.trim();
+        if let Some(name) = line.strip_prefix("name = ") {
+            packages.push((name.trim_matches('"').to_string(), idx, BTreeSet::new()));
+        } else if line == "dependencies = [" {
+            in_deps = true;
+        } else if line == "]" {
+            in_deps = false;
+        } else if let (true, Some(package)) = (in_deps, packages.last_mut()) {
+            let dep = line.trim_matches([',', '"']).split(' ').next().unwrap_or("");
+            package.2.insert(dep.to_string());
+        }
+    }
+    let mut out = Vec::new();
+    for (name, idx, locked) in packages.iter().filter(|p| p.0.starts_with("pvs")) {
+        let at = |message: String| format!("{path}:{}: package `{name}` {message}", idx + 1);
+        let Some(declared) = manifests.get(name) else {
+            out.push(at("has no manifest in the tree".to_string()));
+            continue;
+        };
+        let list = |a: &BTreeSet<String>, b: &BTreeSet<String>| {
+            a.difference(b).map(|d| format!("`{d}`")).collect::<Vec<_>>().join(", ")
+        };
+        let (stale, missing) = (list(locked, declared), list(declared, locked));
+        if !stale.is_empty() {
+            out.push(at(format!("locks {stale}, which its manifest no longer declares")));
+        }
+        if !missing.is_empty() {
+            out.push(at(format!("does not lock {missing}, which its manifest declares")));
+        }
+    }
+    out
+}
+
 // --------------------------------------------------------- determinism
 
 /// PVS003: no host clock outside `pvs-bench`, which times the host, and
@@ -1544,12 +1616,19 @@ fn pvs001_inline_pairs() {
 
 #[test]
 fn pvs002_finds_nothing_on_the_tree() {
+    let manifests: BTreeMap<String, BTreeSet<String>> =
+        tree().manifests.iter().filter_map(|(_, t)| manifest_edges(t)).collect();
+    assert!(manifests["pvs-serve"].contains("pvs-core"), "{manifests:?}");
     assert_clean(
         "PVS002",
         tree()
             .lockfiles
             .iter()
-            .flat_map(|(p, t)| pvs002_path_only_lockfile(p, t))
+            .flat_map(|(p, t)| {
+                let mut found = pvs002_path_only_lockfile(p, t);
+                found.extend(pvs002_lockfile_edges(p, t, &manifests));
+                found
+            })
             .collect(),
     );
 }
@@ -1570,6 +1649,34 @@ fn pvs002_inline_pairs() {
     assert_clean(
         "PVS002 on a clean lockfile",
         pvs002_path_only_lockfile("Cargo.lock", clean),
+    );
+
+    // Locked edges follow the manifests: every dependency kind counts,
+    // `[workspace.dependencies]` declares no edge.
+    let manifests: BTreeMap<String, BTreeSet<String>> = [
+        "[workspace.dependencies]\npvs-fault = { path = \"crates/fault\" }\n\
+         [package]\nname = \"pvs-serve\"\n[dependencies]\npvs-core.workspace = true\n\
+         [dev-dependencies.pvs-obs]\npath = \"../obs\"\n",
+        "[package]\nname = \"pvs-core\"\n",
+    ]
+    .into_iter()
+    .filter_map(manifest_edges)
+    .collect();
+    let serve = |deps: &str| {
+        format!("version = 4\n\n[[package]]\nname = \"pvs-core\"\nversion = \"0.1.0\"\n\n\
+                 [[package]]\nname = \"pvs-serve\"\nversion = \"0.1.0\"\ndependencies = [\n{deps}]\n")
+    };
+    let found =
+        pvs002_lockfile_edges("benchmark/Cargo.lock", &serve(" \"pvs-core\",\n \"pvs-fault\",\n"), &manifests);
+    assert_eq!(lines(&found), [8, 8]);
+    assert!(
+        found[0].starts_with("benchmark/Cargo.lock:8: package `pvs-serve` locks `pvs-fault`")
+            && found[1].contains("does not lock `pvs-obs`"),
+        "{found:?}"
+    );
+    assert_clean(
+        "PVS002 on a lockfile that follows its manifests",
+        pvs002_lockfile_edges("Cargo.lock", &serve(" \"pvs-core\",\n \"pvs-obs\",\n"), &manifests),
     );
 }
 
