@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use pvs_core::engine::{run_sweep_threads, SweepJob};
+use pvs_core::engine::Engine;
 use pvs_core::json::{array, number, pretty, JsonObject};
 use pvs_core::rng::Pcg32;
 use pvs_obs::{Histogram, Recorder, Registry, Snapshot};
@@ -452,15 +452,7 @@ pub fn fetch_stats(addr: &str) -> std::io::Result<String> {
 /// the reference the serving layer must match byte-for-byte.
 pub fn direct_cell_body(request: &Request) -> Result<String, String> {
     let cell = request.resolve().map_err(|e| e.to_string())?;
-    let reports = run_sweep_threads(
-        vec![SweepJob {
-            machine: cell.machine,
-            phases: cell.phases,
-            procs: cell.procs,
-        }],
-        1,
-    );
-    Ok(pvs_core::json::perf_report(&reports[0]))
+    Ok(pvs_core::json::perf_report(&Engine::new(cell.machine).run(&cell.phases, cell.procs)))
 }
 
 /// Verify every cell's served bytes equal the direct computation.

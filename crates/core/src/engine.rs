@@ -12,7 +12,7 @@ use crate::adversity::Adversity;
 use crate::kernel::vector_loop_from_phase;
 use crate::machine::{CpuClass, Machine};
 use crate::phase::{CommPattern, CommPhase, LoopPhase, Phase};
-use crate::pool::{default_threads, ThreadPool};
+use crate::pool::{default_threads, map_slice};
 use crate::report::{PerfReport, PhaseBreakdown};
 use pvs_memsim::banks::BankedMemory;
 use pvs_memsim::trace::scrambled_indices;
@@ -488,11 +488,12 @@ pub fn run_sweep(jobs: Vec<SweepJob>) -> Vec<PerfReport> {
 }
 
 /// [`run_sweep`] with an explicit worker count. `threads == 1` is the
-/// serial reference path; any other count produces byte-identical output
-/// because every job is pure and results are reassembled in input order.
+/// serial reference path and runs on the caller alone; any other count
+/// produces byte-identical output because every job is pure and results
+/// are reassembled in input order.
 pub fn run_sweep_threads(jobs: Vec<SweepJob>, threads: usize) -> Vec<PerfReport> {
-    ThreadPool::new(threads).map(jobs, |job| {
-        Engine::new(job.machine).run(&job.phases, job.procs)
+    map_slice(&jobs, threads, |job| {
+        Engine::new(job.machine.clone()).run(&job.phases, job.procs)
     })
 }
 
@@ -976,10 +977,7 @@ mod tests {
         let batch: Vec<(Vec<Phase>, usize)> =
             (0..6).map(|i| (comm_heavy(16 << (i % 3)), 16 << (i % 3))).collect();
         let sweep = |threads: usize| -> Vec<String> {
-            let engine = engine.clone();
-            ThreadPool::new(threads).map(batch.clone(), move |(phases, procs)| {
-                fingerprint(&engine.run(&phases, procs))
-            })
+            map_slice(&batch, threads, |(phases, procs)| fingerprint(&engine.run(phases, *procs)))
         };
         assert_eq!(sweep(1), sweep(8));
     }
@@ -992,11 +990,9 @@ mod tests {
             (vec![blas3_like()], 16),
             (vec![lbmhd_like(), blas3_like()], 64),
         ];
-        let pooled = engine.clone();
-        let swept = ThreadPool::new(default_threads())
-            .map(batch.clone(), move |(phases, procs)| pooled.run(&phases, procs));
-        for ((phases, procs), got) in batch.into_iter().zip(&swept) {
-            let lone = engine.run(&phases, procs);
+        let swept = map_slice(&batch, default_threads(), |(phases, procs)| engine.run(phases, *procs));
+        for ((phases, procs), got) in batch.iter().zip(&swept) {
+            let lone = engine.run(phases, *procs);
             assert_eq!(fingerprint(&lone), fingerprint(got));
         }
     }

@@ -1,26 +1,30 @@
-//! A work-sharing thread pool on `std::thread` + `Mutex`/`Condvar`, with
-//! deterministic result ordering.
+//! Two std-only executors with deterministic result ordering: the
+//! scoped [`map_slice`] and the long-lived [`ThreadPool`].
 //!
 //! The paper's evaluation is a grid — 4 applications × 5 machines × many
-//! processor counts — and every cell is an independent `Engine::run`. This
-//! pool fans those cells out across host cores. Two guarantees make the
-//! parallel sweep drop-in for the serial one:
+//! processor counts — and every cell is an independent `Engine::run`.
+//! [`map_slice`] fans one such batch out across host cores: the caller is
+//! worker 0, helpers live only for the call, and each thread claims the
+//! next index from one atomic counter. [`ThreadPool`] keeps its workers
+//! for fire-and-forget jobs (the serve store) and counts tasks per worker
+//! (profile, chaos). Both give the same two guarantees, which make a
+//! parallel batch drop-in for the serial one:
 //!
-//! * **Deterministic ordering** — [`ThreadPool::map`] returns results in
-//!   input order regardless of which worker finished first, so table and
-//!   figure output is byte-identical to the serial path.
+//! * **Deterministic ordering** — results come back in input order
+//!   regardless of which worker finished first, so table and figure
+//!   output is byte-identical to the serial path.
 //! * **Panic propagation** — a panic inside a task is captured and
 //!   re-raised on the caller's thread once all tasks of the batch have
 //!   drained (the earliest-indexed panic wins, again deterministically).
 //!
-//! No external crates: the queue is a `Mutex<VecDeque>` woken by a
-//! `Condvar`, workers are plain `std::thread`s, and completion is counted
-//! under the same lock (work-sharing: idle workers pull the next task the
-//! moment they finish, so ragged task durations still load-balance).
+//! No external crates. Both balance ragged task durations the same way:
+//! an idle thread takes the next task the moment it finishes one. The
+//! pool's queue is a `Mutex<VecDeque>` woken by a `Condvar`, with
+//! completion counted under a per-batch lock.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -70,8 +74,8 @@ pub fn default_threads() -> usize {
         .unwrap_or(1);
     let (threads, warning) = threads_from_env(std::env::var("PVS_THREADS").ok().as_deref(), host);
     if let Some(w) = warning {
-        // `default_threads` runs once per sweep cell in some callers;
-        // warn only on the first invalid read instead of spamming.
+        // Callers read it once per table or sweep, so a process that
+        // renders many of them would repeat the warning; print it once.
         static WARNED: std::sync::Once = std::sync::Once::new();
         WARNED.call_once(|| eprintln!("{w}"));
     }
@@ -95,6 +99,56 @@ fn threads_from_env(raw: Option<&str>, host: usize) -> (usize, Option<String>) {
             ),
         },
     }
+}
+
+/// Apply `f` to every item on up to `threads` threads, returning results
+/// **in input order**. The calling thread is worker 0 and
+/// `min(threads, items.len()) − 1` scoped helpers join it, so
+/// `threads ≤ 1` runs everything on the caller and spawns nothing. Each
+/// thread claims the next index from one counter until the slice is
+/// exhausted. Panics in `f` follow [`ThreadPool::map`]'s contract: every
+/// item still runs, then the lowest-indexed panic is re-raised here.
+pub fn map_slice<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut claimed = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break claimed };
+            claimed.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+        }
+    };
+    let helpers = threads.min(items.len()).saturating_sub(1);
+    let mut claimed = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+        let mut claimed = work();
+        for h in handles {
+            // INFALLIBLE: a helper runs `f` only under catch_unwind, so
+            // it cannot end in a panic for `join` to report.
+            claimed.extend(h.join().expect("map_slice helper"));
+        }
+        claimed
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    let mut out = Vec::with_capacity(items.len());
+    let mut first_panic = None;
+    for (_, r) in claimed {
+        match r {
+            Ok(v) => out.push(v),
+            Err(p) => {
+                first_panic.get_or_insert(p);
+            }
+        }
+    }
+    if let Some(p) = first_panic {
+        resume_unwind(p);
+    }
+    out
 }
 
 impl ThreadPool {
@@ -384,6 +438,60 @@ mod tests {
             i * i
         });
         assert_eq!(out, (0..64usize).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_slice_preserves_input_order() {
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [1usize, 2, 4] {
+            let out = map_slice(&items, threads, |&i| {
+                if i % 7 == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                i * i
+            });
+            assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_slice_runs_every_item_then_reraises_the_lowest_panic() {
+        for threads in [1usize, 2, 8] {
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                map_slice(&(0..12u32).collect::<Vec<_>>(), threads, |&i| {
+                    if i == 3 || i == 7 {
+                        panic!("item {i} exploded");
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    i
+                })
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(msg, "item 3 exploded", "threads={threads}");
+            assert_eq!(ran.load(Ordering::SeqCst), 10, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_slice_at_one_thread_stays_on_the_caller() {
+        // Items take long enough that a stray helper would claim one.
+        let caller = std::thread::current().id();
+        for threads in [0usize, 1] {
+            let ids = map_slice(&[(); 8], threads, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::current().id()
+            });
+            assert!(ids.iter().all(|&id| id == caller), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_slice_more_threads_than_items_and_empty() {
+        assert_eq!(map_slice(&[1u32, 2, 3], 8, |x| x * 10), vec![10, 20, 30]);
+        assert!(map_slice(&[] as &[u32], 8, |x| *x).is_empty());
+        assert!(map_slice(&[] as &[u32], 0, |x| *x).is_empty());
     }
 
     #[test]

@@ -648,7 +648,6 @@ impl CellStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvs_core::engine::{run_sweep, SweepJob};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn store(options: StoreOptions) -> Arc<CellStore> {
@@ -661,13 +660,8 @@ mod tests {
 
     /// The bytes a direct engine run renders for `request`.
     fn direct(request: &Request) -> String {
-        let resolved = request.resolve().unwrap();
-        let reports = run_sweep(vec![SweepJob {
-            machine: resolved.machine,
-            phases: resolved.phases,
-            procs: resolved.procs,
-        }]);
-        perf_report(&reports[0])
+        let cell = request.resolve().unwrap();
+        perf_report(&Engine::new(cell.machine).run(&cell.phases, cell.procs))
     }
 
     /// Deterministic budget: reports `calls` nonzero probes, then zero

@@ -279,13 +279,8 @@ fn hostile_frames_over_tcp_get_structured_errors_or_clean_closes() {
     assert!(good.starts_with("{\"ok\":true"), "{good}");
     let request = Request::cell("LBMHD", "4096x4096", "ES", 16);
     let direct = {
-        use pvs_core::engine::{run_sweep_threads, SweepJob};
         let cell = request.resolve().unwrap();
-        let reports = run_sweep_threads(
-            vec![SweepJob { machine: cell.machine, phases: cell.phases, procs: cell.procs }],
-            1,
-        );
-        pvs_core::json::perf_report(&reports[0])
+        pvs_core::json::perf_report(&pvs_core::engine::Engine::new(cell.machine).run(&cell.phases, cell.procs))
     };
     let (_, rest) = good.split_once("\"cell\":").unwrap();
     assert_eq!(&rest[..rest.len() - 1], direct);

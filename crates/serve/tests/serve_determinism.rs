@@ -3,7 +3,7 @@
 //!
 //! The load-bearing ones:
 //! * a served cell's model metrics are byte-identical to a direct
-//!   `run_sweep` + `perf_report` rendering, at any store thread count,
+//!   `Engine::run` + `perf_report` rendering, at any store thread count,
 //!   cache hit or miss;
 //! * N concurrent identical requests cost exactly one simulation
 //!   (proved by the server's own `serve.*` counters);
@@ -16,22 +16,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pvs_core::engine::{run_sweep_threads, SweepJob};
+use pvs_core::engine::Engine;
 use pvs_core::json::perf_report;
 use pvs_serve::store::StoreOptions;
 use pvs_serve::{CellSource, CellStore, Request, Server, ServerOptions};
 
 fn direct_body(request: &Request) -> String {
     let cell = request.resolve().expect("test request resolves");
-    let reports = run_sweep_threads(
-        vec![SweepJob {
-            machine: cell.machine,
-            phases: cell.phases,
-            procs: cell.procs,
-        }],
-        1,
-    );
-    perf_report(&reports[0])
+    perf_report(&Engine::new(cell.machine).run(&cell.phases, cell.procs))
 }
 
 /// One request/response exchange on an existing connection.

@@ -59,13 +59,23 @@ fn heavy_jobs(n: usize) -> Vec<SweepJob> {
 
 #[test]
 fn sweep_results_match_at_every_thread_count() {
-    let reference = run_sweep_threads(heavy_jobs(24), 1);
-    for threads in [2, 3, 8] {
-        let parallel = run_sweep_threads(heavy_jobs(24), threads);
-        assert_eq!(reference.len(), parallel.len());
+    // The last two sweeps have fewer cells than threads.
+    for (jobs, threads) in [(24, 2), (24, 3), (24, 8), (1, 8), (3, 8)] {
+        let reference = run_sweep_threads(heavy_jobs(jobs), 1);
+        let parallel = run_sweep_threads(heavy_jobs(jobs), threads);
+        assert_eq!(reference.len(), jobs);
+        assert_eq!(parallel.len(), jobs);
         for (a, b) in reference.iter().zip(&parallel) {
-            assert_eq!(a.time_s.to_bits(), b.time_s.to_bits());
-            assert_eq!(a.gflops_per_p.to_bits(), b.gflops_per_p.to_bits());
+            assert_eq!(
+                a.time_s.to_bits(),
+                b.time_s.to_bits(),
+                "jobs={jobs} threads={threads}"
+            );
+            assert_eq!(
+                a.gflops_per_p.to_bits(),
+                b.gflops_per_p.to_bits(),
+                "jobs={jobs} threads={threads}"
+            );
         }
     }
 }
