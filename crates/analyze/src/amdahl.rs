@@ -3,8 +3,10 @@
 //! The paper's central serialization argument (§4–§6): a loop that the
 //! compiler cannot vectorize runs on the scalar unit at `1/R` of vector
 //! peak — R = 8 on the ES, R = 32 on an X1 MSP — so even a small scalar
-//! work fraction dominates runtime. This module turns the recorded
-//! `vectorsim.*` counters into time fractions and closed-form bounds:
+//! work fraction dominates runtime. This module turns a run's
+//! [`VectorMetrics`](pvs_vectorsim::VectorMetrics) — the same numbers the
+//! engine flushes as its `vectorsim.*` counters — into time fractions and
+//! closed-form bounds:
 //!
 //! * with vector-operation ratio `VOR` (fraction of element operations
 //!   executed vector-side) and penalty `R`, the time split of the loop
@@ -13,8 +15,8 @@
 //!   `R / (VOR + (1-VOR)·R)` — the closed-form unvectorized-slowdown
 //!   bound the engine's scalar-variant runs are checked against.
 
-use crate::profiledoc::ProfileCell;
 use pvs_core::machine::{CpuClass, Machine};
+use pvs_core::report::PerfReport;
 
 /// Closed-form slowdown of running everything on the scalar unit,
 /// relative to the current mix: `R / (VOR + (1-VOR)·R)`. Equals `R` at
@@ -60,36 +62,17 @@ pub fn serialization_penalty(machine: &Machine) -> Option<f64> {
     }
 }
 
-/// Decompose a cell. `None` on superscalar machines (no scalar/vector
-/// split exists) and when the cell carries neither `vectorsim.*`
-/// counters nor model AVL/VOR (nothing to attribute).
-pub fn decompose(cell: &ProfileCell, machine: &Machine) -> Option<AmdahlDecomposition> {
+/// Decompose a run. `None` on superscalar machines (no scalar/vector
+/// split exists) and when the report carries no vector metrics.
+pub fn decompose(report: &PerfReport, machine: &Machine) -> Option<AmdahlDecomposition> {
     let penalty = serialization_penalty(machine)?;
-    let element_ops = cell.counter("vectorsim.element_ops") as f64;
-    let scalar_ops = cell.counter("vectorsim.scalar_ops") as f64;
-    let instructions = cell.counter("vectorsim.vector_instructions") as f64;
-    let (vor, avl) = if element_ops + scalar_ops > 0.0 {
-        (
-            element_ops / (element_ops + scalar_ops),
-            if instructions > 0.0 {
-                element_ops / instructions
-            } else {
-                0.0
-            },
-        )
-    } else {
-        // No vector counters in the cell: fall back to the model
-        // report's AVL/VOR.
-        (
-            cell.model.vor_pct? / 100.0,
-            cell.model.avl.unwrap_or(0.0),
-        )
-    };
+    let metrics = report.vector_metrics?;
+    let vor = metrics.vor();
     let scalar_weight = (1.0 - vor) * penalty;
     let total = vor + scalar_weight;
     Some(AmdahlDecomposition {
         vor,
-        avl,
+        avl: metrics.avl(),
         penalty,
         vector_time_fraction: vor / total,
         scalar_time_fraction: scalar_weight / total,
@@ -103,6 +86,7 @@ mod tests {
     use pvs_core::engine::Engine;
     use pvs_core::phase::{Phase, VectorizationInfo};
     use pvs_core::platforms;
+    use pvs_vectorsim::VectorMetrics;
 
     #[test]
     fn closed_form_endpoints() {
@@ -114,16 +98,30 @@ mod tests {
         assert!((closed_form_slowdown(0.9, 8.0) - 8.0 / 1.7).abs() < 1e-12);
     }
 
+    /// A report carrying only `vector_metrics`.
+    fn report(vector_metrics: Option<VectorMetrics>) -> PerfReport {
+        PerfReport {
+            machine: String::new(),
+            procs: 1,
+            time_s: 0.0,
+            comm_s: 0.0,
+            flops_per_p: 0.0,
+            gflops_per_p: 0.0,
+            pct_peak: 0.0,
+            vector_metrics,
+            phases: Vec::new(),
+        }
+    }
+
     #[test]
     fn time_fractions_follow_the_vor_penalty_split() {
-        let mut cell = ProfileCell::default();
-        cell.counters = vec![
-            ("vectorsim.element_ops".into(), 9000),
-            ("vectorsim.scalar_ops".into(), 1000),
-            ("vectorsim.vector_instructions".into(), 40),
-        ];
+        let metrics = VectorMetrics {
+            vector_element_ops: 9000,
+            vector_instructions: 40,
+            scalar_ops: 1000,
+        };
         let es = platforms::earth_simulator();
-        let d = decompose(&cell, &es).unwrap();
+        let d = decompose(&report(Some(metrics)), &es).unwrap();
         assert!((d.vor - 0.9).abs() < 1e-12);
         assert!((d.avl - 225.0).abs() < 1e-12);
         assert_eq!(d.penalty, 8.0);
@@ -137,23 +135,12 @@ mod tests {
 
     #[test]
     fn superscalar_machines_have_no_decomposition() {
-        let cell = ProfileCell::default();
-        assert!(decompose(&cell, &platforms::power3()).is_none());
+        let metrics = Some(VectorMetrics::default());
+        assert!(decompose(&report(metrics), &platforms::power3()).is_none());
         assert!(serialization_penalty(&platforms::power3()).is_none());
         assert_eq!(serialization_penalty(&platforms::x1()), Some(32.0));
-    }
-
-    #[test]
-    fn falls_back_to_model_vor_when_counters_are_absent() {
-        let mut cell = ProfileCell::default();
-        cell.model.vor_pct = Some(95.0);
-        cell.model.avl = Some(240.0);
-        let d = decompose(&cell, &platforms::earth_simulator()).unwrap();
-        assert!((d.vor - 0.95).abs() < 1e-12);
-        assert!((d.avl - 240.0).abs() < 1e-12);
-        // Neither counters nor model metrics: nothing to attribute.
-        let empty = ProfileCell::default();
-        assert!(decompose(&empty, &platforms::earth_simulator()).is_none());
+        // No vector metrics on a vector machine: nothing to attribute.
+        assert!(decompose(&report(None), &platforms::earth_simulator()).is_none());
     }
 
     /// The acceptance check behind the closed form: running a

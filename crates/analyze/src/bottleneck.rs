@@ -15,8 +15,9 @@
 //! * well-blocked BLAS3-heavy work near peak ⇒ [`Bottleneck::ComputeBound`].
 
 use crate::amdahl;
-use crate::profiledoc::ProfileCell;
 use pvs_core::machine::Machine;
+use pvs_core::report::PerfReport;
+use pvs_obs::Snapshot;
 
 /// The dominant limit on a cell's performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,36 +95,43 @@ pub struct Diagnosis {
     pub why: String,
 }
 
-/// Classify one cell against its machine model.
-pub fn diagnose(cell: &ProfileCell, machine: &Machine) -> Diagnosis {
-    let comm_fraction = cell.comm_fraction();
-    let loop_flops = cell.counter("engine.loop.flops") as f64;
-    let loop_bytes = cell.counter("engine.loop.bytes") as f64;
+/// Classify one run — its report and the counters its recorder took —
+/// against its machine model; `key` names the cell in the findings.
+pub fn diagnose(
+    key: String,
+    report: &PerfReport,
+    counters: &Snapshot,
+    machine: &Machine,
+) -> Diagnosis {
+    let count = |name: &str| counters.counter(name).unwrap_or(0) as f64;
+    let comm_fraction = report.comm_fraction();
+    let loop_flops = count("engine.loop.flops");
+    let loop_bytes = count("engine.loop.bytes");
     let intensity = if loop_bytes > 0.0 {
         loop_flops / loop_bytes
     } else {
         f64::INFINITY
     };
     let balance = machine.peak_gflops / machine.mem_bw_gbs;
-    let loop_s = cell.loop_seconds();
+    let loop_s = (report.time_s - report.comm_s).max(0.0);
     let membw_fraction = if loop_s > 0.0 {
         (loop_bytes / loop_s) / (machine.mem_bw_gbs * 1e9)
     } else {
         0.0
     };
-    let messages = cell.counter("netsim.messages") as f64;
+    let messages = count("netsim.messages");
     let mean_hops = if messages > 0.0 {
-        cell.counter("netsim.hops") as f64 / messages
+        count("netsim.hops") / messages
     } else {
         0.0
     };
-    let payload = cell.counter("netsim.payload_bytes") as f64;
+    let payload = count("netsim.payload_bytes");
     let globality = if payload > 0.0 {
-        cell.counter("netsim.bisection_bytes") as f64 / payload
+        count("netsim.bisection_bytes") / payload
     } else {
         0.0
     };
-    let amdahl = amdahl::decompose(cell, machine);
+    let amdahl = amdahl::decompose(report, machine);
     let scalar_share = amdahl
         .as_ref()
         .map(|d| d.scalar_share_of_runtime(comm_fraction))
@@ -170,14 +178,14 @@ pub fn diagnose(cell: &ProfileCell, machine: &Machine) -> Diagnosis {
             format!(
                 "compute-roofline: {:.1}% of peak with {:.2} flops/byte \
                  above effective balance",
-                cell.model.pct_peak,
+                report.pct_peak,
                 intensity
             ),
         )
     };
 
     Diagnosis {
-        key: cell.key(),
+        key,
         bottleneck,
         comm_fraction,
         mean_hops,
@@ -195,36 +203,40 @@ pub fn diagnose(cell: &ProfileCell, machine: &Machine) -> Diagnosis {
 mod tests {
     use super::*;
     use pvs_core::platforms;
+    use pvs_vectorsim::VectorMetrics;
 
-    fn cell_with(counters: &[(&str, u64)], time_s: f64, comm_s: f64) -> ProfileCell {
-        let mut cell = ProfileCell {
-            app: "TEST".into(),
+    /// A 64-processor run of `time_s` seconds, `comm_s` of them
+    /// communicating, that recorded `counters`.
+    fn run_with(counters: &[(&str, u64)], time_s: f64, comm_s: f64) -> (PerfReport, Snapshot) {
+        let report = PerfReport {
             machine: "ES".into(),
             procs: 64,
-            ..ProfileCell::default()
+            time_s,
+            comm_s,
+            flops_per_p: 0.0,
+            gflops_per_p: 0.0,
+            pct_peak: 0.0,
+            vector_metrics: None,
+            phases: Vec::new(),
         };
-        cell.model.time_s = time_s;
-        cell.model.comm_s = comm_s;
-        cell.counters = counters
-            .iter()
-            .map(|(n, v)| (n.to_string(), *v))
-            .collect();
-        cell
+        let counters = counters.iter().map(|(n, v)| (n.to_string(), *v)).collect();
+        (report, Snapshot { counters, ..Snapshot::default() })
+    }
+
+    fn classify((report, counters): &(PerfReport, Snapshot), machine: &Machine) -> Diagnosis {
+        diagnose("TEST/ES/P64".into(), report, counters, machine)
     }
 
     #[test]
     fn scalar_contamination_dominates_on_vector_machines() {
         // VOR 50% on the X1: scalar share = 0.5*32/(0.5+0.5*32) ≈ 97%.
-        let cell = cell_with(
-            &[
-                ("vectorsim.element_ops", 500),
-                ("vectorsim.scalar_ops", 500),
-                ("vectorsim.vector_instructions", 10),
-            ],
-            10.0,
-            0.0,
-        );
-        let d = diagnose(&cell, &platforms::x1());
+        let mut run = run_with(&[], 10.0, 0.0);
+        run.0.vector_metrics = Some(VectorMetrics {
+            vector_element_ops: 500,
+            vector_instructions: 10,
+            scalar_ops: 500,
+        });
+        let d = classify(&run, &platforms::x1());
         assert_eq!(d.bottleneck, Bottleneck::ScalarSerializationBound);
         assert!(d.scalar_share > 0.9, "{}", d.scalar_share);
         assert!(d.why.contains("32:1"), "{}", d.why);
@@ -233,7 +245,7 @@ mod tests {
     #[test]
     fn global_comm_pressure_classifies_as_bisection() {
         // All-to-all shape: about half the payload crosses the bisection.
-        let cell = cell_with(
+        let run = run_with(
             &[
                 ("netsim.messages", 1000),
                 ("netsim.hops", 4000),
@@ -245,7 +257,7 @@ mod tests {
             10.0,
             5.0,
         );
-        let d = diagnose(&cell, &platforms::x1());
+        let d = classify(&run, &platforms::x1());
         assert_eq!(d.bottleneck, Bottleneck::BisectionBound);
         assert!((d.mean_hops - 4.0).abs() < 1e-12);
         assert!((d.globality - 0.5).abs() < 1e-12);
@@ -255,7 +267,7 @@ mod tests {
     fn neighbor_comm_is_not_bisection_pressure() {
         // Same comm fraction but halo traffic: only the straddling pairs
         // cross the cut, so globality stays far below the threshold.
-        let cell = cell_with(
+        let run = run_with(
             &[
                 ("netsim.messages", 1000),
                 ("netsim.hops", 1000),
@@ -267,7 +279,7 @@ mod tests {
             10.0,
             5.0,
         );
-        let d = diagnose(&cell, &platforms::power3());
+        let d = classify(&run, &platforms::power3());
         assert_ne!(d.bottleneck, Bottleneck::BisectionBound);
     }
 
@@ -275,7 +287,7 @@ mod tests {
     fn global_pattern_with_negligible_comm_time_is_not_bisection_bound() {
         // The PARATEC-on-ES shape: all-to-all transposes, but the fat ES
         // crossbar keeps comm under the time floor.
-        let cell = cell_with(
+        let run = run_with(
             &[
                 ("netsim.payload_bytes", 1_000_000),
                 ("netsim.bisection_bytes", 1_300_000),
@@ -285,7 +297,7 @@ mod tests {
             10.0,
             0.3,
         );
-        let d = diagnose(&cell, &platforms::earth_simulator());
+        let d = classify(&run, &platforms::earth_simulator());
         assert_ne!(d.bottleneck, Bottleneck::BisectionBound);
     }
 
@@ -294,7 +306,7 @@ mod tests {
         // 0.18 flops/byte against Power3's ~2.1 flops/byte balance,
         // pushing 80% of memory bandwidth: the LBMHD shape.
         let bytes: u64 = 8_000_000_000;
-        let cell = cell_with(
+        let run = run_with(
             &[
                 ("engine.loop.flops", bytes / 6),
                 ("engine.loop.bytes", bytes),
@@ -303,7 +315,7 @@ mod tests {
             10.0,
             0.0,
         );
-        let d = diagnose(&cell, &platforms::power3());
+        let d = classify(&run, &platforms::power3());
         assert_eq!(d.bottleneck, Bottleneck::MemoryBandwidthBound);
         assert!(d.membw_fraction > 0.5);
         assert!(d.intensity < d.balance);
@@ -311,7 +323,7 @@ mod tests {
 
     #[test]
     fn high_intensity_defaults_to_compute_bound() {
-        let cell = cell_with(
+        let run = run_with(
             &[
                 ("engine.loop.flops", 64_000_000),
                 ("engine.loop.bytes", 1_000_000),
@@ -319,7 +331,7 @@ mod tests {
             10.0,
             0.1,
         );
-        let d = diagnose(&cell, &platforms::power3());
+        let d = classify(&run, &platforms::power3());
         assert_eq!(d.bottleneck, Bottleneck::ComputeBound);
     }
 

@@ -1,16 +1,16 @@
 //! Chrome trace-event export and per-phase time rollups.
 //!
-//! A profile document's `model.phases` is the run's timeline: phase
-//! names and modelled seconds in execution order (the engine never reads
-//! a host clock — PVS003). This module renders it in the Chrome
+//! A run's [`PerfReport::phases`] is its timeline: phase names and
+//! modelled seconds in execution order (the engine never reads a host
+//! clock — PVS003). This module renders it in the Chrome
 //! trace-event JSON format (`chrome://tracing` / Perfetto's legacy
 //! loader): one complete `"X"` event for the whole `run` and one per
 //! phase under it, `ts`/`dur` in simulated picoseconds. It also folds
 //! the phases into per-name time rollups — what a flame-graph's width
 //! shows.
 
-use crate::profiledoc::ModelMetrics;
 use pvs_core::json::{array, parse, JsonObject, Value};
+use pvs_core::report::{PerfReport, PhaseBreakdown};
 
 /// Modelled seconds as trace ticks: simulated picoseconds.
 fn ticks(seconds: f64) -> u64 {
@@ -20,20 +20,20 @@ fn ticks(seconds: f64) -> u64 {
 /// `(name, begin_ticks, duration_ticks)` per phase. Boundaries are the
 /// left-to-right sum of `seconds` that produced `time_s`, so the last
 /// phase ends exactly where the run does.
-fn phase_ticks(phases: &[(String, f64, bool)]) -> impl Iterator<Item = (&str, u64, u64)> {
+fn phase_ticks(phases: &[PhaseBreakdown]) -> impl Iterator<Item = (&str, u64, u64)> {
     let mut end_s = 0.0;
-    phases.iter().map(move |(name, seconds, _)| {
+    phases.iter().map(move |phase| {
         let begin = ticks(end_s);
-        end_s += seconds;
-        (name.as_str(), begin, ticks(end_s).saturating_sub(begin))
+        end_s += phase.seconds;
+        (phase.name.as_str(), begin, ticks(end_s).saturating_sub(begin))
     })
 }
 
-/// Render a cell's model timeline as a Chrome trace-event document: the
+/// Render a run's model timeline as a Chrome trace-event document: the
 /// `run` event (`span_id` 1) followed by its phases in execution order.
 /// The whole simulated run is one process/thread, so `pid`/`tid` are
 /// fixed.
-pub fn to_chrome_trace(model: &ModelMetrics, label: &str) -> String {
+pub fn to_chrome_trace(report: &PerfReport, label: &str) -> String {
     let event = |name: &str, ts: u64, dur: u64, args: JsonObject| {
         JsonObject::new()
             .string("name", name)
@@ -48,10 +48,10 @@ pub fn to_chrome_trace(model: &ModelMetrics, label: &str) -> String {
     let run = event(
         "run",
         0,
-        ticks(model.time_s),
+        ticks(report.time_s),
         JsonObject::new().number("span_id", 1.0),
     );
-    let phases = phase_ticks(&model.phases)
+    let phases = phase_ticks(&report.phases)
         .enumerate()
         .map(|(i, (name, ts, dur))| {
             let args = JsonObject::new()
@@ -74,7 +74,7 @@ pub fn to_chrome_trace(model: &ModelMetrics, label: &str) -> String {
 
 /// Time per phase name, sorted by ticks descending, name ascending on
 /// ties.
-pub fn self_time_rollup(phases: &[(String, f64, bool)]) -> Vec<PhaseTime> {
+pub fn self_time_rollup(phases: &[PhaseBreakdown]) -> Vec<PhaseTime> {
     let mut by_name: Vec<PhaseTime> = Vec::new();
     for (name, _, dur) in phase_ticks(phases) {
         match by_name.iter_mut().find(|r| r.name == name) {
@@ -132,19 +132,30 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn model(time_s: f64, phases: &[(&str, f64, bool)]) -> ModelMetrics {
-        ModelMetrics {
+    fn model(time_s: f64, phases: &[(&str, f64, bool)]) -> PerfReport {
+        PerfReport {
+            machine: String::new(),
+            procs: 1,
             time_s,
+            comm_s: 0.0,
+            flops_per_p: 0.0,
+            gflops_per_p: 0.0,
+            pct_peak: 0.0,
+            vector_metrics: None,
             phases: phases
                 .iter()
-                .map(|&(name, seconds, is_comm)| (name.to_string(), seconds, is_comm))
+                .map(|&(name, seconds, is_comm)| PhaseBreakdown {
+                    name: name.to_string(),
+                    seconds,
+                    flops: 0.0,
+                    is_comm,
+                })
                 .collect(),
-            ..ModelMetrics::default()
         }
     }
 
     /// The LBMHD/ES/P64 cell of `BENCH_sweep.json`.
-    fn lbmhd_es() -> ModelMetrics {
+    fn lbmhd_es() -> PerfReport {
         model(
             8.095052333333333,
             &[

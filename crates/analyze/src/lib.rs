@@ -10,12 +10,14 @@
 //!   bandwidth-, bisection-, or scalar-serialization-bound;
 //! * [`findings`] — the rendered findings table over a whole sweep;
 //! * [`chrome`] — Chrome trace-event export and per-phase time rollups
-//!   of a cell's `model.phases`;
-//! * [`sentinel`] — the equality gate on committed baselines behind
-//!   `pvs compare`;
-//! * [`profiledoc`] — the `BENCH_sweep.json` reader (schema
-//!   `profile-v2` only), over the shared `pvs_core::json` parser
-//!   ([`json`] re-exports it).
+//!   of a run's phases;
+//! * [`sentinel`] — the schema check and the equality gate on committed
+//!   baselines behind `pvs compare`, over the shared `pvs_core::json`
+//!   parser ([`json`] re-exports it).
+//!
+//! The analysis reads a run in memory — its `PerfReport` and the
+//! `pvs_obs::Snapshot` its recorder took — never a document rendered
+//! from it; [`sentinel`] is the only reader of profile documents.
 //!
 //! Everything is std-only and deterministic: same inputs, byte-identical
 //! reports, no host clocks.
@@ -27,5 +29,4 @@ pub mod bottleneck;
 pub mod chrome;
 pub mod findings;
 pub mod json;
-pub mod profiledoc;
 pub mod sentinel;

@@ -13,6 +13,9 @@
 //! cell present on one side only is a difference. Host wall-clock is
 //! machine-specific noise, lives only in the ungated members, and is
 //! gated by `benchmark/`.
+//!
+//! Each side passes [`check_profile_doc`] first: the gate is the only
+//! reader of a profile document, since the analysis reads runs.
 
 use pvs_core::json::{number, Value};
 
@@ -157,7 +160,7 @@ fn diff_members(
 }
 
 /// `app/config/machine/Pn` — the identity cells are joined on (the same
-/// spelling as [`crate::profiledoc::ProfileCell::key`]).
+/// spelling as `pvs_bench`'s `SweepCell::key` and the findings table).
 fn cell_key(cell: &Value) -> String {
     format!(
         "{}/{}/{}/P{}",
@@ -176,6 +179,36 @@ fn cells(doc: &Value) -> Vec<(String, &Value)> {
         .iter()
         .map(|cell| (cell_key(cell), cell))
         .collect()
+}
+
+/// The schema gate `compare` puts each input through before comparing:
+/// `schema` is [`PROFILE_V2`](pvs_core::schema::PROFILE_V2), `cells` is
+/// an array, and every cell carries its model (`model.time_s`,
+/// `model.gflops_per_p`) and its identity (`app`, `machine`, `procs`).
+/// The error names the first check that failed, and its cell by index.
+pub fn check_profile_doc(doc: &Value) -> Result<(), String> {
+    let expected = pvs_core::schema::PROFILE_V2;
+    let schema = doc.str("schema").ok_or("missing `schema` member")?;
+    if schema != expected {
+        return Err(format!("unknown schema `{schema}` (expected `{expected}`)"));
+    }
+    let cells = doc.get("cells").and_then(Value::as_array).ok_or("missing `cells` array")?;
+    for (i, cell) in cells.iter().enumerate() {
+        let model = cell.get("model");
+        let model_has = |name: &str| model.and_then(|m| m.num(name)).is_some();
+        let checks = [
+            ("`model`", model.is_some()),
+            ("model.time_s", model_has("time_s")),
+            ("model.gflops_per_p", model_has("gflops_per_p")),
+            ("`app`", cell.str("app").is_some()),
+            ("`machine`", cell.str("machine").is_some()),
+            ("`procs`", cell.num("procs").is_some()),
+        ];
+        if let Some((missing, _)) = checks.iter().find(|(_, present)| !present) {
+            return Err(format!("cell {i}: missing {missing}"));
+        }
+    }
+    Ok(())
 }
 
 /// Compare `new` against `old`, both parsed profile documents.
@@ -263,6 +296,30 @@ mod tests {
             "a difference has no direction"
         );
         forward.differences.into_iter().map(|d| d.path).collect()
+    }
+
+    #[test]
+    fn the_schema_gate_names_the_first_missing_member() {
+        let gate = |doc: &str| check_profile_doc(&parse(doc).unwrap());
+        assert_eq!(gate(DOC), Ok(()));
+        assert_eq!(gate("[1,2,3]").unwrap_err(), "missing `schema` member");
+        assert_eq!(
+            gate(&DOC.replacen("profile-v2", "profile-v99", 1)).unwrap_err(),
+            "unknown schema `pvs-bench/profile-v99` (expected `pvs-bench/profile-v2`)"
+        );
+        let no_cells = r#"{"schema":"pvs-bench/profile-v2"}"#;
+        assert_eq!(gate(no_cells).unwrap_err(), "missing `cells` array");
+        for (from, to, missing) in [
+            ("\"model\":{\"machine\":\"ES\"", "\"modl\":{\"machine\":\"ES\"", "`model`"),
+            ("\"time_s\":4,", "", "model.time_s"),
+            ("\"gflops_per_p\":1,", "", "model.gflops_per_p"),
+            ("\"app\":\"GTC\",", "", "`app`"),
+            ("\"machine\":\"ES\",\"procs\":64,", "\"machine\":\"ES\",", "`procs`"),
+        ] {
+            assert!(DOC.contains(from), "{from}");
+            let err = gate(&DOC.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err, format!("cell 1: missing {missing}"), "{from} -> {to}");
+        }
     }
 
     #[test]

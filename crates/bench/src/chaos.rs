@@ -29,7 +29,6 @@
 
 use crate::profile::{observed_run, CellProfile, ProfileOutput, SweepCell};
 use pvs_analyze::bottleneck::Bottleneck;
-use pvs_analyze::{findings, profiledoc};
 use pvs_core::engine::Engine;
 use pvs_core::pool::ThreadPool;
 use pvs_core::report::{PerfReport, PhaseBreakdown};
@@ -207,10 +206,6 @@ fn degraded_run(cell: &SweepCell, adversity: &Adversity) -> PerfReport {
         .run(&cell.phases(), cell.procs)
 }
 
-fn cell_key(c: &SweepCell) -> String {
-    format!("{}/{}/P{}", c.app, c.machine, c.procs)
-}
-
 /// Whether two runs of one cell are the same report, bit for bit; if
 /// not, the first member they differ on as `field: left vs right`, an
 /// `f64` as its bit pattern beside its value. Reports and phases are
@@ -261,7 +256,7 @@ fn same_report(a: &PerfReport, b: &PerfReport) -> Result<(), String> {
 }
 
 /// The first cell and member on which two passes over `cells` differ, as
-/// `app/machine/P field: left vs right`; `None` when every report of one
+/// `app/config/machine/Pn field: left vs right`; `None` when every report of one
 /// is bit-equal to its counterpart in the other.
 fn first_divergence(cells: &[SweepCell], left: &[PerfReport], right: &[PerfReport]) -> Option<String> {
     if left.len() != right.len() {
@@ -269,7 +264,7 @@ fn first_divergence(cells: &[SweepCell], left: &[PerfReport], right: &[PerfRepor
     }
     cells.iter().zip(left).zip(right).find_map(|((cell, l), r)| {
         let field = same_report(l, r).err()?;
-        Some(format!("{} {field}", cell_key(cell)))
+        Some(format!("{} {field}", cell.key()))
     })
 }
 
@@ -301,7 +296,7 @@ pub fn run_chaos(
     let healthy = Adversity::healthy();
     for cell in base {
         let mut profile = observed_run(cell, &healthy);
-        healthy_times.insert(cell_key(cell), profile.report.time_s);
+        healthy_times.insert(cell.key(), profile.report.time_s);
         profile.cell.config = scenario_config(cell.config, "healthy");
         rows.push(profile);
     }
@@ -361,7 +356,7 @@ pub fn run_chaos(
         let engine_faulted = !scenario.adversity.is_healthy();
         let mut strictly_slower = false;
         for (cell, report) in cells.iter().zip(&serial_reports) {
-            let key = cell_key(cell);
+            let key = cell.key();
             let healthy_t = *healthy_times
                 .get(&key)
                 .ok_or_else(|| format!("scenario {}: no healthy baseline for {key}", scenario.name))?;
@@ -458,10 +453,7 @@ fn check_bisection_shift(
     if !scenarios.iter().any(|s| s.name == "x1-link-down") {
         return Ok(());
     }
-    let json = output.to_json();
-    let doc = profiledoc::load(&json)
-        .map_err(|e| format!("chaos document does not round-trip through the reader: {e}"))?;
-    let diagnoses = findings::analyze_doc(&doc);
+    let diagnoses = output.profile.diagnoses();
     let find = |suffix: &str| {
         diagnoses.iter().find(|d| {
             d.key.starts_with("PARATEC/") && d.key.contains("/X1/") && d.key.contains(suffix)
@@ -548,10 +540,11 @@ mod tests {
         assert!(json.contains("\"schema\": \"pvs-bench/profile-v2\""));
         assert!(json.contains("@healthy"));
         assert!(json.contains("@x1-link-down"));
-        // It round-trips through the same reader `compare` uses, and the
-        // degraded rows are distinct cells.
-        let doc = profiledoc::load(&json).expect("readable");
-        assert!(doc.cells.len() > smoke_cells().len());
+        // It passes the schema gate `compare` puts documents through, and
+        // the degraded rows are distinct cells.
+        let doc = pvs_core::json::parse(&json).expect("the chaos document parses");
+        pvs_analyze::sentinel::check_profile_doc(&doc).expect("a profile document");
+        assert!(out.profile.cells.len() > smoke_cells().len());
         assert!(json.contains("chaos.scenarios"));
     }
 
@@ -564,7 +557,7 @@ mod tests {
         assert_eq!(first_divergence(&cells, &serial, &serial), None);
 
         let last = cells.len() - 1;
-        let key = cell_key(&cells[last]);
+        let key = cells[last].key();
         // (one member of the last cell's report moved by one unit, what the check must name)
         type Mutation = fn(&mut PerfReport);
         let mutations: [(Mutation, &str); 4] = [

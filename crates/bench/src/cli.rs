@@ -19,7 +19,7 @@
 //! file first and is renamed into place, so a failed run never leaves a
 //! truncated document where a good one was expected.
 
-use pvs_analyze::profiledoc;
+use pvs_analyze::sentinel::check_profile_doc;
 use pvs_core::json::Value;
 use std::path::{Path, PathBuf};
 
@@ -238,7 +238,7 @@ pub fn write_probed(path: &str, produce: impl FnOnce() -> Result<String, i32>) -
 }
 
 /// Load a profile document for `compare`: the parsed JSON, once it has
-/// passed the typed reader's checks. Every failure mode is classified
+/// passed [`check_profile_doc`]. Every failure mode is classified
 /// into the shared exit-code convention. Returns
 /// `(exit_code, one_line_message)` on failure; callers print the message
 /// to stderr and exit.
@@ -247,7 +247,8 @@ pub fn load_profile_doc(path: &str) -> Result<Value, (i32, String)> {
         .map_err(|e| (exit::UNREADABLE, format!("cannot read {path}: {e}")))?;
     let doc = pvs_core::json::parse(&text)
         .map_err(|e| (exit::MALFORMED, format!("{path}: {e}")))?;
-    profiledoc::from_value(&doc).map_err(|e| (exit::SCHEMA, format!("{path}: {e}")))?;
+    check_profile_doc(&doc)
+        .map_err(|e| (exit::SCHEMA, format!("{path}: not a profile document: {e}")))?;
     Ok(doc)
 }
 

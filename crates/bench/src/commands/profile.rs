@@ -13,10 +13,11 @@
 //! `--out PATH` (default `target/BENCH_sweep.json`; the committed
 //! baseline is rewritten only by naming it), `--analyze` (print the
 //! bottleneck-attribution findings table and per-cell self-time
-//! rollups), `--trace DIR` (render each cell's `model.phases` as one
-//! Chrome trace-event JSON — timestamps are simulated picoseconds),
+//! rollups), `--trace DIR` (render each cell's phases as one Chrome
+//! trace-event JSON — timestamps are simulated picoseconds),
 //! `--overhead [N]` (on its own: every cell with and without a recorder
-//! attached, N interleaved rounds, one line, no document).
+//! attached, N interleaved rounds, one line, no document). Analysis and
+//! traces read the run itself, never the document written from it.
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,
 //! 1 internal failure, 2 malformed usage, 6 the output file or `--trace`
@@ -26,7 +27,7 @@
 
 use crate::cli::{self, exit, Args, Kind, Spec};
 use crate::profile::{measure_overhead, paper_cells, run_profile, ProfileOptions, SweepCell};
-use pvs_analyze::{chrome, findings, profiledoc};
+use pvs_analyze::{chrome, findings};
 use pvs_core::report::fmt_pct_signed;
 
 pub const SPEC: Spec = Spec {
@@ -115,47 +116,30 @@ fn sweep_document(
         out.host_median_sum_s(),
     );
 
-    let json = out.to_json();
-    if trace_dir.is_none() && !analyze {
-        return Ok(json + "\n");
-    }
-
-    // Round-trip the document through the same reader `compare` and
-    // offline analysis use — what gets traced and analyzed is exactly
-    // what the file says.
-    let doc = match profiledoc::load(&json) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: cannot read the sweep document back: {e}");
-            return Err(exit::FAILURE);
-        }
-    };
-
     if let Some(dir) = trace_dir {
-        for c in &doc.cells {
+        for c in &out.cells {
+            let SweepCell { app, machine, procs, .. } = c.cell;
             let name = format!(
-                "{}_{}_P{}.trace.json",
-                c.app.to_lowercase(),
-                c.machine.to_lowercase().replace('-', "_"),
-                c.procs
+                "{}_{}_P{procs}.trace.json",
+                app.to_lowercase(),
+                machine.to_lowercase().replace('-', "_"),
             );
-            let label = format!("{}/{}/P{}", c.app, c.machine, c.procs);
+            let label = format!("{app}/{machine}/P{procs}");
             let path = std::path::Path::new(dir).join(&name);
-            let trace = chrome::to_chrome_trace(&c.model, &label);
+            let trace = chrome::to_chrome_trace(&c.report, &label);
             let display = path.display().to_string();
             if let Err(e) = cli::write_atomic(&display, &(trace + "\n")) {
                 eprintln!("error: cannot write {display}: {e}");
                 return Err(exit::WRITE);
             }
-            println!("wrote {display} ({} events)", c.model.phases.len() + 1);
+            println!("wrote {display} ({} events)", c.report.phases.len() + 1);
         }
     }
 
     if analyze {
-        let diagnoses = findings::analyze_doc(&doc);
-        print!("{}", findings::findings_table(&diagnoses).render());
-        for c in &doc.cells {
-            let rollup = chrome::self_time_rollup(&c.model.phases);
+        print!("{}", findings::findings_table(&out.diagnoses()).render());
+        for c in &out.cells {
+            let rollup = chrome::self_time_rollup(&c.report.phases);
             let total: u64 = rollup.iter().map(|r| r.ticks).sum();
             if total == 0 {
                 continue;
@@ -167,13 +151,13 @@ fn sweep_document(
                 .collect();
             println!(
                 "self-time {:<8} {:<8} P={:<4} {}",
-                c.app,
-                c.machine,
-                c.procs,
+                c.cell.app,
+                c.cell.machine,
+                c.cell.procs,
                 top.join(", ")
             );
         }
     }
 
-    Ok(json + "\n")
+    Ok(out.to_json() + "\n")
 }

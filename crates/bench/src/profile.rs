@@ -14,6 +14,7 @@
 
 use crate::harness::{interleaved_ab, time_samples};
 use crate::tablegen::{fig9_procs, LARGEST_COMPARABLE};
+use pvs_analyze::bottleneck::{diagnose, Diagnosis};
 use pvs_core::engine::Engine;
 use pvs_core::json::{array, number, perf_report, JsonObject};
 use pvs_core::machine::Machine;
@@ -47,6 +48,12 @@ impl SweepCell {
     /// The cell's machine model.
     pub fn machine(&self) -> Machine {
         platforms::by_name(self.machine).unwrap_or_else(|| panic!("unknown machine in {self:?}"))
+    }
+
+    /// `app/config/machine/Pn`: the identity `compare` joins cells on,
+    /// and the findings table's row name.
+    pub fn key(&self) -> String {
+        format!("{}/{}/{}/P{}", self.app, self.config, self.machine, self.procs)
     }
 }
 
@@ -145,6 +152,16 @@ impl ProfileOutput {
         let host_samples = cells.first().map_or(0, |cell| cell.host_secs.len());
         let options = ProfileOptions { host_samples, threads };
         ProfileOutput { cells, harness, pool: None, options }
+    }
+
+    /// Each row's bottleneck diagnosis, in row order, read off the run
+    /// itself: the document rendered from it is never read back. Rows
+    /// name study machines, as [`SweepCell::machine`] requires.
+    pub fn diagnoses(&self) -> Vec<Diagnosis> {
+        self.cells
+            .iter()
+            .map(|c| diagnose(c.cell.key(), &c.report, &c.snapshot, &c.cell.machine()))
+            .collect()
     }
 
     /// Sum of per-cell median host seconds.
@@ -288,6 +305,7 @@ pub fn measure_overhead(cells: &[SweepCell], rounds: usize) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvs_core::machine::CpuClass;
 
     fn quick_options() -> ProfileOptions {
         ProfileOptions {
@@ -391,6 +409,37 @@ mod tests {
                 c.cell.machine
             );
         }
+    }
+
+    /// What `amdahl::decompose` rests on when it reads
+    /// `report.vector_metrics` alone: a vector cell's `vectorsim.*`
+    /// counters are those three numbers, and a superscalar cell has none.
+    #[test]
+    fn vector_counters_are_the_reports_vector_metrics() {
+        let mut vector_cells = 0;
+        for c in &run_profile(paper_cells(), quick_options()).cells {
+            let key = c.cell.key();
+            let counters = [
+                "vectorsim.element_ops",
+                "vectorsim.vector_instructions",
+                "vectorsim.scalar_ops",
+            ]
+            .map(|name| c.snapshot.counter(name));
+            match (&c.cell.machine().cpu, c.report.vector_metrics) {
+                (CpuClass::Vector { .. }, Some(m)) => {
+                    vector_cells += 1;
+                    let fields = [m.vector_element_ops, m.vector_instructions, m.scalar_ops];
+                    if counters == [None; 3] {
+                        assert_eq!(fields, [0; 3], "{key}: a run that vectorized has no counters");
+                    } else {
+                        assert_eq!(counters, fields.map(Some), "{key}");
+                    }
+                }
+                (CpuClass::Superscalar { .. }, None) => {}
+                (_, m) => panic!("{key}: vector metrics {m:?} on this CPU class"),
+            }
+        }
+        assert_eq!(vector_cells, 8, "four apps on the ES and on the X1");
     }
 
     fn profile_with_host_secs(host_secs: Vec<f64>) -> CellProfile {

@@ -203,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn document_round_trips_through_the_sentinel_loader() {
+    fn document_passes_the_schema_gate() {
         let out = run_rankscale(&[
             RankScaleCell { app: "LBMHD", procs: 64 },
             RankScaleCell { app: "PARATEC", procs: 64 },
@@ -213,8 +213,10 @@ mod tests {
         assert!(json.contains("\"schema\": \"pvs-bench/profile-v2\""));
         assert!(json.contains("\"machine\": \"mpisim-v2\""));
         assert!(json.contains("\"mpisim.sim.ranks\""));
-        let doc = pvs_analyze::profiledoc::load(&json).expect("loadable profile doc");
-        assert_eq!(doc.cells.len(), 2);
+        let doc = pvs_core::json::parse(&json).expect("the document parses");
+        pvs_analyze::sentinel::check_profile_doc(&doc).expect("a profile document");
+        let cells = doc.get("cells").and_then(pvs_core::json::Value::as_array);
+        assert_eq!(cells.map(<[_]>::len), Some(2));
     }
 
     #[test]

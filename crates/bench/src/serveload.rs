@@ -665,9 +665,11 @@ mod tests {
             .collect();
         let stats = fetch_stats(&addr).unwrap();
         let doc = bench_serve_doc(&cells, &bodies, &run, &stats, &options);
-        // The emitted document loads as profile-v2 and carries both cells.
-        let parsed = pvs_analyze::profiledoc::load(&doc).unwrap();
-        assert_eq!(parsed.cells.len(), 2);
+        // The emitted document passes the profile-v2 gate and carries both cells.
+        let parsed = pvs_core::json::parse(&doc).unwrap();
+        pvs_analyze::sentinel::check_profile_doc(&parsed).unwrap();
+        let cells = parsed.get("cells").and_then(pvs_core::json::Value::as_array);
+        assert_eq!(cells.map(<[_]>::len), Some(2));
         assert!(doc.contains("\"harness\": []"), "host-dependent counters stay out of harness");
         assert!(doc.contains("serve.cache.hits"), "the server snapshot carries them");
         assert!(doc.contains("throughput_rps"));

@@ -230,6 +230,22 @@ fn compare_classifies_damaged_documents() {
         assert_no_panic(&out, "compare on unknown schema");
         assert!(stderr(&out).contains(version), "{}", stderr(&out));
     }
+
+    // A cell without its model or its processor count is not a profile
+    // cell, and the error names the cell.
+    let cell_doc = |cell: &str| format!("{{\"schema\": \"pvs-bench/profile-v2\", \"cells\": [{cell}]}}");
+    for (missing, cell) in [
+        ("`model`", r#"{"app": "GTC", "machine": "ES", "procs": 64}"#),
+        ("`procs`", r#"{"app": "GTC", "machine": "ES", "model": {"time_s": 1, "gflops_per_p": 1}}"#),
+    ] {
+        let other = dir.join("cell.json");
+        std::fs::write(&other, cell_doc(cell)).unwrap();
+        let out = run(&["compare", good, other.to_str().unwrap()]);
+        assert_exit(&out, 5, &format!("a cell without {missing}"));
+        assert_no_panic(&out, "compare on an incomplete cell");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("cell 0: missing {missing}")), "{err}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

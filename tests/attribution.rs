@@ -5,11 +5,11 @@
 
 use pvs::analyze::bottleneck::Bottleneck;
 use pvs::analyze::chrome::{to_chrome_trace, validate_chrome_trace};
-use pvs::analyze::sentinel::compare_docs;
-use pvs::analyze::{findings, profiledoc};
+use pvs::analyze::findings;
+use pvs::analyze::sentinel::{check_profile_doc, compare_docs};
 use pvs::core::json::{parse, Value};
 use pvs_bench::chaos::{run_chaos, scenarios};
-use pvs_bench::profile::{paper_cells, run_profile, smoke_cells, ProfileOptions};
+use pvs_bench::profile::{paper_cells, run_profile, smoke_cells, ProfileOptions, ProfileOutput};
 use pvs_bench::rankscale::{run_rankscale, weak_scaling_cells};
 use pvs_bench::serveload::{
     bench_serve_doc, fetch_cell_body, fetch_stats, paper_serve_cells, run_load, LoadOptions,
@@ -22,20 +22,19 @@ fn quick_options() -> ProfileOptions {
     }
 }
 
-/// Run the six one-per-bottleneck-class cells and round-trip them through
-/// the document loader, exactly as `profile --analyze` does.
-fn smoke_doc() -> profiledoc::ProfileDoc {
-    let out = run_profile(smoke_cells(), quick_options());
-    profiledoc::load(&out.to_json()).expect("smoke sweep document loads")
+/// Run the six one-per-bottleneck-class cells, as `profile --analyze`
+/// runs the sweep it then analyses.
+fn smoke_run() -> ProfileOutput {
+    run_profile(smoke_cells(), quick_options())
 }
 
-fn classification_of(doc: &profiledoc::ProfileDoc, app: &str, machine: &str) -> Bottleneck {
-    let cell = doc
-        .cell(app, machine)
+fn classification_of(run: &ProfileOutput, app: &str, machine: &str) -> Bottleneck {
+    let row = run
+        .cells
+        .iter()
+        .position(|c| c.cell.app == app && c.cell.machine == machine)
         .unwrap_or_else(|| panic!("{app}/{machine} missing from smoke sweep"));
-    findings::analyze_cell(cell)
-        .unwrap_or_else(|| panic!("{app}/{machine} machine unknown"))
-        .bottleneck
+    run.diagnoses()[row].bottleneck
 }
 
 /// The paper's qualitative findings, recovered from recorded counters:
@@ -45,29 +44,28 @@ fn classification_of(doc: &profiledoc::ProfileDoc, app: &str, machine: &str) -> 
 /// unit (§4.3–4.4).
 #[test]
 fn smoke_sweep_recovers_the_papers_bottleneck_attributions() {
-    let doc = smoke_doc();
+    let run = smoke_run();
     assert_eq!(
-        classification_of(&doc, "LBMHD", "Power3"),
+        classification_of(&run, "LBMHD", "Power3"),
         Bottleneck::MemoryBandwidthBound
     );
     assert_eq!(
-        classification_of(&doc, "PARATEC", "X1"),
+        classification_of(&run, "PARATEC", "X1"),
         Bottleneck::BisectionBound
     );
     assert_eq!(
-        classification_of(&doc, "CACTUS", "X1"),
+        classification_of(&run, "CACTUS", "X1"),
         Bottleneck::ScalarSerializationBound
     );
     assert_eq!(
-        classification_of(&doc, "GTC", "ES"),
+        classification_of(&run, "GTC", "ES"),
         Bottleneck::ScalarSerializationBound
     );
 }
 
 #[test]
 fn findings_table_renders_every_smoke_cell() {
-    let doc = smoke_doc();
-    let rendered = findings::findings_table(&findings::analyze_doc(&doc)).render();
+    let rendered = findings::findings_table(&smoke_run().diagnoses()).render();
     for needle in ["LBMHD", "PARATEC", "CACTUS", "GTC", "bisection-bound"] {
         assert!(rendered.contains(needle), "missing {needle}:\n{rendered}");
     }
@@ -77,7 +75,7 @@ fn committed_baseline(stem: &str) -> Value {
     let path = format!("{}/BENCH_{stem}.json", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).expect("committed baseline readable");
     let doc = parse(&text).expect("committed baseline parses");
-    profiledoc::from_value(&doc).expect("committed baseline passes the typed reader");
+    check_profile_doc(&doc).expect("committed baseline passes the schema gate");
     doc
 }
 
@@ -162,16 +160,16 @@ fn sentinel_catches_a_synthetic_model_time_regression() {
     }
 }
 
-/// Every cell's `model.phases` renders to a schema-valid Chrome
+/// Every cell's phases render to a schema-valid Chrome
 /// trace-event document whose timestamps are simulated picoseconds.
 #[test]
 fn exported_chrome_traces_validate_for_every_smoke_cell() {
-    for c in &smoke_doc().cells {
-        let label = c.key();
-        let text = to_chrome_trace(&c.model, &label);
+    for c in &smoke_run().cells {
+        let label = c.cell.key();
+        let text = to_chrome_trace(&c.report, &label);
         let events = validate_chrome_trace(&text)
             .unwrap_or_else(|e| panic!("{label}: invalid chrome trace: {e}"));
-        assert_eq!(events, c.model.phases.len() + 1, "{label}");
+        assert_eq!(events, c.report.phases.len() + 1, "{label}");
         // The "run" event covers the whole modelled runtime in simulated
         // picoseconds, and the last phase ends where it does.
         let trace = parse(&text).unwrap();
@@ -179,7 +177,7 @@ fn exported_chrome_traces_validate_for_every_smoke_cell() {
         let (run, last) = (&events[0], events.last().unwrap());
         assert_eq!(run.str("name"), Some("run"));
         assert_eq!(run.num("ts"), Some(0.0));
-        assert_eq!(run.num("dur"), Some((c.model.time_s * 1e12).round()), "{label}");
+        assert_eq!(run.num("dur"), Some((c.report.time_s * 1e12).round()), "{label}");
         assert_eq!(
             last.num("ts").unwrap() + last.num("dur").unwrap(),
             run.num("dur").unwrap(),
