@@ -16,9 +16,8 @@ use crate::pool::{default_threads, map_slice};
 use crate::report::{PerfReport, PhaseBreakdown};
 use pvs_memsim::banks::BankedMemory;
 use pvs_memsim::trace::scrambled_indices;
-use pvs_netsim::collectives::{
-    all_to_all_stats_sampled, allreduce_stats, halo_exchange_2d_stats, halo_exchange_3d_stats,
-};
+use pvs_netsim::collectives::{all_to_all_sampled, allreduce, halo_exchange_2d, halo_exchange_3d};
+use pvs_netsim::des::{Ledger, SimStats, Traffic};
 use pvs_netsim::topology::Network;
 use pvs_obs::Recorder;
 use pvs_vectorsim::exec::{MemoryEnv, VectorUnit};
@@ -84,6 +83,33 @@ struct RunTally {
 }
 
 impl RunTally {
+    /// Count one comm phase of `secs` seconds whose pattern, simulated
+    /// once, produced `stats`.
+    fn comm(&mut self, c: &CommPhase, secs: f64, stats: &SimStats) {
+        self.comm_phases += 1;
+        self.comm_repetitions += c.repetitions as u64;
+        self.comm_seconds += secs;
+        // Traffic counters describe the messages simulated for one
+        // repetition of the pattern; `engine.comm.repetitions` scales
+        // them. For an all-to-all at ranks > MAX_A2A_ROUNDS + 1 that is
+        // only the sampled rounds, not all ranks − 1 of them (the
+        // makespan alone is extrapolated).
+        self.net_messages += stats.messages;
+        self.net_payload_bytes += stats.total_bytes;
+        self.net_hops += stats.hops;
+        self.net_bisection_bytes += c.pattern.bisection_bytes();
+        self.net_links_used += stats.links_used();
+        self.net_peak_link_bytes = self.net_peak_link_bytes.max(stats.peak_link_bytes());
+        // Distributions cover the same simulated messages as the
+        // traffic counters.
+        for (&bytes, &n) in &stats.size_dist {
+            self.hist_samples.push(("netsim.hist.msg_bytes", bytes, n));
+        }
+        for (&hops, &n) in &stats.hop_dist {
+            self.hist_samples.push(("netsim.hist.msg_hops", hops, n));
+        }
+    }
+
     fn flush(&self, r: &dyn Recorder, metrics: &VectorMetrics, clock_mhz: f64) {
         let mut entries: Vec<(&str, u64)> = Vec::with_capacity(16);
         entries.push(("engine.phases", self.loop_phases + self.comm_phases));
@@ -240,35 +266,17 @@ impl Engine {
                     });
                 }
                 Phase::Comm(c) => {
-                    let (secs, stats) = self.run_comm(c, procs);
+                    // Only an observed run reads the traffic ledger; a
+                    // bare run advances the link clocks and nothing else.
+                    let secs = if rec.is_some() {
+                        let (secs, wire_s, traffic) = self.run_comm::<Traffic>(c, procs);
+                        tally.comm(c, secs, &traffic.into_stats(wire_s));
+                        secs
+                    } else {
+                        self.run_comm::<()>(c, procs).0
+                    };
                     time_s += secs;
                     comm_s += secs;
-                    if rec.is_some() {
-                        tally.comm_phases += 1;
-                        tally.comm_repetitions += c.repetitions as u64;
-                        tally.comm_seconds += secs;
-                        // Traffic counters describe the messages simulated
-                        // for one repetition of the pattern;
-                        // `engine.comm.repetitions` scales them. For an
-                        // all-to-all at ranks > MAX_A2A_ROUNDS + 1 that is
-                        // only the sampled rounds, not all ranks − 1 of them
-                        // (the makespan alone is extrapolated).
-                        tally.net_messages += stats.messages;
-                        tally.net_payload_bytes += stats.total_bytes;
-                        tally.net_hops += stats.hops;
-                        tally.net_bisection_bytes += c.pattern.bisection_bytes();
-                        tally.net_links_used += stats.links_used();
-                        tally.net_peak_link_bytes =
-                            tally.net_peak_link_bytes.max(stats.peak_link_bytes());
-                        // Distributions cover the same simulated messages
-                        // as the traffic counters.
-                        for (&bytes, &n) in &stats.size_dist {
-                            tally.hist_samples.push(("netsim.hist.msg_bytes", bytes, n));
-                        }
-                        for (&hops, &n) in &stats.hop_dist {
-                            tally.hist_samples.push(("netsim.hist.msg_hops", hops, n));
-                        }
-                    }
                     breakdown.push(PhaseBreakdown {
                         name: c.name.to_string(),
                         seconds: secs,
@@ -400,51 +408,48 @@ impl Engine {
         None
     }
 
-    fn run_comm(&self, c: &CommPhase, procs: usize) -> (f64, pvs_netsim::des::SimStats) {
+    /// Time one communication phase on a network built for `procs`,
+    /// booking its messages into an `L`. Returns the phase's seconds (all
+    /// repetitions, copies included), the wire time of one repetition,
+    /// and the ledger.
+    fn run_comm<L: Ledger>(&self, c: &CommPhase, procs: usize) -> (f64, f64, L) {
         let mut config = self.machine.network(procs);
         if c.one_sided {
             config.latency_us *= ONE_SIDED_LATENCY_RATIO;
         }
         let net = Network::with_faults(config, &self.adversity.net);
-        let (stats, payload_per_rank) = match c.pattern {
+        let ((wire, ledger), payload_per_rank) = match c.pattern {
             CommPattern::Halo2d {
                 px,
                 py,
                 bytes_edge,
                 bytes_corner,
-            } => {
-                let s = halo_exchange_2d_stats(&net, px, py, bytes_edge, bytes_corner);
-                (s, 4 * bytes_edge + 4 * bytes_corner)
-            }
+            } => (
+                halo_exchange_2d(&net, px, py, bytes_edge, bytes_corner),
+                4 * bytes_edge + 4 * bytes_corner,
+            ),
             CommPattern::Halo3d {
                 px,
                 py,
                 pz,
                 bytes_face,
-            } => {
-                let s = halo_exchange_3d_stats(&net, px, py, pz, bytes_face);
-                (s, 6 * bytes_face)
-            }
+            } => (halo_exchange_3d(&net, px, py, pz, bytes_face), 6 * bytes_face),
             CommPattern::AllToAll {
                 ranks,
                 bytes_per_pair,
-            } => {
-                let s = all_to_all_stats_sampled(&net, ranks, bytes_per_pair, MAX_A2A_ROUNDS);
-                (s, ranks.saturating_sub(1) as u64 * bytes_per_pair)
-            }
+            } => (
+                all_to_all_sampled(&net, ranks, bytes_per_pair, MAX_A2A_ROUNDS),
+                ranks.saturating_sub(1) as u64 * bytes_per_pair,
+            ),
             CommPattern::AllReduce { ranks, bytes } => {
                 let rounds = if ranks > 1 {
                     usize::BITS - (ranks - 1).leading_zeros()
                 } else {
                     0
                 };
-                (
-                    allreduce_stats(&net, ranks, bytes),
-                    rounds as u64 * bytes,
-                )
+                (allreduce(&net, ranks, bytes), rounds as u64 * bytes)
             }
         };
-        let wire = stats.makespan_s;
         // MPI buffers payload twice through memory (user-level pack and
         // system-level copy); one-sided puts write directly. This is the
         // "CAF reduced memory traffic by 3x" effect of §3.2.
@@ -453,7 +458,7 @@ impl Engine {
         } else {
             2.0 * payload_per_rank as f64 / (self.machine.mem_bw_gbs * 1e9)
         };
-        ((wire + copy) * c.repetitions as f64, stats)
+        ((wire + copy) * c.repetitions as f64, wire, ledger)
     }
 }
 
@@ -870,15 +875,35 @@ mod tests {
         assert!(depths.max() > 0, "hot-word gather must conflict");
     }
 
+    /// A bare run times its comm phases on the timing-only ledger, an
+    /// observed one on the counting ledger: every modelled second must
+    /// agree to the bit, healthy and damaged.
     #[test]
     fn observed_run_matches_unobserved_run() {
-        let phases = [lbmhd_like(), blas3_like()];
-        let plain = Engine::new(platforms::x1()).run(&phases, 16);
-        let reg = std::sync::Arc::new(pvs_obs::Registry::new());
-        let observed = Engine::new(platforms::x1())
-            .with_recorder(reg)
-            .run(&phases, 16);
-        assert_eq!(fingerprint(&plain), fingerprint(&observed));
+        let phases = comm_heavy(64);
+        let damaged = |machine, faults| {
+            Engine::new(machine).with_adversity(Adversity::healthy().with_net(faults))
+        };
+        let mut engines: Vec<Engine> = platforms::all().into_iter().map(Engine::new).collect();
+        engines.push(damaged(
+            platforms::x1(),
+            pvs_netsim::LinkFaults::healthy().fail_link(0).degrade_link(5, 0.5),
+        ));
+        engines.push(damaged(
+            platforms::earth_simulator(),
+            pvs_netsim::LinkFaults::healthy().lose_port(0).lose_port(7),
+        ));
+        let seconds =
+            |r: &PerfReport| -> Vec<u64> { r.phases.iter().map(|p| p.seconds.to_bits()).collect() };
+        for engine in engines {
+            let ctx = format!("{} {:?}", engine.machine().name, engine.adversity());
+            let plain = engine.run(&phases, 64);
+            let reg = std::sync::Arc::new(pvs_obs::Registry::new());
+            let observed = engine.clone().with_recorder(reg.clone()).run(&phases, 64);
+            assert!(reg.counter("netsim.messages") > 0, "{ctx}: the run reached the network");
+            assert_eq!(fingerprint(&plain), fingerprint(&observed), "{ctx}");
+            assert_eq!(seconds(&plain), seconds(&observed), "{ctx}");
+        }
     }
 
     fn comm_heavy(procs: usize) -> Vec<Phase> {

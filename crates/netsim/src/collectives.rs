@@ -8,34 +8,37 @@
 //!   scaling limiter);
 //! * **allreduce** — CG dot products in PARATEC and GTC's Poisson solve.
 //!
-//! Each function walks its schedule and sends every message through
+//! Each collective walks its schedule and sends every message through
 //! [`NetSim::send`] as the schedule emits it, so contention effects (torus
 //! bisection, slim-tree uplinks) emerge from the topology rather than
-//! being assumed. On a network built by [`Network::with_faults`] the same
-//! functions time the damaged machine: routes detour around hard failures
-//! and derated links and lost crossbar port lanes slow what crosses them.
+//! being assumed. Each is one body generic over the [`Ledger`] and
+//! returns `(seconds, ledger)`; its `*_stats` wrapper counts into
+//! [`SimStats`], and the `()` ledger times it without counting. On a
+//! network built by [`Network::with_faults`] the same functions time the
+//! damaged machine: routes detour around hard failures and derated links
+//! and lost crossbar port lanes slow what crosses them.
 
-use crate::des::{NetSim, SimStats};
+use crate::des::{Ledger, NetSim, SimStats, Traffic};
 use crate::topology::Network;
 
 /// A 2D periodic halo exchange: every rank exchanges `bytes_per_edge`
 /// with its four neighbours in a `px x py` process grid, plus
 /// `bytes_per_corner` with its four diagonal neighbours (LBMHD's
-/// octagonal lattice streams along diagonals too). `makespan_s` is the
-/// time in seconds.
-pub fn halo_exchange_2d_stats(
+/// octagonal lattice streams along diagonals too). Returns the time in
+/// seconds and the ledger every message was booked into.
+pub fn halo_exchange_2d<L: Ledger>(
     net: &Network,
     px: usize,
     py: usize,
     bytes_per_edge: u64,
     bytes_per_corner: u64,
-) -> SimStats {
+) -> (f64, L) {
     assert!(
         px * py <= net.config().endpoints,
         "process grid exceeds network"
     );
     let rank = |x: usize, y: usize| (y % py) * px + (x % px);
-    let mut sim = NetSim::new(net);
+    let mut sim = NetSim::<L>::with_ledger(net);
     for y in 0..py {
         for x in 0..px {
             let src = rank(x, y);
@@ -63,25 +66,36 @@ pub fn halo_exchange_2d_stats(
             }
         }
     }
-    sim.into_stats()
+    sim.finish()
+}
+
+/// [`halo_exchange_2d`] counted into [`SimStats`].
+pub fn halo_exchange_2d_stats(
+    net: &Network,
+    px: usize,
+    py: usize,
+    bytes_per_edge: u64,
+    bytes_per_corner: u64,
+) -> SimStats {
+    stats(halo_exchange_2d(net, px, py, bytes_per_edge, bytes_per_corner))
 }
 
 /// A 3D face halo exchange over a `px × py × pz` process grid: every
 /// rank exchanges `bytes_per_face` with its six face neighbours (Cactus
-/// ghost zones).
-pub fn halo_exchange_3d_stats(
+/// ghost zones). Returns the time in seconds and the ledger.
+pub fn halo_exchange_3d<L: Ledger>(
     net: &Network,
     px: usize,
     py: usize,
     pz: usize,
     bytes_per_face: u64,
-) -> SimStats {
+) -> (f64, L) {
     assert!(
         px * py * pz <= net.config().endpoints,
         "process grid exceeds network"
     );
     let rank = |x: usize, y: usize, z: usize| ((z % pz) * py + (y % py)) * px + (x % px);
-    let mut sim = NetSim::new(net);
+    let mut sim = NetSim::<L>::with_ledger(net);
     for z in 0..pz {
         for y in 0..py {
             for x in 0..px {
@@ -102,7 +116,18 @@ pub fn halo_exchange_3d_stats(
             }
         }
     }
-    sim.into_stats()
+    sim.finish()
+}
+
+/// [`halo_exchange_3d`] counted into [`SimStats`].
+pub fn halo_exchange_3d_stats(
+    net: &Network,
+    px: usize,
+    py: usize,
+    pz: usize,
+    bytes_per_face: u64,
+) -> SimStats {
+    stats(halo_exchange_3d(net, px, py, pz, bytes_per_face))
 }
 
 /// An all-to-all personalized exchange of `bytes_per_pair` between every
@@ -111,21 +136,20 @@ pub fn halo_exchange_3d_stats(
 /// the `p - 1` rotation rounds and scaling linearly: accurate because
 /// every round is a full permutation placing identical load on the
 /// network, and necessary to keep 1024-rank FFT-transpose modelling cheap
-/// (`max_rounds >= p - 1` simulates every round). `makespan_s`
-/// is the extrapolated full-collective time; the traffic counters
-/// (messages, bytes, hops, per-link loads) describe only the rounds
-/// actually simulated — consumers extrapolating totals should scale by
-/// `(p - 1) / min(p - 1, max_rounds)`.
-pub fn all_to_all_stats_sampled(
+/// (`max_rounds >= p - 1` simulates every round). The returned time is
+/// the extrapolated full-collective time; the ledger describes only the
+/// rounds actually simulated — consumers extrapolating totals should
+/// scale by `(p - 1) / min(p - 1, max_rounds)`.
+pub fn all_to_all_sampled<L: Ledger>(
     net: &Network,
     p: usize,
     bytes_per_pair: u64,
     max_rounds: usize,
-) -> SimStats {
+) -> (f64, L) {
     assert!(p <= net.config().endpoints && max_rounds >= 1);
-    let mut sim = NetSim::new(net);
+    let mut sim = NetSim::<L>::with_ledger(net);
     if p < 2 {
-        return sim.into_stats();
+        return sim.finish();
     }
     let total_rounds = p - 1;
     let simulate = total_rounds.min(max_rounds);
@@ -139,20 +163,29 @@ pub fn all_to_all_stats_sampled(
             sim.send(src, dst, bytes_per_pair, 0.0);
         }
     }
-    let mut stats = sim.into_stats();
-    stats.makespan_s *= total_rounds as f64 / simulate as f64;
-    stats
+    let (makespan_s, ledger) = sim.finish();
+    (makespan_s * (total_rounds as f64 / simulate as f64), ledger)
+}
+
+/// [`all_to_all_sampled`] counted into [`SimStats`].
+pub fn all_to_all_stats_sampled(
+    net: &Network,
+    p: usize,
+    bytes_per_pair: u64,
+    max_rounds: usize,
+) -> SimStats {
+    stats(all_to_all_sampled(net, p, bytes_per_pair, max_rounds))
 }
 
 /// A recursive-doubling allreduce of `bytes` across the first `p`
 /// endpoints: ⌈log₂ p⌉ rounds, in round `r` every rank exchanges with
 /// rank `src ^ 2^r`, and a partner at or beyond `p` is skipped (so a
 /// non-power-of-two `p` just sends fewer messages in its top rounds).
-/// Rounds execute back to back on idle links, so makespans add; traffic
-/// statistics accumulate over all rounds.
-pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
+/// Rounds execute back to back on idle links, so makespans add; the
+/// ledger accumulates over all rounds.
+pub fn allreduce<L: Ledger>(net: &Network, p: usize, bytes: u64) -> (f64, L) {
     assert!(p >= 1 && p <= net.config().endpoints);
-    let mut sim = NetSim::new(net);
+    let mut sim = NetSim::<L>::with_ledger(net);
     let rounds = (usize::BITS - (p - 1).leading_zeros()) as usize;
     let mut makespan_s = 0.0;
     for r in 0..rounds {
@@ -167,9 +200,17 @@ pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
         }
         makespan_s += round_s;
     }
-    let mut stats = sim.into_stats();
-    stats.makespan_s = makespan_s;
-    stats
+    (makespan_s, sim.finish().1)
+}
+
+/// [`allreduce`] counted into [`SimStats`].
+pub fn allreduce_stats(net: &Network, p: usize, bytes: u64) -> SimStats {
+    stats(allreduce(net, p, bytes))
+}
+
+/// A collective's counted result as [`SimStats`].
+fn stats((makespan_s, traffic): (f64, Traffic)) -> SimStats {
+    traffic.into_stats(makespan_s)
 }
 
 /// Measure the effective bisection bandwidth (GB/s) of a network by

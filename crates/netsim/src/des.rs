@@ -7,6 +7,13 @@
 //! sizes) plus a small per-hop wire component. This level of fidelity
 //! captures what the paper's analysis needs — serialization on shared tree
 //! uplinks and torus rows under all-to-all load — without modelling flits.
+//!
+//! Each send advances the link clocks, which decide the time, and books
+//! the message into a [`Ledger`]. The counting [`Traffic`] ledger backs
+//! [`SimStats`]; the `()` ledger books nothing, so a caller that never
+//! reads the counters (an engine run with no recorder) pays only for the
+//! timing chain. Both ledgers see the same clocks, so their makespans are
+//! bit-identical.
 
 use std::collections::BTreeMap;
 
@@ -97,14 +104,35 @@ impl SimStats {
     }
 }
 
-/// Traffic counters of the messages sent since the batch opened. The
-/// distributions stay flat while messages fly and become maps once, in
-/// [`Batch::into_stats`]: payload sizes as runs of equal consecutive sizes
-/// (a collective has one or two), hop counts as an array indexed by route
-/// length.
+/// What a simulator books besides its link clocks: one hook per hop a
+/// message crosses and one per message. The link clocks and the makespan
+/// live on [`NetSim`] and decide every time; a ledger only watches.
+pub trait Ledger {
+    /// An empty ledger for a network of `links` links.
+    fn open(links: usize) -> Self;
+    /// `bytes` of payload crossed link `link`.
+    fn hop(&mut self, link: usize, bytes: u64);
+    /// A message of `bytes` payload was sent over `hops` links (0 for a
+    /// local copy).
+    fn message(&mut self, bytes: u64, hops: usize);
+}
+
+/// The timing-only ledger: every hook is a no-op.
+impl Ledger for () {
+    fn open(_: usize) {}
+    #[inline]
+    fn hop(&mut self, _: usize, _: u64) {}
+    #[inline]
+    fn message(&mut self, _: u64, _: usize) {}
+}
+
+/// The counting ledger: traffic counters of the messages sent since it
+/// opened. The distributions stay flat while messages fly and become
+/// maps once, in [`Traffic::into_stats`]: payload sizes as runs of equal
+/// consecutive sizes (a collective has one or two), hop counts as an
+/// array indexed by route length.
 #[derive(Debug)]
-struct Batch {
-    makespan_s: f64,
+pub struct Traffic {
     total_bytes: u64,
     messages: u64,
     hops: u64,
@@ -113,10 +141,9 @@ struct Batch {
     hop_counts: Vec<u64>,
 }
 
-impl Batch {
-    fn new(links: usize) -> Self {
+impl Ledger for Traffic {
+    fn open(links: usize) -> Self {
         Self {
-            makespan_s: 0.0,
             total_bytes: 0,
             messages: 0,
             hops: 0,
@@ -126,14 +153,38 @@ impl Batch {
         }
     }
 
-    fn into_stats(self) -> SimStats {
+    #[inline]
+    fn hop(&mut self, link: usize, bytes: u64) {
+        self.link_bytes[link] += bytes;
+    }
+
+    #[inline]
+    fn message(&mut self, bytes: u64, hops: usize) {
+        self.messages += 1;
+        self.total_bytes += bytes;
+        match self.size_runs.last_mut() {
+            Some((size, n)) if *size == bytes => *n += 1,
+            _ => self.size_runs.push((bytes, 1)),
+        }
+        self.hops += hops as u64;
+        if self.hop_counts.len() <= hops {
+            self.hop_counts.resize(hops + 1, 0);
+        }
+        self.hop_counts[hops] += 1;
+    }
+}
+
+impl Traffic {
+    /// The counters as [`SimStats`], with `makespan_s` the time the
+    /// caller assigns them.
+    pub fn into_stats(self, makespan_s: f64) -> SimStats {
         let mut size_dist: BTreeMap<u64, u64> = BTreeMap::new();
         for (bytes, n) in self.size_runs {
             *size_dist.entry(bytes).or_insert(0) += n;
         }
         let hop_dist = (0u64..).zip(self.hop_counts).filter(|&(_, n)| n > 0).collect();
         SimStats {
-            makespan_s: self.makespan_s,
+            makespan_s,
             total_bytes: self.total_bytes,
             messages: self.messages,
             hops: self.hops,
@@ -146,10 +197,12 @@ impl Batch {
 
 /// Discrete-event network simulator bound to a [`Network`]. Messages go
 /// in one at a time through [`NetSim::send`], which times each against
-/// the link clocks and counts it into the open batch; [`NetSim::run`] and
-/// [`NetSim::into_stats`] close the batch into a [`SimStats`].
+/// the link clocks and books it into the ledger `L`; [`NetSim::finish`]
+/// hands back the makespan and the ledger. The default, [`Traffic`],
+/// counts, and [`NetSim::run`] and [`NetSim::into_stats`] close it into
+/// a [`SimStats`].
 #[derive(Debug)]
-pub struct NetSim<'a> {
+pub struct NetSim<'a, L: Ledger = Traffic> {
     net: &'a Network,
     link_free_s: Vec<f64>,
     /// Per-link delivered bandwidth in bytes/s, derated by the link's
@@ -163,15 +216,18 @@ pub struct NetSim<'a> {
     hop_latency: f64,
     /// Bytes/s of a local (same-endpoint) copy.
     local_rate: f64,
-    batch: Batch,
+    /// Latest finish time among the messages booked into `ledger`.
+    makespan_s: f64,
+    ledger: L,
 }
 
-impl<'a> NetSim<'a> {
-    /// New simulator with all links idle, every link named by the
-    /// network's damage (a degrade or a crossbar port-lane loss) derated
-    /// to its [`Network::effective_link_factor`]. Hard link failures are
-    /// already routed around by the network itself.
-    pub fn new(net: &'a Network) -> Self {
+impl<'a, L: Ledger> NetSim<'a, L> {
+    /// New simulator booking into an empty `L`, with all links idle and
+    /// every link named by the network's damage (a degrade or a crossbar
+    /// port-lane loss) derated to its [`Network::effective_link_factor`].
+    /// Hard link failures are already routed around by the network
+    /// itself.
+    pub fn with_ledger(net: &'a Network) -> Self {
         let latency_s = net.config().latency_us * 1e-6;
         // The one spelling of a link's delivered bytes/s. The operand
         // order is part of the model: every published cell's bits depend
@@ -194,34 +250,28 @@ impl<'a> NetSim<'a> {
             sw_latency: latency_s * (1.0 - HOP_LATENCY_SHARE),
             hop_latency: latency_s * HOP_LATENCY_SHARE,
             local_rate: net.config().link_bw_gbs * 1e9,
-            batch: Batch::new(net.num_links()),
+            makespan_s: 0.0,
+            ledger: L::open(net.num_links()),
         }
     }
 
     /// The per-message step: send `bytes` from `src` to `dst` at
     /// `submit_s`, each link of the route acquired FIFO behind the traffic
-    /// already sent, and count the message into the open batch. Returns
-    /// its finish time. Callers send in submission order.
+    /// already sent, and book the message into the ledger. Returns its
+    /// finish time. Callers send in submission order.
     pub fn send(&mut self, src: usize, dst: usize, bytes: u64, submit_s: f64) -> f64 {
-        let batch = &mut self.batch;
-        batch.messages += 1;
-        batch.total_bytes += bytes;
-        match batch.size_runs.last_mut() {
-            Some((size, n)) if *size == bytes => *n += 1,
-            _ => batch.size_runs.push((bytes, 1)),
-        }
         // The first (injection) link carries the per-message software
         // overhead: a sender issuing many small messages serializes on it
         // (what makes per-band FFT transposes latency-bound at high
         // processor counts). Every further hop costs the wire/switch share.
         let size = bytes as f64;
-        let (free, rate, load) = (&mut self.link_free_s, &self.link_rate, &mut batch.link_bytes);
+        let (free, rate, ledger) = (&mut self.link_free_s, &self.link_rate, &mut self.ledger);
         let hop_latency = self.hop_latency;
         let mut latency = self.sw_latency;
         let mut t = submit_s;
         let mut hops = 0;
         self.net.walk_route(src, dst, |l| {
-            load[l] += bytes;
+            ledger.hop(l, bytes);
             let start = t.max(free[l]);
             t = start + (latency + size / rate[l]);
             free[l] = t;
@@ -232,24 +282,42 @@ impl<'a> NetSim<'a> {
             // Local copy: charge only a memcpy-ish cost via injection bw.
             t = submit_s + size / self.local_rate;
         }
-        batch.hops += hops as u64;
-        if batch.hop_counts.len() <= hops {
-            batch.hop_counts.resize(hops + 1, 0);
-        }
-        batch.hop_counts[hops] += 1;
-        batch.makespan_s = batch.makespan_s.max(t);
+        ledger.message(bytes, hops);
+        self.makespan_s = self.makespan_s.max(t);
         t
     }
 
-    /// Close the open batch: the traffic counters of every message sent
-    /// since the simulator was built or last [`NetSim::run`], with
+    /// Close the simulator: the latest finish time among the messages
+    /// sent since it was built (0 for none), and the ledger they were
+    /// booked into.
+    pub fn finish(self) -> (f64, L) {
+        (self.makespan_s, self.ledger)
+    }
+
+    /// Reset link occupancy (keeps the derates, the makespan and the
+    /// ledger).
+    pub fn reset(&mut self) {
+        self.link_free_s.iter_mut().for_each(|t| *t = 0.0);
+    }
+}
+
+impl<'a> NetSim<'a> {
+    /// New counting simulator: [`NetSim::with_ledger`] with a
+    /// [`Traffic`] ledger.
+    pub fn new(net: &'a Network) -> Self {
+        Self::with_ledger(net)
+    }
+
+    /// Close the counting ledger: the traffic counters of every message
+    /// sent since the simulator was built or last [`NetSim::run`], with
     /// `makespan_s` the latest finish time among them (0 for none).
     pub fn into_stats(self) -> SimStats {
-        self.batch.into_stats()
+        let (makespan_s, traffic) = self.finish();
+        traffic.into_stats(makespan_s)
     }
 
     /// Simulate a batch of messages: [`NetSim::send`] over them in
-    /// submission order (stable for equal times), closing the batch.
+    /// submission order (stable for equal times), closing the ledger.
     /// Link occupancy carries over into the next batch until
     /// [`NetSim::reset`].
     pub fn run(&mut self, messages: &[Message]) -> SimStats {
@@ -267,12 +335,8 @@ impl<'a> NetSim<'a> {
                 self.send(m.src, m.dst, m.bytes, m.submit_s);
             }
         }
-        std::mem::replace(&mut self.batch, Batch::new(self.net.num_links())).into_stats()
-    }
-
-    /// Reset link occupancy (keeps the derates and the open batch).
-    pub fn reset(&mut self) {
-        self.link_free_s.iter_mut().for_each(|t| *t = 0.0);
+        let traffic = std::mem::replace(&mut self.ledger, Traffic::open(self.net.num_links()));
+        traffic.into_stats(std::mem::take(&mut self.makespan_s))
     }
 }
 

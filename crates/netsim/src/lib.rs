@@ -15,11 +15,14 @@
 //! * [`topology`] + [`des`]: an explicit link-level graph with shortest-path /
 //!   dimension-order routing and a discrete-event, store-and-forward
 //!   contention simulator — used to *measure* effective bisection bandwidth
-//!   and collective times from first principles;
+//!   and collective times from first principles. The simulator books each
+//!   message into a [`des::Ledger`]: [`des::Traffic`] counts what
+//!   [`SimStats`] reports, `()` books nothing and only times;
 //! * [`collectives`]: the communication patterns the applications use (halo
 //!   exchange, FFT transpose all-to-all, allreduce), expressed as schedules
 //!   whose messages are timed on the simulator one by one as they are
-//!   emitted.
+//!   emitted, each generic over the ledger with a counting `*_stats`
+//!   wrapper.
 //!
 //! The per-machine numbers (link bandwidth, latency) are calibrated from
 //! Table 1 of the paper by `pvs-core::platforms`.
@@ -46,6 +49,6 @@ pub mod fault;
 pub mod topology;
 
 pub use collectives::measured_bisection_gbs;
-pub use des::{Message, NetSim, SimStats};
+pub use des::{Ledger, Message, NetSim, SimStats};
 pub use fault::LinkFaults;
 pub use topology::{Network, NetworkConfig, TopologyKind};

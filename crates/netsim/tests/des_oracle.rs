@@ -12,14 +12,20 @@
 //! value) and every `SimStats` field, for every topology family, every
 //! collective the engine issues, and every fault shape the chaos harness
 //! injects. The message lists are rebuilt here too, so the collectives'
-//! schedules are checked against a second spelling as well.
+//! schedules are checked against a second spelling as well. Each
+//! collective also runs on the timing-only `()` ledger, the one a bare
+//! engine run uses, and its makespan must equal the reference's bit for
+//! bit: a ledger may only watch the link clocks, never move them.
 
 use std::collections::BTreeMap;
 
 use pvs_netsim::collectives::{
-    all_to_all_stats_sampled, allreduce_stats, halo_exchange_2d_stats, halo_exchange_3d_stats,
+    all_to_all_sampled, all_to_all_stats_sampled, allreduce, allreduce_stats, halo_exchange_2d,
+    halo_exchange_2d_stats, halo_exchange_3d, halo_exchange_3d_stats,
 };
-use pvs_netsim::{LinkFaults, Message, NetSim, Network, NetworkConfig, SimStats, TopologyKind};
+use pvs_netsim::{
+    Ledger, LinkFaults, Message, NetSim, Network, NetworkConfig, SimStats, TopologyKind,
+};
 
 const HOP_LATENCY_SHARE: f64 = 0.1;
 const ENDPOINTS: [usize; 7] = [1, 2, 7, 16, 64, 250, 1024];
@@ -378,7 +384,7 @@ fn assert_same(got: &SimStats, want: &SimStats, ctx: &str) {
 /// Drive the crate's per-message step over `msgs` in the reference's
 /// processing order, holding every returned finish time to the
 /// reference's bit for bit. Returns the latest of them.
-fn step_all(sim: &mut NetSim, msgs: &[Message], want: &RefRun, ctx: &str) -> f64 {
+fn step_all<L: Ledger>(sim: &mut NetSim<L>, msgs: &[Message], want: &RefRun, ctx: &str) -> f64 {
     let mut latest = 0.0f64;
     for &i in &want.order {
         let m = &msgs[i];
@@ -394,10 +400,18 @@ fn step_all(sim: &mut NetSim, msgs: &[Message], want: &RefRun, ctx: &str) -> f64
     latest
 }
 
-/// A collective's result `got` equals the reference run of its message
-/// list `msgs` (makespan scaled by `scale`), and so does the crate's step
-/// driven over that list message by message.
-fn check_collective(net: &Network, msgs: &[Message], scale: f64, got: &SimStats, ctx: &str) {
+/// A collective's counted result `got` and its timing-only makespan
+/// `timed` equal the reference run of its message list `msgs` (makespan
+/// scaled by `scale`), and so does the crate's step driven over that list
+/// message by message.
+fn check_collective(
+    net: &Network,
+    msgs: &[Message],
+    scale: f64,
+    got: &SimStats,
+    timed: f64,
+    ctx: &str,
+) {
     let mut want = RefSim::new(net).run(msgs);
     let mut sim = NetSim::new(net);
     step_all(&mut sim, msgs, &want, ctx);
@@ -406,6 +420,12 @@ fn check_collective(net: &Network, msgs: &[Message], scale: f64, got: &SimStats,
     stepped.makespan_s *= scale;
     assert_same(got, &want.stats, ctx);
     assert_same(&stepped, &want.stats, &format!("stepped {ctx}"));
+    assert_eq!(
+        timed.to_bits(),
+        want.stats.makespan_s.to_bits(),
+        "timing-only {ctx}: makespan_s {timed:e} vs {:e}",
+        want.stats.makespan_s
+    );
 }
 
 /// Smallest-first factorisation of `n` into `parts` factors.
@@ -482,13 +502,15 @@ fn halo_exchanges_match_the_reference() {
         let n = net.config().endpoints;
         let g = factors(n, 2);
         let got = halo_exchange_2d_stats(net, g[0], g[1], 48_000, 600);
+        let (timed, ()) = halo_exchange_2d(net, g[0], g[1], 48_000, 600);
         let msgs = halo_2d_msgs(g[0], g[1], 48_000, 600);
-        check_collective(net, &msgs, 1.0, &got, &format!("halo2d {ctx}"));
+        check_collective(net, &msgs, 1.0, &got, timed, &format!("halo2d {ctx}"));
 
         let g = factors(n, 3);
         let got = halo_exchange_3d_stats(net, g[0], g[1], g[2], 125_000);
+        let (timed, ()) = halo_exchange_3d(net, g[0], g[1], g[2], 125_000);
         let msgs = halo_3d_msgs(g[0], g[1], g[2], 125_000);
-        check_collective(net, &msgs, 1.0, &got, &format!("halo3d {ctx}"));
+        check_collective(net, &msgs, 1.0, &got, timed, &format!("halo3d {ctx}"));
     });
 }
 
@@ -497,8 +519,9 @@ fn sampled_all_to_all_matches_the_reference() {
     for_each_network(|net, ctx| {
         let p = net.config().endpoints;
         let got = all_to_all_stats_sampled(net, p, 9_216, 24);
+        let (timed, ()) = all_to_all_sampled(net, p, 9_216, 24);
         let (msgs, scale) = all_to_all_msgs(p, 9_216, 24);
-        check_collective(net, &msgs, scale, &got, &format!("all-to-all {ctx}"));
+        check_collective(net, &msgs, scale, &got, timed, &format!("all-to-all {ctx}"));
     });
 }
 
@@ -522,14 +545,18 @@ fn allreduce_matches_the_reference() {
         let got = allreduce_stats(net, p, 8_192);
         assert_same(&got, &want, &format!("allreduce {ctx}"));
         assert_same(&stepped, &want, &format!("stepped allreduce {ctx}"));
+        let (timed, ()) = allreduce(net, p, 8_192);
+        assert_eq!(timed.to_bits(), want.makespan_s.to_bits(), "timing-only allreduce {ctx}");
     });
 }
 
 /// `sim.run(msgs)` equals the reference run, and so does a second
-/// simulator in the same state stepped through the reference's order.
+/// simulator in the same state stepped through the reference's order; a
+/// timing-only third returns the same finish times.
 fn check_batch(
     sim: &mut NetSim,
     stepper: &mut NetSim,
+    timed: &mut NetSim<()>,
     reference: &mut RefSim,
     msgs: &[Message],
     ctx: &str,
@@ -539,12 +566,15 @@ fn check_batch(
     step_all(stepper, msgs, &want, ctx);
     // An empty run closes the batch the steps opened.
     assert_same(&stepper.run(&[]), &want.stats, &format!("stepped {ctx}"));
+    step_all(timed, msgs, &want, &format!("timing-only {ctx}"));
 }
 
 /// A batch no collective produces: submit times out of order and tied,
 /// three payload sizes interleaved, local copies, and a second batch on
 /// the same (un-reset, then reset) simulator. Exercises the sort
-/// fallback, the run-length flush and the 0-hop bucket.
+/// fallback, the run-length flush and the 0-hop bucket, and the only
+/// local copies the timing-only ledger sees (no collective sends a rank
+/// to itself).
 #[test]
 fn hand_built_batches_match_the_reference() {
     for_each_network(|net, ctx| {
@@ -576,16 +606,19 @@ fn hand_built_batches_match_the_reference() {
         let mut reference = RefSim::new(net);
         let mut sim = NetSim::new(net);
         let mut stepper = NetSim::new(net);
-        let (sim, stepper, reference) = (&mut sim, &mut stepper, &mut reference);
-        check_batch(sim, stepper, reference, &unsorted, &format!("unsorted {ctx}"));
+        let mut timed = NetSim::<()>::with_ledger(net);
+        let (sim, stepper, timed, reference) =
+            (&mut sim, &mut stepper, &mut timed, &mut reference);
+        check_batch(sim, stepper, timed, reference, &unsorted, &format!("unsorted {ctx}"));
         // Link occupancy carries over into the next batch…
-        check_batch(sim, stepper, reference, &sorted, &format!("carried {ctx}"));
+        check_batch(sim, stepper, timed, reference, &sorted, &format!("carried {ctx}"));
         // …until it is reset.
         sim.reset();
         stepper.reset();
+        timed.reset();
         reference.reset();
-        check_batch(sim, stepper, reference, &unsorted, &format!("reset {ctx}"));
-        check_batch(sim, stepper, reference, &[], &format!("empty {ctx}"));
+        check_batch(sim, stepper, timed, reference, &unsorted, &format!("reset {ctx}"));
+        check_batch(sim, stepper, timed, reference, &[], &format!("empty {ctx}"));
     });
 }
 
