@@ -11,12 +11,16 @@
 //! Each collective walks its schedule and sends every message through
 //! [`NetSim::send`] as the schedule emits it, so contention effects (torus
 //! bisection, slim-tree uplinks) emerge from the topology rather than
-//! being assumed. Each is one body generic over the [`Ledger`] and
-//! returns `(seconds, ledger)`; its `*_stats` wrapper counts into
-//! [`SimStats`], and the `()` ledger times it without counting. On a
-//! network built by [`Network::with_faults`] the same functions time the
-//! damaged machine: routes detour around hard failures and derated links
-//! and lost crossbar port lanes slow what crosses them.
+//! being assumed. One schedule has a shortcut: on a crossbar whose links
+//! the exchange uses all run at one rate, the rotation all-to-all keeps
+//! every endpoint's clocks in step, so it is timed on one endpoint's two
+//! clocks (`NetSim::rotate`, same expressions as `send`) and its messages
+//! are only booked. Each collective is one body generic over the
+//! [`Ledger`] and returns `(seconds, ledger)`; its `*_stats` wrapper
+//! counts into [`SimStats`], and the `()` ledger times it without
+//! counting. On a network built by [`Network::with_faults`] the same
+//! functions time the damaged machine: routes detour around hard failures
+//! and derated links and lost crossbar port lanes slow what crosses them.
 
 use crate::des::{Ledger, NetSim, SimStats, Traffic};
 use crate::topology::Network;
@@ -155,12 +159,16 @@ pub fn all_to_all_sampled<L: Ledger>(
     let simulate = total_rounds.min(max_rounds);
     let stride = total_rounds as f64 / simulate as f64;
     // Stagger destinations (rotation schedule) like real MPI_Alltoall
-    // implementations to avoid synthetic endpoint hotspots.
-    for k in 0..simulate {
-        let round = 1 + (k as f64 * stride) as usize;
-        for src in 0..p {
-            let dst = if src + round < p { src + round } else { src + round - p };
-            sim.send(src, dst, bytes_per_pair, 0.0);
+    // implementations to avoid synthetic endpoint hotspots. A healthy
+    // crossbar times the schedule on one endpoint's clocks; anything else
+    // sends it message by message.
+    let rounds = (0..simulate).map(|k| 1 + (k as f64 * stride) as usize);
+    if !sim.rotate(p, bytes_per_pair, 0.0, rounds.clone()) {
+        for round in rounds {
+            for src in 0..p {
+                let dst = if src + round < p { src + round } else { src + round - p };
+                sim.send(src, dst, bytes_per_pair, 0.0);
+            }
         }
     }
     let (makespan_s, ledger) = sim.finish();

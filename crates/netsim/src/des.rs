@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::topology::Network;
+use crate::topology::{Network, TopologyKind};
 
 /// Per-hop wire/switch latency as a fraction of the configured end-to-end
 /// latency (the rest is software/injection overhead charged once).
@@ -197,7 +197,9 @@ impl Traffic {
 
 /// Discrete-event network simulator bound to a [`Network`]. Messages go
 /// in one at a time through [`NetSim::send`], which times each against
-/// the link clocks and books it into the ledger `L`; [`NetSim::finish`]
+/// the link clocks and books it into the ledger `L` (a healthy crossbar's
+/// rotation all-to-all goes in a whole schedule at a time, timed on one
+/// endpoint's clocks); [`NetSim::finish`]
 /// hands back the makespan and the ledger. The default, [`Traffic`],
 /// counts, and [`NetSim::run`] and [`NetSim::into_stats`] close it into
 /// a [`SimStats`].
@@ -285,6 +287,58 @@ impl<'a, L: Ledger> NetSim<'a, L> {
         ledger.message(bytes, hops);
         self.makespan_s = self.makespan_s.max(t);
         t
+    }
+
+    /// Time a rotation all-to-all among the first `p` endpoints of a
+    /// crossbar on two scalar clocks, booking every message into the
+    /// ledger as [`NetSim::send`] would. In each round `r` of `rounds`
+    /// (each in `1..p`) every `src < p` sends `bytes` to `(src + r) mod
+    /// p`, submitted at `submit_s`. A round is a permutation: each of the
+    /// `p` endpoints injects once, on its own link `2·src`, and ejects
+    /// once, on its own `2·dst + 1`. So if those `2p` links share one
+    /// rate, all `p` injection clocks agree and all `p` ejection clocks
+    /// agree (as on a fresh simulator), they still agree after every
+    /// round, and one message's chain, spelled as in `send`, times every
+    /// message of the round. Returns `false` having done nothing when
+    /// that does not hold: another topology, `p < 2`, or a derated link
+    /// or a diverged clock among those endpoints.
+    pub(crate) fn rotate(
+        &mut self,
+        p: usize,
+        bytes: u64,
+        submit_s: f64,
+        rounds: impl Iterator<Item = usize>,
+    ) -> bool {
+        let links = 2 * p;
+        if !matches!(self.net.config().kind, TopologyKind::Crossbar) || p < 2 {
+            return false;
+        }
+        let rate = self.link_rate[0];
+        let (mut inj, mut ej) = (self.link_free_s[0], self.link_free_s[1]);
+        let clocks = &mut self.link_free_s[..links];
+        if self.link_rate[..links].iter().any(|&r| r != rate)
+            || clocks.chunks_exact(2).any(|c| c[0] != inj || c[1] != ej)
+        {
+            return false;
+        }
+        let size = bytes as f64;
+        for round in rounds {
+            assert!((1..p).contains(&round), "rotation round {round} outside 1..{p}");
+            for src in 0..p {
+                let dst = if src + round < p { src + round } else { src + round - p };
+                self.ledger.hop(2 * src, bytes);
+                self.ledger.hop(2 * dst + 1, bytes);
+                self.ledger.message(bytes, 2);
+            }
+            inj = submit_s.max(inj) + (self.sw_latency + size / rate);
+            ej = inj.max(ej) + (self.hop_latency + size / rate);
+            self.makespan_s = self.makespan_s.max(ej);
+        }
+        for c in clocks.chunks_exact_mut(2) {
+            c[0] = inj;
+            c[1] = ej;
+        }
+        true
     }
 
     /// Close the simulator: the latest finish time among the messages
@@ -596,6 +650,67 @@ mod tests {
             .degrade_link(11, 0.5);
         assert_eq!(finishes(&damaged(8, &faults)), finishes(&damaged(8, &by_hand)));
         assert!(NetSim::new(&damaged(8, &faults)).run(&msgs).makespan_s > plain.makespan_s);
+    }
+
+    #[test]
+    fn rotation_times_like_send_message_by_message() {
+        // Endpoints 6..12 first flood the ejection links of 0..6, so the
+        // rotation among 0..6 starts with its ejection clocks ahead of
+        // its injection clocks; the second rotation is submitted after
+        // every link is idle again.
+        let n = net(TopologyKind::Crossbar, 12);
+        let (p, bytes, rounds) = (6, 7_000, [1, 3, 4, 5]);
+        let mut sent = NetSim::new(&n);
+        let mut rotated = NetSim::new(&n);
+        for sim in [&mut sent, &mut rotated] {
+            for src in p..2 * p {
+                sim.send(src, src - p, 90_000, 0.0);
+            }
+        }
+        let bits = |sim: &NetSim| sim.link_free_s.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        for submit_s in [0.0, 2e-3] {
+            for round in rounds {
+                for src in 0..p {
+                    sent.send(src, (src + round) % p, bytes, submit_s);
+                }
+            }
+            assert!(rotated.rotate(p, bytes, submit_s, rounds.into_iter()));
+            assert_eq!(bits(&rotated), bits(&sent), "link clocks after submit {submit_s}");
+        }
+        let (sent, rotated) = (sent.into_stats(), rotated.into_stats());
+        assert_eq!(rotated.makespan_s.to_bits(), sent.makespan_s.to_bits());
+        assert_eq!(rotated.messages, sent.messages);
+        assert_eq!(rotated.total_bytes, sent.total_bytes);
+        assert_eq!(rotated.hops, sent.hops);
+        assert_eq!(rotated.link_bytes, sent.link_bytes);
+        assert_eq!(rotated.size_dist, sent.size_dist);
+        assert_eq!(rotated.hop_dist, sent.hop_dist);
+    }
+
+    #[test]
+    fn rotation_declines_what_one_endpoint_cannot_time() {
+        let xbar = net(TopologyKind::Crossbar, 8);
+        let declines = |net: &Network, p: usize| {
+            let mut sim = NetSim::new(net);
+            sim.send(7, 6, 100, 0.0);
+            let before = sim.link_free_s.clone();
+            if sim.rotate(p, 100, 0.0, 1..p) {
+                return false;
+            }
+            assert_eq!(sim.link_free_s, before, "a declined rotation sends nothing");
+            assert_eq!(sim.into_stats().messages, 1, "a declined rotation books nothing");
+            true
+        };
+        assert!(declines(&net(TopologyKind::Torus2D, 8), 4));
+        assert!(declines(&net(TopologyKind::FatTree { arity: 2, slim: 1.0 }, 8), 4));
+        assert!(declines(&xbar, 1));
+        // Endpoint 6's ejection clock is ahead of the others'.
+        assert!(declines(&xbar, 8));
+        // Derated or half-lost links among the first p endpoints…
+        assert!(declines(&damaged(8, &LinkFaults::healthy().degrade_link(2 * 2 + 1, 0.5)), 4));
+        assert!(declines(&damaged(8, &LinkFaults::healthy().lose_port(3)), 4));
+        // …but not beyond them.
+        assert!(!declines(&damaged(8, &LinkFaults::healthy().lose_port(4)), 4));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! * [`collectives`]: the communication patterns the applications use (halo
 //!   exchange, FFT transpose all-to-all, allreduce), expressed as schedules
 //!   whose messages are timed on the simulator one by one as they are
-//!   emitted, each generic over the ledger with a counting `*_stats`
+//!   emitted — except a healthy crossbar's all-to-all, whose rotation
+//!   rounds keep every endpoint in step and are timed on one endpoint's
+//!   clocks — each generic over the ledger with a counting `*_stats`
 //!   wrapper.
 //!
 //! The per-machine numbers (link bandwidth, latency) are calibrated from

@@ -60,6 +60,10 @@ pub struct Network {
     /// is one past it). Two endpoints share a level-`l` switch exactly when
     /// their entries there are equal. Empty for the other topologies.
     up: Vec<u32>,
+    /// Torus coordinate table: `xy[e]` is endpoint `e`'s `(x, y)` on the
+    /// `xd × yd` grid, so routing a message divides nothing. Empty for
+    /// the other topologies.
+    xy: Vec<(u32, u32)>,
     /// The damage this network was built with (healthy from
     /// [`Network::new`]): routes avoid its hard failures, and
     /// [`crate::des::NetSim::new`] prices its derates.
@@ -84,6 +88,7 @@ impl Network {
                     torus_dims: None,
                     tree: Vec::new(),
                     up: Vec::new(),
+                    xy: Vec::new(),
                     faults: LinkFaults::healthy(),
                 }
             }
@@ -127,6 +132,7 @@ impl Network {
                     torus_dims: None,
                     tree,
                     up,
+                    xy: Vec::new(),
                     faults: LinkFaults::healthy(),
                 }
             }
@@ -138,12 +144,15 @@ impl Network {
                         bw_gbs: config.link_bw_gbs,
                     })
                     .collect();
+                assert!(x * y <= u32::MAX as usize, "torus coordinates exceed u32");
+                let xy = (0..y as u32).flat_map(|r| (0..x as u32).map(move |c| (c, r))).collect();
                 Self {
                     config,
                     links,
                     torus_dims: Some((x, y)),
                     tree: Vec::new(),
                     up: Vec::new(),
+                    xy,
                     faults: LinkFaults::healthy(),
                 }
             }
@@ -238,8 +247,8 @@ impl Network {
             TopologyKind::Torus2D => {
                 // Dimension order: the X ring, then the Y ring.
                 let (xd, yd) = self.torus_dims.expect("torus dims");
-                let (sx, sy) = (src % xd, src / xd);
-                let (dx, dy) = (dst % xd, dst / xd);
+                let ((sx, sy), (dx, dy)) = (self.xy[src], self.xy[dst]);
+                let (sx, sy, dx, dy) = (sx as usize, sy as usize, dx as usize, dy as usize);
                 self.ring_traversal(sx, dx, xd, move |c| sy * xd + c, 0).for_each(&mut hop);
                 self.ring_traversal(sy, dy, yd, move |c| c * xd + dx, 2).for_each(hop);
             }

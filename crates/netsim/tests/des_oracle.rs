@@ -2,16 +2,19 @@
 //!
 //! `NetSim::send` and `Network::walk_route` are written for speed: no
 //! route is ever stored, the fat-tree climb reads a precomputed ancestor
-//! table, per-link denominators are hoisted, the distributions are
-//! run-length bookkeeping, and the collectives send straight from their
-//! schedule loops. This file keeps the straightforward spelling — a fresh
-//! `Vec` per route, a `BTreeMap` update per message, an unconditional
-//! stable sort, a derate looked up per link, one message list per
-//! collective — as a private reference, and requires the crate to agree
-//! with it **bit for bit**: every message's finish time (the step's return
-//! value) and every `SimStats` field, for every topology family, every
-//! collective the engine issues, and every fault shape the chaos harness
-//! injects. The message lists are rebuilt here too, so the collectives'
+//! table, torus coordinates come from a table instead of `%` and `/`,
+//! per-link denominators are hoisted, the distributions are run-length
+//! bookkeeping, the collectives send straight from their schedule loops,
+//! and a healthy crossbar's rotation all-to-all is timed on one
+//! endpoint's two clocks without sending a message. This file keeps the
+//! straightforward spelling — a fresh `Vec` per route, coordinates by
+//! division, a `BTreeMap` update per message, an unconditional stable
+//! sort, a derate looked up per link, one message list per collective,
+//! every message timed on its own links — as a private reference, and
+//! requires the crate to agree with it **bit for bit**: every message's
+//! finish time (the step's return value) and every `SimStats` field, for
+//! every topology family, every collective the engine issues, and every
+//! fault shape the chaos harness injects. The message lists are rebuilt here too, so the collectives'
 //! schedules are checked against a second spelling as well. Each
 //! collective also runs on the timing-only `()` ledger, the one a bare
 //! engine run uses, and its makespan must equal the reference's bit for
@@ -523,6 +526,36 @@ fn sampled_all_to_all_matches_the_reference() {
         let (msgs, scale) = all_to_all_msgs(p, 9_216, 24);
         check_collective(net, &msgs, scale, &got, timed, &format!("all-to-all {ctx}"));
     });
+}
+
+/// The sampled all-to-all among part of a crossbar, at every sampling
+/// depth. Healthy, and with damage only beyond the exchanging endpoints,
+/// the crate times it on one endpoint's clocks; `degraded` and
+/// `lost-port` touch endpoint 0, so it sends message by message. Every
+/// case must equal the reference.
+#[test]
+fn crossbar_all_to_all_among_part_of_the_machine_matches_the_reference() {
+    let n = 1024;
+    let healthy = Network::new(cfg(TopologyKind::Crossbar, n));
+    let mut cases = fault_cases(&healthy);
+    cases.push((
+        "damaged-beyond-p",
+        LinkFaults::healthy()
+            .lose_port(n - 24)
+            .degrade_link(2 * n - 1, 0.7),
+    ));
+    for (label, faults) in cases {
+        let net = Network::with_faults(cfg(TopologyKind::Crossbar, n), &faults);
+        for p in [2, 7, 250] {
+            for max_rounds in [1, 5, 24, p - 1] {
+                let got = all_to_all_stats_sampled(&net, p, 9_216, max_rounds);
+                let (timed, ()) = all_to_all_sampled(&net, p, 9_216, max_rounds);
+                let (msgs, scale) = all_to_all_msgs(p, 9_216, max_rounds);
+                let ctx = format!("all-to-all p={p} rounds={max_rounds} Crossbar n={n} {label}");
+                check_collective(&net, &msgs, scale, &got, timed, &ctx);
+            }
+        }
+    }
 }
 
 #[test]
