@@ -18,11 +18,13 @@
 //! are only booked. Each collective is one body generic over the
 //! [`Ledger`] and returns `(seconds, ledger)`; its `*_stats` wrapper
 //! counts into [`SimStats`], and the `()` ledger times it without
-//! counting. On a network built by [`Network::with_faults`] the same
-//! functions time the damaged machine: routes detour around hard failures
-//! and derated links and lost crossbar port lanes slow what crosses them.
+//! counting. An allreduce round ends at its latest finish, merged with the
+//! simulator's own compare-select. On a network built by
+//! [`Network::with_faults`] the same functions time the damaged machine:
+//! routes detour around hard failures and derated links and lost crossbar
+//! port lanes slow what crosses them.
 
-use crate::des::{Ledger, NetSim, SimStats, Traffic};
+use crate::des::{later, Ledger, NetSim, SimStats, Traffic};
 use crate::topology::Network;
 
 /// A 2D periodic halo exchange: every rank exchanges `bytes_per_edge`
@@ -203,7 +205,7 @@ pub fn allreduce<L: Ledger>(net: &Network, p: usize, bytes: u64) -> (f64, L) {
         for src in 0..p {
             let dst = src ^ dist;
             if dst < p {
-                round_s = round_s.max(sim.send(src, dst, bytes, 0.0));
+                round_s = later(round_s, sim.send(src, dst, bytes, 0.0));
             }
         }
         makespan_s += round_s;

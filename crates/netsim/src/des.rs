@@ -14,6 +14,16 @@
 //! reads the counters (an engine run with no recorder) pays only for the
 //! timing chain. Both ledgers see the same clocks, so their makespans are
 //! bit-identical.
+//!
+//! The timing chain of a hop is one clock merge and one add. Every merge
+//! of two simulated times (a hop's start behind its link's clock, the
+//! makespan, a rotation's two clocks, an allreduce round's finish) is
+//! the compare-select `later`, one `maxsd` on x86, where `f64::max` adds
+//! four instructions to order NaN. It is exact because no simulated time is
+//! NaN: [`Network::new`] rejects a bandwidth that is not finite and
+//! positive, a latency that is not finite and non-negative and a fat-tree
+//! `slim` that is not finite and positive, and [`NetSim::send`] a submit
+//! time that is NaN or negative.
 
 use std::collections::BTreeMap;
 
@@ -22,6 +32,21 @@ use crate::topology::{Network, TopologyKind};
 /// Per-hop wire/switch latency as a fraction of the configured end-to-end
 /// latency (the rest is software/injection overhead charged once).
 const HOP_LATENCY_SHARE: f64 = 0.1;
+
+/// The later of two simulated times: the one spelling of a clock merge.
+/// A compare-select is one `maxsd`, where `f64::max` adds four
+/// instructions to order NaN. The two agree bit for bit on every pair of
+/// non-NaN times but `(+0, −0)`, and no simulated time is NaN:
+/// [`Network::new`] requires a positive link rate and a non-negative
+/// latency, and [`NetSim::send`] a non-negative submit time.
+#[inline(always)]
+pub(crate) fn later(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
 
 /// One point-to-point transfer request.
 #[derive(Debug, Clone, Copy)]
@@ -260,8 +285,10 @@ impl<'a, L: Ledger> NetSim<'a, L> {
     /// The per-message step: send `bytes` from `src` to `dst` at
     /// `submit_s`, each link of the route acquired FIFO behind the traffic
     /// already sent, and book the message into the ledger. Returns its
-    /// finish time. Callers send in submission order.
+    /// finish time. Callers send in submission order; `submit_s` must be
+    /// a time, so NaN and negative values panic.
     pub fn send(&mut self, src: usize, dst: usize, bytes: u64, submit_s: f64) -> f64 {
+        assert!(submit_s >= 0.0, "submit time {submit_s} is not a time");
         // The first (injection) link carries the per-message software
         // overhead: a sender issuing many small messages serializes on it
         // (what makes per-band FFT transposes latency-bound at high
@@ -274,7 +301,7 @@ impl<'a, L: Ledger> NetSim<'a, L> {
         let mut hops = 0;
         self.net.walk_route(src, dst, |l| {
             ledger.hop(l, bytes);
-            let start = t.max(free[l]);
+            let start = later(t, free[l]);
             t = start + (latency + size / rate[l]);
             free[l] = t;
             latency = hop_latency;
@@ -285,7 +312,7 @@ impl<'a, L: Ledger> NetSim<'a, L> {
             t = submit_s + size / self.local_rate;
         }
         ledger.message(bytes, hops);
-        self.makespan_s = self.makespan_s.max(t);
+        self.makespan_s = later(self.makespan_s, t);
         t
     }
 
@@ -309,6 +336,7 @@ impl<'a, L: Ledger> NetSim<'a, L> {
         submit_s: f64,
         rounds: impl Iterator<Item = usize>,
     ) -> bool {
+        assert!(submit_s >= 0.0, "submit time {submit_s} is not a time");
         let links = 2 * p;
         if !matches!(self.net.config().kind, TopologyKind::Crossbar) || p < 2 {
             return false;
@@ -330,9 +358,9 @@ impl<'a, L: Ledger> NetSim<'a, L> {
                 self.ledger.hop(2 * dst + 1, bytes);
                 self.ledger.message(bytes, 2);
             }
-            inj = submit_s.max(inj) + (self.sw_latency + size / rate);
-            ej = inj.max(ej) + (self.hop_latency + size / rate);
-            self.makespan_s = self.makespan_s.max(ej);
+            inj = later(submit_s, inj) + (self.sw_latency + size / rate);
+            ej = later(inj, ej) + (self.hop_latency + size / rate);
+            self.makespan_s = later(self.makespan_s, ej);
         }
         for c in clocks.chunks_exact_mut(2) {
             c[0] = inj;
@@ -711,6 +739,108 @@ mod tests {
         assert!(declines(&damaged(8, &LinkFaults::healthy().lose_port(3)), 4));
         // …but not beyond them.
         assert!(!declines(&damaged(8, &LinkFaults::healthy().lose_port(4)), 4));
+    }
+
+    #[test]
+    fn later_is_max_bit_for_bit_on_every_time() {
+        let mut grid = Vec::new();
+        for t in [0.0, f64::from_bits(1), 1e-300, 1.0, 1e300, f64::INFINITY] {
+            grid.extend([t, t.next_up()]);
+        }
+        for &a in &grid {
+            for &b in &grid {
+                assert_eq!(later(a, b).to_bits(), a.max(b).to_bits(), "later({a:e}, {b:e})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_negative_zero_submit_finishes_like_positive_zero() {
+        // With no latency and no payload every hop costs +0, so the merge
+        // of a −0 submit with an idle +0 link is all the finish time is.
+        let kinds = [
+            TopologyKind::Crossbar,
+            TopologyKind::FatTree { arity: 2, slim: 1.0 },
+            TopologyKind::FatTree { arity: 4, slim: 0.5 },
+            TopologyKind::Torus2D,
+        ];
+        for kind in kinds {
+            for latency_us in [0.0, 10.0] {
+                let n = Network::new(NetworkConfig { latency_us, ..cfg(kind, 16) });
+                for (src, dst, bytes) in [(3, 3, 0), (3, 3, 64), (3, 12, 0), (3, 12, 4_096)] {
+                    let finish = |submit_s: f64| {
+                        let mut sim = NetSim::new(&n);
+                        let t = sim.send(src, dst, bytes, submit_s);
+                        [t.to_bits(), sim.into_stats().makespan_s.to_bits()]
+                    };
+                    let ctx = format!("{kind:?} latency {latency_us} {src}->{dst} {bytes} B");
+                    assert_eq!(finish(-0.0), finish(0.0), "{ctx}");
+                }
+            }
+            if kind == TopologyKind::Crossbar {
+                let n = Network::new(NetworkConfig { latency_us: 0.0, ..cfg(kind, 16) });
+                let rotated = |submit_s: f64| {
+                    let mut sim = NetSim::new(&n);
+                    assert!(sim.rotate(8, 0, submit_s, 1..8));
+                    sim.into_stats().makespan_s.to_bits()
+                };
+                assert_eq!(rotated(-0.0), rotated(0.0), "rotation");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a time")]
+    fn a_nan_submit_is_rejected() {
+        NetSim::new(&net(TopologyKind::Crossbar, 4)).send(0, 1, 8, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a time")]
+    fn a_negative_submit_is_rejected() {
+        NetSim::new(&net(TopologyKind::Torus2D, 4)).send(0, 1, 8, -1e-9);
+    }
+
+    /// A 16-endpoint network with the given link bandwidth, latency and
+    /// topology.
+    fn built(link_bw_gbs: f64, latency_us: f64, kind: TopologyKind) -> Network {
+        Network::new(NetworkConfig { kind, endpoints: 16, link_bw_gbs, latency_us })
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive rate")]
+    fn a_zero_bandwidth_is_rejected() {
+        built(0.0, 10.0, TopologyKind::Crossbar);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive rate")]
+    fn a_negative_bandwidth_is_rejected() {
+        built(-1.0, 10.0, TopologyKind::Torus2D);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive rate")]
+    fn a_nan_bandwidth_is_rejected() {
+        built(f64::NAN, 10.0, TopologyKind::Crossbar);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a non-negative time")]
+    fn a_nan_latency_is_rejected() {
+        built(1.0, f64::NAN, TopologyKind::Crossbar);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive factor")]
+    fn a_zero_slim_is_rejected() {
+        built(1.0, 10.0, TopologyKind::FatTree { arity: 4, slim: 0.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive factor")]
+    fn a_negative_slim_is_rejected() {
+        built(1.0, 10.0, TopologyKind::FatTree { arity: 2, slim: -0.5 });
     }
 
     #[test]

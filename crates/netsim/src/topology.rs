@@ -5,6 +5,11 @@
 //! through the least common ancestor for fat-trees, two hops through the
 //! non-blocking core for the crossbar, and dimension-order (X then Y) with
 //! wraparound for the 2D torus — matching how the real machines route.
+//! A torus ring is walked by one stepping loop: its arc (direction and
+//! detour) is picked once, and each hop steps the ring coordinate with a
+//! compare-and-wrap, healthy or damaged alike. A network's bandwidth,
+//! latency and fat-tree `slim` are checked when it is built, so every
+//! link rate is positive and no simulated time on it can become NaN.
 
 use crate::fault::LinkFaults;
 
@@ -71,9 +76,19 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build the link graph for a configuration.
+    /// Build the link graph for a configuration. Panics unless the link
+    /// bandwidth is finite and positive, the latency finite and not
+    /// negative, and a fat-tree's `slim` finite and positive: then every
+    /// link rate is positive and every hop costs a time of at least +0,
+    /// so no simulated time is NaN.
     pub fn new(config: NetworkConfig) -> Self {
         assert!(config.endpoints >= 1);
+        let (bw, latency) = (config.link_bw_gbs, config.latency_us);
+        assert!(bw.is_finite() && bw > 0.0, "link bandwidth {bw} GB/s is not a positive rate");
+        assert!(
+            latency.is_finite() && latency >= 0.0,
+            "latency {latency} us is not a non-negative time"
+        );
         match config.kind {
             TopologyKind::Crossbar => {
                 // Per endpoint: one injection + one ejection link.
@@ -94,6 +109,10 @@ impl Network {
             }
             TopologyKind::FatTree { arity, slim } => {
                 assert!(arity >= 2);
+                assert!(
+                    slim.is_finite() && slim > 0.0,
+                    "fat-tree slim {slim} is not a positive factor"
+                );
                 // Links: first, one injection + one ejection link per
                 // endpoint into its leaf switch; then, for each level l
                 // (0 = leaf uplink), each group of arity^(l+1) endpoints
@@ -245,57 +264,81 @@ impl Network {
                 hop(2 * dst + 1);
             }
             TopologyKind::Torus2D => {
-                // Dimension order: the X ring, then the Y ring.
+                // Dimension order: the X ring along row `sy`, then the Y
+                // ring along column `dx`. Node `n` leaves by link
+                // `4·n + dir + side` (dir 0 = x, 2 = y; side 0 = +, 1 = −),
+                // and a hop steps the ring coordinate by the arc's `step`
+                // with a compare-and-wrap.
                 let (xd, yd) = self.torus_dims.expect("torus dims");
                 let ((sx, sy), (dx, dy)) = (self.xy[src], self.xy[dst]);
                 let (sx, sy, dx, dy) = (sx as usize, sy as usize, dx as usize, dy as usize);
-                self.ring_traversal(sx, dx, xd, move |c| sy * xd + c, 0).for_each(&mut hop);
-                self.ring_traversal(sy, dy, yd, move |c| c * xd + dx, 2).for_each(hop);
+                let row = sy * xd;
+                let x_link = |c: usize| 4 * (row + c);
+                let (hops, step, side) = self.ring_arc(sx, dx, xd, x_link);
+                let mut c = sx;
+                for _ in 0..hops {
+                    hop(x_link(c) + side);
+                    c += step;
+                    if c >= xd {
+                        c -= xd;
+                    }
+                }
+                let y_link = |c: usize| 4 * (c * xd + dx) + 2;
+                let (hops, step, side) = self.ring_arc(sy, dy, yd, y_link);
+                let mut c = sy;
+                for _ in 0..hops {
+                    hop(y_link(c) + side);
+                    c += step;
+                    if c >= yd {
+                        c -= yd;
+                    }
+                }
             }
         }
     }
 
-    /// Links of one torus-ring traversal from coordinate `from` to `to`
-    /// on a ring of `len` nodes, in order. `node_of(c)` maps a ring
-    /// coordinate to a node id; `dir_base` selects the dimension's link
-    /// pair (0 = ±x, 2 = ±y). Prefers the shortest direction (ties go
-    /// forward); a hard-failed link on that arc diverts the whole
-    /// traversal the long way round the ring.
-    fn ring_traversal(
+    /// The arc of one torus-ring traversal from coordinate `from` to `to`
+    /// on a ring of `len` nodes, where coordinate `c` leaves forward by
+    /// link `link(c)` and backward by `link(c) + 1`: `(hops, step, side)`,
+    /// with `step` the coordinate increment mod `len` (1 forward,
+    /// `len − 1` backward) and `side` the link offset (0 forward, 1
+    /// backward). The shortest arc wins and ties go forward; a hard-failed
+    /// link on it diverts the whole traversal the long way round the
+    /// ring. The arc is scanned only when the network has failed links.
+    #[inline(always)]
+    fn ring_arc(
         &self,
         from: usize,
         to: usize,
         len: usize,
-        node_of: impl Fn(usize) -> usize + Copy,
-        dir_base: usize,
-    ) -> impl Iterator<Item = usize> {
+        link: impl Fn(usize) -> usize,
+    ) -> (usize, usize, usize) {
         let fwd = if to >= from { to - from } else { to + len - from };
-        let arc = move |forward: bool| {
-            let hops = if forward { fwd } else { len - fwd };
-            let mut c = from;
-            (0..hops).map(move |_| {
-                let node = node_of(c);
-                if forward {
-                    c = if c + 1 == len { 0 } else { c + 1 };
-                    4 * node + dir_base
-                } else {
-                    c = if c == 0 { len - 1 } else { c - 1 };
-                    4 * node + dir_base + 1
-                }
-            })
-        };
+        let (forward, backward) = ((fwd, 1, 0), (len - fwd, len - 1, 1));
+        let mut arc = if fwd <= len - fwd { forward } else { backward };
         let failed = &self.faults.failed_links;
-        let blocked = |forward: bool| !failed.is_empty() && arc(forward).any(|l| failed.contains(&l));
-        let mut forward = fwd <= len - fwd;
-        if blocked(forward) {
-            forward = !forward;
-            assert!(
-                !blocked(forward),
-                "torus ring partitioned: failures on both arcs between \
-                 coordinates {from} and {to}"
-            );
+        if !failed.is_empty() {
+            let blocked = |(hops, step, side): (usize, usize, usize)| {
+                let mut c = from;
+                (0..hops).any(|_| {
+                    let l = link(c) + side;
+                    c += step;
+                    if c >= len {
+                        c -= len;
+                    }
+                    failed.contains(&l)
+                })
+            };
+            if blocked(arc) {
+                arc = if arc == forward { backward } else { forward };
+                assert!(
+                    !blocked(arc),
+                    "torus ring partitioned: failures on both arcs between \
+                     coordinates {from} and {to}"
+                );
+            }
         }
-        arc(forward)
+        arc
     }
 
     /// Deterministic route from `src` to `dst` as a list of link ids.

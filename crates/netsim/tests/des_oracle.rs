@@ -2,19 +2,24 @@
 //!
 //! `NetSim::send` and `Network::walk_route` are written for speed: no
 //! route is ever stored, the fat-tree climb reads a precomputed ancestor
-//! table, torus coordinates come from a table instead of `%` and `/`,
-//! per-link denominators are hoisted, the distributions are run-length
-//! bookkeeping, the collectives send straight from their schedule loops,
-//! and a healthy crossbar's rotation all-to-all is timed on one
-//! endpoint's two clocks without sending a message. This file keeps the
-//! straightforward spelling — a fresh `Vec` per route, coordinates by
-//! division, a `BTreeMap` update per message, an unconditional stable
-//! sort, a derate looked up per link, one message list per collective,
-//! every message timed on its own links — as a private reference, and
-//! requires the crate to agree with it **bit for bit**: every message's
-//! finish time (the step's return value) and every `SimStats` field, for
-//! every topology family, every collective the engine issues, and every
-//! fault shape the chaos harness injects. The message lists are rebuilt here too, so the collectives'
+//! table, torus coordinates come from a table instead of `%` and `/`, a
+//! torus ring is one stepping loop over an arc picked once, every clock
+//! merge is a compare-select, per-link denominators are hoisted, the
+//! distributions are run-length bookkeeping, the collectives send
+//! straight from their schedule loops, and a healthy crossbar's rotation
+//! all-to-all is timed on one endpoint's two clocks without sending a
+//! message. This file keeps the straightforward spelling — a fresh `Vec`
+//! per route, coordinates by division, a direction branch and a `%` per
+//! ring hop, `f64::max` for every merge, a `BTreeMap` update per message,
+//! an unconditional stable sort, a derate looked up per link, one message
+//! list per collective, every message timed on its own links — as a
+//! private reference, and requires the crate to agree with it **bit for
+//! bit**: every message's finish time (the step's return value) and every
+//! `SimStats` field, for every topology family, every collective the
+//! engine issues, and every fault shape the chaos harness injects, plus
+//! torus links failed on the wrap-around arc. Routes are compared for
+//! every ordered pair at 7 (a 7 × 1 ring), 16, 64 and 250 (25 × 10)
+//! endpoints. The message lists are rebuilt here too, so the collectives'
 //! schedules are checked against a second spelling as well. Each
 //! collective also runs on the timing-only `()` ledger, the one a bare
 //! engine run uses, and its makespan must equal the reference's bit for
@@ -45,14 +50,18 @@ fn kinds() -> [TopologyKind; 6] {
     ]
 }
 
+/// With this bandwidth and the 0.7 derate of `fault_cases`, the three ways
+/// to associate `bw * derate * 1e9` give three different doubles, so the
+/// operand order of the hoisted rate is pinned
+/// (`the_bandwidth_tells_every_rate_association_apart` checks that).
+const LINK_BW_GBS: f64 = 2.7;
+const DERATE: f64 = 0.7;
+
 fn cfg(kind: TopologyKind, endpoints: usize) -> NetworkConfig {
     NetworkConfig {
         kind,
         endpoints,
-        // With this bandwidth and the 0.7 derate of `fault_cases`, the three
-        // ways to associate `bw * derate * 1e9` give three different
-        // doubles, so the operand order of the hoisted rate is pinned.
-        link_bw_gbs: 2.718281828,
+        link_bw_gbs: LINK_BW_GBS,
         latency_us: 7.3,
     }
 }
@@ -458,7 +467,7 @@ fn fault_cases(net: &Network) -> Vec<(&'static str, LinkFaults)> {
             // torus); the last link is the top of the tree. The second
             // one composes two derates.
             LinkFaults::healthy()
-                .degrade_link(0, 0.7)
+                .degrade_link(0, DERATE)
                 .degrade_link(last, 0.5)
                 .degrade_link(last, 0.5),
         ),
@@ -469,13 +478,27 @@ fn fault_cases(net: &Network) -> Vec<(&'static str, LinkFaults)> {
                 .lose_port(net.config().endpoints / 2),
         ),
     ];
-    if matches!(net.config().kind, TopologyKind::Torus2D) {
+    if let Some((xd, yd)) = net.torus_dims() {
         cases.push((
             "failed-links",
             LinkFaults::healthy()
                 .fail_link(0)
                 .fail_link(2)
-                .degrade_link(1, 0.7),
+                .degrade_link(1, DERATE),
+        ));
+        // The + links out of coordinate 1 and out of the last coordinate
+        // (the wrap-around link back to 0) of row 0 and column 0. A short
+        // forward arc over coordinate 1 detours backwards through 0 and
+        // round the wrap; one over the wrap detours backwards to it. Only
+        // + links fail, so no ring is partitioned.
+        let (x1, y1) = (1 % xd, (1 % yd) * xd);
+        cases.push((
+            "failed-wrap",
+            LinkFaults::healthy()
+                .fail_link(4 * x1)
+                .fail_link(4 * (xd - 1))
+                .fail_link(4 * y1 + 2)
+                .fail_link(4 * (yd - 1) * xd + 2),
         ));
     }
     cases
@@ -668,28 +691,59 @@ fn nan_submit_times_still_reach_the_sort() {
     let _ = NetSim::new(&net).run(&[at(0.0), at(f64::NAN), at(1.0)]);
 }
 
+/// Every ordered pair, on every topology family and fault case, at a
+/// 7 × 1 ring, a square 4 × 4 and 8 × 8 torus and an oblong 25 × 10 one.
 #[test]
 fn walk_route_matches_the_reference_for_every_pair() {
     for kind in kinds() {
-        let healthy = Network::new(cfg(kind, 64));
-        for (label, faults) in fault_cases(&healthy) {
-            let net = Network::with_faults(cfg(kind, 64), &faults);
-            for src in 0..64 {
-                for dst in 0..64 {
-                    let want = ref_route(&net, src, dst);
-                    let mut walked = Vec::new();
-                    net.walk_route(src, dst, |l| walked.push(l));
-                    assert_eq!(walked, want, "{kind:?} {label} {src}->{dst}");
-                    assert_eq!(net.route(src, dst), want, "{kind:?} {label} {src}->{dst}");
-                    assert_eq!(
-                        net.hops(src, dst),
-                        want.len(),
-                        "{kind:?} {label} {src}->{dst}"
-                    );
+        for n in [7, 16, 64, 250] {
+            let healthy = Network::new(cfg(kind, n));
+            for (label, faults) in fault_cases(&healthy) {
+                let net = Network::with_faults(cfg(kind, n), &faults);
+                for src in 0..n {
+                    for dst in 0..n {
+                        let ctx = format!("{kind:?} n={n} {label} {src}->{dst}");
+                        let want = ref_route(&net, src, dst);
+                        let mut walked = Vec::new();
+                        net.walk_route(src, dst, |l| walked.push(l));
+                        assert_eq!(walked, want, "{ctx}");
+                        assert_eq!(net.route(src, dst), want, "{ctx}");
+                        assert_eq!(net.hops(src, dst), want.len(), "{ctx}");
+                    }
                 }
             }
         }
     }
+}
+
+/// The `failed-wrap` case really detours: on the 8 × 8 torus, 1 → 3 in
+/// row 0 goes backwards through coordinate 0 and round the wrap, and
+/// 7 → 0 backwards the long way to 0.
+#[test]
+fn a_failed_wrap_link_detours_backwards_through_zero() {
+    let healthy = Network::new(cfg(TopologyKind::Torus2D, 64));
+    let (_, faults) = fault_cases(&healthy)
+        .into_iter()
+        .find(|(label, _)| *label == "failed-wrap")
+        .expect("torus wrap case");
+    let net = Network::with_faults(cfg(TopologyKind::Torus2D, 64), &faults);
+    let minus_x = |nodes: &[usize]| nodes.iter().map(|&n| 4 * n + 1).collect::<Vec<_>>();
+    assert_eq!(healthy.route(1, 3), vec![4, 8]);
+    assert_eq!(net.route(1, 3), minus_x(&[1, 0, 7, 6, 5, 4]));
+    assert_eq!(healthy.route(7, 0), vec![28]);
+    assert_eq!(net.route(7, 0), minus_x(&[7, 6, 5, 4, 3, 2, 1]));
+}
+
+#[test]
+fn the_bandwidth_tells_every_rate_association_apart() {
+    let rates = [
+        (LINK_BW_GBS * DERATE) * 1e9,
+        LINK_BW_GBS * (DERATE * 1e9),
+        (LINK_BW_GBS * 1e9) * DERATE,
+    ];
+    assert_ne!(rates[0].to_bits(), rates[1].to_bits(), "{rates:?}");
+    assert_ne!(rates[0].to_bits(), rates[2].to_bits(), "{rates:?}");
+    assert_ne!(rates[1].to_bits(), rates[2].to_bits(), "{rates:?}");
 }
 
 #[test]
