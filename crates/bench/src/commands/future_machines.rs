@@ -14,7 +14,7 @@ use pvs_serve::cell_phases;
 /// `pvs future_machines`.
 pub fn run() {
     println!("1. Cactus on the speculative Power5 (weak scaling, P=64)\n");
-    println!("{:<9} {:>14} {:>14} {:>8}", "case", "Gflops/P", "%peak", "");
+    println!("{:<9} {:>9} {:<8} {:>11}", "case", "machine", "Gflops/P", "%peak");
     let cactus = |config, m: pvs_core::machine::Machine| {
         let phases = cell_phases("CACTUS", config, m.name, 64).expect("a Table 5 size");
         Engine::new(m).run(&phases, 64)

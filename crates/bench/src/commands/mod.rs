@@ -53,7 +53,7 @@ pub fn figure(command: &'static str, args: &[String], render: fn(bool) -> String
 
 /// A model-vs-paper table command (`table3`..`table7`, `fig9`): text by
 /// default, `--json` for tooling; exit 1 when a shape check fails.
-pub fn model(command: &'static str, args: &[String], generate: fn() -> TableOutput) -> i32 {
+pub fn model(command: &'static str, args: &[String], generate: fn(usize) -> TableOutput) -> i32 {
     let spec = Spec {
         command,
         synopsis: "[--json]",
@@ -61,7 +61,7 @@ pub fn model(command: &'static str, args: &[String], generate: fn() -> TableOutp
         positionals: 0,
     };
     spec.run(args, |args| {
-        let out = generate();
+        let out = generate(pvs_core::pool::default_threads());
         if args.flag("--json") {
             println!("{}", out.render_json());
         } else {

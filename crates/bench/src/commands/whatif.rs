@@ -110,6 +110,35 @@ fn rows(baseline: &Machine, machine: &Machine, procs: usize) -> Vec<(&'static st
         .collect()
 }
 
+/// The header line: every field the flags changed, old -> new, named by
+/// its flag.
+fn header(old: &Machine, new: &Machine, procs: usize) -> String {
+    let cpu = |m: &Machine| match &m.cpu {
+        CpuClass::Vector { unit, .. } => ("scalar-gflops", unit.scalar_peak_gflops, " GF/s"),
+        CpuClass::Superscalar { issue_efficiency, .. } => ("issue-eff", *issue_efficiency, ""),
+    };
+    let ((flag, a, unit), (_, b, _)) = (cpu(old), cpu(new));
+    let mut changed: Vec<String> = [
+        ("mem-bw", old.mem_bw_gbs, new.mem_bw_gbs, " GB/s"),
+        ("peak", old.peak_gflops, new.peak_gflops, " GF/s"),
+        ("net-bw", old.net_bw_gbs_per_cpu, new.net_bw_gbs_per_cpu, " GB/s"),
+        ("latency", old.mpi_latency_us, new.mpi_latency_us, " us"),
+        (flag, a, b, unit),
+    ]
+    .iter()
+    .filter(|(_, a, b, _)| a != b)
+    .map(|(flag, a, b, unit)| format!("{flag} {a} -> {b}{unit}"))
+    .collect();
+    if old.topology != new.topology {
+        changed.push(format!("topology {:?} -> {:?}", old.topology, new.topology));
+    }
+    if changed.is_empty() {
+        changed.push("no field changed".into());
+    }
+    let changed = changed.join(", ");
+    format!("What-if: {} with {changed}, P={procs}", new.name)
+}
+
 /// `pvs whatif`.
 pub fn run(args: &Args) -> i32 {
     let (baseline, machine) = match patched(args) {
@@ -118,14 +147,7 @@ pub fn run(args: &Args) -> i32 {
     };
     let procs = args.count("--procs").unwrap_or(64);
 
-    println!(
-        "What-if: {} with mem {} GB/s (was {}), peak {} GF/s (was {}), P={procs}\n",
-        machine.name,
-        machine.mem_bw_gbs,
-        baseline.mem_bw_gbs,
-        machine.peak_gflops,
-        baseline.peak_gflops,
-    );
+    println!("{}\n", header(&baseline, &machine, procs));
     println!(
         "{:<9} {:>14} {:>14} {:>8}",
         "App", "baseline GF/P", "what-if GF/P", "change"
@@ -157,6 +179,33 @@ mod tests {
             .map(|(app, base, what)| (app, 100.0 * (what / base - 1.0)))
             .collect();
         (machine, changes)
+    }
+
+    fn header_of(argv: &[&str]) -> String {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        let args = SPEC.parse(&argv).unwrap();
+        let (baseline, machine) = patched(&args).unwrap();
+        header(&baseline, &machine, args.count("--procs").unwrap_or(64))
+    }
+
+    #[test]
+    fn header_names_each_field_a_flag_changed() {
+        assert_eq!(
+            header_of(&["Power3", "--latency", "8.15", "--procs", "512"]),
+            "What-if: Power3 with latency 16.3 -> 8.15 us, P=512"
+        );
+        assert_eq!(
+            header_of(&["X1", "--topology", "crossbar"]),
+            "What-if: X1 with topology Torus2D -> Crossbar, P=64"
+        );
+        assert_eq!(
+            header_of(&["ES", "--topology", "crossbar", "--mem-bw", "16"]),
+            "What-if: ES with mem-bw 32 -> 16 GB/s, P=64"
+        );
+        assert_eq!(
+            header_of(&["ES", "--topology", "crossbar"]),
+            "What-if: ES with no field changed, P=64"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub fn median(samples: &[f64]) -> f64 {
     let mut v = samples.to_vec();
     v.sort_by(f64::total_cmp);
     let mid = v.len() / 2;
-    if v.len() % 2 == 0 {
+    if v.len().is_multiple_of(2) {
         (v[mid - 1] + v[mid]) / 2.0
     } else {
         v[mid]

@@ -23,7 +23,6 @@ pub mod serveload;
 pub mod tablegen;
 
 pub use tablegen::{
-    fig9_model, fig9_model_threads, table1_text, table2_text, table3_model, table3_model_threads,
-    table4_model, table4_model_threads, table5_model, table5_model_threads, table6_model,
-    table6_model_threads, table7_model, table7_model_threads, TableOutput,
+    fig9_model, table1_text, table2_text, table3_model, table4_model, table5_model, table6_model,
+    table7_model, TableOutput,
 };

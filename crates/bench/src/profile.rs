@@ -190,18 +190,8 @@ impl ProfileOutput {
                     .number("value", *value as f64)
                     .render()
             }));
-            let host = JsonObject::new()
-                .number("median_s", c.host_median_s())
-                .number("samples", c.host_secs.len() as f64)
-                .raw("all_s", array(c.host_secs.iter().map(|s| number(*s))))
-                .render();
-            JsonObject::new()
-                .string("app", c.cell.app)
-                .string("config", c.cell.config)
-                .string("machine", c.cell.machine)
-                .number("procs", c.cell.procs as f64)
-                .raw("model", perf_report(&c.report))
-                .raw("host_wall", host)
+            let key = [c.cell.app, c.cell.config, c.cell.machine];
+            cell_json(key, c.cell.procs, perf_report(&c.report), &c.host_secs)
                 .raw("counters", counters)
                 .raw("gauges", gauges)
                 .render()
@@ -223,6 +213,24 @@ impl ProfileOutput {
             .raw("cells", cells)
             .render()
     }
+}
+
+/// One profile-v2 cell: its `app`/`config`/`machine` key, `procs`, `model`
+/// and `host_wall` samples; callers append their own members.
+pub(crate) fn cell_json(key: [&str; 3], procs: usize, model: String, host_s: &[f64]) -> JsonObject {
+    let host = JsonObject::new()
+        .number("median_s", crate::harness::median(host_s))
+        .number("samples", host_s.len() as f64)
+        .raw("all_s", array(host_s.iter().map(|s| number(*s))))
+        .render();
+    let [app, config, machine] = key;
+    JsonObject::new()
+        .string("app", app)
+        .string("config", config)
+        .string("machine", machine)
+        .number("procs", procs as f64)
+        .raw("model", model)
+        .raw("host_wall", host)
 }
 
 /// The cell's engine with a fresh registry attached.

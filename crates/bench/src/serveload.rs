@@ -23,12 +23,12 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pvs_core::engine::Engine;
-use pvs_core::json::{array, number, pretty, JsonObject};
+use pvs_core::json::{array, pretty, JsonObject};
 use pvs_core::rng::Pcg32;
 use pvs_obs::{Histogram, Recorder, Registry, Snapshot};
 use pvs_serve::Request;
 
-use crate::harness::median;
+use crate::profile::cell_json;
 
 /// Odd 64-bit mixer (the SplitMix64 increment): spreads request indices
 /// into independent per-request jitter streams.
@@ -498,19 +498,8 @@ pub fn bench_serve_doc(
             .map(|s| s.latency_s)
             .collect();
         lat.sort_by(f64::total_cmp);
-        let host = JsonObject::new()
-            .number("median_s", median(&lat))
-            .number("samples", lat.len() as f64)
-            .raw("all_s", array(lat.iter().map(|s| number(*s))))
-            .render();
-        JsonObject::new()
-            .string("app", &req.app)
-            .string("config", &req.config)
-            .string("machine", &req.machine)
-            .number("procs", req.procs as f64)
-            .raw("model", body.clone())
-            .raw("host_wall", host)
-            .render()
+        let key = [req.app.as_str(), &req.config, &req.machine];
+        cell_json(key, req.procs, body.clone(), &lat).render()
     }));
 
     let lat = run.latency_hist_us().summary();

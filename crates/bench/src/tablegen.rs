@@ -1,17 +1,15 @@
 //! Regeneration of the paper's evaluation tables from the performance
 //! model, printed side by side with the published values.
 //!
-//! Every generator runs its model-evaluation cells through the
-//! [`pvs_core::pool`] sweep executor: cells are enumerated serially in
-//! row-major order, evaluated in parallel, and reassembled in enumeration
-//! order, so the rendered output is byte-identical at any thread count.
-//! The `*_threads` variants pin the worker count (1 = serial reference);
-//! the plain functions use [`default_threads`].
+//! Every generator takes a worker count and runs its cells one way:
+//! enumerate them row-major, evaluate them as one [`run_sweep_threads`],
+//! and walk the reports back in rows with `chunks`. The sweep returns
+//! reports in job order, so the rendered output is byte-identical at any
+//! thread count (1 = serial reference).
 
 use pvs_core::engine::{run_sweep_threads, Engine, SweepJob};
 use pvs_core::phase::Phase;
 use pvs_core::platforms;
-use pvs_core::pool::default_threads;
 use pvs_core::report::PerfReport;
 use pvs_report::compare::{geometric_mean_ratio, Comparison, ShapeCheck};
 use pvs_report::paper::{self, PaperRow, MACHINES};
@@ -165,103 +163,56 @@ fn cell_with_paper(model: &PerfReport, paper: Option<(f64, f64)>) -> String {
 }
 
 /// Generic per-table driver: every `(config_label, procs)` row of `app`
-/// resolves each machine column through the cell registry (a cell the
-/// registry does not know renders blank). Returns the table without
-/// shape checks, plus every report keyed `config|procs|machine` for the
-/// caller's checks. Cells are evaluated on `threads` workers; the
-/// three-pass structure (serial enumeration, parallel sweep, serial
-/// assembly) keeps the output byte-identical to the `threads = 1`
-/// reference.
-fn build_table_threads(
+/// resolves the first `columns` of [`MACHINES`] through the cell registry
+/// (a cell the registry does not know renders blank). Returns the table
+/// without shape checks, plus every report keyed `config|procs|machine`
+/// for the caller's checks.
+fn build_table(
     title: &str,
     app: &str,
     paper_rows: Vec<PaperRow>,
-    machines: &[&str],
+    columns: usize,
     threads: usize,
 ) -> (TableOutput, Vec<(String, PerfReport)>) {
-    let mut headers = vec!["Config".to_string(), "P".to_string()];
-    headers.extend(machines.iter().map(|m| m.to_string()));
-    let mut table = Table {
-        title: title.into(),
-        headers,
-        rows: Vec::new(),
-    };
+    let machines = &MACHINES[..columns];
+    let headers: Vec<&str> = ["Config", "P"].iter().chain(machines).copied().collect();
+    let mut table = Table::new(title, &headers);
 
-    // Pass 1 (serial): enumerate cells row-major, collecting sweep jobs.
-    // `job` is None for cells the paper leaves blank.
-    struct CellPlan {
-        row: usize,
-        machine: String,
-        published: Option<(f64, f64)>,
-        job: Option<usize>,
-    }
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    let mut plan: Vec<CellPlan> = Vec::new();
-    for (ri, row) in paper_rows.iter().enumerate() {
-        for &m in machines {
-            let col = MACHINES
-                .iter()
-                .position(|&x| x == m)
-                .expect("known machine");
-            let published = row.entries[col];
-            let job = cell_phases(app, row.config, m, row.procs).map(|phases| {
-                jobs.push(sweep_job(m, phases, row.procs));
-                jobs.len() - 1
-            });
-            plan.push(CellPlan {
-                row: ri,
-                machine: m.to_string(),
-                published,
-                job,
-            });
-        }
-    }
+    // Row-major, `None` for a blank cell; the sweep runs the others.
+    let jobs: Vec<Option<SweepJob>> = paper_rows
+        .iter()
+        .flat_map(|row| {
+            machines.iter().map(move |&m| {
+                cell_phases(app, row.config, m, row.procs).map(|p| sweep_job(m, p, row.procs))
+            })
+        })
+        .collect();
+    let present = jobs.iter().flatten().cloned().collect();
+    let mut swept = run_sweep_threads(present, threads).into_iter();
+    let results: Vec<Option<PerfReport>> = jobs
+        .iter()
+        .map(|job| job.as_ref().and_then(|_| swept.next()))
+        .collect();
 
-    // Pass 2 (parallel): evaluate every cell; results come back in job order.
-    let results = run_sweep_threads(jobs, threads);
-
-    // Pass 3 (serial): reassemble rows and comparisons in enumeration order.
     let mut comparisons = Vec::new();
     let mut reports = Vec::new();
-    let mut cells = Vec::new();
-    let mut current_row = usize::MAX;
-    for cell in plan {
-        if cell.row != current_row {
-            if current_row != usize::MAX {
-                table.push_row(std::mem::take(&mut cells));
+    for (row, results) in paper_rows.iter().zip(results.chunks(columns)) {
+        let mut cells = vec![row.config.to_string(), row.procs.to_string()];
+        for ((&m, published), report) in machines.iter().zip(row.entries).zip(results) {
+            let Some(report) = report else {
+                cells.push(blank_cell());
+                continue;
+            };
+            if let Some((gflops, _)) = published {
+                let label = format!("{} {} P={} {m}", title_short(title), row.config, row.procs);
+                comparisons.push(Comparison::new(label, gflops, report.gflops_per_p));
             }
-            current_row = cell.row;
-            let row = &paper_rows[cell.row];
-            cells = vec![row.config.to_string(), row.procs.to_string()];
+            cells.push(cell_with_paper(report, published));
+            reports.push((format!("{}|{}|{m}", row.config, row.procs), report.clone()));
         }
-        let row = &paper_rows[cell.row];
-        match cell.job {
-            None => cells.push(blank_cell()),
-            Some(j) => {
-                let report = &results[j];
-                if let Some((gflops, _)) = cell.published {
-                    let label = format!(
-                        "{} {} P={} {}",
-                        title_short(title),
-                        row.config,
-                        row.procs,
-                        cell.machine
-                    );
-                    comparisons.push(Comparison::new(label, gflops, report.gflops_per_p));
-                }
-                cells.push(cell_with_paper(report, cell.published));
-                reports.push((
-                    format!("{}|{}|{}", row.config, row.procs, cell.machine),
-                    report.clone(),
-                ));
-            }
-        }
-    }
-    if current_row != usize::MAX {
         table.push_row(cells);
     }
-    let checks = Vec::new();
-    (TableOutput { table, comparisons, checks }, reports)
+    (TableOutput { table, comparisons, checks: Vec::new() }, reports)
 }
 
 fn sweep_job(machine: &str, phases: Vec<Phase>, procs: usize) -> SweepJob {
@@ -276,240 +227,196 @@ fn title_short(title: &str) -> &str {
     title.split(':').next().unwrap_or(title)
 }
 
-fn find<'a>(reports: &'a [(String, PerfReport)], key: &str) -> Option<&'a PerfReport> {
-    reports.iter().find(|(k, _)| k == key).map(|(_, r)| r)
+/// The report of the cell keyed `config|procs|machine`. A shape check
+/// reads only cells its table holds, so a key it misspells panics here
+/// instead of silently dropping the check.
+fn cell<'a>(reports: &'a [(String, PerfReport)], key: &str) -> &'a PerfReport {
+    reports
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, r)| r)
+        .unwrap_or_else(|| panic!("no table cell {key}"))
 }
 
-/// Table 3: LBMHD.
-pub fn table3_model() -> TableOutput {
-    table3_model_threads(default_threads())
-}
-
-/// [`table3_model`] with an explicit worker count (1 = serial
-/// reference; any count renders identically).
-pub fn table3_model_threads(threads: usize) -> TableOutput {
-    let (mut out, reports) = build_table_threads(
+/// Table 3: LBMHD, its cells evaluated on `threads` workers.
+pub fn table3_model(threads: usize) -> TableOutput {
+    let (mut out, reports) = build_table(
         "Table 3: LBMHD per processor performance (model vs paper)",
         "LBMHD",
         paper::table3(),
-        &MACHINES,
+        MACHINES.len(),
         threads,
     );
+    let cell = |key| cell(&reports, key);
 
-    if let (Some(es), Some(x1), Some(p3)) = (
-        find(&reports, "4096x4096|64|ES"),
-        find(&reports, "4096x4096|64|X1"),
-        find(&reports, "4096x4096|64|Power3"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "vector systems dominate LBMHD (~44x over Power3 at P=64)",
-            es.gflops_per_p / p3.gflops_per_p > 20.0,
-            format!("ES/Power3 = {:.1}x", es.gflops_per_p / p3.gflops_per_p),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "ES sustains a higher fraction of peak than the X1",
-            es.pct_peak > x1.pct_peak,
-            format!("{:.0}% vs {:.0}%", es.pct_peak, x1.pct_peak),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "AVL and VOR near maximum on both vector systems",
-            es.avl().unwrap_or(0.0) > 250.0 && x1.avl().unwrap_or(0.0) > 60.0,
-            format!(
-                "ES AVL {:.0}, X1 AVL {:.0}, ES VOR {:.1}%",
-                es.avl().unwrap_or(0.0),
-                x1.avl().unwrap_or(0.0),
-                es.vor_pct().unwrap_or(0.0)
-            ),
-        ));
-    }
-    if let (Some(caf), Some(mpi)) = (
-        find(&reports, "8192x8192|256|X1-CAF"),
-        find(&reports, "8192x8192|256|X1"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "CAF improves on MPI for the large grid at scale",
-            caf.gflops_per_p >= mpi.gflops_per_p,
-            format!("CAF {:.2} vs MPI {:.2}", caf.gflops_per_p, mpi.gflops_per_p),
-        ));
-    }
+    let es = cell("4096x4096|64|ES");
+    let x1 = cell("4096x4096|64|X1");
+    let p3 = cell("4096x4096|64|Power3");
+    out.checks.push(ShapeCheck::new(
+        "vector systems dominate LBMHD (~44x over Power3 at P=64)",
+        es.gflops_per_p / p3.gflops_per_p > 20.0,
+        format!("ES/Power3 = {:.1}x", es.gflops_per_p / p3.gflops_per_p),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "ES sustains a higher fraction of peak than the X1",
+        es.pct_peak > x1.pct_peak,
+        format!("{:.0}% vs {:.0}%", es.pct_peak, x1.pct_peak),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "AVL and VOR near maximum on both vector systems",
+        es.avl().unwrap_or(0.0) > 250.0 && x1.avl().unwrap_or(0.0) > 60.0,
+        format!(
+            "ES AVL {:.0}, X1 AVL {:.0}, ES VOR {:.1}%",
+            es.avl().unwrap_or(0.0),
+            x1.avl().unwrap_or(0.0),
+            es.vor_pct().unwrap_or(0.0)
+        ),
+    ));
+    let (caf, mpi) = (cell("8192x8192|256|X1-CAF"), cell("8192x8192|256|X1"));
+    out.checks.push(ShapeCheck::new(
+        "CAF improves on MPI for the large grid at scale",
+        caf.gflops_per_p >= mpi.gflops_per_p,
+        format!("CAF {:.2} vs MPI {:.2}", caf.gflops_per_p, mpi.gflops_per_p),
+    ));
     out
 }
 
-/// Table 4: PARATEC.
-pub fn table4_model() -> TableOutput {
-    table4_model_threads(default_threads())
-}
-
-/// [`table4_model`] with an explicit worker count (1 = serial
-/// reference; any count renders identically).
-pub fn table4_model_threads(threads: usize) -> TableOutput {
-    let (mut out, reports) = build_table_threads(
+/// Table 4: PARATEC, its cells evaluated on `threads` workers.
+pub fn table4_model(threads: usize) -> TableOutput {
+    let (mut out, reports) = build_table(
         "Table 4: PARATEC per processor performance (model vs paper)",
         "PARATEC",
         paper::table4(),
-        &MACHINES[..5],
+        5,
         threads,
     );
+    let cell = |key| cell(&reports, key);
 
-    if let (Some(es32), Some(x132), Some(p3)) = (
-        find(&reports, "432 atom|32|ES"),
-        find(&reports, "432 atom|32|X1"),
-        find(&reports, "432 atom|32|Power3"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "every architecture sustains a high fraction on PARATEC",
-            p3.pct_peak > 40.0 && es32.pct_peak > 40.0,
-            format!("Power3 {:.0}%, ES {:.0}%", p3.pct_peak, es32.pct_peak),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "ES outperforms the X1 despite the X1's higher peak",
-            es32.gflops_per_p > x132.gflops_per_p,
-            format!("{:.2} vs {:.2}", es32.gflops_per_p, x132.gflops_per_p),
-        ));
-    }
-    if let (Some(lo), Some(hi)) = (
-        find(&reports, "432 atom|32|ES"),
-        find(&reports, "432 atom|1024|ES"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "fixed-size scaling declines toward P=1024 (FFT transposes)",
-            hi.gflops_per_p < 0.8 * lo.gflops_per_p,
-            format!("{:.2} -> {:.2}", lo.gflops_per_p, hi.gflops_per_p),
-        ));
-    }
-    if let (Some(es), Some(x1)) = (
-        find(&reports, "686 atom|256|ES"),
-        find(&reports, "686 atom|256|X1"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "ES holds a large advantage at P=256 on 686 atoms (paper ~3.5x)",
-            es.gflops_per_p > 2.0 * x1.gflops_per_p,
-            format!("{:.2} vs {:.2}", es.gflops_per_p, x1.gflops_per_p),
-        ));
-    }
+    let es32 = cell("432 atom|32|ES");
+    let x132 = cell("432 atom|32|X1");
+    let p3 = cell("432 atom|32|Power3");
+    out.checks.push(ShapeCheck::new(
+        "every architecture sustains a high fraction on PARATEC",
+        p3.pct_peak > 40.0 && es32.pct_peak > 40.0,
+        format!("Power3 {:.0}%, ES {:.0}%", p3.pct_peak, es32.pct_peak),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "ES outperforms the X1 despite the X1's higher peak",
+        es32.gflops_per_p > x132.gflops_per_p,
+        format!("{:.2} vs {:.2}", es32.gflops_per_p, x132.gflops_per_p),
+    ));
+    let es1024 = cell("432 atom|1024|ES");
+    out.checks.push(ShapeCheck::new(
+        "fixed-size scaling declines toward P=1024 (FFT transposes)",
+        es1024.gflops_per_p < 0.8 * es32.gflops_per_p,
+        format!("{:.2} -> {:.2}", es32.gflops_per_p, es1024.gflops_per_p),
+    ));
+    let (es, x1) = (cell("686 atom|256|ES"), cell("686 atom|256|X1"));
+    out.checks.push(ShapeCheck::new(
+        "ES holds a large advantage at P=256 on 686 atoms (paper ~3.5x)",
+        es.gflops_per_p > 2.0 * x1.gflops_per_p,
+        format!("{:.2} vs {:.2}", es.gflops_per_p, x1.gflops_per_p),
+    ));
     out
 }
 
-/// Table 5: Cactus.
-pub fn table5_model() -> TableOutput {
-    table5_model_threads(default_threads())
-}
-
-/// [`table5_model`] with an explicit worker count (1 = serial
-/// reference; any count renders identically).
-pub fn table5_model_threads(threads: usize) -> TableOutput {
-    let (mut out, reports) = build_table_threads(
+/// Table 5: Cactus, its cells evaluated on `threads` workers.
+pub fn table5_model(threads: usize) -> TableOutput {
+    let (mut out, reports) = build_table(
         "Table 5: Cactus per processor performance, weak scaling (model vs paper)",
         "CACTUS",
         paper::table5(),
-        &MACHINES[..5],
+        5,
         threads,
     );
+    let cell = |key| cell(&reports, key);
 
-    if let (Some(es_l), Some(es_s), Some(x1_l), Some(p3_l), Some(p3_s)) = (
-        find(&reports, "250x64x64|16|ES"),
-        find(&reports, "80x80x80|16|ES"),
-        find(&reports, "250x64x64|16|X1"),
-        find(&reports, "250x64x64|16|Power3"),
-        find(&reports, "80x80x80|16|Power3"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "ES runs the large (long-x) case far more efficiently than the small",
-            es_l.pct_peak > 1.3 * es_s.pct_peak,
-            format!(
-                "{:.0}% vs {:.0}% (AVL {:.0} vs {:.0})",
-                es_l.pct_peak,
-                es_s.pct_peak,
-                es_l.avl().unwrap_or(0.0),
-                es_s.avl().unwrap_or(0.0)
-            ),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "X1 sustains far less of its peak than the ES on Cactus",
-            x1_l.pct_peak < 0.5 * es_l.pct_peak,
-            format!("{:.1}% vs {:.1}%", x1_l.pct_peak, es_l.pct_peak),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "Power3 collapses on the large case (prefetch streams disengaged)",
-            p3_l.gflops_per_p < 0.6 * p3_s.gflops_per_p,
-            format!("{:.3} vs {:.3}", p3_l.gflops_per_p, p3_s.gflops_per_p),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "unvectorized boundaries are a significant ES cost (paper: up to 20%)",
-            es_s.phase_fraction("radiation_boundary") > 0.05,
-            format!(
-                "{:.0}% of ES time",
-                100.0 * es_s.phase_fraction("radiation_boundary")
-            ),
-        ));
-    }
-    if let (Some(lo), Some(hi)) = (
-        find(&reports, "250x64x64|16|ES"),
-        find(&reports, "250x64x64|1024|ES"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "weak scaling is nearly flat on the ES",
-            hi.gflops_per_p > 0.85 * lo.gflops_per_p,
-            format!("{:.2} -> {:.2}", lo.gflops_per_p, hi.gflops_per_p),
-        ));
-    }
+    let es_l = cell("250x64x64|16|ES");
+    let es_s = cell("80x80x80|16|ES");
+    let x1_l = cell("250x64x64|16|X1");
+    let p3_l = cell("250x64x64|16|Power3");
+    let p3_s = cell("80x80x80|16|Power3");
+    out.checks.push(ShapeCheck::new(
+        "ES runs the large (long-x) case far more efficiently than the small",
+        es_l.pct_peak > 1.3 * es_s.pct_peak,
+        format!(
+            "{:.0}% vs {:.0}% (AVL {:.0} vs {:.0})",
+            es_l.pct_peak,
+            es_s.pct_peak,
+            es_l.avl().unwrap_or(0.0),
+            es_s.avl().unwrap_or(0.0)
+        ),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "X1 sustains far less of its peak than the ES on Cactus",
+        x1_l.pct_peak < 0.5 * es_l.pct_peak,
+        format!("{:.1}% vs {:.1}%", x1_l.pct_peak, es_l.pct_peak),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "Power3 collapses on the large case (prefetch streams disengaged)",
+        p3_l.gflops_per_p < 0.6 * p3_s.gflops_per_p,
+        format!("{:.3} vs {:.3}", p3_l.gflops_per_p, p3_s.gflops_per_p),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "unvectorized boundaries are a significant ES cost (paper: up to 20%)",
+        es_s.phase_fraction("radiation_boundary") > 0.05,
+        format!(
+            "{:.0}% of ES time",
+            100.0 * es_s.phase_fraction("radiation_boundary")
+        ),
+    ));
+    let es_l1024 = cell("250x64x64|1024|ES");
+    out.checks.push(ShapeCheck::new(
+        "weak scaling is nearly flat on the ES",
+        es_l1024.gflops_per_p > 0.85 * es_l.gflops_per_p,
+        format!("{:.2} -> {:.2}", es_l.gflops_per_p, es_l1024.gflops_per_p),
+    ));
     out
 }
 
-/// Table 6: GTC.
-pub fn table6_model() -> TableOutput {
-    table6_model_threads(default_threads())
-}
-
-/// [`table6_model`] with an explicit worker count (1 = serial
-/// reference; any count renders identically).
-pub fn table6_model_threads(threads: usize) -> TableOutput {
-    let (mut out, reports) = build_table_threads(
+/// Table 6: GTC, its cells evaluated on `threads` workers.
+pub fn table6_model(threads: usize) -> TableOutput {
+    let (mut out, reports) = build_table(
         "Table 6: GTC per processor performance (model vs paper)",
         "GTC",
         paper::table6(),
-        &MACHINES[..5],
+        5,
         threads,
     );
+    let cell = |key| cell(&reports, key);
 
-    if let (Some(es10), Some(es100), Some(x1100), Some(p3)) = (
-        find(&reports, "10 part/cell|32|ES"),
-        find(&reports, "100 part/cell|32|ES"),
-        find(&reports, "100 part/cell|32|X1"),
-        find(&reports, "100 part/cell|32|Power3"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "higher resolution (100 ppc) improves vector efficiency",
-            es100.gflops_per_p > es10.gflops_per_p,
-            format!("{:.2} -> {:.2}", es10.gflops_per_p, es100.gflops_per_p),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "X1 leads in absolute terms; ES sustains the higher fraction",
-            x1100.gflops_per_p > 0.9 * es100.gflops_per_p && es100.pct_peak > x1100.pct_peak,
-            format!(
-                "raw {:.2} vs {:.2}; %pk {:.0} vs {:.0}",
-                x1100.gflops_per_p, es100.gflops_per_p, x1100.pct_peak, es100.pct_peak
-            ),
-        ));
-        out.checks.push(ShapeCheck::new(
-            "vector systems are 4-10x faster than superscalar",
-            (4.0..20.0).contains(&(es100.gflops_per_p / p3.gflops_per_p)),
-            format!("ES/Power3 {:.1}x", es100.gflops_per_p / p3.gflops_per_p),
-        ));
-    }
-    if let (Some(hybrid), Some(flat)) = (
-        find(&reports, "100 p/c hybrid|1024|Power3"),
-        find(&reports, "100 part/cell|64|Power3"),
-    ) {
-        out.checks.push(ShapeCheck::new(
-            "1024 hybrid Power3 processors still lose to 64 vector processors",
-            hybrid.gflops_per_p < 0.8 * flat.gflops_per_p,
-            format!(
-                "hybrid {:.3} vs flat {:.3}",
-                hybrid.gflops_per_p, flat.gflops_per_p
-            ),
-        ));
-    }
+    let es10 = cell("10 part/cell|32|ES");
+    let es100 = cell("100 part/cell|32|ES");
+    let x1100 = cell("100 part/cell|32|X1");
+    let p3 = cell("100 part/cell|32|Power3");
+    out.checks.push(ShapeCheck::new(
+        "higher resolution (100 ppc) improves vector efficiency",
+        es100.gflops_per_p > es10.gflops_per_p,
+        format!("{:.2} -> {:.2}", es10.gflops_per_p, es100.gflops_per_p),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "X1 leads in absolute terms; ES sustains the higher fraction",
+        x1100.gflops_per_p > 0.9 * es100.gflops_per_p && es100.pct_peak > x1100.pct_peak,
+        format!(
+            "raw {:.2} vs {:.2}; %pk {:.0} vs {:.0}",
+            x1100.gflops_per_p, es100.gflops_per_p, x1100.pct_peak, es100.pct_peak
+        ),
+    ));
+    out.checks.push(ShapeCheck::new(
+        "vector systems are 4-10x faster than superscalar",
+        (4.0..20.0).contains(&(es100.gflops_per_p / p3.gflops_per_p)),
+        format!("ES/Power3 {:.1}x", es100.gflops_per_p / p3.gflops_per_p),
+    ));
+    let hybrid = cell("100 p/c hybrid|1024|Power3");
+    let flat = cell("100 part/cell|64|Power3");
+    out.checks.push(ShapeCheck::new(
+        "1024 hybrid Power3 processors still lose to 64 vector processors",
+        hybrid.gflops_per_p < 0.8 * flat.gflops_per_p,
+        format!(
+            "hybrid {:.3} vs flat {:.3}",
+            hybrid.gflops_per_p, flat.gflops_per_p
+        ),
+    ));
     out
 }
 
@@ -564,49 +471,36 @@ fn comparable_job(app: &str, machine: &str, procs: usize) -> SweepJob {
     sweep_job(machine, comparable_phases(app, machine, procs), procs)
 }
 
-/// Table 7: ES speedup vs each platform (model vs paper).
-pub fn table7_model() -> TableOutput {
-    table7_model_threads(default_threads())
-}
-
-/// [`table7_model`] with an explicit worker count (1 = serial reference;
-/// any count renders identically).
-pub fn table7_model_threads(threads: usize) -> TableOutput {
+/// Table 7: ES speedup vs each platform (model vs paper), its cells
+/// evaluated on `threads` workers.
+pub fn table7_model(threads: usize) -> TableOutput {
+    let comparators = ["Power3", "Power4", "Altix", "X1"];
     let mut table = Table::new(
         "Table 7: ES speedup vs each platform, largest comparable configuration (model vs paper)",
         &["Name", "Power3", "Power4", "Altix", "X1"],
     );
-    let paper7 = paper::table7();
-    let comparators = ["Power3", "Power4", "Altix", "X1"];
 
-    // Pass 1: two jobs (ES + comparator) per cell, row-major.
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for ((app, _), procs_per_machine) in LARGEST_COMPARABLE.into_iter().zip(TABLE7_PROCS) {
-        for (col, &m) in comparators.iter().enumerate() {
-            for machine in ["ES", m] {
-                jobs.push(comparable_job(app, machine, procs_per_machine[col]));
-            }
-        }
-    }
-
-    // Pass 2: evaluate.
+    // Row-major, two jobs per cell: the ES, then the comparator.
+    let jobs = LARGEST_COMPARABLE
+        .iter()
+        .zip(TABLE7_PROCS)
+        .flat_map(|(&(app, _), procs)| {
+            comparators
+                .iter()
+                .zip(procs)
+                .flat_map(move |(&m, p)| [comparable_job(app, "ES", p), comparable_job(app, m, p)])
+        })
+        .collect();
     let results = run_sweep_threads(jobs, threads);
 
-    // Pass 3: assemble speedups in enumeration order.
+    let paper7 = paper::table7();
     let mut comparisons = Vec::new();
     let mut sums = [0.0f64; 4];
-    let mut next = results.iter();
-    for (app, _) in LARGEST_COMPARABLE {
+    for ((app, _), row) in LARGEST_COMPARABLE.into_iter().zip(results.chunks(8)) {
+        let (_, paper_row) = paper7.iter().find(|(n, _)| *n == app).expect("paper row");
         let mut cells = vec![app.to_string()];
-        let paper_row = paper7
-            .iter()
-            .find(|(n, _)| *n == app)
-            .map(|(_, v)| *v)
-            .expect("paper row");
-        for (col, &m) in comparators.iter().enumerate() {
-            let es = next.next().expect("ES report").gflops_per_p;
-            let other = next.next().expect("comparator report").gflops_per_p;
-            let speedup = es / other;
+        for (col, (&m, pair)) in comparators.iter().zip(row.chunks(2)).enumerate() {
+            let speedup = pair[0].gflops_per_p / pair[1].gflops_per_p;
             sums[col] += speedup;
             cells.push(format!("{speedup:.1} (paper {:.1})", paper_row[col]));
             comparisons.push(Comparison::new(
@@ -643,15 +537,10 @@ pub fn table7_model_threads(threads: usize) -> TableOutput {
 }
 
 /// Figure 9: sustained fraction of peak at P=64 (Cactus Power4 at P=16),
-/// largest comparable problem sizes.
-pub fn fig9_model() -> TableOutput {
-    fig9_model_threads(default_threads())
-}
-
-/// [`fig9_model`] with an explicit worker count (1 = serial reference;
-/// any count renders identically).
-pub fn fig9_model_threads(threads: usize) -> TableOutput {
-    let machines = ["Power3", "Power4", "Altix", "ES", "X1"];
+/// largest comparable problem sizes, its cells evaluated on `threads`
+/// workers.
+pub fn fig9_model(threads: usize) -> TableOutput {
+    let machines = &MACHINES[..5];
     let mut table = Table::new(
         "Figure 9: Sustained performance (% of peak) using 64 processors (model vs paper)",
         &["App", "Power3", "Power4", "Altix", "ES", "X1"],
@@ -665,28 +554,22 @@ pub fn fig9_model_threads(threads: usize) -> TableOutput {
         paper::table6(),
     ];
 
-    // Pass 1: one job per (app, machine) cell, row-major.
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for (app, _) in LARGEST_COMPARABLE {
-        for &m in &machines {
-            jobs.push(comparable_job(app, m, fig9_procs(app, m)));
-        }
-    }
-
-    // Pass 2: evaluate.
+    let jobs = LARGEST_COMPARABLE
+        .iter()
+        .flat_map(|&(app, _)| {
+            machines
+                .iter()
+                .map(move |&m| comparable_job(app, m, fig9_procs(app, m)))
+        })
+        .collect();
     let results = run_sweep_threads(jobs, threads);
 
-    // Pass 3: assemble in enumeration order.
     let mut comparisons = Vec::new();
-    let mut model_vals: Vec<[f64; 5]> = Vec::new();
-    let mut next = results.iter();
-    for ((app, config), rows) in LARGEST_COMPARABLE.into_iter().zip(&paper_tables) {
+    let rows = LARGEST_COMPARABLE.into_iter().zip(&paper_tables);
+    for (((app, config), paper_rows), reports) in rows.zip(results.chunks(5)) {
         let mut cells = vec![app.to_string()];
-        let mut row_vals = [0.0f64; 5];
-        for (col, &m) in machines.iter().enumerate() {
-            let r = next.next().expect("fig9 report");
-            row_vals[col] = r.pct_peak;
-            let (_, p) = paper::lookup(rows, config, fig9_procs(app, m), m)
+        for (&m, r) in machines.iter().zip(reports) {
+            let (_, p) = paper::lookup(paper_rows, config, fig9_procs(app, m), m)
                 .expect("Fig. 9 plots published cells");
             comparisons.push(Comparison::new(
                 format!("Fig9 {app} {m} %peak"),
@@ -695,9 +578,10 @@ pub fn fig9_model_threads(threads: usize) -> TableOutput {
             ));
             cells.push(format!("{:.0}% (paper {:.0}%)", r.pct_peak, p));
         }
-        model_vals.push(row_vals);
         table.push_row(cells);
     }
+    let model_vals: Vec<Vec<f64>> =
+        results.chunks(5).map(|row| row.iter().map(|r| r.pct_peak).collect()).collect();
 
     let mut checks = Vec::new();
     for ((app, _), v) in LARGEST_COMPARABLE.into_iter().zip(&model_vals) {
@@ -737,5 +621,11 @@ mod tests {
         assert!(t1.contains("ES") && t1.contains("Crossbar"));
         let t2 = table2_text();
         assert!(t2.contains("PARATEC") && t2.contains("Particle"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no table cell 4096x4096|64|ES")]
+    fn a_shape_check_on_a_missing_cell_panics_naming_it() {
+        cell(&[], "4096x4096|64|ES");
     }
 }

@@ -267,6 +267,10 @@ fn tampered(text: &str, anchor: &str, field: &str, change: fn(f64) -> f64) -> St
     format!("{}{}{}", &text[..start], change(old), &text[end..])
 }
 
+/// One tampering of a committed baseline: (baseline, anchor, field after
+/// the anchor, change, exit code, stdout says).
+type Tamper = (&'static str, &'static str, &'static str, fn(f64) -> f64, i32, String);
+
 /// The gate gates: one member of a committed baseline changed alone,
 /// whatever its kind and whichever way it moved, exits 1 and names the
 /// path; a changed host note exits 0.
@@ -275,8 +279,7 @@ fn compare_exits_1_naming_the_path_of_any_changed_member() {
     let lbmhd = "cells[LBMHD/8192x8192/Power3/P64]";
     let rung = "cells[LBMHD/weak-scaling/mpisim-v2/P64]";
     let drops = "chaos.msg-drop-delay.mpisim.drops";
-    // (baseline, anchor, field after the anchor, change, exit code, stdout says)
-    let cases: [(&str, &str, &str, fn(f64) -> f64, i32, String); 11] = [
+    let cases: [Tamper; 11] = [
         // The LBMHD P=64 rank-output checksum, either way.
         ("mpisim", "\"cells\"", "gflops_per_p", |x| x + 1.0, 1, format!("{rung}.model.gflops_per_p")),
         ("mpisim", "\"cells\"", "gflops_per_p", |x| x - 1.0, 1, format!("{rung}.model.gflops_per_p")),

@@ -67,18 +67,18 @@ fn weight_sum(particles: &[Particle]) -> f64 {
 pub struct ShiftScaleProgram {
     particles: Vec<Particle>,
     round: u64,
-    state: ShiftState,
+    state: Awaiting,
 }
 
-enum ShiftState {
+enum Awaiting {
     /// Waiting for the round-gate reduction.
-    AwaitMax,
+    Max,
     /// Waiting for this round's send to complete.
-    AwaitSent,
+    Sent,
     /// Waiting for this round's arrivals.
-    AwaitRecv,
+    Recv,
     /// Waiting for the final weight reduction.
-    AwaitSum,
+    Sum,
 }
 
 impl ShiftScaleProgram {
@@ -87,12 +87,12 @@ impl ShiftScaleProgram {
         ShiftScaleProgram {
             particles: seed_particles(rank, size),
             round: 0,
-            state: ShiftState::AwaitMax,
+            state: Awaiting::Max,
         }
     }
 
     fn gate(&mut self) -> Step<Vec<f64>> {
-        self.state = ShiftState::AwaitMax;
+        self.state = Awaiting::Max;
         Step::Op(Op::AllreduceMaxScalar {
             x: max_hops(&self.particles),
         })
@@ -107,34 +107,34 @@ impl RankProgram for ShiftScaleProgram {
         let left = (ctx.rank + ctx.size - 1) % ctx.size;
         match (&self.state, reply) {
             (_, Reply::Start) => self.gate(),
-            (ShiftState::AwaitMax, Reply::MaxReduced(Ok(m))) => {
+            (Awaiting::Max, Reply::MaxReduced(Ok(m))) => {
                 if m > 0.0 {
-                    self.state = ShiftState::AwaitSent;
+                    self.state = Awaiting::Sent;
                     Step::Op(Op::Send {
                         dst: right,
                         tag: TAG_SHIFT_BASE + self.round,
                         data: departures(&mut self.particles),
                     })
                 } else {
-                    self.state = ShiftState::AwaitSum;
+                    self.state = Awaiting::Sum;
                     Step::Op(Op::AllreduceSum {
                         data: vec![weight_sum(&self.particles), self.particles.len() as f64],
                     })
                 }
             }
-            (ShiftState::AwaitSent, Reply::Sent(Ok(()))) => {
-                self.state = ShiftState::AwaitRecv;
+            (Awaiting::Sent, Reply::Sent(Ok(()))) => {
+                self.state = Awaiting::Recv;
                 Step::Op(Op::Recv {
                     src: left,
                     tag: TAG_SHIFT_BASE + self.round,
                 })
             }
-            (ShiftState::AwaitRecv, Reply::Received(Ok(incoming))) => {
+            (Awaiting::Recv, Reply::Received(Ok(incoming))) => {
                 arrivals(&mut self.particles, &incoming);
                 self.round += 1;
                 self.gate()
             }
-            (ShiftState::AwaitSum, Reply::Reduced(Ok(v))) => Step::Finish(v),
+            (Awaiting::Sum, Reply::Reduced(Ok(v))) => Step::Finish(v),
             (_, other) => panic!("unexpected reply in shift kernel: {other:?}"),
         }
     }

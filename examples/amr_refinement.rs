@@ -1,18 +1,15 @@
 //! The paper's future work, running: a block-structured AMR solver tracks
-//! an advected feature with local refinement, and the cross-architecture
-//! engine quantifies what AMR tile sizes do to vector machines.
+//! an advected feature with local refinement. What AMR tile sizes do to
+//! the five machines is `pvs amr_sweep`.
 //!
 //! ```text
 //! cargo run --release --example amr_refinement
 //! ```
 
-use pvs::amr::perf::{sweep_tile_sizes, AmrWorkload};
 use pvs::amr::solver::AmrSim;
-use pvs::core::engine::Engine;
-use pvs::core::platforms;
 
 fn main() {
-    // Part 1: the real AMR solver following a moving Gaussian.
+    // The real AMR solver following a moving Gaussian.
     let gauss = |cx: f64| {
         move |x: f64, y: f64| {
             let d = |a: f64, b: f64| {
@@ -41,26 +38,5 @@ fn main() {
         );
     }
     println!("\nRefinement follows the feature; accuracy tracks the fine level where");
-    println!("it matters while most of the domain stays coarse.\n");
-
-    // Part 2: what tile size does to the five machines.
-    println!("Vector performance vs AMR tile size (Gflops/P, 2^20 cells/step):\n");
-    println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "tile", "Power3", "Power4", "Altix", "ES", "X1"
-    );
-    for tile in sweep_tile_sizes() {
-        let w = AmrWorkload::new(1 << 20, tile);
-        let row: Vec<String> = platforms::all()
-            .into_iter()
-            .map(|m| format!("{:.2}", Engine::new(m).run(&w.phases(), 1).gflops_per_p))
-            .collect();
-        println!(
-            "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            tile, row[0], row[1], row[2], row[3], row[4]
-        );
-    }
-    println!("\nThe ES needs tiles comparable to its 256-element vector length to");
-    println!("deliver; the superscalar machines barely notice - the answer to the");
-    println!("question the paper closes with.");
+    println!("it matters while most of the domain stays coarse.");
 }

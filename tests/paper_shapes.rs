@@ -1,9 +1,11 @@
 //! Integration: regenerate every evaluation table and assert the paper's
 //! qualitative findings (the "shape" criteria) all hold, end to end.
 
+use pvs::core::pool::default_threads;
+
 #[test]
 fn table3_lbmhd_shape_holds() {
-    let out = pvs_bench::table3_model();
+    let out = pvs_bench::table3_model(default_threads());
     assert!(out.all_checks_pass(), "\n{}", out.render());
     // Fidelity: the published cells should be reproduced within ~2x.
     let gm = pvs_report::compare::geometric_mean_ratio(&out.comparisons);
@@ -15,7 +17,7 @@ fn table3_lbmhd_shape_holds() {
 
 #[test]
 fn table4_paratec_shape_holds() {
-    let out = pvs_bench::table4_model();
+    let out = pvs_bench::table4_model(default_threads());
     assert!(out.all_checks_pass(), "\n{}", out.render());
     let gm = pvs_report::compare::geometric_mean_ratio(&out.comparisons);
     assert!(
@@ -26,7 +28,7 @@ fn table4_paratec_shape_holds() {
 
 #[test]
 fn table5_cactus_shape_holds() {
-    let out = pvs_bench::table5_model();
+    let out = pvs_bench::table5_model(default_threads());
     assert!(out.all_checks_pass(), "\n{}", out.render());
     let gm = pvs_report::compare::geometric_mean_ratio(&out.comparisons);
     assert!(
@@ -37,7 +39,7 @@ fn table5_cactus_shape_holds() {
 
 #[test]
 fn table6_gtc_shape_holds() {
-    let out = pvs_bench::table6_model();
+    let out = pvs_bench::table6_model(default_threads());
     assert!(out.all_checks_pass(), "\n{}", out.render());
     let gm = pvs_report::compare::geometric_mean_ratio(&out.comparisons);
     assert!(
@@ -48,13 +50,13 @@ fn table6_gtc_shape_holds() {
 
 #[test]
 fn table7_speedup_summary_holds() {
-    let out = pvs_bench::table7_model();
+    let out = pvs_bench::table7_model(default_threads());
     assert!(out.all_checks_pass(), "\n{}", out.render());
 }
 
 #[test]
 fn fig9_sustained_performance_holds() {
-    let out = pvs_bench::fig9_model();
+    let out = pvs_bench::fig9_model(default_threads());
     assert!(out.all_checks_pass(), "\n{}", out.render());
     let gm = pvs_report::compare::geometric_mean_ratio(&out.comparisons);
     assert!((0.6..1.7).contains(&gm), "Fig 9 geometric-mean ratio {gm}");

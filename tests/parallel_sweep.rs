@@ -9,9 +9,9 @@ use std::time::Instant;
 
 #[test]
 fn table_renders_identical_serial_vs_parallel() {
-    let serial = pvs_bench::table3_model_threads(1).render();
+    let serial = pvs_bench::table3_model(1).render();
     for threads in [2, 4, 7] {
-        let parallel = pvs_bench::table3_model_threads(threads).render();
+        let parallel = pvs_bench::table3_model(threads).render();
         assert_eq!(serial, parallel, "threads={threads} diverged from serial");
     }
 }
@@ -19,28 +19,28 @@ fn table_renders_identical_serial_vs_parallel() {
 #[test]
 fn table7_and_fig9_render_identical_serial_vs_parallel() {
     assert_eq!(
-        pvs_bench::table7_model_threads(1).render(),
-        pvs_bench::table7_model_threads(4).render()
+        pvs_bench::table7_model(1).render(),
+        pvs_bench::table7_model(4).render()
     );
     assert_eq!(
-        pvs_bench::fig9_model_threads(1).render(),
-        pvs_bench::fig9_model_threads(4).render()
+        pvs_bench::fig9_model(1).render(),
+        pvs_bench::fig9_model(4).render()
     );
 }
 
 #[test]
 fn all_tables_render_identical_serial_vs_parallel() {
     assert_eq!(
-        pvs_bench::table4_model_threads(1).render(),
-        pvs_bench::table4_model_threads(3).render()
+        pvs_bench::table4_model(1).render(),
+        pvs_bench::table4_model(3).render()
     );
     assert_eq!(
-        pvs_bench::table5_model_threads(1).render(),
-        pvs_bench::table5_model_threads(3).render()
+        pvs_bench::table5_model(1).render(),
+        pvs_bench::table5_model(3).render()
     );
     assert_eq!(
-        pvs_bench::table6_model_threads(1).render(),
-        pvs_bench::table6_model_threads(3).render()
+        pvs_bench::table6_model(1).render(),
+        pvs_bench::table6_model(3).render()
     );
 }
 
