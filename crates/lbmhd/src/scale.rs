@@ -22,19 +22,20 @@ const TAG_W: u64 = 0x11;
 const TAG_N: u64 = 0x12;
 const TAG_S: u64 = 0x13;
 
-/// The boundary strip rank `rank` ships in direction `dir` (0..4):
-/// deterministic, with a cancellation probe so reduction order shows.
-fn strip(rank: usize, dir: usize) -> Vec<f64> {
-    (0..STRIP)
-        .map(|i| {
-            let base = ((rank * 131 + dir * 17 + i) % 997) as f64 * 1e-3;
-            if i == 0 {
-                base + [1e16, 1.0, -1e16][rank % 3]
-            } else {
-                base
-            }
-        })
-        .collect()
+/// The boundary strip rank `rank` ships in direction `dir` (0..4),
+/// written over `buf`: deterministic, with a cancellation probe so
+/// reduction order shows.
+fn strip(rank: usize, dir: usize, mut buf: Vec<f64>) -> Vec<f64> {
+    buf.clear();
+    buf.extend((0..STRIP).map(|i| {
+        let base = ((rank * 131 + dir * 17 + i) % 997) as f64 * 1e-3;
+        if i == 0 {
+            base + [1e16, 1.0, -1e16][rank % 3]
+        } else {
+            base
+        }
+    }));
+    buf
 }
 
 /// Fold a received strip into the running diagnostic (position-weighted
@@ -48,10 +49,12 @@ fn absorb(acc: f64, data: &[f64]) -> f64 {
 /// One full exchange + diagnostics pass as a continuation: each `resume`
 /// turns the reply to the previous phase into the next exchange op. The
 /// ring shifts all send the same direction, so each receive is satisfied
-/// by the opposite neighbour's send.
+/// by the opposite neighbour's send, and each send after the first ships
+/// its strip in the buffer the receive before it delivered.
 pub struct HaloScaleProgram {
     rank: usize,
-    cart: Cart2d,
+    /// `[E, W, N, S]`, computed once: every resume reads them.
+    neighbours: [usize; 4],
     acc: f64,
     phase: u8,
 }
@@ -61,7 +64,7 @@ impl HaloScaleProgram {
     pub fn new(rank: usize, cart: Cart2d) -> Self {
         HaloScaleProgram {
             rank,
-            cart,
+            neighbours: cart.neighbors4(rank),
             acc: 0.0,
             phase: 0,
         }
@@ -72,45 +75,50 @@ impl RankProgram for HaloScaleProgram {
     type Output = Vec<f64>;
 
     fn resume(&mut self, _ctx: &RankCtx, reply: Reply) -> Step<Vec<f64>> {
-        let [e, w, n, s] = self.cart.neighbors4(self.rank);
-        if let Reply::Received(Ok(data)) = &reply {
-            self.acc = absorb(self.acc, data);
-        }
+        let [e, w, n, s] = self.neighbours;
         let step = self.phase;
         self.phase += 1;
-        match step {
-            0 => Step::Op(Op::Send {
+        // Sends (even steps) follow a start or a receive, receives (odd
+        // steps) follow a send; anything else — an error included — is a
+        // broken run, not an empty strip.
+        let buf = match (step, reply) {
+            (0, Reply::Start) | (1 | 3 | 5 | 7, Reply::Sent(Ok(()))) => Vec::new(),
+            (2 | 4 | 6 | 8, Reply::Received(Ok(data))) => {
+                self.acc = absorb(self.acc, &data);
+                data
+            }
+            (9, Reply::Reduced(Ok(v))) => return Step::Finish(v),
+            (_, other) => panic!("unexpected reply in halo kernel at step {step}: {other:?}"),
+        };
+        Step::Op(match step {
+            0 => Op::Send {
                 dst: e,
                 tag: TAG_E,
-                data: strip(self.rank, 0),
-            }),
-            1 => Step::Op(Op::Recv { src: w, tag: TAG_E }),
-            2 => Step::Op(Op::Send {
+                data: strip(self.rank, 0, buf),
+            },
+            1 => Op::Recv { src: w, tag: TAG_E },
+            2 => Op::Send {
                 dst: w,
                 tag: TAG_W,
-                data: strip(self.rank, 1),
-            }),
-            3 => Step::Op(Op::Recv { src: e, tag: TAG_W }),
-            4 => Step::Op(Op::Send {
+                data: strip(self.rank, 1, buf),
+            },
+            3 => Op::Recv { src: e, tag: TAG_W },
+            4 => Op::Send {
                 dst: n,
                 tag: TAG_N,
-                data: strip(self.rank, 2),
-            }),
-            5 => Step::Op(Op::Recv { src: s, tag: TAG_N }),
-            6 => Step::Op(Op::Send {
+                data: strip(self.rank, 2, buf),
+            },
+            5 => Op::Recv { src: s, tag: TAG_N },
+            6 => Op::Send {
                 dst: s,
                 tag: TAG_S,
-                data: strip(self.rank, 3),
-            }),
-            7 => Step::Op(Op::Recv { src: n, tag: TAG_S }),
-            8 => Step::Op(Op::AllreduceSum {
-                data: vec![self.acc, self.rank as f64 + 0.25],
-            }),
-            _ => match reply {
-                Reply::Reduced(Ok(v)) => Step::Finish(v),
-                other => panic!("unexpected reply in halo kernel: {other:?}"),
+                data: strip(self.rank, 3, buf),
             },
-        }
+            7 => Op::Recv { src: n, tag: TAG_S },
+            _ => Op::AllreduceSum {
+                data: vec![self.acc, self.rank as f64 + 0.25],
+            },
+        })
     }
 }
 
@@ -137,7 +145,7 @@ pub fn run_scale_v2(p: usize, _threads: usize) -> (Vec<(Vec<f64>, CommStats)>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvs_mpisim::first_divergence;
+    use pvs_mpisim::{first_divergence, FaultError, FaultStats};
 
     #[test]
     fn v2_halo_kernel_matches_v1_bitwise() {
@@ -147,6 +155,29 @@ mod tests {
             assert_eq!(sim.ranks as usize, v1.len());
             assert_eq!(first_divergence(&v1, &v2), None);
         }
+    }
+
+    #[test]
+    fn program_is_the_56_bytes_the_runtime_slot_is_sized_for() {
+        // pvs-mpisim's `slot_array_stays_under_the_heap_reuse_ceiling`
+        // sizes its slot around a 56-byte program.
+        assert_eq!(std::mem::size_of::<HaloScaleProgram>(), 56);
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected reply in halo kernel at step 2: Received(Err(")]
+    fn a_failed_receive_is_not_an_empty_strip() {
+        let ctx = RankCtx {
+            rank: 0,
+            size: 4,
+            comm: CommStats::default(),
+            faults: FaultStats::default(),
+            clock_ps: 0,
+        };
+        let mut program = HaloScaleProgram::new(0, Cart2d::near_square(4));
+        program.resume(&ctx, Reply::Start);
+        program.resume(&ctx, Reply::Sent(Ok(())));
+        program.resume(&ctx, Reply::Received(Err(FaultError::RankFailed { rank: 1 })));
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //!    order, not rank order; within a rank its sends, then its collective
 //!    entry — after every rank of the batch has been resumed.
 //!
-//! Every superstep runs on the scheduler thread: a resume is ~0.2 µs of
-//! work, and sharing a batch out to workers measured slower than one
-//! thread at every rung of the rank ladder (DESIGN §12).
+//! Every superstep runs on the scheduler thread: a resume is ≈ 110 ns of
+//! work (LBMHD's halo kernel at 131 072 ranks on a 2-core x86-64 host),
+//! and sharing a batch out to workers measured slower than one thread at
+//! every rung of the rank ladder (DESIGN §12).
 //!
 //! ## Collectives
 //!
@@ -367,10 +368,7 @@ impl EventSim {
                         clock_ps: 0,
                     },
                     mailbox: VecDeque::new(),
-                    parked: None,
-                    reply: Some(Reply::Start),
-                    finished: None,
-                    resumes: 0,
+                    state: State::Ready(Reply::Start),
                 })
             })
             .collect();
@@ -407,6 +405,19 @@ enum Parked {
     Collective,
 }
 
+/// Where a rank is between resumes: exactly one of these at a time.
+enum State<T> {
+    /// Runnable, with the reply its next resume gets (`Start` at launch,
+    /// the parked op's completion after a wake).
+    Ready(Reply),
+    /// Blocked until a matching packet or the collective's completion.
+    Parked(Parked),
+    /// Finished with its value.
+    Done(T),
+    /// Inside `run_local`, which holds the reply while the program runs.
+    Running,
+}
+
 /// What a resume asks of another rank's slot or of the group, logged
 /// while the batch runs and applied once all of it has.
 enum Effect {
@@ -425,12 +436,7 @@ struct RankSlot<P: RankProgram> {
     /// Packets that arrived ahead of their receive. A packet that matches
     /// the receive its rank is parked on never enters it (`deliver`).
     mailbox: VecDeque<Packet>,
-    parked: Option<Parked>,
-    /// The reply to hand to the next resume (set whenever runnable).
-    reply: Option<Reply>,
-    finished: Option<P::Output>,
-    /// Program resumes so far.
-    resumes: u64,
+    state: State<P::Output>,
 }
 
 /// The slot array, indexed by rank; a failed rank leaves a hole.
@@ -479,24 +485,21 @@ impl<P: RankProgram> Scheduler<P> {
             self.sim.batches += 1;
             *self.batch_dist.entry(batch.len() as u64).or_insert(0) += 1;
 
-            // Resume every rank of the batch against its own slot and the log.
+            // Resume every rank of the batch against its own slot and the
+            // log, counting its park as it happens: every park of the batch
+            // is counted BEFORE any delivery — a packet toward a rank later
+            // in the same batch wakes it, and a wake must find its park counted.
             for &rank in &batch {
                 // INFALLIBLE: only surviving ranks are ever scheduled.
                 let slot = self.slots[rank].as_mut().expect("scheduled rank owns its slot");
-                run_local(&self.world, slot, &mut effects);
-            }
-            // Effects, step 1: settle park accounting for the whole
-            // batch BEFORE any delivery — a packet toward a rank later in
-            // the same batch wakes it, and a wake must find its park counted.
-            for &rank in &batch {
-                if self.slot(rank).parked.is_some() {
+                if run_local(&self.world, slot, &mut effects, &mut self.sim.resumes) {
                     self.parked_count += 1;
                     self.sim.parks += 1;
                 }
             }
             self.sim.peak_parked = self.sim.peak_parked.max(self.parked_count);
-            // Effects, step 2: cross-rank effects in log order — batch
-            // order, and within a rank its sends, then its collective entry.
+            // Then the cross-rank effects in log order — batch order, and
+            // within a rank its sends, then its collective entry.
             for effect in effects.drain(..) {
                 match effect {
                     Effect::Deliver { dst, packet } => self.deliver(dst, packet),
@@ -525,8 +528,8 @@ impl<P: RankProgram> Scheduler<P> {
             return; // blackhole: dst is in the failed set
         };
         self.sim.messages += 1;
-        match slot.parked {
-            Some(Parked::Recv { src, tag, reply }) if packet.matches(src, tag, Want::DataOrLost) => {
+        match slot.state {
+            State::Parked(Parked::Recv { src, tag, reply }) if packet.matches(src, tag, Want::DataOrLost) => {
                 let result = received(&self.world, src, tag, packet.payload);
                 self.wake(dst, reply(result));
             }
@@ -537,8 +540,8 @@ impl<P: RankProgram> Scheduler<P> {
     /// Unpark `rank` with the reply to the op it parked on.
     fn wake(&mut self, rank: usize, reply: Reply) {
         let slot = self.slot(rank);
-        slot.parked = None;
-        slot.reply = Some(reply);
+        debug_assert!(matches!(slot.state, State::Parked(_)), "rank {rank} woken but not parked");
+        slot.state = State::Ready(reply);
         let at_ps = slot.ctx.clock_ps;
         self.parked_count -= 1;
         self.sim.wakeups += 1;
@@ -587,17 +590,15 @@ impl<P: RankProgram> Scheduler<P> {
         let mut stuck = Vec::new();
         for (rank, slot) in self.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
-            if slot.finished.is_some() {
-                continue;
-            }
-            stuck.push(match slot.parked {
-                Some(Parked::Recv { src, tag, .. }) => {
+            stuck.push(match slot.state {
+                State::Done(_) => continue,
+                State::Parked(Parked::Recv { src, tag, .. }) => {
                     format!("rank {rank} waiting on recv(src={src}, tag={tag:#x})")
                 }
-                Some(Parked::Collective) => {
+                State::Parked(Parked::Collective) => {
                     format!("rank {rank} inside collective #{}", self.sim.collectives)
                 }
-                None => format!("rank {rank} runnable but unscheduled"),
+                State::Ready(_) | State::Running => format!("rank {rank} runnable but unscheduled"),
             });
         }
         assert!(
@@ -608,12 +609,12 @@ impl<P: RankProgram> Scheduler<P> {
         );
     }
 
-    fn into_report(mut self) -> SimReport<P::Output> {
+    fn into_report(self) -> SimReport<P::Output> {
         let nranks = self.world.size();
         let mut outcomes = Vec::with_capacity(nranks);
         let mut comm_stats = Vec::with_capacity(nranks);
         let mut clocks_ps = Vec::with_capacity(nranks);
-        for slot in &mut self.slots {
+        for slot in self.slots {
             match slot {
                 None => {
                     outcomes.push(RankOutcome::Failed);
@@ -621,10 +622,9 @@ impl<P: RankProgram> Scheduler<P> {
                     clocks_ps.push(0);
                 }
                 Some(s) => {
-                    self.sim.resumes += s.resumes;
                     // INFALLIBLE: check_quiescent proved every survivor
                     // finished before the queue drained.
-                    let value = s.finished.take().expect("rank finished");
+                    let State::Done(value) = s.state else { unreachable!("rank finished") };
                     outcomes.push(RankOutcome::Completed {
                         value,
                         faults: s.ctx.faults,
@@ -645,35 +645,42 @@ impl<P: RankProgram> Scheduler<P> {
 }
 
 /// Resume one rank until it parks or finishes, touching only its own
-/// slot. Cross-rank effects are appended to `effects` — sends in send
+/// slot, and return whether it parked. Every resume adds one to
+/// `resumes`. Cross-rank effects are appended to `effects` — sends in send
 /// order, then the collective entry that ends the slice — and applied by
 /// the scheduler once the whole batch has run.
-fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>, effects: &mut Vec<Effect>) {
+fn run_local<P: RankProgram>(
+    world: &World,
+    slot: &mut RankSlot<P>,
+    effects: &mut Vec<Effect>,
+    resumes: &mut u64,
+) -> bool {
+    // INFALLIBLE: only a ready rank is in the queue (Start at launch, op
+    // completion at every wake).
+    let State::Ready(mut reply) = std::mem::replace(&mut slot.state, State::Running) else {
+        unreachable!("scheduled rank {} is not ready", slot.ctx.rank)
+    };
     loop {
-        // INFALLIBLE: a runnable rank always has its next reply staged
-        // (Start at launch, op completion at every wake).
-        let reply = slot.reply.take().expect("runnable rank has a reply");
-        slot.resumes += 1;
+        *resumes += 1;
         // Point-to-point ops leave the receive they still have to complete.
-        let (src, tag, reply): (_, _, RecvReply) = match slot.program.resume(&slot.ctx, reply) {
+        let (src, tag, recv_reply): (_, _, RecvReply) = match slot.program.resume(&slot.ctx, reply) {
             Step::Finish(out) => {
-                slot.finished = Some(out);
-                return;
+                slot.state = State::Done(out);
+                return false;
             }
             Step::Op(Op::Send { dst, tag, data }) => {
-                let sent = local_send(world, slot, effects, dst, tag, data);
-                slot.reply = Some(Reply::Sent(sent));
+                reply = Reply::Sent(local_send(world, slot, effects, dst, tag, data));
                 continue;
             }
             Step::Op(Op::Recv { src, tag }) => (src, tag, Reply::Received),
             Step::Op(Op::Sendrecv { partner, tag, data }) => {
                 if partner == slot.ctx.rank {
                     assert_user_tag(tag);
-                    slot.reply = Some(Reply::Exchanged(Ok(data)));
+                    reply = Reply::Exchanged(Ok(data));
                     continue;
                 }
                 if let Err(e) = local_send(world, slot, effects, partner, tag, data) {
-                    slot.reply = Some(Reply::Exchanged(Err(e)));
+                    reply = Reply::Exchanged(Err(e));
                     continue;
                 }
                 (partner, tag, Reply::Exchanged)
@@ -684,17 +691,17 @@ fn run_local<P: RankProgram>(world: &World, slot: &mut RankSlot<P>, effects: &mu
                     "{collective:?} has no faulty-mode counterpart in v1 \
                      (FaultyComm offers barrier and sum allreduce only)"
                 );
-                slot.parked = Some(Parked::Collective);
+                slot.state = State::Parked(Parked::Collective);
                 effects.push(Effect::Enter { rank: slot.ctx.rank, op: collective });
-                return;
+                return true;
             }
         };
         assert_user_tag(tag);
         match try_recv(world, &mut slot.mailbox, src, tag) {
-            Some(result) => slot.reply = Some(reply(result)),
+            Some(result) => reply = recv_reply(result),
             None => {
-                slot.parked = Some(Parked::Recv { src, tag, reply });
-                return;
+                slot.state = State::Parked(Parked::Recv { src, tag, reply: recv_reply });
+                return true;
             }
         }
     }
@@ -813,15 +820,19 @@ fn complete_collective<P: RankProgram>(
             let blocks = |op| if let Op::Alltoallv { sends } = op { sends } else { mixed() };
             let sends: Vec<Blocks> = ops.map(blocks).collect();
             // One pass over the block lengths charges every sender and
-            // sizes every reader's buffer exactly.
+            // sizes every reader's buffer exactly. `rotation(n)` pairs
+            // participant `i` with every peer but itself exactly once, so
+            // it sends every block but its own.
             let mut doubles = vec![0usize; n];
             for (i, (sends, &r)) in sends.iter().zip(participants).enumerate() {
                 assert_eq!(sends.len(), n, "rank {r}: sends.len() == size");
-                let sent = rotation(n).map(|round| (sends.get(round.to(i, n)).len() * 8) as u64);
-                charge(slots, &[r], rotation(n).len() as u64, sent.sum());
+                let mut sent = 0;
                 for (total, block) in doubles.iter_mut().zip(sends.iter()) {
                     *total += block.len();
+                    sent += block.len();
                 }
+                sent -= sends.get(i).len();
+                charge(slots, &[r], rotation(n).len() as u64, (sent * 8) as u64);
             }
             // Block `i` of `received[me]` is what participant `i` sent to
             // `me`: copied into the reader's one buffer sender by sender,
@@ -1046,23 +1057,47 @@ mod tests {
 
     #[test]
     fn deadlock_is_diagnosed_not_hung() {
-        let err = std::panic::catch_unwind(|| {
-            EventSim::new(2).run(|rank, _| {
-                // Rank 1 waits for a message nobody sends.
-                if rank == 1 {
-                    ScriptProgram::new(vec![Op::Recv { src: 0, tag: 9 }])
-                } else {
-                    ScriptProgram::new(vec![])
-                }
+        // One rank stuck in each parked state while the other finishes:
+        // a receive nobody sends to, and a barrier nobody else enters.
+        let cases = [
+            (1, Op::Recv { src: 0, tag: 9 }, "rank 1 waiting on recv(src=0, tag=0x9)"),
+            (0, Op::Barrier, "rank 0 inside collective #0"),
+        ];
+        for (stuck, op, diagnosis) in cases {
+            let err = std::panic::catch_unwind(|| {
+                EventSim::new(2).run(|rank, _| {
+                    ScriptProgram::new(if rank == stuck { vec![op.clone()] } else { vec![] })
+                })
             })
-        })
-        .expect_err("must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("deadlocked"), "{msg}");
-        assert!(msg.contains("rank 1 waiting on recv(src=0, tag=0x9)"), "{msg}");
+            .expect_err("must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("deadlocked with 1 rank(s)"), "{msg}");
+            assert!(msg.contains(diagnosis), "{msg}");
+        }
+    }
+
+    #[test]
+    fn slot_array_stays_under_the_heap_reuse_ceiling() {
+        // glibc serves an allocation above its largest mmap threshold,
+        // 32 MiB on 64-bit hosts, with a fresh mapping and unmaps it on
+        // free, so a slot array above that size is first-touched again
+        // on every run (DESIGN §12). LBMHD's halo kernel is a 56-byte
+        // program returning a `Vec<f64>`; at the ladder's top rung of
+        // 131 072 ranks its slot array must stay below the ceiling,
+        // i.e. a slot under 256 bytes.
+        struct Halo([u64; 7]);
+        impl RankProgram for Halo {
+            type Output = Vec<f64>;
+            fn resume(&mut self, _: &RankCtx, _: Reply) -> Step<Vec<f64>> {
+                Step::Finish(self.0.map(|x| x as f64).to_vec())
+            }
+        }
+        assert_eq!(std::mem::size_of_val(&Halo([0; 7])), 56);
+        let slot = std::mem::size_of::<Option<RankSlot<Halo>>>();
+        assert!(131_072 * slot < 32 << 20, "{slot}-byte slot: the 131 072-rank array is not under 32 MiB");
     }
 
     #[test]
