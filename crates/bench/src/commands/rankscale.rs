@@ -11,8 +11,10 @@
 //! baseline is rewritten only by naming it). There is no worker count to
 //! set: the event runtime resumes every superstep on one thread.
 //!
-//! Every cell prints its host wall and that wall per program resume
-//! (`ns/resume`); no wall-clock value enters a cell's counters.
+//! Every cell prints its host wall, that wall per program resume
+//! (`ns/resume`) and the minor page faults its run took (`minflt`, from
+//! `/proc/self/stat`; `-` where `/proc` is absent). Neither the walls
+//! nor the faults enter a cell's counters.
 //!
 //! Before any cell runs, the identity gate replays every kernel on both
 //! runtimes at small P and requires bit-identical values and traffic;
@@ -45,23 +47,25 @@ pub fn run(args: &Args) -> i32 {
             max_p
         );
 
-        let out = run_rankscale(&cells).map_err(|e| {
+        let (out, minflt) = run_rankscale(&cells).map_err(|e| {
             eprintln!("IDENTITY FAILURE: {e}");
             exit::FAILURE
         })?;
 
-        for c in &out.cells {
+        for (c, faults) in out.cells.iter().zip(minflt) {
             let host_s = c.host_secs.first().copied().unwrap_or(0.0);
             let resumes = c.snapshot.counter("mpisim.sim.resumes").unwrap_or(0);
+            let faults = faults.map_or("-".to_string(), |n| n.to_string());
             println!(
-                "{:<8} P={:<7} events={:<10} comm={:<9} checksum={:<17} host {:.3}s {:>5.0} ns/resume",
+                "{:<8} P={:<7} events={:<10} comm={:<9} checksum={:<17} host {:.3}s {:>5.0} ns/resume {:>6} minflt",
                 c.cell.app,
                 c.cell.procs,
                 c.report.time_s,
                 c.report.comm_s,
                 c.report.gflops_per_p,
                 host_s,
-                host_s * 1e9 / resumes as f64
+                host_s * 1e9 / resumes as f64,
+                faults
             );
         }
         Ok(out.to_json() + "\n")

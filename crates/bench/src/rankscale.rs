@@ -115,13 +115,25 @@ fn output_checksum(per_rank: &[(Vec<f64>, CommStats)]) -> u64 {
     hash.finish() % (1u64 << 53)
 }
 
+/// Minor page faults this process has taken so far (`minflt`, field 10
+/// of `/proc/self/stat`); `None` where `/proc` is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2, the command name, is parenthesised and may hold spaces.
+    stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// Run one cell on the event-driven runtime and render it as a
-/// profile-v2 cell.
-fn run_cell(cell: RankScaleCell) -> CellProfile {
+/// profile-v2 cell, with the minor page faults the run took.
+fn run_cell(cell: RankScaleCell) -> (CellProfile, Option<u64>) {
     let (_, v2_run) = kernels(cell.app);
+    let faults_before = minor_faults();
     let started = std::time::Instant::now();
     let (per_rank, sim) = v2_run(cell.procs, 1);
     let host_s = started.elapsed().as_secs_f64();
+    let minflt = minor_faults()
+        .zip(faults_before)
+        .map(|(after, before)| after - before);
 
     let reg = Registry::new();
     sim.record_to(&reg);
@@ -158,7 +170,7 @@ fn run_cell(cell: RankScaleCell) -> CellProfile {
             },
         ],
     };
-    CellProfile {
+    let profile = CellProfile {
         cell: SweepCell {
             app: cell.app,
             config: "weak-scaling",
@@ -168,15 +180,24 @@ fn run_cell(cell: RankScaleCell) -> CellProfile {
         report,
         snapshot: reg.snapshot(),
         host_secs: vec![host_s],
-    }
+    };
+    (profile, minflt)
 }
 
 /// Run the sweep: the identity gate first, then the cells serially (running
-/// 10⁵-rank cells concurrently would multiply peak memory).
-pub fn run_rankscale(cells: &[RankScaleCell]) -> Result<ProfileOutput, String> {
+/// 10⁵-rank cells concurrently would multiply peak memory). Returns the
+/// document and, per cell in the same order, the minor page faults its
+/// run took — a host note kept out of the document, `None` where `/proc`
+/// is absent.
+pub fn run_rankscale(
+    cells: &[RankScaleCell],
+) -> Result<(ProfileOutput, Vec<Option<u64>>), String> {
     verify_identity()?;
-    let profiles = cells.iter().map(|&c| run_cell(c)).collect();
-    Ok(ProfileOutput::from_rows(profiles, Registry::new().snapshot(), 1))
+    let (profiles, minflt) = cells.iter().map(|&c| run_cell(c)).unzip();
+    Ok((
+        ProfileOutput::from_rows(profiles, Registry::new().snapshot(), 1),
+        minflt,
+    ))
 }
 
 #[cfg(test)]
@@ -204,11 +225,12 @@ mod tests {
 
     #[test]
     fn document_passes_the_schema_gate() {
-        let out = run_rankscale(&[
+        let (out, minflt) = run_rankscale(&[
             RankScaleCell { app: "LBMHD", procs: 64 },
             RankScaleCell { app: "PARATEC", procs: 64 },
         ])
         .expect("identity gate passes");
+        assert_eq!(minflt.len(), 2);
         let json = out.to_json();
         assert!(json.contains("\"schema\": \"pvs-bench/profile-v2\""));
         assert!(json.contains("\"machine\": \"mpisim-v2\""));

@@ -2,13 +2,13 @@
 //!
 //! Cactus exchanges six ghost faces over a 3D processor grid each
 //! evolution step ([`crate::halo`]) and closes the step with a global
-//! constraint-norm reduction. The schedule is fixed — no op depends on
-//! received data — so the kernel is a [`ScriptProgram`]: one op list,
-//! run on either runtime. Received faces and the reduced norm are folded
-//! into a checksum once, from the replies.
+//! constraint-norm reduction. The kernel is written once, as a
+//! [`RankProgram`] continuation like LBMHD's, and run on either runtime:
+//! each received face is folded into the checksum as it arrives, and the
+//! face buffer that arrived carries the next face out.
 
 use pvs_mpisim::cart::Cart3d;
-use pvs_mpisim::event::{EventSim, Op, Reply, ScriptProgram, SimReport, SimStats};
+use pvs_mpisim::event::{EventSim, Op, RankCtx, RankProgram, Reply, SimStats, Step};
 use pvs_mpisim::{run_programs, CommStats};
 
 /// Doubles per ghost face.
@@ -16,18 +16,27 @@ pub const FACE: usize = 16;
 
 const TAG_FACE_BASE: u64 = 0x20;
 
-/// The face rank `rank` ships in direction `dir` (0..6).
-fn face(rank: usize, dir: usize) -> Vec<f64> {
-    (0..FACE)
-        .map(|i| {
-            let base = ((rank * 167 + dir * 29 + i) % 1009) as f64 * 1e-3;
-            if i == 0 {
-                base + [1e16, 1.0, -1e16][rank % 3]
-            } else {
-                base
-            }
-        })
-        .collect()
+/// The face rank `rank` ships in direction `dir` (0..6), written over
+/// `buf`.
+fn face(rank: usize, dir: usize, mut buf: Vec<f64>) -> Vec<f64> {
+    buf.clear();
+    buf.extend((0..FACE).map(|i| {
+        let base = ((rank * 167 + dir * 29 + i) % 1009) as f64 * 1e-3;
+        if i == 0 {
+            base + [1e16, 1.0, -1e16][rank % 3]
+        } else {
+            base
+        }
+    }));
+    buf
+}
+
+/// Fold a received face into the running checksum (position-weighted
+/// so transposed deliveries cannot cancel out).
+fn absorb(acc: f64, data: &[f64]) -> f64 {
+    data.iter()
+        .enumerate()
+        .fold(acc, |a, (i, x)| a + x * (i % 5 + 1) as f64)
 }
 
 /// Local contribution to the constraint norm (data-independent).
@@ -35,70 +44,80 @@ fn residual(rank: usize) -> f64 {
     (rank % 5) as f64 * 0.125 + 1.0
 }
 
-/// Fold each rank's replies — six received faces, then the reduced
-/// norm — into the kernel's output vector `[checksum, norm]`.
-fn fold_output(report: SimReport<Vec<Reply>>) -> Vec<(Vec<f64>, CommStats)> {
-    let fold = |(replies, stats): (Vec<Reply>, CommStats)| {
-        let (mut checksum, mut norm) = (0.0, f64::NAN);
-        for reply in replies {
-            match reply {
-                Reply::Sent(Ok(())) => {}
-                Reply::Received(Ok(face)) => {
-                    checksum = face
-                        .iter()
-                        .enumerate()
-                        .fold(checksum, |a, (i, x)| a + x * (i % 5 + 1) as f64);
-                }
-                Reply::MaxReduced(Ok(m)) => norm = m,
-                other => unreachable!("not in the Cactus schedule: {other:?}"),
-            }
-        }
-        (vec![checksum, norm], stats)
-    };
-    report.into_values_and_stats().into_iter().map(fold).collect()
+/// One face exchange + norm reduction as a continuation. For each axis
+/// it ring-shifts in the plus direction, then the minus direction: face
+/// `k` goes to neighbour `k` of `[+x, -x, +y, -y, +z, -z]` under tag
+/// `TAG_FACE_BASE + k` and arrives from the opposite side, neighbour
+/// `k ^ 1`. The run ends with `[checksum, norm]`.
+pub struct FaceScaleProgram {
+    rank: usize,
+    /// `[+x, -x, +y, -y, +z, -z]`, computed once: every resume reads them.
+    neighbours: [usize; 6],
+    checksum: f64,
+    step: u8,
 }
 
-/// The fixed op schedule for one rank: for each axis, a ring shift in
-/// the plus direction then the minus direction, then the norm reduce.
-fn schedule(rank: usize, cart: &Cart3d) -> Vec<Op> {
-    let nbrs = cart.neighbors6(rank); // [+x, -x, +y, -y, +z, -z]
-    let mut ops = Vec::with_capacity(13);
-    for axis in 0..3 {
-        let plus = nbrs[2 * axis];
-        let minus = nbrs[2 * axis + 1];
-        let tag_p = TAG_FACE_BASE + 2 * axis as u64;
-        let tag_m = TAG_FACE_BASE + 2 * axis as u64 + 1;
-        // Shift in +axis: send to plus, receive from minus.
-        ops.push(Op::Send {
-            dst: plus,
-            tag: tag_p,
-            data: face(rank, 2 * axis),
-        });
-        ops.push(Op::Recv {
-            src: minus,
-            tag: tag_p,
-        });
-        // Shift in -axis.
-        ops.push(Op::Send {
-            dst: minus,
-            tag: tag_m,
-            data: face(rank, 2 * axis + 1),
-        });
-        ops.push(Op::Recv { src: plus, tag: tag_m });
+impl FaceScaleProgram {
+    /// The kernel for one rank of `cart`.
+    pub fn new(rank: usize, cart: Cart3d) -> Self {
+        FaceScaleProgram {
+            rank,
+            neighbours: cart.neighbors6(rank),
+            checksum: 0.0,
+            step: 0,
+        }
     }
-    ops.push(Op::AllreduceMaxScalar { x: residual(rank) });
-    ops
+}
+
+impl RankProgram for FaceScaleProgram {
+    type Output = Vec<f64>;
+
+    fn resume(&mut self, _ctx: &RankCtx, reply: Reply) -> Step<Vec<f64>> {
+        let step = self.step;
+        self.step += 1;
+        // Step 2k asks for face k's send, after a start or a receive, and
+        // step 2k + 1 its receive, after the send; step 12 folds the last
+        // face and enters the norm reduction. Any other reply — an error
+        // included — is a broken run, not an empty face.
+        let buf = match (step, reply) {
+            (0, Reply::Start) | (1 | 3 | 5 | 7 | 9 | 11, Reply::Sent(Ok(()))) => Vec::new(),
+            (2 | 4 | 6 | 8 | 10 | 12, Reply::Received(Ok(data))) => {
+                self.checksum = absorb(self.checksum, &data);
+                data
+            }
+            (13, Reply::MaxReduced(Ok(norm))) => return Step::Finish(vec![self.checksum, norm]),
+            (_, other) => {
+                panic!("unexpected reply in Cactus face kernel at step {step}: {other:?}")
+            }
+        };
+        let k = usize::from(step / 2);
+        let tag = TAG_FACE_BASE + k as u64;
+        Step::Op(match step {
+            12 => Op::AllreduceMaxScalar {
+                x: residual(self.rank),
+            },
+            _ if step.is_multiple_of(2) => Op::Send {
+                dst: self.neighbours[k],
+                tag,
+                data: face(self.rank, k, buf),
+            },
+            _ => Op::Recv {
+                src: self.neighbours[k ^ 1],
+                tag,
+            },
+        })
+    }
 }
 
 /// The kernel's programs over `cart`: what both runtimes run.
-fn make(cart: Cart3d) -> impl Fn(usize, usize) -> ScriptProgram + Sync {
-    move |rank, _| ScriptProgram::new(schedule(rank, &cart))
+fn make(cart: Cart3d) -> impl Fn(usize, usize) -> FaceScaleProgram + Sync {
+    move |rank, _| FaceScaleProgram::new(rank, cart)
 }
 
 /// Run the kernel on the thread-backed runtime.
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     let cart = Cart3d::near_cubic(p);
-    fold_output(run_programs(cart.size(), None, make(cart)))
+    run_programs(cart.size(), None, make(cart)).into_values_and_stats()
 }
 
 /// Run the kernel on the event-driven runtime. `_threads` is unused:
@@ -107,13 +126,23 @@ pub fn run_scale_v2(p: usize, _threads: usize) -> (Vec<(Vec<f64>, CommStats)>, S
     let cart = Cart3d::near_cubic(p);
     let report = EventSim::new(cart.size()).run(make(cart));
     let sim = report.sim;
-    (fold_output(report), sim)
+    (report.into_values_and_stats(), sim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvs_mpisim::first_divergence;
+    use pvs_mpisim::{first_divergence, FaultError, FaultStats};
+
+    fn ctx() -> RankCtx {
+        RankCtx {
+            rank: 0,
+            size: 8,
+            comm: CommStats::default(),
+            faults: FaultStats::default(),
+            clock_ps: 0,
+        }
+    }
 
     #[test]
     fn v2_face_exchange_matches_v1_bitwise() {
@@ -132,5 +161,31 @@ mod tests {
         for (v, _) in &v2 {
             assert_eq!(v[1], expected);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected reply in Cactus face kernel at step 2: Received(Err(")]
+    fn a_failed_receive_is_not_an_empty_face() {
+        let ctx = ctx();
+        let mut program = FaceScaleProgram::new(0, Cart3d::near_cubic(8));
+        program.resume(&ctx, Reply::Start);
+        program.resume(&ctx, Reply::Sent(Ok(())));
+        program.resume(
+            &ctx,
+            Reply::Received(Err(FaultError::RankFailed { rank: 1 })),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected reply in Cactus face kernel at step 13: Reduced(")]
+    fn a_sum_reply_is_not_the_max_norm() {
+        let ctx = ctx();
+        let mut program = FaceScaleProgram::new(0, Cart3d::near_cubic(8));
+        program.resume(&ctx, Reply::Start);
+        for _ in 0..6 {
+            program.resume(&ctx, Reply::Sent(Ok(())));
+            program.resume(&ctx, Reply::Received(Ok(vec![0.0; FACE])));
+        }
+        program.resume(&ctx, Reply::Reduced(Ok(vec![1.0])));
     }
 }

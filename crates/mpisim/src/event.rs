@@ -200,8 +200,10 @@ pub trait RankProgram: Send + 'static {
 }
 
 /// A [`RankProgram`] that executes a fixed op sequence and returns every
-/// reply it saw — the workhorse for conformance tests and scale probes
-/// whose schedules do not depend on received data.
+/// reply it saw — the workhorse for conformance tests. It builds every op
+/// before the run and keeps every reply until the end, so the scale
+/// kernels are hand-written continuations instead; only PARATEC's runs
+/// as a script, because its per-rank state is O(P) anyway.
 #[derive(Debug)]
 pub struct ScriptProgram {
     ops: VecDeque<Op>,

@@ -117,7 +117,10 @@ fn sentinel_passes_the_committed_baseline_against_itself() {
         ),
         (
             "mpisim",
-            run_rankscale(&weak_scaling_cells()).expect("v1/v2 identity gate holds").to_json(),
+            run_rankscale(&weak_scaling_cells())
+                .expect("v1/v2 identity gate holds")
+                .0
+                .to_json(),
         ),
         ("serve", fresh_serve_doc()),
     ];

@@ -75,6 +75,88 @@ fn cactus_face_descriptor_matches_measured_traffic() {
 }
 
 #[test]
+fn halo_scale_kernels_traffic_and_events_match_their_closed_forms() {
+    // Each halo scale kernel is k sends of `len` doubles, then one
+    // allreduce of `w` doubles over n ranks (a ring: n − 1 messages).
+    // Every send along an axis of extent 1 goes to the rank itself and
+    // is not routed through the scheduler, so routed messages are k·n
+    // only when every axis has extent ≥ 2.
+    use pvs::mpisim::cart::{Cart2d, Cart3d};
+    use pvs::mpisim::{CommStats, SimStats};
+
+    type PerRank = Vec<(Vec<f64>, CommStats)>;
+    struct Kernel {
+        name: &'static str,
+        k: u64,
+        len: u64,
+        w: u64,
+        v1: fn(usize) -> PerRank,
+        v2: fn(usize, usize) -> (PerRank, SimStats),
+        extents: fn(usize) -> Vec<usize>,
+    }
+    let kernels = [
+        Kernel {
+            name: "LBMHD",
+            k: 4,
+            len: pvs::lbmhd::scale::STRIP as u64,
+            w: 2,
+            v1: pvs::lbmhd::scale::run_scale_v1,
+            v2: pvs::lbmhd::scale::run_scale_v2,
+            extents: |p| {
+                let c = Cart2d::near_square(p);
+                vec![c.px, c.py]
+            },
+        },
+        Kernel {
+            name: "CACTUS",
+            k: 6,
+            len: pvs::cactus::scale::FACE as u64,
+            w: 1,
+            v1: pvs::cactus::scale::run_scale_v1,
+            v2: pvs::cactus::scale::run_scale_v2,
+            extents: |p| {
+                let c = Cart3d::near_cubic(p);
+                vec![c.px, c.py, c.pz]
+            },
+        },
+    ];
+    assert_eq!((kernels[0].len, kernels[1].len), (24, 16));
+
+    for kernel in &kernels {
+        let (name, k, len, w) = (kernel.name, kernel.k, kernel.len, kernel.w);
+        for p in [1usize, 2, 16, 64, 1024, 8192] {
+            let n = p as u64;
+            let per_rank = CommStats {
+                messages_sent: k + n - 1,
+                bytes_sent: 8 * (k * len + (n - 1) * w),
+            };
+            let (v2, sim) = (kernel.v2)(p, 1);
+            let mut runs = vec![("v2", v2)];
+            if p <= 64 {
+                runs.push(("v1", (kernel.v1)(p)));
+            }
+            for (runtime, run) in runs {
+                assert_eq!(run.len(), p, "{name} {runtime} P={p}");
+                for (rank, (_, stats)) in run.iter().enumerate() {
+                    assert_eq!(*stats, per_rank, "{name} {runtime} P={p} rank {rank}");
+                }
+            }
+
+            let extents = (kernel.extents)(p);
+            let routed = 2 * n * extents.iter().filter(|&&e| e >= 2).count() as u64;
+            if extents.iter().all(|&e| e >= 2) {
+                assert_eq!(routed, k * n, "{name} P={p}");
+            }
+            assert_eq!(
+                (sim.ranks, sim.resumes, sim.collectives, sim.messages),
+                (n, (2 * k + 2) * n, 1, routed),
+                "{name} P={p}"
+            );
+        }
+    }
+}
+
+#[test]
 fn gtc_deposit_flop_constant_matches_the_kernel() {
     // Count the arithmetic the 4-point deposition actually performs per
     // particle (ring setup + 4 bilinear scatters) and check the workload
