@@ -33,7 +33,7 @@ pub fn median(samples: &[f64]) -> f64 {
 /// call for each — the hook the `pvs` commands use for host timing so
 /// clock access stays confined to this crate. Each sample times one
 /// call to calibrate (also the warm-up), then a whole batch sized to
-/// [`SAMPLE_TARGET`] so per-iteration overhead vanishes.
+/// `SAMPLE_TARGET` (2 ms) so per-iteration overhead vanishes.
 pub fn time_samples<R, F: FnMut() -> R>(samples: usize, mut f: F) -> Vec<f64> {
     (0..samples)
         .map(|_| {

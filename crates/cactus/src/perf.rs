@@ -205,35 +205,6 @@ impl CactusWorkload {
     }
 }
 
-/// The kernels this crate registers with the static-analysis layer: both
-/// Table 5 block shapes (80³ and the ES-memory-forced 250×64×64) on both
-/// vector machines, each with that machine's own port variant. The two
-/// shapes are the paper's own AVL discussion: x-extent 80 vs 250 is what
-/// drives the reported AVL difference.
-pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
-    use pvs_core::kernel::{descriptors_from_phases, MachineKind};
-    let mut out = Vec::new();
-    for (tag, w) in [
-        ("small", CactusWorkload::small(64)),
-        ("large", CactusWorkload::large(64)),
-    ] {
-        for machine in [MachineKind::Es, MachineKind::X1Msp] {
-            let variant = CactusVariant::for_machine(machine.name());
-            let mut ds = descriptors_from_phases(
-                "cactus",
-                "crates/cactus/src/perf.rs",
-                machine,
-                &w.phases(variant),
-            );
-            for d in &mut ds {
-                d.kernel = format!("{tag}/{}", d.kernel);
-            }
-            out.extend(ds);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

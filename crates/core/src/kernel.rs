@@ -1,17 +1,14 @@
-//! Kernel registration: from phase IR to static kernel descriptors.
+//! Kernel lowering: from a loop phase to the vector execution model.
 //!
-//! The application crates describe their computation as [`Phase`] streams;
-//! the engine lowers each loop phase to a `pvs-vectorsim` [`VectorLoop`]
-//! before execution. This module owns that lowering
-//! ([`vector_loop_from_phase`], shared with [`crate::engine::Engine`] so
-//! the static and dynamic paths can never drift apart) and builds
-//! [`KernelDescriptor`]s from phase streams so the root test
-//! `tests/simulators.rs` can hold every registered kernel's static AVL/VOR
-//! prediction to the dynamic execution model.
+//! The application crates describe their computation as
+//! [`Phase`](crate::phase::Phase) streams; the engine lowers each loop
+//! phase to a `pvs-vectorsim` [`VectorLoop`] before running it on a vector
+//! machine. [`vector_loop_from_phase`] is that lowering, shared by
+//! [`crate::engine::Engine`] and the root test `tests/simulators.rs`, which
+//! walks the cell registry's ES and X1 cells and holds each lowered loop's
+//! closed-form AVL/VOR to its dynamic run.
 
-pub use pvs_vectorsim::descriptor::{KernelDescriptor, MachineKind, StaticPrediction};
-
-use crate::phase::{LoopPhase, Phase};
+use crate::phase::LoopPhase;
 use pvs_vectorsim::exec::{LoopClass, VectorLoop};
 
 /// Lower a loop phase to the execution model's loop description — exactly
@@ -39,50 +36,10 @@ pub fn vector_loop_from_phase(l: &LoopPhase) -> VectorLoop {
     }
 }
 
-/// Build a descriptor for one loop phase on one machine.
-pub fn descriptor_from_phase(
-    app: &'static str,
-    source_hint: &'static str,
-    machine: MachineKind,
-    kernel: impl Into<String>,
-    l: &LoopPhase,
-) -> KernelDescriptor {
-    KernelDescriptor {
-        app,
-        kernel: kernel.into(),
-        machine,
-        source_hint,
-        vloop: vector_loop_from_phase(l),
-    }
-}
-
-/// Build descriptors for every loop phase in a stream (communication
-/// phases have no kernel body and are skipped).
-pub fn descriptors_from_phases(
-    app: &'static str,
-    source_hint: &'static str,
-    machine: MachineKind,
-    phases: &[Phase],
-) -> Vec<KernelDescriptor> {
-    phases
-        .iter()
-        .filter_map(|p| match p {
-            Phase::Loop(l) => Some(descriptor_from_phase(
-                app,
-                source_hint,
-                machine,
-                l.name.to_string(),
-                l,
-            )),
-            Phase::Comm(_) => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase::VectorizationInfo;
+    use crate::phase::{Phase, VectorizationInfo};
 
     #[test]
     fn lowering_applies_overhead_and_class() {
@@ -110,20 +67,5 @@ mod tests {
             vector_loop_from_phase(sl).class,
             LoopClass::Scalar
         ));
-    }
-
-    #[test]
-    fn comm_phases_are_skipped() {
-        use crate::phase::CommPattern;
-        let phases = vec![
-            Phase::loop_nest("a", 64, 1),
-            Phase::comm("halo", CommPattern::AllReduce { ranks: 4, bytes: 8 }),
-            Phase::loop_nest("b", 64, 1),
-        ];
-        let ds = descriptors_from_phases("test", "here", MachineKind::Es, &phases);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].kernel, "a");
-        assert_eq!(ds[1].kernel, "b");
-        assert_eq!(ds[0].machine, MachineKind::Es);
     }
 }

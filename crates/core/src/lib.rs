@@ -70,7 +70,6 @@ pub use adversity::Adversity;
 pub use engine::{run_sweep, run_sweep_threads, Engine, SweepJob};
 pub use event::{EventQueue, Scheduled};
 pub use hash::{fnv1a, fnv1a_hex, Fnv1a};
-pub use kernel::{KernelDescriptor, MachineKind, StaticPrediction};
 pub use machine::{CpuClass, Machine};
 pub use phase::{CommPattern, Phase, VectorizationInfo};
 pub use pool::ThreadPool;

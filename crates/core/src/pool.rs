@@ -240,8 +240,8 @@ impl ThreadPool {
         }
     }
 
-    /// Report this pool's counters into a [`Recorder`] under the
-    /// `pool.*` names (see [`PoolMetrics`]).
+    /// Report this pool's counters into a [`Recorder`](pvs_obs::Recorder)
+    /// under the `pool.*` names (see [`PoolMetrics`]).
     pub fn record_to(&self, r: &dyn pvs_obs::Recorder) {
         self.metrics().record_to(self.threads(), r);
     }
@@ -403,8 +403,8 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Report into a [`Recorder`]: `pool.tasks_executed` and
-    /// `pool.worker.<i>.tasks` counters, `pool.queue.peak_depth` and
+    /// Report into a [`Recorder`](pvs_obs::Recorder):
+    /// `pool.tasks_executed` and `pool.worker.<i>.tasks` counters, `pool.queue.peak_depth` and
     /// `pool.threads` gauges.
     pub fn record_to(&self, threads: usize, r: &dyn pvs_obs::Recorder) {
         r.add("pool.tasks_executed", self.tasks_executed);

@@ -254,26 +254,6 @@ impl GtcWorkload {
     }
 }
 
-/// The kernels this crate registers with the static-analysis layer: the
-/// Table 6 loop phases of a representative configuration, using each
-/// vector machine's own code variant (the ES keeps the nested-if scalar
-/// shift; the X1 runs the split-condition vector rewrite).
-pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
-    use pvs_core::kernel::{descriptors_from_phases, MachineKind};
-    let w = GtcWorkload::new(10, 64);
-    let mut out = Vec::new();
-    for machine in [MachineKind::Es, MachineKind::X1Msp] {
-        let variant = GtcVariant::for_machine(machine.name());
-        out.extend(descriptors_from_phases(
-            "gtc",
-            "crates/gtc/src/perf.rs",
-            machine,
-            &w.phases(variant),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -124,25 +124,6 @@ impl LbmhdWorkload {
     }
 }
 
-/// The kernels this crate registers with the static-analysis layer: the
-/// Table 3 loop phases of a representative configuration, on both vector
-/// machines. The root test `tests/simulators.rs` holds each descriptor's
-/// static AVL/VOR prediction to the dynamic execution model.
-pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
-    use pvs_core::kernel::{descriptors_from_phases, MachineKind};
-    let w = LbmhdWorkload::new(4096, 64);
-    let mut out = Vec::new();
-    for machine in [MachineKind::Es, MachineKind::X1Msp] {
-        out.extend(descriptors_from_phases(
-            "lbmhd",
-            "crates/lbmhd/src/perf.rs",
-            machine,
-            &w.phases(),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -205,10 +205,10 @@ impl BankedMemory {
         }
     }
 
-    /// Report this memory's counters into a [`Recorder`] under the
-    /// `memsim.bank.*` names (bank-conflict stalls are the `stall_cycles`
-    /// counter; `efficiency` can be recomputed as
-    /// `accesses / (accesses + stall_cycles)`).
+    /// Report this memory's counters into a
+    /// [`Recorder`](pvs_obs::Recorder) under the `memsim.bank.*` names
+    /// (bank-conflict stalls are the `stall_cycles` counter; `efficiency`
+    /// can be recomputed as `accesses / (accesses + stall_cycles)`).
     pub fn record_to(&self, r: &dyn pvs_obs::Recorder) {
         r.add("memsim.bank.accesses", self.accesses);
         r.add("memsim.bank.stall_cycles", self.stall_cycles);

@@ -82,8 +82,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Report these statistics into a [`Recorder`] under the
-    /// `memsim.cache.*` names. The invariant `hits + misses == accesses`
+    /// Report these statistics into a [`Recorder`](pvs_obs::Recorder)
+    /// under the `memsim.cache.*` names. The invariant `hits + misses == accesses`
     /// holds for the recorded counters by construction.
     pub fn record_to(&self, r: &dyn pvs_obs::Recorder) {
         r.add("memsim.cache.accesses", self.accesses);

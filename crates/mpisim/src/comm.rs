@@ -3,9 +3,10 @@
 //! Collectives compute **canonical, rank-order results**: every rank
 //! folds contributions in rank order 0..P, so all ranks return bitwise
 //! identical values even for non-associative floating-point sums. The
-//! schedules and folds are defined in [`crate::collective`]; this module
-//! executes them as real packets on the reserved tag namespace
-//! ([`crate::tags`]) — application tags must keep the top bit clear.
+//! schedules and folds are defined in the private `collective` module;
+//! this module executes them as real packets on the reserved tag
+//! namespace ([`crate::tags`]) — application tags must keep the top bit
+//! clear.
 
 use crate::collective::{self, binomial, fold_max, fold_sum, rotation, Link, World};
 use crate::fault::FaultError;
@@ -206,7 +207,7 @@ impl Comm {
     }
 
     /// Element-wise sum allreduce: a gather-to-all ring folded in
-    /// **canonical rank order** ([`fold_sum`]), so ring position does not
+    /// **canonical rank order** (`fold_sum`), so ring position does not
     /// leak into the result and every rank returns identical bits.
     pub fn allreduce_sum(&mut self, data: &[f64]) -> Vec<f64> {
         let Ok(contribs) = collective::ring_gather(self, tags::NS_ALLREDUCE_SUM, data.to_vec());

@@ -46,12 +46,12 @@
 //! ## Collectives
 //!
 //! Collectives are computed centrally when every participant has
-//! entered, from the one definition in [`crate::collective`]: values fold
-//! in canonical rank order, and the per-rank [`CommStats`]/[`FaultStats`]
-//! are charged arithmetically from the schedule v1 executes as packets
-//! (under fault injection, replaying v1's seeded draw per scheduled
-//! message), so the two runtimes agree bit-for-bit on results *and*
-//! traffic accounting.
+//! entered, from the one definition in the private `collective` module:
+//! values fold in canonical rank order, and the per-rank
+//! [`CommStats`]/[`FaultStats`] are charged arithmetically from the
+//! schedule v1 executes as packets (under fault injection, replaying
+//! v1's seeded draw per scheduled message), so the two runtimes agree
+//! bit-for-bit on results *and* traffic accounting.
 //!
 //! One intended divergence: when a faulty collective message exhausts
 //! its retries, v1's ring deadlocks for P > 2 (the erroring rank stops

@@ -660,7 +660,7 @@ mod tests {
         let outcomes = run_faulty(4, spec, |c| {
             c.allreduce_sum(&[contrib(c.rank())]).expect("healthy links")
         });
-        let canonical = ((1e16 + -1e16) + 0.1) as f64;
+        let canonical: f64 = (1e16 + -1e16) + 0.1;
         for r in [0usize, 2, 3] {
             let v = outcomes[r].value().expect("survivor");
             assert_eq!(v[0].to_bits(), canonical.to_bits(), "rank {r}");

@@ -7,7 +7,7 @@
 //! happened to collide mis-matched into a collective and corrupted both.
 //! This module reserves the top tag bit for the runtime — user tags must
 //! keep [`COLLECTIVE_BIT`] clear (the public `send`/`recv` surface
-//! asserts it), and every collective builds its tags with [`ctag`] so
+//! asserts it), and every collective builds its tags with `ctag` so
 //! the two spaces cannot collide by construction.
 //!
 //! Layout of a collective tag (bit 63 set):

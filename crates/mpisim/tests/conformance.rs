@@ -60,7 +60,7 @@ fn carried(reply: &Reply) -> Result<Vec<Vec<u64>>, FaultError> {
     })
 }
 
-fn script_bits(replies: &Vec<Reply>) -> Vec<Result<Vec<Vec<u64>>, FaultError>> {
+fn script_bits(replies: &[Reply]) -> Vec<Result<Vec<Vec<u64>>, FaultError>> {
     replies.iter().map(carried).collect()
 }
 
@@ -180,7 +180,7 @@ fn healthy_sweep_is_bit_exact() {
     for n in SWEEP_P {
         let script = |rank, size| ScriptProgram::new(every_op(rank, size));
         let v2 = on_events(n, &None, script);
-        assert_threads_match("script", None, script, &v2, script_bits);
+        assert_threads_match("script", None, script, &v2, |r| script_bits(r));
         let v2 = on_events(n, &None, GatedShift::new);
         assert_threads_match("gated shift", None, GatedShift::new, &v2, |values| bits(values));
     }
@@ -220,7 +220,7 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
         for n in [2usize, 4] {
             let seed = format!("seed={}", spec.seed);
             let v2 = on_events(n, &Some(spec.clone()), make);
-            assert_threads_match(&seed, Some(spec.clone()), make, &v2, script_bits);
+            assert_threads_match(&seed, Some(spec.clone()), make, &v2, |r| script_bits(r));
             if spec.base_backoff_ps == u64::MAX {
                 let pinned = v2.clocks_ps.iter().filter(|&&c| c == u64::MAX).count();
                 assert!(pinned > 0, "{seed} n={n}: no delayed send after a drop");
@@ -255,7 +255,7 @@ fn faulty_collectives_with_retries_are_bit_exact() {
                 Some(other) => panic!("unexpected replies seed={} n={n}: {other:?}", spec.seed),
             }
         }
-        assert_threads_match(&format!("seed={}", spec.seed), Some(spec), make, &v2, script_bits);
+        assert_threads_match(&format!("seed={}", spec.seed), Some(spec), make, &v2, |r| script_bits(r));
     }
 }
 
@@ -273,7 +273,7 @@ fn rank_failure_fail_fast_is_bit_exact() {
         assert_eq!(script_bits(replies), [failed.clone(), failed.clone()], "rank {rank}");
     }
     assert!(v2.outcomes[2].is_failed());
-    assert_threads_match("fail-fast", Some(spec), make, &v2, script_bits);
+    assert_threads_match("fail-fast", Some(spec), make, &v2, |r| script_bits(r));
 }
 
 /// A sum allreduce whose contributions differ in length: rank 1 brings 3

@@ -28,9 +28,12 @@ fn op(name: &str, rank: usize, p: usize) -> Op {
     }
 }
 
-/// `(ranks, collective, per-rank (messages_sent, bytes_sent))`.
+/// Per-rank `(messages_sent, bytes_sent)`.
+type RankTraffic = &'static [(u64, u64)];
+
+/// `(ranks, collective, per-rank traffic)`.
 #[rustfmt::skip]
-const ORACLE: &[(usize, &str, &[(u64, u64)])] = &[
+const ORACLE: &[(usize, &str, RankTraffic)] = &[
     (1, "barrier", &[(0, 0); 1]),
     (1, "allreduce_sum", &[(0, 0); 1]),
     (1, "allreduce_max", &[(0, 0); 1]),

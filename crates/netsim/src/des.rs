@@ -101,10 +101,10 @@ impl SimStats {
         self.link_bytes.iter().copied().max().unwrap_or(0)
     }
 
-    /// Report aggregate traffic counters into a [`Recorder`] under the
-    /// `netsim.*` names (message count, payload/hop totals, link usage;
-    /// the full per-link byte vector stays on the struct for programmatic
-    /// consumers).
+    /// Report aggregate traffic counters into a
+    /// [`Recorder`](pvs_obs::Recorder) under the `netsim.*` names (message
+    /// count, payload/hop totals, link usage; the full per-link byte vector
+    /// stays on the struct for programmatic consumers).
     pub fn record_to(&self, r: &dyn pvs_obs::Recorder) {
         r.add("netsim.messages", self.messages);
         r.add("netsim.payload_bytes", self.total_bytes);

@@ -167,26 +167,6 @@ impl ParatecWorkload {
     }
 }
 
-/// The kernels this crate registers with the static-analysis layer: the
-/// Table 4 loop phases of the 432-atom system. The phase stream is
-/// machine-independent (§4.2's multistreaming failure is carried by the
-/// hand-coded phase's `VectorizationInfo`), so the same stream is
-/// registered for both vector machines.
-pub fn kernel_descriptors() -> Vec<pvs_core::kernel::KernelDescriptor> {
-    use pvs_core::kernel::{descriptors_from_phases, MachineKind};
-    let w = ParatecWorkload::si432(64);
-    let mut out = Vec::new();
-    for machine in [MachineKind::Es, MachineKind::X1Msp] {
-        out.extend(descriptors_from_phases(
-            "paratec",
-            "crates/paratec/src/perf.rs",
-            machine,
-            &w.phases(),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

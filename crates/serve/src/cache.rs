@@ -328,7 +328,7 @@ mod tests {
         // Every strict prefix (a torn write) is rejected.
         for cut in 0..encoded.len() {
             assert!(
-                decode_cell(encoded[..cut].as_bytes()).is_err(),
+                decode_cell(&encoded.as_bytes()[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }

@@ -292,9 +292,8 @@ fn oversized_request_line_closes_the_connection() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut response = String::new();
     // Clean close (0 bytes) or reset — never a response line.
-    match reader.read_line(&mut response) {
-        Ok(n) => assert_eq!(n, 0, "unexpected response: {response}"),
-        Err(_) => {}
+    if let Ok(n) = reader.read_line(&mut response) {
+        assert_eq!(n, 0, "unexpected response: {response}");
     }
     assert_eq!(
         server.store().registry().counter("serve.errors.oversized"),
@@ -317,9 +316,8 @@ fn connection_cap_sheds_excess_clients_but_keeps_existing_ones() {
     let second = connect(&server);
     let mut reader = BufReader::new(second.try_clone().unwrap());
     let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(n) => assert_eq!(n, 0, "unexpected response: {response}"),
-        Err(_) => {}
+    if let Ok(n) = reader.read_line(&mut response) {
+        assert_eq!(n, 0, "unexpected response: {response}");
     }
     assert_eq!(server.store().registry().counter("serve.net.rejected"), 1);
 

@@ -17,10 +17,12 @@
 //!   GTC findings);
 //! * **work-vector dependency resolution** ([`workvec`]): Nishiguchi-style
 //!   replication of a scatter target across the vector length, trading a
-//!   2–8× memory footprint for vectorizability (GTC charge deposition);
-//! * **static kernel descriptors** ([`descriptor`]): the "compiler listing"
-//!   view of a registered kernel — closed-form intensity/AVL/VOR
-//!   predictions that `tests/simulators.rs` holds to the dynamic model.
+//!   2–8× memory footprint for vectorizability (GTC charge deposition).
+//!
+//! The paper reads AVL and VOR two ways, from the compiler listing and from
+//! the hardware counters. The root test `tests/simulators.rs` mirrors that:
+//! it walks the cell registry's ES and X1 cells and holds each loop's
+//! closed-form strip arithmetic ([`stripmine`]) to its run through [`exec`].
 //!
 //! ## Example
 //!
@@ -42,14 +44,12 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod descriptor;
 pub mod exec;
 pub mod metrics;
 pub mod stripmine;
 pub mod workvec;
 
 pub use config::{es_processor, x1_msp, x1_ssp, VectorUnitConfig};
-pub use descriptor::{KernelDescriptor, MachineKind, StaticPrediction};
 pub use exec::{ExecResult, LoopClass, MemoryEnv, VectorLoop, VectorUnit};
 pub use metrics::VectorMetrics;
 pub use stripmine::{average_vector_length, num_strips};

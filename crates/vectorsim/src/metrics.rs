@@ -59,8 +59,8 @@ impl VectorMetrics {
         self.scalar_ops += ops;
     }
 
-    /// Report these counters into a [`Recorder`] under the `vectorsim.*`
-    /// names; AVL/VOR are recomputable downstream from the raw counts.
+    /// Report these counters into a [`Recorder`](pvs_obs::Recorder) under
+    /// the `vectorsim.*` names; AVL/VOR are recomputable downstream from the raw counts.
     pub fn record_to(&self, r: &dyn pvs_obs::Recorder) {
         r.add("vectorsim.element_ops", self.vector_element_ops);
         r.add("vectorsim.vector_instructions", self.vector_instructions);

@@ -1,12 +1,17 @@
 //! Integration: cross-validation of the simulated substrate — measured
 //! (discrete-event) network behaviour vs analytic expectations, prefetch
-//! simulation vs its closed form, every registered kernel's static
-//! ("listing file") AVL/VOR vs the dynamic pipeline's ("hardware
-//! counter") AVL/VOR, and engine sanity across the whole platform ×
-//! workload matrix.
+//! simulation vs its closed form, the static ("listing file") AVL/VOR of
+//! every loop the cell registry's ES and X1 cells run vs the dynamic
+//! pipeline's ("hardware counter") AVL/VOR, and engine sanity across the
+//! whole platform × workload matrix.
 
+use pvs::core::machine::{CpuClass, Machine};
+use pvs::core::platforms;
 use pvs::netsim::collectives::measured_bisection_gbs;
 use pvs::netsim::topology::{Network, NetworkConfig, TopologyKind};
+use pvs::vectorsim::{
+    average_vector_length, LoopClass, MemoryEnv, VectorLoop, VectorUnit, VectorUnitConfig,
+};
 
 fn net(kind: TopologyKind, endpoints: usize) -> Network {
     Network::new(NetworkConfig {
@@ -69,7 +74,6 @@ fn torus_bisection_grows_as_sqrt_of_endpoints() {
 /// Recursive doubling runs ⌈log₂P⌉ rounds on idle links, α + 2n/β each.
 #[test]
 fn crossbar_collectives_match_their_alpha_beta_closed_forms() {
-    use pvs::core::platforms;
     use pvs::netsim::collectives::{all_to_all_stats_sampled, allreduce_stats};
 
     let es = platforms::earth_simulator();
@@ -108,7 +112,6 @@ fn crossbar_collectives_match_their_alpha_beta_closed_forms() {
 /// neighbours coincide.
 #[test]
 fn crossbar_halos_count_the_wire_term_twice() {
-    use pvs::core::platforms;
     use pvs::netsim::collectives::{halo_exchange_2d_stats, halo_exchange_3d_stats};
 
     let es = platforms::earth_simulator();
@@ -173,7 +176,6 @@ fn prefetch_simulation_matches_closed_form_across_run_lengths() {
 #[test]
 fn engine_is_sane_across_the_full_platform_workload_matrix() {
     use pvs::core::engine::Engine;
-    use pvs::core::platforms;
     use pvs::serve::workload::{cell_phases, APP_CONFIGS};
 
     for m in platforms::all() {
@@ -209,7 +211,6 @@ fn engine_is_sane_across_the_full_platform_workload_matrix() {
 fn one_sided_semantics_never_slow_communication_down() {
     use pvs::core::engine::Engine;
     use pvs::core::phase::{CommPattern, Phase};
-    use pvs::core::platforms;
 
     for pattern in [
         CommPattern::Halo2d {
@@ -239,59 +240,136 @@ fn one_sided_semantics_never_slow_communication_down() {
     }
 }
 
-/// `(AVL gap relative to the static prediction, absolute VOR gap)` between
-/// a descriptor's closed-form strip-mining arithmetic and its run through
-/// the instruction-accounting pipeline. The two derivations share nothing
-/// but the loop description, so a gap means one of them, or the
-/// descriptor, is wrong.
-fn static_dynamic_gaps(d: &pvs::core::kernel::KernelDescriptor) -> (f64, f64) {
-    let (s, m) = (d.static_prediction(), d.dynamic_metrics());
-    let avl_gap = if s.avl == 0.0 { m.avl().abs() } else { (m.avl() - s.avl).abs() / s.avl };
-    (avl_gap, (m.vor() - s.vor).abs())
+/// The vector unit of an ES or X1 platform.
+fn vector_unit(machine: &Machine) -> VectorUnitConfig {
+    match machine.cpu {
+        CpuClass::Vector { unit, .. } => unit,
+        CpuClass::Superscalar { .. } => panic!("{} has no vector unit", machine.name),
+    }
 }
 
-/// The paper's listing-file vs hardware-counter cross-check, over every
-/// kernel the workspace registers: static and dynamic AVL within 5 %,
-/// VOR within 0.05. The kernels a vector machine runs at under half its
-/// vector length are exactly the paper's Cactus small-grid pathology
-/// (§5.2: an 80-point x-dimension on a VL-256 machine) — a new member of
-/// that set is a workload or descriptor change worth a look.
-#[test]
-fn registered_kernels_static_and_dynamic_vectorization_agree() {
-    let mut all = pvs::vectorsim::descriptor::reference_descriptors();
-    all.extend(pvs::lbmhd::perf::kernel_descriptors());
-    all.extend(pvs::gtc::perf::kernel_descriptors());
-    all.extend(pvs::cactus::perf::kernel_descriptors());
-    all.extend(pvs::paratec::perf::kernel_descriptors());
-    assert!(all.len() >= 38, "registry shrank to {}", all.len());
-
-    let mut short_vector = Vec::new();
-    for d in &all {
-        let label = format!("{}/{} on {}", d.app, d.kernel, d.machine.name());
-        let (avl_gap, vor_gap) = static_dynamic_gaps(d);
-        assert!(avl_gap <= 0.05, "{label}: static vs dynamic AVL differ by {avl_gap}");
-        assert!(vor_gap <= 0.05, "{label}: static vs dynamic VOR differ by {vor_gap}");
-        let s = d.static_prediction();
-        if s.vor > 0.0 && s.avl < d.machine.unit().max_vl as f64 / 2.0 {
-            short_vector.push(label);
+/// The paper's "listing file" view of a loop: AVL and VOR from closed-form
+/// strip arithmetic alone. A vector loop of `n` trips over `s` streams runs
+/// `⌈n/s⌉` iterations per stream, so its AVL is their average strip length
+/// and every operation it retires is a vector element operation (VOR 1); a
+/// scalar loop issues no vector instruction at all (AVL 0, VOR 0).
+fn listing_avl_vor(l: &VectorLoop, unit: &VectorUnitConfig) -> (f64, f64) {
+    match l.class {
+        LoopClass::Scalar => (0.0, 0.0),
+        LoopClass::Vectorizable { multistreamable } => {
+            let streams = if multistreamable { unit.ssp_count } else { 1 };
+            (average_vector_length(l.trips.div_ceil(streams), unit.max_vl), 1.0)
         }
     }
+}
+
+/// `(AVL gap relative to the listing, absolute VOR gap)` between a loop's
+/// closed-form strip arithmetic and its run through the instruction-
+/// accounting pipeline on `machine`'s vector unit, in clean memory. The two
+/// derivations share nothing but the loop description, so a gap means one
+/// of them is wrong.
+fn static_dynamic_gaps(l: &VectorLoop, machine: &Machine) -> (f64, f64) {
+    let unit = vector_unit(machine);
+    let (avl, vor) = listing_avl_vor(l, &unit);
+    let m = VectorUnit::new(unit)
+        .execute(l, &MemoryEnv::clean(machine.bytes_per_cycle()))
+        .metrics;
+    let avl_gap = if avl == 0.0 { m.avl().abs() } else { (m.avl() - avl).abs() / avl };
+    (avl_gap, (m.vor() - vor).abs())
+}
+
+/// The limiting cases the paper's §2 architecture discussion is built on,
+/// as always-present calibration rows: a long compute-bound loop, a
+/// stream-bound one and a serialized one.
+fn synthetic_loops() -> [(&'static str, VectorLoop); 3] {
+    let compute_bound_long = VectorLoop {
+        trips: 4096,
+        outer_iters: 100,
+        flops_per_iter: 64.0,
+        bytes_per_iter: 16.0,
+        gather_fraction: 0.0,
+        live_vector_temps: 8,
+        class: LoopClass::Vectorizable { multistreamable: true },
+    };
+    [
+        ("compute_bound_long", compute_bound_long),
+        (
+            "stream_bound",
+            VectorLoop { flops_per_iter: 12.0, bytes_per_iter: 64.0, ..compute_bound_long },
+        ),
+        ("serialized", VectorLoop { class: LoopClass::Scalar, ..compute_bound_long }),
+    ]
+}
+
+/// The paper's listing-file vs hardware-counter cross-check, over what the
+/// engine actually runs: every loop phase of the cell registry's ES and X1
+/// cells at P = 64 (both Cactus block shapes, each machine's own port
+/// variant), lowered as the engine lowers it, plus the synthetic loops.
+/// Static and dynamic AVL agree within 5 %, VOR within 0.05. The loops a
+/// vector machine runs at under half its vector length are exactly the
+/// paper's Cactus small-grid pathology (§5.2: an 80-point x-dimension on a
+/// VL-256 machine) — a new member of that set is a workload change worth a
+/// look.
+#[test]
+fn registered_kernels_static_and_dynamic_vectorization_agree() {
+    use pvs::core::kernel::vector_loop_from_phase;
+    use pvs::core::phase::Phase;
+    use pvs::serve::workload::cell_phases;
+
+    const CELLS: [(&str, &str); 5] = [
+        ("LBMHD", "4096x4096"),
+        ("GTC", "10 part/cell"),
+        ("CACTUS", "80x80x80"),
+        ("CACTUS", "250x64x64"),
+        ("PARATEC", "432 atom"),
+    ];
+    let mut checked = 0;
+    let mut short_vector = Vec::new();
+    for name in ["ES", "X1"] {
+        let machine = platforms::by_name(name).expect("study platform");
+        let unit = vector_unit(&machine);
+        let mut loops: Vec<(String, VectorLoop)> = synthetic_loops()
+            .map(|(kernel, l)| (format!("synthetic/{kernel}"), l))
+            .into();
+        for (app, config) in CELLS {
+            let phases = cell_phases(app, config, name, 64).expect("registered cell");
+            for phase in &phases {
+                if let Phase::Loop(l) = phase {
+                    loops.push((format!("{app}/{config}/{}", l.name), vector_loop_from_phase(l)));
+                }
+            }
+        }
+        for (kernel, l) in &loops {
+            let label = format!("{kernel} on {name}");
+            let (avl_gap, vor_gap) = static_dynamic_gaps(l, &machine);
+            assert!(avl_gap <= 0.05, "{label}: static vs dynamic AVL differ by {avl_gap}");
+            assert!(vor_gap <= 0.05, "{label}: static vs dynamic VOR differ by {vor_gap}");
+            let (avl, vor) = listing_avl_vor(l, &unit);
+            if vor > 0.0 && avl < unit.max_vl as f64 / 2.0 {
+                short_vector.push(label);
+            }
+        }
+        checked += loops.len();
+    }
+    assert_eq!(checked, 38, "6 synthetic loops and 32 registry loop phases");
     assert_eq!(
         short_vector,
         [
-            "cactus/small/ADM_BSSN_Sources on ES",
-            "cactus/small/ADM_BSSN_Sources on X1",
-            "cactus/small/radiation_boundary on X1",
+            "CACTUS/80x80x80/ADM_BSSN_Sources on ES",
+            "CACTUS/80x80x80/ADM_BSSN_Sources on X1",
+            "CACTUS/80x80x80/radiation_boundary on X1",
         ]
     );
-    for app in ["vectorsim", "lbmhd", "gtc", "cactus", "paratec"] {
-        for machine in ["ES", "X1"] {
-            assert!(
-                all.iter().any(|d| d.app == app && d.machine.name() == machine),
-                "no {app} descriptor for {machine}"
-            );
-        }
-    }
+
+    // The synthetic loops' listing values, exactly: full 256-element ES
+    // strips at intensity 4, a scalar loop's zeros, and 4096 trips over
+    // the X1's 4 SSPs — 1024 each at VL 64.
+    let [(_, long), _, (_, serialized)] = synthetic_loops();
+    let (es, x1) = (vector_unit(&platforms::earth_simulator()), vector_unit(&platforms::x1()));
+    assert_eq!(listing_avl_vor(&long, &es), (256.0, 1.0));
+    assert_eq!(long.intensity(), 4.0);
+    assert_eq!(listing_avl_vor(&serialized, &es), (0.0, 0.0));
+    assert_eq!(listing_avl_vor(&long, &x1).0, 64.0);
 }
 
 /// The same cross-check for *time* (ROADMAP #6, vectorsim half): with no
@@ -301,7 +379,7 @@ fn registered_kernels_static_and_dynamic_vectorization_agree() {
 /// one stream sees — up to 5·10⁷ trips.
 #[test]
 fn vector_loop_time_matches_its_closed_form() {
-    use pvs::vectorsim::{es_processor, x1_msp, LoopClass, MemoryEnv, VectorLoop, VectorUnit};
+    use pvs::vectorsim::{es_processor, x1_msp};
 
     for cfg in [es_processor(), x1_msp()] {
         for trips in [1, 255, 256, 257, 4_096, 31_250, 3_125_000, 50_000_000] {
@@ -339,24 +417,15 @@ fn vector_loop_time_matches_its_closed_form() {
 /// ceil-rounding visibly departs from the closed-form strip average.
 #[test]
 fn a_divergent_descriptor_is_caught() {
-    use pvs::core::kernel::{KernelDescriptor, MachineKind};
-    use pvs::vectorsim::exec::{LoopClass, VectorLoop};
-
-    let d = KernelDescriptor {
-        app: "fixture",
-        kernel: "rounding_pathology".to_string(),
-        machine: MachineKind::Es,
-        source_hint: "tests/simulators.rs",
-        vloop: VectorLoop {
-            trips: 3,
-            outer_iters: 1,
-            flops_per_iter: 3.0,
-            bytes_per_iter: 8.0,
-            gather_fraction: 0.0,
-            live_vector_temps: 8,
-            class: LoopClass::Vectorizable { multistreamable: true },
-        },
+    let rounding_pathology = VectorLoop {
+        trips: 3,
+        outer_iters: 1,
+        flops_per_iter: 3.0,
+        bytes_per_iter: 8.0,
+        gather_fraction: 0.0,
+        live_vector_temps: 8,
+        class: LoopClass::Vectorizable { multistreamable: true },
     };
-    let (avl_gap, _) = static_dynamic_gaps(&d);
+    let (avl_gap, _) = static_dynamic_gaps(&rounding_pathology, &platforms::earth_simulator());
     assert!(avl_gap > 0.05, "expected divergence, got {avl_gap}");
 }

@@ -1504,7 +1504,7 @@ fn the_walk_covers_the_workspace() {
     );
     for needle in [
         "crates/core/src/lib.rs",
-        "crates/vectorsim/src/descriptor.rs",
+        "crates/vectorsim/src/stripmine.rs",
         "src/lib.rs",
     ] {
         assert!(sources.contains(&needle), "walker missed {needle}");
