@@ -18,6 +18,7 @@ use pvs_memsim::banks::BankedMemory;
 use pvs_memsim::trace::scrambled_indices;
 use pvs_netsim::collectives::{all_to_all_sampled, allreduce, halo_exchange_2d, halo_exchange_3d};
 use pvs_netsim::des::{Ledger, SimStats, Traffic};
+use pvs_netsim::schedule::{recursive_doubling, rotation};
 use pvs_netsim::topology::Network;
 use pvs_obs::Recorder;
 use pvs_vectorsim::exec::{MemoryEnv, VectorUnit};
@@ -439,16 +440,12 @@ impl Engine {
                 bytes_per_pair,
             } => (
                 all_to_all_sampled(&net, ranks, bytes_per_pair, MAX_A2A_ROUNDS),
-                ranks.saturating_sub(1) as u64 * bytes_per_pair,
+                rotation(ranks).len() as u64 * bytes_per_pair,
             ),
-            CommPattern::AllReduce { ranks, bytes } => {
-                let rounds = if ranks > 1 {
-                    usize::BITS - (ranks - 1).leading_zeros()
-                } else {
-                    0
-                };
-                (allreduce(&net, ranks, bytes), rounds as u64 * bytes)
-            }
+            CommPattern::AllReduce { ranks, bytes } => (
+                allreduce(&net, ranks, bytes),
+                recursive_doubling(ranks).len() as u64 * bytes,
+            ),
         };
         // MPI buffers payload twice through memory (user-level pack and
         // system-level copy); one-sided puts write directly. This is the

@@ -73,5 +73,6 @@ pub use hash::{fnv1a, fnv1a_hex, Fnv1a};
 pub use machine::{CpuClass, Machine};
 pub use phase::{CommPattern, Phase, VectorizationInfo};
 pub use pool::ThreadPool;
+pub use pvs_netsim::schedule;
 pub use report::{PerfReport, PhaseBreakdown};
 pub use rng::{Pcg32, SplitMix64};

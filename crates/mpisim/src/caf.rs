@@ -11,9 +11,10 @@
 //! rank threads: each rank owns a window (`Vec<f64>` behind an `RwLock`)
 //! and holds handles to every other rank's window.
 
-use crate::collective::{ring_circulate, Link, Round};
+use crate::collective::{ring_circulate, Link};
 use crate::comm::{Comm, Payload, Want};
 use crate::tags::{self, ctag};
+use pvs_core::schedule::Round;
 use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
 

@@ -1,13 +1,10 @@
-//! The one definition of a collective.
-//!
-//! The thread runtime ([`crate::comm`], [`crate::fault`], [`crate::caf`])
-//! moves a real packet for every scheduled message; the event runtime
-//! ([`crate::event`]) charges the same messages arithmetically. What the
-//! messages *are* is written here once: who takes part ([`World`]), whom
-//! each round pairs a participant with ([`Round`], [`binomial`]), the
-//! order contributions fold in ([`fold_sum`], [`fold_max`]) and what one
-//! message costs under fault injection ([`World::charge_send`]).
-//! Schedules speak *participant indices* `0..n`, mapped to ranks through
+//! What both rank runtimes share of a collective besides its schedule
+//! ([`pvs_core::schedule`]): who takes part ([`World`]), the order
+//! contributions fold in ([`fold_sum`], [`fold_max`]) and what one message
+//! costs under fault injection ([`World::charge_send`]). v1 ([`crate::comm`],
+//! [`crate::fault`], [`crate::caf`]) moves a packet per scheduled message,
+//! v2 ([`crate::event`]) charges the same messages arithmetically.
+//! Schedules speak participant indices `0..n`, mapped to ranks through
 //! [`World::survivors`], so a survivor-only collective is the healthy one
 //! over a shorter list.
 
@@ -15,6 +12,7 @@ use crate::comm::Comm;
 use crate::fault::{attempt_lost, message_delayed, retry_backoff_ps};
 use crate::fault::{FaultError, FaultSpec, FaultStats};
 use crate::tags::ctag;
+use pvs_core::schedule::{dissemination, ring, Round};
 use std::sync::Arc;
 
 /// Who takes part in one run and what is broken, built once per run.
@@ -116,85 +114,6 @@ impl World {
         let attempts = self.spec.max_attempts;
         FaultError::Timeout { peer, tag, attempts, expired_at_ps }
     }
-}
-
-/// One round of a shift schedule over `n` participants: participant `me`
-/// sends `dist` places forward and receives from `dist` places behind,
-/// and what arrives was contributed `lag` places behind.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Round {
-    /// Tag sequence number of this round's messages.
-    pub seq: u64,
-    dist: usize,
-    lag: usize,
-}
-
-impl Round {
-    fn new(seq: usize, dist: usize, lag: usize) -> Self {
-        Round { seq: seq as u64, dist, lag }
-    }
-
-    pub(crate) fn to(&self, me: usize, n: usize) -> usize {
-        (me + self.dist) % n
-    }
-
-    pub(crate) fn from(&self, me: usize, n: usize) -> usize {
-        (me + n - self.dist) % n
-    }
-
-    pub(crate) fn origin(&self, me: usize, n: usize) -> usize {
-        (me + n - self.lag) % n
-    }
-}
-
-/// Dissemination barrier: ⌈log₂ n⌉ rounds at doubling distance.
-pub(crate) fn dissemination(n: usize) -> Vec<Round> {
-    let mut rounds = Vec::new();
-    let mut dist = 1;
-    while dist < n {
-        rounds.push(Round::new(rounds.len(), dist, dist));
-        dist *= 2;
-    }
-    rounds
-}
-
-/// Gather-to-all ring: n−1 steps to the successor; the packet received at
-/// step `s` originated `s + 1` places behind, so every contribution can
-/// be indexed by its origin and folded in canonical order.
-pub(crate) fn ring(n: usize) -> impl ExactSizeIterator<Item = Round> {
-    (0..n.saturating_sub(1)).map(|step| Round::new(step, 1, step + 1))
-}
-
-/// All-to-all rotation: round `r` pairs each participant with the one `r`
-/// places away, which avoids head-of-line hotspots.
-pub(crate) fn rotation(n: usize) -> impl ExactSizeIterator<Item = Round> {
-    (1..n).map(|r| Round::new(r, r, r))
-}
-
-/// Position of participant `me` in the binomial broadcast tree rooted at
-/// `root` (MPICH's relative-rank/mask schedule): its parent (`None` at
-/// the root) and its children in send order — log₂ n rounds, and nobody
-/// sends more than log₂ n messages.
-pub(crate) fn binomial(me: usize, root: usize, n: usize) -> (Option<usize>, Vec<usize>) {
-    let relative = (me + n - root) % n;
-    let mut parent = None;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            parent = Some((me + n - mask) % n);
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    let mut children = Vec::new();
-    while mask > 0 {
-        if relative + mask < n {
-            children.push((me + mask) % n);
-        }
-        mask >>= 1;
-    }
-    (parent, children)
 }
 
 /// Left-fold contributions as x₀ + x₁ + … + x_{n−1}: the canonical order,

@@ -3,14 +3,15 @@
 //! Collectives compute **canonical, rank-order results**: every rank
 //! folds contributions in rank order 0..P, so all ranks return bitwise
 //! identical values even for non-associative floating-point sums. The
-//! schedules and folds are defined in the private `collective` module;
-//! this module executes them as real packets on the reserved tag
-//! namespace ([`crate::tags`]) — application tags must keep the top bit
-//! clear.
+//! schedules are [`pvs_core::schedule`]'s and the folds the private
+//! `collective` module's; this module executes them as real packets on
+//! the reserved tag namespace ([`crate::tags`]) — application tags must
+//! keep the top bit clear.
 
-use crate::collective::{self, binomial, fold_max, fold_sum, rotation, Link, World};
+use crate::collective::{self, fold_max, fold_sum, Link, World};
 use crate::fault::FaultError;
 use crate::tags::{self, assert_user_tag, ctag};
+use pvs_core::schedule::{binomial, rotation};
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::panic::resume_unwind;

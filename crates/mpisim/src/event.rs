@@ -46,8 +46,8 @@
 //! ## Collectives
 //!
 //! Collectives are computed centrally when every participant has
-//! entered, from the one definition in the private `collective` module:
-//! values fold in canonical rank order, and the per-rank
+//! entered, from [`pvs_core::schedule`] and the private `collective`
+//! module: values fold in canonical rank order, and the per-rank
 //! [`CommStats`]/[`FaultStats`] are charged arithmetically from the
 //! schedule v1 executes as packets (under fault injection, replaying
 //! v1's seeded draw per scheduled message), so the two runtimes agree
@@ -61,10 +61,11 @@
 
 use crate::blocks::Blocks;
 use crate::caf::CoArray;
-use crate::collective::{binomial, dissemination, fold_max, fold_sum, ring, rotation, Round, World};
+use crate::collective::{fold_max, fold_sum, World};
 use crate::comm::{received, take_match, CommStats, Packet, Payload, Received, Want};
 use crate::fault::{FaultError, FaultSpec, FaultStats, RankOutcome};
 use crate::tags::{self, assert_user_tag, ctag};
+use pvs_core::schedule::{binomial, dissemination, ring, rotation, Round};
 use pvs_core::EventQueue;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, RwLock};

@@ -29,9 +29,9 @@
 //! * [`threaded`]: the same [`RankProgram`]s on the thread-backed
 //!   runtime, each [`Op`] answered by the [`Comm`] / [`FaultyComm`]
 //!   method of the same name;
-//! * `collective` (private): the one definition of every collective —
-//!   schedules, canonical folds, survivor set, seeded per-message fault
-//!   charge — run as packets by `comm`/`fault`/`caf`, as sums by `event`;
+//! * `collective` (private): canonical folds, survivor set and seeded
+//!   per-message fault charge, run with the [`pvs_core::schedule`]
+//!   schedules as packets by `comm`/`fault`/`caf`, as sums by `event`;
 //! * [`tags`]: the collective tag namespace — the top tag bit is
 //!   reserved so user traffic can never collide with a collective's
 //!   internal messages.

@@ -1,11 +1,13 @@
 //! Independent oracle for the collective schedules.
 //!
-//! Both runtimes take their schedules from one module, so a wrong
-//! schedule would move v1 and v2 together and `conformance.rs` would not
-//! see it. This table pins what every rank sends — literal
-//! `(messages_sent, bytes_sent)` worked out by hand from the algorithms'
-//! definitions (dissemination barrier, gather-to-all ring, binomial tree,
-//! all-to-all rotation), not from the code — and holds both runtimes to it.
+//! Both runtimes and the engine's timing model take their schedules from
+//! one module, `pvs_netsim::schedule`, so a wrong schedule would move v1,
+//! v2 and the model together and `conformance.rs` would not see it. This
+//! table pins what every rank sends — literal `(messages_sent,
+//! bytes_sent)` worked out by hand from the algorithms' definitions
+//! (dissemination barrier, gather-to-all ring, binomial tree, all-to-all
+//! rotation), not from the code — and holds both runtimes to it; the
+//! rotation it pins is the one the model times PARATEC's transposes on.
 
 use pvs_mpisim::{run_programs, Blocks, EventSim, Op, Reply, ScriptProgram, SimReport};
 

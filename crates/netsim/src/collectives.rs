@@ -8,9 +8,9 @@
 //!   scaling limiter);
 //! * **allreduce** — CG dot products in PARATEC and GTC's Poisson solve.
 //!
-//! Each collective walks its schedule and sends every message through
-//! [`NetSim::send`] as the schedule emits it, so contention effects (torus
-//! bisection, slim-tree uplinks) emerge from the topology rather than
+//! Each collective walks its [`crate::schedule`] and sends every message
+//! through [`NetSim::send`] as the schedule emits it, so contention effects
+//! (torus bisection, slim-tree uplinks) emerge from the topology rather than
 //! being assumed. One schedule has a shortcut: on a crossbar whose links
 //! the exchange uses all run at one rate, the rotation all-to-all keeps
 //! every endpoint's clocks in step, so it is timed on one endpoint's two
@@ -25,6 +25,7 @@
 //! port lanes slow what crosses them.
 
 use crate::des::{later, Ledger, NetSim, SimStats, Traffic};
+use crate::schedule::{recursive_doubling, rotation_sampled};
 use crate::topology::Network;
 
 /// A 2D periodic halo exchange: every rank exchanges `bytes_per_edge`
@@ -139,13 +140,16 @@ pub fn halo_exchange_3d_stats(
 /// An all-to-all personalized exchange of `bytes_per_pair` between every
 /// ordered pair of the first `p` endpoints — the communication core of a
 /// distributed matrix/FFT transpose — simulating at most `max_rounds` of
-/// the `p - 1` rotation rounds and scaling linearly: accurate because
-/// every round is a full permutation placing identical load on the
-/// network, and necessary to keep 1024-rank FFT-transpose modelling cheap
-/// (`max_rounds >= p - 1` simulates every round). The returned time is
-/// the extrapolated full-collective time; the ledger describes only the
-/// rounds actually simulated — consumers extrapolating totals should
-/// scale by `(p - 1) / min(p - 1, max_rounds)`.
+/// the `p - 1` rotation rounds ([`rotation_sampled`]) and scaling
+/// linearly, which keeps 1024-rank FFT-transpose modelling cheap
+/// (`max_rounds >= p - 1` simulates every round). Linear scaling assumes
+/// every round loads the network alike, and the torus breaks that:
+/// sampled ÷ full schedule at 24 rounds reads 0.71–0.76 on the X1 torus
+/// at P = 128–1024, where the stride aliases with the torus rows, against
+/// 1.03–1.07 on the fat-trees and ≈ 1.005 on the ES (ROADMAP item 4).
+/// The returned time is the extrapolated full-collective time; the ledger
+/// describes only the rounds actually simulated — consumers extrapolating
+/// totals should scale by `(p - 1) / min(p - 1, max_rounds)`.
 pub fn all_to_all_sampled<L: Ledger>(
     net: &Network,
     p: usize,
@@ -157,24 +161,21 @@ pub fn all_to_all_sampled<L: Ledger>(
     if p < 2 {
         return sim.finish();
     }
-    let total_rounds = p - 1;
-    let simulate = total_rounds.min(max_rounds);
-    let stride = total_rounds as f64 / simulate as f64;
     // Stagger destinations (rotation schedule) like real MPI_Alltoall
     // implementations to avoid synthetic endpoint hotspots. A healthy
     // crossbar times the schedule on one endpoint's clocks; anything else
     // sends it message by message.
-    let rounds = (0..simulate).map(|k| 1 + (k as f64 * stride) as usize);
+    let rounds = rotation_sampled(p, max_rounds);
+    let scale = (p - 1) as f64 / rounds.len() as f64;
     if !sim.rotate(p, bytes_per_pair, 0.0, rounds.clone()) {
         for round in rounds {
             for src in 0..p {
-                let dst = if src + round < p { src + round } else { src + round - p };
-                sim.send(src, dst, bytes_per_pair, 0.0);
+                sim.send(src, round.to(src, p), bytes_per_pair, 0.0);
             }
         }
     }
     let (makespan_s, ledger) = sim.finish();
-    (makespan_s * (total_rounds as f64 / simulate as f64), ledger)
+    (makespan_s * scale, ledger)
 }
 
 /// [`all_to_all_sampled`] counted into [`SimStats`].
@@ -188,23 +189,21 @@ pub fn all_to_all_stats_sampled(
 }
 
 /// A recursive-doubling allreduce of `bytes` across the first `p`
-/// endpoints: ⌈log₂ p⌉ rounds, in round `r` every rank exchanges with
-/// rank `src ^ 2^r`, and a partner at or beyond `p` is skipped (so a
-/// non-power-of-two `p` just sends fewer messages in its top rounds).
-/// Rounds execute back to back on idle links, so makespans add; the
-/// ledger accumulates over all rounds.
+/// endpoints: every round of [`recursive_doubling`] exchanges `bytes`
+/// between each rank and its partner. At a non-power-of-two `p` this is
+/// not an allreduce: a partner at or beyond `p` is skipped, so at p = 12
+/// ranks 4–7 never receive 8–11's contributions, and only the 40 messages
+/// sent (12 + 12 + 8 + 8) are timed. Rounds execute back to back on idle
+/// links, so makespans add; the ledger accumulates over all rounds.
 pub fn allreduce<L: Ledger>(net: &Network, p: usize, bytes: u64) -> (f64, L) {
     assert!(p >= 1 && p <= net.config().endpoints);
     let mut sim = NetSim::<L>::with_ledger(net);
-    let rounds = (usize::BITS - (p - 1).leading_zeros()) as usize;
     let mut makespan_s = 0.0;
-    for r in 0..rounds {
-        let dist = 1usize << r;
+    for partner in recursive_doubling(p) {
         sim.reset();
         let mut round_s = 0.0f64;
         for src in 0..p {
-            let dst = src ^ dist;
-            if dst < p {
+            if let Some(dst) = partner(src) {
                 round_s = later(round_s, sim.send(src, dst, bytes, 0.0));
             }
         }
@@ -292,6 +291,11 @@ mod tests {
         let stats = allreduce_stats(&net, 16, 8_000);
         // 4 recursive-doubling rounds x 16 ranks exchanging pairwise.
         assert_eq!(stats.messages, 4 * 16);
+        // A partner at or beyond p is skipped. p = 12: masks 1 and 2 pair
+        // all 12, mask 4 pairs 0–3 with 4–7 and leaves 8–11 alone, mask 8
+        // pairs 0–3 with 8–11 and leaves 4–7 alone. p = 3: 0↔1, then 0↔2.
+        assert_eq!(allreduce_stats(&net, 12, 8_000).messages, 12 + 12 + 8 + 8);
+        assert_eq!(allreduce_stats(&net, 3, 8_000).messages, 2 + 2);
         let single = allreduce_stats(&net, 1, 8_000);
         assert_eq!(single.messages, 0);
         assert_eq!(single.makespan_s, 0.0);

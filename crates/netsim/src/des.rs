@@ -27,6 +27,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::schedule::Round;
 use crate::topology::{Network, TopologyKind};
 
 /// Per-hop wire/switch latency as a fraction of the configured end-to-end
@@ -318,23 +319,23 @@ impl<'a, L: Ledger> NetSim<'a, L> {
 
     /// Time a rotation all-to-all among the first `p` endpoints of a
     /// crossbar on two scalar clocks, booking every message into the
-    /// ledger as [`NetSim::send`] would. In each round `r` of `rounds`
-    /// (each in `1..p`) every `src < p` sends `bytes` to `(src + r) mod
-    /// p`, submitted at `submit_s`. A round is a permutation: each of the
-    /// `p` endpoints injects once, on its own link `2·src`, and ejects
-    /// once, on its own `2·dst + 1`. So if those `2p` links share one
-    /// rate, all `p` injection clocks agree and all `p` ejection clocks
-    /// agree (as on a fresh simulator), they still agree after every
-    /// round, and one message's chain, spelled as in `send`, times every
-    /// message of the round. Returns `false` having done nothing when
-    /// that does not hold: another topology, `p < 2`, or a derated link
-    /// or a diverged clock among those endpoints.
+    /// ledger as [`NetSim::send`] would. In each of `rounds` (rounds of
+    /// [`rotation`](crate::schedule::rotation) over `p`) every `src < p`
+    /// sends `bytes` to `round.to(src, p)`, submitted at `submit_s`. A
+    /// round is a permutation: each of the `p` endpoints injects once, on
+    /// its own link `2·src`, and ejects once, on its own `2·dst + 1`. So
+    /// if those `2p` links share one rate, all `p` injection clocks agree
+    /// and all `p` ejection clocks agree (as on a fresh simulator), they
+    /// still agree after every round, and one message's chain, spelled as
+    /// in `send`, times every message of the round. Returns `false` having
+    /// done nothing when that does not hold: another topology, `p < 2`, or
+    /// a derated link or a diverged clock among those endpoints.
     pub(crate) fn rotate(
         &mut self,
         p: usize,
         bytes: u64,
         submit_s: f64,
-        rounds: impl Iterator<Item = usize>,
+        rounds: impl Iterator<Item = Round>,
     ) -> bool {
         assert!(submit_s >= 0.0, "submit time {submit_s} is not a time");
         let links = 2 * p;
@@ -351,9 +352,8 @@ impl<'a, L: Ledger> NetSim<'a, L> {
         }
         let size = bytes as f64;
         for round in rounds {
-            assert!((1..p).contains(&round), "rotation round {round} outside 1..{p}");
             for src in 0..p {
-                let dst = if src + round < p { src + round } else { src + round - p };
+                let dst = round.to(src, p);
                 self.ledger.hop(2 * src, bytes);
                 self.ledger.hop(2 * dst + 1, bytes);
                 self.ledger.message(bytes, 2);
@@ -426,6 +426,7 @@ impl<'a> NetSim<'a> {
 mod tests {
     use super::*;
     use crate::fault::LinkFaults;
+    use crate::schedule::rotation;
     use crate::topology::{NetworkConfig, TopologyKind};
 
     fn cfg(kind: TopologyKind, endpoints: usize) -> NetworkConfig {
@@ -702,7 +703,8 @@ mod tests {
                     sent.send(src, (src + round) % p, bytes, submit_s);
                 }
             }
-            assert!(rotated.rotate(p, bytes, submit_s, rounds.into_iter()));
+            let picked = rotation(p).filter(|r| rounds.contains(&(r.seq as usize)));
+            assert!(rotated.rotate(p, bytes, submit_s, picked));
             assert_eq!(bits(&rotated), bits(&sent), "link clocks after submit {submit_s}");
         }
         let (sent, rotated) = (sent.into_stats(), rotated.into_stats());
@@ -722,7 +724,7 @@ mod tests {
             let mut sim = NetSim::new(net);
             sim.send(7, 6, 100, 0.0);
             let before = sim.link_free_s.clone();
-            if sim.rotate(p, 100, 0.0, 1..p) {
+            if sim.rotate(p, 100, 0.0, rotation(p)) {
                 return false;
             }
             assert_eq!(sim.link_free_s, before, "a declined rotation sends nothing");
@@ -781,7 +783,7 @@ mod tests {
                 let n = Network::new(NetworkConfig { latency_us: 0.0, ..cfg(kind, 16) });
                 let rotated = |submit_s: f64| {
                     let mut sim = NetSim::new(&n);
-                    assert!(sim.rotate(8, 0, submit_s, 1..8));
+                    assert!(sim.rotate(8, 0, submit_s, rotation(8)));
                     sim.into_stats().makespan_s.to_bits()
                 };
                 assert_eq!(rotated(-0.0), rotated(0.0), "rotation");

@@ -10,7 +10,7 @@
 //! | Earth Simulator | 640-node single-stage crossbar | non-blocking [`topology::TopologyKind::Crossbar`] |
 //! | Cray X1 | modified 2D torus | [`topology::TopologyKind::Torus2D`] (bisection-limited) |
 //!
-//! Two layers are provided:
+//! Three layers are provided:
 //!
 //! * [`topology`] + [`des`]: an explicit link-level graph with shortest-path /
 //!   dimension-order routing and a discrete-event, store-and-forward
@@ -18,6 +18,8 @@
 //!   and collective times from first principles. The simulator books each
 //!   message into a [`des::Ledger`]: [`des::Traffic`] counts what
 //!   [`SimStats`] reports, `()` books nothing and only times;
+//! * [`schedule`]: every message schedule, defined once: walked by
+//!   [`collectives`] and by both rank runtimes of `pvs-mpisim`;
 //! * [`collectives`]: the communication patterns the applications use (halo
 //!   exchange, FFT transpose all-to-all, allreduce), expressed as schedules
 //!   whose messages are timed on the simulator one by one as they are
@@ -48,6 +50,7 @@
 pub mod collectives;
 pub mod des;
 pub mod fault;
+pub mod schedule;
 pub mod topology;
 
 pub use collectives::measured_bisection_gbs;
