@@ -15,7 +15,7 @@ use crate::phase::{CommPattern, CommPhase, LoopPhase, Phase};
 use crate::pool::{default_threads, map_slice};
 use crate::report::{PerfReport, PhaseBreakdown};
 use pvs_memsim::banks::BankedMemory;
-use pvs_memsim::trace::scrambled_indices;
+use pvs_memsim::trace::scrambled_stream;
 use pvs_netsim::collectives::{all_to_all_sampled, allreduce, halo_exchange_2d, halo_exchange_3d};
 use pvs_netsim::des::{Ledger, SimStats, Traffic};
 use pvs_netsim::schedule::{recursive_doubling, rotation};
@@ -37,18 +37,17 @@ const ONE_SIDED_LATENCY_RATIO: f64 = 3.9 / 7.3;
 
 /// What a single loop phase produced: modelled seconds, the vector
 /// counters (vector machines only), the strip-mine loop count, and the
-/// bank-replay totals from `pvs-memsim`.
+/// bank replay from `pvs-memsim`.
 struct LoopOutcome {
     seconds: f64,
     metrics: Option<VectorMetrics>,
     strips: u64,
-    bank_accesses: u64,
-    bank_stall_cycles: u64,
     /// `(strip_length, strips)` pairs from the vector unit (empty slots
     /// are zero-count).
     strip_lens: [(u64, u64); 2],
-    /// `(queue_depth, accesses)` pairs from the bank replay.
-    bank_depths: Vec<(u64, u64)>,
+    /// The bank replay, if the loop had one. Only an observed run reads
+    /// its counters and queue depths.
+    bank: Option<BankedMemory>,
 }
 
 /// Per-run counter totals, accumulated locally during the phase walk and
@@ -244,8 +243,6 @@ impl Engine {
                             l.bytes_per_iter * l.trips as f64 * l.outer_iters as f64;
                         tally.loop_seconds += outcome.seconds;
                         tally.strips += outcome.strips;
-                        tally.bank_accesses += outcome.bank_accesses;
-                        tally.bank_stall_cycles += outcome.bank_stall_cycles;
                         for &(len, n) in &outcome.strip_lens {
                             if n > 0 {
                                 tally
@@ -253,10 +250,14 @@ impl Engine {
                                     .push(("vectorsim.hist.strip_len", len, n));
                             }
                         }
-                        for &(depth, n) in &outcome.bank_depths {
-                            tally
-                                .hist_samples
-                                .push(("memsim.hist.bank_queue_depth", depth, n));
+                        if let Some(mem) = &outcome.bank {
+                            tally.bank_accesses += mem.accesses;
+                            tally.bank_stall_cycles += mem.stall_cycles;
+                            for (depth, n) in mem.queue_depths() {
+                                tally
+                                    .hist_samples
+                                    .push(("memsim.hist.bank_queue_depth", depth, n));
+                            }
                         }
                     }
                     breakdown.push(PhaseBreakdown {
@@ -322,16 +323,8 @@ impl Engine {
                 mem_efficiency,
             } => {
                 let vloop = vector_loop_from_phase(l);
-                let replay = self.bank_replay(l, banks);
-                let (bank_eff, bank_accesses, bank_stall_cycles, bank_depths) = match &replay {
-                    Some(mem) => (
-                        mem.efficiency(),
-                        mem.accesses,
-                        mem.stall_cycles,
-                        mem.queue_depths(),
-                    ),
-                    None => (1.0, 0, 0, Vec::new()),
-                };
+                let bank = self.bank_replay(l, banks);
+                let bank_eff = bank.as_ref().map_or(1.0, BankedMemory::efficiency);
                 let env = MemoryEnv {
                     bytes_per_cycle: self.machine.bytes_per_cycle(),
                     access_efficiency: mem_efficiency * bank_eff,
@@ -341,10 +334,8 @@ impl Engine {
                     seconds: result.seconds,
                     metrics: Some(result.metrics),
                     strips: result.strips,
-                    bank_accesses,
-                    bank_stall_cycles,
                     strip_lens: result.strip_lens,
-                    bank_depths,
+                    bank,
                 }
             }
             CpuClass::Superscalar {
@@ -368,10 +359,8 @@ impl Engine {
                     seconds: flops / rate,
                     metrics: None,
                     strips: 0,
-                    bank_accesses: 0,
-                    bank_stall_cycles: 0,
                     strip_lens: [(0, 0); 2],
-                    bank_depths: Vec::new(),
+                    bank: None,
                 }
             }
         }
@@ -395,8 +384,7 @@ impl Engine {
             mem.duplicate(32);
         }
         if let Some(hot) = l.vector.gather_hot_words {
-            let idx = scrambled_indices(BANK_SAMPLE, hot.max(1));
-            mem.gather(0, &idx);
+            mem.gather(0, scrambled_stream(BANK_SAMPLE, hot.max(1)));
             return Some(mem);
         }
         if !self.adversity.failed_banks.is_empty() {
@@ -494,7 +482,7 @@ pub fn run_sweep(jobs: Vec<SweepJob>) -> Vec<PerfReport> {
 /// produces byte-identical output because every job is pure and results
 /// are reassembled in input order.
 pub fn run_sweep_threads(jobs: Vec<SweepJob>, threads: usize) -> Vec<PerfReport> {
-    map_slice(&jobs, threads, |job| {
+    map_slice(jobs, threads, |job| {
         Engine::new(job.machine.clone()).run(&job.phases, job.procs)
     })
 }
@@ -999,7 +987,10 @@ mod tests {
         let batch: Vec<(Vec<Phase>, usize)> =
             (0..6).map(|i| (comm_heavy(16 << (i % 3)), 16 << (i % 3))).collect();
         let sweep = |threads: usize| -> Vec<String> {
-            map_slice(&batch, threads, |(phases, procs)| fingerprint(&engine.run(phases, *procs)))
+            let engine = engine.clone();
+            map_slice(batch.clone(), threads, move |(phases, procs)| {
+                fingerprint(&engine.run(phases, *procs))
+            })
         };
         assert_eq!(sweep(1), sweep(8));
     }
@@ -1012,7 +1003,10 @@ mod tests {
             (vec![blas3_like()], 16),
             (vec![lbmhd_like(), blas3_like()], 64),
         ];
-        let swept = map_slice(&batch, default_threads(), |(phases, procs)| engine.run(phases, *procs));
+        let worker = engine.clone();
+        let swept = map_slice(batch.clone(), default_threads(), move |(phases, procs)| {
+            worker.run(phases, *procs)
+        });
         for ((phases, procs), got) in batch.iter().zip(&swept) {
             let lone = engine.run(phases, *procs);
             assert_eq!(fingerprint(&lone), fingerprint(got));

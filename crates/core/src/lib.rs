@@ -21,9 +21,9 @@
 //!   [`engine::run_sweep`] batch API that fans a machine × workload ×
 //!   procs grid out across host cores with deterministic result ordering;
 //! * [`pool`]: std-only executors (no external crates — the whole
-//!   workspace builds offline): the scoped `map_slice` that runs
-//!   `run_sweep` on the caller plus helpers, and the long-lived
-//!   `ThreadPool` the serve store, profile and chaos keep;
+//!   workspace builds offline): `map_slice`, which runs `run_sweep` on
+//!   the caller plus process-wide helpers parked between calls, and the
+//!   long-lived `ThreadPool` the serve store, profile and chaos keep;
 //! * [`rng`]: deterministic in-tree SplitMix64/PCG32 generators replacing
 //!   `rand`, so every seeded simulation is bit-reproducible;
 //! * [`hash`]: stable FNV-1a content hashing (unlike `DefaultHasher`,

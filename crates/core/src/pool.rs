@@ -1,14 +1,18 @@
-//! Two std-only executors with deterministic result ordering: the
-//! scoped [`map_slice`] and the long-lived [`ThreadPool`].
+//! Two std-only executors with deterministic result ordering:
+//! [`map_slice`] and the long-lived [`ThreadPool`].
 //!
 //! The paper's evaluation is a grid — 4 applications × 5 machines × many
 //! processor counts — and every cell is an independent `Engine::run`.
 //! [`map_slice`] fans one such batch out across host cores: the caller is
-//! worker 0, helpers live only for the call, and each thread claims the
-//! next index from one atomic counter. [`ThreadPool`] keeps its workers
-//! for fire-and-forget jobs (the serve store) and counts tasks per worker
-//! (profile, chaos). Both give the same two guarantees, which make a
-//! parallel batch drop-in for the serial one:
+//! worker 0, and each thread claims the next index from one atomic
+//! counter. Its helpers are process-wide: spawned on demand up to the
+//! largest `threads − 1` any call has asked for, parked on a condvar
+//! between calls, and joined to a batch through a queue of posted
+//! batches, so a sweep pass spawns no thread once the first pass has.
+//! [`ThreadPool`] keeps its own workers for fire-and-forget jobs (the
+//! serve store) and counts tasks per worker (profile, chaos). Both give
+//! the same two guarantees, which make a parallel batch drop-in for the
+//! serial one:
 //!
 //! * **Deterministic ordering** — results come back in input order
 //!   regardless of which worker finished first, so table and figure
@@ -20,7 +24,10 @@
 //! No external crates. Both balance ragged task durations the same way:
 //! an idle thread takes the next task the moment it finishes one. The
 //! pool's queue is a `Mutex<VecDeque>` woken by a `Condvar`, with
-//! completion counted under a per-batch lock.
+//! completion counted under a per-batch lock. A [`map_slice`] caller
+//! waits only for the helpers that joined its batch before it ran out of
+//! items; one that arrives later finds the batch closed and does nothing,
+//! so nested and concurrent calls cannot deadlock on busy helpers.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -103,52 +110,230 @@ fn threads_from_env(raw: Option<&str>, host: usize) -> (usize, Option<String>) {
 
 /// Apply `f` to every item on up to `threads` threads, returning results
 /// **in input order**. The calling thread is worker 0 and
-/// `min(threads, items.len()) − 1` scoped helpers join it, so
-/// `threads ≤ 1` runs everything on the caller and spawns nothing. Each
-/// thread claims the next index from one counter until the slice is
+/// `min(threads, items.len()) − 1` of the process-wide helpers join it,
+/// so `threads ≤ 1` runs everything on the caller and spawns nothing.
+/// Each thread claims the next index from one counter until the items are
 /// exhausted. Panics in `f` follow [`ThreadPool::map`]'s contract: every
 /// item still runs, then the lowest-indexed panic is re-raised here.
-pub fn map_slice<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub fn map_slice<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
+    T: Send + Sync + 'static,
+    R: Send + 'static,
+    F: Fn(&T) -> R + Send + Sync + 'static,
 {
-    let next = AtomicUsize::new(0);
-    let work = || {
+    HELPERS.map(items, threads, f)
+}
+
+/// The helper threads behind every [`map_slice`] call.
+static HELPERS: Helpers = Helpers::new();
+
+/// A set of helper threads that join [`map_slice`] batches. They are
+/// spawned on demand, up to the largest `threads − 1` any call has asked
+/// for, then live for the process, parked on `ready` between batches.
+struct Helpers {
+    // LOCK ORDER: 44 — batches posted to the helpers. Held only to push,
+    // pop or withdraw an entry; a batch runs with it released.
+    posted: Mutex<Posted>,
+    /// Signalled once per entry posted.
+    ready: Condvar,
+}
+
+struct Posted {
+    /// One entry per helper a batch asked for.
+    batches: VecDeque<Arc<dyn Help>>,
+    /// Helper threads spawned so far.
+    spawned: usize,
+}
+
+/// A posted batch as a helper sees it.
+trait Help: Send + Sync {
+    /// Join the batch unless its caller has closed it, run items until
+    /// none are left, and hand the results back.
+    fn help(&self);
+}
+
+/// One [`map_slice`] call: its items, its closure and the next unclaimed
+/// index, shared by the caller and the helpers that join it.
+struct Batch<T, R, F> {
+    items: Vec<T>,
+    f: F,
+    next: AtomicUsize,
+    // LOCK ORDER: 54 — one batch's join count and helper results. Taken by
+    // a helper as it joins and as it finishes, and by the caller to close
+    // the batch and wait; `f` never runs under it.
+    joined: Mutex<Joined<R>>,
+    /// Signalled when a joined helper finishes.
+    done: Condvar,
+}
+
+struct Joined<R> {
+    /// Set by the caller once every index is claimed: a helper that
+    /// arrives later does nothing, so the caller waits only for helpers
+    /// already running its items.
+    closed: bool,
+    /// Helpers that joined and have not finished.
+    running: usize,
+    /// `(index, result)` of every item a helper ran.
+    claimed: Vec<(usize, std::thread::Result<R>)>,
+}
+
+impl<T, R, F: Fn(&T) -> R> Batch<T, R, F> {
+    /// Claim and run items until none are left.
+    fn claim(&self) -> Vec<(usize, std::thread::Result<R>)> {
         let mut claimed = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { break claimed };
-            claimed.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = self.items.get(i) else {
+                break claimed;
+            };
+            claimed.push((i, catch_unwind(AssertUnwindSafe(|| (self.f)(item)))));
         }
-    };
-    let helpers = threads.min(items.len()).saturating_sub(1);
-    let mut claimed = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
-        let mut claimed = work();
-        for h in handles {
-            // INFALLIBLE: a helper runs `f` only under catch_unwind, so
-            // it cannot end in a panic for `join` to report.
-            claimed.extend(h.join().expect("map_slice helper"));
+    }
+}
+
+impl<T, R, F> Help for Batch<T, R, F>
+where
+    T: Send + Sync,
+    R: Send,
+    F: Fn(&T) -> R + Send + Sync,
+{
+    fn help(&self) {
+        {
+            // INFALLIBLE: holders of `joined` only count and move results
+            // (`f` runs unlocked, under catch_unwind); poisoning is
+            // unreachable.
+            let mut j = self.joined.lock().expect("batch lock");
+            if j.closed {
+                return;
+            }
+            j.running += 1;
         }
-        claimed
-    });
-    claimed.sort_unstable_by_key(|&(i, _)| i);
-    let mut out = Vec::with_capacity(items.len());
-    let mut first_panic = None;
-    for (_, r) in claimed {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                first_panic.get_or_insert(p);
+        let claimed = self.claim();
+        // INFALLIBLE: as above.
+        let mut j = self.joined.lock().expect("batch lock");
+        j.claimed.extend(claimed);
+        j.running -= 1;
+        drop(j);
+        self.done.notify_one();
+    }
+}
+
+impl Helpers {
+    const fn new() -> Self {
+        Self {
+            posted: Mutex::new(Posted {
+                batches: VecDeque::new(),
+                spawned: 0,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// [`map_slice`] on this set of helpers.
+    fn map<T, R, F>(&'static self, items: Vec<T>, threads: usize, f: F) -> Vec<R>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&T) -> R + Send + Sync + 'static,
+    {
+        let n = items.len();
+        let helpers = threads.min(n).saturating_sub(1);
+        let batch = Arc::new(Batch {
+            items,
+            f,
+            next: AtomicUsize::new(0),
+            joined: Mutex::new(Joined {
+                closed: false,
+                running: 0,
+                claimed: Vec::new(),
+            }),
+            done: Condvar::new(),
+        });
+        let mut claimed = if helpers == 0 {
+            batch.claim()
+        } else {
+            let posted: Arc<dyn Help> = batch.clone();
+            self.post(&posted, helpers);
+            let mut claimed = batch.claim();
+            self.withdraw(&posted);
+            // INFALLIBLE: see `Batch::help`.
+            let mut j = batch.joined.lock().expect("batch lock");
+            j.closed = true;
+            while j.running > 0 {
+                // INFALLIBLE: waiting repoisons only if a holder panicked.
+                j = batch.done.wait(j).expect("batch wait");
+            }
+            claimed.append(&mut j.claimed);
+            claimed
+        };
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        let mut out = Vec::with_capacity(n);
+        let mut first_panic = None;
+        for (_, r) in claimed {
+            match r {
+                Ok(v) => out.push(v),
+                Err(p) => {
+                    first_panic.get_or_insert(p);
+                }
             }
         }
+        if let Some(p) = first_panic {
+            resume_unwind(p);
+        }
+        out
     }
-    if let Some(p) = first_panic {
-        resume_unwind(p);
+
+    /// Post `batch` once for each of `helpers` helpers, first spawning
+    /// the helpers this set is short of.
+    fn post(&'static self, batch: &Arc<dyn Help>, helpers: usize) {
+        let missing = {
+            // INFALLIBLE: holders of `posted` only move queue entries.
+            let mut p = self.posted.lock().expect("helper lock");
+            p.batches.extend((0..helpers).map(|_| Arc::clone(batch)));
+            let missing = helpers.saturating_sub(p.spawned);
+            p.spawned += missing;
+            missing
+        };
+        for _ in 0..missing {
+            let spawned = std::thread::Builder::new()
+                .name("pvs-sweep".into())
+                .spawn(move || self.helper_loop());
+            if spawned.is_err() {
+                // No thread to be had: the caller runs the items itself.
+                // INFALLIBLE: as above.
+                self.posted.lock().expect("helper lock").spawned -= 1;
+            }
+        }
+        for _ in 0..helpers {
+            self.ready.notify_one();
+        }
     }
-    out
+
+    /// Take back the entries of `batch` no helper has picked up.
+    fn withdraw(&self, batch: &Arc<dyn Help>) {
+        // INFALLIBLE: as in `post`.
+        let mut p = self.posted.lock().expect("helper lock");
+        p.batches.retain(|b| !Arc::ptr_eq(b, batch));
+    }
+
+    fn helper_loop(&self) {
+        loop {
+            let batch = {
+                // INFALLIBLE: as in `post`.
+                let mut p = self.posted.lock().expect("helper lock");
+                loop {
+                    if let Some(batch) = p.batches.pop_front() {
+                        break batch;
+                    }
+                    // INFALLIBLE: waiting repoisons only on a panicked holder.
+                    p = self.ready.wait(p).expect("helper wait");
+                }
+            };
+            // The helper may hold the batch's last reference, so dropping
+            // it runs the items' and the closure's `Drop` here.
+            run_contained(move || batch.help());
+        }
+    }
 }
 
 impl ThreadPool {
@@ -168,7 +353,10 @@ impl ThreadPool {
         let threads = threads.max(1);
         let mut retire_quota: Vec<Option<u64>> = vec![None; threads];
         for &(worker, quota) in retirements {
-            assert!(worker < threads, "retirement for worker {worker} of {threads}");
+            assert!(
+                worker < threads,
+                "retirement for worker {worker} of {threads}"
+            );
             assert!(quota >= 1, "a zero quota would strand a claimed task slot");
             retire_quota[worker] = Some(quota);
         }
@@ -382,7 +570,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// escape the loop, kill the worker, and strand every queued task (a
 /// deadlock in `map` at one worker). So the payload is dropped inside a
 /// second catch.
-fn run_contained(job: Job) {
+fn run_contained(job: impl FnOnce()) {
     if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
         let _ = catch_unwind(AssertUnwindSafe(move || drop(payload)));
     }
@@ -444,31 +632,39 @@ mod tests {
     fn map_slice_preserves_input_order() {
         let items: Vec<usize> = (0..64).collect();
         for threads in [1usize, 2, 4] {
-            let out = map_slice(&items, threads, |&i| {
+            let out = map_slice(items.clone(), threads, |&i| {
                 if i % 7 == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
                 i * i
             });
-            assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(
+                out,
+                items.iter().map(|i| i * i).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
     fn map_slice_runs_every_item_then_reraises_the_lowest_panic() {
         for threads in [1usize, 2, 8] {
-            let ran = AtomicUsize::new(0);
+            let ran = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&ran);
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                map_slice(&(0..12u32).collect::<Vec<_>>(), threads, |&i| {
+                map_slice((0..12u32).collect(), threads, move |&i| {
                     if i == 3 || i == 7 {
                         panic!("item {i} exploded");
                     }
-                    ran.fetch_add(1, Ordering::SeqCst);
+                    counter.fetch_add(1, Ordering::SeqCst);
                     i
                 })
             }));
             let payload = caught.expect_err("panic must propagate");
-            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
             assert_eq!(msg, "item 3 exploded", "threads={threads}");
             assert_eq!(ran.load(Ordering::SeqCst), 10, "threads={threads}");
         }
@@ -479,7 +675,7 @@ mod tests {
         // Items take long enough that a stray helper would claim one.
         let caller = std::thread::current().id();
         for threads in [0usize, 1] {
-            let ids = map_slice(&[(); 8], threads, |_| {
+            let ids = map_slice(vec![(); 8], threads, |_| {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 std::thread::current().id()
             });
@@ -489,9 +685,101 @@ mod tests {
 
     #[test]
     fn map_slice_more_threads_than_items_and_empty() {
-        assert_eq!(map_slice(&[1u32, 2, 3], 8, |x| x * 10), vec![10, 20, 30]);
-        assert!(map_slice(&[] as &[u32], 8, |x| *x).is_empty());
-        assert!(map_slice(&[] as &[u32], 0, |x| *x).is_empty());
+        assert_eq!(map_slice(vec![1u32, 2, 3], 8, |x| x * 10), vec![10, 20, 30]);
+        assert!(map_slice(Vec::<u32>::new(), 8, |x| *x).is_empty());
+        assert!(map_slice(Vec::<u32>::new(), 0, |x| *x).is_empty());
+    }
+
+    /// A two-item batch on `set` at two threads whose items each wait for
+    /// the other to start, so the caller runs one and a helper the other.
+    /// Returns the helper's thread, and `Err` if item `panic_at` panicked.
+    fn rendezvous(
+        set: &'static Helpers,
+        panic_at: Option<usize>,
+    ) -> (std::thread::ThreadId, std::thread::Result<()>) {
+        let caller = std::thread::current().id();
+        let both = Arc::new(std::sync::Barrier::new(2));
+        let helper = Arc::new(Mutex::new(None));
+        let seen = Arc::clone(&helper);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            set.map(vec![0usize, 1], 2, move |&i| {
+                both.wait();
+                let me = std::thread::current().id();
+                if me != caller {
+                    *seen.lock().unwrap() = Some(me);
+                }
+                if panic_at == Some(i) {
+                    panic!("item {i} exploded");
+                }
+            });
+        }));
+        let helper = helper.lock().unwrap().expect("a helper ran an item");
+        (helper, outcome)
+    }
+
+    fn spawned(set: &Helpers) -> usize {
+        set.posted.lock().unwrap().spawned
+    }
+
+    #[test]
+    fn consecutive_calls_reuse_one_helper() {
+        static SET: Helpers = Helpers::new();
+        let (first, _) = rendezvous(&SET, None);
+        assert_eq!(spawned(&SET), 1);
+        let (second, _) = rendezvous(&SET, None);
+        assert_eq!(
+            second, first,
+            "the second call ran on the first call's helper"
+        );
+        assert_eq!(spawned(&SET), 1, "the second call spawned no helper");
+    }
+
+    #[test]
+    fn helpers_survive_a_reraised_panic() {
+        static SET: Helpers = Helpers::new();
+        for panic_at in [0, 1] {
+            let (before, _) = rendezvous(&SET, None);
+            let (during, outcome) = rendezvous(&SET, Some(panic_at));
+            let payload = outcome.expect_err("panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(msg, format!("item {panic_at} exploded"));
+            let (after, _) = rendezvous(&SET, None);
+            assert_eq!((during, after), (before, before), "panic_at={panic_at}");
+            assert_eq!(spawned(&SET), 1);
+        }
+    }
+
+    #[test]
+    fn nested_map_slice_terminates() {
+        // Every helper may be busy in the outer batch when the inner one
+        // is posted; the inner caller then runs its items alone.
+        let out = map_slice((0..8u64).collect(), 2, |&i| {
+            map_slice((0..4u64).collect(), 2, move |&j| i * 10 + j)
+        });
+        let want: Vec<Vec<u64>> = (0..8u64)
+            .map(|i| (0..4).map(|j| i * 10 + j).collect())
+            .collect();
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_results() {
+        let callers: Vec<_> = (0..4u64)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let items: Vec<u64> = (0..50).map(|i| c * 1_000 + i).collect();
+                    let want: Vec<u64> = items.iter().map(|x| x * 3).collect();
+                    (map_slice(items, 3, |&x| x * 3), want)
+                })
+            })
+            .collect();
+        for (c, h) in callers.into_iter().enumerate() {
+            let (got, want) = h.join().expect("caller thread");
+            assert_eq!(got, want, "caller {c}");
+        }
     }
 
     #[test]
@@ -504,7 +792,9 @@ mod tests {
         struct Owner {
             pool: ThreadPool,
         }
-        let owner = Arc::new(Owner { pool: ThreadPool::new(2) });
+        let owner = Arc::new(Owner {
+            pool: ThreadPool::new(2),
+        });
         let (tx, rx) = std::sync::mpsc::channel();
         let job_owner = Arc::clone(&owner);
         owner.pool.spawn(move || {
@@ -525,7 +815,9 @@ mod tests {
 
     #[test]
     fn one_thread_degenerate_case_matches() {
-        let map = |threads| ThreadPool::new(threads).map((0..40u64).collect(), |i| i.wrapping_mul(31) ^ 5);
+        let map = |threads| {
+            ThreadPool::new(threads).map((0..40u64).collect(), |i| i.wrapping_mul(31) ^ 5)
+        };
         assert_eq!(map(1), map(8));
     }
 
@@ -640,7 +932,10 @@ mod tests {
         let expected: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(31) ^ 5).collect();
         // All but worker 0 die after their first task; the shared queue
         // hands their unstarted share to the survivors.
-        let lossy = ThreadPool::with_retirements(8, &[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]);
+        let lossy = ThreadPool::with_retirements(
+            8,
+            &[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)],
+        );
         let out = lossy.map((0..64u64).collect(), |i| i.wrapping_mul(31) ^ 5);
         assert_eq!(out, expected);
         let m = lossy.metrics();

@@ -8,6 +8,8 @@
 //! +37% on the deposition routine) is modelled by [`BankedMemory::duplicate`],
 //! which spreads logical copies of a hot array across banks.
 
+use std::borrow::Borrow;
+
 /// Banked memory geometry.
 #[derive(Debug, Clone, Copy)]
 pub struct BankConfig {
@@ -190,10 +192,15 @@ impl BankedMemory {
         self.issue(first, (0..n).map(|i| (i * stride_words) as u64))
     }
 
-    /// Issue a gather/scatter over explicit word indices.
-    pub fn gather(&mut self, base: u64, indices: &[usize]) -> u64 {
+    /// Issue a gather/scatter over word indices: a slice (`&indices`) or a
+    /// generated stream such as [`scrambled_stream`](crate::trace::scrambled_stream).
+    pub fn gather<I>(&mut self, base: u64, indices: I) -> u64
+    where
+        I: IntoIterator,
+        I::Item: Borrow<usize>,
+    {
         let first = base / self.config.word_bytes as u64;
-        self.issue(first, indices.iter().map(|&ix| ix as u64))
+        self.issue(first, indices.into_iter().map(|ix| *ix.borrow() as u64))
     }
 
     /// Effective throughput as a fraction of peak (1 element/cycle).

@@ -52,12 +52,29 @@ pub fn indirect(base: u64, indices: &[usize], elem_bytes: usize) -> Vec<u64> {
 /// over `grid_points` grid points (multiplicative-hash scramble; no external
 /// RNG needed for trace generation).
 pub fn scrambled_indices(n: usize, grid_points: usize) -> Vec<usize> {
+    scrambled_stream(n, grid_points).collect()
+}
+
+/// The indices [`scrambled_indices`] collects, generated one at a time, so
+/// a replay such as [`BankedMemory::gather`](crate::banks::BankedMemory::gather)
+/// can consume them without an index vector.
+pub fn scrambled_stream(n: usize, grid_points: usize) -> impl Iterator<Item = usize> {
     assert!(grid_points > 0);
     let d = grid_points as u64;
-    let c = fastmod_constant(d);
-    (0..n)
-        .map(|i| fastmod((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16, c, d) as usize)
-        .collect()
+    // A power-of-two grid reduces by mask; any other by `fastmod`. Both
+    // are `% d` exactly.
+    let (mask, c) = if d.is_power_of_two() {
+        (Some(d - 1), 0)
+    } else {
+        (None, fastmod_constant(d))
+    };
+    (0..n).map(move |i| {
+        let v = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
+        match mask {
+            Some(m) => (v & m) as usize,
+            None => fastmod(v, c, d) as usize,
+        }
+    })
 }
 
 /// `⌈2^128 / d⌉ mod 2^128`, the multiplier [`fastmod`] needs for `d`.

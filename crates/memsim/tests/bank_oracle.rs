@@ -12,7 +12,7 @@
 //! and access patterns, including a replay after `reset`.
 
 use pvs_memsim::banks::{BankConfig, BankedMemory};
-use pvs_memsim::trace::scrambled_indices;
+use pvs_memsim::trace::{scrambled_indices, scrambled_stream};
 
 /// `BankedMemory` as it was written before the single access loop.
 struct Reference {
@@ -234,7 +234,8 @@ fn re_duplication_continues_the_rotation() {
 }
 
 /// The gather indices themselves: `scrambled_indices` against the `%`
-/// spelling, for grid sizes from 1 to beyond 32 bits.
+/// spelling, for grid sizes from 1 to beyond 32 bits, powers of two (the
+/// mask path) and others (`fastmod`).
 #[test]
 fn scrambled_indices_match_the_modulo_spelling() {
     for g in [
@@ -245,12 +246,58 @@ fn scrambled_indices_match_the_modulo_spelling() {
         8,
         4_096,
         9_973,
+        65_536,
         (1 << 32) - 1,
+        1 << 32,
+        1 << 40,
         (1 << 40) + 1,
     ] {
         let want: Vec<usize> = (0..5_000usize)
             .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize % g)
             .collect();
         assert_eq!(scrambled_indices(5_000, g), want, "grid {g}");
+    }
+}
+
+/// The engine's replay feeds `scrambled_stream` straight into `gather`; it
+/// must leave every counter where the collected index vector leaves it,
+/// for the ES and X1 geometries, the engine's hot-word counts, with and
+/// without the `duplicate` pragma, healthy and with banks mapped out.
+#[test]
+fn streamed_gather_matches_the_index_vector() {
+    for (name, num_banks, bank_cycle) in [("ES", 2048, 12), ("X1", 1024, 10)] {
+        let config = BankConfig {
+            num_banks,
+            bank_cycle,
+            word_bytes: 8,
+        };
+        for hot in [1, 8, 4_096] {
+            for dup in [1, 32] {
+                for failed in [&[][..], &[0, 1, 5]] {
+                    let build = || {
+                        let mut m = BankedMemory::new(config);
+                        for &b in failed {
+                            m.fail_bank(b);
+                        }
+                        m.duplicate(dup);
+                        m
+                    };
+                    let (mut streamed, mut collected) = (build(), build());
+                    let at = format!("{name} hot={hot} dup={dup} failed={failed:?}");
+                    assert_eq!(
+                        streamed.gather(0, scrambled_stream(4_096, hot)),
+                        collected.gather(0, &scrambled_indices(4_096, hot)[..]),
+                        "{at}: returned stalls"
+                    );
+                    assert_eq!(streamed.accesses, collected.accesses, "{at}: accesses");
+                    assert_eq!(streamed.stall_cycles, collected.stall_cycles, "{at}: stall_cycles");
+                    assert_eq!(
+                        streamed.remapped_accesses, collected.remapped_accesses,
+                        "{at}: remapped"
+                    );
+                    assert_eq!(streamed.queue_depths(), collected.queue_depths(), "{at}: queue depths");
+                }
+            }
+        }
     }
 }
