@@ -197,7 +197,7 @@ pub fn fig5(pgm: bool) -> String {
 
 /// Figure 6: the ghost-zone exchange pattern of the block decomposition.
 pub fn fig6() -> String {
-    use pvs_mpisim::cart::Cart3d;
+    use pvs_core::schedule::Cart3d;
     let cart = Cart3d::near_cubic(8);
     let mut out = String::from(
         "Figure 6: each processor updates ghost zones by exchanging faces with its\ntopological neighbours (2x2x2 decomposition shown).\n\n",

@@ -9,7 +9,7 @@
 use crate::grid::{Grid3, NFIELDS};
 use crate::icn::icn_step;
 use crate::rhs::evaluate;
-use pvs_mpisim::cart::Cart3d;
+use pvs_core::schedule::Cart3d;
 use pvs_mpisim::comm::Comm;
 
 /// One rank's block of the global grid.

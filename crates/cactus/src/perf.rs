@@ -13,8 +13,8 @@ use crate::boundary::face_points;
 use crate::grid::NFIELDS;
 use crate::rhs::{CONCURRENT_STREAMS, RHS_FLOPS_PER_POINT};
 use pvs_core::phase::{CommPattern, Phase, VectorizationInfo};
+use pvs_core::schedule::Cart3d;
 use pvs_memsim::bandwidth::AccessPattern;
-use pvs_mpisim::cart::Cart3d;
 
 /// Ratio of full ADM-BSSN RHS terms to our linearized twelve-field system.
 pub const BSSN_TERM_SCALE: f64 = 45.0;

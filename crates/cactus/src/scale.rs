@@ -7,7 +7,7 @@
 //! each received face is folded into the checksum as it arrives, and the
 //! face buffer that arrived carries the next face out.
 
-use pvs_mpisim::cart::Cart3d;
+use pvs_core::schedule::Cart3d;
 use pvs_mpisim::event::{EventSim, Op, RankCtx, RankProgram, Reply, SimStats, Step};
 use pvs_mpisim::{run_programs, CommStats};
 

@@ -172,8 +172,13 @@ impl CommPattern {
                 if ranks < 2 {
                     return 0;
                 }
-                // The recursive-doubling round at stride ranks/2 pairs
-                // every rank with a partner in the opposite half.
+                // One message per rank: the crossing of the recursive-
+                // doubling round at stride ranks/2 when ranks is a power
+                // of two. Elsewhere no round has that stride: at 12 the
+                // widest crossing round (stride 8) sends 8 messages, not
+                // 12. The count is a `BENCH_*.json` axis, so it stays
+                // until ROADMAP item 5 step 2 gives the model the fold-in
+                // allreduce.
                 ranks as u64 * bytes
             }
         }

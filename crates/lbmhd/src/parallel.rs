@@ -18,8 +18,8 @@
 use crate::collision::{collide_site, SiteMoments};
 use crate::lattice::{C, CB, Q, QB};
 use crate::solver::SimulationConfig;
+use pvs_core::schedule::Cart2d;
 use pvs_mpisim::caf::CoArray;
-use pvs_mpisim::cart::Cart2d;
 use pvs_mpisim::comm::Comm;
 
 /// Values carried per lattice site across the halo (Q hydrodynamic + 2·QB
@@ -191,8 +191,8 @@ impl Subdomain {
                 (0..nx).map(|x| (x as isize, -1)).collect(),
             ), // S
             4 => (vec![(nx - 1, ny - 1)], vec![(nx as isize, ny as isize)]), // NE
-            5 => (vec![(0, ny - 1)], vec![(-1, ny as isize)]),               // NW
-            6 => (vec![(nx - 1, 0)], vec![(nx as isize, -1)]),               // SE
+            5 => (vec![(nx - 1, 0)], vec![(nx as isize, -1)]),               // SE
+            6 => (vec![(0, ny - 1)], vec![(-1, ny as isize)]),               // NW
             7 => (vec![(0, 0)], vec![(-1, -1)]),                             // SW
             _ => unreachable!(),
         }
@@ -240,7 +240,7 @@ impl Subdomain {
 
     fn caf_region(&self, side: usize) -> (usize, usize) {
         // Window regions in side order [E ghost, W ghost, N ghost, S ghost,
-        // NE, NW, SE, SW], each sized SITE_VALUES * len(side).
+        // NE, SE, NW, SW], each sized SITE_VALUES * len(side).
         let ny = SITE_VALUES * self.ny;
         let nx = SITE_VALUES * self.nx;
         let c = SITE_VALUES;

@@ -12,8 +12,8 @@
 use crate::collision::COLLISION_FLOPS_PER_SITE;
 use crate::parallel::SITE_VALUES;
 use pvs_core::phase::{CommPattern, Phase, VectorizationInfo};
+use pvs_core::schedule::Cart2d;
 use pvs_memsim::bandwidth::AccessPattern;
-use pvs_mpisim::cart::Cart2d;
 
 /// Third-degree polynomial interpolation work in the stream step
 /// (separable 4-point Lagrange on the four diagonal planes — §3's

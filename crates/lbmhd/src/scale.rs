@@ -10,7 +10,7 @@
 //! configurations (8192² lattice on P = 8192, weak scaling to 10⁵
 //! ranks) where a thread per rank is impossible.
 
-use pvs_mpisim::cart::Cart2d;
+use pvs_core::schedule::Cart2d;
 use pvs_mpisim::event::{EventSim, Op, RankCtx, RankProgram, Reply, SimStats, Step};
 use pvs_mpisim::{run_programs, CommStats};
 
@@ -62,9 +62,10 @@ pub struct HaloScaleProgram {
 impl HaloScaleProgram {
     /// The kernel for one rank of `cart`.
     pub fn new(rank: usize, cart: Cart2d) -> Self {
+        let [e, w, n, s, ..] = cart.neighbors8(rank);
         HaloScaleProgram {
             rank,
-            neighbours: cart.neighbors4(rank),
+            neighbours: [e, w, n, s],
             acc: 0.0,
             phase: 0,
         }

@@ -15,8 +15,6 @@
 //!   performance model's communication phases;
 //! * [`caf`]: co-array style one-sided windows (`put`/`get` into remote
 //!   rank memory) mirroring LBMHD's CAF port;
-//! * [`cart`]: cartesian process-grid helpers (2D/3D decompositions and
-//!   neighbour ranks) used by every grid application;
 //! * [`fault`]: deterministic message-level fault injection — seeded
 //!   drop/delay decisions, exponential backoff in simulated picoseconds,
 //!   timeouts, rank failure with survivor-only collectives, and retry
@@ -59,7 +57,6 @@
 
 mod blocks;
 pub mod caf;
-pub mod cart;
 mod collective;
 pub mod comm;
 pub mod event;
@@ -69,7 +66,6 @@ pub mod threaded;
 
 pub use blocks::Blocks;
 pub use caf::CoArray;
-pub use cart::{Cart2d, Cart3d};
 pub use comm::{run, Comm, CommStats};
 pub use event::{
     EventSim, Op, RankCtx, RankProgram, Reply, ScriptProgram, SimReport, SimStats, Step,

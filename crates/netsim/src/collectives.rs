@@ -25,14 +25,16 @@
 //! port lanes slow what crosses them.
 
 use crate::des::{later, Ledger, NetSim, SimStats, Traffic};
-use crate::schedule::{recursive_doubling, rotation_sampled};
+use crate::schedule::{recursive_doubling, rotation_sampled, Cart2d, Cart3d};
 use crate::topology::Network;
 
-/// A 2D periodic halo exchange: every rank exchanges `bytes_per_edge`
-/// with its four neighbours in a `px x py` process grid, plus
-/// `bytes_per_corner` with its four diagonal neighbours (LBMHD's
-/// octagonal lattice streams along diagonals too). Returns the time in
-/// seconds and the ledger every message was booked into.
+/// A 2D periodic halo exchange: every rank of a `px × py` [`Cart2d`]
+/// sends `bytes_per_edge` to each of its four edge neighbours and
+/// `bytes_per_corner` to each of its four corners (LBMHD's octagonal
+/// lattice streams along diagonals too), in [`Cart2d::neighbors8`]'s
+/// order. Returns the time in seconds and the ledger every message was
+/// booked into. A neighbour that folds onto the sender and a zero-byte
+/// message are not sent.
 pub fn halo_exchange_2d<L: Ledger>(
     net: &Network,
     px: usize,
@@ -40,40 +42,10 @@ pub fn halo_exchange_2d<L: Ledger>(
     bytes_per_edge: u64,
     bytes_per_corner: u64,
 ) -> (f64, L) {
-    assert!(
-        px * py <= net.config().endpoints,
-        "process grid exceeds network"
-    );
-    let rank = |x: usize, y: usize| (y % py) * px + (x % px);
-    let mut sim = NetSim::<L>::with_ledger(net);
-    for y in 0..py {
-        for x in 0..px {
-            let src = rank(x, y);
-            let edge_neighbors = [
-                rank(x + 1, y),
-                rank(x + px - 1, y),
-                rank(x, y + 1),
-                rank(x, y + py - 1),
-            ];
-            for dst in edge_neighbors {
-                if dst != src && bytes_per_edge > 0 {
-                    sim.send(src, dst, bytes_per_edge, 0.0);
-                }
-            }
-            let corner_neighbors = [
-                rank(x + 1, y + 1),
-                rank(x + 1, y + py - 1),
-                rank(x + px - 1, y + 1),
-                rank(x + px - 1, y + py - 1),
-            ];
-            for dst in corner_neighbors {
-                if dst != src && bytes_per_corner > 0 {
-                    sim.send(src, dst, bytes_per_corner, 0.0);
-                }
-            }
-        }
-    }
-    sim.finish()
+    let grid = Cart2d::new(px, py);
+    let (e, c) = (bytes_per_edge, bytes_per_corner);
+    let bytes = [e, e, e, e, c, c, c, c];
+    halo_exchange(net, grid.size(), grid.stencils(), bytes)
 }
 
 /// [`halo_exchange_2d`] counted into [`SimStats`].
@@ -84,12 +56,15 @@ pub fn halo_exchange_2d_stats(
     bytes_per_edge: u64,
     bytes_per_corner: u64,
 ) -> SimStats {
-    stats(halo_exchange_2d(net, px, py, bytes_per_edge, bytes_per_corner))
+    let halo = halo_exchange_2d(net, px, py, bytes_per_edge, bytes_per_corner);
+    stats(halo)
 }
 
-/// A 3D face halo exchange over a `px × py × pz` process grid: every
-/// rank exchanges `bytes_per_face` with its six face neighbours (Cactus
-/// ghost zones). Returns the time in seconds and the ledger.
+/// A 3D face halo exchange: every rank of a `px × py × pz` [`Cart3d`]
+/// sends `bytes_per_face` to each of its six face neighbours (Cactus
+/// ghost zones), in [`Cart3d::neighbors6`]'s order. Returns the time in
+/// seconds and the ledger. A neighbour that folds onto the sender and a
+/// zero-byte message are not sent.
 pub fn halo_exchange_3d<L: Ledger>(
     net: &Network,
     px: usize,
@@ -97,33 +72,8 @@ pub fn halo_exchange_3d<L: Ledger>(
     pz: usize,
     bytes_per_face: u64,
 ) -> (f64, L) {
-    assert!(
-        px * py * pz <= net.config().endpoints,
-        "process grid exceeds network"
-    );
-    let rank = |x: usize, y: usize, z: usize| ((z % pz) * py + (y % py)) * px + (x % px);
-    let mut sim = NetSim::<L>::with_ledger(net);
-    for z in 0..pz {
-        for y in 0..py {
-            for x in 0..px {
-                let src = rank(x, y, z);
-                let neighbors = [
-                    rank(x + 1, y, z),
-                    rank(x + px - 1, y, z),
-                    rank(x, y + 1, z),
-                    rank(x, y + py - 1, z),
-                    rank(x, y, z + 1),
-                    rank(x, y, z + pz - 1),
-                ];
-                for dst in neighbors {
-                    if dst != src {
-                        sim.send(src, dst, bytes_per_face, 0.0);
-                    }
-                }
-            }
-        }
-    }
-    sim.finish()
+    let grid = Cart3d::new(px, py, pz);
+    halo_exchange(net, grid.size(), grid.stencils(), [bytes_per_face; 6])
 }
 
 /// [`halo_exchange_3d`] counted into [`SimStats`].
@@ -135,6 +85,30 @@ pub fn halo_exchange_3d_stats(
     bytes_per_face: u64,
 ) -> SimStats {
     stats(halo_exchange_3d(net, px, py, pz, bytes_per_face))
+}
+
+/// The halo body both exchanges share: each of the `size` ranks, in rank
+/// order, sends `bytes[i]` to the `i`-th neighbour of its stencil,
+/// skipping itself and zero-byte messages.
+fn halo_exchange<L: Ledger, const K: usize>(
+    net: &Network,
+    size: usize,
+    stencils: impl Iterator<Item = [usize; K]>,
+    bytes: [u64; K],
+) -> (f64, L) {
+    assert!(
+        size <= net.config().endpoints,
+        "process grid exceeds network"
+    );
+    let mut sim = NetSim::<L>::with_ledger(net);
+    for (src, stencil) in stencils.enumerate() {
+        for (dst, bytes) in stencil.into_iter().zip(bytes) {
+            if dst != src && bytes > 0 {
+                sim.send(src, dst, bytes, 0.0);
+            }
+        }
+    }
+    sim.finish()
 }
 
 /// An all-to-all personalized exchange of `bytes_per_pair` between every
@@ -265,10 +239,34 @@ mod tests {
         // 16 ranks x (4 edge + 4 corner) neighbours, all distinct on 4x4.
         assert_eq!(stats.messages, 16 * 8);
         assert_eq!(stats.total_bytes, 16 * (4 * 10_000 + 4 * 100));
-        assert!(stats.hops >= stats.messages, "every message routes >= 1 hop");
+        assert!(
+            stats.hops >= stats.messages,
+            "every message routes >= 1 hop"
+        );
         // Byte-hop conservation: per-link loads sum to bytes x hops traversed.
         let link_sum: u64 = stats.link_bytes.iter().sum();
         assert!(link_sum >= stats.total_bytes);
+    }
+
+    #[test]
+    fn halos_skip_self_and_zero_byte_messages() {
+        let net = mk(TopologyKind::Crossbar, 16);
+        // One row: N and S fold onto the sender, the corners onto E and W.
+        assert_eq!(
+            halo_exchange_2d_stats(&net, 16, 1, 1_000, 0).messages,
+            16 * 2
+        );
+        assert_eq!(
+            halo_exchange_2d_stats(&net, 16, 1, 1_000, 10).messages,
+            16 * 6
+        );
+        assert_eq!(halo_exchange_2d_stats(&net, 4, 4, 0, 10).messages, 16 * 4);
+        // 2 × 2 × 4: ±x and ±y each fold onto one neighbour, ±z are two.
+        assert_eq!(halo_exchange_3d_stats(&net, 2, 2, 4, 10).messages, 16 * 6);
+        let silent = halo_exchange_3d_stats(&net, 2, 2, 4, 0);
+        assert_eq!((silent.messages, silent.makespan_s), (0, 0.0));
+        let silent = halo_exchange_2d_stats(&net, 4, 4, 0, 0);
+        assert_eq!((silent.messages, silent.makespan_s), (0, 0.0));
     }
 
     #[test]
@@ -496,7 +494,8 @@ mod tests {
     fn crossbar_port_loss_slows_the_halo() {
         let net = mk(TopologyKind::Crossbar, 16);
         let healthy = halo_exchange_2d_stats(&net, 4, 4, 200_000, 2_000).makespan_s;
-        let damaged = Network::with_faults(net.config().clone(), &LinkFaults::healthy().lose_port(5));
+        let damaged =
+            Network::with_faults(net.config().clone(), &LinkFaults::healthy().lose_port(5));
         let degraded = halo_exchange_2d_stats(&damaged, 4, 4, 200_000, 2_000).makespan_s;
         assert!(degraded > healthy, "{degraded} vs {healthy}");
     }

@@ -1,8 +1,10 @@
 //! Every message schedule, defined once: whom participant `me` of `n`
-//! meets in each round. The engine's timing model ([`crate::collectives`])
-//! and both rank runtimes of `pvs-mpisim` (through `pvs_core::schedule`)
-//! walk these iterators. [`Round`] wraps by compare-and-subtract, not `%`,
-//! because netsim calls it once per message.
+//! meets in each round, and whom a rank of a periodic process grid
+//! ([`Cart2d`], [`Cart3d`]) exchanges halos with. The engine's timing
+//! model ([`crate::collectives`]), both rank runtimes of `pvs-mpisim` and
+//! the applications' rank programs (through `pvs_core::schedule`) walk
+//! these. [`Round`] and the grid stencils wrap by compare-and-subtract,
+//! not `%`, because netsim calls them once per message.
 
 /// One round of a shift schedule over `n` participants: participant `me`
 /// sends `dist` places forward and receives from `dist` places behind,
@@ -112,6 +114,185 @@ pub fn binomial(me: usize, root: usize, n: usize) -> (Option<usize>, Vec<usize>)
         mask >>= 1;
     }
     (parent, children)
+}
+
+/// `[c + 1, c - 1]` on a ring of `n`: the two neighbours of coordinate
+/// `c` along one axis of a periodic grid.
+fn steps(c: usize, n: usize) -> [usize; 2] {
+    [wrap(c + 1, n), wrap(c + n - 1, n)]
+}
+
+/// Every coordinate of a grid of `extent` in rank order, axis 0 fastest,
+/// stepped like an odometer: netsim walks a whole grid per halo, and
+/// dividing every rank into its coordinates costs about what building
+/// its stencil does.
+fn walk<const D: usize>(extent: [usize; D]) -> impl Iterator<Item = [usize; D]> {
+    let mut at = [0; D];
+    (0..extent.iter().product()).map(move |_| {
+        let here = at;
+        for (c, &n) in at.iter_mut().zip(&extent) {
+            *c = if *c + 1 < n { *c + 1 } else { 0 };
+            if *c > 0 {
+                break;
+            }
+        }
+        here
+    })
+}
+
+/// A 2D periodic process grid (the `MPI_Cart_create` analogue): LBMHD
+/// block-distributes its lattice over one, and GTC's toroidal shift is
+/// its one-row case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cart2d {
+    /// Extent in x (fastest-varying in rank order).
+    pub px: usize,
+    /// Extent in y.
+    pub py: usize,
+}
+
+impl Cart2d {
+    /// Build a grid; `px * py` must equal the communicator size when used
+    /// with one.
+    pub fn new(px: usize, py: usize) -> Self {
+        assert!(px >= 1 && py >= 1);
+        Self { px, py }
+    }
+
+    /// The most-square decomposition of `p` ranks.
+    pub fn near_square(p: usize) -> Self {
+        let mut x = (p as f64).sqrt().floor() as usize;
+        while x > 1 && !p.is_multiple_of(x) {
+            x -= 1;
+        }
+        Self::new(p / x.max(1), x.max(1))
+    }
+
+    /// Total ranks.
+    pub fn size(&self) -> usize {
+        self.px * self.py
+    }
+
+    /// Coordinates of `rank`.
+    pub fn coords(&self, rank: usize) -> (usize, usize) {
+        assert!(rank < self.size());
+        (rank % self.px, rank / self.px)
+    }
+
+    /// The eight periodic neighbours of `rank` in the order
+    /// `[E, W, N, S, NE, SE, NW, SW]`, where E is +x and N is +y: the
+    /// four edges, then the four corners LBMHD's diagonal streaming
+    /// reaches. On a one-wide axis a neighbour folds onto the sender or
+    /// onto an edge neighbour.
+    pub fn neighbors8(&self, rank: usize) -> [usize; 8] {
+        let (x, y) = self.coords(rank);
+        self.stencil(x, y)
+    }
+
+    /// [`Self::neighbors8`] of every rank, in rank order.
+    pub fn stencils(&self) -> impl Iterator<Item = [usize; 8]> + '_ {
+        walk([self.px, self.py]).map(|[x, y]| self.stencil(x, y))
+    }
+
+    fn stencil(&self, x: usize, y: usize) -> [usize; 8] {
+        let ([e, w], [n, s]) = (steps(x, self.px), steps(y, self.py));
+        let at = |x: usize, y: usize| y * self.px + x;
+        [
+            at(e, y),
+            at(w, y),
+            at(x, n),
+            at(x, s),
+            at(e, n),
+            at(e, s),
+            at(w, n),
+            at(w, s),
+        ]
+    }
+}
+
+/// A 3D periodic process grid (Cactus-style block decomposition).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cart3d {
+    /// Extent in x.
+    pub px: usize,
+    /// Extent in y.
+    pub py: usize,
+    /// Extent in z.
+    pub pz: usize,
+}
+
+impl Cart3d {
+    /// Build a grid.
+    pub fn new(px: usize, py: usize, pz: usize) -> Self {
+        assert!(px >= 1 && py >= 1 && pz >= 1);
+        Self { px, py, pz }
+    }
+
+    /// A near-cubic decomposition of `p` ranks.
+    pub fn near_cubic(p: usize) -> Self {
+        let mut best = (p, 1, 1);
+        let mut best_score = usize::MAX;
+        for a in 1..=p {
+            if !p.is_multiple_of(a) {
+                continue;
+            }
+            let rest = p / a;
+            for b in 1..=rest {
+                if !rest.is_multiple_of(b) {
+                    continue;
+                }
+                let c = rest / b;
+                let max = a.max(b).max(c);
+                let min = a.min(b).min(c);
+                let score = max - min;
+                if score < best_score {
+                    best_score = score;
+                    best = (a, b, c);
+                }
+            }
+        }
+        Self::new(best.0, best.1, best.2)
+    }
+
+    /// Total ranks.
+    pub fn size(&self) -> usize {
+        self.px * self.py * self.pz
+    }
+
+    /// Coordinates of `rank` (x fastest).
+    pub fn coords(&self, rank: usize) -> (usize, usize, usize) {
+        assert!(rank < self.size());
+        (
+            rank % self.px,
+            (rank / self.px) % self.py,
+            rank / (self.px * self.py),
+        )
+    }
+
+    /// The six periodic face neighbours `[+x, -x, +y, -y, +z, -z]`.
+    pub fn neighbors6(&self, rank: usize) -> [usize; 6] {
+        let (x, y, z) = self.coords(rank);
+        self.stencil(x, y, z)
+    }
+
+    /// [`Self::neighbors6`] of every rank, in rank order.
+    pub fn stencils(&self) -> impl Iterator<Item = [usize; 6]> + '_ {
+        walk([self.px, self.py, self.pz]).map(|[x, y, z]| self.stencil(x, y, z))
+    }
+
+    fn stencil(&self, x: usize, y: usize, z: usize) -> [usize; 6] {
+        let ([xp, xm], [yp, ym], [zp, zm]) =
+            (steps(x, self.px), steps(y, self.py), steps(z, self.pz));
+        let at = |x: usize, y: usize, z: usize| (z * self.py + y) * self.px + x;
+        [
+            at(xp, y, z),
+            at(xm, y, z),
+            at(x, yp, z),
+            at(x, ym, z),
+            at(x, y, zp),
+            at(x, y, zm),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -259,6 +440,117 @@ mod tests {
                         (me + n - round.lag) % n,
                         "{round:?} n={n}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cart2d_roundtrip() {
+        let c = Cart2d::new(4, 3);
+        for (r, [x, y]) in walk([4, 3]).enumerate() {
+            assert_eq!(c.coords(r), (x, y));
+            assert_eq!(y * 4 + x, r);
+        }
+        assert_eq!(walk([4, 3]).count(), 12);
+    }
+
+    #[test]
+    fn cart2d_periodic_wrap() {
+        let c = Cart2d::new(4, 4);
+        assert_eq!(c.neighbors8(0)[..4], [1, 3, 4, 12]);
+        assert_eq!(c.neighbors8(3)[0], 0);
+    }
+
+    #[test]
+    fn neighbors8_of_corner() {
+        let c = Cart2d::new(3, 3);
+        let n = c.neighbors8(0);
+        // E, W, N, S, NE, SE, NW, SW of (0,0) with wraparound.
+        assert_eq!(n, [1, 2, 3, 6, 4, 7, 5, 8]);
+    }
+
+    #[test]
+    fn near_square_prefers_balance() {
+        assert_eq!(Cart2d::near_square(16), Cart2d::new(4, 4));
+        assert_eq!(Cart2d::near_square(64), Cart2d::new(8, 8));
+        assert_eq!(Cart2d::near_square(12), Cart2d::new(4, 3));
+        assert_eq!(Cart2d::near_square(32), Cart2d::new(8, 4));
+        assert_eq!(Cart2d::near_square(7), Cart2d::new(7, 1));
+    }
+
+    #[test]
+    fn cart3d_roundtrip_and_neighbors() {
+        let c = Cart3d::new(2, 3, 4);
+        assert_eq!(c.size(), 24);
+        for (r, [x, y, z]) in walk([2, 3, 4]).enumerate() {
+            assert_eq!(c.coords(r), (x, y, z));
+            assert_eq!((z * 3 + y) * 2 + x, r);
+        }
+        assert_eq!(walk([2, 3, 4]).count(), 24);
+        let n = c.neighbors6(0);
+        assert_eq!(n[0], 1); // +x
+        assert_eq!(n[1], 1); // -x wraps in px=2
+        assert_eq!(n[2], 2); // +y
+        assert_eq!(n[4], 6); // +z
+    }
+
+    #[test]
+    fn near_cubic_balanced() {
+        let c = Cart3d::near_cubic(64);
+        assert_eq!((c.px, c.py, c.pz), (4, 4, 4));
+        let c = Cart3d::near_cubic(8);
+        assert_eq!((c.px, c.py, c.pz), (2, 2, 2));
+    }
+
+    /// The compare-and-subtract stencils, rank by rank and walked over
+    /// the whole grid, agree with the remainder on every rank of every
+    /// grid up to 4 per axis.
+    #[test]
+    fn stencils_wrap_like_the_remainder() {
+        let wrap = |c: usize, d: isize, n: usize| (c as isize + d).rem_euclid(n as isize) as usize;
+        // E, W, N, S, NE, SE, NW, SW as (dx, dy); ±x, ±y, ±z as (dx, dy, dz).
+        let steps2: [(isize, isize); 8] = [
+            (1, 0),
+            (-1, 0),
+            (0, 1),
+            (0, -1),
+            (1, 1),
+            (1, -1),
+            (-1, 1),
+            (-1, -1),
+        ];
+        let steps3: [(isize, isize, isize); 6] = [
+            (1, 0, 0),
+            (-1, 0, 0),
+            (0, 1, 0),
+            (0, -1, 0),
+            (0, 0, 1),
+            (0, 0, -1),
+        ];
+        for px in 1..=4 {
+            for py in 1..=4 {
+                let c = Cart2d::new(px, py);
+                let walked: Vec<_> = c.stencils().collect();
+                assert_eq!(walked.len(), c.size());
+                for (r, stencil) in walked.into_iter().enumerate() {
+                    let (x, y) = c.coords(r);
+                    let want = steps2.map(|(dx, dy)| wrap(y, dy, py) * px + wrap(x, dx, px));
+                    assert_eq!(c.neighbors8(r), want, "{c:?} rank {r}");
+                    assert_eq!(stencil, want, "{c:?} rank {r}");
+                }
+                for pz in 1..=4 {
+                    let c = Cart3d::new(px, py, pz);
+                    let walked: Vec<_> = c.stencils().collect();
+                    assert_eq!(walked.len(), c.size());
+                    for (r, stencil) in walked.into_iter().enumerate() {
+                        let (x, y, z) = c.coords(r);
+                        let want = steps3.map(|(dx, dy, dz)| {
+                            (wrap(z, dz, pz) * py + wrap(y, dy, py)) * px + wrap(x, dx, px)
+                        });
+                        assert_eq!(c.neighbors6(r), want, "{c:?} rank {r}");
+                        assert_eq!(stencil, want, "{c:?} rank {r}");
+                    }
                 }
             }
         }

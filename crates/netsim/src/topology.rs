@@ -12,6 +12,7 @@
 //! link rate is positive and no simulated time on it can become NaN.
 
 use crate::fault::LinkFaults;
+use crate::schedule::Cart2d;
 
 /// Topology family.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +24,8 @@ pub enum TopologyKind {
     /// endpoints, like NUMAlink), smaller values model slimmed trees /
     /// omega networks (Colony, Federation).
     FatTree { arity: usize, slim: f64 },
-    /// 2D torus with dimension-order routing (Cray X1). Dimensions are
-    /// chosen near-square for the endpoint count.
+    /// 2D torus with dimension-order routing (Cray X1). Its dimensions
+    /// are [`Cart2d::near_square`] of the endpoint count.
     Torus2D,
 }
 
@@ -156,7 +157,7 @@ impl Network {
                 }
             }
             TopologyKind::Torus2D => {
-                let (x, y) = near_square(config.endpoints);
+                let Cart2d { px: x, py: y } = Cart2d::near_square(config.endpoints);
                 // 4 directed links per node: +x, -x, +y, -y.
                 let links = (0..4 * x * y)
                     .map(|_| Link {
@@ -489,18 +490,6 @@ impl Network {
     }
 }
 
-/// Factor `n` into the most-square `(x, y)` with `x * y >= n`.
-fn near_square(n: usize) -> (usize, usize) {
-    let mut x = (n as f64).sqrt().floor() as usize;
-    while x > 1 {
-        if n.is_multiple_of(x) {
-            return (n / x, x);
-        }
-        x -= 1;
-    }
-    (n, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,13 +681,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn near_square_factors() {
-        assert_eq!(near_square(16), (4, 4));
-        assert_eq!(near_square(32), (8, 4));
-        assert_eq!(near_square(7), (7, 1));
     }
 
     #[test]

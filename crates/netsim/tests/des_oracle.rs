@@ -526,11 +526,15 @@ fn for_each_network(mut check: impl FnMut(&Network, &str)) {
 fn halo_exchanges_match_the_reference() {
     for_each_network(|net, ctx| {
         let n = net.config().endpoints;
-        let g = factors(n, 2);
-        let got = halo_exchange_2d_stats(net, g[0], g[1], 48_000, 600);
-        let (timed, ()) = halo_exchange_2d(net, g[0], g[1], 48_000, 600);
-        let msgs = halo_2d_msgs(g[0], g[1], 48_000, 600);
-        check_collective(net, &msgs, 1.0, &got, timed, &format!("halo2d {ctx}"));
+        // The near-square grid and the one-row grid of GTC's shift, where
+        // N and S fold onto the sender and the corners onto E and W.
+        for g in [factors(n, 2), vec![n, 1]] {
+            let got = halo_exchange_2d_stats(net, g[0], g[1], 48_000, 600);
+            let (timed, ()) = halo_exchange_2d(net, g[0], g[1], 48_000, 600);
+            let msgs = halo_2d_msgs(g[0], g[1], 48_000, 600);
+            let ctx = format!("halo2d {}x{} {ctx}", g[0], g[1]);
+            check_collective(net, &msgs, 1.0, &got, timed, &ctx);
+        }
 
         let g = factors(n, 3);
         let got = halo_exchange_3d_stats(net, g[0], g[1], g[2], 125_000);

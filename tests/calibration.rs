@@ -12,7 +12,7 @@ fn lbmhd_halo_descriptor_matches_measured_traffic() {
     use pvs::lbmhd::init::crossed_current_sheets;
     use pvs::lbmhd::parallel::{Subdomain, SITE_VALUES};
     use pvs::lbmhd::solver::SimulationConfig;
-    use pvs::mpisim::cart::Cart2d;
+    use pvs::core::schedule::Cart2d;
 
     let n = 32;
     let steps = 4;
@@ -46,7 +46,7 @@ fn lbmhd_halo_descriptor_matches_measured_traffic() {
 fn cactus_face_descriptor_matches_measured_traffic() {
     use pvs::cactus::grid::NFIELDS;
     use pvs::cactus::halo::CactusBlock;
-    use pvs::mpisim::cart::Cart3d;
+    use pvs::core::schedule::Cart3d;
 
     let gn = 8;
     let steps = 3;
@@ -81,7 +81,7 @@ fn halo_scale_kernels_traffic_and_events_match_their_closed_forms() {
     // Every send along an axis of extent 1 goes to the rank itself and
     // is not routed through the scheduler, so routed messages are k·n
     // only when every axis has extent ≥ 2.
-    use pvs::mpisim::cart::{Cart2d, Cart3d};
+    use pvs::core::schedule::{Cart2d, Cart3d};
     use pvs::mpisim::{CommStats, SimStats};
 
     type PerRank = Vec<(Vec<f64>, CommStats)>;

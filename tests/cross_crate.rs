@@ -124,7 +124,7 @@ fn cactus_distributed_wave_speed_is_preserved() {
     use pvs::cactus::grid::NFIELDS;
     use pvs::cactus::halo::run_distributed;
     use pvs::cactus::solver::tt_plane_wave;
-    use pvs::mpisim::cart::Cart3d;
+    use pvs::core::schedule::Cart3d;
 
     // One full period on 8 ranks: the wave must come back to its start.
     let gn = 16;
