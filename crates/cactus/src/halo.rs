@@ -3,33 +3,57 @@
 //! "The standard MPI driver for Cactus solves the PDE on a local grid
 //! section and then updates the values at the ghost zones by exchanging
 //! data on the faces of its topological neighbors" — exactly what this
-//! module does on the `pvs-mpisim` runtime, with a 3D cartesian
-//! decomposition and periodic global boundaries.
+//! module does, with a 3D cartesian decomposition and periodic global
+//! boundaries. Each rank is one [`CactusBlock`], a [`RankProgram`] that
+//! runs on either `pvs-mpisim` runtime and exchanges its faces before
+//! every RHS evaluation through the stencil exchange every solver shares.
 
 use crate::grid::{Grid3, NFIELDS};
-use crate::icn::icn_step;
+use crate::icn::{icn_midpoint, icn_update, ICN_ITERATIONS};
 use crate::rhs::evaluate;
 use pvs_core::schedule::Cart3d;
-use pvs_mpisim::comm::Comm;
+use pvs_mpisim::event::{RankCtx, RankProgram, Reply, Step};
+use pvs_mpisim::{Exchange, Halo};
 
-/// One rank's block of the global grid.
+/// Face `k` travels under `TAG_BASE + k`.
+const TAG_BASE: u64 = 0xCAC0;
+
+/// One rank's result: its block's global origin and interior `h_xx`,
+/// x fastest.
+pub type RankField = ((usize, usize, usize), Vec<f64>);
+
+/// One rank of the distributed solver: its block of the global grid,
+/// evolved for a fixed number of ICN steps. It finishes with its
+/// [`RankField`].
 pub struct CactusBlock {
-    /// Local fields (interior `nx × ny × nz`, one ghost layer).
-    pub grid: Grid3,
-    /// Global offsets.
-    pub origin: (usize, usize, usize),
-    cart: Cart3d,
-    rank: usize,
+    /// Local fields (interior `nx × ny × nz`, one ghost layer): the
+    /// current ICN iterate.
+    grid: Grid3,
+    origin: (usize, usize, usize),
     dx: f64,
+    dt: f64,
+    exchange: Exchange<6>,
+    /// The state the current step started from.
+    base: Grid3,
+    /// Where the current iteration evaluates the RHS, ghosts included.
+    eval: Grid3,
+    deriv: Grid3,
+    /// ICN iterations done, and to do.
+    iter: usize,
+    iters: usize,
 }
 
 impl CactusBlock {
-    /// Build this rank's block of a `gn³` global periodic grid.
+    /// This rank's block of a `gn` global periodic grid over `cart`,
+    /// initialized from global coordinates, to run `steps` ICN steps of
+    /// `dt`.
     pub fn new(
         cart: Cart3d,
         rank: usize,
         gn: (usize, usize, usize),
         dx: f64,
+        dt: f64,
+        steps: usize,
         init: impl Fn(usize, usize, usize) -> [f64; NFIELDS],
     ) -> Self {
         assert!(
@@ -51,38 +75,72 @@ impl CactusBlock {
                 }
             }
         }
+        let exchange = Exchange::new(rank, cart.neighbors6(rank), Cart3d::OPPOSITE, TAG_BASE);
         Self {
+            base: grid.clone(),
+            eval: grid.clone(),
+            deriv: Grid3::new(nx, ny, nz, 1),
             grid,
             origin,
-            cart,
-            rank,
             dx,
+            dt,
+            exchange,
+            iter: 0,
+            iters: ICN_ITERATIONS * steps,
         }
     }
 
-    /// Exchange all six face ghost layers with the topological neighbours.
-    pub fn exchange(&mut self, comm: &mut Comm) {
-        exchange_grid(self.cart, self.rank, &mut self.grid, comm);
-    }
-
-    /// One distributed ICN step.
-    pub fn step(&mut self, comm: &mut Comm, dt: f64) {
-        let dx = self.dx;
-        let cart = self.cart;
-        let rank = self.rank;
-        icn_step(
-            &mut self.grid,
-            dt,
-            |g| exchange_grid(cart, rank, g, comm),
-            |s, out| evaluate(s, out, dx),
-        );
+    /// The ghosts of the evaluation point are fresh: evaluate the RHS
+    /// there and close the ICN iteration.
+    fn end_iteration(&mut self) {
+        evaluate(&self.eval, &mut self.deriv, self.dx);
+        icn_update(&mut self.grid, &self.base, &self.deriv, self.dt);
+        self.iter += 1;
     }
 }
 
-/// Pack one face's boundary layer (all fields) for sending.
-fn pack_face(g: &Grid3, face: usize) -> Vec<f64> {
-    {
-        let (nx, ny, nz) = (g.nx as isize, g.ny as isize, g.nz as isize);
+impl RankProgram for CactusBlock {
+    type Output = RankField;
+
+    fn resume(&mut self, _ctx: &RankCtx, reply: Reply) -> Step<RankField> {
+        match reply {
+            Reply::Start => {}
+            reply => match self.exchange.resume(reply, &mut self.eval) {
+                Some(op) => return Step::Op(op),
+                None => self.end_iteration(),
+            },
+        }
+        while self.iter < self.iters {
+            let k = self.iter % ICN_ITERATIONS;
+            if k == 0 {
+                self.base = self.grid.clone();
+            }
+            self.eval = icn_midpoint(&self.base, &self.grid, k);
+            match self.exchange.begin(&mut self.eval) {
+                Some(op) => return Step::Op(op),
+                None => self.end_iteration(),
+            }
+        }
+        let g = &self.grid;
+        let mut out = Vec::with_capacity(g.interior_points());
+        for z in 0..g.nz as isize {
+            for y in 0..g.ny as isize {
+                for x in 0..g.nx as isize {
+                    out.push(g.get(0, x, y, z));
+                }
+            }
+        }
+        Step::Finish((self.origin, out))
+    }
+}
+
+/// Faces by side of [`Cart3d::neighbors6`]: a face is one layer of every
+/// field, field-major. The edge and corner ghosts are not needed by the
+/// 7-point stencil.
+impl Halo for Grid3 {
+    fn pack(&mut self, face: usize) -> Vec<f64> {
+        let (nx, ny, nz) = (self.nx as isize, self.ny as isize, self.nz as isize);
+        let g = &*self;
         let mut buf = Vec::new();
         for f in 0..NFIELDS {
             match face {
@@ -97,78 +155,23 @@ fn pack_face(g: &Grid3, face: usize) -> Vec<f64> {
         }
         buf
     }
-}
 
-/// Unpack a received face buffer into a block's ghost layer.
-fn unpack_face(grid: &mut Grid3, face: usize, buf: &[f64]) {
-    let (nx, ny, nz) = (grid.nx as isize, grid.ny as isize, grid.nz as isize);
-    let mut it = buf.iter();
-    let mut next = || *it.next().expect("buffer length");
-    for f in 0..NFIELDS {
-        match face {
-            0 => (0..nz).for_each(|z| (0..ny).for_each(|y| grid.set(f, nx, y, z, next()))),
-            1 => (0..nz).for_each(|z| (0..ny).for_each(|y| grid.set(f, -1, y, z, next()))),
-            2 => (0..nz).for_each(|z| (0..nx).for_each(|x| grid.set(f, x, ny, z, next()))),
-            3 => (0..nz).for_each(|z| (0..nx).for_each(|x| grid.set(f, x, -1, z, next()))),
-            4 => (0..ny).for_each(|y| (0..nx).for_each(|x| grid.set(f, x, y, nz, next()))),
-            5 => (0..ny).for_each(|y| (0..nx).for_each(|x| grid.set(f, x, y, -1, next()))),
-            _ => unreachable!(),
-        }
-    }
-}
-
-/// Exchange all six face ghost layers of `grid` with the topological
-/// neighbours of `rank` in `cart`. The edge/corner ghosts are not needed
-/// by the 7-point stencil.
-pub fn exchange_grid(cart: Cart3d, rank: usize, grid: &mut Grid3, comm: &mut Comm) {
-    let neighbors = cart.neighbors6(rank);
-    const PARTNER_FACE: [usize; 6] = [1, 0, 3, 2, 5, 4];
-    const TAG: u64 = 0xCAC0;
-    let mut loopback: [Option<Vec<f64>>; 6] = Default::default();
-    for face in 0..6 {
-        let buf = pack_face(grid, face);
-        if neighbors[face] == rank {
-            loopback[PARTNER_FACE[face]] = Some(buf);
-        } else {
-            comm.send(neighbors[face], TAG + face as u64, buf);
-        }
-    }
-    for face in 0..6 {
-        let buf = if neighbors[face] == rank {
-            loopback[face].take().expect("loopback")
-        } else {
-            comm.recv(neighbors[face], TAG + PARTNER_FACE[face] as u64)
-        };
-        unpack_face(grid, face, &buf);
-    }
-}
-
-/// Run a distributed evolution and return each rank's interior `h_xx`
-/// field with its origin.
-pub fn run_distributed(
-    gn: usize,
-    cart: Cart3d,
-    steps: usize,
-    dt: f64,
-    init: impl Fn(usize, usize, usize) -> [f64; NFIELDS] + Send + Sync,
-) -> Vec<((usize, usize, usize), Vec<f64>)> {
-    let init = &init;
-    pvs_mpisim::run(cart.size(), move |mut comm| {
-        let mut block = CactusBlock::new(cart, comm.rank(), (gn, gn, gn), 1.0, init);
-        for _ in 0..steps {
-            block.step(&mut comm, dt);
-        }
-        let g = &block.grid;
-        let mut out = Vec::with_capacity(g.interior_points());
-        for z in 0..g.nz as isize {
-            for y in 0..g.ny as isize {
-                for x in 0..g.nx as isize {
-                    out.push(g.get(0, x, y, z));
-                }
+    fn unpack(&mut self, face: usize, buf: &[f64]) {
+        let (nx, ny, nz) = (self.nx as isize, self.ny as isize, self.nz as isize);
+        let mut it = buf.iter();
+        let mut next = || *it.next().expect("buffer length");
+        for f in 0..NFIELDS {
+            match face {
+                0 => (0..nz).for_each(|z| (0..ny).for_each(|y| self.set(f, nx, y, z, next()))),
+                1 => (0..nz).for_each(|z| (0..ny).for_each(|y| self.set(f, -1, y, z, next()))),
+                2 => (0..nz).for_each(|z| (0..nx).for_each(|x| self.set(f, x, ny, z, next()))),
+                3 => (0..nz).for_each(|z| (0..nx).for_each(|x| self.set(f, x, -1, z, next()))),
+                4 => (0..ny).for_each(|y| (0..nx).for_each(|x| self.set(f, x, y, nz, next()))),
+                5 => (0..ny).for_each(|y| (0..nx).for_each(|x| self.set(f, x, y, -1, next()))),
+                _ => unreachable!(),
             }
         }
-        (block.origin, out)
-    })
+    }
 }
 
 #[cfg(test)]
@@ -176,8 +179,9 @@ mod tests {
     use super::*;
     use crate::boundary::BoundaryKind;
     use crate::solver::{tt_plane_wave, CactusConfig, CactusSim};
+    use pvs_mpisim::run_both;
 
-    fn init_fields(gn: usize) -> impl Fn(usize, usize, usize) -> [f64; NFIELDS] + Send + Sync {
+    fn init_fields(gn: usize) -> impl Fn(usize, usize, usize) -> [f64; NFIELDS] {
         move |_, _, z| {
             let (h, k) = tt_plane_wave(z, gn, 0.01);
             let mut out = [0.0; NFIELDS];
@@ -187,10 +191,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn distributed_matches_serial() {
-        let gn = 8;
-        let steps = 6;
+    /// Evolve a `gn³` plane wave `steps` steps of 0.25 over `cart` on both
+    /// runtimes, which must agree bit for bit, and hold every rank's
+    /// `h_xx` to the serial solver's within `tol`.
+    fn assert_matches_serial(gn: usize, cart: Cart3d, steps: usize, tol: f64) {
         let dt = 0.25;
         let mut serial = CactusSim::from_fields(
             CactusConfig {
@@ -205,26 +209,27 @@ mod tests {
         );
         serial.run(steps);
 
-        let parts = run_distributed(gn, Cart3d::new(2, 2, 2), steps, dt, init_fields(gn));
-        for ((ox, oy, oz), values) in parts {
-            let mut i = 0;
-            for z in 0..gn / 2 {
-                for y in 0..gn / 2 {
-                    for x in 0..gn / 2 {
-                        let want = serial.grid.get(
-                            0,
-                            (ox + x) as isize,
-                            (oy + y) as isize,
-                            (oz + z) as isize,
-                        );
-                        assert!(
-                            (values[i] - want).abs() < 1e-12,
-                            "({},{},{})",
-                            ox + x,
-                            oy + y,
-                            oz + z
-                        );
-                        i += 1;
+        let make =
+            |rank, _| CactusBlock::new(cart, rank, (gn, gn, gn), 1.0, dt, steps, init_fields(gn));
+        let (nx, ny, nz) = (gn / cart.px, gn / cart.py, gn / cart.pz);
+        for (runtime, parts) in ["v1", "v2"]
+            .iter()
+            .zip(run_both(cart.size(), make, |f| f.1.clone()))
+        {
+            assert_eq!(parts.len(), cart.size());
+            for (((ox, oy, oz), values), _) in parts {
+                assert_eq!(values.len(), nx * ny * nz);
+                let mut i = 0;
+                for z in oz..oz + nz {
+                    for y in oy..oy + ny {
+                        for x in ox..ox + nx {
+                            let want = serial.grid.get(0, x as isize, y as isize, z as isize);
+                            assert!(
+                                (values[i] - want).abs() < tol,
+                                "{runtime} {cart:?} ({x},{y},{z})"
+                            );
+                            i += 1;
+                        }
                     }
                 }
             }
@@ -232,39 +237,20 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_distributed_matches_serial() {
-        let gn = 6;
-        let parts = run_distributed(gn, Cart3d::new(1, 1, 1), 4, 0.25, init_fields(gn));
-        let mut serial = CactusSim::from_fields(
-            CactusConfig {
-                nx: gn,
-                ny: gn,
-                nz: gn,
-                dx: 1.0,
-                dt: 0.25,
-                boundary: BoundaryKind::Periodic,
-            },
-            |_, _, z| tt_plane_wave(z, gn, 0.01),
-        );
-        serial.run(4);
-        let (_, values) = &parts[0];
-        let mut i = 0;
-        for z in 0..gn as isize {
-            for y in 0..gn as isize {
-                for x in 0..gn as isize {
-                    assert!((values[i] - serial.grid.get(0, x, y, z)).abs() < 1e-13);
-                    i += 1;
-                }
-            }
+    fn distributed_matches_serial() {
+        // 1 × 2 × 2 loops its x faces back, as near_cubic(4) does.
+        for cart in [Cart3d::new(2, 2, 2), Cart3d::new(1, 2, 2)] {
+            assert_matches_serial(8, cart, 6, 1e-12);
         }
     }
 
     #[test]
+    fn single_rank_distributed_matches_serial() {
+        assert_matches_serial(6, Cart3d::new(1, 1, 1), 4, 1e-13);
+    }
+
+    #[test]
     fn asymmetric_decomposition() {
-        let gn = 8;
-        let parts = run_distributed(gn, Cart3d::new(4, 1, 2), 3, 0.25, init_fields(gn));
-        assert_eq!(parts.len(), 8);
-        let total: usize = parts.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, gn * gn * gn);
+        assert_matches_serial(8, Cart3d::new(4, 1, 2), 3, 1e-12);
     }
 }

@@ -12,6 +12,9 @@
 
 use crate::grid::{Grid3, NFIELDS};
 
+/// Right-hand-side evaluations per ICN step.
+pub(crate) const ICN_ITERATIONS: usize = 3;
+
 /// One ICN step: advances `state` by `dt`, calling `fill_ghosts` before
 /// each RHS evaluation (this is where boundary conditions and halo
 /// exchanges plug in) and `rhs(state, out)` to evaluate derivatives.
@@ -23,32 +26,38 @@ pub fn icn_step(
 ) {
     let base = state.clone();
     let mut deriv = Grid3::new(state.nx, state.ny, state.nz, state.ghost);
-
-    // Three ICN iterations; `state` holds the current iterate.
-    for iter in 0..3 {
-        // Evaluate the RHS at the midpoint of base and current iterate
-        // (for the first iteration the midpoint is just the base state).
-        let mut eval_point = if iter == 0 {
-            base.clone()
-        } else {
-            let mut mid = base.clone();
-            for f in 0..NFIELDS {
-                let cur = state.field(f);
-                for (m, c) in mid.field_mut(f).iter_mut().zip(cur) {
-                    *m = 0.5 * (*m + *c);
-                }
-            }
-            mid
-        };
+    for iter in 0..ICN_ITERATIONS {
+        let mut eval_point = icn_midpoint(&base, state, iter);
         fill_ghosts(&mut eval_point);
         rhs(&eval_point, &mut deriv);
-        // state = base + dt * deriv (interior only; ghosts refreshed later).
+        icn_update(state, &base, &deriv, dt);
+    }
+}
+
+/// Where ICN iteration `iter` evaluates the RHS: the midpoint of `base`
+/// and the current iterate `state`, which for the first iteration is
+/// just the base state.
+pub(crate) fn icn_midpoint(base: &Grid3, state: &Grid3, iter: usize) -> Grid3 {
+    let mut mid = base.clone();
+    if iter > 0 {
         for f in 0..NFIELDS {
-            let b = base.field(f);
-            let d = deriv.field(f);
-            for ((s, b), d) in state.field_mut(f).iter_mut().zip(b).zip(d) {
-                *s = *b + dt * *d;
+            let cur = state.field(f);
+            for (m, c) in mid.field_mut(f).iter_mut().zip(cur) {
+                *m = 0.5 * (*m + *c);
             }
+        }
+    }
+    mid
+}
+
+/// Close an ICN iteration: `state = base + dt · deriv` (the interior
+/// matters; ghosts are refreshed before the next evaluation).
+pub(crate) fn icn_update(state: &mut Grid3, base: &Grid3, deriv: &Grid3, dt: f64) {
+    for f in 0..NFIELDS {
+        let b = base.field(f);
+        let d = deriv.field(f);
+        for ((s, b), d) in state.field_mut(f).iter_mut().zip(b).zip(d) {
+            *s = *b + dt * *d;
         }
     }
 }

@@ -4,15 +4,16 @@
 //! simultaneous-FFT kernel for the strided Y and Z passes (the exact
 //! structure of PARATEC's rewritten 3D FFT). The distributed transform
 //! slab-decomposes the cube over Z, performs per-plane 2D FFTs locally,
-//! transposes to a Y-slab decomposition with an all-to-all exchange on the
-//! `pvs-mpisim` runtime, and finishes with the Z-direction FFTs — "taking
-//! 1D FFTs along the Z, Y, and X directions with parallel data transposes
-//! between each set of 1D FFTs" (§4.2).
+//! transposes to a Y-slab decomposition with an all-to-all exchange, and
+//! finishes with the Z-direction FFTs — "taking 1D FFTs along the Z, Y,
+//! and X directions with parallel data transposes between each set of 1D
+//! FFTs" (§4.2). Each rank's share is a [`DistFft3`], a [`RankProgram`]
+//! that runs on either `pvs-mpisim` runtime.
 
 use crate::fft1d::FftPlan;
 use crate::multi::MultiFft;
 use pvs_linalg::complex::Complex64;
-use pvs_mpisim::comm::Comm;
+use pvs_mpisim::event::{Op, RankCtx, RankProgram, Reply, Step};
 
 /// Index of `(ix, iy, iz)` in the canonical layout (x fastest).
 #[inline]
@@ -62,178 +63,130 @@ pub fn ifft3d_serial(data: &mut [Complex64], n: usize) {
     fft3d_serial_impl(data, n, true);
 }
 
-/// A distributed 3D FFT over `p` ranks (must divide `n`).
+/// One rank's share of a distributed 3D FFT of an `n³` cube over `p`
+/// ranks (`p` must divide `n`): local FFTs, one all-to-all transpose,
+/// local FFTs.
 ///
-/// Input: each rank owns `n/p` consecutive Z planes in the canonical
-/// layout. Output of [`DistFft3::forward`]: each rank owns `n/p`
-/// consecutive Y planes, laid out `[ly][iz][ix]` (x fastest). The
-/// [`DistFft3::backward`] method inverts the whole pipeline back to
-/// Z-slab layout.
-#[derive(Debug, Clone, Copy)]
+/// [`DistFft3::forward`] takes the rank's `n/p` consecutive Z planes in
+/// the canonical layout — X then Y FFTs on each, the transpose, Z FFTs —
+/// and finishes with its `n/p` consecutive Y planes, laid out
+/// `[ly][iz][ix]` (x fastest). [`DistFft3::backward`] inverts the whole
+/// pipeline back to Z-slab layout.
+#[derive(Debug)]
 pub struct DistFft3 {
     n: usize,
+    inverse: bool,
+    local: Vec<Complex64>,
 }
 
 impl DistFft3 {
-    /// Plan a distributed transform of size `n³`.
-    pub fn new(n: usize) -> Self {
+    /// The forward transform of one rank's Z slab.
+    pub fn forward(n: usize, local: Vec<Complex64>) -> Self {
         assert!(n.is_power_of_two());
-        Self { n }
+        DistFft3 {
+            n,
+            inverse: false,
+            local,
+        }
     }
 
-    /// Grid edge length.
-    pub fn n(&self) -> usize {
-        self.n
+    /// The inverse transform of one rank's Y slab.
+    pub fn backward(n: usize, local: Vec<Complex64>) -> Self {
+        DistFft3 {
+            inverse: true,
+            ..Self::forward(n, local)
+        }
     }
+}
 
-    /// Local Z planes per rank for `p` ranks.
-    pub fn planes_per_rank(&self, p: usize) -> usize {
-        assert!(self.n.is_multiple_of(p), "ranks must divide n");
-        self.n / p
-    }
+impl RankProgram for DistFft3 {
+    type Output = Vec<Complex64>;
 
-    /// Forward transform: Z-slab input → Y-slab output (`[ly][iz][ix]`).
-    pub fn forward(&self, comm: &mut Comm, mut local: Vec<Complex64>) -> Vec<Complex64> {
+    fn resume(&mut self, ctx: &RankCtx, reply: Reply) -> Step<Vec<Complex64>> {
         let n = self.n;
-        let p = comm.size();
-        let planes = self.planes_per_rank(p);
-        assert_eq!(local.len(), planes * n * n);
-
+        assert!(n.is_multiple_of(ctx.size), "ranks must divide n");
+        let planes = n / ctx.size;
         let plan = FftPlan::new(n);
+        // Each owned plane, `[iy][ix]` of a Z slab or `[iz][ix]` of a Y
+        // slab, is transform-major over n simultaneous transforms.
         let multi_plane = MultiFft::new(n, n);
-
-        // X then Y FFTs on each owned z-plane.
-        for row in local.chunks_exact_mut(n) {
-            plan.forward(row);
-        }
-        for plane in local.chunks_exact_mut(n * n) {
-            multi_plane.forward(plane);
-        }
-
-        // Transpose Z-slabs → Y-slabs.
-        let local = self.transpose_z_to_y(comm, &local);
-
-        // Z FFTs: each owned y-plane `[iz][ix]` is transform-major over n
-        // simultaneous transforms.
-        let mut local = local;
-        for plane in local.chunks_exact_mut(n * n) {
-            multi_plane.forward(plane);
-        }
-        local
-    }
-
-    /// Inverse transform: Y-slab input (`[ly][iz][ix]`) → Z-slab output.
-    pub fn backward(&self, comm: &mut Comm, mut local: Vec<Complex64>) -> Vec<Complex64> {
-        let n = self.n;
-        let p = comm.size();
-        let planes = self.planes_per_rank(p);
-        assert_eq!(local.len(), planes * n * n);
-
-        let plan = FftPlan::new(n);
-        let multi_plane = MultiFft::new(n, n);
-
-        // Inverse Z FFTs in y-slab layout.
-        for plane in local.chunks_exact_mut(n * n) {
-            multi_plane.inverse(plane);
-        }
-        // Transpose back to z-slabs.
-        let mut local = self.transpose_y_to_z(comm, &local);
-        // Inverse Y then X FFTs.
-        for plane in local.chunks_exact_mut(n * n) {
-            multi_plane.inverse(plane);
-        }
-        for row in local.chunks_exact_mut(n) {
-            plan.inverse(row);
-        }
-        local
-    }
-
-    /// Exchange so that rank q ends up owning y-planes
-    /// `[q*planes, (q+1)*planes)` in layout `[ly][iz][ix]`.
-    fn transpose_z_to_y(&self, comm: &mut Comm, local: &[Complex64]) -> Vec<Complex64> {
-        let n = self.n;
-        let p = comm.size();
-        let planes = n / p;
-        // Build per-destination buffers: to rank q send, for each owned lz
-        // and each ly in q's slab, the x-row. Frame order: [lz][ly][ix].
-        let mut sends: Vec<Vec<f64>> = vec![Vec::with_capacity(planes * planes * n * 2); p];
-        for (q, buf) in sends.iter_mut().enumerate() {
-            for lz in 0..planes {
-                for ly in 0..planes {
-                    let iy = q * planes + ly;
-                    let base = (lz * n + iy) * n;
-                    for ix in 0..n {
-                        let z = local[base + ix];
-                        buf.push(z.re);
-                        buf.push(z.im);
+        match reply {
+            Reply::Start => {
+                assert_eq!(self.local.len(), planes * n * n);
+                for plane in self.local.chunks_exact_mut(n * n) {
+                    if self.inverse {
+                        multi_plane.inverse(plane);
+                    } else {
+                        for row in plane.chunks_exact_mut(n) {
+                            plan.forward(row);
+                        }
+                        multi_plane.forward(plane);
                     }
                 }
+                let sends = (0..ctx.size)
+                    .map(|peer| {
+                        rows(n, planes, !self.inverse, peer)
+                            .flat_map(|r| &self.local[r..r + n])
+                            .flat_map(|z| [z.re, z.im])
+                    })
+                    .collect();
+                Step::Op(Op::Alltoallv { sends })
             }
-        }
-        let recvs = comm.alltoallv(sends);
-        // Received from rank s: [lz_s][ly][ix] where iz = s*planes + lz_s.
-        let mut out = vec![Complex64::ZERO; planes * n * n];
-        for (s, buf) in recvs.iter().enumerate() {
-            let mut k = 0;
-            for lz in 0..planes {
-                let iz = s * planes + lz;
-                for ly in 0..planes {
-                    let base = (ly * n + iz) * n;
-                    for ix in 0..n {
-                        out[base + ix] = Complex64::new(buf[k], buf[k + 1]);
-                        k += 2;
+            Reply::Alltoall(blocks) => {
+                let mut local = vec![Complex64::ZERO; planes * n * n];
+                for (peer, block) in blocks.iter().enumerate() {
+                    assert_eq!(block.len(), planes * planes * 2 * n, "from rank {peer}");
+                    let rows = rows(n, planes, self.inverse, peer);
+                    for (r, row) in rows.zip(block.chunks_exact(2 * n)) {
+                        for (z, c) in local[r..r + n].iter_mut().zip(row.chunks_exact(2)) {
+                            *z = Complex64::new(c[0], c[1]);
+                        }
                     }
                 }
+                for plane in local.chunks_exact_mut(n * n) {
+                    if self.inverse {
+                        multi_plane.inverse(plane);
+                        for row in plane.chunks_exact_mut(n) {
+                            plan.inverse(row);
+                        }
+                    } else {
+                        multi_plane.forward(plane);
+                    }
+                }
+                Step::Finish(local)
             }
+            other => panic!("unexpected reply in a distributed 3D FFT: {other:?}"),
         }
-        out
     }
+}
 
-    /// Inverse of [`Self::transpose_z_to_y`].
-    fn transpose_y_to_z(&self, comm: &mut Comm, local: &[Complex64]) -> Vec<Complex64> {
-        let n = self.n;
-        let p = comm.size();
-        let planes = n / p;
-        // To rank q: for each lz in q's z-slab and each owned ly, the x-row.
-        // Frame order must match what transpose_z_to_y's receiver expects
-        // from *its* send order: [lz][ly][ix] relative to the destination.
-        let mut sends: Vec<Vec<f64>> = vec![Vec::with_capacity(planes * planes * n * 2); p];
-        for (q, buf) in sends.iter_mut().enumerate() {
-            for lz in 0..planes {
-                let iz = q * planes + lz;
-                for ly in 0..planes {
-                    let base = (ly * n + iz) * n;
-                    for ix in 0..n {
-                        let z = local[base + ix];
-                        buf.push(z.re);
-                        buf.push(z.im);
-                    }
-                }
-            }
-        }
-        let recvs = comm.alltoallv(sends);
-        let mut out = vec![Complex64::ZERO; planes * n * n];
-        for (s, buf) in recvs.iter().enumerate() {
-            let mut k = 0;
-            for lz in 0..planes {
-                for ly in 0..planes {
-                    let iy = s * planes + ly;
-                    let base = (lz * n + iy) * n;
-                    for ix in 0..n {
-                        out[base + ix] = Complex64::new(buf[k], buf[k + 1]);
-                        k += 2;
-                    }
-                }
-            }
-        }
-        out
-    }
+/// The x-rows a transpose moves between this rank and rank `peer`, as
+/// offsets into this rank's slab, in the frame order both sides walk:
+/// `[lz][ly]`, where `lz` counts the Z slab's planes and `ly` the Y
+/// slab's. Either layout keeps the row of local plane `l` and global
+/// index `g` at `(l·n + g)·n`; `z_slab` says whether this rank's side of
+/// the transpose is the Z slab.
+fn rows(n: usize, planes: usize, z_slab: bool, peer: usize) -> impl Iterator<Item = usize> {
+    (0..planes).flat_map(move |lz| {
+        (0..planes).map(move |ly| {
+            let (mine, theirs) = if z_slab { (lz, ly) } else { (ly, lz) };
+            (mine * n + peer * planes + theirs) * n
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvs_mpisim::run;
+    use pvs_mpisim::run_both;
+
+    /// Run `program` for each of `p` ranks on both runtimes, which must
+    /// agree bit for bit: each rank's slab.
+    fn run(p: usize, program: impl Fn(usize) -> DistFft3 + Sync) -> Vec<Vec<Complex64>> {
+        let flat = |slab: &Vec<Complex64>| slab.iter().flat_map(|z| [z.re, z.im]).collect();
+        let [v1, _] = run_both(p, |rank, _| program(rank), flat);
+        v1.into_iter().map(|(slab, _)| slab).collect()
+    }
 
     fn cube(n: usize, seed: u64) -> Vec<Complex64> {
         (0..n * n * n)
@@ -299,15 +252,13 @@ mod tests {
         let mut expect = full.clone();
         fft3d_serial(&mut expect, n);
 
-        let results = run(p, |mut comm| {
-            let rank = comm.rank();
-            let planes = n / p;
+        let planes = n / p;
+        let results = run(p, |rank| {
             let local = full[rank * planes * n * n..(rank + 1) * planes * n * n].to_vec();
-            DistFft3::new(n).forward(&mut comm, local)
+            DistFft3::forward(n, local)
         });
 
         // Output layout: rank q owns y-planes [q*planes, ...), [ly][iz][ix].
-        let planes = n / p;
         for (q, local) in results.iter().enumerate() {
             for ly in 0..planes {
                 let iy = q * planes + ly;
@@ -330,15 +281,14 @@ mod tests {
         let n = 8;
         let p = 2;
         let full = cube(n, 99);
-        let results = run(p, |mut comm| {
-            let rank = comm.rank();
-            let planes = n / p;
-            let local = full[rank * planes * n * n..(rank + 1) * planes * n * n].to_vec();
-            let f = DistFft3::new(n);
-            let freq = f.forward(&mut comm, local);
-            f.backward(&mut comm, freq)
-        });
         let planes = n / p;
+        let freq = run(p, |rank| {
+            DistFft3::forward(
+                n,
+                full[rank * planes * n * n..(rank + 1) * planes * n * n].to_vec(),
+            )
+        });
+        let results = run(p, |rank| DistFft3::backward(n, freq[rank].clone()));
         for (q, local) in results.iter().enumerate() {
             let expect = &full[q * planes * n * n..(q + 1) * planes * n * n];
             for (a, b) in local.iter().zip(expect) {
@@ -353,9 +303,7 @@ mod tests {
         let full = cube(n, 3);
         let mut expect = full.clone();
         fft3d_serial(&mut expect, n);
-        let results = run(1, |mut comm| {
-            DistFft3::new(n).forward(&mut comm, full.clone())
-        });
+        let results = run(1, |_| DistFft3::forward(n, full.clone()));
         // p=1: y-slab layout [iy][iz][ix] vs canonical [iz][iy][ix].
         for iy in 0..n {
             for iz in 0..n {

@@ -7,10 +7,11 @@
 //! §6.1 story: the original *nested-if* form defeated the X1's vectorizer
 //! (54% of runtime); rewriting it as two successive independent condition
 //! blocks let the compiler stream and vectorize it (4%). Both forms are
-//! implemented and must classify identically.
+//! implemented and must classify identically. The emigrants travel
+//! through the stencil exchange every solver shares.
 
 use crate::particles::Particles;
-use pvs_mpisim::comm::Comm;
+use pvs_mpisim::{Exchange, Halo};
 
 /// Ownership classification of one particle relative to this rank's slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,61 +63,64 @@ pub fn classify_split(y: f64, y_lo: f64, y_hi: f64, ny: f64) -> Destination {
     }
 }
 
-/// Migrate emigrant particles to the neighbouring ranks of a 1D periodic
-/// slab decomposition in y. Every rank owns `[rank·ny/p, (rank+1)·ny/p)`.
-/// Returns the number of particles sent away.
-pub fn shift_particles(p: &mut Particles, comm: &mut Comm, ny: usize) -> usize {
-    let size = comm.size();
-    let rank = comm.rank();
+/// Move every particle outside rank `rank`'s slab of a 1D periodic slab
+/// decomposition in y over `size` ranks, each owning
+/// `[rank·ny/size, (rank+1)·ny/size)`, into `outbox`: side 0 for the
+/// right neighbour, side 1 for the left, `(x, y, rho, w)` each.
+pub fn shift_particles(
+    p: &mut Particles,
+    outbox: &mut [Vec<f64>; 2],
+    rank: usize,
+    size: usize,
+    ny: usize,
+) {
     let slab = ny as f64 / size as f64;
     let y_lo = rank as f64 * slab;
     let y_hi = (rank + 1) as f64 * slab;
-
-    let mut to_left: Vec<f64> = Vec::new();
-    let mut to_right: Vec<f64> = Vec::new();
     let mut i = 0;
-    let mut sent = 0;
     while i < p.len() {
         match classify_split(p.y[i], y_lo, y_hi, ny as f64) {
             Destination::Stay => i += 1,
             dest => {
                 let (x, y, rho, w) = p.swap_remove(i);
-                let buf = if dest == Destination::Left {
-                    &mut to_left
-                } else {
-                    &mut to_right
-                };
-                buf.extend_from_slice(&[x, y, rho, w]);
-                sent += 1;
+                let side = usize::from(dest == Destination::Left);
+                outbox[side].extend_from_slice(&[x, y, rho, w]);
             }
         }
     }
+}
 
-    let left = (rank + size - 1) % size;
-    let right = (rank + 1) % size;
-    const TAG_L: u64 = 0x5F1;
-    const TAG_R: u64 = 0x5F2;
-    if size == 1 {
-        // Everything wraps back to us.
-        for chunk in to_left.chunks_exact(4).chain(to_right.chunks_exact(4)) {
-            p.push(chunk[0], chunk[1], chunk[2], chunk[3]);
+/// A rank's particles and its outbox, as the shift's stencil exchange
+/// sees them: side 0 ships the right-bound emigrants, side 1 the
+/// left-bound, and immigrants join the particles.
+pub(crate) struct Migrants<'a>(pub &'a mut Particles, pub &'a mut [Vec<f64>; 2]);
+
+impl Halo for Migrants<'_> {
+    fn pack(&mut self, side: usize) -> Vec<f64> {
+        std::mem::take(&mut self.1[side])
+    }
+
+    fn unpack(&mut self, _side: usize, data: &[f64]) {
+        for c in data.chunks_exact(4) {
+            self.0.push(c[0], c[1], c[2], c[3]);
         }
-        return 0;
     }
-    comm.send(left, TAG_L, to_left);
-    comm.send(right, TAG_R, to_right);
-    // What my right neighbour sent left is for me, and vice versa.
-    let from_right = comm.recv(right, TAG_L);
-    let from_left = comm.recv(left, TAG_R);
-    for chunk in from_right.chunks_exact(4).chain(from_left.chunks_exact(4)) {
-        p.push(chunk[0], chunk[1], chunk[2], chunk[3]);
-    }
-    sent
+}
+
+/// The shift's exchange for rank `rank` of `size`: over `[right, left]`,
+/// each the other's opposite, so what the right neighbour sent left
+/// arrives before what the left one sent right. On one rank both sides
+/// loop back.
+pub(crate) fn shift_exchange(rank: usize, size: usize) -> Exchange<2> {
+    let sides = [(rank + 1) % size, (rank + size - 1) % size];
+    Exchange::new(rank, sides, [1, 0], 0x5F1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvs_mpisim::event::{RankCtx, RankProgram, Reply, Step};
+    use pvs_mpisim::run_both;
 
     #[test]
     fn classifications_agree() {
@@ -146,43 +150,91 @@ mod tests {
         assert_eq!(classify_split(63.5, 0.0, 16.0, 64.0), Destination::Left);
     }
 
+    /// `rounds` shifts of a uniformly loaded population on every rank.
+    struct Rounds {
+        particles: Particles,
+        outbox: [Vec<f64>; 2],
+        exchange: Exchange<2>,
+        ny: usize,
+        rounds: usize,
+    }
+
+    impl RankProgram for Rounds {
+        type Output = Particles;
+
+        fn resume(&mut self, ctx: &RankCtx, reply: Reply) -> Step<Particles> {
+            let mut op = match reply {
+                Reply::Start => None,
+                reply => self
+                    .exchange
+                    .resume(reply, &mut Migrants(&mut self.particles, &mut self.outbox)),
+            };
+            while op.is_none() && self.rounds > 0 {
+                self.rounds -= 1;
+                let p = &mut self.particles;
+                shift_particles(p, &mut self.outbox, ctx.rank, ctx.size, self.ny);
+                op = self.exchange.begin(&mut Migrants(p, &mut self.outbox));
+            }
+            match op {
+                Some(op) => Step::Op(op),
+                None => Step::Finish(std::mem::take(&mut self.particles)),
+            }
+        }
+    }
+
+    /// Shift `rounds` times over `size` ranks on both runtimes, which must
+    /// agree bit for bit: each rank's particles before and after.
+    fn shift_rounds(size: usize, ny: usize, rounds: usize) -> Vec<(Particles, Particles)> {
+        let load = |rank: usize| Particles::load_uniform(100, 32, ny, 1.0, rank as u64);
+        let make = |rank, size| Rounds {
+            particles: load(rank),
+            outbox: Default::default(),
+            exchange: shift_exchange(rank, size),
+            ny,
+            rounds,
+        };
+        let bits = |p: &Particles| [&p.x[..], &p.y[..], &p.rho[..], &p.w[..]].concat();
+        let [v1, _] = run_both(size, make, bits);
+        v1.into_iter()
+            .enumerate()
+            .map(|(rank, (after, _))| (load(rank), after))
+            .collect()
+    }
+
     #[test]
     fn shift_conserves_particles_and_charge() {
         let ny = 32;
-        let results = pvs_mpisim::run(4, move |mut comm| {
-            let rank = comm.rank();
+        // Every rank starts with particles scattered over the whole
+        // domain (deliberately misplaced); one round moves each at most
+        // one slab, so after five every particle is home.
+        let total = |ranks: &[(Particles, Particles)], after: bool| -> f64 {
+            ranks
+                .iter()
+                .map(|(b, a)| if after { a } else { b }.total_charge())
+                .sum()
+        };
+        let once = shift_rounds(4, ny, 1);
+        assert!(
+            (total(&once, false) - total(&once, true)).abs() < 1e-9,
+            "charge conserved"
+        );
+        let settled = shift_rounds(4, ny, 5);
+        for (rank, (_, p)) in settled.iter().enumerate() {
             let slab = ny as f64 / 4.0;
-            // Start with particles scattered over the whole domain on every
-            // rank (deliberately misplaced).
-            let mut p = Particles::load_uniform(100, 32, ny, 1.0, rank as u64);
-            let total_before = comm.allreduce_sum_scalar(p.total_charge());
-            shift_particles(&mut p, &mut comm, ny);
-            let total_after = comm.allreduce_sum_scalar(p.total_charge());
-            // After one shift round, every remaining particle must be local
-            // or at most one slab away; iterate until settled.
-            for _ in 0..4 {
-                shift_particles(&mut p, &mut comm, ny);
-            }
-            let y_lo = rank as f64 * slab;
-            let y_hi = (rank + 1) as f64 * slab;
-            let all_local = p.y.iter().all(|&y| y >= y_lo && y < y_hi);
-            (total_before, total_after, all_local)
-        });
-        for (before, after, all_local) in results {
-            assert!((before - after).abs() < 1e-9, "charge conserved");
-            assert!(all_local, "all particles homed after shifting");
+            let (y_lo, y_hi) = (rank as f64 * slab, (rank + 1) as f64 * slab);
+            assert!(
+                p.y.iter().all(|&y| y >= y_lo && y < y_hi),
+                "rank {rank} homed"
+            );
         }
     }
 
     #[test]
     fn single_rank_shift_is_noop() {
-        let results = pvs_mpisim::run(1, |mut comm| {
-            let mut p = Particles::load_uniform(50, 16, 16, 1.0, 3);
-            let n_before = p.len();
-            shift_particles(&mut p, &mut comm, 16);
-            p.len() == n_before
-        });
-        assert!(results[0]);
+        let [(before, after)] = &shift_rounds(1, 16, 1)[..] else {
+            unreachable!("one rank")
+        };
+        assert_eq!(before.len(), after.len());
     }
 
     #[test]

@@ -5,8 +5,9 @@ use crate::field::{electric_field, solve_potential};
 use crate::grid2d::Grid2d;
 use crate::particles::Particles;
 use crate::push::push_particles;
-use crate::shift::shift_particles;
-use pvs_mpisim::comm::Comm;
+use crate::shift::{shift_exchange, shift_particles, Migrants};
+use pvs_mpisim::event::{Op, RankCtx, RankProgram, Reply, Step};
+use pvs_mpisim::Exchange;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +83,24 @@ impl GtcSim {
 
     /// One full PIC cycle: deposit → subtract background → solve → push.
     pub fn step(&mut self) {
+        self.deposit();
+        self.solve_and_push();
+        self.steps_taken += 1;
+    }
+
+    /// Deposit the particles' gyroaveraged charge into a cleared `rho`.
+    fn deposit(&mut self) {
         self.rho.clear();
         match self.config.work_vector_lanes {
             Some(lanes) => deposit_gyro_workvector(&self.particles, &mut self.rho, lanes),
             None => deposit_gyro_serial(&self.particles, &mut self.rho),
         }
-        // Quasi-neutral background: subtract the mean so the screened
-        // solve sees only fluctuations.
+    }
+
+    /// Subtract the quasi-neutral background from `rho` (its mean, so the
+    /// screened solve sees only fluctuations), solve for `phi` and push
+    /// the particles in its field.
+    fn solve_and_push(&mut self) {
         let mean = self.rho.total() / self.rho.len() as f64;
         for v in self.rho.as_mut_slice() {
             *v -= mean;
@@ -96,7 +108,6 @@ impl GtcSim {
         self.phi = solve_potential(&self.rho, self.config.inv_lambda2, 1e-8);
         let (ex, ey) = electric_field(&self.phi);
         push_particles(&mut self.particles, &ex, &ey, self.config.b, self.config.dt);
-        self.steps_taken += 1;
     }
 
     /// Run `n` steps.
@@ -123,32 +134,74 @@ impl GtcSim {
     }
 }
 
-/// One distributed step on a 1D slab decomposition: local deposit, global
-/// field reduction, redundant solve (GTC solves its field on a per-plane
-/// basis; our 2D field is small relative to particle work), push, shift.
-pub fn distributed_step(sim: &mut GtcSim, comm: &mut Comm) {
-    sim.rho.clear();
-    match sim.config.work_vector_lanes {
-        Some(lanes) => deposit_gyro_workvector(&sim.particles, &mut sim.rho, lanes),
-        None => deposit_gyro_serial(&sim.particles, &mut sim.rho),
+/// One rank of the distributed GTC on a 1D slab decomposition in y, run
+/// for a fixed number of steps: local deposit, global field reduction,
+/// redundant solve (GTC solves its field on a per-plane basis; our 2D
+/// field is small relative to particle work), push, shift. It finishes
+/// with its particles.
+pub struct GtcRank {
+    sim: GtcSim,
+    exchange: Exchange<2>,
+    outbox: [Vec<f64>; 2],
+    /// Steps left.
+    steps: usize,
+}
+
+impl GtcRank {
+    /// Rank `rank` of `size`, starting from `sim`, to run `steps` steps.
+    pub fn new(sim: GtcSim, rank: usize, size: usize, steps: usize) -> Self {
+        let (exchange, outbox) = (shift_exchange(rank, size), Default::default());
+        GtcRank {
+            sim,
+            exchange,
+            outbox,
+            steps,
+        }
     }
-    // Sum charge contributions across ranks (ring-points may deposit into
-    // other ranks' slabs; the global grid is replicated).
-    let summed = comm.allreduce_sum(sim.rho.as_slice());
-    sim.rho.as_mut_slice().copy_from_slice(&summed);
-    let mean = sim.rho.total() / sim.rho.len() as f64;
-    for v in sim.rho.as_mut_slice() {
-        *v -= mean;
+
+    /// Deposit and sum the charge grid of the next step, or finish.
+    fn next_step(&mut self) -> Step<Particles> {
+        if self.steps == 0 {
+            return Step::Finish(std::mem::take(&mut self.sim.particles));
+        }
+        self.sim.deposit();
+        // Ring-points may deposit into other ranks' slabs: the global grid
+        // is replicated.
+        let data = self.sim.rho.as_slice().to_vec();
+        Step::Op(Op::AllreduceSum { data })
     }
-    sim.phi = solve_potential(&sim.rho, sim.config.inv_lambda2, 1e-8);
-    let (ex, ey) = electric_field(&sim.phi);
-    push_particles(&mut sim.particles, &ex, &ey, sim.config.b, sim.config.dt);
-    shift_particles(&mut sim.particles, comm, sim.config.ny);
+}
+
+impl RankProgram for GtcRank {
+    type Output = Particles;
+
+    fn resume(&mut self, ctx: &RankCtx, reply: Reply) -> Step<Particles> {
+        let (sim, outbox) = (&mut self.sim, &mut self.outbox);
+        let shifting = match reply {
+            Reply::Start => return self.next_step(),
+            Reply::Reduced(Ok(summed)) => {
+                sim.rho.as_mut_slice().copy_from_slice(&summed);
+                sim.solve_and_push();
+                let p = &mut sim.particles;
+                shift_particles(p, outbox, ctx.rank, ctx.size, sim.config.ny);
+                self.exchange.begin(&mut Migrants(p, outbox))
+            }
+            reply => self
+                .exchange
+                .resume(reply, &mut Migrants(&mut sim.particles, outbox)),
+        };
+        let Some(op) = shifting else {
+            self.steps -= 1;
+            return self.next_step();
+        };
+        Step::Op(op)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvs_mpisim::run_both;
 
     #[test]
     fn charge_is_conserved_over_steps() {
@@ -211,25 +264,23 @@ mod tests {
 
     #[test]
     fn distributed_conserves_global_charge() {
-        let results = pvs_mpisim::run(4, |mut comm| {
-            let cfg = GtcConfig::new(16, 16, 4);
-            // Each rank loads its own slab's particles.
-            let mut sim = GtcSim::new(cfg, 10 + comm.rank() as u64, 0.1);
-            // Confine initial particles to this rank's slab.
+        let cfg = GtcConfig::new(16, 16, 4);
+        // Each rank loads its own population, confined to its slab.
+        let load = |rank: usize| {
+            let mut sim = GtcSim::new(cfg, 10 + rank as u64, 0.1);
             let slab = cfg.ny as f64 / 4.0;
-            let y0 = comm.rank() as f64 * slab;
+            let y0 = rank as f64 * slab;
             for y in sim.particles.y.iter_mut() {
                 *y = y0 + (*y / cfg.ny as f64) * slab;
             }
-            let before = comm.allreduce_sum_scalar(sim.particles.total_charge());
-            for _ in 0..3 {
-                distributed_step(&mut sim, &mut comm);
-            }
-            let after = comm.allreduce_sum_scalar(sim.particles.total_charge());
-            (before, after)
-        });
-        for (b, a) in results {
-            assert!((b - a).abs() / b < 1e-12);
+            sim
+        };
+        let before: f64 = (0..4).map(|rank| load(rank).particles.total_charge()).sum();
+        let make = |rank, size| GtcRank::new(load(rank), rank, size, 3);
+        let bits = |p: &Particles| [&p.x[..], &p.y[..], &p.rho[..], &p.w[..]].concat();
+        for run in run_both(4, make, bits) {
+            let after: f64 = run.iter().map(|(p, _)| p.total_charge()).sum();
+            assert!((before - after).abs() / before < 1e-12);
         }
     }
 }

@@ -1,35 +1,42 @@
 //! The distributed LBMHD solver: 2D block decomposition with ghost cells.
 //!
 //! The spatial grid is block-distributed over a 2D processor grid (paper
-//! §3). Each step: collide locally, exchange the one-cell boundary ring
-//! with the eight neighbours, then stream reading the refreshed ghosts.
-//! Two exchange implementations mirror the paper's two ports:
+//! §3), one [`Subdomain`] rank program per block. Each step: collide
+//! locally, exchange the one-cell boundary ring with the eight
+//! neighbours, then stream reading the refreshed ghosts. Two exchanges
+//! mirror the paper's two ports:
 //!
 //! * **MPI mode** — non-contiguous mesoscopic variables are copied into
 //!   temporary buffers and sent with two-sided messages ("thereby reducing
-//!   the required number of send/receive messages", §3.1);
+//!   the required number of send/receive messages", §3.1), through the
+//!   stencil exchange every solver shares ([`Exchange`]);
 //! * **CAF mode** — boundary strips are `put` directly into the
 //!   neighbour's co-array window, eliminating the intermediate copies
 //!   (§3.1's Co-array Fortran port).
 //!
 //! The distributed solver is bit-identical to the serial one — the
-//! integration test reassembles subdomains and compares exactly.
+//! tests reassemble subdomains and compare them.
 
 use crate::collision::{collide_site, SiteMoments};
 use crate::lattice::{C, CB, Q, QB};
 use crate::solver::SimulationConfig;
 use pvs_core::schedule::Cart2d;
 use pvs_mpisim::caf::CoArray;
-use pvs_mpisim::comm::Comm;
+use pvs_mpisim::event::{Op, RankCtx, RankProgram, Reply, Step};
+use pvs_mpisim::{Exchange, Halo};
 
 /// Values carried per lattice site across the halo (Q hydrodynamic + 2·QB
 /// magnetic components).
 pub const SITE_VALUES: usize = Q + 2 * QB;
 
-/// Interior coordinates of a boundary strip to send.
-type SendCells = Vec<(usize, usize)>;
-/// Ghost-ring coordinates (may be −1 or n) a received strip fills.
-type GhostCells = Vec<(isize, isize)>;
+/// MPI mode's tags: side `k`'s strip travels under `TAG_BASE + k`.
+const TAG_BASE: u64 = 0x1B00;
+
+/// The sides of [`Cart2d::neighbors8`] — E, W, N, S, NE, SE, NW, SW — as
+/// lattice steps.
+const SIDE_DX: [isize; 8] = [1, -1, 0, 0, 1, 1, -1, -1];
+const SIDE_DY: [isize; 8] = [0, 0, 1, -1, 1, -1, 1, -1];
+
 /// One rank's result: `(x0, y0, nx, ny, bx, by)`.
 pub type RankField = (usize, usize, usize, usize, Vec<f64>, Vec<f64>);
 
@@ -42,47 +49,46 @@ pub enum ExchangeMode {
     Caf,
 }
 
-/// One rank's block of the global grid, with a one-cell ghost ring.
+/// One rank of the distributed solver: its block of the global grid,
+/// run for a fixed number of steps. It finishes with its [`RankField`].
 pub struct Subdomain {
-    /// Interior extent in x.
-    pub nx: usize,
-    /// Interior extent in y.
-    pub ny: usize,
-    /// Global offset of this block.
-    pub x0: usize,
-    /// Global offset of this block.
-    pub y0: usize,
-    cfg: SimulationConfig,
-    cart: Cart2d,
-    rank: usize,
-    /// Distribution planes with ghosts: `plane[p][(y+1)*(nx+2) + (x+1)]`,
-    /// planes ordered f₀..f₈, gx₀..gx₄, gy₀..gy₄.
-    planes: Vec<Vec<f64>>,
-    scratch: Vec<f64>,
+    x0: usize,
+    y0: usize,
+    block: Block,
+    mode: ExchangeMode,
+    /// `[E, W, N, S, NE, SE, NW, SW]`: where CAF mode puts each strip.
+    neighbours: [usize; 8],
+    exchange: Exchange<8>,
+    /// CAF mode's window, from the first op on.
+    window: Option<CoArray>,
+    /// CAF mode: the ghosts are read and the closing barrier is in flight.
+    reading: bool,
+    /// Steps left.
+    steps: usize,
 }
 
 impl Subdomain {
-    /// Build this rank's block of an `(gnx × gny)` global grid decomposed
-    /// over `cart`, initialized from global-coordinate moments.
+    /// This rank's block of the `cfg.nx × cfg.ny` global grid decomposed
+    /// over `cart`, initialized from global-coordinate moments, to run
+    /// `steps` steps exchanging in `mode`.
     pub fn new(
         cfg: SimulationConfig,
         cart: Cart2d,
         rank: usize,
-        gnx: usize,
-        gny: usize,
+        steps: usize,
+        mode: ExchangeMode,
         init: impl Fn(usize, usize) -> SiteMoments,
     ) -> Self {
         assert!(
-            gnx.is_multiple_of(cart.px) && gny.is_multiple_of(cart.py),
+            cfg.nx.is_multiple_of(cart.px) && cfg.ny.is_multiple_of(cart.py),
             "grid must divide evenly"
         );
-        let nx = gnx / cart.px;
-        let ny = gny / cart.py;
+        let nx = cfg.nx / cart.px;
+        let ny = cfg.ny / cart.py;
         let (cx, cy) = cart.coords(rank);
         let (x0, y0) = (cx * nx, cy * ny);
         let w = nx + 2;
-        let h = ny + 2;
-        let mut planes = vec![vec![0.0; w * h]; SITE_VALUES];
+        let mut planes = vec![vec![0.0; w * (ny + 2)]; SITE_VALUES];
         for y in 0..ny {
             for x in 0..nx {
                 let m = init(x0 + x, y0 + y);
@@ -98,19 +104,142 @@ impl Subdomain {
                 }
             }
         }
+        let neighbours = cart.neighbors8(rank);
         Self {
-            nx,
-            ny,
             x0,
             y0,
-            cfg,
-            cart,
-            rank,
-            planes,
-            scratch: vec![0.0; w * h],
+            block: Block {
+                nx,
+                ny,
+                cfg,
+                planes,
+                scratch: vec![0.0; w * (ny + 2)],
+            },
+            mode,
+            neighbours,
+            exchange: Exchange::new(rank, neighbours, Cart2d::OPPOSITE, TAG_BASE),
+            window: None,
+            reading: false,
+            steps,
         }
     }
 
+    /// CAF mode's exchange: put each boundary strip straight into the
+    /// neighbour's window, where it is the ghost region of the opposite
+    /// side; or, after a barrier, unpack the ghosts from the local window.
+    fn caf(&mut self, put: bool) {
+        // INFALLIBLE: CAF mode creates its window before the first step.
+        let window = self.window.as_ref().expect("co-array window");
+        for side in 0..8 {
+            if put {
+                let (off, len) = self.block.caf_region(Cart2d::OPPOSITE[side]);
+                let data = self.block.pack(side);
+                assert_eq!(data.len(), len);
+                window.put(self.neighbours[side], off, &data);
+            } else {
+                let (off, len) = self.block.caf_region(side);
+                let data = window.get(window.this_image(), off, len);
+                self.block.unpack(side, &data);
+            }
+        }
+    }
+
+    /// The ghosts are fresh: stream, and the step is done.
+    fn end_step(&mut self) {
+        self.block.stream();
+        self.steps -= 1;
+    }
+}
+
+impl RankProgram for Subdomain {
+    type Output = RankField;
+
+    fn resume(&mut self, _ctx: &RankCtx, reply: Reply) -> Step<RankField> {
+        match (self.mode, reply) {
+            (ExchangeMode::Mpi, Reply::Start) => {}
+            (ExchangeMode::Mpi, reply) => match self.exchange.resume(reply, &mut self.block) {
+                Some(op) => return Step::Op(op),
+                None => self.end_step(),
+            },
+            (ExchangeMode::Caf, Reply::Start) => {
+                // The last side's region ends the window.
+                let (off, len) = self.block.caf_region(7);
+                return Step::Op(Op::CoCreate { len: off + len });
+            }
+            (ExchangeMode::Caf, Reply::CoCreated(window)) if self.window.is_none() => {
+                self.window = Some(window);
+            }
+            (ExchangeMode::Caf, Reply::BarrierDone(Ok(()))) if !self.reading => {
+                self.caf(false);
+                // A second barrier, so no rank starts the next step's puts
+                // while a neighbour is still reading its window.
+                self.reading = true;
+                return Step::Op(Op::Barrier);
+            }
+            (ExchangeMode::Caf, Reply::BarrierDone(Ok(()))) => {
+                self.reading = false;
+                self.end_step();
+            }
+            (ExchangeMode::Caf, other) => panic!(
+                "unexpected reply in LBMHD's CAF exchange, {} steps left: {other:?}",
+                self.steps
+            ),
+        }
+        while self.steps > 0 {
+            self.block.collide();
+            match self.mode {
+                ExchangeMode::Mpi => match self.exchange.begin(&mut self.block) {
+                    Some(op) => return Step::Op(op),
+                    None => self.end_step(),
+                },
+                ExchangeMode::Caf => {
+                    self.caf(true);
+                    return Step::Op(Op::Barrier);
+                }
+            }
+        }
+        let b = &self.block;
+        let (bx, by) = (b.site_sums(Q..Q + QB), b.site_sums(Q + QB..SITE_VALUES));
+        Step::Finish((self.x0, self.y0, b.nx, b.ny, bx, by))
+    }
+}
+
+/// A block of the lattice with a one-cell ghost ring.
+struct Block {
+    nx: usize,
+    ny: usize,
+    cfg: SimulationConfig,
+    /// Distribution planes with ghosts: `plane[p][(y+1)*(nx+2) + (x+1)]`,
+    /// planes ordered f₀..f₈, gx₀..gx₄, gy₀..gy₄.
+    planes: Vec<Vec<f64>>,
+    scratch: Vec<f64>,
+}
+
+/// A strip is `[plane-major][cell]`: my cells facing the side I ship,
+/// the ghosts facing it I fill.
+impl Halo for Block {
+    fn pack(&mut self, side: usize) -> Vec<f64> {
+        let cells = self.boundary(side);
+        let mut buf = Vec::with_capacity(SITE_VALUES * cells.len());
+        for p in 0..SITE_VALUES {
+            buf.extend(cells.iter().map(|&(x, y)| self.at(p, x, y)));
+        }
+        buf
+    }
+
+    fn unpack(&mut self, side: usize, buf: &[f64]) {
+        let cells = self.boundary(side);
+        assert_eq!(buf.len(), SITE_VALUES * cells.len());
+        let (dx, dy, w) = (SIDE_DX[side], SIDE_DY[side], self.nx + 2);
+        for (plane, strip) in self.planes.iter_mut().zip(buf.chunks_exact(cells.len())) {
+            for (&(x, y), &v) in cells.iter().zip(strip) {
+                plane[((y + dy + 1) as usize) * w + (x + dx + 1) as usize] = v;
+            }
+        }
+    }
+}
+
+impl Block {
     #[inline]
     fn at(&self, p: usize, x: isize, y: isize) -> f64 {
         let w = self.nx + 2;
@@ -118,7 +247,7 @@ impl Subdomain {
     }
 
     /// Collide all interior sites.
-    pub fn collide(&mut self) {
+    fn collide(&mut self) {
         let w = self.nx + 2;
         for y in 0..self.ny {
             for x in 0..self.nx {
@@ -143,149 +272,29 @@ impl Subdomain {
         }
     }
 
-    /// Pack a boundary strip: `cells` are interior coordinates, output is
-    /// `[plane-major][cell]`.
-    fn pack(&self, cells: &[(usize, usize)]) -> Vec<f64> {
-        let w = self.nx + 2;
-        let mut buf = Vec::with_capacity(SITE_VALUES * cells.len());
-        for p in 0..SITE_VALUES {
-            for &(x, y) in cells {
-                buf.push(self.planes[p][(y + 1) * w + (x + 1)]);
-            }
-        }
-        buf
+    /// My interior cells facing `side`, y-major; one step to `side`
+    /// from each is the ghost its strip fills.
+    fn boundary(&self, side: usize) -> Vec<(isize, isize)> {
+        let span = |d: isize, n: usize| match d {
+            1 => n as isize - 1..n as isize,
+            -1 => 0..1,
+            _ => 0..n as isize,
+        };
+        let xs = span(SIDE_DX[side], self.nx);
+        span(SIDE_DY[side], self.ny)
+            .flat_map(|y| xs.clone().map(move |x| (x, y)))
+            .collect()
     }
 
-    /// Unpack a strip into ghost coordinates (`x`/`y` may be −1 or n).
-    fn unpack(&mut self, cells: &[(isize, isize)], buf: &[f64]) {
-        let w = self.nx + 2;
-        assert_eq!(buf.len(), SITE_VALUES * cells.len());
-        let mut k = 0;
-        for p in 0..SITE_VALUES {
-            for &(x, y) in cells {
-                self.planes[p][((y + 1) as usize) * w + (x + 1) as usize] = buf[k];
-                k += 1;
-            }
-        }
-    }
-
-    fn edge_cells(&self, side: usize) -> (SendCells, GhostCells) {
-        let (nx, ny) = (self.nx, self.ny);
-        match side {
-            // (cells I send = my boundary facing that side,
-            //  ghosts I fill = ghost ring on that side)
-            0 => (
-                (0..ny).map(|y| (nx - 1, y)).collect(),
-                (0..ny).map(|y| (nx as isize, y as isize)).collect(),
-            ), // E
-            1 => (
-                (0..ny).map(|y| (0, y)).collect(),
-                (0..ny).map(|y| (-1, y as isize)).collect(),
-            ), // W
-            2 => (
-                (0..nx).map(|x| (x, ny - 1)).collect(),
-                (0..nx).map(|x| (x as isize, ny as isize)).collect(),
-            ), // N
-            3 => (
-                (0..nx).map(|x| (x, 0)).collect(),
-                (0..nx).map(|x| (x as isize, -1)).collect(),
-            ), // S
-            4 => (vec![(nx - 1, ny - 1)], vec![(nx as isize, ny as isize)]), // NE
-            5 => (vec![(nx - 1, 0)], vec![(nx as isize, -1)]),               // SE
-            6 => (vec![(0, ny - 1)], vec![(-1, ny as isize)]),               // NW
-            7 => (vec![(0, 0)], vec![(-1, -1)]),                             // SW
-            _ => unreachable!(),
-        }
-    }
-
-    /// Two-sided halo exchange: pack strips into temporary buffers, send
-    /// one message per neighbour (tagged by the *sender's* side), then
-    /// receive and unpack into ghosts. My side-`s` ghost ring is filled by
-    /// the neighbour's boundary facing me — the message it tagged with the
-    /// opposite side.
-    pub fn exchange_mpi(&mut self, comm: &mut Comm) {
-        let neighbors = self.cart.neighbors8(self.rank);
-        // My E boundary fills my east neighbour's W ghosts, etc.
-        const PARTNER_SIDE: [usize; 8] = [1, 0, 3, 2, 7, 6, 5, 4];
-        const TAG_BASE: u64 = 0x1B00;
-        let mut local_loopback: [Option<Vec<f64>>; 8] = Default::default();
-        for side in 0..8 {
-            let (send_cells, _) = self.edge_cells(side);
-            let buf = self.pack(&send_cells);
-            let partner = neighbors[side];
-            if partner == self.rank {
-                // Periodic wrap onto myself: my own boundary fills my
-                // opposite ghost ring.
-                local_loopback[PARTNER_SIDE[side]] = Some(buf);
-            } else {
-                comm.send(partner, TAG_BASE + side as u64, buf);
-            }
-        }
-        for side in 0..8 {
-            let partner = neighbors[side];
-            let received = if partner == self.rank {
-                local_loopback[side].take().expect("loopback buffer")
-            } else {
-                comm.recv(partner, TAG_BASE + PARTNER_SIDE[side] as u64)
-            };
-            let (_, ghost_cells) = self.edge_cells(side);
-            self.unpack(&ghost_cells, &received);
-        }
-    }
-
-    /// Number of window doubles needed per rank for CAF exchange.
-    pub fn caf_window_len(&self) -> usize {
-        SITE_VALUES * (2 * self.ny + 2 * self.nx + 4)
-    }
-
+    /// Side `side`'s ghost region of the CAF window, `(offset, len)`: the
+    /// regions follow in side order.
     fn caf_region(&self, side: usize) -> (usize, usize) {
-        // Window regions in side order [E ghost, W ghost, N ghost, S ghost,
-        // NE, SE, NW, SW], each sized SITE_VALUES * len(side).
-        let ny = SITE_VALUES * self.ny;
-        let nx = SITE_VALUES * self.nx;
-        let c = SITE_VALUES;
-        let offsets = [
-            0,
-            ny,
-            2 * ny,
-            2 * ny + nx,
-            2 * ny + 2 * nx,
-            2 * ny + 2 * nx + c,
-            2 * ny + 2 * nx + 2 * c,
-            2 * ny + 2 * nx + 3 * c,
-        ];
-        let lens = [ny, ny, nx, nx, c, c, c, c];
-        (offsets[side], lens[side])
-    }
-
-    /// One-sided halo exchange: put boundary strips straight into the
-    /// neighbours' windows, synchronize, unpack the local window.
-    pub fn exchange_caf(&mut self, ca: &CoArray, comm: &mut Comm) {
-        let neighbors = self.cart.neighbors8(self.rank);
-        const PARTNER_SIDE: [usize; 8] = [1, 0, 3, 2, 7, 6, 5, 4];
-        for side in 0..8 {
-            let (send_cells, _) = self.edge_cells(side);
-            let buf = self.pack(&send_cells);
-            // My `side` boundary becomes the partner's `PARTNER_SIDE[side]`
-            // ghost region.
-            let (off, len) = self.caf_region(PARTNER_SIDE[side]);
-            assert_eq!(buf.len(), len);
-            ca.put(neighbors[side], off, &buf);
-        }
-        comm.barrier();
-        for side in 0..8 {
-            let (off, len) = self.caf_region(side);
-            let buf = ca.get(self.rank, off, len);
-            let (_, ghost_cells) = self.edge_cells(side);
-            self.unpack(&ghost_cells, &buf);
-        }
-        // Second synchronization so no rank starts the next step's puts
-        // while a neighbour is still reading its window.
-        comm.barrier();
+        let len = |k| SITE_VALUES * self.boundary(k).len();
+        ((0..side).map(len).sum(), len(side))
     }
 
     /// Stream all interior sites, reading ghosts at the block boundary.
-    pub fn stream(&mut self) {
+    fn stream(&mut self) {
         let w = self.nx + 2;
         for plane_idx in 0..SITE_VALUES {
             let (dx, dy) = if plane_idx < Q {
@@ -306,73 +315,15 @@ impl Subdomain {
         }
     }
 
-    /// One full distributed step.
-    pub fn step(&mut self, comm: &mut Comm, ca: Option<&CoArray>) {
-        self.collide();
-        match ca {
-            Some(ca) => self.exchange_caf(ca, comm),
-            None => self.exchange_mpi(comm),
-        }
-        self.stream();
+    /// The sum of `planes` at every interior site (site-indexed
+    /// `y * nx + x`).
+    fn site_sums(&self, planes: std::ops::Range<usize>) -> Vec<f64> {
+        let (nx, ny) = (self.nx as isize, self.ny as isize);
+        let sum = |x, y| planes.clone().fold(0.0, |acc, p| acc + self.at(p, x, y));
+        (0..ny)
+            .flat_map(|y| (0..nx).map(move |x| sum(x, y)))
+            .collect()
     }
-
-    /// Interior macroscopic magnetic field (site-indexed `y * nx + x`).
-    pub fn magnetic_field(&self) -> (Vec<f64>, Vec<f64>) {
-        let w = self.nx + 2;
-        let mut bx = vec![0.0; self.nx * self.ny];
-        let mut by = vec![0.0; self.nx * self.ny];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                let s = (y + 1) * w + (x + 1);
-                for i in 0..QB {
-                    bx[y * self.nx + x] += self.planes[Q + i][s];
-                    by[y * self.nx + x] += self.planes[Q + QB + i][s];
-                }
-            }
-        }
-        (bx, by)
-    }
-
-    /// Interior density field.
-    pub fn density(&self) -> Vec<f64> {
-        let w = self.nx + 2;
-        let mut rho = vec![0.0; self.nx * self.ny];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                let s = (y + 1) * w + (x + 1);
-                for i in 0..Q {
-                    rho[y * self.nx + x] += self.planes[i][s];
-                }
-            }
-        }
-        rho
-    }
-}
-
-/// Run a distributed simulation for `steps` steps on `px × py` ranks and
-/// return each rank's `(x0, y0, nx, ny, bx, by)`.
-pub fn run_distributed(
-    cfg: SimulationConfig,
-    px: usize,
-    py: usize,
-    steps: usize,
-    mode: ExchangeMode,
-    init: impl Fn(usize, usize) -> SiteMoments + Send + Sync,
-) -> Vec<RankField> {
-    let cart = Cart2d::new(px, py);
-    let init = &init;
-    pvs_mpisim::run(px * py, move |mut comm| {
-        let mut sub = Subdomain::new(cfg, cart, comm.rank(), cfg.nx, cfg.ny, init);
-        let ca = match mode {
-            ExchangeMode::Caf => Some(CoArray::create(&mut comm, sub.caf_window_len())),
-            ExchangeMode::Mpi => None,
-        };
-        for _ in 0..steps {
-            sub.step(&mut comm, ca.as_ref());
-        }
-        let (bx, by) = sub.magnetic_field();
-        (sub.x0, sub.y0, sub.nx, sub.ny, bx, by)
-    })
 }
 
 #[cfg(test)]
@@ -380,6 +331,7 @@ mod tests {
     use super::*;
     use crate::init::crossed_current_sheets;
     use crate::solver::Simulation;
+    use pvs_mpisim::{run_both, CommStats};
 
     fn serial_reference(n: usize, steps: usize) -> (Vec<f64>, Vec<f64>) {
         let cfg = SimulationConfig::new(n, n);
@@ -390,10 +342,10 @@ mod tests {
         (bx, by)
     }
 
-    fn reassemble(parts: &[RankField], n: usize) -> (Vec<f64>, Vec<f64>) {
+    fn reassemble(parts: &[(RankField, CommStats)], n: usize) -> (Vec<f64>, Vec<f64>) {
         let mut bx = vec![0.0; n * n];
         let mut by = vec![0.0; n * n];
-        for (x0, y0, nx, ny, pbx, pby) in parts {
+        for ((x0, y0, nx, ny, pbx, pby), _) in parts {
             for y in 0..*ny {
                 for x in 0..*nx {
                     bx[(y0 + y) * n + (x0 + x)] = pbx[y * nx + x];
@@ -404,49 +356,72 @@ mod tests {
         (bx, by)
     }
 
+    /// Run `steps` steps of an `n × n` grid on `px × py` ranks on both
+    /// runtimes, which must agree bit for bit, and hold each runtime's
+    /// reassembled field to the serial solver's within 1e-13.
+    fn assert_matches_serial(n: usize, steps: usize, (px, py): (usize, usize), mode: ExchangeMode) {
+        let (sbx, sby) = serial_reference(n, steps);
+        let cfg = SimulationConfig::new(n, n);
+        let cart = Cart2d::new(px, py);
+        let make = |rank, _| {
+            Subdomain::new(cfg, cart, rank, steps, mode, |x, y| {
+                crossed_current_sheets(x, y, n, n, 0.08)
+            })
+        };
+        let runs = run_both(cart.size(), make, |f: &RankField| {
+            [&f.4[..], &f.5[..]].concat()
+        });
+        // Each runtime's first miss, so a fault in the shared program
+        // names both.
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-13;
+        let misses: Vec<String> = ["v1", "v2"]
+            .iter()
+            .zip(&runs)
+            .filter_map(|(runtime, parts)| {
+                let (dbx, dby) = reassemble(parts, n);
+                (0..n * n)
+                    .find(|&s| !(close(sbx[s], dbx[s]) && close(sby[s], dby[s])))
+                    .map(|s| {
+                        format!("{runtime}: {px}x{py} {mode:?} differs from serial at site {s}")
+                    })
+            })
+            .collect();
+        assert!(misses.is_empty(), "{misses:?}");
+    }
+
     #[test]
     fn mpi_distributed_matches_serial_exactly() {
-        let n = 16;
-        let steps = 8;
-        let cfg = SimulationConfig::new(n, n);
-        let (sbx, sby) = serial_reference(n, steps);
-        let parts = run_distributed(cfg, 2, 2, steps, ExchangeMode::Mpi, |x, y| {
-            crossed_current_sheets(x, y, n, n, 0.08)
-        });
-        let (dbx, dby) = reassemble(&parts, n);
-        for s in 0..n * n {
-            assert!((sbx[s] - dbx[s]).abs() < 1e-13, "bx at {s}");
-            assert!((sby[s] - dby[s]).abs() < 1e-13, "by at {s}");
-        }
+        assert_matches_serial(16, 8, (2, 2), ExchangeMode::Mpi);
     }
 
     #[test]
     fn caf_distributed_matches_serial_exactly() {
-        let n = 16;
-        let steps = 8;
-        let cfg = SimulationConfig::new(n, n);
-        let (sbx, sby) = serial_reference(n, steps);
-        let parts = run_distributed(cfg, 2, 2, steps, ExchangeMode::Caf, |x, y| {
-            crossed_current_sheets(x, y, n, n, 0.08)
-        });
-        let (dbx, dby) = reassemble(&parts, n);
-        for s in 0..n * n {
-            assert!((sbx[s] - dbx[s]).abs() < 1e-13, "bx at {s}");
-            assert!((sby[s] - dby[s]).abs() < 1e-13, "by at {s}");
-        }
+        assert_matches_serial(16, 8, (2, 2), ExchangeMode::Caf);
     }
 
     #[test]
     fn asymmetric_process_grids_work() {
-        let n = 16;
-        let cfg = SimulationConfig::new(n, n);
-        let (sbx, _) = serial_reference(n, 4);
-        let parts = run_distributed(cfg, 4, 1, 4, ExchangeMode::Mpi, |x, y| {
-            crossed_current_sheets(x, y, n, n, 0.08)
-        });
-        let (dbx, _) = reassemble(&parts, n);
-        for s in 0..n * n {
-            assert!((sbx[s] - dbx[s]).abs() < 1e-13);
+        assert_matches_serial(16, 4, (4, 1), ExchangeMode::Mpi);
+    }
+
+    fn mass(sub: &Subdomain) -> f64 {
+        sub.block.site_sums(0..Q).iter().sum()
+    }
+
+    /// A subdomain that also reports its mass before and after its run.
+    struct Weighed {
+        sub: Subdomain,
+        before: f64,
+    }
+
+    impl RankProgram for Weighed {
+        type Output = [f64; 2];
+
+        fn resume(&mut self, ctx: &RankCtx, reply: Reply) -> Step<[f64; 2]> {
+            match self.sub.resume(ctx, reply) {
+                Step::Op(op) => Step::Op(op),
+                Step::Finish(_) => Step::Finish([self.before, mass(&self.sub)]),
+            }
         }
     }
 
@@ -455,20 +430,16 @@ mod tests {
         let n = 16;
         let cfg = SimulationConfig::new(n, n);
         let cart = Cart2d::new(2, 2);
-        let totals = pvs_mpisim::run(4, |mut comm| {
-            let mut sub = Subdomain::new(cfg, cart, comm.rank(), n, n, |x, y| {
+        let make = |rank, _| {
+            let sub = Subdomain::new(cfg, cart, rank, 5, ExchangeMode::Mpi, |x, y| {
                 crossed_current_sheets(x, y, n, n, 0.08)
             });
-            let before: f64 = sub.density().iter().sum();
-            let before = comm.allreduce_sum_scalar(before);
-            for _ in 0..5 {
-                sub.step(&mut comm, None);
-            }
-            let after: f64 = sub.density().iter().sum();
-            let after = comm.allreduce_sum_scalar(after);
-            (before, after)
-        });
-        for (b, a) in totals {
+            let before = mass(&sub);
+            Weighed { sub, before }
+        };
+        for masses in run_both(4, make, |m: &[f64; 2]| m.to_vec()) {
+            let total = |i: usize| masses.iter().map(|(m, _)| m[i]).sum::<f64>();
+            let (b, a) = (total(0), total(1));
             assert!((b - a).abs() / b < 1e-12);
         }
     }

@@ -26,7 +26,9 @@
 //!   simulate 10⁵+ ranks without 10⁵ OS threads;
 //! * [`threaded`]: the same [`RankProgram`]s on the thread-backed
 //!   runtime, each [`Op`] answered by the [`Comm`] / [`FaultyComm`]
-//!   method of the same name;
+//!   method of the same name, and [`run_both`], which holds one workload
+//!   bit-identical on both runtimes;
+//! * [`exchange`]: the one stencil exchange the solvers' programs embed;
 //! * `collective` (private): canonical folds, survivor set and seeded
 //!   per-message fault charge, run with the [`pvs_core::schedule`]
 //!   schedules as packets by `comm`/`fault`/`caf`, as sums by `event`;
@@ -60,6 +62,7 @@ pub mod caf;
 mod collective;
 pub mod comm;
 pub mod event;
+pub mod exchange;
 pub mod fault;
 pub mod tags;
 pub mod threaded;
@@ -74,4 +77,5 @@ pub use fault::{
     retry_backoff_ps, run_faulty, FaultError, FaultSpec, FaultStats, FaultyComm, RankOutcome,
 };
 pub use tags::{is_user_tag, COLLECTIVE_BIT};
-pub use threaded::{first_divergence, run_programs};
+pub use exchange::{Exchange, Halo};
+pub use threaded::{first_divergence, run_both, run_programs};

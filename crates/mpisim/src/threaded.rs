@@ -11,7 +11,7 @@
 
 use crate::caf::CoArray;
 use crate::comm::{run, Comm, CommStats};
-use crate::event::{Op, RankCtx, RankProgram, Reply, SimReport, SimStats, Step};
+use crate::event::{EventSim, Op, RankCtx, RankProgram, Reply, SimReport, SimStats, Step};
 use crate::fault::{run_faulty, FaultSpec, FaultStats, FaultyComm, RankOutcome};
 
 /// A thread-backed endpoint as a rank program sees it.
@@ -134,6 +134,25 @@ where
     report
 }
 
+/// Run `make`'s programs healthy on both runtimes: each rank's value and
+/// traffic, v1's run first, after panicking with [`first_divergence`]'s
+/// sentence if any rank's traffic or value bits, as `bits` lists them,
+/// differ. The event runtime runs first, so a program that deadlocks
+/// fails with its diagnosis instead of hanging v1's threads.
+pub fn run_both<P, F>(nranks: usize, make: F, bits: impl Fn(&P::Output) -> Vec<f64>) -> [Vec<(P::Output, CommStats)>; 2]
+where
+    P: RankProgram,
+    F: Fn(usize, usize) -> P + Send + Sync,
+{
+    let v2 = EventSim::new(nranks).run(&make);
+    let runs = [run_programs(nranks, None, &make), v2].map(SimReport::into_values_and_stats);
+    let flat = |run: &[(P::Output, CommStats)]| run.iter().map(|(value, stats)| (bits(value), *stats)).collect::<Vec<_>>();
+    if let Some(divergence) = first_divergence(&flat(&runs[0]), &flat(&runs[1])) {
+        panic!("{divergence}");
+    }
+    runs
+}
+
 /// The first place two healthy runs of one workload differ, as
 /// [`SimReport::into_values_and_stats`] renders them: `None` when every
 /// rank's value bits and traffic agree, else a sentence naming P, the
@@ -158,7 +177,7 @@ pub fn first_divergence(v1: &[(Vec<f64>, CommStats)], v2: &[(Vec<f64>, CommStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventSim, ScriptProgram};
+    use crate::event::ScriptProgram;
     use std::panic::catch_unwind;
 
     #[test]

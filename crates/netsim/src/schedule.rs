@@ -152,6 +152,10 @@ pub struct Cart2d {
 }
 
 impl Cart2d {
+    /// Side `k` of [`Self::neighbors8`] faces side `OPPOSITE[k]` of the
+    /// neighbour it names: E and W, N and S, NE and SW, SE and NW.
+    pub const OPPOSITE: [usize; 8] = [1, 0, 3, 2, 7, 6, 5, 4];
+
     /// Build a grid; `px * py` must equal the communicator size when used
     /// with one.
     pub fn new(px: usize, py: usize) -> Self {
@@ -222,6 +226,10 @@ pub struct Cart3d {
 }
 
 impl Cart3d {
+    /// Side `k` of [`Self::neighbors6`] faces side `k ^ 1` of the
+    /// neighbour it names: the same axis, the other direction.
+    pub const OPPOSITE: [usize; 6] = [1, 0, 3, 2, 5, 4];
+
     /// Build a grid.
     pub fn new(px: usize, py: usize, pz: usize) -> Self {
         assert!(px >= 1 && py >= 1 && pz >= 1);
@@ -528,6 +536,16 @@ mod tests {
             (0, 0, 1),
             (0, 0, -1),
         ];
+        // Each side's opposite steps the other way.
+        for (k, &o) in Cart2d::OPPOSITE.iter().enumerate() {
+            assert_eq!(steps2[o], (-steps2[k].0, -steps2[k].1));
+        }
+        for (k, &o) in Cart3d::OPPOSITE.iter().enumerate() {
+            assert_eq!(
+                (o, steps3[o]),
+                (k ^ 1, (-steps3[k].0, -steps3[k].1, -steps3[k].2))
+            );
+        }
         for px in 1..=4 {
             for py in 1..=4 {
                 let c = Cart2d::new(px, py);

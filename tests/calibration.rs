@@ -10,7 +10,7 @@ fn lbmhd_halo_descriptor_matches_measured_traffic() {
     // per-step bytes each rank sends against the Table 3 workload's
     // Halo2d descriptor for the same decomposition.
     use pvs::lbmhd::init::crossed_current_sheets;
-    use pvs::lbmhd::parallel::{Subdomain, SITE_VALUES};
+    use pvs::lbmhd::parallel::{ExchangeMode, Subdomain, SITE_VALUES};
     use pvs::lbmhd::solver::SimulationConfig;
     use pvs::core::schedule::Cart2d;
 
@@ -18,15 +18,16 @@ fn lbmhd_halo_descriptor_matches_measured_traffic() {
     let steps = 4;
     let cfg = SimulationConfig::new(n, n);
     let cart = Cart2d::new(2, 2);
-    let stats = pvs::mpisim::run(4, move |mut comm| {
-        let mut sub = Subdomain::new(cfg, cart, comm.rank(), n, n, |x, y| {
+    let make = |rank, _| {
+        Subdomain::new(cfg, cart, rank, steps, ExchangeMode::Mpi, |x, y| {
             crossed_current_sheets(x, y, n, n, 0.08)
-        });
-        for _ in 0..steps {
-            sub.step(&mut comm, None);
-        }
-        comm.stats()
-    });
+        })
+    };
+    let stats: Vec<_> = pvs::mpisim::run_programs(4, None, make)
+        .into_values_and_stats()
+        .into_iter()
+        .map(|(_, stats)| stats)
+        .collect();
 
     // Model prediction: 4 edges of (n/2)*SITE_VALUES doubles + 4 corners
     // of SITE_VALUES doubles per rank per step.
@@ -51,14 +52,14 @@ fn cactus_face_descriptor_matches_measured_traffic() {
     let gn = 8;
     let steps = 3;
     let cart = Cart3d::new(2, 2, 2);
-    let stats = pvs::mpisim::run(8, move |mut comm| {
-        let mut block =
-            CactusBlock::new(cart, comm.rank(), (gn, gn, gn), 1.0, |_, _, _| [0.01; NFIELDS]);
-        for _ in 0..steps {
-            block.step(&mut comm, 0.25);
-        }
-        comm.stats()
-    });
+    let make = |rank, _| {
+        CactusBlock::new(cart, rank, (gn, gn, gn), 1.0, 0.25, steps, |_, _, _| [0.01; NFIELDS])
+    };
+    let stats: Vec<_> = pvs::mpisim::run_programs(8, None, make)
+        .into_values_and_stats()
+        .into_iter()
+        .map(|(_, stats)| stats)
+        .collect();
 
     // Six faces of (gn/2)² points × NFIELDS doubles, exchanged once per
     // ICN iteration (three per step).

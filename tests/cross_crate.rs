@@ -4,6 +4,12 @@
 
 use pvs::fft::dist3d::{fft3d_serial, DistFft3};
 use pvs::linalg::complex::Complex64;
+use pvs::mpisim::{run_both, CommStats};
+
+/// Each rank's value, the runtimes having agreed on it bit for bit.
+fn agreed<T>([v1, _]: [Vec<(T, CommStats)>; 2]) -> Vec<T> {
+    v1.into_iter().map(|(value, _)| value).collect()
+}
 
 #[test]
 fn distributed_fft_matches_serial_at_several_rank_counts() {
@@ -21,14 +27,12 @@ fn distributed_fft_matches_serial_at_several_rank_counts() {
     fft3d_serial(&mut expect, n);
 
     for p in [1usize, 2, 4, 8] {
-        let cube = cube.clone();
-        let results = pvs::mpisim::run(p, move |mut comm| {
-            let planes = n / p;
-            let rank = comm.rank();
-            let local = cube[rank * planes * n * n..(rank + 1) * planes * n * n].to_vec();
-            DistFft3::new(n).forward(&mut comm, local)
-        });
         let planes = n / p;
+        let make = |rank, _| {
+            DistFft3::forward(n, cube[rank * planes * n * n..(rank + 1) * planes * n * n].to_vec())
+        };
+        let bits = |slab: &Vec<Complex64>| slab.iter().flat_map(|z| [z.re, z.im]).collect();
+        let results = agreed(run_both(p, make, bits));
         for (q, local) in results.iter().enumerate() {
             for ly in 0..planes {
                 let iy = q * planes + ly;
@@ -47,33 +51,29 @@ fn distributed_fft_matches_serial_at_several_rank_counts() {
 #[test]
 fn lbmhd_distributed_agrees_across_decompositions() {
     use pvs::lbmhd::init::orszag_tang;
-    use pvs::lbmhd::parallel::{run_distributed, ExchangeMode};
+    use pvs::core::schedule::Cart2d;
+    use pvs::lbmhd::parallel::{ExchangeMode, RankField, Subdomain};
     use pvs::lbmhd::solver::SimulationConfig;
 
     let n = 24;
     let cfg = SimulationConfig::new(n, n);
     let steps = 5;
-    let reference = run_distributed(cfg, 1, 1, steps, ExchangeMode::Mpi, |x, y| {
-        orszag_tang(x, y, n, n, 0.05)
-    });
-    let (_, _, _, _, ref_bx, _) = (
-        reference[0].0,
-        reference[0].1,
-        reference[0].2,
-        reference[0].3,
-        reference[0].4.clone(),
-        reference[0].5.clone(),
-    );
+    let run = |px, py, mode| {
+        let cart = Cart2d::new(px, py);
+        let make = |rank, _| {
+            Subdomain::new(cfg, cart, rank, steps, mode, |x, y| orszag_tang(x, y, n, n, 0.05))
+        };
+        agreed(run_both(cart.size(), make, |f: &RankField| [&f.4[..], &f.5[..]].concat()))
+    };
+    let reference = run(1, 1, ExchangeMode::Mpi);
+    let ref_bx = &reference[0].4;
 
     for (px, py, mode) in [
         (2, 2, ExchangeMode::Mpi),
         (3, 2, ExchangeMode::Mpi),
         (2, 2, ExchangeMode::Caf),
     ] {
-        let parts = run_distributed(cfg, px, py, steps, mode, |x, y| {
-            orszag_tang(x, y, n, n, 0.05)
-        });
-        for (x0, y0, nx, ny, bx, _) in parts {
+        for (x0, y0, nx, ny, bx, _) in run(px, py, mode) {
             for y in 0..ny {
                 for x in 0..nx {
                     let want = ref_bx[(y0 + y) * n + (x0 + x)];
@@ -92,29 +92,30 @@ fn lbmhd_distributed_agrees_across_decompositions() {
 
 #[test]
 fn gtc_distributed_step_keeps_particles_homed_and_conserved() {
-    use pvs::gtc::sim::{distributed_step, GtcConfig, GtcSim};
+    use pvs::gtc::sim::{GtcConfig, GtcRank, GtcSim};
+    use pvs::gtc::Particles;
 
-    let results = pvs::mpisim::run(4, |mut comm| {
-        let cfg = GtcConfig::new(16, 16, 8);
-        let mut sim = GtcSim::new(cfg, 5 + comm.rank() as u64, 0.2);
+    let cfg = GtcConfig::new(16, 16, 8);
+    let slab = cfg.ny as f64 / 4.0;
+    let load = |rank: usize| {
+        let mut sim = GtcSim::new(cfg, 5 + rank as u64, 0.2);
         // Confine initial particles to this rank's slab.
-        let slab = cfg.ny as f64 / 4.0;
-        let y0 = comm.rank() as f64 * slab;
+        let y0 = rank as f64 * slab;
         for y in sim.particles.y.iter_mut() {
             *y = y0 + (*y / cfg.ny as f64) * slab;
         }
-        let before = comm.allreduce_sum_scalar(sim.particles.total_charge());
-        for _ in 0..4 {
-            distributed_step(&mut sim, &mut comm);
-        }
-        let after = comm.allreduce_sum_scalar(sim.particles.total_charge());
-        let y_lo = comm.rank() as f64 * slab;
+        sim
+    };
+    let before: f64 = (0..4).map(|rank| load(rank).particles.total_charge()).sum();
+    let make = |rank, size| GtcRank::new(load(rank), rank, size, 4);
+    let bits = |p: &Particles| [&p.x[..], &p.y[..], &p.rho[..], &p.w[..]].concat();
+    let results = agreed(run_both(4, make, bits));
+    let after: f64 = results.iter().map(Particles::total_charge).sum();
+    assert!((before - after).abs() / before < 1e-12);
+    for (rank, p) in results.iter().enumerate() {
+        let y_lo = rank as f64 * slab;
         let y_hi = y_lo + slab;
-        let homed = sim.particles.y.iter().all(|&y| y >= y_lo && y < y_hi);
-        (before, after, homed)
-    });
-    for (before, after, homed) in results {
-        assert!((before - after).abs() / before < 1e-12);
+        let homed = p.y.iter().all(|&y| y >= y_lo && y < y_hi);
         assert!(homed, "all particles in their owner's slab after shift");
     }
 }
@@ -122,7 +123,7 @@ fn gtc_distributed_step_keeps_particles_homed_and_conserved() {
 #[test]
 fn cactus_distributed_wave_speed_is_preserved() {
     use pvs::cactus::grid::NFIELDS;
-    use pvs::cactus::halo::run_distributed;
+    use pvs::cactus::halo::CactusBlock;
     use pvs::cactus::solver::tt_plane_wave;
     use pvs::core::schedule::Cart3d;
 
@@ -137,8 +138,9 @@ fn cactus_distributed_wave_speed_is_preserved() {
         out[6..].copy_from_slice(&k);
         out
     };
-    let parts = run_distributed(gn, Cart3d::new(2, 2, 2), steps, dt, init);
-    for ((_, _, oz), values) in parts {
+    let cart = Cart3d::new(2, 2, 2);
+    let make = |rank, _| CactusBlock::new(cart, rank, (gn, gn, gn), 1.0, dt, steps, init);
+    for ((_, _, oz), values) in agreed(run_both(cart.size(), make, |f| f.1.clone())) {
         // h_xx of the first local point must match its initial value.
         let kappa = 2.0 * std::f64::consts::PI / gn as f64;
         let expect = 0.01 * (kappa * oz as f64).cos();
