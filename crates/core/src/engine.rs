@@ -14,7 +14,7 @@ use crate::machine::{CpuClass, Machine};
 use crate::phase::{CommPattern, CommPhase, LoopPhase, Phase};
 use crate::pool::{default_threads, map_slice};
 use crate::report::{PerfReport, PhaseBreakdown};
-use pvs_memsim::banks::BankedMemory;
+use pvs_memsim::banks::{BankConfig, BankedMemory};
 use pvs_memsim::trace::scrambled_stream;
 use pvs_netsim::collectives::{all_to_all_sampled, allreduce, halo_exchange_2d, halo_exchange_3d};
 use pvs_netsim::des::{Ledger, SimStats, Traffic};
@@ -23,10 +23,15 @@ use pvs_netsim::topology::Network;
 use pvs_obs::Recorder;
 use pvs_vectorsim::exec::{MemoryEnv, VectorUnit};
 use pvs_vectorsim::metrics::VectorMetrics;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Accesses sampled when simulating bank behaviour for a loop phase.
 const BANK_SAMPLE: usize = 4096;
+
+/// Healthy gather replays a process keeps. The cell registry holds at
+/// most 8 distinct patterns (two bank geometries × `duplicate` × two
+/// hot-word counts); a pattern past the cap is replayed on every call.
+const REPLAY_TABLE_CAP: usize = 64;
 
 /// All-to-all rounds simulated before linear extrapolation.
 const MAX_A2A_ROUNDS: usize = 24;
@@ -47,7 +52,91 @@ struct LoopOutcome {
     strip_lens: [(u64, u64); 2],
     /// The bank replay, if the loop had one. Only an observed run reads
     /// its counters and queue depths.
-    bank: Option<BankedMemory>,
+    bank: Option<Arc<BankedMemory>>,
+}
+
+/// Everything a healthy gather replay reads besides [`BANK_SAMPLE`]: the
+/// bank geometry, the `duplicate` pragma and the hot-word count. The
+/// processor count, the network and the rest of the loop never enter.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct ReplayKey {
+    banks: BankConfig,
+    duplicated: bool,
+    gather_hot_words: usize,
+}
+
+impl ReplayKey {
+    /// Gather [`BANK_SAMPLE`] accesses over the hot words into fresh
+    /// banks with `failed` mapped out.
+    fn replay(&self, failed: &[usize]) -> BankedMemory {
+        let mut mem = fresh_banks(self.banks, failed, self.duplicated);
+        mem.gather(
+            0,
+            scrambled_stream(BANK_SAMPLE, self.gather_hot_words.max(1)),
+        );
+        mem
+    }
+}
+
+/// Idle banks with `failed` mapped out and, under the `duplicate`
+/// pragma, 32 images of the address space.
+fn fresh_banks(banks: BankConfig, failed: &[usize], duplicated: bool) -> BankedMemory {
+    let mut mem = BankedMemory::new(banks);
+    for &b in failed {
+        mem.fail_bank(b % banks.num_banks);
+    }
+    if duplicated {
+        mem.duplicate(32);
+    }
+    mem
+}
+
+/// The healthy gather replays every engine in the process shares.
+static REPLAYS: ReplayTable = ReplayTable::new();
+
+/// Finished healthy gather replays, one per [`ReplayKey`], scanned
+/// linearly and capped at [`REPLAY_TABLE_CAP`]. A replay is a pure
+/// function of its key, so a stored one equals a fresh one.
+struct ReplayTable {
+    // LOCK ORDER: 70 — leaf: held only to scan or push an entry; a
+    // replay runs with it released.
+    done: Mutex<Vec<(ReplayKey, Arc<BankedMemory>)>>,
+}
+
+impl ReplayTable {
+    const fn new() -> Self {
+        Self {
+            done: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn lock_done(&self) -> MutexGuard<'_, Vec<(ReplayKey, Arc<BankedMemory>)>> {
+        // INFALLIBLE: holders only scan the entries or push one; no
+        // replay runs while the lock is held.
+        self.done.lock().expect("replay table poisoned")
+    }
+
+    /// The replay for `key`: the stored one, else a fresh one, stored if
+    /// no other thread stored it first and the table has room.
+    fn get(&self, key: ReplayKey) -> Arc<BankedMemory> {
+        let find = |done: &[(ReplayKey, Arc<BankedMemory>)]| {
+            done.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, mem)| Arc::clone(mem))
+        };
+        if let Some(mem) = find(&self.lock_done()) {
+            return mem;
+        }
+        let fresh = Arc::new(key.replay(&[]));
+        let mut done = self.lock_done();
+        if let Some(mem) = find(&done) {
+            return mem;
+        }
+        if done.len() < REPLAY_TABLE_CAP {
+            done.push((key, Arc::clone(&fresh)));
+        }
+        fresh
+    }
 }
 
 /// Per-run counter totals, accumulated locally during the phase walk and
@@ -323,8 +412,8 @@ impl Engine {
                 mem_efficiency,
             } => {
                 let vloop = vector_loop_from_phase(l);
-                let bank = self.bank_replay(l, banks);
-                let bank_eff = bank.as_ref().map_or(1.0, BankedMemory::efficiency);
+                let bank = self.bank_replay(l, *banks);
+                let bank_eff = bank.as_deref().map_or(1.0, BankedMemory::efficiency);
                 let env = MemoryEnv {
                     bytes_per_cycle: self.machine.bytes_per_cycle(),
                     access_efficiency: mem_efficiency * bank_eff,
@@ -370,31 +459,32 @@ impl Engine {
     /// banked-memory simulator; `None` when the pattern cannot conflict
     /// (unit stride, efficiency 1.0). The caller reads the derating from
     /// [`BankedMemory::efficiency`] and the conflict counters off the
-    /// returned simulator.
-    fn bank_replay(
-        &self,
-        l: &LoopPhase,
-        banks: &pvs_memsim::banks::BankConfig,
-    ) -> Option<BankedMemory> {
-        let mut mem = BankedMemory::new(*banks);
-        for &b in &self.adversity.failed_banks {
-            mem.fail_bank(b % banks.num_banks);
-        }
-        if l.vector.duplicated {
-            mem.duplicate(32);
-        }
+    /// returned simulator. A healthy gather comes from the process-wide
+    /// table, keyed by [`ReplayKey`]: `banks`, `duplicated` and
+    /// `gather_hot_words`. Failed banks always replay fresh.
+    fn bank_replay(&self, l: &LoopPhase, banks: BankConfig) -> Option<Arc<BankedMemory>> {
+        let failed = &self.adversity.failed_banks[..];
         if let Some(hot) = l.vector.gather_hot_words {
-            mem.gather(0, scrambled_stream(BANK_SAMPLE, hot.max(1)));
-            return Some(mem);
+            let key = ReplayKey {
+                banks,
+                duplicated: l.vector.duplicated,
+                gather_hot_words: hot,
+            };
+            return Some(if failed.is_empty() {
+                REPLAYS.get(key)
+            } else {
+                Arc::new(key.replay(failed))
+            });
         }
-        if !self.adversity.failed_banks.is_empty() {
-            // Patterns that cannot conflict on healthy hardware *do*
-            // conflict once banks are mapped out: the remapped share of
-            // a unit-stride walk piles onto the surviving neighbours.
-            mem.strided_access(0, BANK_SAMPLE, 1);
-            return Some(mem);
+        if failed.is_empty() {
+            return None;
         }
-        None
+        // Patterns that cannot conflict on healthy hardware *do*
+        // conflict once banks are mapped out: the remapped share of a
+        // unit-stride walk piles onto the surviving neighbours.
+        let mut mem = fresh_banks(banks, failed, l.vector.duplicated);
+        mem.strided_access(0, BANK_SAMPLE, 1);
+        Some(Arc::new(mem))
     }
 
     /// Time one communication phase on a network built for `procs`,
@@ -422,7 +512,10 @@ impl Engine {
                 py,
                 pz,
                 bytes_face,
-            } => (halo_exchange_3d(&net, px, py, pz, bytes_face), 6 * bytes_face),
+            } => (
+                halo_exchange_3d(&net, px, py, pz, bytes_face),
+                6 * bytes_face,
+            ),
             CommPattern::AllToAll {
                 ranks,
                 bytes_per_pair,
@@ -648,7 +741,12 @@ mod tests {
         let mk = |bytes| {
             Phase::comm(
                 "ghost",
-                CommPattern::Halo3d { px: 2, py: 2, pz: 2, bytes_face: bytes },
+                CommPattern::Halo3d {
+                    px: 2,
+                    py: 2,
+                    pz: 2,
+                    bytes_face: bytes,
+                },
             )
         };
         let engine = Engine::new(platforms::earth_simulator());
@@ -758,7 +856,11 @@ mod tests {
             .run(&phases, 16);
 
         let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["collision", "halo", "dgemm"], "phase order preserved");
+        assert_eq!(
+            names,
+            ["collision", "halo", "dgemm"],
+            "phase order preserved"
+        );
         let comm: Vec<bool> = report.phases.iter().map(|p| p.is_comm).collect();
         assert_eq!(comm, [false, true, false]);
         // Same left-to-right sum on both sides: no rounding allowance.
@@ -856,7 +958,10 @@ mod tests {
         // Bank queue depths: one sample per replayed access, and the hot
         // gather must actually queue somewhere.
         let depths = snap.hist("memsim.hist.bank_queue_depth").unwrap();
-        assert_eq!(depths.count(), snap.counter("memsim.bank.accesses").unwrap());
+        assert_eq!(
+            depths.count(),
+            snap.counter("memsim.bank.accesses").unwrap()
+        );
         assert!(depths.max() > 0, "hot-word gather must conflict");
     }
 
@@ -872,7 +977,9 @@ mod tests {
         let mut engines: Vec<Engine> = platforms::all().into_iter().map(Engine::new).collect();
         engines.push(damaged(
             platforms::x1(),
-            pvs_netsim::LinkFaults::healthy().fail_link(0).degrade_link(5, 0.5),
+            pvs_netsim::LinkFaults::healthy()
+                .fail_link(0)
+                .degrade_link(5, 0.5),
         ));
         engines.push(damaged(
             platforms::earth_simulator(),
@@ -885,7 +992,10 @@ mod tests {
             let plain = engine.run(&phases, 64);
             let reg = std::sync::Arc::new(pvs_obs::Registry::new());
             let observed = engine.clone().with_recorder(reg.clone()).run(&phases, 64);
-            assert!(reg.counter("netsim.messages") > 0, "{ctx}: the run reached the network");
+            assert!(
+                reg.counter("netsim.messages") > 0,
+                "{ctx}: the run reached the network"
+            );
             assert_eq!(fingerprint(&plain), fingerprint(&observed), "{ctx}");
             assert_eq!(seconds(&plain), seconds(&observed), "{ctx}");
         }
@@ -960,7 +1070,12 @@ mod tests {
                     .with_net(pvs_netsim::LinkFaults::healthy().lose_port(0).lose_port(7)),
             )
             .run(&phases, 64);
-        assert!(hurt.comm_s > healthy.comm_s, "{} vs {}", hurt.comm_s, healthy.comm_s);
+        assert!(
+            hurt.comm_s > healthy.comm_s,
+            "{} vs {}",
+            hurt.comm_s,
+            healthy.comm_s
+        );
     }
 
     #[test]
@@ -973,8 +1088,158 @@ mod tests {
         let hurt = Engine::new(platforms::earth_simulator())
             .with_adversity(Adversity::healthy().fail_bank(0).fail_bank(1))
             .run(&phases, 16);
-        assert!(hurt.time_s > healthy.time_s, "{} vs {}", hurt.time_s, healthy.time_s);
+        assert!(
+            hurt.time_s > healthy.time_s,
+            "{} vs {}",
+            hurt.time_s,
+            healthy.time_s
+        );
         assert!(hurt.gflops_per_p < healthy.gflops_per_p);
+    }
+
+    /// A replay straight from `pvs-memsim`, built without the engine:
+    /// the expected value of every replay-table test.
+    fn direct_replay(
+        banks: BankConfig,
+        failed: &[usize],
+        duplicated: bool,
+        hot: usize,
+    ) -> BankedMemory {
+        let mut mem = BankedMemory::new(banks);
+        for &b in failed {
+            mem.fail_bank(b);
+        }
+        if duplicated {
+            mem.duplicate(32);
+        }
+        mem.gather(0, scrambled_stream(BANK_SAMPLE, hot));
+        mem
+    }
+
+    /// Field for field, the efficiency as bits and the private state
+    /// through `Debug`.
+    fn assert_same_replay(got: &BankedMemory, want: &BankedMemory, ctx: &str) {
+        let eff = |m: &BankedMemory| m.efficiency().to_bits();
+        assert_eq!(eff(got), eff(want), "{ctx}: efficiency");
+        assert_eq!(got.accesses, want.accesses, "{ctx}: accesses");
+        assert_eq!(got.stall_cycles, want.stall_cycles, "{ctx}: stall cycles");
+        assert_eq!(
+            got.remapped_accesses, want.remapped_accesses,
+            "{ctx}: remapped"
+        );
+        assert_eq!(
+            got.queue_depths(),
+            want.queue_depths(),
+            "{ctx}: queue depths"
+        );
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}: state");
+    }
+
+    fn vector_banks(machine: &Machine) -> BankConfig {
+        match machine.cpu {
+            CpuClass::Vector { banks, .. } => banks,
+            CpuClass::Superscalar { .. } => panic!("{} has no banks", machine.name),
+        }
+    }
+
+    fn loop_of(phase: Phase) -> LoopPhase {
+        match phase {
+            Phase::Loop(l) => l,
+            Phase::Comm(c) => panic!("{} is not a loop", c.name),
+        }
+    }
+
+    fn gather_loop(hot: usize, duplicated: bool) -> LoopPhase {
+        let mut v = VectorizationInfo::full();
+        v.gather_hot_words = Some(hot);
+        v.duplicated = duplicated;
+        loop_of(Phase::loop_nest("deposit", 4096, 64).vector(v))
+    }
+
+    #[test]
+    fn replay_table_hits_equal_direct_replays() {
+        let table = ReplayTable::new();
+        for machine in [platforms::earth_simulator(), platforms::x1()] {
+            let banks = vector_banks(&machine);
+            let engine = Engine::new(machine.clone());
+            for duplicated in [false, true] {
+                for hot in [8, 4096] {
+                    let ctx = format!("{} duplicated={duplicated} hot={hot}", machine.name);
+                    let want = direct_replay(banks, &[], duplicated, hot);
+                    let key = ReplayKey {
+                        banks,
+                        duplicated,
+                        gather_hot_words: hot,
+                    };
+                    let first = table.get(key);
+                    let hit = table.get(key);
+                    assert!(Arc::ptr_eq(&first, &hit), "{ctx}: the second call hits");
+                    assert_same_replay(&first, &want, &format!("{ctx} first"));
+                    assert_same_replay(&hit, &want, &format!("{ctx} hit"));
+                    let l = gather_loop(hot, duplicated);
+                    let shared = engine.bank_replay(&l, banks).expect("a gather replays");
+                    assert_same_replay(&shared, &want, &format!("{ctx} engine"));
+                }
+            }
+        }
+        assert_eq!(table.lock_done().len(), 8);
+    }
+
+    #[test]
+    fn replay_table_stops_storing_at_its_cap() {
+        let table = ReplayTable::new();
+        let banks = BankConfig {
+            num_banks: 64,
+            bank_cycle: 8,
+            word_bytes: 8,
+        };
+        let key = |hot| ReplayKey {
+            banks,
+            duplicated: false,
+            gather_hot_words: hot,
+        };
+        for hot in 1..=REPLAY_TABLE_CAP {
+            table.get(key(hot));
+        }
+        let past = REPLAY_TABLE_CAP + 1;
+        let (a, b) = (table.get(key(past)), table.get(key(past)));
+        assert!(!Arc::ptr_eq(&a, &b), "past the cap every call replays");
+        assert_same_replay(&b, &direct_replay(banks, &[], false, past), "past the cap");
+        let stored = table.lock_done().len();
+        assert_eq!(stored, REPLAY_TABLE_CAP);
+    }
+
+    #[test]
+    fn failed_banks_bypass_the_replay_table() {
+        let machine = platforms::earth_simulator();
+        let banks = vector_banks(&machine);
+        let healthy = Engine::new(machine.clone());
+        let hurt =
+            Engine::new(machine).with_adversity(Adversity::healthy().fail_bank(0).fail_bank(1));
+        let gather = gather_loop(8, true);
+        let unit = loop_of(lbmhd_like());
+        let want_healthy = direct_replay(banks, &[], true, 8);
+        let want_hurt = direct_replay(banks, &[0, 1], true, 8);
+        assert!(want_hurt.remapped_accesses > 0, "the failed banks are hit");
+        let mut want_fallback = BankedMemory::new(banks);
+        want_fallback.fail_bank(0);
+        want_fallback.fail_bank(1);
+        want_fallback.strided_access(0, BANK_SAMPLE, 1);
+        for order in [[&healthy, &hurt], [&hurt, &healthy]] {
+            for engine in order {
+                let failed = !engine.adversity().failed_banks.is_empty();
+                let ctx = format!("failed banks: {failed}");
+                let got = engine
+                    .bank_replay(&gather, banks)
+                    .expect("a gather replays");
+                let want = if failed { &want_hurt } else { &want_healthy };
+                assert_same_replay(&got, want, &ctx);
+                match engine.bank_replay(&unit, banks) {
+                    Some(got) => assert_same_replay(&got, &want_fallback, &ctx),
+                    None => assert!(!failed, "{ctx}: the strided fallback must replay"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -984,8 +1249,9 @@ mod tests {
                 .with_net(pvs_netsim::LinkFaults::healthy().fail_link(0))
                 .fail_bank(3),
         );
-        let batch: Vec<(Vec<Phase>, usize)> =
-            (0..6).map(|i| (comm_heavy(16 << (i % 3)), 16 << (i % 3))).collect();
+        let batch: Vec<(Vec<Phase>, usize)> = (0..6)
+            .map(|i| (comm_heavy(16 << (i % 3)), 16 << (i % 3)))
+            .collect();
         let sweep = |threads: usize| -> Vec<String> {
             let engine = engine.clone();
             map_slice(batch.clone(), threads, move |(phases, procs)| {

@@ -11,7 +11,7 @@
 use std::borrow::Borrow;
 
 /// Banked memory geometry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankConfig {
     /// Number of interleaved banks (the ES uses 2048 banks per node group;
     /// scaled-down values are fine for behavioural studies).

@@ -10,7 +10,7 @@ fn lbmhd_halo_descriptor_matches_measured_traffic() {
     // per-step bytes each rank sends against the Table 3 workload's
     // Halo2d descriptor for the same decomposition.
     use pvs::lbmhd::init::crossed_current_sheets;
-    use pvs::lbmhd::parallel::{ExchangeMode, Subdomain, SITE_VALUES};
+    use pvs::lbmhd::parallel::{ExchangeMode, RankField, Subdomain, SITE_VALUES};
     use pvs::lbmhd::solver::SimulationConfig;
     use pvs::core::schedule::Cart2d;
 
@@ -23,11 +23,10 @@ fn lbmhd_halo_descriptor_matches_measured_traffic() {
             crossed_current_sheets(x, y, n, n, 0.08)
         })
     };
-    let stats: Vec<_> = pvs::mpisim::run_programs(4, None, make)
-        .into_values_and_stats()
-        .into_iter()
-        .map(|(_, stats)| stats)
-        .collect();
+    // Both runtimes, the event one first: a lost strip fails with its
+    // parked-rank diagnosis instead of hanging the thread runtime.
+    let [runs, _] = pvs::mpisim::run_both(4, make, |f: &RankField| [&f.4[..], &f.5[..]].concat());
+    let stats: Vec<_> = runs.into_iter().map(|(_, stats)| stats).collect();
 
     // Model prediction: 4 edges of (n/2)*SITE_VALUES doubles + 4 corners
     // of SITE_VALUES doubles per rank per step.
@@ -55,11 +54,8 @@ fn cactus_face_descriptor_matches_measured_traffic() {
     let make = |rank, _| {
         CactusBlock::new(cart, rank, (gn, gn, gn), 1.0, 0.25, steps, |_, _, _| [0.01; NFIELDS])
     };
-    let stats: Vec<_> = pvs::mpisim::run_programs(8, None, make)
-        .into_values_and_stats()
-        .into_iter()
-        .map(|(_, stats)| stats)
-        .collect();
+    let [runs, _] = pvs::mpisim::run_both(8, make, |f| f.1.clone());
+    let stats: Vec<_> = runs.into_iter().map(|(_, stats)| stats).collect();
 
     // Six faces of (gn/2)² points × NFIELDS doubles, exchanged once per
     // ICN iteration (three per step).

@@ -163,3 +163,50 @@ fn gflops_never_exceed_peak() {
         }
     }
 }
+
+#[test]
+fn gtc_bank_replays_do_not_depend_on_the_processor_count() {
+    // The engine keeps one bank replay per (bank geometry, `duplicate`,
+    // hot words) for the whole process; that is exact only if the
+    // counters a GTC cell books never depend on P. On the ES each cell
+    // replays its deposition (8 hot words) and its push (4096).
+    use pvs::core::machine::CpuClass;
+    use pvs::gtc::perf::{GtcVariant, GtcWorkload};
+    use pvs::memsim::banks::BankedMemory;
+    use pvs::memsim::trace::scrambled_stream;
+    use pvs::obs::{Histogram, Registry};
+    use std::sync::Arc;
+
+    let machine = platforms::earth_simulator();
+    let CpuClass::Vector { banks, .. } = machine.cpu else {
+        panic!("the ES is a vector machine");
+    };
+    let variant = GtcVariant::for_machine(machine.name);
+    let booked = |procs: usize| {
+        let reg = Arc::new(Registry::new());
+        let phases = GtcWorkload::new(100, procs).phases(variant);
+        Engine::new(machine.clone())
+            .with_recorder(reg.clone())
+            .run(&phases, procs);
+        (
+            reg.counter("memsim.bank.accesses"),
+            reg.counter("memsim.bank.stall_cycles"),
+            reg.hist("memsim.hist.bank_queue_depth"),
+        )
+    };
+    let (mut accesses, mut stalls, mut depths) = (0, 0, Histogram::new());
+    for hot in [8, 4096] {
+        let mut mem = BankedMemory::new(banks);
+        mem.duplicate(32);
+        mem.gather(0, scrambled_stream(4096, hot));
+        accesses += mem.accesses;
+        stalls += mem.stall_cycles;
+        for (depth, n) in mem.queue_depths() {
+            depths.record_n(depth, n);
+        }
+    }
+    let want = (accesses, stalls, Some(depths));
+    assert!(variant.duplicated);
+    assert_eq!(booked(16), want, "P=16");
+    assert_eq!(booked(1024), want, "P=1024");
+}
