@@ -16,27 +16,48 @@ pub const FACE: usize = 16;
 
 const TAG_FACE_BASE: u64 = 0x20;
 
+/// The face formula's residue modulus.
+const RESIDUE: usize = 1009;
+
+/// `k × 10⁻³` for every residue k, then the first `FACE − 1` again, so
+/// the face starting at any residue is one contiguous window.
+const RESIDUES: [f64; RESIDUE + FACE - 1] = {
+    let mut table = [0.0; RESIDUE + FACE - 1];
+    let mut k = 0;
+    while k < table.len() {
+        table[k] = (k % RESIDUE) as f64 * 1e-3;
+        k += 1;
+    }
+    table
+};
+
+/// `absorb`'s position weights, `i % 5 + 1`.
+const WEIGHTS: [f64; FACE] = {
+    let mut weights = [0.0; FACE];
+    let mut i = 0;
+    while i < FACE {
+        weights[i] = (i % 5 + 1) as f64;
+        i += 1;
+    }
+    weights
+};
+
 /// The face rank `rank` ships in direction `dir` (0..6), written over
-/// `buf`.
+/// `buf`: value `i` is residue `(167 rank + 29 dir + i) mod 1009` ×
+/// 10⁻³, plus a cancellation probe on value 0.
 fn face(rank: usize, dir: usize, mut buf: Vec<f64>) -> Vec<f64> {
+    let start = (rank * 167 + dir * 29) % RESIDUE;
     buf.clear();
-    buf.extend((0..FACE).map(|i| {
-        let base = ((rank * 167 + dir * 29 + i) % 1009) as f64 * 1e-3;
-        if i == 0 {
-            base + [1e16, 1.0, -1e16][rank % 3]
-        } else {
-            base
-        }
-    }));
+    buf.extend_from_slice(&RESIDUES[start..start + FACE]);
+    buf[0] += [1e16, 1.0, -1e16][rank % 3];
     buf
 }
 
 /// Fold a received face into the running checksum (position-weighted
 /// so transposed deliveries cannot cancel out).
 fn absorb(acc: f64, data: &[f64]) -> f64 {
-    data.iter()
-        .enumerate()
-        .fold(acc, |a, (i, x)| a + x * (i % 5 + 1) as f64)
+    debug_assert_eq!(data.len(), FACE, "a ghost face");
+    data.iter().zip(&WEIGHTS).fold(acc, |a, (x, w)| a + x * w)
 }
 
 /// Local contribution to the constraint norm (data-independent).
@@ -141,6 +162,59 @@ mod tests {
             comm: CommStats::default(),
             faults: FaultStats::default(),
             clock_ps: 0,
+        }
+    }
+
+    /// The face as a closed formula, value by value.
+    fn closed_face(rank: usize, dir: usize) -> Vec<f64> {
+        (0..FACE)
+            .map(|i| {
+                let base = ((rank * 167 + dir * 29 + i) % 1009) as f64 * 1e-3;
+                if i == 0 {
+                    base + [1e16, 1.0, -1e16][rank % 3]
+                } else {
+                    base
+                }
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn faces_equal_the_closed_formula_bit_for_bit() {
+        // 1009 is prime and coprime to 167 and 3, so ranks 0..3·1009
+        // start a face at every residue with every probe, in every
+        // direction.
+        for rank in 0..3 * RESIDUE {
+            for dir in 0..6 {
+                let got = face(rank, dir, vec![7.0; 3]);
+                assert_eq!(
+                    bits(&got),
+                    bits(&closed_face(rank, dir)),
+                    "rank {rank} dir {dir}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_equals_the_enumerated_fold_bit_for_bit() {
+        let enumerated = |acc: f64, data: &[f64]| {
+            data.iter()
+                .enumerate()
+                .fold(acc, |a, (i, x)| a + x * (i % 5 + 1) as f64)
+        };
+        for rank in 0..3 * RESIDUE {
+            let data = closed_face(rank, rank % 6);
+            let acc = [0.0, 1e16, -0.1][rank % 3] + rank as f64 * 1e-7;
+            assert_eq!(
+                absorb(acc, &data).to_bits(),
+                enumerated(acc, &data).to_bits(),
+                "rank {rank}"
+            );
         }
     }
 

@@ -22,28 +22,49 @@ const TAG_W: u64 = 0x11;
 const TAG_N: u64 = 0x12;
 const TAG_S: u64 = 0x13;
 
+/// The strip formula's residue modulus.
+const RESIDUE: usize = 997;
+
+/// `k × 10⁻³` for every residue k, then the first `STRIP − 1` again, so
+/// the strip starting at any residue is one contiguous window.
+const RESIDUES: [f64; RESIDUE + STRIP - 1] = {
+    let mut table = [0.0; RESIDUE + STRIP - 1];
+    let mut k = 0;
+    while k < table.len() {
+        table[k] = (k % RESIDUE) as f64 * 1e-3;
+        k += 1;
+    }
+    table
+};
+
+/// `absorb`'s position weights, `i % 7 + 1`.
+const WEIGHTS: [f64; STRIP] = {
+    let mut weights = [0.0; STRIP];
+    let mut i = 0;
+    while i < STRIP {
+        weights[i] = (i % 7 + 1) as f64;
+        i += 1;
+    }
+    weights
+};
+
 /// The boundary strip rank `rank` ships in direction `dir` (0..4),
-/// written over `buf`: deterministic, with a cancellation probe so
-/// reduction order shows.
+/// written over `buf`: value `i` is residue `(131 rank + 17 dir + i) mod
+/// 997` × 10⁻³, plus a cancellation probe on value 0 so reduction order
+/// shows.
 fn strip(rank: usize, dir: usize, mut buf: Vec<f64>) -> Vec<f64> {
+    let start = (rank * 131 + dir * 17) % RESIDUE;
     buf.clear();
-    buf.extend((0..STRIP).map(|i| {
-        let base = ((rank * 131 + dir * 17 + i) % 997) as f64 * 1e-3;
-        if i == 0 {
-            base + [1e16, 1.0, -1e16][rank % 3]
-        } else {
-            base
-        }
-    }));
+    buf.extend_from_slice(&RESIDUES[start..start + STRIP]);
+    buf[0] += [1e16, 1.0, -1e16][rank % 3];
     buf
 }
 
 /// Fold a received strip into the running diagnostic (position-weighted
 /// so transposed deliveries cannot cancel out).
 fn absorb(acc: f64, data: &[f64]) -> f64 {
-    data.iter()
-        .enumerate()
-        .fold(acc, |a, (i, x)| a + x * (i % 7 + 1) as f64)
+    debug_assert_eq!(data.len(), STRIP, "a halo strip");
+    data.iter().zip(&WEIGHTS).fold(acc, |a, (x, w)| a + x * w)
 }
 
 /// One full exchange + diagnostics pass as a continuation: each `resume`
@@ -178,7 +199,62 @@ mod tests {
         let mut program = HaloScaleProgram::new(0, Cart2d::near_square(4));
         program.resume(&ctx, Reply::Start);
         program.resume(&ctx, Reply::Sent(Ok(())));
-        program.resume(&ctx, Reply::Received(Err(FaultError::RankFailed { rank: 1 })));
+        program.resume(
+            &ctx,
+            Reply::Received(Err(FaultError::RankFailed { rank: 1 })),
+        );
+    }
+
+    /// The strip as a closed formula, value by value.
+    fn closed_strip(rank: usize, dir: usize) -> Vec<f64> {
+        (0..STRIP)
+            .map(|i| {
+                let base = ((rank * 131 + dir * 17 + i) % 997) as f64 * 1e-3;
+                if i == 0 {
+                    base + [1e16, 1.0, -1e16][rank % 3]
+                } else {
+                    base
+                }
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn strips_equal_the_closed_formula_bit_for_bit() {
+        // 997 is prime and coprime to 131 and 3, so ranks 0..3·997 start
+        // a strip at every residue with every probe, in every direction.
+        for rank in 0..3 * RESIDUE {
+            for dir in 0..4 {
+                let got = strip(rank, dir, vec![7.0; 3]);
+                assert_eq!(
+                    bits(&got),
+                    bits(&closed_strip(rank, dir)),
+                    "rank {rank} dir {dir}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_equals_the_enumerated_fold_bit_for_bit() {
+        let enumerated = |acc: f64, data: &[f64]| {
+            data.iter()
+                .enumerate()
+                .fold(acc, |a, (i, x)| a + x * (i % 7 + 1) as f64)
+        };
+        for rank in 0..3 * RESIDUE {
+            let data = closed_strip(rank, rank % 4);
+            let acc = [0.0, 1e16, -0.1][rank % 3] + rank as f64 * 1e-7;
+            assert_eq!(
+                absorb(acc, &data).to_bits(),
+                enumerated(acc, &data).to_bits(),
+                "rank {rank}"
+            );
+        }
     }
 
     #[test]

@@ -308,7 +308,10 @@ impl<T> SimReport<T> {
     /// The per-rank values, panicking if any rank was failed — the
     /// healthy-mode convenience mirroring [`crate::comm::run`]'s shape.
     pub fn into_values(self) -> Vec<T> {
-        self.into_values_and_stats().into_iter().map(|(value, _)| value).collect()
+        self.into_values_and_stats()
+            .into_iter()
+            .map(|(value, _)| value)
+            .collect()
     }
 
     /// Each rank's value with its traffic statistics, panicking if any
@@ -339,7 +342,10 @@ impl EventSim {
     /// A healthy simulation of `nranks` virtual ranks.
     pub fn new(nranks: usize) -> Self {
         assert!(nranks >= 1);
-        EventSim { nranks, faults: None }
+        EventSim {
+            nranks,
+            faults: None,
+        }
     }
 
     /// Inject faults: every message replays the seeded drop/delay draws
@@ -361,18 +367,9 @@ impl EventSim {
         let world = World::new(self.nranks, self.faults.clone());
         let slots = (0..self.nranks)
             .map(|rank| {
-                world.alive(rank).then(|| RankSlot {
-                    program: make(rank, self.nranks),
-                    ctx: RankCtx {
-                        rank,
-                        size: self.nranks,
-                        comm: CommStats::default(),
-                        faults: FaultStats::default(),
-                        clock_ps: 0,
-                    },
-                    mailbox: VecDeque::new(),
-                    state: State::Ready(Reply::Start),
-                })
+                world
+                    .alive(rank)
+                    .then(|| RankSlot::new(make(rank, self.nranks), world.armed()))
             })
             .collect();
         let mut sched = Scheduler {
@@ -403,7 +400,11 @@ type RecvReply = fn(Received) -> Reply;
 #[derive(Debug, Clone, Copy)]
 enum Parked {
     /// Blocked receive of `(src, tag)`.
-    Recv { src: usize, tag: u64, reply: RecvReply },
+    Recv {
+        src: usize,
+        tag: u64,
+        reply: RecvReply,
+    },
     /// Entered the collective in flight.
     Collective,
 }
@@ -430,16 +431,70 @@ enum Effect {
     Enter { rank: usize, op: Op },
 }
 
-/// One virtual rank's complete state. It never leaves `Scheduler::slots`:
-/// a resume borrows it (`&mut`), the effects log, and nothing else of
-/// the scheduler.
+/// One virtual rank's complete state, cut to what varies per healthy
+/// rank: the rank is the slot's index and the size the world's, so
+/// `run_local` builds the [`RankCtx`] a resume reads on the stack. A slot
+/// never leaves `Scheduler::slots`: a resume borrows it (`&mut`), the
+/// effects log, and nothing else of the scheduler.
 struct RankSlot<P: RankProgram> {
     program: P,
-    ctx: RankCtx,
-    /// Packets that arrived ahead of their receive. A packet that matches
-    /// the receive its rank is parked on never enters it (`deliver`).
-    mailbox: VecDeque<Packet>,
+    comm: CommStats,
+    /// The fault ledger and the simulated clock, boxed in an armed world
+    /// only: nothing but a [`FaultSpec`] ever moves either.
+    ledger: Option<Box<(FaultStats, u64)>>,
+    /// Packets that arrived ahead of their receive, allocated by the first
+    /// of them or by a loopback send. A packet that matches the receive
+    /// its rank is parked on never enters it (`deliver`).
+    #[expect(clippy::box_collection, reason = "8 bytes a slot, not 32")]
+    mailbox: Option<Box<VecDeque<Packet>>>,
     state: State<P::Output>,
+}
+
+impl<P: RankProgram> RankSlot<P> {
+    fn new(program: P, armed: bool) -> Self {
+        RankSlot {
+            program,
+            comm: CommStats::default(),
+            ledger: armed.then(Box::default),
+            mailbox: None,
+            state: State::Ready(Reply::Start),
+        }
+    }
+
+    /// The fault accounting and simulated clock, zero when unarmed.
+    fn ledger(&self) -> (FaultStats, u64) {
+        self.ledger.as_deref().copied().unwrap_or_default()
+    }
+
+    fn ctx(&self, rank: usize, size: usize) -> RankCtx {
+        let (faults, clock_ps) = self.ledger();
+        RankCtx {
+            rank,
+            size,
+            comm: self.comm,
+            faults,
+            clock_ps,
+        }
+    }
+
+    fn mailbox(&mut self) -> &mut VecDeque<Packet> {
+        self.mailbox.get_or_insert_default()
+    }
+
+    /// [`World::charge_send`] against this rank's ledger; an unarmed
+    /// world, which has none, charges nothing.
+    fn charge_send(
+        &mut self,
+        world: &World,
+        src: usize,
+        dst: usize,
+        tag: u64,
+    ) -> Result<(), FaultError> {
+        match self.ledger.as_deref_mut() {
+            Some((faults, clock_ps)) => world.charge_send(src, dst, tag, faults, clock_ps),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The slot array, indexed by rank; a failed rank leaves a hole.
@@ -494,8 +549,10 @@ impl<P: RankProgram> Scheduler<P> {
             // in the same batch wakes it, and a wake must find its park counted.
             for &rank in &batch {
                 // INFALLIBLE: only surviving ranks are ever scheduled.
-                let slot = self.slots[rank].as_mut().expect("scheduled rank owns its slot");
-                if run_local(&self.world, slot, &mut effects, &mut self.sim.resumes) {
+                let slot = self.slots[rank]
+                    .as_mut()
+                    .expect("scheduled rank owns its slot");
+                if run_local(&self.world, rank, slot, &mut effects, &mut self.sim.resumes) {
                     self.parked_count += 1;
                     self.sim.parks += 1;
                 }
@@ -516,7 +573,9 @@ impl<P: RankProgram> Scheduler<P> {
     fn slot(&mut self, rank: usize) -> &mut RankSlot<P> {
         // INFALLIBLE: only surviving ranks run, park or enter collectives,
         // and a survivor's slot is live for the whole run.
-        self.slots[rank].as_mut().expect("surviving rank owns its slot")
+        self.slots[rank]
+            .as_mut()
+            .expect("surviving rank owns its slot")
     }
 
     /// Hand `packet` to `dst` if it parks on a receive the packet matches,
@@ -532,20 +591,25 @@ impl<P: RankProgram> Scheduler<P> {
         };
         self.sim.messages += 1;
         match slot.state {
-            State::Parked(Parked::Recv { src, tag, reply }) if packet.matches(src, tag, Want::DataOrLost) => {
+            State::Parked(Parked::Recv { src, tag, reply })
+                if packet.matches(src, tag, Want::DataOrLost) =>
+            {
                 let result = received(&self.world, src, tag, packet.payload);
                 self.wake(dst, reply(result));
             }
-            _ => slot.mailbox.push_back(packet),
+            _ => slot.mailbox().push_back(packet),
         }
     }
 
     /// Unpark `rank` with the reply to the op it parked on.
     fn wake(&mut self, rank: usize, reply: Reply) {
         let slot = self.slot(rank);
-        debug_assert!(matches!(slot.state, State::Parked(_)), "rank {rank} woken but not parked");
+        debug_assert!(
+            matches!(slot.state, State::Parked(_)),
+            "rank {rank} woken but not parked"
+        );
         slot.state = State::Ready(reply);
-        let at_ps = slot.ctx.clock_ps;
+        let at_ps = slot.ledger().1;
         self.parked_count -= 1;
         self.sim.wakeups += 1;
         self.queue.push(at_ps, rank);
@@ -558,7 +622,10 @@ impl<P: RankProgram> Scheduler<P> {
         if group.ops.is_empty() {
             group.ops.resize_with(self.slots.len(), || None);
         }
-        let first = group.first.and_then(|first| group.ops[first].as_ref()).unwrap_or(&op);
+        let first = group
+            .first
+            .and_then(|first| group.ops[first].as_ref())
+            .unwrap_or(&op);
         assert_eq!(
             std::mem::discriminant(first),
             std::mem::discriminant(&op),
@@ -567,7 +634,10 @@ impl<P: RankProgram> Scheduler<P> {
             self.sim.collectives
         );
         group.first.get_or_insert(rank);
-        debug_assert!(group.ops[rank].is_none(), "rank {rank} entered twice, or a stale entry survived");
+        debug_assert!(
+            group.ops[rank].is_none(),
+            "rank {rank} entered twice, or a stale entry survived"
+        );
         group.ops[rank] = Some(op);
         group.entered += 1;
         if group.entered < self.world.survivors().len() {
@@ -627,13 +697,13 @@ impl<P: RankProgram> Scheduler<P> {
                 Some(s) => {
                     // INFALLIBLE: check_quiescent proved every survivor
                     // finished before the queue drained.
-                    let State::Done(value) = s.state else { unreachable!("rank finished") };
-                    outcomes.push(RankOutcome::Completed {
-                        value,
-                        faults: s.ctx.faults,
-                    });
-                    comm_stats.push(Some(s.ctx.comm));
-                    clocks_ps.push(s.ctx.clock_ps);
+                    let (faults, clock_ps) = s.ledger();
+                    let State::Done(value) = s.state else {
+                        unreachable!("rank finished")
+                    };
+                    outcomes.push(RankOutcome::Completed { value, faults });
+                    comm_stats.push(Some(s.comm));
+                    clocks_ps.push(clock_ps);
                 }
             }
         }
@@ -654,6 +724,7 @@ impl<P: RankProgram> Scheduler<P> {
 /// the scheduler once the whole batch has run.
 fn run_local<P: RankProgram>(
     world: &World,
+    rank: usize,
     slot: &mut RankSlot<P>,
     effects: &mut Vec<Effect>,
     resumes: &mut u64,
@@ -661,28 +732,29 @@ fn run_local<P: RankProgram>(
     // INFALLIBLE: only a ready rank is in the queue (Start at launch, op
     // completion at every wake).
     let State::Ready(mut reply) = std::mem::replace(&mut slot.state, State::Running) else {
-        unreachable!("scheduled rank {} is not ready", slot.ctx.rank)
+        unreachable!("scheduled rank {rank} is not ready")
     };
     loop {
         *resumes += 1;
         // Point-to-point ops leave the receive they still have to complete.
-        let (src, tag, recv_reply): (_, _, RecvReply) = match slot.program.resume(&slot.ctx, reply) {
+        let ctx = slot.ctx(rank, world.size());
+        let (src, tag, recv_reply): (_, _, RecvReply) = match slot.program.resume(&ctx, reply) {
             Step::Finish(out) => {
                 slot.state = State::Done(out);
                 return false;
             }
             Step::Op(Op::Send { dst, tag, data }) => {
-                reply = Reply::Sent(local_send(world, slot, effects, dst, tag, data));
+                reply = Reply::Sent(local_send(world, rank, slot, effects, dst, tag, data));
                 continue;
             }
             Step::Op(Op::Recv { src, tag }) => (src, tag, Reply::Received),
             Step::Op(Op::Sendrecv { partner, tag, data }) => {
-                if partner == slot.ctx.rank {
+                if partner == rank {
                     assert_user_tag(tag);
                     reply = Reply::Exchanged(Ok(data));
                     continue;
                 }
-                if let Err(e) = local_send(world, slot, effects, partner, tag, data) {
+                if let Err(e) = local_send(world, rank, slot, effects, partner, tag, data) {
                     reply = Reply::Exchanged(Err(e));
                     continue;
                 }
@@ -695,15 +767,22 @@ fn run_local<P: RankProgram>(
                      (FaultyComm offers barrier and sum allreduce only)"
                 );
                 slot.state = State::Parked(Parked::Collective);
-                effects.push(Effect::Enter { rank: slot.ctx.rank, op: collective });
+                effects.push(Effect::Enter {
+                    rank,
+                    op: collective,
+                });
                 return true;
             }
         };
         assert_user_tag(tag);
-        match try_recv(world, &mut slot.mailbox, src, tag) {
+        match try_recv(world, slot.mailbox.as_deref_mut(), src, tag) {
             Some(result) => reply = recv_reply(result),
             None => {
-                slot.state = State::Parked(Parked::Recv { src, tag, reply: recv_reply });
+                slot.state = State::Parked(Parked::Recv {
+                    src,
+                    tag,
+                    reply: recv_reply,
+                });
                 return true;
             }
         }
@@ -714,6 +793,7 @@ fn run_local<P: RankProgram>(
 /// would put on the wire. Loopback lands in the rank's own mailbox.
 fn local_send<P: RankProgram>(
     world: &World,
+    src: usize,
     slot: &mut RankSlot<P>,
     effects: &mut Vec<Effect>,
     dst: usize,
@@ -721,15 +801,14 @@ fn local_send<P: RankProgram>(
     data: Vec<f64>,
 ) -> Result<(), FaultError> {
     assert_user_tag(tag);
-    let (src, ctx) = (slot.ctx.rank, &mut slot.ctx);
-    let sent = world.charge_send(src, dst, tag, &mut ctx.faults, &mut ctx.clock_ps);
+    let sent = slot.charge_send(world, src, dst, tag);
     let Some(payload) = Payload::sent(&sent, data) else {
         return sent;
     };
-    payload.charge(&mut ctx.comm);
+    payload.charge(&mut slot.comm);
     let packet = Packet { src, tag, payload };
     if dst == src {
-        slot.mailbox.push_back(packet);
+        slot.mailbox().push_back(packet);
     } else {
         effects.push(Effect::Deliver { dst, packet });
     }
@@ -737,12 +816,18 @@ fn local_send<P: RankProgram>(
 }
 
 /// Try to complete a receive from a rank's mailbox with v1's first-match
-/// buffering (healthy sims never emit a tombstone). `None` parks.
-fn try_recv(world: &World, mailbox: &mut VecDeque<Packet>, src: usize, tag: u64) -> Option<Received> {
+/// buffering (healthy sims never emit a tombstone); a rank that has no
+/// mailbox yet has nothing to match. `None` parks.
+fn try_recv(
+    world: &World,
+    mailbox: Option<&mut VecDeque<Packet>>,
+    src: usize,
+    tag: u64,
+) -> Option<Received> {
     if !world.alive(src) {
         return Some(Err(FaultError::RankFailed { rank: src }));
     }
-    take_match(mailbox, src, tag, Want::DataOrLost).map(|p| received(world, src, tag, p))
+    take_match(mailbox?, src, tag, Want::DataOrLost).map(|p| received(world, src, tag, p))
 }
 
 /// Complete a collective centrally: canonical rank-order values, plus
@@ -777,7 +862,13 @@ fn complete_collective<P: RankProgram>(
             let contribs: Vec<Vec<f64>> = ops.map(data_of).collect();
             let value = fold_sum(&contribs);
             if world.armed() {
-                return faulty_rounds(world, slots, ring(n), tags::NS_FAULTY_ALLREDUCE, Some(&value));
+                return faulty_rounds(
+                    world,
+                    slots,
+                    ring(n),
+                    tags::NS_FAULTY_ALLREDUCE,
+                    Some(&value),
+                );
             }
             let bytes = (contribs[0].len() * 8) as u64;
             charge(slots, participants, ring_steps, ring_steps * bytes);
@@ -820,7 +911,13 @@ fn complete_collective<P: RankProgram>(
             reply_all(&|_| Reply::Broadcasted(data.clone()))
         }
         Op::Alltoallv { .. } => {
-            let blocks = |op| if let Op::Alltoallv { sends } = op { sends } else { mixed() };
+            let blocks = |op| {
+                if let Op::Alltoallv { sends } = op {
+                    sends
+                } else {
+                    mixed()
+                }
+            };
             let sends: Vec<Blocks> = ops.map(blocks).collect();
             // One pass over the block lengths charges every sender and
             // sizes every reader's buffer exactly. `rotation(n)` pairs
@@ -840,7 +937,10 @@ fn complete_collective<P: RankProgram>(
             // Block `i` of `received[me]` is what participant `i` sent to
             // `me`: copied into the reader's one buffer sender by sender,
             // each sender's buffer freed as soon as it has been scattered.
-            let mut received: Vec<Blocks> = doubles.iter().map(|&d| Blocks::with_capacity(n, d)).collect();
+            let mut received: Vec<Blocks> = doubles
+                .iter()
+                .map(|&d| Blocks::with_capacity(n, d))
+                .collect();
             for sends in sends {
                 for (block, rows) in sends.iter().zip(&mut received) {
                     rows.push(block.iter().copied());
@@ -856,7 +956,9 @@ fn complete_collective<P: RankProgram>(
                     _ => mixed(),
                 }
             }
-            let windows: Vec<_> = (0..n).map(|_| Arc::new(RwLock::new(vec![0.0; len]))).collect();
+            let windows: Vec<_> = (0..n)
+                .map(|_| Arc::new(RwLock::new(vec![0.0; len])))
+                .collect();
             // The handles' ring circulation sends one origin-id frame per step.
             charge(slots, participants, ring_steps, ring_steps * 8);
             reply_all(&|r| Reply::CoCreated(CoArray::from_windows(r, windows.clone())))
@@ -905,15 +1007,15 @@ fn faulty_rounds<P: RankProgram>(
             }
             let dst = participants[round.to(i, n)];
             // INFALLIBLE: participants are alive ranks with live slots.
-            let ctx = &mut slots[me].as_mut().expect("participant slot").ctx;
-            match world.charge_send(me, dst, tag, &mut ctx.faults, &mut ctx.clock_ps) {
+            let slot = slots[me].as_mut().expect("participant slot");
+            match slot.charge_send(world, me, dst, tag) {
                 Ok(()) => {
-                    ctx.comm.messages_sent += 1;
-                    ctx.comm.bytes_sent += bytes;
+                    slot.comm.messages_sent += 1;
+                    slot.comm.bytes_sent += bytes;
                     sent_ok[i] = true;
                 }
                 Err(e) => {
-                    expiry[i] = ctx.clock_ps;
+                    expiry[i] = slot.ledger().1;
                     errors[i] = Some(e);
                 }
             }
@@ -951,8 +1053,8 @@ fn charge<P: RankProgram>(slots: &mut Slots<P>, ranks: &[usize], messages: u64, 
     for &rank in ranks {
         // INFALLIBLE: collectives charge only alive participants.
         let slot = slots[rank].as_mut().expect("participant slot");
-        slot.ctx.comm.messages_sent += messages;
-        slot.ctx.comm.bytes_sent += bytes;
+        slot.comm.messages_sent += messages;
+        slot.comm.bytes_sent += bytes;
     }
 }
 
@@ -1010,7 +1112,11 @@ mod tests {
     #[test]
     fn allreduce_is_bit_identical_across_ranks_on_v2() {
         for n in [2usize, 3, 7, 8] {
-            let script = |rank, _| ScriptProgram::new(vec![Op::AllreduceSum { data: vec![probe(rank), 0.1] }]);
+            let script = |rank, _| {
+                ScriptProgram::new(vec![Op::AllreduceSum {
+                    data: vec![probe(rank), 0.1],
+                }])
+            };
             let results = EventSim::new(n).run(script).into_values();
             let first = reduced(results[0].last().expect("reply")).to_vec();
             for r in &results {
@@ -1063,20 +1169,25 @@ mod tests {
         // One rank stuck in each parked state while the other finishes:
         // a receive nobody sends to, and a barrier nobody else enters.
         let cases = [
-            (1, Op::Recv { src: 0, tag: 9 }, "rank 1 waiting on recv(src=0, tag=0x9)"),
+            (
+                1,
+                Op::Recv { src: 0, tag: 9 },
+                "rank 1 waiting on recv(src=0, tag=0x9)",
+            ),
             (0, Op::Barrier, "rank 0 inside collective #0"),
         ];
         for (stuck, op, diagnosis) in cases {
             let err = std::panic::catch_unwind(|| {
                 EventSim::new(2).run(|rank, _| {
-                    ScriptProgram::new(if rank == stuck { vec![op.clone()] } else { vec![] })
+                    ScriptProgram::new(if rank == stuck {
+                        vec![op.clone()]
+                    } else {
+                        vec![]
+                    })
                 })
             })
             .expect_err("must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("deadlocked with 1 rank(s)"), "{msg}");
             assert!(msg.contains(diagnosis), "{msg}");
         }
@@ -1088,9 +1199,10 @@ mod tests {
         // 32 MiB on 64-bit hosts, with a fresh mapping and unmaps it on
         // free, so a slot array above that size is first-touched again
         // on every run (DESIGN §12). LBMHD's halo kernel is a 56-byte
-        // program returning a `Vec<f64>`; at the ladder's top rung of
-        // 131 072 ranks its slot array must stay below the ceiling,
-        // i.e. a slot under 256 bytes.
+        // program returning a `Vec<f64>`; its slot is the program, the
+        // traffic, two boxes a healthy run never allocates and the
+        // state: 136 bytes, 17 MiB at the ladder's top rung of 131 072
+        // ranks.
         struct Halo([u64; 7]);
         impl RankProgram for Halo {
             type Output = Vec<f64>;
@@ -1100,7 +1212,16 @@ mod tests {
         }
         assert_eq!(std::mem::size_of_val(&Halo([0; 7])), 56);
         let slot = std::mem::size_of::<Option<RankSlot<Halo>>>();
-        assert!(131_072 * slot < 32 << 20, "{slot}-byte slot: the 131 072-rank array is not under 32 MiB");
+        assert_eq!(
+            slot,
+            136,
+            "a {slot}-byte slot, not 136: the 131 072-rank array is {} bytes",
+            131_072 * slot
+        );
+        assert!(
+            131_072 * slot < 32 << 20,
+            "{slot}-byte slot: the 131 072-rank array is not under 32 MiB"
+        );
     }
 
     #[test]

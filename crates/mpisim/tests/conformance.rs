@@ -14,8 +14,8 @@
 //! hanging the v1 side.
 
 use pvs_mpisim::{
-    run_programs, EventSim, FaultError, FaultSpec, Op, RankCtx, RankProgram, Reply, ScriptProgram,
-    SimReport, Step,
+    run_both, run_programs, EventSim, FaultError, FaultSpec, Op, RankCtx, RankProgram, Reply,
+    ScriptProgram, SimReport, Step,
 };
 use std::fmt::Debug;
 
@@ -183,6 +183,60 @@ fn healthy_sweep_is_bit_exact() {
         assert_threads_match("script", None, script, &v2, |r| script_bits(r));
         let v2 = on_events(n, &None, GatedShift::new);
         assert_threads_match("gated shift", None, GatedShift::new, &v2, |values| bits(values));
+    }
+}
+
+/// Packets that land before their receive is posted, and loopback. Two
+/// packets go right and are received in reverse order, so the first
+/// arrives at a rank with no mailbox yet; a loopback send lands in the
+/// sender's own; a packet sent left arrives while its receiver sits in a
+/// barrier.
+fn early_and_loopback(rank: usize, size: usize) -> ScriptProgram {
+    let (right, left) = ((rank + 1) % size, (rank + size - 1) % size);
+    let r = rank as f64;
+    ScriptProgram::new(vec![
+        Op::Send { dst: right, tag: 40, data: vec![r, 0.5] },
+        Op::Send { dst: right, tag: 41, data: vec![probe(rank)] },
+        Op::Recv { src: left, tag: 41 },
+        Op::Recv { src: left, tag: 40 },
+        Op::Send { dst: rank, tag: 42, data: vec![r + 0.25] },
+        Op::Recv { src: rank, tag: 42 },
+        Op::Send { dst: left, tag: 43, data: vec![r * 3.0] },
+        Op::Barrier,
+        Op::Recv { src: right, tag: 43 },
+    ])
+}
+
+/// Every received payload, in receive order.
+fn received(replies: &[Reply]) -> Vec<f64> {
+    replies
+        .iter()
+        .filter_map(|reply| match reply {
+            Reply::Received(data) => Some(data.clone().expect("a delivered packet")),
+            _ => None,
+        })
+        .flatten()
+        .collect()
+}
+
+/// The mailbox and loopback paths agree on both runtimes, healthy and
+/// armed: values, traffic and, armed, fault accounting and clocks.
+#[test]
+fn early_packets_and_loopback_are_bit_exact() {
+    for n in [2usize, 3, 16] {
+        let [v1, _] = run_both(n, early_and_loopback, |r| received(r));
+        for (rank, (values, _)) in v1.iter().enumerate() {
+            let (right, left) = ((rank + 1) % n, (rank + n - 1) % n);
+            let want = [probe(left), left as f64, 0.5, rank as f64 + 0.25, right as f64 * 3.0];
+            assert_eq!(bits(&received(values)), bits(&want), "n={n} rank={rank}");
+        }
+        for spec in [FaultSpec::healthy(), spec_with(5, 0, 1, 500)] {
+            let v2 = on_events(n, &Some(spec.clone()), early_and_loopback);
+            let delays: u64 = v2.outcomes.iter().filter_map(|o| o.faults()).map(|f| f.delays).sum();
+            assert_eq!(delays > 0, spec.delay_per_mille > 0, "n={n}: the delay regime must delay");
+            let ctx = format!("armed seed={}", spec.seed);
+            assert_threads_match(&ctx, Some(spec), early_and_loopback, &v2, |r| script_bits(r));
+        }
     }
 }
 
