@@ -98,15 +98,15 @@ impl RankProgram for FaceScaleProgram {
         self.step += 1;
         // Step 2k asks for face k's send, after a start or a receive, and
         // step 2k + 1 its receive, after the send; step 12 folds the last
-        // face and enters the norm reduction. Any other reply — an error
-        // included — is a broken run, not an empty face.
+        // face and enters the norm reduction. Any other reply is a broken
+        // run, not an empty face.
         let buf = match (step, reply) {
-            (0, Reply::Start) | (1 | 3 | 5 | 7 | 9 | 11, Reply::Sent(Ok(()))) => Vec::new(),
-            (2 | 4 | 6 | 8 | 10 | 12, Reply::Received(Ok(data))) => {
+            (0, Reply::Start) | (1 | 3 | 5 | 7 | 9 | 11, Reply::Sent) => Vec::new(),
+            (2 | 4 | 6 | 8 | 10 | 12, Reply::Received(data)) => {
                 self.checksum = absorb(self.checksum, &data);
                 data
             }
-            (13, Reply::MaxReduced(Ok(norm))) => return Step::Finish(vec![self.checksum, norm]),
+            (13, Reply::MaxReduced(norm)) => return Step::Finish(vec![self.checksum, norm]),
             (_, other) => {
                 panic!("unexpected reply in Cactus face kernel at step {step}: {other:?}")
             }
@@ -138,7 +138,7 @@ fn make(cart: Cart3d) -> impl Fn(usize, usize) -> FaceScaleProgram + Sync {
 /// Run the kernel on the thread-backed runtime.
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     let cart = Cart3d::near_cubic(p);
-    run_programs(cart.size(), None, make(cart)).into_values_and_stats()
+    run_programs(cart.size(), make(cart)).ranks
 }
 
 /// Run the kernel on the event-driven runtime. `_threads` is unused:
@@ -146,22 +146,19 @@ pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
 pub fn run_scale_v2(p: usize, _threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let cart = Cart3d::near_cubic(p);
     let report = EventSim::new(cart.size()).run(make(cart));
-    let sim = report.sim;
-    (report.into_values_and_stats(), sim)
+    (report.ranks, report.sim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvs_mpisim::{first_divergence, FaultError, FaultStats};
+    use pvs_mpisim::first_divergence;
 
     fn ctx() -> RankCtx {
         RankCtx {
             rank: 0,
             size: 8,
             comm: CommStats::default(),
-            faults: FaultStats::default(),
-            clock_ps: 0,
         }
     }
 
@@ -238,16 +235,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unexpected reply in Cactus face kernel at step 2: Received(Err(")]
-    fn a_failed_receive_is_not_an_empty_face() {
+    #[should_panic(expected = "unexpected reply in Cactus face kernel at step 2: Sent")]
+    fn a_send_completion_is_not_an_empty_face() {
         let ctx = ctx();
         let mut program = FaceScaleProgram::new(0, Cart3d::near_cubic(8));
         program.resume(&ctx, Reply::Start);
-        program.resume(&ctx, Reply::Sent(Ok(())));
-        program.resume(
-            &ctx,
-            Reply::Received(Err(FaultError::RankFailed { rank: 1 })),
-        );
+        program.resume(&ctx, Reply::Sent);
+        program.resume(&ctx, Reply::Sent);
     }
 
     #[test]
@@ -257,9 +251,9 @@ mod tests {
         let mut program = FaceScaleProgram::new(0, Cart3d::near_cubic(8));
         program.resume(&ctx, Reply::Start);
         for _ in 0..6 {
-            program.resume(&ctx, Reply::Sent(Ok(())));
-            program.resume(&ctx, Reply::Received(Ok(vec![0.0; FACE])));
+            program.resume(&ctx, Reply::Sent);
+            program.resume(&ctx, Reply::Received(vec![0.0; FACE]));
         }
-        program.resume(&ctx, Reply::Reduced(Ok(vec![1.0])));
+        program.resume(&ctx, Reply::Reduced(vec![1.0]));
     }
 }

@@ -54,7 +54,6 @@
 
 pub mod adversity;
 pub mod engine;
-pub mod event;
 pub mod hash;
 pub mod json;
 pub mod kernel;
@@ -68,7 +67,6 @@ pub mod schema;
 
 pub use adversity::Adversity;
 pub use engine::{run_sweep, run_sweep_threads, Engine, SweepJob};
-pub use event::{EventQueue, Scheduled};
 pub use hash::{fnv1a, fnv1a_hex, Fnv1a};
 pub use machine::{CpuClass, Machine};
 pub use phase::{CommPattern, Phase, VectorizationInfo};

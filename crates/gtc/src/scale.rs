@@ -107,7 +107,7 @@ impl RankProgram for ShiftScaleProgram {
         let left = (ctx.rank + ctx.size - 1) % ctx.size;
         match (&self.state, reply) {
             (_, Reply::Start) => self.gate(),
-            (Awaiting::Max, Reply::MaxReduced(Ok(m))) => {
+            (Awaiting::Max, Reply::MaxReduced(m)) => {
                 if m > 0.0 {
                     self.state = Awaiting::Sent;
                     Step::Op(Op::Send {
@@ -122,19 +122,19 @@ impl RankProgram for ShiftScaleProgram {
                     })
                 }
             }
-            (Awaiting::Sent, Reply::Sent(Ok(()))) => {
+            (Awaiting::Sent, Reply::Sent) => {
                 self.state = Awaiting::Recv;
                 Step::Op(Op::Recv {
                     src: left,
                     tag: TAG_SHIFT_BASE + self.round,
                 })
             }
-            (Awaiting::Recv, Reply::Received(Ok(incoming))) => {
+            (Awaiting::Recv, Reply::Received(incoming)) => {
                 arrivals(&mut self.particles, &incoming);
                 self.round += 1;
                 self.gate()
             }
-            (Awaiting::Sum, Reply::Reduced(Ok(v))) => Step::Finish(v),
+            (Awaiting::Sum, Reply::Reduced(v)) => Step::Finish(v),
             (_, other) => panic!("unexpected reply in shift kernel: {other:?}"),
         }
     }
@@ -142,15 +142,14 @@ impl RankProgram for ShiftScaleProgram {
 
 /// Run the kernel on the thread-backed runtime.
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
-    run_programs(p, None, ShiftScaleProgram::new).into_values_and_stats()
+    run_programs(p, ShiftScaleProgram::new).ranks
 }
 
 /// Run the kernel on the event-driven runtime. `_threads` is unused:
 /// `benchmark/` links this signature.
 pub fn run_scale_v2(p: usize, _threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let report = EventSim::new(p).run(ShiftScaleProgram::new);
-    let sim = report.sim;
-    (report.into_values_and_stats(), sim)
+    (report.ranks, report.sim)
 }
 
 #[cfg(test)]

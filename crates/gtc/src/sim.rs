@@ -179,7 +179,7 @@ impl RankProgram for GtcRank {
         let (sim, outbox) = (&mut self.sim, &mut self.outbox);
         let shifting = match reply {
             Reply::Start => return self.next_step(),
-            Reply::Reduced(Ok(summed)) => {
+            Reply::Reduced(summed) => {
                 sim.rho.as_mut_slice().copy_from_slice(&summed);
                 sim.solve_and_push();
                 let p = &mut sim.particles;

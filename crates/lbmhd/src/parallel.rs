@@ -169,14 +169,14 @@ impl RankProgram for Subdomain {
             (ExchangeMode::Caf, Reply::CoCreated(window)) if self.window.is_none() => {
                 self.window = Some(window);
             }
-            (ExchangeMode::Caf, Reply::BarrierDone(Ok(()))) if !self.reading => {
+            (ExchangeMode::Caf, Reply::BarrierDone) if !self.reading => {
                 self.caf(false);
                 // A second barrier, so no rank starts the next step's puts
                 // while a neighbour is still reading its window.
                 self.reading = true;
                 return Step::Op(Op::Barrier);
             }
-            (ExchangeMode::Caf, Reply::BarrierDone(Ok(()))) => {
+            (ExchangeMode::Caf, Reply::BarrierDone) => {
                 self.reading = false;
                 self.end_step();
             }

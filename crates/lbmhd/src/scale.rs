@@ -101,15 +101,15 @@ impl RankProgram for HaloScaleProgram {
         let step = self.phase;
         self.phase += 1;
         // Sends (even steps) follow a start or a receive, receives (odd
-        // steps) follow a send; anything else — an error included — is a
-        // broken run, not an empty strip.
+        // steps) follow a send; anything else is a broken run, not an
+        // empty strip.
         let buf = match (step, reply) {
-            (0, Reply::Start) | (1 | 3 | 5 | 7, Reply::Sent(Ok(()))) => Vec::new(),
-            (2 | 4 | 6 | 8, Reply::Received(Ok(data))) => {
+            (0, Reply::Start) | (1 | 3 | 5 | 7, Reply::Sent) => Vec::new(),
+            (2 | 4 | 6 | 8, Reply::Received(data)) => {
                 self.acc = absorb(self.acc, &data);
                 data
             }
-            (9, Reply::Reduced(Ok(v))) => return Step::Finish(v),
+            (9, Reply::Reduced(v)) => return Step::Finish(v),
             (_, other) => panic!("unexpected reply in halo kernel at step {step}: {other:?}"),
         };
         Step::Op(match step {
@@ -152,7 +152,7 @@ fn make(cart: Cart2d) -> impl Fn(usize, usize) -> HaloScaleProgram + Sync {
 /// Run the kernel on the thread-backed runtime (one OS thread per rank).
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     let cart = Cart2d::near_square(p);
-    run_programs(cart.size(), None, make(cart)).into_values_and_stats()
+    run_programs(cart.size(), make(cart)).ranks
 }
 
 /// Run the kernel on the event-driven runtime. `_threads` is unused:
@@ -160,14 +160,13 @@ pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
 pub fn run_scale_v2(p: usize, _threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let cart = Cart2d::near_square(p);
     let report = EventSim::new(cart.size()).run(make(cart));
-    let sim = report.sim;
-    (report.into_values_and_stats(), sim)
+    (report.ranks, report.sim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvs_mpisim::{first_divergence, FaultError, FaultStats};
+    use pvs_mpisim::first_divergence;
 
     #[test]
     fn v2_halo_kernel_matches_v1_bitwise() {
@@ -187,22 +186,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unexpected reply in halo kernel at step 2: Received(Err(")]
-    fn a_failed_receive_is_not_an_empty_strip() {
+    #[should_panic(expected = "unexpected reply in halo kernel at step 2: Sent")]
+    fn a_send_completion_is_not_an_empty_strip() {
         let ctx = RankCtx {
             rank: 0,
             size: 4,
             comm: CommStats::default(),
-            faults: FaultStats::default(),
-            clock_ps: 0,
         };
         let mut program = HaloScaleProgram::new(0, Cart2d::near_square(4));
         program.resume(&ctx, Reply::Start);
-        program.resume(&ctx, Reply::Sent(Ok(())));
-        program.resume(
-            &ctx,
-            Reply::Received(Err(FaultError::RankFailed { rank: 1 })),
-        );
+        program.resume(&ctx, Reply::Sent);
+        program.resume(&ctx, Reply::Sent);
     }
 
     /// The strip as a closed formula, value by value.

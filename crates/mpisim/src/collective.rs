@@ -1,12 +1,13 @@
-//! What both rank runtimes share of a collective besides its schedule
-//! ([`pvs_core::schedule`]): who takes part ([`World`]), the order
-//! contributions fold in ([`fold_sum`], [`fold_max`]) and what one message
-//! costs under fault injection ([`World::charge_send`]). v1 ([`crate::comm`],
-//! [`crate::fault`], [`crate::caf`]) moves a packet per scheduled message,
-//! v2 ([`crate::event`]) charges the same messages arithmetically.
+//! What the rank runtimes share of a collective besides its schedule
+//! ([`pvs_core::schedule`]): the order contributions fold in ([`fold_sum`],
+//! [`fold_max`]), used by both; and, for v1 alone, who takes part
+//! ([`World`]) and what one message costs under fault injection
+//! ([`World::charge_send`]). v1 ([`crate::comm`], [`crate::fault`],
+//! [`crate::caf`]) moves a packet per scheduled message, v2
+//! ([`crate::event`]) charges the same messages arithmetically.
 //! Schedules speak participant indices `0..n`, mapped to ranks through
-//! [`World::survivors`], so a survivor-only collective is the healthy one
-//! over a shorter list.
+//! the world's survivor list, so a survivor-only collective is the
+//! healthy one over a shorter list.
 
 use crate::comm::Comm;
 use crate::fault::{attempt_lost, message_delayed, retry_backoff_ps};
@@ -19,10 +20,11 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(crate) struct World {
     spec: FaultSpec,
-    /// Whether fault injection is armed (`run_faulty`, `EventSim::faults`):
-    /// sends are charged against `spec`, even a healthy one.
+    /// Whether fault injection is armed (`run_faulty`): sends are charged
+    /// against `spec`, even a healthy one.
     armed: bool,
     alive: Vec<bool>,
+    /// The collective participants: surviving ranks in rank order.
     survivors: Vec<usize>,
 }
 
@@ -44,17 +46,8 @@ impl World {
         self.alive.len()
     }
 
-    pub(crate) fn armed(&self) -> bool {
-        self.armed
-    }
-
     pub(crate) fn alive(&self, rank: usize) -> bool {
         self.alive[rank]
-    }
-
-    /// The collective participants: surviving ranks in rank order.
-    pub(crate) fn survivors(&self) -> &[usize] {
-        &self.survivors
     }
 
     /// The participant index of `rank`.

@@ -11,7 +11,7 @@
 use crate::collective::{self, fold_max, fold_sum, Link, World};
 use crate::fault::FaultError;
 use crate::tags::{self, assert_user_tag, ctag};
-use pvs_core::schedule::{binomial, rotation};
+use pvs_core::schedule::rotation;
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::panic::resume_unwind;
@@ -40,6 +40,14 @@ impl Payload {
             Ok(()) => Some(Payload::Data(data)),
             Err(FaultError::Timeout { expired_at_ps, .. }) => Some(Payload::Lost { expired_at_ps }),
             Err(FaultError::RankFailed { .. }) => None,
+        }
+    }
+
+    /// The data a [`Want::Data`] receive took.
+    pub(crate) fn into_data(self) -> Vec<f64> {
+        match self {
+            Payload::Data(data) => data,
+            other => unreachable!("Want::Data took {other:?}"),
         }
     }
 
@@ -165,7 +173,11 @@ impl Comm {
         // A rank that already returned has dropped its receiver; the
         // packet could never be read, so dropping it preserves the
         // buffered-and-never-matched semantics of a live endpoint.
-        let _ = self.senders[dst].send(Packet { src: self.rank, tag, payload });
+        let _ = self.senders[dst].send(Packet {
+            src: self.rank,
+            tag,
+            payload,
+        });
     }
 
     /// Blocking receive of a message from `src` with `tag`. Messages from
@@ -189,17 +201,6 @@ impl Comm {
             let packet = self.receiver.recv().expect("senders alive");
             self.pending.push_back(packet);
         }
-    }
-
-    /// Combined send + receive with the same partner (halo exchanges).
-    pub fn sendrecv(&mut self, partner: usize, tag: u64, data: Vec<f64>) -> Vec<f64> {
-        assert_user_tag(tag);
-        if partner == self.rank {
-            return data;
-        }
-        let Ok(()) = self.send_to(partner, tag, data);
-        let Ok(data) = self.recv_from(partner, tag);
-        data
     }
 
     /// Synchronize all ranks (dissemination barrier).
@@ -237,22 +238,6 @@ impl Comm {
         frames.into_iter().map(|f| f[1..].to_vec()).collect()
     }
 
-    /// Broadcast `data` from `root` to all ranks over a binomial tree:
-    /// log₂(P) rounds, no O(P) serial send loop at the root.
-    pub fn broadcast(&mut self, root: usize, mut data: Vec<f64>) -> Vec<f64> {
-        let tag = ctag(tags::NS_BCAST, 0);
-        // Every rank of a `Comm` world survives: participant index = rank.
-        let (parent, children) = binomial(self.rank, root, self.size());
-        if let Some(parent) = parent {
-            let Ok(arrived) = self.recv_from(parent, tag);
-            data = arrived;
-        }
-        for child in children {
-            self.post(child, tag, Payload::Data(data.clone()));
-        }
-        data
-    }
-
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns what
     /// every rank sent to us, indexed by source.
     pub fn alltoallv(&mut self, mut sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
@@ -286,10 +271,7 @@ impl Link for Comm {
     }
 
     fn recv_from(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, Infallible> {
-        match self.fetch(src, tag, Want::Data) {
-            Payload::Data(data) => Ok(data),
-            other => unreachable!("Want::Data took {other:?}"),
-        }
+        Ok(self.fetch(src, tag, Want::Data).into_data())
     }
 }
 
@@ -390,21 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        let results = run(4, |mut c| {
-            let data = if c.rank() == 2 {
-                vec![42.0, 43.0]
-            } else {
-                Vec::new()
-            };
-            c.broadcast(2, data)
-        });
-        for r in results {
-            assert_eq!(r, vec![42.0, 43.0]);
-        }
-    }
-
-    #[test]
     fn alltoallv_full_exchange() {
         let results = run(3, |mut c| {
             let sends: Vec<Vec<f64>> = (0..3).map(|d| vec![(c.rank() * 10 + d) as f64]).collect();
@@ -433,7 +400,10 @@ mod tests {
         let taken = take_match(&mut m, 1, 9, Want::Data);
         assert!(matches!(taken, Some(Payload::Data(d)) if d == [7.0]));
         assert!(take_match(&mut m, 1, 9, Want::DataOrLost).is_none());
-        assert!(matches!(take_match(&mut m, 1, 9, Want::Window), Some(Payload::Window(_))));
+        assert!(matches!(
+            take_match(&mut m, 1, 9, Want::Window),
+            Some(Payload::Window(_))
+        ));
         assert!(m.is_empty());
         // A tombstone stays buffered under the healthy receive and is
         // taken by the faulty one.
@@ -458,16 +428,26 @@ mod tests {
         assert_eq!(m.len(), 2, "other sources and tags stay buffered");
         // The same order end to end, on both runtimes.
         let make = |rank, _| {
-            let send = |x: f64| crate::Op::Send { dst: 1, tag: 1, data: vec![x] };
+            let send = |x: f64| crate::Op::Send {
+                dst: 1,
+                tag: 1,
+                data: vec![x],
+            };
             crate::ScriptProgram::new(match rank {
                 0 => vec![send(1.0), send(2.0), send(3.0)],
                 _ => vec![crate::Op::Recv { src: 0, tag: 1 }; 3],
             })
         };
-        for report in [crate::run_programs(2, None, make), crate::EventSim::new(2).run(make)] {
+        for report in [
+            crate::run_programs(2, make),
+            crate::EventSim::new(2).run(make),
+        ] {
             let replies = &report.into_values()[1];
             let got: Vec<String> = replies.iter().map(|reply| format!("{reply:?}")).collect();
-            assert_eq!(got, ["Received(Ok([1.0]))", "Received(Ok([2.0]))", "Received(Ok([3.0]))"]);
+            assert_eq!(
+                got,
+                ["Received([1.0])", "Received([2.0])", "Received([3.0])"]
+            );
         }
     }
 
@@ -480,15 +460,6 @@ mod tests {
             });
             assert_eq!(results.len(), n);
         }
-    }
-
-    #[test]
-    fn sendrecv_swaps() {
-        let results = run(2, |mut c| {
-            let partner = 1 - c.rank();
-            c.sendrecv(partner, 9, vec![c.rank() as f64])[0]
-        });
-        assert_eq!(results, vec![1.0, 0.0]);
     }
 
     #[test]
@@ -511,9 +482,10 @@ mod tests {
         // Zero-byte payloads flow through every collective unharmed.
         let results = run(3, |mut c| {
             let summed = c.allreduce_sum(&[]);
-            let cast = c.broadcast(1, Vec::new());
+            let gathered = c.allgather(&[]);
             let swapped = c.alltoallv(vec![Vec::new(); 3]);
-            (summed.len(), cast.len(), swapped.iter().map(Vec::len).sum::<usize>())
+            let lengths = |rows: Vec<Vec<f64>>| rows.iter().map(Vec::len).sum::<usize>();
+            (summed.len(), lengths(gathered), lengths(swapped))
         });
         for r in results {
             assert_eq!(r, (0, 0, 0));
@@ -525,13 +497,9 @@ mod tests {
         let results = run(1, |mut c| {
             let gathered = c.allgather(&[7.0]);
             let swapped = c.alltoallv(vec![vec![1.5]]);
-            let cast = c.broadcast(0, vec![2.0]);
-            (gathered, swapped, cast)
+            (gathered, swapped)
         });
-        assert_eq!(
-            results[0],
-            (vec![vec![7.0]], vec![vec![1.5]], vec![2.0])
-        );
+        assert_eq!(results[0], (vec![vec![7.0]], vec![vec![1.5]]));
     }
 
     /// The non-associative probe: 1e16 + 1.0 − 1e16 is 0.0 summed left
@@ -579,20 +547,25 @@ mod tests {
 
     #[test]
     fn user_tags_no_longer_collide_with_collectives() {
-        // Regression: 0xB0AD_CA57 was the broadcast wire tag; an app
-        // message carrying it mis-matched into a concurrent broadcast.
-        // With the reserved namespace both flows coexist.
+        // Regression: 0xB0AD_CA57 was once a collective's wire tag, and an
+        // app message carrying it mis-matched into that collective. With
+        // the reserved namespace, user traffic on the old constant and a
+        // concurrent collective coexist.
         let results = run(4, |mut c| {
             let me = c.rank();
             if me == 0 {
                 c.send(1, 0xB0AD_CA57, vec![99.0]);
             }
-            let cast = c.broadcast(0, if me == 0 { vec![7.0] } else { Vec::new() });
-            let user = if me == 1 { c.recv(0, 0xB0AD_CA57)[0] } else { 0.0 };
-            (cast, user)
+            let sum = c.allreduce_sum_scalar(me as f64);
+            let user = if me == 1 {
+                c.recv(0, 0xB0AD_CA57)[0]
+            } else {
+                0.0
+            };
+            (sum, user)
         });
-        for (r, (cast, user)) in results.iter().enumerate() {
-            assert_eq!(cast, &vec![7.0], "rank {r}");
+        for (r, (sum, user)) in results.iter().enumerate() {
+            assert_eq!(*sum, 6.0, "rank {r}");
             if r == 1 {
                 assert_eq!(*user, 99.0);
             }
@@ -602,7 +575,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_on_send() {
-        run(1, |mut c| c.send(0, crate::tags::COLLECTIVE_BIT | 5, vec![1.0]));
+        run(1, |mut c| {
+            c.send(0, crate::tags::COLLECTIVE_BIT | 5, vec![1.0])
+        });
     }
 
     #[test]
@@ -611,23 +586,6 @@ mod tests {
         run(1, |mut c| {
             let _ = c.recv(0, crate::tags::COLLECTIVE_BIT);
         });
-    }
-
-    #[test]
-    fn broadcast_uses_a_binomial_tree() {
-        // Total messages stay at P−1, but no single rank sends them all:
-        // the root's fan-out is log2(P), not P−1.
-        let stats = run(8, |mut c| {
-            c.broadcast(0, vec![1.0; 4]);
-            c.stats()
-        });
-        let total: u64 = stats.iter().map(|s| s.messages_sent).sum();
-        assert_eq!(total, 7);
-        assert_eq!(stats[0].messages_sent, 3, "root sends log2(8) messages");
-        assert_eq!(stats[0].bytes_sent, 3 * 32);
-        // Interior nodes forward: rank 4 feeds ranks 5, 6.
-        assert_eq!(stats[4].messages_sent, 2);
-        assert_eq!(stats[7].messages_sent, 0, "leaves only receive");
     }
 
     #[test]

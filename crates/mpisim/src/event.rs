@@ -4,11 +4,9 @@
 //! per rank, which caps simulations far below the scales the related
 //! scale studies run natively (weak scaling to 10⁵ ranks). This module
 //! removes the cap: virtual ranks are **continuation-style tasks**
-//! resumed on the scheduler's own thread, scheduled by
-//! the simulated-picosecond event core ([`pvs_core::EventQueue`]).
-//! A rank blocked in a receive or a
-//! collective *parks* — its continuation is keyed on what it waits for
-//! and rescheduled when the matching packet arrives or the collective
+//! resumed on the scheduler's own thread. A rank blocked in a receive or
+//! a collective *parks* — its continuation is keyed on what it waits for
+//! and queued again when the matching packet arrives or the collective
 //! completes — so P is bounded by memory, not by thread count.
 //!
 //! ## Programming model
@@ -25,18 +23,18 @@
 //! Results are a function of the programs alone — no host thread count
 //! or timing enters them — because
 //!
-//! 1. every event carries `(at_ps, seq)` and drains in that order
-//!    ([`EventQueue`] keeps FIFO among equal timestamps);
-//! 2. one *batch* = every rank runnable at the earliest timestamp; the
-//!    batch is resumed **in place**: rank slots never leave the
+//! 1. one *batch* (superstep) = every rank queued when it starts: all
+//!    ranks in rank order at launch, then the ranks the previous batch
+//!    woke, in wake order;
+//! 2. the batch is resumed **in place**: rank slots never leave the
 //!    scheduler's slot array, and a resume touches only its own slot —
 //!    state and mailbox — and appends what it asks of other ranks to the
 //!    scheduler's one effects log, so the order of resumes within a batch
 //!    is observable only as the order of the log;
 //! 3. all cross-rank effects (packet delivery, wakeups, collective
-//!    completion) are applied **in log order** — batch order, i.e. queue
-//!    order, not rank order; within a rank its sends, then its collective
-//!    entry — after every rank of the batch has been resumed.
+//!    completion) are applied **in log order** — batch order, not rank
+//!    order; within a rank its sends, then its collective entry — after
+//!    every rank of the batch has been resumed.
 //!
 //! Every superstep runs on the scheduler thread: a resume is ≈ 110 ns of
 //! work (LBMHD's halo kernel at 131 072 ranks on a 2-core x86-64 host),
@@ -45,28 +43,19 @@
 //!
 //! ## Collectives
 //!
-//! Collectives are computed centrally when every participant has
-//! entered, from [`pvs_core::schedule`] and the private `collective`
-//! module: values fold in canonical rank order, and the per-rank
-//! [`CommStats`]/[`FaultStats`] are charged arithmetically from the
-//! schedule v1 executes as packets (under fault injection, replaying
-//! v1's seeded draw per scheduled message), so the two runtimes agree
-//! bit-for-bit on results *and* traffic accounting.
-//!
-//! One intended divergence: when a faulty collective message exhausts
-//! its retries, v1's ring deadlocks for P > 2 (the erroring rank stops
-//! forwarding and its successors block forever); v2 instead fails every
-//! participant with the first timeout in schedule order. Conformance is
-//! therefore gated on regimes where retries succeed.
+//! Collectives are computed centrally when every rank has entered, from
+//! [`pvs_core::schedule`] and the private `collective` module: values
+//! fold in canonical rank order, and the per-rank [`CommStats`] are
+//! charged arithmetically from the schedule v1 executes as packets, so
+//! the two runtimes agree bit-for-bit on results *and* traffic
+//! accounting. Fault injection lives on v1 alone ([`crate::run_faulty`]).
 
 use crate::blocks::Blocks;
 use crate::caf::CoArray;
-use crate::collective::{fold_max, fold_sum, World};
-use crate::comm::{received, take_match, CommStats, Packet, Payload, Received, Want};
-use crate::fault::{FaultError, FaultSpec, FaultStats, RankOutcome};
-use crate::tags::{self, assert_user_tag, ctag};
-use pvs_core::schedule::{binomial, dissemination, ring, rotation, Round};
-use pvs_core::EventQueue;
+use crate::collective::{fold_max, fold_sum};
+use crate::comm::{take_match, CommStats, Packet, Payload, Want};
+use crate::tags::assert_user_tag;
+use pvs_core::schedule::{dissemination, ring, rotation};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, RwLock};
 
@@ -74,7 +63,7 @@ use std::sync::{Arc, RwLock};
 #[derive(Debug, Clone)]
 pub enum Op {
     /// Send `data` to `dst` with a user-space `tag` (completes
-    /// immediately; faulty mode may report drop-exhaustion).
+    /// immediately).
     Send {
         /// Destination rank.
         dst: usize,
@@ -89,15 +78,6 @@ pub enum Op {
         src: usize,
         /// User tag (top bit clear).
         tag: u64,
-    },
-    /// Combined send + receive with one partner (halo exchange).
-    Sendrecv {
-        /// The partner rank (self is a no-op echo).
-        partner: usize,
-        /// User tag (top bit clear).
-        tag: u64,
-        /// Payload.
-        data: Vec<f64>,
     },
     /// Dissemination-barrier synchronization.
     Barrier,
@@ -116,13 +96,6 @@ pub enum Op {
         /// This rank's contribution.
         data: Vec<f64>,
     },
-    /// Broadcast from `root` (binomial-tree schedule).
-    Broadcast {
-        /// The broadcasting rank.
-        root: usize,
-        /// Payload (ignored on non-root ranks).
-        data: Vec<f64>,
-    },
     /// Personalized all-to-all: `sends[d]` goes to rank `d`.
     Alltoallv {
         /// Per-destination payloads (`sends.len() == size`).
@@ -136,33 +109,27 @@ pub enum Op {
 }
 
 /// The completion of the previously requested [`Op`], handed to
-/// [`RankProgram::resume`]. In a healthy simulation every `Result` is
-/// `Ok`; faulty simulations surface the same [`FaultError`]s v1 does.
+/// [`RankProgram::resume`].
 #[derive(Debug, Clone)]
 pub enum Reply {
     /// First resume of the program; no op has completed yet.
     Start,
-    /// [`Op::Send`] completed (or timed out / hit a failed rank).
-    Sent(Result<(), FaultError>),
-    /// [`Op::Recv`] matched (or surfaced the sender's loss).
-    Received(Result<Vec<f64>, FaultError>),
-    /// [`Op::Sendrecv`] completed.
-    Exchanged(Result<Vec<f64>, FaultError>),
+    /// [`Op::Send`] completed.
+    Sent,
+    /// [`Op::Recv`] matched.
+    Received(Vec<f64>),
     /// [`Op::Barrier`] completed.
-    BarrierDone(Result<(), FaultError>),
+    BarrierDone,
     /// [`Op::AllreduceSum`] result, identical bits on every rank.
-    Reduced(Result<Vec<f64>, FaultError>),
+    Reduced(Vec<f64>),
     /// [`Op::AllreduceMaxScalar`] result.
-    MaxReduced(Result<f64, FaultError>),
-    /// [`Op::Allgather`] result (healthy mode only): one allocation,
-    /// shared by every rank's reply.
+    MaxReduced(f64),
+    /// [`Op::Allgather`] result: one allocation, shared by every rank's
+    /// reply.
     Gathered(Arc<[Vec<f64>]>),
-    /// [`Op::Broadcast`] result (healthy mode only).
-    Broadcasted(Vec<f64>),
-    /// [`Op::Alltoallv`] result (healthy mode only): block `s` is what
-    /// rank `s` sent here.
+    /// [`Op::Alltoallv`] result: block `s` is what rank `s` sent here.
     Alltoall(Blocks),
-    /// [`Op::CoCreate`] result (healthy mode only).
+    /// [`Op::CoCreate`] result.
     CoCreated(CoArray),
 }
 
@@ -180,14 +147,10 @@ pub enum Step<T> {
 pub struct RankCtx {
     /// This rank's id in `[0, size)`.
     pub rank: usize,
-    /// Number of ranks, failed ones included.
+    /// Number of ranks.
     pub size: usize,
-    /// Traffic statistics so far (delivered messages only).
+    /// Traffic statistics so far.
     pub comm: CommStats,
-    /// Fault accounting so far (all zero in healthy mode).
-    pub faults: FaultStats,
-    /// This rank's simulated clock: backoff + delay charged so far.
-    pub clock_ps: u64,
 }
 
 /// A virtual rank: an explicit continuation resumed by the scheduler.
@@ -249,7 +212,7 @@ pub struct SimStats {
     pub messages: u64,
     /// Times a rank parked (blocked receive or collective entry).
     pub parks: u64,
-    /// Times a parked rank was rescheduled by a matching packet.
+    /// Times a parked rank was queued again by a packet or a collective.
     pub wakeups: u64,
     /// Collectives completed centrally.
     pub collectives: u64,
@@ -271,16 +234,12 @@ impl SimStats {
     }
 }
 
-/// Everything one event-driven run produced.
+/// Everything one run of a set of [`RankProgram`]s produced.
 #[derive(Debug)]
 pub struct SimReport<T> {
-    /// Per-rank results in rank order ([`RankOutcome::Failed`] for ranks
-    /// in the fault spec's failed set).
-    pub outcomes: Vec<RankOutcome<T>>,
-    /// Per-rank traffic statistics (`None` for failed ranks).
-    pub comm_stats: Vec<Option<CommStats>>,
-    /// Per-rank simulated clocks in picoseconds (0 for failed ranks).
-    pub clocks_ps: Vec<u64>,
+    /// Each rank's value and traffic statistics, in rank order — what a
+    /// v1 closure returning `(value, comm.stats())` yields.
+    pub ranks: Vec<(T, CommStats)>,
     /// Scheduler counters.
     pub sim: SimStats,
     /// Superstep batch-size distribution: `(ranks_in_batch, batches)`
@@ -305,29 +264,9 @@ impl<T> SimReport<T> {
         }
     }
 
-    /// The per-rank values, panicking if any rank was failed — the
-    /// healthy-mode convenience mirroring [`crate::comm::run`]'s shape.
+    /// The per-rank values, in rank order — [`crate::comm::run`]'s shape.
     pub fn into_values(self) -> Vec<T> {
-        self.into_values_and_stats()
-            .into_iter()
-            .map(|(value, _)| value)
-            .collect()
-    }
-
-    /// Each rank's value with its traffic statistics, panicking if any
-    /// rank was failed — what a healthy v1 closure returning
-    /// `(value, comm.stats())` yields.
-    pub fn into_values_and_stats(self) -> Vec<(T, CommStats)> {
-        self.outcomes
-            .into_iter()
-            .zip(self.comm_stats)
-            .map(|rank| match rank {
-                (RankOutcome::Completed { value, .. }, Some(stats)) => (value, stats),
-                // INFALLIBLE: healthy sims have no failed ranks; callers
-                // of faulty sims read `outcomes` instead.
-                _ => unreachable!("failed rank in a healthy report"),
-            })
-            .collect()
+        self.ranks.into_iter().map(|(value, _)| value).collect()
     }
 }
 
@@ -335,47 +274,27 @@ impl<T> SimReport<T> {
 #[derive(Debug, Clone)]
 pub struct EventSim {
     nranks: usize,
-    faults: Option<FaultSpec>,
 }
 
 impl EventSim {
-    /// A healthy simulation of `nranks` virtual ranks.
+    /// A simulation of `nranks` virtual ranks.
     pub fn new(nranks: usize) -> Self {
         assert!(nranks >= 1);
-        EventSim {
-            nranks,
-            faults: None,
-        }
+        EventSim { nranks }
     }
 
-    /// Inject faults: every message replays the seeded drop/delay draws
-    /// [`crate::run_faulty`] makes, and ranks in the failed set never
-    /// execute. Mirrors v1's faulty surface — only the collectives
-    /// [`FaultSpec`]-mode v1 offers (barrier, sum allreduce) are legal.
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
-        self
-    }
-
-    /// Run the simulation: `make(rank, size)` builds each surviving
-    /// rank's program.
+    /// Run the simulation: `make(rank, size)` builds each rank's program.
     pub fn run<P, F>(&self, make: F) -> SimReport<P::Output>
     where
         P: RankProgram,
         F: Fn(usize, usize) -> P,
     {
-        let world = World::new(self.nranks, self.faults.clone());
         let slots = (0..self.nranks)
-            .map(|rank| {
-                world
-                    .alive(rank)
-                    .then(|| RankSlot::new(make(rank, self.nranks), world.armed()))
-            })
+            .map(|rank| RankSlot::new(make(rank, self.nranks)))
             .collect();
         let mut sched = Scheduler {
-            world,
             slots,
-            queue: EventQueue::new(),
+            queue: (0..self.nranks).collect(),
             group: Group::default(),
             parked_count: 0,
             sim: SimStats {
@@ -384,27 +303,16 @@ impl EventSim {
             },
             batch_dist: BTreeMap::new(),
         };
-        for &rank in sched.world.survivors() {
-            sched.queue.push(0, rank);
-        }
         sched.drive();
         sched.into_report()
     }
 }
 
-/// The shape a completed receive is answered in: [`Reply::Received`],
-/// or [`Reply::Exchanged`] for a sendrecv.
-type RecvReply = fn(Received) -> Reply;
-
 /// Why a rank's continuation is parked.
 #[derive(Debug, Clone, Copy)]
 enum Parked {
     /// Blocked receive of `(src, tag)`.
-    Recv {
-        src: usize,
-        tag: u64,
-        reply: RecvReply,
-    },
+    Recv { src: usize, tag: u64 },
     /// Entered the collective in flight.
     Collective,
 }
@@ -431,17 +339,14 @@ enum Effect {
     Enter { rank: usize, op: Op },
 }
 
-/// One virtual rank's complete state, cut to what varies per healthy
-/// rank: the rank is the slot's index and the size the world's, so
-/// `run_local` builds the [`RankCtx`] a resume reads on the stack. A slot
-/// never leaves `Scheduler::slots`: a resume borrows it (`&mut`), the
-/// effects log, and nothing else of the scheduler.
+/// One virtual rank's complete state: the rank is the slot's index and
+/// the size the slot array's, so `run_local` builds the [`RankCtx`] a
+/// resume reads on the stack. A slot never leaves `Scheduler::slots`: a
+/// resume borrows it (`&mut`), the effects log, and nothing else of the
+/// scheduler.
 struct RankSlot<P: RankProgram> {
     program: P,
     comm: CommStats,
-    /// The fault ledger and the simulated clock, boxed in an armed world
-    /// only: nothing but a [`FaultSpec`] ever moves either.
-    ledger: Option<Box<(FaultStats, u64)>>,
     /// Packets that arrived ahead of their receive, allocated by the first
     /// of them or by a loopback send. A packet that matches the receive
     /// its rank is parked on never enters it (`deliver`).
@@ -451,59 +356,24 @@ struct RankSlot<P: RankProgram> {
 }
 
 impl<P: RankProgram> RankSlot<P> {
-    fn new(program: P, armed: bool) -> Self {
+    fn new(program: P) -> Self {
         RankSlot {
             program,
             comm: CommStats::default(),
-            ledger: armed.then(Box::default),
             mailbox: None,
             state: State::Ready(Reply::Start),
-        }
-    }
-
-    /// The fault accounting and simulated clock, zero when unarmed.
-    fn ledger(&self) -> (FaultStats, u64) {
-        self.ledger.as_deref().copied().unwrap_or_default()
-    }
-
-    fn ctx(&self, rank: usize, size: usize) -> RankCtx {
-        let (faults, clock_ps) = self.ledger();
-        RankCtx {
-            rank,
-            size,
-            comm: self.comm,
-            faults,
-            clock_ps,
         }
     }
 
     fn mailbox(&mut self) -> &mut VecDeque<Packet> {
         self.mailbox.get_or_insert_default()
     }
-
-    /// [`World::charge_send`] against this rank's ledger; an unarmed
-    /// world, which has none, charges nothing.
-    fn charge_send(
-        &mut self,
-        world: &World,
-        src: usize,
-        dst: usize,
-        tag: u64,
-    ) -> Result<(), FaultError> {
-        match self.ledger.as_deref_mut() {
-            Some((faults, clock_ps)) => world.charge_send(src, dst, tag, faults, clock_ps),
-            None => Ok(()),
-        }
-    }
 }
-
-/// The slot array, indexed by rank; a failed rank leaves a hole.
-type Slots<P> = [Option<RankSlot<P>>];
 
 /// The collective in flight: the `Op` each rank entered with, by rank.
 /// One at a time suffices — every rank's k-th collective joins the same
 /// group (MPI requires identical order), and nobody reaches its k+1-th
-/// before every survivor has entered the k-th and so completed it.
+/// before every rank has entered the k-th and so completed it.
 #[derive(Default)]
 struct Group {
     ops: Vec<Option<Op>>,
@@ -513,10 +383,9 @@ struct Group {
 }
 
 struct Scheduler<P: RankProgram> {
-    world: World,
-    slots: Vec<Option<RankSlot<P>>>,
-    /// Runnable ranks keyed by their simulated clocks.
-    queue: EventQueue<usize>,
+    slots: Vec<RankSlot<P>>,
+    /// Runnable ranks, in the order the next superstep resumes them.
+    queue: Vec<usize>,
     group: Group,
     parked_count: u64,
     sim: SimStats,
@@ -528,18 +397,18 @@ struct Scheduler<P: RankProgram> {
 
 impl<P: RankProgram> Scheduler<P> {
     fn drive(&mut self) {
-        // Rank ids in queue order, reused by every superstep.
-        let mut batch: Vec<usize> = Vec::new();
+        let size = self.slots.len();
+        // The superstep's ranks; swapped with the queue, so the two
+        // buffers are reused by every superstep.
+        let mut batch: Vec<usize> = Vec::with_capacity(size);
         // The batch's cross-rank effects in resume order, likewise reused:
         // sized once, for an effect per rank of the first batch.
-        let mut effects: Vec<Effect> = Vec::with_capacity(self.queue.len());
-        while let Some(at_ps) = self.queue.peek_time() {
-            // One batch: every rank runnable at the earliest timestamp.
-            batch.clear();
-            while self.queue.peek_time() == Some(at_ps) {
-                // INFALLIBLE: peek_time just returned Some.
-                batch.push(self.queue.pop().expect("peeked entry").payload);
-            }
+        let mut effects: Vec<Effect> = Vec::with_capacity(size);
+        while !self.queue.is_empty() {
+            // One batch: every rank queued when it starts. The ranks its
+            // effects wake are queued for the next.
+            std::mem::swap(&mut batch, &mut self.queue);
+            self.queue.clear();
             self.sim.batches += 1;
             *self.batch_dist.entry(batch.len() as u64).or_insert(0) += 1;
 
@@ -548,11 +417,8 @@ impl<P: RankProgram> Scheduler<P> {
             // is counted BEFORE any delivery — a packet toward a rank later
             // in the same batch wakes it, and a wake must find its park counted.
             for &rank in &batch {
-                // INFALLIBLE: only surviving ranks are ever scheduled.
-                let slot = self.slots[rank]
-                    .as_mut()
-                    .expect("scheduled rank owns its slot");
-                if run_local(&self.world, rank, slot, &mut effects, &mut self.sim.resumes) {
+                let slot = &mut self.slots[rank];
+                if run_local(rank, size, slot, &mut effects, &mut self.sim.resumes) {
                     self.parked_count += 1;
                     self.sim.parks += 1;
                 }
@@ -570,32 +436,18 @@ impl<P: RankProgram> Scheduler<P> {
         self.check_quiescent();
     }
 
-    fn slot(&mut self, rank: usize) -> &mut RankSlot<P> {
-        // INFALLIBLE: only surviving ranks run, park or enter collectives,
-        // and a survivor's slot is live for the whole run.
-        self.slots[rank]
-            .as_mut()
-            .expect("surviving rank owns its slot")
-    }
-
     /// Hand `packet` to `dst` if it parks on a receive the packet matches,
     /// else append it to `dst`'s mailbox. The hand-off is v1's first match:
     /// a rank parks only after its mailbox held no match, and every later
     /// arrival comes through here, so a parked receiver's mailbox never
-    /// holds an earlier one. Packets toward failed ranks are blackholed
-    /// (a dead node's NIC still sinks traffic); packets toward finished
-    /// ranks are buffered and never read, exactly like v1's channels.
+    /// holds an earlier one. Packets toward finished ranks are buffered
+    /// and never read, exactly like v1's channels.
     fn deliver(&mut self, dst: usize, packet: Packet) {
-        let Some(slot) = self.slots[dst].as_mut() else {
-            return; // blackhole: dst is in the failed set
-        };
         self.sim.messages += 1;
+        let slot = &mut self.slots[dst];
         match slot.state {
-            State::Parked(Parked::Recv { src, tag, reply })
-                if packet.matches(src, tag, Want::DataOrLost) =>
-            {
-                let result = received(&self.world, src, tag, packet.payload);
-                self.wake(dst, reply(result));
+            State::Parked(Parked::Recv { src, tag }) if packet.matches(src, tag, Want::Data) => {
+                self.wake(dst, Reply::Received(packet.payload.into_data()));
             }
             _ => slot.mailbox().push_back(packet),
         }
@@ -603,20 +455,19 @@ impl<P: RankProgram> Scheduler<P> {
 
     /// Unpark `rank` with the reply to the op it parked on.
     fn wake(&mut self, rank: usize, reply: Reply) {
-        let slot = self.slot(rank);
+        let slot = &mut self.slots[rank];
         debug_assert!(
             matches!(slot.state, State::Parked(_)),
             "rank {rank} woken but not parked"
         );
         slot.state = State::Ready(reply);
-        let at_ps = slot.ledger().1;
         self.parked_count -= 1;
         self.sim.wakeups += 1;
-        self.queue.push(at_ps, rank);
+        self.queue.push(rank);
     }
 
     /// Register `rank`'s entry into the collective in flight; complete it
-    /// centrally once every expected participant has entered.
+    /// centrally once every rank has entered.
     fn enter_collective(&mut self, rank: usize, op: Op) {
         let group = &mut self.group;
         if group.ops.is_empty() {
@@ -640,32 +491,30 @@ impl<P: RankProgram> Scheduler<P> {
         );
         group.ops[rank] = Some(op);
         group.entered += 1;
-        if group.entered < self.world.survivors().len() {
+        if group.entered < self.slots.len() {
             return;
         }
         (group.first, group.entered) = (None, 0);
         self.sim.collectives += 1;
-        // Survivors in rank order are the participants in index order.
         let ops = group.ops.iter_mut().filter_map(Option::take);
-        let replies = complete_collective(&self.world, ops, &mut self.slots);
-        // A barrier or broadcast reads only some of the entries: drop the
-        // rest, so the group is empty between collectives.
+        let replies = complete_collective(ops, &mut self.slots);
+        // A barrier reads only its first entry: drop the rest, so the
+        // group is empty between collectives.
         group.ops.iter_mut().for_each(|op| *op = None);
-        for (rank, reply) in replies {
+        for (rank, reply) in replies.into_iter().enumerate() {
             self.wake(rank, reply);
         }
     }
 
-    /// The queue drained: every surviving rank must have finished, or
-    /// the program set deadlocked (mirrors a hung v1 run, but with a
-    /// diagnosis instead of a silent hang).
+    /// The queue drained: every rank must have finished, or the program
+    /// set deadlocked (mirrors a hung v1 run, but with a diagnosis instead
+    /// of a silent hang).
     fn check_quiescent(&self) {
         let mut stuck = Vec::new();
         for (rank, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
             stuck.push(match slot.state {
                 State::Done(_) => continue,
-                State::Parked(Parked::Recv { src, tag, .. }) => {
+                State::Parked(Parked::Recv { src, tag }) => {
                     format!("rank {rank} waiting on recv(src={src}, tag={tag:#x})")
                 }
                 State::Parked(Parked::Collective) => {
@@ -683,34 +532,20 @@ impl<P: RankProgram> Scheduler<P> {
     }
 
     fn into_report(self) -> SimReport<P::Output> {
-        let nranks = self.world.size();
-        let mut outcomes = Vec::with_capacity(nranks);
-        let mut comm_stats = Vec::with_capacity(nranks);
-        let mut clocks_ps = Vec::with_capacity(nranks);
-        for slot in self.slots {
-            match slot {
-                None => {
-                    outcomes.push(RankOutcome::Failed);
-                    comm_stats.push(None);
-                    clocks_ps.push(0);
-                }
-                Some(s) => {
-                    // INFALLIBLE: check_quiescent proved every survivor
-                    // finished before the queue drained.
-                    let (faults, clock_ps) = s.ledger();
-                    let State::Done(value) = s.state else {
-                        unreachable!("rank finished")
-                    };
-                    outcomes.push(RankOutcome::Completed { value, faults });
-                    comm_stats.push(Some(s.comm));
-                    clocks_ps.push(clock_ps);
-                }
-            }
-        }
+        let ranks = self
+            .slots
+            .into_iter()
+            .map(|slot| {
+                // INFALLIBLE: check_quiescent proved every rank finished
+                // before the queue drained.
+                let State::Done(value) = slot.state else {
+                    unreachable!("rank finished")
+                };
+                (value, slot.comm)
+            })
+            .collect();
         SimReport {
-            outcomes,
-            comm_stats,
-            clocks_ps,
+            ranks,
             sim: self.sim,
             batch_sizes: self.batch_dist.iter().map(|(&s, &n)| (s, n)).collect(),
         }
@@ -723,8 +558,8 @@ impl<P: RankProgram> Scheduler<P> {
 /// order, then the collective entry that ends the slice — and applied by
 /// the scheduler once the whole batch has run.
 fn run_local<P: RankProgram>(
-    world: &World,
     rank: usize,
+    size: usize,
     slot: &mut RankSlot<P>,
     effects: &mut Vec<Effect>,
     resumes: &mut u64,
@@ -736,36 +571,47 @@ fn run_local<P: RankProgram>(
     };
     loop {
         *resumes += 1;
-        // Point-to-point ops leave the receive they still have to complete.
-        let ctx = slot.ctx(rank, world.size());
-        let (src, tag, recv_reply): (_, _, RecvReply) = match slot.program.resume(&ctx, reply) {
+        let ctx = RankCtx {
+            rank,
+            size,
+            comm: slot.comm,
+        };
+        reply = match slot.program.resume(&ctx, reply) {
             Step::Finish(out) => {
                 slot.state = State::Done(out);
                 return false;
             }
             Step::Op(Op::Send { dst, tag, data }) => {
-                reply = Reply::Sent(local_send(world, rank, slot, effects, dst, tag, data));
-                continue;
+                assert_user_tag(tag);
+                let payload = Payload::Data(data);
+                payload.charge(&mut slot.comm);
+                let packet = Packet {
+                    src: rank,
+                    tag,
+                    payload,
+                };
+                // Loopback lands in the rank's own mailbox.
+                if dst == rank {
+                    slot.mailbox().push_back(packet);
+                } else {
+                    effects.push(Effect::Deliver { dst, packet });
+                }
+                Reply::Sent
             }
-            Step::Op(Op::Recv { src, tag }) => (src, tag, Reply::Received),
-            Step::Op(Op::Sendrecv { partner, tag, data }) => {
-                if partner == rank {
-                    assert_user_tag(tag);
-                    reply = Reply::Exchanged(Ok(data));
-                    continue;
+            Step::Op(Op::Recv { src, tag }) => {
+                assert_user_tag(tag);
+                // v1's first-match buffering; a rank that has no mailbox
+                // yet has nothing to match.
+                let mailbox = slot.mailbox.as_deref_mut();
+                match mailbox.and_then(|m| take_match(m, src, tag, Want::Data)) {
+                    Some(payload) => Reply::Received(payload.into_data()),
+                    None => {
+                        slot.state = State::Parked(Parked::Recv { src, tag });
+                        return true;
+                    }
                 }
-                if let Err(e) = local_send(world, rank, slot, effects, partner, tag, data) {
-                    reply = Reply::Exchanged(Err(e));
-                    continue;
-                }
-                (partner, tag, Reply::Exchanged)
             }
             Step::Op(collective) => {
-                assert!(
-                    !world.armed() || matches!(collective, Op::Barrier | Op::AllreduceSum { .. }),
-                    "{collective:?} has no faulty-mode counterpart in v1 \
-                     (FaultyComm offers barrier and sum allreduce only)"
-                );
                 slot.state = State::Parked(Parked::Collective);
                 effects.push(Effect::Enter {
                     rank,
@@ -774,105 +620,38 @@ fn run_local<P: RankProgram>(
                 return true;
             }
         };
-        assert_user_tag(tag);
-        match try_recv(world, slot.mailbox.as_deref_mut(), src, tag) {
-            Some(result) => reply = recv_reply(result),
-            None => {
-                slot.state = State::Parked(Parked::Recv {
-                    src,
-                    tag,
-                    reply: recv_reply,
-                });
-                return true;
-            }
-        }
     }
-}
-
-/// The v2 send path: charge the message as v1 does, then emit what v1
-/// would put on the wire. Loopback lands in the rank's own mailbox.
-fn local_send<P: RankProgram>(
-    world: &World,
-    src: usize,
-    slot: &mut RankSlot<P>,
-    effects: &mut Vec<Effect>,
-    dst: usize,
-    tag: u64,
-    data: Vec<f64>,
-) -> Result<(), FaultError> {
-    assert_user_tag(tag);
-    let sent = slot.charge_send(world, src, dst, tag);
-    let Some(payload) = Payload::sent(&sent, data) else {
-        return sent;
-    };
-    payload.charge(&mut slot.comm);
-    let packet = Packet { src, tag, payload };
-    if dst == src {
-        slot.mailbox().push_back(packet);
-    } else {
-        effects.push(Effect::Deliver { dst, packet });
-    }
-    sent
-}
-
-/// Try to complete a receive from a rank's mailbox with v1's first-match
-/// buffering (healthy sims never emit a tombstone); a rank that has no
-/// mailbox yet has nothing to match. `None` parks.
-fn try_recv(
-    world: &World,
-    mailbox: Option<&mut VecDeque<Packet>>,
-    src: usize,
-    tag: u64,
-) -> Option<Received> {
-    if !world.alive(src) {
-        return Some(Err(FaultError::RankFailed { rank: src }));
-    }
-    take_match(mailbox?, src, tag, Want::DataOrLost).map(|p| received(world, src, tag, p))
 }
 
 /// Complete a collective centrally: canonical rank-order values, plus
 /// per-rank stats charged from the schedule v1 executes as messages.
-/// `ops` are the participants' entries in index order; returns
-/// `(rank, reply)` pairs in ascending rank order.
+/// `ops` are the ranks' entries in rank order; returns each rank's reply
+/// in rank order.
 fn complete_collective<P: RankProgram>(
-    world: &World,
     ops: impl Iterator<Item = Op>,
-    slots: &mut Slots<P>,
-) -> Vec<(usize, Reply)> {
-    // Every survivor has entered, so the participants are the survivors.
-    let participants = world.survivors();
-    let n = participants.len();
+    slots: &mut [RankSlot<P>],
+) -> Vec<Reply> {
+    let n = slots.len();
     let ring_steps = ring(n).len() as u64;
-    let reply_all = |make: &dyn Fn(usize) -> Reply| -> Vec<(usize, Reply)> {
-        participants.iter().map(|&r| (r, make(r))).collect()
+    let mut charge_all = |messages: u64, bytes: u64| {
+        for slot in slots.iter_mut() {
+            charge(&mut slot.comm, messages, bytes);
+        }
     };
     let mixed = || -> ! { unreachable!("mixed collective") };
     let mut ops = ops.peekable();
     // INFALLIBLE: a group completes only after at least one entry.
     match ops.peek().expect("non-empty group") {
         Op::Barrier => {
-            let rounds = dissemination(n);
-            if world.armed() {
-                return faulty_rounds(world, slots, rounds, tags::NS_FAULTY_BARRIER, None);
-            }
-            charge(slots, participants, rounds.len() as u64, 0);
-            reply_all(&|_| Reply::BarrierDone(Ok(())))
+            charge_all(dissemination(n).len() as u64, 0);
+            vec![Reply::BarrierDone; n]
         }
         Op::AllreduceSum { .. } => {
             let contribs: Vec<Vec<f64>> = ops.map(data_of).collect();
             let value = fold_sum(&contribs);
-            if world.armed() {
-                return faulty_rounds(
-                    world,
-                    slots,
-                    ring(n),
-                    tags::NS_FAULTY_ALLREDUCE,
-                    Some(&value),
-                );
-            }
             let bytes = (contribs[0].len() * 8) as u64;
-            charge(slots, participants, ring_steps, ring_steps * bytes);
-            reply_all(&|_| Reply::Reduced(Ok(value.clone())))
+            charge_all(ring_steps, ring_steps * bytes);
+            vec![Reply::Reduced(value); n]
         }
         Op::AllreduceMaxScalar { .. } => {
             let contribs: Vec<f64> = ops
@@ -881,34 +660,21 @@ fn complete_collective<P: RankProgram>(
                     _ => mixed(),
                 })
                 .collect();
-            let value = fold_max(&contribs);
-            charge(slots, participants, ring_steps, ring_steps * 8);
-            reply_all(&|_| Reply::MaxReduced(Ok(value)))
+            charge_all(ring_steps, ring_steps * 8);
+            vec![Reply::MaxReduced(fold_max(&contribs)); n]
         }
         Op::Allgather { .. } => {
             let rows: Arc<[Vec<f64>]> = ops.map(data_of).collect();
             // Each ring step forwards the frame that arrived the step
             // before — the origin's rank id plus the origin's body — so over
-            // the n−1 steps participant i sends the frames of origins
-            // i, i−1, …, i−(n−2): every one but its successor's.
+            // the n−1 steps rank i sends the frames of origins i, i−1, …,
+            // i−(n−2): every one but its successor's.
             let frames: usize = rows.iter().map(|row| 1 + row.len()).sum();
-            for (i, &r) in participants.iter().enumerate() {
+            for (i, slot) in slots.iter_mut().enumerate() {
                 let unsent = 1 + rows[(i + 1) % n].len();
-                charge(slots, &[r], ring_steps, ((frames - unsent) * 8) as u64);
+                charge(&mut slot.comm, ring_steps, ((frames - unsent) * 8) as u64);
             }
-            reply_all(&|_| Reply::Gathered(Arc::clone(&rows)))
-        }
-        &Op::Broadcast { root, .. } => {
-            assert!(root < n, "broadcast root {root} of {n}");
-            // INFALLIBLE: the assert above put `root` among the n entries.
-            let data = data_of(ops.nth(root).expect("root participates"));
-            // Each rank sends `data` once per child in the binomial tree.
-            let bytes = (data.len() * 8) as u64;
-            for (i, &r) in participants.iter().enumerate() {
-                let children = binomial(i, root, n).1.len() as u64;
-                charge(slots, &[r], children, children * bytes);
-            }
-            reply_all(&|_| Reply::Broadcasted(data.clone()))
+            vec![Reply::Gathered(rows); n]
         }
         Op::Alltoallv { .. } => {
             let blocks = |op| {
@@ -921,22 +687,22 @@ fn complete_collective<P: RankProgram>(
             let sends: Vec<Blocks> = ops.map(blocks).collect();
             // One pass over the block lengths charges every sender and
             // sizes every reader's buffer exactly. `rotation(n)` pairs
-            // participant `i` with every peer but itself exactly once, so
-            // it sends every block but its own.
+            // rank `i` with every peer but itself exactly once, so it
+            // sends every block but its own.
             let mut doubles = vec![0usize; n];
-            for (i, (sends, &r)) in sends.iter().zip(participants).enumerate() {
-                assert_eq!(sends.len(), n, "rank {r}: sends.len() == size");
+            for (i, (sends, slot)) in sends.iter().zip(slots.iter_mut()).enumerate() {
+                assert_eq!(sends.len(), n, "rank {i}: sends.len() == size");
                 let mut sent = 0;
                 for (total, block) in doubles.iter_mut().zip(sends.iter()) {
                     *total += block.len();
                     sent += block.len();
                 }
                 sent -= sends.get(i).len();
-                charge(slots, &[r], rotation(n).len() as u64, (sent * 8) as u64);
+                charge(&mut slot.comm, rotation(n).len() as u64, (sent * 8) as u64);
             }
-            // Block `i` of `received[me]` is what participant `i` sent to
-            // `me`: copied into the reader's one buffer sender by sender,
-            // each sender's buffer freed as soon as it has been scattered.
+            // Block `i` of `received[me]` is what rank `i` sent to `me`:
+            // copied into the reader's one buffer sender by sender, each
+            // sender's buffer freed as soon as it has been scattered.
             let mut received: Vec<Blocks> = doubles
                 .iter()
                 .map(|&d| Blocks::with_capacity(n, d))
@@ -946,11 +712,10 @@ fn complete_collective<P: RankProgram>(
                     rows.push(block.iter().copied());
                 }
             }
-            let replies = received.into_iter().map(Reply::Alltoall);
-            participants.iter().copied().zip(replies).collect()
+            received.into_iter().map(Reply::Alltoall).collect()
         }
         &Op::CoCreate { len } => {
-            for (op, &r) in ops.zip(participants) {
+            for (r, op) in ops.enumerate() {
                 match op {
                     Op::CoCreate { len: l } => assert_eq!(l, len, "rank {r}: window length"),
                     _ => mixed(),
@@ -960,102 +725,30 @@ fn complete_collective<P: RankProgram>(
                 .map(|_| Arc::new(RwLock::new(vec![0.0; len])))
                 .collect();
             // The handles' ring circulation sends one origin-id frame per step.
-            charge(slots, participants, ring_steps, ring_steps * 8);
-            reply_all(&|r| Reply::CoCreated(CoArray::from_windows(r, windows.clone())))
+            charge_all(ring_steps, ring_steps * 8);
+            (0..n)
+                .map(|r| Reply::CoCreated(CoArray::from_windows(r, windows.clone())))
+                .collect()
         }
-        Op::Send { .. } | Op::Recv { .. } | Op::Sendrecv { .. } => {
+        Op::Send { .. } | Op::Recv { .. } => {
             unreachable!("point-to-point ops never enter a collective group")
         }
     }
 }
 
-/// The vector a rank contributed to a sum allreduce, allgather or broadcast
+/// The vector a rank contributed to a sum allreduce or an allgather
 /// (`enter_collective` pins one discriminant per group).
 fn data_of(op: Op) -> Vec<f64> {
     match op {
-        Op::AllreduceSum { data } | Op::Allgather { data } | Op::Broadcast { data, .. } => data,
+        Op::AllreduceSum { data } | Op::Allgather { data } => data,
         _ => unreachable!("mixed collective"),
     }
 }
 
-/// Replay v1's faulty barrier (`value: None`) or sum allreduce
-/// (`value: Some`) round by round: every scheduled message makes v1's
-/// seeded draws in v1's per-rank order, charging the sending rank, and a
-/// rank stops at its first failure like v1's `?`. A message that exhausts
-/// retries fails *all* participants (the documented divergence).
-fn faulty_rounds<P: RankProgram>(
-    world: &World,
-    slots: &mut Slots<P>,
-    rounds: impl IntoIterator<Item = Round>,
-    ns: u64,
-    value: Option<&[f64]>,
-) -> Vec<(usize, Reply)> {
-    let participants = world.survivors();
-    let n = participants.len();
-    let bytes = value.map_or(0, |v| (v.len() * 8) as u64);
-    // Per participant: the first failure wins, then it stops sending.
-    let mut errors: Vec<Option<FaultError>> = vec![None; n];
-    for round in rounds {
-        let tag = ctag(ns, round.seq);
-        // Send wave: every still-healthy participant performs its send
-        // for this round, charging its own draws.
-        let mut sent_ok: Vec<bool> = vec![false; n];
-        let mut expiry: Vec<u64> = vec![0; n];
-        for (i, &me) in participants.iter().enumerate() {
-            if errors[i].is_some() {
-                continue;
-            }
-            let dst = participants[round.to(i, n)];
-            // INFALLIBLE: participants are alive ranks with live slots.
-            let slot = slots[me].as_mut().expect("participant slot");
-            match slot.charge_send(world, me, dst, tag) {
-                Ok(()) => {
-                    slot.comm.messages_sent += 1;
-                    slot.comm.bytes_sent += bytes;
-                    sent_ok[i] = true;
-                }
-                Err(e) => {
-                    expiry[i] = slot.ledger().1;
-                    errors[i] = Some(e);
-                }
-            }
-        }
-        // Receive wave: a still-healthy participant observes its
-        // predecessor's outcome for this round.
-        for (i, error) in errors.iter_mut().enumerate() {
-            let from = round.from(i, n);
-            if error.is_none() && !sent_ok[from] && from != i {
-                *error = Some(world.timeout(participants[from], tag, expiry[from]));
-            }
-        }
-    }
-    // The first failure in schedule order fails everyone.
-    let first_error = errors.iter().flatten().next().copied();
-    participants
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| {
-            let result = match errors[i].or(first_error) {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-            let reply = match value {
-                None => Reply::BarrierDone(result),
-                Some(v) => Reply::Reduced(result.map(|()| v.to_vec())),
-            };
-            (r, reply)
-        })
-        .collect()
-}
-
-/// Add `messages` and `bytes` to the traffic each of `ranks` has sent.
-fn charge<P: RankProgram>(slots: &mut Slots<P>, ranks: &[usize], messages: u64, bytes: u64) {
-    for &rank in ranks {
-        // INFALLIBLE: collectives charge only alive participants.
-        let slot = slots[rank].as_mut().expect("participant slot");
-        slot.comm.messages_sent += messages;
-        slot.comm.bytes_sent += bytes;
-    }
+/// Add `messages` and `bytes` to the traffic a rank has sent.
+fn charge(comm: &mut CommStats, messages: u64, bytes: u64) {
+    comm.messages_sent += messages;
+    comm.bytes_sent += bytes;
 }
 
 #[cfg(test)]
@@ -1088,7 +781,7 @@ mod tests {
 
     fn reduced(reply: &Reply) -> &[f64] {
         match reply {
-            Reply::Reduced(Ok(v)) => v,
+            Reply::Reduced(v) => v,
             other => panic!("expected Reduced, got {other:?}"),
         }
     }
@@ -1096,7 +789,7 @@ mod tests {
     #[test]
     fn ring_and_allreduce_match_v1_bitwise() {
         for n in [1usize, 2, 3, 7, 8, 16] {
-            let v1 = run_programs(n, None, ring_script).into_values();
+            let v1 = run_programs(n, ring_script).into_values();
             let v2 = EventSim::new(n).run(ring_script).into_values();
             for (rank, (a, b)) in v1.iter().zip(&v2).enumerate() {
                 let sums = [a, b].map(|replies| reduced(replies.last().expect("allreduce reply")));
@@ -1151,10 +844,9 @@ mod tests {
         assert_eq!(report.sim.ranks, n as u64);
         assert_eq!(report.sim.collectives, 1);
         let canonical: f64 = (1..n).fold(1.0f64, |acc, _| acc + 1.0);
-        for (rank, o) in report.outcomes.iter().enumerate() {
-            let replies = o.value().expect("completed");
+        for (rank, replies) in report.into_values().iter().enumerate() {
             match (&replies[1], &replies[2]) {
-                (Reply::Received(Ok(v)), Reply::Reduced(Ok(sum))) => {
+                (Reply::Received(v), Reply::Reduced(sum)) => {
                     let left = (rank + n - 1) % n;
                     assert_eq!(v[0], left as f64);
                     assert_eq!(sum[0].to_bits(), canonical.to_bits());
@@ -1200,9 +892,8 @@ mod tests {
         // free, so a slot array above that size is first-touched again
         // on every run (DESIGN §12). LBMHD's halo kernel is a 56-byte
         // program returning a `Vec<f64>`; its slot is the program, the
-        // traffic, two boxes a healthy run never allocates and the
-        // state: 136 bytes, 17 MiB at the ladder's top rung of 131 072
-        // ranks.
+        // traffic, the mailbox's 8-byte box and the state: 128 bytes,
+        // 16 MiB at the ladder's top rung of 131 072 ranks.
         struct Halo([u64; 7]);
         impl RankProgram for Halo {
             type Output = Vec<f64>;
@@ -1211,11 +902,11 @@ mod tests {
             }
         }
         assert_eq!(std::mem::size_of_val(&Halo([0; 7])), 56);
-        let slot = std::mem::size_of::<Option<RankSlot<Halo>>>();
+        let slot = std::mem::size_of::<RankSlot<Halo>>();
         assert_eq!(
             slot,
-            136,
-            "a {slot}-byte slot, not 136: the 131 072-rank array is {} bytes",
+            128,
+            "a {slot}-byte slot, not 128: the 131 072-rank array is {} bytes",
             131_072 * slot
         );
         assert!(
@@ -1225,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn loopback_and_self_exchange() {
+    fn loopback_lands_in_the_senders_own_mailbox() {
         let report = EventSim::new(3).run(|rank, _| {
             ScriptProgram::new(vec![
                 Op::Send {
@@ -1234,20 +925,12 @@ mod tests {
                     data: vec![rank as f64 + 0.5],
                 },
                 Op::Recv { src: rank, tag: 4 },
-                Op::Sendrecv {
-                    partner: rank,
-                    tag: 5,
-                    data: vec![2.0],
-                },
             ])
         });
-        let results = report.into_values();
-        for (rank, replies) in results.iter().enumerate() {
-            match (&replies[1], &replies[2]) {
-                (Reply::Received(Ok(v)), Reply::Exchanged(Ok(e))) => {
-                    assert_eq!(v[0], rank as f64 + 0.5);
-                    assert_eq!(e, &vec![2.0]);
-                }
+        assert_eq!(report.sim.messages, 0, "loopback never leaves the rank");
+        for (rank, replies) in report.into_values().iter().enumerate() {
+            match &replies[..] {
+                [Reply::Sent, Reply::Received(v)] => assert_eq!(v[0], rank as f64 + 0.5),
                 other => panic!("rank {rank}: {other:?}"),
             }
         }
@@ -1276,9 +959,9 @@ mod tests {
                 ])
             }
         };
-        for report in [run_programs(2, None, make), EventSim::new(2).run(make)] {
+        for report in [run_programs(2, make), EventSim::new(2).run(make)] {
             match &report.into_values()[1][..] {
-                [Reply::Received(Ok(b)), Reply::Received(Ok(a))] => {
+                [Reply::Received(b), Reply::Received(a)] => {
                     assert_eq!((b[0], a[0]), (2.0, 1.0));
                 }
                 other => panic!("{other:?}"),

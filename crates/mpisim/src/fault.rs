@@ -211,7 +211,7 @@ impl std::fmt::Display for FaultError {
 
 /// One deterministic per-mille draw for a message coordinate: seeded
 /// hashing via [`SplitMix64`], so the decision depends on every field but
-/// on no global state and both runtimes reproduce it bit-for-bit.
+/// on no global state and every run reproduces it bit-for-bit.
 fn fault_draw(seed: u64, kind: u64, src: usize, dst: usize, tag: u64, attempt: u32) -> u32 {
     let mut h = SplitMix64::new(seed ^ kind).next_u64();
     for v in [src as u64, dst as u64, tag, attempt as u64] {
@@ -290,16 +290,6 @@ impl FaultyComm {
         self.recv_from(src, tag)
     }
 
-    /// Combined send + receive with the same partner.
-    pub fn sendrecv(&mut self, partner: usize, tag: u64, data: Vec<f64>) -> Result<Vec<f64>, FaultError> {
-        assert_user_tag(tag);
-        if partner == self.rank() {
-            return Ok(data);
-        }
-        self.send_to(partner, tag, data)?;
-        self.recv_from(partner, tag)
-    }
-
     /// Dissemination barrier over the surviving ranks.
     pub fn barrier(&mut self) -> Result<(), FaultError> {
         collective::barrier(self, tags::NS_FAULTY_BARRIER)
@@ -375,11 +365,6 @@ impl<T> RankOutcome<T> {
             RankOutcome::Completed { faults, .. } => Some(*faults),
             RankOutcome::Failed => None,
         }
-    }
-
-    /// Whether this rank was failed by the spec.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, RankOutcome::Failed)
     }
 }
 
@@ -473,8 +458,8 @@ mod tests {
             assert_eq!((0..5).filter(|&r| c.alive(r)).collect::<Vec<_>>(), [0, 2, 4]);
             c.allreduce_sum_scalar((c.rank() + 1) as f64).expect("survivors ok")
         });
-        assert!(outcomes[1].is_failed());
-        assert!(outcomes[3].is_failed());
+        assert_eq!(outcomes[1], RankOutcome::Failed);
+        assert_eq!(outcomes[3], RankOutcome::Failed);
         // Survivors sum only the surviving contributions: 1 + 3 + 5.
         for r in [0, 2, 4] {
             assert_eq!(outcomes[r].value(), Some(&9.0));
@@ -520,7 +505,8 @@ mod tests {
         let outcomes = run_faulty(1, spec, |c| {
             c.barrier().expect("no peers");
             let sum = c.allreduce_sum_scalar(5.0).expect("loopback");
-            let echo = c.sendrecv(0, 1, vec![2.5]).expect("self");
+            c.send(0, 1, vec![2.5]).expect("self");
+            let echo = c.recv(0, 1).expect("self");
             (sum, echo[0])
         });
         assert_eq!(outcomes[0].value(), Some(&(5.0, 2.5)));
@@ -681,7 +667,7 @@ mod tests {
                 c.barrier().expect("survivor barrier");
                 c.rank()
             });
-            assert_eq!(outcomes.iter().filter(|o| !o.is_failed()).count(), n);
+            assert_eq!(outcomes.iter().filter(|o| o.value().is_some()).count(), n);
         }
     }
 }

@@ -10,28 +10,29 @@
 //! runtime is standard library only, so it builds with no network access.
 //!
 //! * [`comm`]: two-sided primitives (`send`/`recv` with tag matching and
-//!   out-of-order buffering), collectives (barrier, allreduce, gather,
-//!   broadcast, all-to-all), and traffic statistics used to calibrate the
+//!   out-of-order buffering), collectives (barrier, allreduce, allgather,
+//!   all-to-all), and traffic statistics used to calibrate the
 //!   performance model's communication phases;
 //! * [`caf`]: co-array style one-sided windows (`put`/`get` into remote
 //!   rank memory) mirroring LBMHD's CAF port;
 //! * [`fault`]: deterministic message-level fault injection — seeded
 //!   drop/delay decisions, exponential backoff in simulated picoseconds,
 //!   timeouts, rank failure with survivor-only collectives, and retry
-//!   counters reported through `pvs-obs`;
+//!   counters reported through `pvs-obs` — on the thread-backed runtime
+//!   only, through [`run_faulty`]'s closures;
 //! * [`event`]: the event-driven runtime (v2) — virtual ranks as
 //!   continuation-style [`RankProgram`]s resumed in place on the
-//!   scheduler thread, scheduled by the simulated-picosecond
-//!   event core, bit-identical to the thread-backed runtime and able to
-//!   simulate 10⁵+ ranks without 10⁵ OS threads;
+//!   scheduler thread in supersteps, bit-identical to the thread-backed
+//!   runtime and able to simulate 10⁵+ ranks without 10⁵ OS threads;
 //! * [`threaded`]: the same [`RankProgram`]s on the thread-backed
-//!   runtime, each [`Op`] answered by the [`Comm`] / [`FaultyComm`]
-//!   method of the same name, and [`run_both`], which holds one workload
-//!   bit-identical on both runtimes;
+//!   runtime, each [`Op`] answered by the [`Comm`] method of the same
+//!   name, and [`run_both`], which holds one workload bit-identical on
+//!   both runtimes;
 //! * [`exchange`]: the one stencil exchange the solvers' programs embed;
 //! * `collective` (private): canonical folds, survivor set and seeded
 //!   per-message fault charge, run with the [`pvs_core::schedule`]
-//!   schedules as packets by `comm`/`fault`/`caf`, as sums by `event`;
+//!   schedules as packets by `comm`/`fault`/`caf`; `event` charges the
+//!   same schedules as sums and folds through the same functions;
 //! * [`tags`]: the collective tag namespace — the top tag bit is
 //!   reserved so user traffic can never collide with a collective's
 //!   internal messages.
@@ -42,8 +43,9 @@
 //! P; [`run`] is its closure form), [`EventSim`] schedules parked
 //! continuations (v2, P bounded by memory). The conformance suite runs
 //! every scenario — one op list — through both and pins them
-//! bit-identical on values, traffic statistics, fault accounting and
-//! clocks.
+//! bit-identical on values and traffic statistics. A [`RankProgram`] never
+//! sees a fault: message faults and failed ranks are the closure API's
+//! ([`run_faulty`], [`FaultyComm`]), which the chaos harness drives.
 //!
 //! ## Example
 //!

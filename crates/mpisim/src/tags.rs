@@ -30,7 +30,6 @@ pub(crate) const NS_BARRIER: u64 = 0x01;
 pub(crate) const NS_ALLREDUCE_SUM: u64 = 0x02;
 pub(crate) const NS_ALLREDUCE_MAX: u64 = 0x03;
 pub(crate) const NS_ALLGATHER: u64 = 0x04;
-pub(crate) const NS_BCAST: u64 = 0x05;
 pub(crate) const NS_ALLTOALL: u64 = 0x06;
 pub(crate) const NS_CAF: u64 = 0x07;
 pub(crate) const NS_FAULTY_BARRIER: u64 = 0x08;
@@ -50,8 +49,7 @@ pub fn is_user_tag(tag: u64) -> bool {
 }
 
 /// Panic unless `tag` is legal for application traffic. Called by every
-/// public point-to-point entry (`send`, `recv`, `sendrecv`) in
-/// both runtimes.
+/// public point-to-point entry (`send`, `recv`) in both runtimes.
 pub(crate) fn assert_user_tag(tag: u64) {
     assert!(
         is_user_tag(tag),
@@ -66,7 +64,7 @@ mod tests {
 
     #[test]
     fn collective_tags_set_the_reserved_bit() {
-        for ns in [NS_BARRIER, NS_BCAST, NS_FAULTY_ALLREDUCE] {
+        for ns in [NS_BARRIER, NS_ALLTOALL, NS_FAULTY_ALLREDUCE] {
             for seq in [0, 1, (1 << 48) - 1] {
                 let t = ctag(ns, seq);
                 assert!(!is_user_tag(t));
@@ -82,7 +80,6 @@ mod tests {
             NS_ALLREDUCE_SUM,
             NS_ALLREDUCE_MAX,
             NS_ALLGATHER,
-            NS_BCAST,
             NS_ALLTOALL,
             NS_CAF,
             NS_FAULTY_BARRIER,

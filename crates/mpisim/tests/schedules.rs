@@ -5,23 +5,21 @@
 //! v2 and the model together and `conformance.rs` would not see it. This
 //! table pins what every rank sends — literal `(messages_sent,
 //! bytes_sent)` worked out by hand from the algorithms' definitions
-//! (dissemination barrier, gather-to-all ring, binomial tree, all-to-all
-//! rotation), not from the code — and holds both runtimes to it; the
-//! rotation it pins is the one the model times PARATEC's transposes on.
+//! (dissemination barrier, gather-to-all ring, all-to-all rotation), not
+//! from the code — and holds both runtimes to it; the rotation it pins is
+//! the one the model times PARATEC's transposes on.
 
 use pvs_mpisim::{run_programs, Blocks, EventSim, Op, Reply, ScriptProgram, SimReport};
 
 /// The collective `name` as rank `rank` of `p` enters it: 2-double sum,
-/// scalar max, ragged allgather rows of `rank % 3 + 1` doubles, 3-double
-/// broadcast, ragged all-to-all blocks of `(rank + dst) % 2 + 1` doubles.
+/// scalar max, ragged allgather rows of `rank % 3 + 1` doubles, ragged
+/// all-to-all blocks of `(rank + dst) % 2 + 1` doubles.
 fn op(name: &str, rank: usize, p: usize) -> Op {
     match name {
         "barrier" => Op::Barrier,
         "allreduce_sum" => Op::AllreduceSum { data: vec![rank as f64, 0.5] },
         "allreduce_max" => Op::AllreduceMaxScalar { x: rank as f64 },
         "allgather" => Op::Allgather { data: vec![1.0; rank % 3 + 1] },
-        "broadcast_first" => Op::Broadcast { root: 0, data: vec![2.0; 3] },
-        "broadcast_last" => Op::Broadcast { root: p - 1, data: vec![2.0; 3] },
         "alltoallv" => Op::Alltoallv {
             sends: (0..p).map(|dst| vec![0.0; (rank + dst) % 2 + 1]).collect(),
         },
@@ -40,32 +38,24 @@ const ORACLE: &[(usize, &str, RankTraffic)] = &[
     (1, "allreduce_sum", &[(0, 0); 1]),
     (1, "allreduce_max", &[(0, 0); 1]),
     (1, "allgather", &[(0, 0); 1]),
-    (1, "broadcast_first", &[(0, 0); 1]),
-    (1, "broadcast_last", &[(0, 0); 1]),
     (1, "alltoallv", &[(0, 0); 1]),
     (1, "cocreate", &[(0, 0); 1]),
     (2, "barrier", &[(1, 0); 2]),
     (2, "allreduce_sum", &[(1, 16); 2]),
     (2, "allreduce_max", &[(1, 8); 2]),
     (2, "allgather", &[(1, 16), (1, 24)]),
-    (2, "broadcast_first", &[(1, 24), (0, 0)]),
-    (2, "broadcast_last", &[(0, 0), (1, 24)]),
     (2, "alltoallv", &[(1, 16); 2]),
     (2, "cocreate", &[(1, 8); 2]),
     (3, "barrier", &[(2, 0); 3]),
     (3, "allreduce_sum", &[(2, 32); 3]),
     (3, "allreduce_max", &[(2, 16); 3]),
     (3, "allgather", &[(2, 48), (2, 40), (2, 56)]),
-    (3, "broadcast_first", &[(2, 48), (0, 0), (0, 0)]),
-    (3, "broadcast_last", &[(0, 0), (0, 0), (2, 48)]),
     (3, "alltoallv", &[(2, 24), (2, 32), (2, 24)]),
     (3, "cocreate", &[(2, 16); 3]),
     (7, "barrier", &[(3, 0); 7]),
     (7, "allreduce_sum", &[(6, 96); 7]),
     (7, "allreduce_max", &[(6, 48); 7]),
     (7, "allgather", &[(6, 136), (6, 128), (6, 144), (6, 136), (6, 128), (6, 144), (6, 144)]),
-    (7, "broadcast_first", &[(3, 72), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (0, 0)]),
-    (7, "broadcast_last", &[(0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (0, 0), (3, 72)]),
     (7, "alltoallv", &[(6, 72), (6, 80), (6, 72), (6, 80), (6, 72), (6, 80), (6, 72)]),
     (7, "cocreate", &[(6, 48); 7]),
     (8, "barrier", &[(3, 0); 8]),
@@ -74,8 +64,6 @@ const ORACLE: &[(usize, &str, RankTraffic)] = &[
     (8, "allgather", &[
         (7, 160), (7, 152), (7, 168), (7, 160), (7, 152), (7, 168), (7, 160), (7, 168),
     ]),
-    (8, "broadcast_first", &[(3, 72), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0)]),
-    (8, "broadcast_last", &[(0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0), (3, 72)]),
     (8, "alltoallv", &[(7, 88); 8]),
     (8, "cocreate", &[(7, 56); 8]),
     (16, "barrier", &[(4, 0); 16]),
@@ -84,14 +72,6 @@ const ORACLE: &[(usize, &str, RankTraffic)] = &[
     (16, "allgather", &[
         (15, 352), (15, 344), (15, 360), (15, 352), (15, 344), (15, 360), (15, 352), (15, 344),
         (15, 360), (15, 352), (15, 344), (15, 360), (15, 352), (15, 344), (15, 360), (15, 360),
-    ]),
-    (16, "broadcast_first", &[
-        (4, 96), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0),
-        (3, 72), (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0),
-    ]),
-    (16, "broadcast_last", &[
-        (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0), (3, 72),
-        (0, 0), (1, 24), (0, 0), (2, 48), (0, 0), (1, 24), (0, 0), (4, 96),
     ]),
     (16, "alltoallv", &[(15, 184); 16]),
     (16, "cocreate", &[(15, 120); 16]),
@@ -111,13 +91,13 @@ fn both_runtimes_send_exactly_the_tabulated_traffic() {
 /// runtime, in that order.
 fn on_both(p: usize, op: impl Fn(usize) -> Op + Sync) -> [SimReport<Vec<Reply>>; 2] {
     let make = |rank, _| ScriptProgram::new(vec![op(rank)]);
-    [run_programs(p, None, make), EventSim::new(p).run(make)]
+    [run_programs(p, make), EventSim::new(p).run(make)]
 }
 
 /// Per-rank `(messages_sent, bytes_sent)` of one op on each runtime.
 fn traffic(p: usize, op: impl Fn(usize) -> Op + Sync) -> [Vec<(u64, u64)>; 2] {
     on_both(p, op).map(|report| {
-        let per_rank = report.into_values_and_stats();
+        let per_rank = report.ranks;
         per_rank.iter().map(|(_, stats)| (stats.messages_sent, stats.bytes_sent)).collect()
     })
 }

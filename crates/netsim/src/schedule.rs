@@ -90,32 +90,6 @@ pub fn recursive_doubling(
     (0..ceil_log2(n)).map(move |r| move |me: usize| Some(me ^ (1 << r)).filter(|&peer| peer < n))
 }
 
-/// Position of participant `me` in the binomial broadcast tree rooted at
-/// `root` (MPICH's relative-rank/mask schedule): its parent (`None` at
-/// the root) and its children in send order — log₂ n rounds, and nobody
-/// sends more than log₂ n messages.
-pub fn binomial(me: usize, root: usize, n: usize) -> (Option<usize>, Vec<usize>) {
-    let relative = (me + n - root) % n;
-    let mut parent = None;
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            parent = Some((me + n - mask) % n);
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    let mut children = Vec::new();
-    while mask > 0 {
-        if relative + mask < n {
-            children.push((me + mask) % n);
-        }
-        mask >>= 1;
-    }
-    (parent, children)
-}
-
 /// `[c + 1, c - 1]` on a ring of `n`: the two neighbours of coordinate
 /// `c` along one axis of a periodic grid.
 fn steps(c: usize, n: usize) -> [usize; 2] {
@@ -307,9 +281,6 @@ impl Cart3d {
 mod tests {
     use super::*;
 
-    /// `(parent, children)` of every participant of a binomial tree.
-    type Tree = &'static [(Option<usize>, &'static [usize])];
-
     /// `to` of every participant, one row per round.
     fn to_rows(rounds: impl Iterator<Item = Round>, n: usize) -> Vec<Vec<usize>> {
         rounds
@@ -411,22 +382,6 @@ mod tests {
             let got: Vec<Vec<_>> =
                 recursive_doubling(n).map(|partner| (0..n).map(partner).collect()).collect();
             assert_eq!(got, rows, "recursive doubling n={n}");
-        }
-
-        // Binomial tree: `(parent, children)` of every participant.
-        let binomial_trees: [(usize, usize, Tree); 6] = [
-            (1, 0, &[(N, &[])]),
-            (2, 0, &[(N, &[1]), (Some(0), &[])]),
-            (3, 0, &[(N, &[2, 1]), (Some(0), &[]), (Some(0), &[])]),
-            (5, 0, &[(N, &[4, 2, 1]), (Some(0), &[]), (Some(0), &[3]), (Some(2), &[]), (Some(0), &[])]),
-            (5, 3, &[(Some(3), &[1]), (Some(0), &[]), (Some(3), &[]), (N, &[2, 0, 4]), (Some(3), &[])]),
-            (8, 0, &[(N, &[4, 2, 1]), (Some(0), &[]), (Some(0), &[3]), (Some(2), &[]),
-                     (Some(0), &[6, 5]), (Some(4), &[]), (Some(4), &[7]), (Some(6), &[])]),
-        ];
-        for (n, root, tree) in binomial_trees {
-            for (me, &(parent, children)) in tree.iter().enumerate() {
-                assert_eq!(binomial(me, root, n), (parent, children.to_vec()), "n={n} root={root} me={me}");
-            }
         }
     }
 

@@ -50,13 +50,13 @@ fn fold_output(report: SimReport<Vec<Reply>>) -> Vec<(Vec<f64>, CommStats)> {
                         .iter()
                         .fold(0.0, |acc, n| n.iter().fold(acc, |a, x| a + x));
                 }
-                Reply::Reduced(Ok(energy)) => out.extend(energy),
+                Reply::Reduced(energy) => out.extend(energy),
                 other => unreachable!("not in the PARATEC schedule: {other:?}"),
             }
         }
         (out, stats)
     };
-    report.into_values_and_stats().into_iter().map(fold).collect()
+    report.ranks.into_iter().map(fold).collect()
 }
 
 fn schedule(rank: usize, size: usize) -> Vec<Op> {
@@ -80,7 +80,7 @@ fn make(rank: usize, size: usize) -> ScriptProgram {
 
 /// Run the kernel on the thread-backed runtime.
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
-    fold_output(run_programs(p, None, make))
+    fold_output(run_programs(p, make))
 }
 
 /// Run the kernel on the event-driven runtime. `_threads` is unused:

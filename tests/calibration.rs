@@ -77,7 +77,11 @@ fn halo_scale_kernels_traffic_and_events_match_their_closed_forms() {
     // allreduce of `w` doubles over n ranks (a ring: n − 1 messages).
     // Every send along an axis of extent 1 goes to the rank itself and
     // is not routed through the scheduler, so routed messages are k·n
-    // only when every axis has extent ≥ 2.
+    // only when every axis has extent ≥ 2. On such a grid each rank parks
+    // on every receive — a superstep's packets are delivered only after
+    // all of its ranks have run — and once in the allreduce, so there are
+    // k + 1 supersteps of n parks and n wakeups, one more that finishes
+    // every rank, and never more than the n ranks parked at once.
     use pvs::core::schedule::{Cart2d, Cart3d};
     use pvs::mpisim::{CommStats, SimStats};
 
@@ -121,6 +125,7 @@ fn halo_scale_kernels_traffic_and_events_match_their_closed_forms() {
 
     for kernel in &kernels {
         let (name, k, len, w) = (kernel.name, kernel.k, kernel.len, kernel.w);
+        let mut full_grids = 0;
         for p in [1usize, 2, 16, 64, 1024, 8192] {
             let n = p as u64;
             let per_rank = CommStats {
@@ -142,7 +147,13 @@ fn halo_scale_kernels_traffic_and_events_match_their_closed_forms() {
             let extents = (kernel.extents)(p);
             let routed = 2 * n * extents.iter().filter(|&&e| e >= 2).count() as u64;
             if extents.iter().all(|&e| e >= 2) {
+                full_grids += 1;
                 assert_eq!(routed, k * n, "{name} P={p}");
+                assert_eq!(
+                    (sim.batches, sim.parks, sim.wakeups, sim.peak_parked),
+                    (k + 2, (k + 1) * n, (k + 1) * n, n),
+                    "{name} P={p} supersteps"
+                );
             }
             assert_eq!(
                 (sim.ranks, sim.resumes, sim.collectives, sim.messages),
@@ -150,6 +161,7 @@ fn halo_scale_kernels_traffic_and_events_match_their_closed_forms() {
                 "{name} P={p}"
             );
         }
+        assert!(full_grids >= 3, "{name}: the superstep closed forms checked {full_grids} grids");
     }
 }
 
